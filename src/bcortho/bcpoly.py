@@ -94,14 +94,6 @@ class LaurentPolynomial:
         return LaurentPolynomial(
             self.nvars, {e: c * v for e, v in self.terms.items()})
 
-    def substitute_scaled(self, u: complex) -> "LaurentPolynomial":
-        """Replace z by u z, i.e. multiply each term by u^{sum of exponents}."""
-        if u == 0:
-            raise ZeroScale("substitution scale must be nonzero")
-        return LaurentPolynomial(
-            self.nvars,
-            {e: v * u ** sum(e) for e, v in self.terms.items()})
-
     def coefficient(self, e: Sequence[int]) -> complex:
         return self.terms.get(tuple(int(x) for x in e), 0.0)
 
@@ -117,6 +109,27 @@ class LaurentPolynomial:
             term = self.terms[e]
             for zi, ei in zip(z, e):
                 term *= zi ** ei
+            total += term
+        return total
+
+    def eval_points(self, Z: np.ndarray) -> np.ndarray:
+        """Evaluate at every row of the (m, nvars) array Z, summing terms
+        in sorted exponent order as eval does. Entries agree with eval at
+        each row up to the last bit of numpy's power function."""
+        Z = np.asarray(Z)
+        if Z.ndim != 2 or Z.shape[1] != self.nvars:
+            raise LengthMismatch("points have wrong length")
+        if np.any(Z == 0):
+            raise ZeroCoordinate("evaluation point has a zero coordinate")
+        cols = [Z[:, i] for i in range(self.nvars)]
+        cache: Dict[Tuple[int, int], np.ndarray] = {}
+        total = np.zeros(len(Z), dtype=complex)
+        for e in sorted(self.terms):
+            term = self.terms[e]
+            for i, ei in enumerate(e):
+                if (i, ei) not in cache:
+                    cache[i, ei] = cols[i] ** ei
+                term = term * cache[i, ei]
             total += term
         return total
 

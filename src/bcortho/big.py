@@ -15,10 +15,17 @@ against each other), the bilinear form, polynomials, closed-form norms,
 the q-Selberg constant term together with its two-sided t = q^k
 evaluation, the asymptotic matching of the split-weights, and numeric
 scans of the limit transition.
+
+Pairings reuse a per-parameter node table, kept for the CACHE_SIZE most
+recently used parameter sets: for each shell, the nodes and their weights
+c_{B,j} Delta^B(z) |prod z|, computed once with the array kernel. A
+pairing is then one weighted dot product per shell. weight_big stays as
+the scalar reference for these weights.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -39,13 +46,21 @@ from .errors import (
     SingularGram,
     SlowConvergence,
 )
-from .little import _ascending_with_sum, _eratio, delta_qJ, nqj_product
-from .params import AWParams
+from .little import (
+    _ShellTable,
+    _ascending_with_sum,
+    _delta_qJ_rows,
+    _eratio,
+    delta_qJ,
+    nqj_product,
+)
+from .measures import _natural_k
+from .params import CACHE_SIZE, AWParams
 from .qseries import (
     psi_t,
     qpoch_finite,
     qpoch_infinite,
-    qpoch_real,
+    qpoch_infinite_arr,
     theta_jacobi,
 )
 
@@ -125,11 +140,6 @@ def weight_big(z: Sequence[float], bp: BigParams) -> float:
     return val * delta_qJ(z, q, bp.t)
 
 
-def _theta(x: complex, q: float) -> complex:
-    v = theta_jacobi(x, q)
-    return v
-
-
 def c_weights(bp: BigParams, check: bool = True) -> List[float]:
     """Split-weights (c_{B,0}, ..., c_{B,n}) of the two-sided Jackson
     integral, from the theta-product closed form.
@@ -144,13 +154,13 @@ def c_weights(bp: BigParams, check: bool = True) -> List[float]:
     for j in range(n + 1):
         val = qq ** n
         for i in range(1, j + 1):
-            den = (_theta(-t ** (1 - i) * d / c, q)
-                   * _theta(-t ** i * c / d, q))
+            den = (theta_jacobi(-t ** (1 - i) * d / c, q)
+                   * theta_jacobi(-t ** i * c / d, q))
             if abs(den) < POLE_GUARD:
                 raise PoleInTheta("theta factor vanishes in c_{B,j}")
-            val *= (_theta(-t ** (i + j - n) * c / d, q) / den).real
+            val *= (theta_jacobi(-t ** (i + j - n) * c / d, q) / den).real
         for i in range(1, n - j + 1):
-            den = _theta(-t ** (1 - i) * c / d, q)
+            den = theta_jacobi(-t ** (1 - i) * c / d, q)
             if abs(den) < POLE_GUARD:
                 raise PoleInTheta("theta factor vanishes in c_{B,j}")
             val /= den.real
@@ -183,7 +193,7 @@ def c_weights_defining(bp: BigParams) -> List[float]:
     base *= d ** (-2.0 * tau * math.comb(n, 2) - n)
     base *= t ** (-math.comb(n, 2))
     for i in range(1, n + 1):
-        den = _theta(-t ** (1 - i) * c / d, q)
+        den = theta_jacobi(-t ** (1 - i) * c / d, q)
         if abs(den) < POLE_GUARD:
             raise PoleInTheta("theta factor vanishes in c_B")
         base /= den.real
@@ -202,30 +212,40 @@ def bilinear_big(f: LaurentPolynomial, g: LaurentPolynomial, bp: BigParams,
                  rel_tol: float = 1e-13, max_shells: int = 400) -> float:
     """<f,g>_B: the c-weighted Jackson integral of f g Delta^B over the
     two-sided chain set, summed in shells of constant |nu| + |nu'|."""
+    return _node_table(bp).pair(f, g, rel_tol, max_shells)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _node_table(bp: BigParams) -> _ShellTable:
+    cw = np.array(c_weights(bp, check=False))
+    return _ShellTable(lambda s: _big_shell(bp, cw, s), bp.n, bp.q,
+                       "big q-Jacobi multisum")
+
+
+def _big_shell(bp: BigParams, cw: np.ndarray,
+               s: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes of shell |nu| + |nu'| = s, ordered by j, and their weights
+    c_{B,j} Delta^B(z) |prod z| as weight_big computes them, vectorized
+    over the shell."""
     n, q = bp.n, bp.q
-    cw = c_weights(bp, check=False)
-    total = 0.0
-    quiet = 0
-    for s in range(max_shells):
-        shell = 0.0
-        for j in range(n + 1):
-            for s1 in range(s + 1):
-                for nu in _ascending_with_sum(j, s1):
-                    for nup in _ascending_with_sum(n - j, s - s1):
-                        z = support_point(j, nu, nup, bp)
-                        jac = math.prod(z[:j]) * math.prod(
-                            -x for x in z[j:])
-                        shell += (cw[j] * (f.eval(z) * g.eval(z)).real
-                                  * weight_big(z, bp) * jac)
-        total += shell
-        if abs(shell) <= rel_tol * max(1.0, abs(total)):
-            quiet += 1
-            if quiet >= 4 and s >= n:
-                return (1.0 - q) ** n * total
-        else:
-            quiet = 0
-    raise SlowConvergence(
-        f"big q-Jacobi multisum did not settle within {max_shells} shells")
+    rows: List[Tuple[float, ...]] = []
+    js: List[int] = []
+    for j in range(n + 1):
+        for s1 in range(s + 1):
+            for nu in _ascending_with_sum(j, s1):
+                for nup in _ascending_with_sum(n - j, s - s1):
+                    rows.append(support_point(j, nu, nup, bp))
+                    js.append(j)
+    Z = np.array(rows)
+    num = (qpoch_infinite_arr(q * Z / bp.c, q)
+           * qpoch_infinite_arr(-q * Z / bp.d, q))
+    den = (qpoch_infinite_arr(q * bp.a * Z / bp.c, q)
+           * qpoch_infinite_arr(-q * bp.b * Z / bp.d, q))
+    small = np.abs(den) < POLE_GUARD
+    if np.any(small):
+        raise DomainViolation(f"v_B denominator vanishes at x={Z[small][0]}")
+    w = np.prod((num / den).real, axis=1) * _delta_qJ_rows(Z, q, bp.t)
+    return Z, cw[js] * w * np.prod(np.abs(Z), axis=1)
 
 
 @dataclass(frozen=True)
@@ -334,6 +354,7 @@ def askey_evans_lhs(bp: BigParams, rel_tol: float = 1e-13,
         m += 1
     else:
         raise SlowConvergence("Jackson node list did not terminate")
+    vtab = {x: v(x) for x, _w in nodes}
 
     def full(z: List[float]) -> float:
         val = 1.0
@@ -341,7 +362,7 @@ def askey_evans_lhs(bp: BigParams, rel_tol: float = 1e-13,
             for j in range(i + 1, n):
                 val *= z[i] ** (2 * k) * qpoch_finite(
                     q ** (1 - k) * z[j] / z[i], q, 2 * k)
-            val *= v(z[i])
+            val *= vtab[z[i]]
         return val
 
     def rec(z: List[float], jac: float) -> float:
@@ -392,13 +413,6 @@ def selberg_big_qk(bp: BigParams) -> float:
     for i in range(1, n + 1):
         const *= (1.0 - q ** k) / (1.0 - q ** (i * k))
     return selberg_big(bp) / const
-
-
-def _natural_k(bp: BigParams) -> int:
-    k = round(math.log(bp.t) / math.log(bp.q))
-    if k < 1 or abs(bp.t - bp.q ** k) > 1e-12:
-        raise DomainViolation(f"t={bp.t} is not an exact positive power of q")
-    return int(k)
 
 
 def asymptotic_ratio(j: int, lam: Sequence[int], mu: Sequence[int],

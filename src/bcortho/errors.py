@@ -67,10 +67,6 @@ class PoleInTheta(BcorthoError):
     """A theta factor inside a weight vanished."""
 
 
-class PoleInGamma(BcorthoError):
-    """A q-gamma factor inside a closed form hit a pole."""
-
-
 class EigenvalueCollision(BcorthoError):
     """Two operator eigenvalues are too close to separate numerically."""
 

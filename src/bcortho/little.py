@@ -9,6 +9,12 @@ polynomials (defined by Gram-Schmidt against the dominance-lower
 monomials), the closed-form norms and q-Selberg constant term, and
 numeric scans of the limit transition.
 
+Pairings reuse a per-parameter node table, kept for the CACHE_SIZE most
+recently used parameter sets: for each shell, the nodes and their weights
+Delta^L(z) prod z, computed once with the array kernel. A pairing is then
+one weighted dot product per shell. The shell loop and its stopping rule
+(_sum_shells) are shared with jackson_multisum and the big q-Jacobi form.
+
 Closed forms are stated with the q-gamma function of arguments involving
 alpha = log_q a and beta = log_q b; they are evaluated here through
 ratios of infinite q-shifted factorials whose arguments are the exact
@@ -18,9 +24,10 @@ valid for b <= 0 where beta is undefined.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,8 +40,13 @@ from .bcpoly import (
     partitions_dominated_by,
 )
 from .errors import DomainViolation, SingularGram, SlowConvergence
-from .params import AWParams
-from .qseries import qpoch_infinite, qpoch_real
+from .params import CACHE_SIZE, AWParams
+from .qseries import (
+    qpoch_infinite,
+    qpoch_infinite_arr,
+    qpoch_real,
+    qpoch_real_arr,
+)
 
 POLE_GUARD = 1e-13
 COND_LIMIT = 1e12
@@ -104,21 +116,18 @@ def _ascending_with_sum(n: int, s: int) -> Iterator[Tuple[int, ...]]:
         yield from rec([], 0, s)
 
 
-def jackson_multisum(f, lp: LittleParams, rel_tol: float = 1e-13,
-                     max_shells: int = 400) -> float:
-    """Jackson integral of f over the chain set <rho_L>_n:
-    (1-q)^n sum_nu f(rho_L q^nu) prod_i rho_{L,i} q^{nu_i}.
+def _sum_shells(shell_value: Callable[[int], float], n: int, q: float,
+                rel_tol: float, max_shells: int, what: str) -> float:
+    """(1-q)^n times the sum of shell_value(s) over the shells s = 0, 1, ...
 
-    The sum runs over shells of constant |nu| until several consecutive
-    shells are negligible; raises SlowConvergence at the shell cap."""
-    n, q = lp.n, lp.q
+    Stops once four consecutive shells are negligible,
+    |shell| <= rel_tol max(1, |total|), and s >= n; raises SlowConvergence
+    at the shell cap. This is the one stopping rule of every Jackson
+    multisum in the package."""
     total = 0.0
     quiet = 0
     for s in range(max_shells):
-        shell = 0.0
-        for nu in _ascending_with_sum(n, s):
-            z = support_point(nu, lp)
-            shell += f(z) * math.prod(z)
+        shell = shell_value(s)
         total += shell
         if abs(shell) <= rel_tol * max(1.0, abs(total)):
             quiet += 1
@@ -127,17 +136,85 @@ def jackson_multisum(f, lp: LittleParams, rel_tol: float = 1e-13,
         else:
             quiet = 0
     raise SlowConvergence(
-        f"Jackson multisum did not settle within {max_shells} shells")
+        f"{what} did not settle within {max_shells} shells")
+
+
+def jackson_multisum(f, lp: LittleParams, rel_tol: float = 1e-13,
+                     max_shells: int = 400) -> float:
+    """Jackson integral of f over the chain set <rho_L>_n:
+    (1-q)^n sum_nu f(rho_L q^nu) prod_i rho_{L,i} q^{nu_i}.
+
+    The sum runs over shells of constant |nu| until several consecutive
+    shells are negligible; raises SlowConvergence at the shell cap."""
+
+    def shell(s: int) -> float:
+        val = 0.0
+        for nu in _ascending_with_sum(lp.n, s):
+            z = support_point(nu, lp)
+            val += f(z) * math.prod(z)
+        return val
+
+    return _sum_shells(shell, lp.n, lp.q, rel_tol, max_shells,
+                       "Jackson multisum")
+
+
+class _ShellTable:
+    """Node arrays of one discrete measure in n variables with base q, one
+    (Z, w) pair per shell: Z holds the shell's nodes as rows and w their
+    weights, Jackson factor included. Shells are built on first use by
+    build(s); what names the multisum in SlowConvergence messages."""
+
+    def __init__(self, build: Callable[[int], Tuple[np.ndarray, np.ndarray]],
+                 n: int, q: float, what: str):
+        self._build = build
+        self._shells: List[Tuple[np.ndarray, np.ndarray]] = []
+        self.n, self.q, self.what = n, q, what
+
+    def shell(self, s: int) -> Tuple[np.ndarray, np.ndarray]:
+        while len(self._shells) <= s:
+            self._shells.append(self._build(len(self._shells)))
+        return self._shells[s]
+
+    def pair(self, f: LaurentPolynomial, g: LaurentPolynomial,
+             rel_tol: float, max_shells: int) -> float:
+        """Jackson multisum of Re(f g) against the table's weights."""
+
+        def shell_sum(s: int) -> float:
+            Z, w = self.shell(s)
+            return float(np.dot((f.eval_points(Z) * g.eval_points(Z)).real,
+                                w))
+
+        return _sum_shells(shell_sum, self.n, self.q, rel_tol, max_shells,
+                           self.what)
 
 
 def bilinear_little(f: LaurentPolynomial, g: LaurentPolynomial,
                     lp: LittleParams, rel_tol: float = 1e-13) -> float:
     """<f,g>_L: Jackson multisum of f g Delta^L."""
+    return _node_table(lp).pair(f, g, rel_tol, 400)
 
-    def integrand(z):
-        return (f.eval(z) * g.eval(z)).real * _weight_at_point(z, lp)
 
-    return jackson_multisum(integrand, lp, rel_tol=rel_tol)
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _node_table(lp: LittleParams) -> _ShellTable:
+    return _ShellTable(lambda s: _little_shell(lp, s), lp.n, lp.q,
+                       "Jackson multisum")
+
+
+def _little_shell(lp: LittleParams, s: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes of shell |nu| = s and their weights Delta^L(z) prod z, as
+    _weight_at_point computes them, vectorized over the shell."""
+    n, q, t = lp.n, lp.q, lp.t
+    tau, alpha = lp.tau, lp.alpha
+    Z = np.array([support_point(nu, lp) for nu in _ascending_with_sum(n, s)])
+    den = qpoch_infinite_arr(q * lp.b * Z, q)
+    small = np.abs(den) < POLE_GUARD
+    if np.any(small):
+        raise DomainViolation(f"(qbx;q)_inf vanishes at x={Z[small][0]}")
+    val = (q ** (-2.0 * tau * tau * math.comb(n, 3))
+           * t ** (-(alpha + 1.0) * math.comb(n, 2)))
+    val = val * np.prod(qpoch_infinite_arr(q * Z, q) / den * Z ** alpha,
+                        axis=1)
+    return Z, val * _delta_qJ_rows(Z, q, t) * np.prod(Z, axis=1)
 
 
 def delta_qJ(z: Sequence[float], q: float, t: float) -> float:
@@ -151,6 +228,19 @@ def delta_qJ(z: Sequence[float], q: float, t: float) -> float:
         for j in range(i + 1, len(z)):
             val *= abs(z[i] - z[j]) * abs(z[i]) ** (2.0 * tau - 1.0)
             val *= qpoch_real(q * z[j] / (t * z[i]), q, t2q).real
+    return val
+
+
+def _delta_qJ_rows(Z: np.ndarray, q: float, t: float) -> np.ndarray:
+    """delta_qJ at every row of Z, with qpoch_real's per-factor guard."""
+    tau = math.log(t) / math.log(q)
+    t2q = t * t / q
+    val = np.ones(len(Z))
+    for i in range(Z.shape[1]):
+        for j in range(i + 1, Z.shape[1]):
+            zi, zj = Z[:, i], Z[:, j]
+            val *= np.abs(zi - zj) * np.abs(zi) ** (2.0 * tau - 1.0)
+            val *= qpoch_real_arr(q * zj / (t * zi), q, t2q).real
     return val
 
 

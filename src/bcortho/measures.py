@@ -8,11 +8,13 @@ its rewrite for natural deformation parameter t = q^k.
 
 Torus integrals use the uniform tensor trapezoid rule on angles, which is
 spectrally accurate for these analytic periodic integrands; weight grids
-are vectorized per axis and per pair of axes and cached per (params, M).
+are vectorized per axis and per pair of axes and cached per (params, M),
+for the CACHE_SIZE most recently used grids.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product as iter_product
@@ -27,7 +29,7 @@ from .errors import (
     NonPositiveWeight,
     PoleInWeight,
 )
-from .params import AWParams
+from .params import CACHE_SIZE, AWParams
 from .qseries import (
     qpoch_finite,
     qpoch_finite_arr,
@@ -107,9 +109,6 @@ def weight_continuous(z: Sequence[complex], p: AWParams) -> complex:
 # ---------------------------------------------------------------------------
 # torus quadrature grids
 
-_GRID_CACHE: Dict[tuple, tuple] = {}
-
-
 def _grid_axes(M: int) -> np.ndarray:
     ang = 2.0 * np.pi * np.arange(M) / M
     return np.exp(1j * ang)
@@ -144,12 +143,10 @@ def _axis_wc(zvals: np.ndarray, p: AWParams) -> np.ndarray:
     return num / den
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _weight_grid(p: AWParams, n_axes: int, M: int,
                  k: int | None = None) -> tuple:
     """Cached (z-axis values, Delta grid over the M^n_axes tensor grid)."""
-    key = (p, n_axes, M, k)
-    if key in _GRID_CACHE:
-        return _GRID_CACHE[key]
     zvals = _grid_axes(M)
     wc = _axis_wc(zvals, p)
     grid = np.ones((M,) * n_axes, dtype=complex)
@@ -165,7 +162,6 @@ def _weight_grid(p: AWParams, n_axes: int, M: int,
                 sh[a] = M
                 sh[b] = M
                 grid = grid * pair.reshape(sh)
-    _GRID_CACHE[key] = (zvals, grid)
     return zvals, grid
 
 

@@ -10,6 +10,10 @@ from .qseries import check_q
 
 _TOL = 1e-10
 
+# Entries kept by each cache of measure tables (torus weight grids,
+# discrete node tables); the least recently used entry is dropped first.
+CACHE_SIZE = 8
+
 
 @dataclass(frozen=True)
 class AWParams:

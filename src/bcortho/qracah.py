@@ -9,6 +9,10 @@ discrete weight Delta^qR, the proportionality constant K_r relating it to
 the residue-product weight Delta^(d), the finite bilinear form, and the
 closed-form quadratic norms.
 
+The bilinear form reuses a per-parameter table of the support nodes and
+their weights, kept for the CACHE_SIZE most recently used parameter sets;
+its terms are still added node by node, in support order.
+
 The closed-form norm N(lambda) / (2^n n! K_n) is a ratio in which single
 factors vanish or diverge at the truncated parameters, so it is evaluated
 by cancelling q-shifted factorials symbolically (as monomials in
@@ -17,6 +21,7 @@ q, t, t0, t1, t2 with t3 eliminated) before any numerics.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Dict, List, Sequence, Tuple
@@ -29,7 +34,7 @@ from .errors import (
     SingularGram,
     UncancelledPole,
 )
-from .params import AWParams
+from .params import CACHE_SIZE, AWParams
 from .qseries import qpoch_finite, qpoch_infinite, qpoch_real
 
 FORM_TOL = 1e-10
@@ -165,13 +170,25 @@ def support_qR(qp: QRacahParams) -> List[Tuple[int, ...]]:
 
 def bilinear_qR(f: LaurentPolynomial, g: LaurentPolynomial,
                 qp: QRacahParams) -> complex:
-    """Finite discrete bilinear form sum_nu f g Delta^qR at rho q^nu."""
-    p = qp.aw
+    """Finite discrete bilinear form sum_nu f g Delta^qR at rho q^nu.
+
+    The terms are added node by node in support order: the Gram-Schmidt
+    of qracah_polynomial is sensitive to the summation order."""
     total: complex = 0.0
-    for nu in support_qR(qp):
-        z = [_rho(p, i) * p.q ** nu[i - 1] for i in range(1, qp.n + 1)]
-        total += f.eval(z) * g.eval(z) * weight_qR(nu, p)
+    for z, w in _node_table(qp):
+        total += f.eval(z) * g.eval(z) * w
     return total
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _node_table(qp: QRacahParams) -> Tuple[Tuple[Tuple[complex, ...],
+                                                 complex], ...]:
+    """(node rho q^nu, Delta^qR) over the finite support, in order."""
+    p = qp.aw
+    return tuple(
+        (tuple(_rho(p, i) * p.q ** nu[i - 1] for i in range(1, qp.n + 1)),
+         weight_qR(nu, p))
+        for nu in support_qR(qp))
 
 
 def summation_qR(qp: QRacahParams) -> complex:

@@ -12,7 +12,7 @@ supplied by the caller, so only multiplications by t occur in inner loops.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -82,18 +82,23 @@ def qpoch_infinite(a: complex, q: float, rel_tol: float = EPS_TRUNC,
     return prod
 
 
-def qpoch_infinite_arr(a: np.ndarray, q: float) -> np.ndarray:
+def qpoch_infinite_arr(a: np.ndarray, q: float,
+                       require_nonzero: bool = False) -> np.ndarray:
     """Vectorized (a;q)_inf over an ndarray of arguments.
 
-    Truncates once q^j * max|a| falls below EPS_TRUNC; no pole guard
-    (zeros simply come out as zeros).
+    Truncates once q^j * max|a| falls below EPS_TRUNC. Zeros come out as
+    zeros unless require_nonzero is set: then ZeroProduct is raised when a
+    single factor 1 - a q^j is within the pole guard, as in qpoch_infinite.
     """
     a = np.asarray(a)
     prod = np.ones_like(a, dtype=complex if np.iscomplexobj(a) else float)
     aq = a.copy().astype(prod.dtype)
     mag = float(np.max(np.abs(a))) if a.size else 0.0
     while mag >= EPS_TRUNC:
-        prod *= 1.0 - aq
+        f = 1.0 - aq
+        if require_nonzero and np.min(np.abs(f)) < POLE_GUARD:
+            raise ZeroProduct("(a;q)_inf vanishes: a factor 1 - a q^j ~ 0")
+        prod *= f
         aq *= q
         mag *= q
     return prod
@@ -112,6 +117,20 @@ def qpoch_real(a: complex, q: float, t: float) -> complex:
         den = qpoch_infinite(a * t, q, require_nonzero=True)
     except ZeroProduct as exc:
         raise PoleAtDenominator(f"(a t;q)_inf vanishes for a={a}, t={t}") from exc
+    return num / den
+
+
+def qpoch_real_arr(a: np.ndarray, q: float, t: float) -> np.ndarray:
+    """Vectorized qpoch_real over an ndarray, with its per-factor guard:
+    PoleAtDenominator if any factor 1 - a t q^j vanishes."""
+    if not t > 0:
+        raise DomainViolation(f"companion value t must be positive, got {t}")
+    a = np.asarray(a)
+    num = qpoch_infinite_arr(a, q)
+    try:
+        den = qpoch_infinite_arr(a * t, q, require_nonzero=True)
+    except ZeroProduct as exc:
+        raise PoleAtDenominator(f"(a t;q)_inf vanishes for t={t}") from exc
     return num / den
 
 
@@ -190,20 +209,3 @@ def qpoch_finite_arr(a: np.ndarray, q: float, k: int) -> np.ndarray:
         aq *= q
     return prod
 
-
-def guarded_ratio(num_args: Sequence[complex], den_args: Sequence[complex],
-                  q: float) -> complex:
-    """prod (x;q)_inf over num_args divided by the same over den_args.
-
-    Raises PoleAtDenominator if a denominator factorial vanishes.
-    """
-    num: complex = 1.0
-    for x in num_args:
-        num *= qpoch_infinite(x, q)
-    den: complex = 1.0
-    for x in den_args:
-        try:
-            den *= qpoch_infinite(x, q, require_nonzero=True)
-        except ZeroProduct as exc:
-            raise PoleAtDenominator(f"(x;q)_inf vanishes at x={x}") from exc
-    return num / den
