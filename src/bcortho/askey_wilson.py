@@ -16,7 +16,12 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from .bcpoly import LaurentPolynomial, monomial_w, partition
-from .errors import EigenvalueCollision, PoleInPrefactor, PoleInProduct
+from .errors import (
+    EigenvalueCollision,
+    PoleInPrefactor,
+    PoleInProduct,
+    ZeroProduct,
+)
 from .koornwinder import eigenvalue_E, op_matrix
 from .params import AWParams
 from .qseries import qpoch_infinite
@@ -71,10 +76,11 @@ def _poch_ratio(num, den, q):
     for x in num:
         val *= qpoch_infinite(x, q)
     for x in den:
-        d = qpoch_infinite(x, q)
-        if abs(d) < 1e-13:
-            raise PoleInProduct(f"(x;q)_inf vanishes in denominator, x={x}")
-        val /= d
+        try:
+            val /= qpoch_infinite(x, q, require_nonzero=True)
+        except ZeroProduct as exc:
+            raise PoleInProduct(
+                f"(x;q)_inf vanishes in denominator, x={x}") from exc
     return val
 
 

@@ -7,9 +7,19 @@ form that mixes (n-r)-torus integration with r-point discrete chains, and
 its rewrite for natural deformation parameter t = q^k.
 
 Torus integrals use the uniform tensor trapezoid rule on angles, which is
-spectrally accurate for these analytic periodic integrands; weight grids
-are vectorized per axis and per pair of axes and cached per (params, M),
-for the CACHE_SIZE most recently used grids.
+spectrally accurate for these analytic periodic integrands. Every torus
+pairing is <f,g> = sum_{a,b} f_a g_b L(a + b) for the moment functional
+L(e) = mean of z^e * Delta over the M^n grid. A moment table holds L(e)
+for every e in [-D, D]^n, and the same means H(e) over the even-index
+subgrid, whose distance to the pairing is its error estimate; it is one
+truncated DFT of the weight grid, contracted one axis at a time with the
+Vandermonde matrix z_k^(j-D), and D is the largest exponent of the
+pairing's product. Weight grids (vectorized per axis and per pair of
+axes) and moment tables are cached per (params, axes, M, k) and per
+(params, axes, M, k, D), for the CACHE_SIZE most recently used of each.
+The grids of the partially discrete forms, which carry the per-point
+interaction factor on every axis, fold that factor into the Vandermonde
+matrix instead of into a copy of the grid.
 """
 
 from __future__ import annotations
@@ -22,12 +32,14 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .bcpoly import LaurentPolynomial
+from .bcpoly import PRUNE, LaurentPolynomial
 from .errors import (
     DomainViolation,
+    LengthMismatch,
     NearPole,
     NonPositiveWeight,
     PoleInWeight,
+    ZeroProduct,
 )
 from .params import CACHE_SIZE, AWParams
 from .qseries import (
@@ -135,11 +147,12 @@ def _axis_wc(zvals: np.ndarray, p: AWParams) -> np.ndarray:
     num = (qpoch_infinite_arr(zvals ** 2, p.q)
            * qpoch_infinite_arr(zvals ** -2, p.q))
     den = np.ones_like(num)
-    for ti in p.tvec:
-        den *= qpoch_infinite_arr(ti * zvals, p.q)
-        den *= qpoch_infinite_arr(ti / zvals, p.q)
-    if np.min(np.abs(den)) < POLE_GUARD:
-        raise NearPole("w_c pole on the quadrature grid")
+    try:
+        for ti in p.tvec:
+            den *= qpoch_infinite_arr(ti * zvals, p.q, require_nonzero=True)
+            den *= qpoch_infinite_arr(ti / zvals, p.q, require_nonzero=True)
+    except ZeroProduct as exc:
+        raise NearPole("w_c pole on the quadrature grid") from exc
     return num / den
 
 
@@ -153,7 +166,7 @@ def _weight_grid(p: AWParams, n_axes: int, M: int,
     for ax in range(n_axes):
         sh = [1] * n_axes
         sh[ax] = M
-        grid = grid * wc.reshape(sh)
+        grid *= wc.reshape(sh)
     if n_axes > 1:
         pair = _pair_table(zvals, p, k)
         for a in range(n_axes):
@@ -161,7 +174,7 @@ def _weight_grid(p: AWParams, n_axes: int, M: int,
                 sh = [1] * n_axes
                 sh[a] = M
                 sh[b] = M
-                grid = grid * pair.reshape(sh)
+                grid *= pair.reshape(sh)
     return zvals, grid
 
 
@@ -181,35 +194,110 @@ def _check_torus_clearance(p: AWParams) -> None:
                         f"parameter chain value t_i t^{j} q^{sr} on torus")
 
 
-def _grid_mean(G: np.ndarray) -> tuple[complex, float]:
-    """Mean of a tensor grid and the |M vs M/2| error estimate obtained
-    from the even-index subgrid."""
-    value = complex(np.mean(G))
-    sub = G[tuple(slice(None, None, 2) for _ in range(G.ndim))]
-    half = complex(np.mean(sub))
-    return value, abs(value - half)
+def _vandermonde(zvals: np.ndarray, D: int) -> np.ndarray:
+    """M x (2D+1) matrix V[k, j] = z_k^(j-D), read off the grid's own
+    roots of unity z_k = exp(2 pi i k / M)."""
+    M = len(zvals)
+    return zvals[np.outer(np.arange(M), np.arange(-D, D + 1)) % M]
 
 
-def _sym_product(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
-    """f*g with the factor order fixed by a canonical key, so that
-    bilinear forms are exactly symmetric under swapping f and g."""
-    kf = sorted(f.terms)
-    kg = sorted(g.terms)
-    return f * g if (kf, f.nvars) <= (kg, g.nvars) else g * f
+def _grid_moments(grid: np.ndarray, V: np.ndarray) -> tuple:
+    """(L, H): L[e + D] = mean of grid * prod_j V[k_j, e_j + D] over the
+    tensor grid for every e in [-D, D]^ndim, and H the same over the
+    even-index subgrid. Contracts one axis at a time, so D = 0 is a single
+    weighted sum; the largest temporary is a copy of the even subgrid."""
+    def mean(G: np.ndarray, A: np.ndarray) -> np.ndarray:
+        size = G.size
+        for _ in range(G.ndim):
+            rows = G.reshape(-1, G.shape[-1])
+            # summed in blocks of 8 grid points and then block by block:
+            # one long BLAS dot product per moment rounds several times
+            # worse, and the pairings amplify that by their cancellation
+            acc = sum(rows[:, i:i + 8] @ A[i:i + 8]
+                      for i in range(0, len(A), 8))
+            G = np.moveaxis(acc.reshape(G.shape[:-1] + (A.shape[1],)), -1, 0)
+        return G / size
+
+    even = (slice(None, None, 2),) * grid.ndim
+    return mean(grid, V), mean(grid[even], V[::2])
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _moment_table(p: AWParams, n_axes: int, M: int, k: int | None,
+                  D: int) -> tuple:
+    """Cached (L, H) moment tables of the Delta grid up to degree D."""
+    zvals, grid = _weight_grid(p, n_axes, M, k)
+    return _grid_moments(grid, _vandermonde(zvals, D))
+
+
+class _Pairing:
+    """The terms of f and g, in a canonical order of the two so that a
+    pairing is exactly symmetric under swapping them, ready to be
+    contracted against moment tables."""
+
+    def __init__(self, f: LaurentPolynomial, g: LaurentPolynomial):
+        if f.nvars != g.nvars:
+            raise LengthMismatch("variable count mismatch")
+        terms = [sorted(h.terms.items()) for h in (f, g)]
+        keys = [([e for e, _ in t], [(c.real, c.imag) for _, c in t])
+                for t in terms]
+        if keys[1] < keys[0]:
+            f, g, terms = g, f, terms[::-1]
+        self.f, self.g, self.nvars = f, g, f.nvars
+        self.cf, self.cg = (np.array([c for _, c in t], dtype=complex)
+                            for t in terms)
+        ef, eg = (np.array([e for e, _ in t], dtype=int).reshape(
+            len(t), self.nvars) for t in terms)
+        # exponent of every product term: (terms_f, terms_g, nvars)
+        self.sums = ef[:, None] + eg
+        self.D = int(np.abs(self.sums).max(initial=0))
+
+    def degree(self) -> int:
+        """Largest total degree among the terms that f * g keeps: an
+        exponent whose coefficient sum cancels to |c| <= PRUNE does not
+        count. The sum runs in the order LaurentPolynomial.__mul__ uses."""
+        sums = self.sums.reshape(-1, self.nvars)
+        deg = np.abs(sums).sum(axis=1)
+        for d in np.unique(deg)[::-1]:
+            for e in set(map(tuple, sums[deg == d].tolist())):
+                c: complex = 0.0
+                for e1, c1 in self.f.terms.items():
+                    c2 = self.g.terms.get(tuple(a - b for a, b in zip(e, e1)))
+                    if c2 is not None:
+                        c = c + c1 * c2
+                if abs(c) > PRUNE:
+                    return int(d)
+        return 0
+
+    def against(self, p: AWParams, n_axes: int, M: int, k: int | None,
+                axis_factor: np.ndarray | None = None) -> tuple[complex, float]:
+        """(sum_{a,b} f_a g_b L(a + b), |that - the same against H|) for
+        the Delta grid times axis_factor(z_j) on every axis. The factor is
+        folded into the Vandermonde matrix; without one the cached table
+        is used."""
+        if axis_factor is None:
+            L, H = _moment_table(p, n_axes, M, k, self.D)
+        else:
+            zvals, grid = _weight_grid(p, n_axes, M, k)
+            L, H = _grid_moments(
+                grid, _vandermonde(zvals, self.D) * axis_factor[:, None])
+        idx = tuple(np.moveaxis(self.sums + self.D, -1, 0))
+        value = complex(self.cf @ L[idx] @ self.cg)
+        return value, abs(value - complex(self.cf @ H[idx] @ self.cg))
 
 
 def torus_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
                    M: int) -> MeasureReport:
     """<f,g> over the n-torus with density Delta, via the M-point uniform
     tensor grid per axis."""
-    fg_poly = _sym_product(f, g)
-    deg = max((sum(abs(x) for x in e) for e in fg_poly.terms), default=0)
+    pair = _Pairing(f, g)
+    deg = pair.degree()
     if M < 2 * deg + 8:
         raise DomainViolation(f"M={M} too small for degree {deg}")
     _check_torus_clearance(p)
-    zvals, grid = _weight_grid(p, p.n, M)
-    fg = fg_poly.eval_grid([zvals] * p.n)
-    value, err = _grid_mean(fg * grid)
+    if pair.nvars != p.n:
+        raise LengthMismatch("grid has wrong number of axes")
+    value, err = pair.against(p, p.n, M, None)
     return MeasureReport(value, err, M, 0, 0)
 
 
@@ -223,12 +311,13 @@ def wd_residue_weight(i: int, tau0: complex, tau1: complex, tau2: complex,
     if abs(1.0 - tau0 * tau0) < POLE_GUARD:
         raise PoleInWeight("1 - tau0^2 vanishes")
     num = qpoch_infinite(tau0 ** -2, q)
-    den: complex = qpoch_infinite(q, q)
-    for tk in (tau1, tau2, tau3):
-        den *= qpoch_infinite(tau0 * tk, q)
-        den *= qpoch_infinite(tk / tau0, q)
-    if abs(den) < POLE_GUARD * max(1.0, abs(num)):
-        raise PoleInWeight("vanishing denominator in w_d prefactor")
+    try:
+        den: complex = qpoch_infinite(q, q, require_nonzero=True)
+        for tk in (tau1, tau2, tau3):
+            den *= qpoch_infinite(tau0 * tk, q, require_nonzero=True)
+            den *= qpoch_infinite(tk / tau0, q, require_nonzero=True)
+    except ZeroProduct as exc:
+        raise PoleInWeight("vanishing denominator in w_d prefactor") from exc
     val = num / den
     num_i = qpoch_finite(tau0 ** 2, q, i)
     den_i = qpoch_finite(q, q, i)
@@ -384,6 +473,7 @@ def partial_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
     torus term plus discrete-chain corrections over F(r), r = 1..n."""
     n = p.n
     check_positive = p.in_V_AW()
+    zvals = _grid_axes(M)
     base = torus_bilinear(f, g, p, M)
     total = base.value
     err = base.abs_error_estimate
@@ -396,18 +486,11 @@ def partial_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
             fz = f.substitute_prefix(list(pt.omega))
             gz = g.substitute_prefix(list(pt.omega))
             if r == n:
-                contrib = _sym_product(fz, gz).coefficient(()) * w_disc
+                contrib = fz.coefficient(()) * gz.coefficient(()) * w_disc
             else:
-                zvals, grid = _weight_grid(p, n - r, M)
-                grid = grid.copy()
-                for w in pt.omega:
-                    vec = _interaction_c_axis(w, zvals, p)
-                    for ax in range(n - r):
-                        sh = [1] * (n - r)
-                        sh[ax] = M
-                        grid = grid * vec.reshape(sh)
-                fg = _sym_product(fz, gz).eval_grid([zvals] * (n - r))
-                val, e = _grid_mean(fg * grid)
+                vec = np.prod([_interaction_c_axis(w, zvals, p)
+                               for w in pt.omega], axis=0)
+                val, e = _Pairing(fz, gz).against(p, n - r, M, None, vec)
                 contrib = w_disc * val
                 err += comb * e * abs(w_disc)
             if check_positive and abs(contrib) > 0:
@@ -458,7 +541,6 @@ def natural_t_bilinear(f: LaurentPolynomial, g: LaurentPolynomial,
         chains[i] = vals
     _check_torus_clearance(p)
     zvals = _grid_axes(M)
-    wc_vec = _axis_wc(zvals, p)
 
     def pair_fin(a, b):
         out = 1.0
@@ -472,7 +554,6 @@ def natural_t_bilinear(f: LaurentPolynomial, g: LaurentPolynomial,
             out *= qpoch_finite_arr(arg, q, k)
         return out
 
-    pair_table = None
     total: complex = 0.0
     err = 0.0
     npoints = 0
@@ -495,30 +576,11 @@ def natural_t_bilinear(f: LaurentPolynomial, g: LaurentPolynomial,
                 if ncont == 0:
                     total += comb * wdisc * f.eval(zdisc) * g.eval(zdisc)
                     continue
-                grid = np.ones((M,) * ncont, dtype=complex)
-                for ax in range(ncont):
-                    sh = [1] * ncont
-                    sh[ax] = M
-                    grid = grid * wc_vec.reshape(sh)
-                if ncont > 1:
-                    if pair_table is None:
-                        pair_table = _pair_table(zvals, p, k)
-                    for a in range(ncont):
-                        for b in range(a + 1, ncont):
-                            sh = [1] * ncont
-                            sh[a] = M
-                            sh[b] = M
-                            grid = grid * pair_table.reshape(sh)
-                for zv in zdisc:
-                    vec = pair_fin_axis(zv)
-                    for ax in range(ncont):
-                        sh = [1] * ncont
-                        sh[ax] = M
-                        grid = grid * vec.reshape(sh)
-                fz = f.substitute_prefix(zdisc)
-                gz = g.substitute_prefix(zdisc)
-                fg = (fz * gz).eval_grid([zvals] * ncont)
-                val, e = _grid_mean(fg * grid)
+                vec = (np.prod([pair_fin_axis(zv) for zv in zdisc], axis=0)
+                       if zdisc else None)
+                val, e = _Pairing(f.substitute_prefix(zdisc),
+                                  g.substitute_prefix(zdisc)).against(
+                                      p, ncont, M, k, vec)
                 total += comb * wdisc * val
                 err += comb * abs(wdisc) * e
         if r == 0 and not large:
