@@ -11,40 +11,24 @@ factorials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
-from .bcpoly import LaurentPolynomial, monomial_w, partition
+from .bcpoly import OrthogonalPolynomial, monomial_w, partition
 from .errors import (
     EigenvalueCollision,
     PoleInPrefactor,
     PoleInProduct,
-    ZeroProduct,
 )
 from .koornwinder import eigenvalue_E, op_matrix
 from .params import AWParams
-from .qseries import qpoch_infinite
+from .qseries import qpoch_ratio
 
 SEPARATION = 1e-8
 
 
-@dataclass(frozen=True)
-class AWPolynomial:
-    """Monic eigenpolynomial: coefficients c_{lambda,mu} over mu <= lambda."""
-
-    degree: Tuple[int, ...]
-    coeffs: Dict[Tuple[int, ...], complex]
-    params: AWParams
-
-    def to_laurent(self) -> LaurentPolynomial:
-        out = LaurentPolynomial(len(self.degree))
-        for mu, c in self.coeffs.items():
-            out = out + monomial_w(mu).scale(c)
-        return out
-
-
-def aw_polynomial(lam: Sequence[int], p: AWParams, seed: int = 0) -> AWPolynomial:
+def aw_polynomial(lam: Sequence[int], p: AWParams,
+                  seed: int = 0) -> OrthogonalPolynomial:
     """Construct the monic Askey-Wilson polynomial of degree lambda.
 
     Solves (M - E_lambda I) c = 0 with c_lambda = 1 by back-substitution
@@ -67,21 +51,7 @@ def aw_polynomial(lam: Sequence[int], p: AWParams, seed: int = 0) -> AWPolynomia
         s = sum(cvec[r] * m.entries[r, k] for r in range(k + 1, N))
         cvec[k] = s / gap
         coeffs[mus[k]] = cvec[k]
-    return AWPolynomial(lam, coeffs, p)
-
-
-def _poch_ratio(num, den, q):
-    """Product of (x;q)_inf over num divided by the same over den."""
-    val: complex = 1.0
-    for x in num:
-        val *= qpoch_infinite(x, q)
-    for x in den:
-        try:
-            val /= qpoch_infinite(x, q, require_nonzero=True)
-        except ZeroProduct as exc:
-            raise PoleInProduct(
-                f"(x;q)_inf vanishes in denominator, x={x}") from exc
-    return val
+    return OrthogonalPolynomial(lam, coeffs, monomial_w)
 
 
 def aw_norm_plus(lam: Sequence[int], p: AWParams) -> complex:
@@ -92,7 +62,7 @@ def aw_norm_plus(lam: Sequence[int], p: AWParams) -> complex:
     val: complex = 1.0
     for i in range(1, n + 1):
         li = lam[i - 1]
-        val *= _poch_ratio(
+        val *= qpoch_ratio(
             [q ** (2 * li - 1) * t ** (2 * (n - i)) * T],
             [q ** (li - 1) * t ** (n - i) * T,
              q ** li * t ** (n - i) * t0 * t1,
@@ -101,7 +71,7 @@ def aw_norm_plus(lam: Sequence[int], p: AWParams) -> complex:
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
             lj, lk = lam[j - 1], lam[k - 1]
-            val *= _poch_ratio(
+            val *= qpoch_ratio(
                 [q ** (lj + lk - 1) * t ** (2 * n - j - k) * T,
                  q ** (lj - lk) * t ** (k - j)],
                 [q ** (lj + lk - 1) * t ** (2 * n - j - k + 1) * T,
@@ -117,7 +87,7 @@ def aw_norm_minus(lam: Sequence[int], p: AWParams) -> complex:
     val: complex = 1.0
     for i in range(1, n + 1):
         li = lam[i - 1]
-        val *= _poch_ratio(
+        val *= qpoch_ratio(
             [q ** (2 * li) * t ** (2 * (n - i)) * T],
             [q ** (li + 1) * t ** (n - i),
              q ** li * t ** (n - i) * t1 * t2,
@@ -126,7 +96,7 @@ def aw_norm_minus(lam: Sequence[int], p: AWParams) -> complex:
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
             lj, lk = lam[j - 1], lam[k - 1]
-            val *= _poch_ratio(
+            val *= qpoch_ratio(
                 [q ** (lj + lk) * t ** (2 * n - j - k) * T,
                  q ** (lj - lk + 1) * t ** (k - j)],
                 [q ** (lj + lk) * t ** (2 * n - j - k - 1) * T,
@@ -151,7 +121,7 @@ def gustafson_constant(p: AWParams) -> complex:
         for j in range(4):
             for k in range(j + 1, 4):
                 den.append(t ** (n - i) * tv[j] * tv[k])
-        val *= _poch_ratio(num, den, q)
+        val *= qpoch_ratio(num, den, q)
     return val
 
 

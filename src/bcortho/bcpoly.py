@@ -4,17 +4,28 @@ The hyperoctahedral group W = S_n x {+-1}^n acts on Laurent polynomials in
 z_1..z_n by permuting variables and inverting them; the symmetric group S_n
 acts by permutation only. This module provides the invariant monomial bases
 m_lambda (W-orbit sums) and mtilde_lambda (S-orbit sums), the dominance
-order used for triangular expansions, and sparse Laurent arithmetic.
+order used for triangular expansions, sparse Laurent arithmetic, and the
+one orthogonalizer of the package: every family is monic in a monomial
+basis, triangular in the dominance order and orthogonal for its own
+bilinear form, so orthogonalize builds all of them the same way.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainViolation, LengthMismatch, ZeroCoordinate, ZeroScale
+from .errors import (
+    DomainViolation,
+    LengthMismatch,
+    SingularGram,
+    ZeroCoordinate,
+    ZeroScale,
+)
+from .qseries import POLE_GUARD
 
 Exponent = Tuple[int, ...]
 
@@ -264,3 +275,61 @@ def rescale_monomial(lam: Sequence[int], u: complex) -> LaurentPolynomial:
     return LaurentPolynomial(
         len(lam),
         {e: c * u ** (weight - sum(e)) for e, c in m.terms.items()})
+
+
+@dataclass(frozen=True)
+class OrthogonalPolynomial:
+    """Monic polynomial sum_{mu <= degree} coeffs[mu] basis(mu), with
+    coeffs[degree] = 1, in the monomial basis (monomial_w or monomial_s)
+    of its family."""
+
+    degree: Tuple[int, ...]
+    coeffs: Dict[Tuple[int, ...], complex]
+    basis: Callable[[Sequence[int]], LaurentPolynomial]
+
+    def to_laurent(self) -> LaurentPolynomial:
+        out = LaurentPolynomial(len(self.degree))
+        for mu, c in self.coeffs.items():
+            out = out + self.basis(mu).scale(c)
+        return out
+
+
+def orthogonalize(top: Sequence[int], n: int,
+                  basis: Callable[[Sequence[int]], LaurentPolynomial],
+                  pair: Callable[[LaurentPolynomial, LaurentPolynomial],
+                                 complex]
+                  ) -> Dict[Tuple[int, ...], OrthogonalPolynomial]:
+    """The monic polynomials P_mu = basis(mu) + sum_{nu < mu} c_nu basis(nu)
+    orthogonal for pair, for every partition mu <= top of length n.
+
+    Walks the graded-lex order and orthogonalizes each basis(mu) against
+    the lower P_nu already built (Gram-Schmidt with one
+    re-orthogonalization pass); the monomial Gram matrix itself can be too
+    ill conditioned to solve. Every pairing is pair(poly, P_nu), in a
+    fixed order, so the result does not depend on top: the P_mu of
+    orthogonalize(top) and of orthogonalize(mu) agree exactly. Raises
+    SingularGram when <P_mu, P_mu> vanishes relative to
+    <basis(mu), basis(mu)>."""
+    top = partition(top)
+    if len(top) != n:
+        raise DomainViolation(f"partition {top} must have length {n}")
+    built: Dict[Tuple[int, ...], Tuple[LaurentPolynomial,
+                                       Dict[Tuple[int, ...], complex],
+                                       complex]] = {}
+    for mu in partitions_dominated_by(top):
+        m_mu = poly = basis(mu)
+        coeffs: Dict[Tuple[int, ...], complex] = {mu: 1.0}
+        lower = partitions_dominated_by(mu)[:-1]
+        for _ in range(2):
+            for nu in lower:
+                pnu, cnu, nnu = built[nu]
+                c = pair(poly, pnu) / nnu
+                poly = poly + pnu.scale(-c)
+                for kappa, cf in cnu.items():
+                    coeffs[kappa] = coeffs.get(kappa, 0.0) - c * cf
+        norm = pair(poly, poly)
+        if abs(norm) <= POLE_GUARD * abs(pair(m_mu, m_mu)):
+            raise SingularGram(f"vanishing quadratic norm at {mu}")
+        built[mu] = (poly, coeffs, norm)
+    return {mu: OrthogonalPolynomial(mu, coeffs, basis)
+            for mu, (_poly, coeffs, _norm) in built.items()}

@@ -11,10 +11,13 @@ eps a (qd/c)^{1/2}, -eps b (qc/d)^{1/2}).
 
 Provided here: the weight and the split-weights c_{B,j} in both their
 defining product form and an independent theta-product form (checked
-against each other), the bilinear form, polynomials, closed-form norms,
-the q-Selberg constant term together with its two-sided t = q^k
-evaluation, the asymptotic matching of the split-weights, and numeric
-scans of the limit transition.
+against each other), the bilinear form, the polynomials
+(big_polynomials: bcpoly.orthogonalize in the mtilde basis for that
+form), closed-form norms, the q-Selberg constant term together with its
+two-sided t = q^k evaluation, the asymptotic matching of the
+split-weights, and numeric scans of the limit transition. The closed
+forms go through qseries.qpoch_ratio, which keeps complex products whole,
+so they hold on the conjugate branch as well.
 
 Pairings reuse a per-parameter node table, kept for the CACHE_SIZE most
 recently used parameter sets: for each shell, the nodes and their weights
@@ -34,8 +37,10 @@ import numpy as np
 
 from .bcpoly import (
     LaurentPolynomial,
+    OrthogonalPolynomial,
     monomial_s,
     monomial_w,
+    orthogonalize,
     partition,
     partitions_dominated_by,
 )
@@ -43,29 +48,27 @@ from .errors import (
     DomainViolation,
     FormMismatch,
     PoleInTheta,
-    SingularGram,
     SlowConvergence,
 )
 from .little import (
     _ShellTable,
     _ascending_with_sum,
     _delta_qJ_rows,
-    _eratio,
     delta_qJ,
     nqj_product,
 )
 from .measures import _natural_k
 from .params import CACHE_SIZE, AWParams
 from .qseries import (
+    POLE_GUARD,
     psi_t,
     qpoch_finite,
     qpoch_infinite,
     qpoch_infinite_arr,
+    qpoch_ratio,
     theta_jacobi,
 )
 
-POLE_GUARD = 1e-13
-COND_LIMIT = 1e12
 FORM_TOL = 1e-9
 
 
@@ -208,11 +211,11 @@ def c_weights_defining(bp: BigParams) -> List[float]:
     return out
 
 
-def bilinear_big(f: LaurentPolynomial, g: LaurentPolynomial, bp: BigParams,
-                 rel_tol: float = 1e-13, max_shells: int = 400) -> float:
+def bilinear_big(f: LaurentPolynomial, g: LaurentPolynomial,
+                 bp: BigParams) -> float:
     """<f,g>_B: the c-weighted Jackson integral of f g Delta^B over the
     two-sided chain set, summed in shells of constant |nu| + |nu'|."""
-    return _node_table(bp).pair(f, g, rel_tol, max_shells)
+    return _node_table(bp).pair(f, g)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -248,48 +251,12 @@ def _big_shell(bp: BigParams, cw: np.ndarray,
     return Z, cw[js] * w * np.prod(np.abs(Z), axis=1)
 
 
-@dataclass(frozen=True)
-class BigPolynomial:
-    """Monic S-invariant orthogonal polynomial in the mtilde basis."""
-
-    degree: Tuple[int, ...]
-    coeffs: Dict[Tuple[int, ...], float]
-
-    def to_poly(self) -> LaurentPolynomial:
-        out = LaurentPolynomial(len(self.degree))
-        for mu, cf in self.coeffs.items():
-            out = out + monomial_s(mu).scale(cf)
-        return out
-
-
-def big_polynomial(lam: Sequence[int], bp: BigParams,
-                   rel_tol: float = 1e-13) -> BigPolynomial:
-    """P^B_lambda = mtilde_lambda + sum_{mu < lambda} c_mu mtilde_mu,
-    orthogonal to every mtilde_mu with mu < lambda."""
-    lam = partition(lam)
-    if len(lam) != bp.n:
-        raise DomainViolation("partition length must equal n")
-    mus = partitions_dominated_by(lam)[:-1]
-    if not mus:
-        return BigPolynomial(lam, {lam: 1.0})
-    mons = {mu: monomial_s(mu) for mu in mus}
-    m_lam = monomial_s(lam)
-    k = len(mus)
-    G = np.empty((k, k))
-    rhs = np.empty(k)
-    for i, mu in enumerate(mus):
-        rhs[i] = -bilinear_big(m_lam, mons[mu], bp, rel_tol)
-        for j in range(i, k):
-            G[i, j] = G[j, i] = bilinear_big(
-                mons[mu], mons[mus[j]], bp, rel_tol)
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularGram(f"Gram matrix condition {cond:.3g}")
-    sol = np.linalg.solve(G, rhs)
-    coeffs = {lam: 1.0}
-    for mu, cf in zip(mus, sol):
-        coeffs[mu] = float(cf)
-    return BigPolynomial(lam, coeffs)
+def big_polynomials(top: Sequence[int], bp: BigParams
+                    ) -> Dict[Tuple[int, ...], OrthogonalPolynomial]:
+    """P^B_mu = mtilde_mu + sum_{nu < mu} c_nu mtilde_nu, orthogonal to
+    every mtilde_nu with nu < mu, for every mu <= top."""
+    return orthogonalize(top, bp.n, monomial_s,
+                         lambda f, g: bilinear_big(f, g, bp))
 
 
 def norm_big(lam: Sequence[int], bp: BigParams) -> float:
@@ -323,7 +290,7 @@ def selberg_big(bp: BigParams) -> float:
                 -q * a * t ** (j - 1) * d / c, -q * b * t ** (j - 1) * c / d]
         den += [q * q * a * b * t ** (n + j - 2), t]
     qq = qpoch_infinite(q, q).real
-    val = (1.0 - q) ** n * qq ** n * _eratio(num, den, q)
+    val = (1.0 - q) ** n * qq ** n * qpoch_ratio(den, num, q)
     return float(complex(val).real)
 
 
@@ -387,7 +354,7 @@ def askey_evans_rhs(bp: BigParams) -> float:
         # q-powers are exact products
         num = [q * a * t ** (i - 1), q * b * t ** (i - 1)]
         den = [q * q * a * b * t ** (n + i - 2)]
-        val *= (1.0 - q) ** (1 + (n - i) * k) * qq * _eratio(num, den, q)
+        val *= (1.0 - q) ** (1 + (n - i) * k) * qq * qpoch_ratio(den, num, q)
         val *= (qpoch_finite(q, q, i * k)
                 / qpoch_finite(q, q, k)) * (1.0 - q) ** (k - i * k)
         val *= cd_pair * (c * d) ** (1 + (i - 1) * k) / (c + d)
@@ -395,8 +362,8 @@ def askey_evans_rhs(bp: BigParams) -> float:
                 * qpoch_infinite(-q * b * t ** (i - 1) * c / d, q))
         if abs(den2) < POLE_GUARD:
             raise DomainViolation("Selberg denominator factor vanishes")
-        val /= den2.real
-    return float(val)
+        val /= den2
+    return float(complex(val).real)
 
 
 def selberg_big_qk(bp: BigParams) -> float:
@@ -460,7 +427,7 @@ def limit_scan_big(lam: Sequence[int], bp: BigParams, kmax: int,
     lam = partition(lam)
     if eps0 is None:
         eps0 = bp.q
-    target = big_polynomial(lam, bp)
+    target = big_polynomials(lam, bp)[lam]
     scale = math.sqrt(bp.c * bp.d / bp.q)
     rows: List[Tuple[int, float, float]] = []
     for k in range(kmax + 1):

@@ -31,7 +31,7 @@ from .big import (
     askey_evans_lhs,
     askey_evans_rhs,
     asymptotic_ratio,
-    big_polynomial,
+    big_polynomials,
     bilinear_big,
     c_weights,
     c_weights_defining,
@@ -46,7 +46,7 @@ from .little import (
     LittleParams,
     bilinear_little,
     limit_scan_little,
-    little_polynomial,
+    little_polynomials,
     measure_constant_little,
     norm_little,
     selberg_little,
@@ -58,7 +58,7 @@ from .qracah import (
     bilinear_qR,
     kr_constant,
     norm_qR,
-    qracah_polynomial,
+    qracah_polynomials,
     summation_qR,
     support_qR,
     weight_qR,
@@ -70,13 +70,12 @@ SUITES = ("aw", "qracah", "little", "big", "limits", "selberg")
 # domains with comfortable margins from poles and eigenvalue collisions.
 DEFAULTS: Dict[str, Dict[str, float]] = {
     "aw": dict(n=2, lmax=2, q=0.5, t=0.3, t0=0.35, t1=-0.45, t2=0.25,
-               t3=0.2, M=128, depth=64, seed=0),
+               t3=0.2, M=128, seed=0),
     "qracah": dict(n=2, lmax=2, q=0.5, t=0.3, t0=0.7, t1=-0.5, t2=0.4,
-                   N=2, depth=64, seed=0),
-    "little": dict(n=2, lmax=2, q=0.5, t=0.3, a=0.4, b=0.2, depth=400,
-                   seed=0),
+                   N=2, seed=0),
+    "little": dict(n=2, lmax=2, q=0.5, t=0.3, a=0.4, b=0.2, seed=0),
     "big": dict(n=2, lmax=2, q=0.5, t=0.4, a=0.6, b=0.3, c=1.0, d=0.8,
-                depth=400, seed=0),
+                seed=0),
     "limits": dict(n=2, lmax=2, q=0.5, t=0.3, a=0.4, b=0.2, c=1.0, d=0.8,
                    M=64, depth=128, kmax=15, seed=0),
     "selberg": dict(n=2, q=0.5, t=0.3, t0=0.35, t1=-0.45, t2=0.25,
@@ -214,11 +213,6 @@ def _run_check(report: CertificationReport, name: str, anchor: str,
         float(rel_err), tol, passed, ms))
 
 
-def _partitions_upto(n: int, lmax: int) -> List[Tuple[int, ...]]:
-    top = (lmax,) * n
-    return [mu for mu in partitions_dominated_by(top)] if lmax else [(0,) * n]
-
-
 def _tol(cfg: SuiteConfig, default: float) -> float:
     return float(cfg.get("tol", default))
 
@@ -254,7 +248,7 @@ def _suite_aw(cfg: SuiteConfig, report: CertificationReport) -> None:
                "one-variable polynomial = terminating series closed form",
                _tol(cfg, 1e-10), n1_oracle)
 
-    lams = _partitions_upto(p.n, int(cfg["lmax"]))
+    lams = partitions_dominated_by((int(cfg["lmax"]),) * p.n)
     polys = {lam: aw_polynomial(lam, p, seed=int(cfg["seed"])).to_laurent()
              for lam in lams}
     scale = abs(gustafson_constant(p))
@@ -313,9 +307,11 @@ def _suite_qracah(cfg: SuiteConfig, report: CertificationReport) -> None:
                "discrete weight = chain constant times node weight",
                _tol(cfg, 1e-10), residue_split)
 
-    lams = [lam for lam in _partitions_upto(qp.n, int(cfg["lmax"]))
-            if lam[0] <= qp.N]
-    polys = {lam: qracah_polynomial(lam, qp).to_laurent() for lam in lams}
+    # the partitions mu <= (lmax, ..., lmax) with mu_1 <= N
+    top = (min(int(cfg["lmax"]), qp.N),) * qp.n
+    polys = {lam: P.to_laurent()
+             for lam, P in qracah_polynomials(top, qp).items()}
+    lams = list(polys)
     scale = abs(summation_qR(qp))
 
     def off_diag() -> Tuple[float, float]:
@@ -359,8 +355,9 @@ def _suite_little(cfg: SuiteConfig, report: CertificationReport) -> None:
                _tol(cfg, 1e-8),
                lambda: (bilinear_little(one, one, lp), selberg_little(lp)))
 
-    lams = _partitions_upto(lp.n, int(cfg["lmax"]))
-    polys = {lam: little_polynomial(lam, lp).to_poly() for lam in lams}
+    polys = {lam: P.to_laurent() for lam, P in little_polynomials(
+        (int(cfg["lmax"]),) * lp.n, lp).items()}
+    lams = list(polys)
     scale = abs(selberg_little(lp))
 
     def off_diag() -> Tuple[float, float]:
@@ -448,8 +445,9 @@ def _suite_big(cfg: SuiteConfig, report: CertificationReport) -> None:
                "split-weight ratios balance where a chain coordinate "
                "crosses zero", _tol(cfg, 1e-5), asym)
 
-    lams = _partitions_upto(bp.n, int(cfg["lmax"]))
-    polys = {lam: big_polynomial(lam, bp).to_poly() for lam in lams}
+    polys = {lam: P.to_laurent() for lam, P in big_polynomials(
+        (int(cfg["lmax"]),) * bp.n, bp).items()}
+    lams = list(polys)
     scale = abs(selberg_big(bp))
 
     def off_diag() -> Tuple[float, float]:

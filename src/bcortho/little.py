@@ -5,9 +5,10 @@ The little q-Jacobi family lives on the infinite discrete set
 and arises from the Askey-Wilson family with one parameter sent to
 infinity through t_L(eps) = (eps^{-1} q^{1/2}, -a q^{1/2}, eps b q^{1/2},
 -q^{1/2}). This module provides the Jackson-multisum bilinear form, the
-polynomials (defined by Gram-Schmidt against the dominance-lower
-monomials), the closed-form norms and q-Selberg constant term, and
-numeric scans of the limit transition.
+polynomials (little_polynomials: bcpoly.orthogonalize in the mtilde basis
+for that form, monic and orthogonal to every dominance-lower monomial),
+the closed-form norms and q-Selberg constant term, and numeric scans of
+the limit transition.
 
 Pairings reuse a per-parameter node table, kept for the CACHE_SIZE most
 recently used parameter sets: for each shell, the nodes and their weights
@@ -19,7 +20,8 @@ Closed forms are stated with the q-gamma function of arguments involving
 alpha = log_q a and beta = log_q b; they are evaluated here through
 ratios of infinite q-shifted factorials whose arguments are the exact
 products q^u (for instance q^{lambda_i+1} t^{n-i} a b), so they remain
-valid for b <= 0 where beta is undefined.
+valid for b <= 0 where beta is undefined. The ratios go through
+qseries.qpoch_ratio, which guards each denominator factor on its own.
 """
 
 from __future__ import annotations
@@ -33,23 +35,29 @@ import numpy as np
 
 from .bcpoly import (
     LaurentPolynomial,
+    OrthogonalPolynomial,
     ascending_index,
     monomial_s,
     monomial_w,
+    orthogonalize,
     partition,
     partitions_dominated_by,
 )
-from .errors import DomainViolation, SingularGram, SlowConvergence
+from .errors import DomainViolation, SlowConvergence
 from .params import CACHE_SIZE, AWParams
 from .qseries import (
+    POLE_GUARD,
     qpoch_infinite,
     qpoch_infinite_arr,
+    qpoch_ratio,
     qpoch_real,
     qpoch_real_arr,
 )
 
-POLE_GUARD = 1e-13
-COND_LIMIT = 1e12
+# Stopping rule of every Jackson multisum: a shell is negligible once
+# |shell| <= SHELL_TOL max(1, |total|); at most MAX_SHELLS shells are summed.
+SHELL_TOL = 1e-13
+MAX_SHELLS = 400
 
 
 @dataclass(frozen=True)
@@ -117,30 +125,29 @@ def _ascending_with_sum(n: int, s: int) -> Iterator[Tuple[int, ...]]:
 
 
 def _sum_shells(shell_value: Callable[[int], float], n: int, q: float,
-                rel_tol: float, max_shells: int, what: str) -> float:
+                what: str) -> float:
     """(1-q)^n times the sum of shell_value(s) over the shells s = 0, 1, ...
 
     Stops once four consecutive shells are negligible,
-    |shell| <= rel_tol max(1, |total|), and s >= n; raises SlowConvergence
-    at the shell cap. This is the one stopping rule of every Jackson
-    multisum in the package."""
+    |shell| <= SHELL_TOL max(1, |total|), and s >= n; raises
+    SlowConvergence after MAX_SHELLS shells. This is the one stopping rule
+    of every Jackson multisum in the package."""
     total = 0.0
     quiet = 0
-    for s in range(max_shells):
+    for s in range(MAX_SHELLS):
         shell = shell_value(s)
         total += shell
-        if abs(shell) <= rel_tol * max(1.0, abs(total)):
+        if abs(shell) <= SHELL_TOL * max(1.0, abs(total)):
             quiet += 1
             if quiet >= 4 and s >= n:
                 return (1.0 - q) ** n * total
         else:
             quiet = 0
     raise SlowConvergence(
-        f"{what} did not settle within {max_shells} shells")
+        f"{what} did not settle within {MAX_SHELLS} shells")
 
 
-def jackson_multisum(f, lp: LittleParams, rel_tol: float = 1e-13,
-                     max_shells: int = 400) -> float:
+def jackson_multisum(f, lp: LittleParams) -> float:
     """Jackson integral of f over the chain set <rho_L>_n:
     (1-q)^n sum_nu f(rho_L q^nu) prod_i rho_{L,i} q^{nu_i}.
 
@@ -154,8 +161,7 @@ def jackson_multisum(f, lp: LittleParams, rel_tol: float = 1e-13,
             val += f(z) * math.prod(z)
         return val
 
-    return _sum_shells(shell, lp.n, lp.q, rel_tol, max_shells,
-                       "Jackson multisum")
+    return _sum_shells(shell, lp.n, lp.q, "Jackson multisum")
 
 
 class _ShellTable:
@@ -175,8 +181,7 @@ class _ShellTable:
             self._shells.append(self._build(len(self._shells)))
         return self._shells[s]
 
-    def pair(self, f: LaurentPolynomial, g: LaurentPolynomial,
-             rel_tol: float, max_shells: int) -> float:
+    def pair(self, f: LaurentPolynomial, g: LaurentPolynomial) -> float:
         """Jackson multisum of Re(f g) against the table's weights."""
 
         def shell_sum(s: int) -> float:
@@ -184,14 +189,13 @@ class _ShellTable:
             return float(np.dot((f.eval_points(Z) * g.eval_points(Z)).real,
                                 w))
 
-        return _sum_shells(shell_sum, self.n, self.q, rel_tol, max_shells,
-                           self.what)
+        return _sum_shells(shell_sum, self.n, self.q, self.what)
 
 
 def bilinear_little(f: LaurentPolynomial, g: LaurentPolynomial,
-                    lp: LittleParams, rel_tol: float = 1e-13) -> float:
+                    lp: LittleParams) -> float:
     """<f,g>_L: Jackson multisum of f g Delta^L."""
-    return _node_table(lp).pair(f, g, rel_tol, 400)
+    return _node_table(lp).pair(f, g)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -257,67 +261,19 @@ def _weight_at_point(z: Sequence[float], lp: LittleParams) -> float:
     return float(val * delta_qJ(z, q, t))
 
 
-@dataclass(frozen=True)
-class LittlePolynomial:
-    """Monic S-invariant orthogonal polynomial in the mtilde basis."""
-
-    degree: Tuple[int, ...]
-    coeffs: Dict[Tuple[int, ...], float]
-
-    def to_poly(self) -> LaurentPolynomial:
-        out = LaurentPolynomial(len(self.degree))
-        for mu, c in self.coeffs.items():
-            out = out + monomial_s(mu).scale(c)
-        return out
-
-
-def little_polynomial(lam: Sequence[int], lp: LittleParams,
-                      rel_tol: float = 1e-13) -> LittlePolynomial:
-    """P^L_lambda = mtilde_lambda + sum_{mu < lambda} c_mu mtilde_mu,
-    orthogonal to every mtilde_mu with mu < lambda."""
-    lam = partition(lam)
-    if len(lam) != lp.n:
-        raise DomainViolation("partition length must equal n")
-    mus = partitions_dominated_by(lam)[:-1]  # all mu < lambda
-    if not mus:
-        return LittlePolynomial(lam, {lam: 1.0})
-    mons = {mu: monomial_s(mu) for mu in mus}
-    m_lam = monomial_s(lam)
-    k = len(mus)
-    G = np.empty((k, k))
-    rhs = np.empty(k)
-    for i, mu in enumerate(mus):
-        rhs[i] = -bilinear_little(m_lam, mons[mu], lp, rel_tol)
-        for j in range(i, k):
-            G[i, j] = G[j, i] = bilinear_little(
-                mons[mu], mons[mus[j]], lp, rel_tol)
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularGram(f"Gram matrix condition {cond:.3g}")
-    sol = np.linalg.solve(G, rhs)
-    coeffs = {lam: 1.0}
-    for mu, c in zip(mus, sol):
-        coeffs[mu] = float(c)
-    return LittlePolynomial(lam, coeffs)
-
-
-def _eratio(num: List[float], den: List[float], q: float) -> float:
-    """prod (x;q)_inf over den divided by the product over num."""
-    val = 1.0
-    for x in den:
-        val *= qpoch_infinite(x, q).real
-    for x in num:
-        d = qpoch_infinite(x, q).real
-        if abs(d) < POLE_GUARD:
-            raise DomainViolation(f"(x;q)_inf vanishes for x={x}")
-        val /= d
-    return val
+def little_polynomials(top: Sequence[int], lp: LittleParams
+                       ) -> Dict[Tuple[int, ...], OrthogonalPolynomial]:
+    """P^L_mu = mtilde_mu + sum_{nu < mu} c_nu mtilde_nu, orthogonal to
+    every mtilde_nu with nu < mu, for every mu <= top."""
+    return orthogonalize(top, lp.n, monomial_s,
+                         lambda f, g: bilinear_little(f, g, lp))
 
 
 def nqj_product(lam: Sequence[int], n: int, q: float, t: float,
-                a: float, b: float) -> float:
+                a: complex, b: complex) -> complex:
     """The product N+_qJ(lambda) N-_qJ(lambda) of q-gamma factors shared
-    by the little and big q-Jacobi norms.
+    by the little and big q-Jacobi norms; real for real a and b, complex
+    on the big q-Jacobi conjugate branch.
 
     The q-gamma ratios are expanded so that every q^u is an exact product
     of q-powers with a and b; the net power of (1-q) is n and the net
@@ -343,7 +299,7 @@ def nqj_product(lam: Sequence[int], n: int, q: float, t: float,
             den += [q ** (lj + lk + 2) * t ** (2 * n - j - k) * a * b,
                     q ** (lj - lk + 1) * t ** (k - j)]
     qq = qpoch_infinite(q, q).real
-    return (1.0 - q) ** n * qq ** (2 * n) * _eratio(num, den, q)
+    return (1.0 - q) ** n * qq ** (2 * n) * qpoch_ratio(den, num, q)
 
 
 def norm_little(lam: Sequence[int], lp: LittleParams) -> float:
@@ -369,7 +325,7 @@ def selberg_little(lp: LittleParams) -> float:
         num += [q * a * t ** (j - 1), q * b * t ** (j - 1), t ** j]
         den += [q * q * a * b * t ** (n + j - 2), t]
     qq = qpoch_infinite(q, q).real
-    return (1.0 - q) ** n * qq ** n * _eratio(num, den, q)
+    return (1.0 - q) ** n * qq ** n * qpoch_ratio(den, num, q)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +354,7 @@ def limit_scan_little(lam: Sequence[int], lp: LittleParams, kmax: int,
     lam = partition(lam)
     if eps0 is None:
         eps0 = lp.q
-    target = little_polynomial(lam, lp)
+    target = little_polynomials(lam, lp)[lam]
     rq = math.sqrt(lp.q)
     rows: List[Tuple[int, float, float]] = []
     for k in range(kmax + 1):

@@ -6,8 +6,9 @@ partially discrete measure collapses to the finite set
 Askey-Wilson polynomials of degree lambda with lambda_1 <= N become the
 multivariable q-Racah polynomials. This module provides the rewritten
 discrete weight Delta^qR, the proportionality constant K_r relating it to
-the residue-product weight Delta^(d), the finite bilinear form, and the
-closed-form quadratic norms.
+the residue-product weight Delta^(d), the finite bilinear form, the
+polynomials (qracah_polynomials: bcpoly.orthogonalize in the m basis for
+that form) and the closed-form quadratic norms.
 
 The bilinear form reuses a per-parameter table of the support nodes and
 their weights, kept for the CACHE_SIZE most recently used parameter sets;
@@ -26,19 +27,24 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Dict, List, Sequence, Tuple
 
-from .bcpoly import LaurentPolynomial, ascending_index, partition
+from .bcpoly import (
+    LaurentPolynomial,
+    OrthogonalPolynomial,
+    ascending_index,
+    monomial_w,
+    orthogonalize,
+    partition,
+)
 from .errors import (
     DomainViolation,
     FormMismatch,
     PoleInWeight,
-    SingularGram,
     UncancelledPole,
 )
 from .params import CACHE_SIZE, AWParams
-from .qseries import qpoch_finite, qpoch_infinite, qpoch_real
+from .qseries import POLE_GUARD, qpoch_finite, qpoch_infinite, qpoch_real
 
 FORM_TOL = 1e-10
-POLE_GUARD = 1e-13
 
 Key = Tuple[int, int, int, int, int]  # exponents of (q, t, t0, t1, t2)
 
@@ -173,7 +179,7 @@ def bilinear_qR(f: LaurentPolynomial, g: LaurentPolynomial,
     """Finite discrete bilinear form sum_nu f g Delta^qR at rho q^nu.
 
     The terms are added node by node in support order: the Gram-Schmidt
-    of qracah_polynomial is sensitive to the summation order."""
+    of qracah_polynomials is sensitive to the summation order."""
     total: complex = 0.0
     for z, w in _node_table(qp):
         total += f.eval(z) * g.eval(z) * w
@@ -358,39 +364,18 @@ def norm_qR(lam: Sequence[int], qp: QRacahParams) -> complex:
     return _eval_cancelled_ratio(num, den, qp)
 
 
-def qracah_polynomial(lam: Sequence[int], qp: QRacahParams):
-    """The q-Racah polynomial of degree lambda: monic in the monomial
-    m_lambda and orthogonal to every m_mu with mu below lambda.
+def qracah_polynomials(top: Sequence[int], qp: QRacahParams
+                       ) -> Dict[Tuple[int, ...], OrthogonalPolynomial]:
+    """The q-Racah polynomials of degree mu <= top, for top_1 <= N: monic
+    in the monomial m_mu and orthogonal to every m_nu with nu below mu.
 
-    Built by sequential Gram-Schmidt against the exact finite bilinear
-    form, which keeps the orthogonality defects at the level of the
-    rounding noise of the discrete sums; the result coincides with the
+    Built by bcpoly.orthogonalize against the exact finite bilinear form,
+    which keeps the orthogonality defects at the level of the rounding
+    noise of the discrete sums; the result coincides with the
     eigenpolynomial of the difference operator at the truncated
-    parameters. The monomial Gram matrix is too ill conditioned to solve
-    directly, so each polynomial is orthogonalized against the previously
-    built ones with a re-orthogonalization pass."""
-    from .askey_wilson import AWPolynomial
-    from .bcpoly import monomial_w, partitions_dominated_by
-
-    lam = partition(lam)
-    if lam and lam[0] > qp.N:
-        raise DomainViolation(f"lambda_1 = {lam[0]} exceeds N = {qp.N}")
-    polys: Dict[Tuple[int, ...], Tuple[LaurentPolynomial,
-                                       Dict[Tuple[int, ...], complex],
-                                       complex]] = {}
-    for mu in partitions_dominated_by(lam):
-        poly = monomial_w(mu)
-        coeffs: Dict[Tuple[int, ...], complex] = {mu: complex(1.0)}
-        lower = partitions_dominated_by(mu)[:-1]
-        for _ in range(2):
-            for nu in lower:
-                pnu, cnu, nnu = polys[nu]
-                c = bilinear_qR(poly, pnu, qp) / nnu
-                poly = poly + pnu.scale(-c)
-                for kappa, cf in cnu.items():
-                    coeffs[kappa] = coeffs.get(kappa, complex(0.0)) - c * cf
-        norm = bilinear_qR(poly, poly, qp)
-        if abs(norm) < POLE_GUARD:
-            raise SingularGram(f"vanishing quadratic norm at {mu}")
-        polys[mu] = (poly, coeffs, norm)
-    return AWPolynomial(lam, polys[lam][1], qp.aw)
+    parameters."""
+    top = partition(top)
+    if top and top[0] > qp.N:
+        raise DomainViolation(f"lambda_1 = {top[0]} exceeds N = {qp.N}")
+    return orthogonalize(top, qp.n, monomial_w,
+                         lambda f, g: bilinear_qR(f, g, qp))

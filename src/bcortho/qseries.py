@@ -21,6 +21,7 @@ from .errors import (
     PoleAtDenominator,
     PoleAtNonpositiveInteger,
     PoleInDenominator,
+    PoleInProduct,
     ZeroArgument,
     ZeroProduct,
 )
@@ -132,6 +133,25 @@ def qpoch_real_arr(a: np.ndarray, q: float, t: float) -> np.ndarray:
     except ZeroProduct as exc:
         raise PoleAtDenominator(f"(a t;q)_inf vanishes for t={t}") from exc
     return num / den
+
+
+def qpoch_ratio(num: Iterable[complex], den: Iterable[complex],
+                q: float) -> complex:
+    """Product of (x;q)_inf over num divided by the same over den.
+
+    Each denominator factor 1 - x q^j is tested against the pole guard on
+    its own, so a tiny but nonzero product is accepted; a vanishing one
+    raises PoleInProduct."""
+    val: complex = 1.0
+    for x in num:
+        val *= qpoch_infinite(x, q)
+    for x in den:
+        try:
+            val /= qpoch_infinite(x, q, require_nonzero=True)
+        except ZeroProduct as exc:
+            raise PoleInProduct(
+                f"(x;q)_inf vanishes in denominator, x={x}") from exc
+    return val
 
 
 def qpoch_product(a_list: Iterable[complex], q: float, exponent) -> complex:

@@ -45,7 +45,7 @@ from bcortho.little import (
     LittleParams,
     bilinear_little,
     limit_scan_little,
-    little_polynomial,
+    little_polynomials,
     measure_constant_little,
     norm_little,
     selberg_little,
@@ -62,7 +62,7 @@ from bcortho.qracah import (
     bilinear_qR,
     kr_constant,
     norm_qR,
-    qracah_polynomial,
+    qracah_polynomials,
     summation_qR,
     weight_qR,
 )
@@ -191,7 +191,7 @@ class TestFiniteDiscreteOrthogonality:
     def test_gram(self, N):
         qp = QRacahParams(2, 0.5, 0.3, 0.7, -0.5, 0.4, N)
         lams = [lam for lam in partitions_dominated_by((N, N))]
-        polys = {lam: qracah_polynomial(lam, qp).to_laurent()
+        polys = {lam: qracah_polynomials(lam, qp)[lam].to_laurent()
                  for lam in lams}
         norms = {lam: abs(norm_qR(lam, qp)) for lam in lams}
         for i, la in enumerate(lams):
@@ -244,7 +244,8 @@ class TestLittleOrthogonality:
         lp = LittleParams(2, 0.5, 0.3, 0.4, 0.2)
         lams = [mu for mu in partitions_dominated_by((3, 3))
                 if sum(mu) <= 3]
-        polys = {lam: little_polynomial(lam, lp).to_poly() for lam in lams}
+        polys = {lam: little_polynomials(lam, lp)[lam].to_laurent()
+                 for lam in lams}
         scale = abs(selberg_little(lp))
         for i, la in enumerate(lams):
             for lb in lams[i:]:

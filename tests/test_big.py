@@ -13,7 +13,7 @@ from bcortho.big import (
     askey_evans_rhs,
     asymptotic_ratio,
     aw_params_big,
-    big_polynomial,
+    big_polynomials,
     bilinear_big,
     c_weights,
     limit_scan_big,
@@ -28,6 +28,9 @@ from bcortho.qseries import qpoch_infinite
 BP1 = BigParams(1, 0.5, 0.4, 0.6, 0.3, 1.0, 0.8)
 BP2 = BigParams(2, 0.5, 0.4, 0.6, 0.3, 1.0, 0.8)
 BP2N = BigParams(2, 0.5, 0.4, -0.5, 0.3, 1.0, 0.8)
+# conjugate branch a = c u, b = -d conj(u)
+U = 0.3 + 0.4j
+BP2C = BigParams(2, 0.5, 0.4, 1.0 * U, -0.8 * U.conjugate(), 1.0, 0.8)
 
 
 def rel(a, b):
@@ -167,7 +170,8 @@ class TestOrthogonality:
     @pytest.mark.parametrize("bp", [BP2, BP2N])
     def test_n2_gram(self, bp):
         lams = [(0, 0), (1, 0), (1, 1), (2, 0)]
-        polys = {lam: big_polynomial(lam, bp).to_poly() for lam in lams}
+        polys = {lam: big_polynomials(lam, bp)[lam].to_laurent()
+                 for lam in lams}
         scale = abs(selberg_big(bp))
         for i, la in enumerate(lams):
             for lb in lams[i:]:
@@ -179,7 +183,7 @@ class TestOrthogonality:
 
     def test_n1_degree2(self):
         for lam in [(1,), (2,)]:
-            P = big_polynomial(lam, BP1).to_poly()
+            P = big_polynomials(lam, BP1)[lam].to_laurent()
             assert rel(bilinear_big(P, P, BP1), norm_big(lam, BP1)) < 1e-10
 
     def test_norm_positive(self):
@@ -189,6 +193,35 @@ class TestOrthogonality:
             lam = tuple(sorted((rng.randrange(3) for _ in range(2)),
                                reverse=True))
             assert norm_big(lam, bp) > 0.0
+
+
+class TestConjugateBranch:
+    def test_selberg(self):
+        one = LaurentPolynomial.constant(2)
+        want = bilinear_big(one, one, BP2C)
+        assert abs(selberg_big(BP2C) - want) < 1e-10 * abs(want)
+
+    def test_norms(self):
+        polys = big_polynomials((2, 0), BP2C)
+        for lam in [(1, 0), (1, 1), (2, 0)]:
+            f = polys[lam].to_laurent()
+            want = bilinear_big(f, f, BP2C)
+            assert abs(norm_big(lam, BP2C) - want) < 1e-10 * abs(want)
+
+    def test_askey_evans(self):
+        bk = BigParams(2, 0.5, 0.5, BP2C.a, BP2C.b, 1.0, 0.8)
+        want = askey_evans_lhs(bk)
+        assert abs(askey_evans_rhs(bk) - want) < 1e-10 * abs(want)
+
+
+class TestNearOne:
+    def test_closed_forms_finite_at_q099(self):
+        bp = BigParams(2, 0.99, 0.4, 0.4, 0.3, 1.0, 0.8)
+        sel = selberg_big(bp)
+        assert math.isfinite(sel) and sel > 0.0
+        for lam in [(0, 0), (1, 0), (2, 1)]:
+            v = norm_big(lam, bp)
+            assert math.isfinite(v) and v > 0.0
 
 
 class TestAsymptotics:
@@ -227,7 +260,7 @@ class TestLimit:
 class TestErrors:
     def test_partition_length(self):
         with pytest.raises(DomainViolation):
-            big_polynomial((1,), BP2)
+            big_polynomials((1,), BP2)
         with pytest.raises(DomainViolation):
             norm_big((1, 0, 0), BP2)
 

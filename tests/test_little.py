@@ -12,7 +12,7 @@ from bcortho.little import (
     bilinear_little,
     jackson_multisum,
     limit_scan_little,
-    little_polynomial,
+    little_polynomials,
     norm_little,
     selberg_little,
     support_point,
@@ -118,11 +118,23 @@ class TestConstantTerm:
         assert bilinear_little(f, g, LP2) == bilinear_little(g, f, LP2)
 
 
+class TestNearOne:
+    def test_closed_forms_finite_at_q099(self):
+        # (q a;q)_inf is below 1e-13 here although no factor vanishes
+        lp = LittleParams(2, 0.99, 0.3, 0.4, 0.2)
+        sel = selberg_little(lp)
+        assert math.isfinite(sel) and sel > 0.0
+        assert abs(norm_little((0, 0), lp) - sel) < 1e-12 * sel
+        for lam in [(1, 0), (2, 1)]:
+            v = norm_little(lam, lp)
+            assert math.isfinite(v) and v > 0.0
+
+
 class TestOrthogonality:
     def test_n1_mean_ratio(self):
         # P_1 = x - <x,1>/<1,1> with the ratio from the 1-d Jackson sums
         lp = LP1
-        pol = little_polynomial((1,), lp)
+        pol = little_polynomials((1,), lp)[(1,)]
         mean = (bilinear_little(monomial_s((1,)), monomial_s((0,)), lp)
                 / bilinear_little(monomial_s((0,)), monomial_s((0,)), lp))
         assert rel(pol.coeffs[(0,)], -mean) < 1e-12
@@ -130,7 +142,8 @@ class TestOrthogonality:
     @pytest.mark.parametrize("lp", [LP2, LP2N])
     def test_n2_gram(self, lp):
         lams = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0)]
-        polys = {lam: little_polynomial(lam, lp).to_poly() for lam in lams}
+        polys = {lam: little_polynomials(lam, lp)[lam].to_laurent()
+                 for lam in lams}
         scale = abs(selberg_little(lp))
         for i, la in enumerate(lams):
             for lb in lams[i:]:
@@ -171,6 +184,6 @@ class TestLimit:
 class TestErrors:
     def test_partition_length(self):
         with pytest.raises(DomainViolation):
-            little_polynomial((1,), LP2)
+            little_polynomials((1,), LP2)
         with pytest.raises(DomainViolation):
             norm_little((1, 0, 0), LP2)

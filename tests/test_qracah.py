@@ -14,7 +14,7 @@ from bcortho.qracah import (
     bilinear_qR,
     kr_constant,
     norm_qR,
-    qracah_polynomial,
+    qracah_polynomials,
     summation_qR,
     support_qR,
     weight_qR,
@@ -126,7 +126,7 @@ class TestOrthogonality:
         lams = [lam for lam in
                 [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
                 if lam[0] <= N]
-        polys = {lam: qracah_polynomial(lam, qp).to_laurent()
+        polys = {lam: qracah_polynomials(lam, qp)[lam].to_laurent()
                  for lam in lams}
         scale = abs(summation_qR(qp))
         for i, la in enumerate(lams):
@@ -149,7 +149,7 @@ class TestErrors:
         with pytest.raises(DomainViolation):
             norm_qR((QP2.N + 1, 0), QP2)
         with pytest.raises(DomainViolation):
-            qracah_polynomial((QP2.N + 1, 0), QP2)
+            qracah_polynomials((QP2.N + 1, 0), QP2)
 
     def test_negative_N(self):
         with pytest.raises(DomainViolation):

@@ -9,6 +9,7 @@ from bcortho.errors import (
     DomainViolation,
     PoleAtDenominator,
     PoleAtNonpositiveInteger,
+    PoleInProduct,
     ZeroArgument,
     ZeroProduct,
 )
@@ -110,6 +111,25 @@ class TestQpochProduct:
         t = 0.3
         assert qseries.qpoch_product([a], Q, (t, math.log(t) / math.log(Q))) \
             == qseries.qpoch_real(a, Q, t)
+
+
+class TestQpochRatio:
+    def test_matches_products(self):
+        num, den = [0.3, 0.2 + 0.4j], [0.7, -0.6]
+        want = (qseries.qpoch_infinite(0.3, Q)
+                * qseries.qpoch_infinite(0.2 + 0.4j, Q)
+                / qseries.qpoch_infinite(0.7, Q)
+                / qseries.qpoch_infinite(-0.6, Q))
+        assert abs(qseries.qpoch_ratio(num, den, Q) - want) < 1e-15
+
+    def test_tiny_product_is_not_a_pole(self):
+        # (q;q)_inf is about 2e-70 at q = 0.99, but no factor vanishes
+        assert qseries.qpoch_ratio([], [0.99], 0.99) > 1e69
+
+    def test_pole_raises(self):
+        # 1 - 4 q^2 = 0 at q = 1/2
+        with pytest.raises(PoleInProduct):
+            qseries.qpoch_ratio([0.3], [4.0], Q)
 
 
 class TestTheta:
