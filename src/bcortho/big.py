@@ -49,6 +49,7 @@ from .errors import (
     FormMismatch,
     PoleInTheta,
     SlowConvergence,
+    ZeroProduct,
 )
 from .little import (
     _ShellTable,
@@ -135,10 +136,14 @@ def weight_big(z: Sequence[float], bp: BigParams) -> float:
     for x in z:
         num = (qpoch_infinite(q * x / bp.c, q)
                * qpoch_infinite(-q * x / bp.d, q))
-        den = (qpoch_infinite(q * bp.a * x / bp.c, q)
-               * qpoch_infinite(-q * bp.b * x / bp.d, q))
-        if abs(den) < POLE_GUARD:
-            raise DomainViolation(f"v_B denominator vanishes at x={x}")
+        try:
+            den = (qpoch_infinite(q * bp.a * x / bp.c, q,
+                                  require_nonzero=True)
+                   * qpoch_infinite(-q * bp.b * x / bp.d, q,
+                                    require_nonzero=True))
+        except ZeroProduct as exc:
+            raise DomainViolation(
+                f"v_B denominator vanishes at x={x}") from exc
         val *= (num / den).real
     return val * delta_qJ(z, q, bp.t)
 
@@ -242,11 +247,14 @@ def _big_shell(bp: BigParams, cw: np.ndarray,
     Z = np.array(rows)
     num = (qpoch_infinite_arr(q * Z / bp.c, q)
            * qpoch_infinite_arr(-q * Z / bp.d, q))
-    den = (qpoch_infinite_arr(q * bp.a * Z / bp.c, q)
-           * qpoch_infinite_arr(-q * bp.b * Z / bp.d, q))
-    small = np.abs(den) < POLE_GUARD
-    if np.any(small):
-        raise DomainViolation(f"v_B denominator vanishes at x={Z[small][0]}")
+    args = (q * bp.a * Z / bp.c, -q * bp.b * Z / bp.d)
+    try:
+        den = (qpoch_infinite_arr(args[0], q, require_nonzero=True)
+               * qpoch_infinite_arr(args[1], q, require_nonzero=True))
+    except ZeroProduct as exc:
+        den = qpoch_infinite_arr(args[0], q) * qpoch_infinite_arr(args[1], q)
+        x = Z.flat[np.argmin(np.abs(den))]
+        raise DomainViolation(f"v_B denominator vanishes at x={x}") from exc
     w = np.prod((num / den).real, axis=1) * _delta_qJ_rows(Z, q, bp.t)
     return Z, cw[js] * w * np.prod(np.abs(Z), axis=1)
 
@@ -270,10 +278,13 @@ def norm_big(lam: Sequence[int], bp: BigParams) -> float:
     for i in range(1, n + 1):
         li = lam[i - 1]
         val *= q ** math.comb(li, 2) * (t ** (n - i)) ** li
-        den = (qpoch_infinite(-q ** (li + 1) * b * t ** (n - i) * c / d, q)
-               * qpoch_infinite(-q ** (li + 1) * a * t ** (n - i) * d / c, q))
-        if abs(den) < POLE_GUARD:
-            raise DomainViolation("norm denominator factor vanishes")
+        try:
+            den = (qpoch_infinite(-q ** (li + 1) * b * t ** (n - i) * c / d,
+                                  q, require_nonzero=True)
+                   * qpoch_infinite(-q ** (li + 1) * a * t ** (n - i) * d / c,
+                                    q, require_nonzero=True))
+        except ZeroProduct as exc:
+            raise DomainViolation("norm denominator factor vanishes") from exc
         val /= den
     val = complex(val)
     return float(val.real)
@@ -358,10 +369,14 @@ def askey_evans_rhs(bp: BigParams) -> float:
         val *= (qpoch_finite(q, q, i * k)
                 / qpoch_finite(q, q, k)) * (1.0 - q) ** (k - i * k)
         val *= cd_pair * (c * d) ** (1 + (i - 1) * k) / (c + d)
-        den2 = (qpoch_infinite(-q * a * t ** (i - 1) * d / c, q)
-                * qpoch_infinite(-q * b * t ** (i - 1) * c / d, q))
-        if abs(den2) < POLE_GUARD:
-            raise DomainViolation("Selberg denominator factor vanishes")
+        try:
+            den2 = (qpoch_infinite(-q * a * t ** (i - 1) * d / c, q,
+                                   require_nonzero=True)
+                    * qpoch_infinite(-q * b * t ** (i - 1) * c / d, q,
+                                     require_nonzero=True))
+        except ZeroProduct as exc:
+            raise DomainViolation(
+                "Selberg denominator factor vanishes") from exc
         val /= den2
     return float(complex(val).real)
 

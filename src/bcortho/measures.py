@@ -14,12 +14,24 @@ for every e in [-D, D]^n, and the same means H(e) over the even-index
 subgrid, whose distance to the pairing is its error estimate; it is one
 truncated DFT of the weight grid, contracted one axis at a time with the
 Vandermonde matrix z_k^(j-D), and D is the largest exponent of the
-pairing's product. Weight grids (vectorized per axis and per pair of
-axes) and moment tables are cached per (params, axes, M, k) and per
-(params, axes, M, k, D), for the CACHE_SIZE most recently used of each.
-The grids of the partially discrete forms, which carry the per-point
-interaction factor on every axis, fold that factor into the Vandermonde
-matrix instead of into a copy of the grid.
+pairing's product.
+
+A measure is kept as its distinct factors, never as its M^n grid: per
+(params, M, k) the axis vector w_c(z) and the M x M pair table, from
+which the moment tables form Delta one slab of the leading axis at a
+time (the largest temporary is one slab: about 2^20 points, or 16
+leading-axis points where M^(n-1) is larger). The factors and the
+moment tables, per (params, axes, M, k, D), are cached for the
+CACHE_SIZE most recently used of each. The partially discrete forms
+carry a per-point interaction factor on every axis, which is folded
+into the Vandermonde matrix instead of into the grid.
+
+The discrete part of the partially discrete form is tabulated once per
+call: every support point of F(r) with its weight and, for r < n, its
+delta_c row over the grid axis. Within that table the w_d prefactor of
+each chain start tau0 and Delta^(d) of each label nu are computed once,
+and all delta_c rows are evaluated in one batch. The table is not
+cached: each measure is paired once.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -130,7 +142,17 @@ def _pair_table(zvals: np.ndarray, p: AWParams, k: int | None) -> np.ndarray:
     """M x M table of the interaction factor for one pair of axes.
 
     k = None uses the real exponent tau (ratio of infinite products);
-    integer k uses the finite Pochhammer of length k (t = q^k)."""
+    integer k uses the finite Pochhammer of length k (t = q^k).
+
+    The arguments are the M^2 rounded products z_a z_b, z_b / z_a, ...,
+    although on the grid each is an M-th root of unity with only M
+    distinct values. Evaluating the M roots once and indexing them, with
+    the factors multiplied in the same order, makes the aw --lmax 4 Gram
+    errors 3-5x worse at seeds 1-3 (norms 2.2-3.0e-13 -> 1.2-1.4e-12,
+    orthogonality 0.8-1.1e-13 -> 2.8-3.0e-13): the pairings' cancellation
+    relies on the rounding that the products carry. So the M^2 arguments
+    stay, at the cost of M^2 products per argument kind, which is large
+    at q near 1 (about 3,600 factors each at q = 0.99)."""
     za = zvals[:, None]
     zb = zvals[None, :]
     out = np.ones((len(zvals), len(zvals)), dtype=complex)
@@ -157,25 +179,42 @@ def _axis_wc(zvals: np.ndarray, p: AWParams) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _weight_grid(p: AWParams, n_axes: int, M: int,
-                 k: int | None = None) -> tuple:
-    """Cached (z-axis values, Delta grid over the M^n_axes tensor grid)."""
+def _factors(p: AWParams, M: int, k: int | None) -> tuple:
+    """Cached distinct factors of the Delta grid: (z-axis values, the axis
+    vector w_c(z), the M x M pair table or None when p.n = 1). Every grid
+    of the measure, on any number of axes up to p.n, is their product."""
     zvals = _grid_axes(M)
     wc = _axis_wc(zvals, p)
-    grid = np.ones((M,) * n_axes, dtype=complex)
-    for ax in range(n_axes):
+    return zvals, wc, _pair_table(zvals, p, k) if p.n > 1 else None
+
+
+def _weight_slab(factors: tuple, n_axes: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of the leading axis of the Delta grid over n_axes axes,
+    each point multiplied up in the same order on every path: the axis
+    factors axis by axis, then the pair factors pair by pair."""
+    zvals, wc, pair = factors
+    M = len(zvals)
+    slab = wc[lo:hi].copy().reshape((-1,) + (1,) * (n_axes - 1))
+    for ax in range(1, n_axes):
         sh = [1] * n_axes
         sh[ax] = M
-        grid *= wc.reshape(sh)
-    if n_axes > 1:
-        pair = _pair_table(zvals, p, k)
-        for a in range(n_axes):
-            for b in range(a + 1, n_axes):
-                sh = [1] * n_axes
-                sh[a] = M
-                sh[b] = M
-                grid *= pair.reshape(sh)
-    return zvals, grid
+        slab = slab * wc.reshape(sh)
+    for a in range(n_axes - 1):
+        rows = pair[lo:hi] if a == 0 else pair
+        for b in range(a + 1, n_axes):
+            sh = [1] * n_axes
+            sh[a], sh[b] = len(rows), M
+            slab *= rows.reshape(sh)
+    return slab
+
+
+def _weight_grid(p: AWParams, n_axes: int, M: int,
+                 k: int | None = None) -> tuple:
+    """(z-axis values, Delta grid over the M^n_axes tensor grid). Not on
+    the pairing path, which never forms the whole grid; kept as the
+    oracle the moment tables are tested against."""
+    factors = _factors(p, M, k)
+    return factors[0], _weight_slab(factors, n_axes, 0, M)
 
 
 def _check_torus_clearance(p: AWParams) -> None:
@@ -201,33 +240,58 @@ def _vandermonde(zvals: np.ndarray, D: int) -> np.ndarray:
     return zvals[np.outer(np.arange(M), np.arange(-D, D + 1)) % M]
 
 
-def _grid_moments(grid: np.ndarray, V: np.ndarray) -> tuple:
-    """(L, H): L[e + D] = mean of grid * prod_j V[k_j, e_j + D] over the
-    tensor grid for every e in [-D, D]^ndim, and H the same over the
-    even-index subgrid. Contracts one axis at a time, so D = 0 is a single
-    weighted sum; the largest temporary is a copy of the even subgrid."""
-    def mean(G: np.ndarray, A: np.ndarray) -> np.ndarray:
-        size = G.size
-        for _ in range(G.ndim):
-            rows = G.reshape(-1, G.shape[-1])
-            # summed in blocks of 8 grid points and then block by block:
-            # one long BLAS dot product per moment rounds several times
-            # worse, and the pairings amplify that by their cancellation
-            acc = sum(rows[:, i:i + 8] @ A[i:i + 8]
-                      for i in range(0, len(A), 8))
-            G = np.moveaxis(acc.reshape(G.shape[:-1] + (A.shape[1],)), -1, 0)
-        return G / size
+# grid points per slab of _grid_moments (16 MiB of complex values); a
+# slab spans a multiple of 16 leading-axis points, which is two
+# contraction blocks of the grid and one of its even-index subgrid
+_SLAB_POINTS = 2 ** 20
 
-    even = (slice(None, None, 2),) * grid.ndim
-    return mean(grid, V), mean(grid[even], V[::2])
+
+def _contract(G: np.ndarray, A: np.ndarray, acc=0):
+    """acc plus G contracted on its last axis with A, as rows: summed in
+    blocks of 8 grid points and then block by block. One long BLAS dot
+    product per moment rounds several times worse, and the pairings
+    amplify that by their cancellation."""
+    rows = G.reshape(-1, G.shape[-1])
+    for i in range(0, len(A), 8):
+        acc = acc + rows[:, i:i + 8] @ A[i:i + 8]
+    return acc
+
+
+def _grid_moments(factors: tuple, n_axes: int, V: np.ndarray) -> tuple:
+    """(L, H): L[e + D] = mean of Delta * prod_j V[k_j, e_j + D] over the
+    M^n_axes tensor grid for every e in [-D, D]^n_axes, and H the same
+    over the even-index subgrid. The grid is formed one slab of about
+    _SLAB_POINTS points, and at least 16 leading-axis points, at a time:
+    each slab's trailing axes are contracted one at a time, last axis
+    first, and its leading axis is added into the running sums last,
+    block after block in grid order."""
+    M = len(factors[0])
+    C = V.shape[1]
+    step = max(16, _SLAB_POINTS // M ** (n_axes - 1) // 16 * 16)
+    even = (slice(None, None, 2),) * n_axes
+    sums = [0, 0]
+    for lo in range(0, M, step):
+        slab = _weight_slab(factors, n_axes, lo, lo + step)
+        for s, (G, A, lead) in enumerate((
+                (slab, V, V[lo:lo + step]),
+                (slab[even], V[::2], V[lo:lo + step:2]))):
+            for _ in range(n_axes - 1):
+                G = np.moveaxis(_contract(G, A).reshape(G.shape[:-1] + (C,)),
+                                -1, 0)
+            # G is now (e_2, ..., e_n, leading points of this slab)
+            sums[s] = _contract(G, lead, sums[s])
+        del slab  # freed before the next slab is formed
+    L, H = (np.moveaxis(acc.reshape((C,) * n_axes), -1, 0) / size
+            for acc, size in zip(sums, (M ** n_axes, ((M + 1) // 2) ** n_axes)))
+    return L, H
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _moment_table(p: AWParams, n_axes: int, M: int, k: int | None,
                   D: int) -> tuple:
     """Cached (L, H) moment tables of the Delta grid up to degree D."""
-    zvals, grid = _weight_grid(p, n_axes, M, k)
-    return _grid_moments(grid, _vandermonde(zvals, D))
+    factors = _factors(p, M, k)
+    return _grid_moments(factors, n_axes, _vandermonde(factors[0], D))
 
 
 class _Pairing:
@@ -278,9 +342,9 @@ class _Pairing:
         if axis_factor is None:
             L, H = _moment_table(p, n_axes, M, k, self.D)
         else:
-            zvals, grid = _weight_grid(p, n_axes, M, k)
-            L, H = _grid_moments(
-                grid, _vandermonde(zvals, self.D) * axis_factor[:, None])
+            factors = _factors(p, M, k)
+            L, H = _grid_moments(factors, n_axes, _vandermonde(
+                factors[0], self.D) * axis_factor[:, None])
         idx = tuple(np.moveaxis(self.sums + self.D, -1, 0))
         value = complex(self.cf @ L[idx] @ self.cg)
         return value, abs(value - complex(self.cf @ H[idx] @ self.cg))
@@ -304,10 +368,10 @@ def torus_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
 # ---------------------------------------------------------------------------
 # discrete weights
 
-def wd_residue_weight(i: int, tau0: complex, tau1: complex, tau2: complex,
-                      tau3: complex, q: float) -> complex:
-    """Residue weight w_d(tau0 q^i; tau0): the mass that the pole chain of
-    parameter tau0 deposits at tau0 q^i."""
+def _wd_prefactor(tau0: complex, tau1: complex, tau2: complex,
+                  tau3: complex, q: float) -> complex:
+    """The part of w_d(tau0 q^i; tau0) that does not depend on i:
+    (tau0^-2;q)_inf / (q, tau0 tk, tk / tau0;q)_inf over k = 1, 2, 3."""
     if abs(1.0 - tau0 * tau0) < POLE_GUARD:
         raise PoleInWeight("1 - tau0^2 vanishes")
     num = qpoch_infinite(tau0 ** -2, q)
@@ -318,19 +382,33 @@ def wd_residue_weight(i: int, tau0: complex, tau1: complex, tau2: complex,
             den *= qpoch_infinite(tk / tau0, q, require_nonzero=True)
     except ZeroProduct as exc:
         raise PoleInWeight("vanishing denominator in w_d prefactor") from exc
-    val = num / den
+    return num / den
+
+
+def _wd_from_prefactor(val: complex, i: int, tau0: complex, tau1: complex,
+                       tau2: complex, tau3: complex, q: float) -> complex:
+    """w_d(tau0 q^i; tau0) from its prefactor val: the i-dependent factors.
+    Each denominator factor 1 - x q^j is tested on its own."""
     num_i = qpoch_finite(tau0 ** 2, q, i)
     den_i = qpoch_finite(q, q, i)
-    for tk in (tau1, tau2, tau3):
-        num_i *= qpoch_finite(tau0 * tk, q, i)
-        d = qpoch_finite(tau0 * q / tk, q, i)
-        if abs(d) < POLE_GUARD:
-            raise PoleInWeight("vanishing denominator in w_d i-factor")
-        den_i *= d
+    try:
+        for tk in (tau1, tau2, tau3):
+            num_i *= qpoch_finite(tau0 * tk, q, i)
+            den_i *= qpoch_finite(tau0 * q / tk, q, i, require_nonzero=True)
+    except ZeroProduct as exc:
+        raise PoleInWeight("vanishing denominator in w_d i-factor") from exc
     val *= num_i / den_i
     val *= (1.0 - tau0 ** 2 * q ** (2 * i)) / (1.0 - tau0 ** 2)
     val *= (q / (tau0 * tau1 * tau2 * tau3)) ** i
     return val
+
+
+def wd_residue_weight(i: int, tau0: complex, tau1: complex, tau2: complex,
+                      tau3: complex, q: float) -> complex:
+    """Residue weight w_d(tau0 q^i; tau0): the mass that the pole chain of
+    parameter tau0 deposits at tau0 q^i."""
+    return _wd_from_prefactor(_wd_prefactor(tau0, tau1, tau2, tau3, q),
+                              i, tau0, tau1, tau2, tau3, q)
 
 
 def _rho(p: AWParams, which: int, j: int) -> complex:
@@ -352,11 +430,13 @@ def delta_d(nu: Sequence[int], p: AWParams, which: int) -> complex:
             nk_prev = nu[k - 2] if k >= 2 else 0
             val *= qpoch_real(rl / rk * q ** (nl - nk), q, t)
             val *= qpoch_real(q ** (-nk - nl) / (rk * rl), q, t)
-            d = (qpoch_finite(rk * rl * q ** (nk_prev + nl), q, nk - nk_prev)
-                 * qpoch_finite(rk / rl * q ** (nk_prev - nl), q,
-                                nk - nk_prev))
-            if abs(d) < POLE_GUARD:
-                raise PoleInWeight("vanishing delta_d denominator")
+            try:
+                d = (qpoch_finite(rk * rl * q ** (nk_prev + nl), q,
+                                  nk - nk_prev, require_nonzero=True)
+                     * qpoch_finite(rk / rl * q ** (nk_prev - nl), q,
+                                    nk - nk_prev, require_nonzero=True))
+            except ZeroProduct as exc:
+                raise PoleInWeight("vanishing delta_d denominator") from exc
             val /= d
     return val
 
@@ -365,13 +445,21 @@ def multi_discrete_weight(nu: Sequence[int], p: AWParams,
                           which: int = 0) -> complex:
     """Delta^(d) of one ascending chain labelled nu for parameter t_which:
     product of shifted one-variable residue weights times delta_d."""
-    q = p.q
     o1, o2, o3 = _others(p, which)
+    return _label_weight(nu, p, which, lambda i, tau0: wd_residue_weight(
+        i, tau0, o1, o2, o3, p.q))
+
+
+def _label_weight(nu: Sequence[int], p: AWParams, which: int,
+                  wd: Callable[[int, complex], complex]) -> complex:
+    """Delta^(d)(nu) with w_d(tau0 q^i; tau0) = wd(i, tau0): the chain
+    point j contributes the residue weight of its start tau0 = rho_j
+    q^nu_(j-1) at its offset nu_j - nu_(j-1)."""
+    q = p.q
     val: complex = 1.0
     prev = 0
     for j, nj in enumerate(nu, start=1):
-        tau0 = _rho(p, which, j) * q ** prev
-        val *= wd_residue_weight(nj - prev, tau0, o1, o2, o3, q)
+        val *= wd(nj - prev, _rho(p, which, j) * q ** prev)
         prev = nj
     return val * delta_d(nu, p, which)
 
@@ -387,9 +475,12 @@ def interaction_c(omega: Sequence[complex], z: Sequence[complex],
     return val
 
 
-def _interaction_c_axis(w: complex, zvals: np.ndarray, p: AWParams) -> np.ndarray:
-    """Vector of delta_c((w,); z) over one axis of grid values."""
-    out = np.ones(len(zvals), dtype=complex)
+def _interaction_c_rows(ws: Sequence[complex], zvals: np.ndarray,
+                        p: AWParams) -> np.ndarray:
+    """delta_c((w,); z) over one axis of grid values, one row per w,
+    evaluated for all rows at once."""
+    w = np.asarray(ws, dtype=complex)[:, None]
+    out = np.ones((len(ws), len(zvals)), dtype=complex)
     for arg in (w * zvals, w / zvals, zvals / w, 1.0 / (w * zvals)):
         out *= qpoch_infinite_arr(arg, p.q)
         out /= qpoch_infinite_arr(arg * p.t, p.q)
@@ -458,13 +549,56 @@ def support_F(r: int, p: AWParams, depth: int = 64) -> List[DiscreteSupportPoint
 # ---------------------------------------------------------------------------
 # partially discrete bilinear form
 
-def _discrete_point_weight(pt: DiscreteSupportPoint, p: AWParams) -> complex:
-    """The z-independent part of Delta_r^AW at a support point: both
-    Delta^(d) factors and the chain-chain interaction."""
-    val = multi_discrete_weight(pt.nu, p, pt.i_param)
-    val *= multi_discrete_weight(pt.nu_prime, p, pt.j_param)
-    val *= interaction_c(pt.omega_i, pt.omega_j, p)
-    return val
+def _chain_table(p: AWParams, M: int, depth: int) -> list:
+    """[(r, point, weight, row), ...] over every point of F(r), r = 1..n:
+    the point's z-independent weight and, for r < n, its delta_c row over
+    the M-point grid axis (None for r = n). Each distinct factor is
+    computed once per table: the w_d prefactor per chain start tau0,
+    Delta^(d) per label, the four chain-chain delta_c factors per pair of
+    support values, and the delta_c rows of every support value in one
+    batch."""
+    q = p.q
+    prefactors: Dict[tuple, complex] = {}
+    labels: Dict[tuple, complex] = {}
+    cross: Dict[tuple, tuple] = {}
+
+    def wd(which: int, i: int, tau0: complex) -> complex:
+        others = _others(p, which)
+        if (which, tau0) not in prefactors:
+            prefactors[which, tau0] = _wd_prefactor(tau0, *others, q)
+        return _wd_from_prefactor(prefactors[which, tau0], i, tau0,
+                                  *others, q)
+
+    def label(nu: Tuple[int, ...], which: int) -> complex:
+        if (which, nu) not in labels:
+            labels[which, nu] = _label_weight(
+                nu, p, which, functools.partial(wd, which))
+        return labels[which, nu]
+
+    def weight(pt: DiscreteSupportPoint) -> complex:
+        # multiplied in the order of multi_discrete_weight and
+        # interaction_c
+        val = label(pt.nu, pt.i_param) * label(pt.nu_prime, pt.j_param)
+        c: complex = 1.0
+        for w in pt.omega_i:
+            for x in pt.omega_j:
+                if (w, x) not in cross:
+                    cross[w, x] = tuple(
+                        qpoch_real(arg, q, p.t)
+                        for arg in (w * x, w / x, x / w, 1.0 / (w * x)))
+                for factor in cross[w, x]:
+                    c *= factor
+        return val * c
+
+    points = [(r, pt) for r in range(1, p.n + 1)
+              for pt in support_F(r, p, depth)]
+    ws = list(dict.fromkeys(w for r, pt in points if r < p.n
+                            for w in pt.omega))
+    rows = dict(zip(ws, _interaction_c_rows(ws, _grid_axes(M), p)))
+    return [(r, pt, weight(pt),
+             np.prod([rows[w] for w in pt.omega], axis=0) if r < p.n
+             else None)
+            for r, pt in points]
 
 
 def partial_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
@@ -473,33 +607,28 @@ def partial_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
     torus term plus discrete-chain corrections over F(r), r = 1..n."""
     n = p.n
     check_positive = p.in_V_AW()
-    zvals = _grid_axes(M)
     base = torus_bilinear(f, g, p, M)
     total = base.value
     err = base.abs_error_estimate
     mass = abs(base.value)
     npoints = 0
-    for r in range(1, n + 1):
+    for r, pt, w_disc, vec in _chain_table(p, M, depth):
         comb = 2 ** r * math.factorial(n) // math.factorial(n - r)
-        for pt in support_F(r, p, depth):
-            w_disc = _discrete_point_weight(pt, p)
-            fz = f.substitute_prefix(list(pt.omega))
-            gz = g.substitute_prefix(list(pt.omega))
-            if r == n:
-                contrib = fz.coefficient(()) * gz.coefficient(()) * w_disc
-            else:
-                vec = np.prod([_interaction_c_axis(w, zvals, p)
-                               for w in pt.omega], axis=0)
-                val, e = _Pairing(fz, gz).against(p, n - r, M, None, vec)
-                contrib = w_disc * val
-                err += comb * e * abs(w_disc)
-            if check_positive and abs(contrib) > 0:
-                if abs(complex(w_disc).imag) > 1e-9 * abs(w_disc):
-                    raise NonPositiveWeight(
-                        f"discrete weight not real at {pt.nu}/{pt.nu_prime}")
-            total += comb * contrib
-            mass += comb * abs(contrib)
-            npoints += 1
+        fz = f.substitute_prefix(list(pt.omega))
+        gz = g.substitute_prefix(list(pt.omega))
+        if vec is None:
+            contrib = fz.coefficient(()) * gz.coefficient(()) * w_disc
+        else:
+            val, e = _Pairing(fz, gz).against(p, n - r, M, None, vec)
+            contrib = w_disc * val
+            err += comb * e * abs(w_disc)
+        if check_positive and abs(contrib) > 0:
+            if abs(complex(w_disc).imag) > 1e-9 * abs(w_disc):
+                raise NonPositiveWeight(
+                    f"discrete weight not real at {pt.nu}/{pt.nu_prime}")
+        total += comb * contrib
+        mass += comb * abs(contrib)
+        npoints += 1
     # the realness check is scaled by the summed term magnitudes, not the
     # total: orthogonal pairs cancel to a value far below the rounding
     # noise of the individual contributions

@@ -10,9 +10,9 @@ from .qseries import check_q
 
 _TOL = 1e-10
 
-# Entries kept by each cache of measure tables (torus weight grids and
-# moment tables, discrete node tables); the least recently used entry is
-# dropped first.
+# Entries kept by each cache of measure tables (the torus weight factors
+# and moment tables, the discrete node tables); the least recently used
+# entry is dropped first.
 CACHE_SIZE = 8
 
 

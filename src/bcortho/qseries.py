@@ -42,14 +42,21 @@ def check_q(q: float) -> float:
     return float(q)
 
 
-def qpoch_finite(a: complex, q: float, k: int) -> complex:
-    """Finite q-shifted factorial (a;q)_k = prod_{i=0}^{k-1} (1 - a q^i)."""
+def qpoch_finite(a: complex, q: float, k: int,
+                 require_nonzero: bool = False) -> complex:
+    """Finite q-shifted factorial (a;q)_k = prod_{i=0}^{k-1} (1 - a q^i).
+
+    With require_nonzero, ZeroProduct is raised when a single factor is
+    within the pole guard, as in qpoch_infinite."""
     if k < 0:
         raise DomainViolation(f"finite exponent must be >= 0, got {k}")
     prod: complex = 1.0
     aq = a
     for _ in range(k):
-        prod *= 1.0 - aq
+        f = 1.0 - aq
+        if require_nonzero and abs(f) < POLE_GUARD:
+            raise ZeroProduct(f"(a;q)_k vanishes: factor 1 - {aq} ~ 0")
+        prod *= f
         aq *= q
     return prod
 
@@ -94,14 +101,20 @@ def qpoch_infinite_arr(a: np.ndarray, q: float,
     a = np.asarray(a)
     prod = np.ones_like(a, dtype=complex if np.iscomplexobj(a) else float)
     aq = a.copy().astype(prod.dtype)
-    mag = float(np.max(np.abs(a))) if a.size else 0.0
+    absa = np.abs(a)
+    mag = float(absa.max()) if a.size else 0.0
+    low = float(absa.min()) if a.size else 0.0
     while mag >= EPS_TRUNC:
         f = 1.0 - aq
-        if require_nonzero and np.min(np.abs(f)) < POLE_GUARD:
+        # |1 - a q^j| >= | |a q^j| - 1 |: a factor can vanish only while
+        # some |a q^j|, between low and mag, is close to 1
+        if (require_nonzero and low <= 2.0 and mag >= 0.5
+                and np.min(np.abs(f)) < POLE_GUARD):
             raise ZeroProduct("(a;q)_inf vanishes: a factor 1 - a q^j ~ 0")
         prod *= f
         aq *= q
         mag *= q
+        low *= q
     return prod
 
 

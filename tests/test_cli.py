@@ -141,6 +141,13 @@ class TestMain:
         assert main(["--suite", "qracah", "--n", "9"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_tiny_mass_does_not_pass(self, capsys):
+        # the multisum of a mass of 2.5e-94 used to stop at 9.2e-111, and
+        # the checks passed on the absolute error
+        assert main(["--suite", "little", "--q", "0.99", "--b", "0.6",
+                     "--lmax", "1"]) != 0
+        assert "still grow" in capsys.readouterr().err
+
     def test_exit_one_on_failing_check(self, tmp_path):
         # an absurdly tight tolerance forces at least one failure
         out = tmp_path / "r.json"

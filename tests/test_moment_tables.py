@@ -204,13 +204,13 @@ class TestMechanism:
             return (torus_bilinear(f, g, ps, M), partial_bilinear(f, g, pd, M),
                     natural_t_bilinear(f, g, pk, M))
 
-        measures._weight_grid.cache_clear()
+        measures._factors.cache_clear()
         measures._moment_table.cache_clear()
         first = run()
-        built = (measures._weight_grid.cache_info().misses,
+        built = (measures._factors.cache_info().misses,
                  measures._moment_table.cache_info().misses)
         assert run() == first
-        assert (measures._weight_grid.cache_info().misses,
+        assert (measures._factors.cache_info().misses,
                 measures._moment_table.cache_info().misses) == built
 
     def test_one_over_one_is_a_weighted_sum(self):

@@ -222,6 +222,6 @@ class TestTablesAreReused:
 
     def test_one_bound_for_every_table(self):
         for table in (big._node_table, little._node_table,
-                      qracah._node_table, measures._weight_grid,
+                      qracah._node_table, measures._factors,
                       measures._moment_table):
             assert table.cache_info().maxsize == CACHE_SIZE
