@@ -12,9 +12,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from .bcpoly import OrthogonalPolynomial, monomial_w, partition
+from .bcpoly import (
+    OrthogonalPolynomial,
+    monomial_w,
+    partition,
+    partitions_dominated_by,
+)
 from .errors import (
     EigenvalueCollision,
     PoleInPrefactor,
@@ -52,6 +57,41 @@ def aw_polynomial(lam: Sequence[int], p: AWParams,
         cvec[k] = s / gap
         coeffs[mus[k]] = cvec[k]
     return OrthogonalPolynomial(lam, coeffs, monomial_w)
+
+
+def aw_polynomials(top: Sequence[int], p: AWParams, seed: int = 0
+                   ) -> Dict[Tuple[int, ...], OrthogonalPolynomial]:
+    """The monic Askey-Wilson polynomials P_mu for every mu <= top, in
+    graded-lex order, each from its own operator matrix, as aw_polynomial
+    builds it."""
+    return {mu: aw_polynomial(mu, p, seed=seed)
+            for mu in partitions_dominated_by(top)}
+
+
+def limit_scan(target: OrthogonalPolynomial,
+               deformation: Callable[[float], AWParams],
+               rescale: Callable[[float], float], q: float, kmax: int,
+               seed: int) -> List[Tuple[int, float, float]]:
+    """Table of (k, eps_k, max coefficient deviation) along eps_k = q^(k+1)
+    for a limit transition from the Askey-Wilson family to target.
+
+    At each eps the Askey-Wilson polynomial of target's degree lambda is
+    built at the parameters deformation(eps); its coefficient of the
+    monomial of degree mu, times rescale(eps)^(|lambda| - |mu|), is compared
+    with target's."""
+    lam = target.degree
+    rows: List[Tuple[int, float, float]] = []
+    for k in range(kmax + 1):
+        eps = q * q ** k
+        aw = aw_polynomial(lam, deformation(eps), seed=seed)
+        r = rescale(eps)
+        dev = 0.0
+        for mu in partitions_dominated_by(lam):
+            scaled = aw.coeffs.get(mu, 0.0) * r ** (sum(lam) - sum(mu))
+            want = target.coeffs.get(mu, 0.0)
+            dev = max(dev, abs(scaled - want))
+        rows.append((k, eps, dev))
+    return rows
 
 
 def aw_norm_plus(lam: Sequence[int], p: AWParams) -> complex:

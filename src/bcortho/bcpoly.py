@@ -23,7 +23,6 @@ from .errors import (
     LengthMismatch,
     SingularGram,
     ZeroCoordinate,
-    ZeroScale,
 )
 from .qseries import POLE_GUARD
 
@@ -261,20 +260,6 @@ def monomial_s(lam: Sequence[int]) -> LaurentPolynomial:
     """S-invariant monomial mtilde_lambda: permutation orbit sum only."""
     lam = partition(lam)
     return LaurentPolynomial(len(lam), {e: 1.0 for e in _orbit(lam, False)})
-
-
-def rescale_monomial(lam: Sequence[int], u: complex) -> LaurentPolynomial:
-    """m_lambda(z | u) := u^{|lambda|} m_lambda(u^{-1} z).
-
-    Interpolates between m_lambda (u = 1) and mtilde_lambda (u -> 0)."""
-    lam = partition(lam)
-    if u == 0:
-        raise ZeroScale("u must be nonzero")
-    weight = sum(lam)
-    m = monomial_w(lam)
-    return LaurentPolynomial(
-        len(lam),
-        {e: c * u ** (weight - sum(e)) for e, c in m.terms.items()})
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .askey_wilson import limit_scan
 from .bcpoly import (
     LaurentPolynomial,
     OrthogonalPolynomial,
@@ -42,7 +43,6 @@ from .bcpoly import (
     monomial_w,
     orthogonalize,
     partition,
-    partitions_dominated_by,
 )
 from .errors import (
     DomainViolation,
@@ -64,6 +64,7 @@ from .qseries import (
     POLE_GUARD,
     psi_t,
     qpoch_finite,
+    qpoch_finite_arr,
     qpoch_infinite,
     qpoch_infinite_arr,
     qpoch_ratio,
@@ -71,6 +72,10 @@ from .qseries import (
 )
 
 FORM_TOL = 1e-9
+# askey_evans_lhs sums the Jackson nodes c q^m and -d q^m with
+# q^m >= NODE_CUTOFF, for at most MAX_NODES values of m.
+NODE_CUTOFF = 1e-13
+MAX_NODES = 400
 
 
 @dataclass(frozen=True)
@@ -305,10 +310,13 @@ def selberg_big(bp: BigParams) -> float:
     return float(complex(val).real)
 
 
-def askey_evans_lhs(bp: BigParams, rel_tol: float = 1e-13,
-                    max_terms: int = 400) -> float:
+def askey_evans_lhs(bp: BigParams) -> float:
     """Two-sided iterated Jackson integral of the t = q^k Selberg
-    integrand over [-d, c]^n, by direct summation."""
+    integrand over [-d, c]^n, by direct summation.
+
+    The integrand is a product of one factor per axis and one per pair of
+    axes, so the sum over all n-tuples of one-axis nodes is one
+    contraction of the node vector with the pair matrix."""
     k = _natural_k(bp)
     n, q, c, d = bp.n, bp.q, bp.c, bp.d
     a, b = bp.a, bp.b
@@ -321,34 +329,27 @@ def askey_evans_lhs(bp: BigParams, rel_tol: float = 1e-13,
         return (num / den).real
 
     # one axis: nodes c q^m (weight c q^m) and -d q^m (weight d q^m)
-    nodes: List[Tuple[float, float]] = []
-    m = 0
-    while m < max_terms:
-        w = q ** m
-        if w < rel_tol:
-            break
-        nodes.append((c * q ** m, c * w))
-        nodes.append((-d * q ** m, d * w))
-        m += 1
-    else:
-        raise SlowConvergence("Jackson node list did not terminate")
-    vtab = {x: v(x) for x, _w in nodes}
-
-    def full(z: List[float]) -> float:
-        val = 1.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                val *= z[i] ** (2 * k) * qpoch_finite(
-                    q ** (1 - k) * z[j] / z[i], q, 2 * k)
-            val *= vtab[z[i]]
-        return val
-
-    def rec(z: List[float], jac: float) -> float:
-        if len(z) == n:
-            return jac * full(z)
-        return sum(rec(z + [x], jac * w) for x, w in nodes)
-
-    return (1.0 - q) ** n * rec([], 1.0)
+    qm: List[float] = []
+    while q ** len(qm) >= NODE_CUTOFF:
+        if len(qm) == MAX_NODES:
+            raise SlowConvergence("Jackson node list did not terminate")
+        qm.append(q ** len(qm))
+    w = np.array(qm)
+    x = np.concatenate([c * w, -d * w])
+    axis = np.concatenate([c * w, d * w]) * np.array([v(xi) for xi in x])
+    # pair[i, j] = x_i^{2k} (q^{1-k} x_j / x_i; q)_{2k}
+    pair = (x[:, None] ** (2 * k)
+            * qpoch_finite_arr(q ** (1 - k) * x[None, :] / x[:, None], q,
+                               2 * k))
+    letters = "abcdefghijklmnopqrstuvwxyz"[:n]
+    operands = [axis] * n
+    subscripts = list(letters)
+    for i in range(n):
+        for j in range(i + 1, n):
+            operands.append(pair)
+            subscripts.append(letters[i] + letters[j])
+    total = np.einsum(",".join(subscripts) + "->", *operands)
+    return (1.0 - q) ** n * float(total)
 
 
 def askey_evans_rhs(bp: BigParams) -> float:
@@ -433,45 +434,27 @@ def aw_params_big(eps: float, bp: BigParams) -> AWParams:
 
 
 def limit_scan_big(lam: Sequence[int], bp: BigParams, kmax: int,
-                   eps0: float | None = None,
                    seed: int = 0) -> List[Tuple[int, float, float]]:
     """Table of (k, eps_k, max coefficient deviation) for the limit of
-    rescaled Askey-Wilson coefficients to big q-Jacobi coefficients."""
-    from .askey_wilson import aw_polynomial
-
+    rescaled Askey-Wilson coefficients to big q-Jacobi coefficients,
+    along eps_k = q^(k+1) (askey_wilson.limit_scan)."""
     lam = partition(lam)
-    if eps0 is None:
-        eps0 = bp.q
-    target = big_polynomials(lam, bp)[lam]
     scale = math.sqrt(bp.c * bp.d / bp.q)
-    rows: List[Tuple[int, float, float]] = []
-    for k in range(kmax + 1):
-        eps = eps0 * bp.q ** k
-        p = aw_params_big(eps, bp)
-        aw = aw_polynomial(lam, p, seed=seed)
-        dev = 0.0
-        for mu in partitions_dominated_by(lam):
-            scaled = aw.coeffs.get(mu, 0.0) * (eps * scale) ** (
-                sum(lam) - sum(mu))
-            want = target.coeffs.get(mu, 0.0)
-            dev = max(dev, abs(scaled - want))
-        rows.append((k, eps, dev))
-    return rows
+    return limit_scan(big_polynomials(lam, bp)[lam],
+                      lambda eps: aw_params_big(eps, bp),
+                      lambda eps: eps * scale, bp.q, kmax, seed)
 
 
 def measure_constant_big(lam: Sequence[int], mu: Sequence[int],
                          bp: BigParams, kmax: int, M: int = 64,
-                         eps0: float | None = None,
                          depth: int = 128) -> List[Tuple[int, float, float]]:
     """Table of (k, eps_k, relative deviation) for the limit of the
     renormalized partially discrete pairing of W-monomials to the
-    c-weighted Jackson pairing of S-monomials."""
+    c-weighted Jackson pairing of S-monomials, along eps_k = q^(k+1)."""
     from .measures import partial_bilinear
 
     lam = partition(lam)
     mu = partition(mu)
-    if eps0 is None:
-        eps0 = bp.q
     n, q, t = bp.n, bp.q, bp.t
     scale = math.sqrt(bp.c * bp.d / q)
     want = (2 ** n * math.factorial(n)
@@ -481,7 +464,7 @@ def measure_constant_big(lam: Sequence[int], mu: Sequence[int],
     g = monomial_w(mu)
     rows: List[Tuple[int, float, float]] = []
     for k in range(kmax + 1):
-        eps = eps0 * q ** k
+        eps = q * q ** k
         p = aw_params_big(eps, bp)
         pair = partial_bilinear(f, g, p, M, depth=depth).value
         pref = 1.0

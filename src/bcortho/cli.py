@@ -5,6 +5,13 @@ constant terms, limit transitions) over a parameter configuration and
 emits a machine-readable certification report. Configurations come from
 a flat key=value file, command-line flags, or both (flags win).
 
+Each family (aw, qracah, little, big) is one _Family record: its
+parameters, pairing, polynomials up to a top partition, and the closed
+forms of its norms and of its constant term <1,1>. _mass_check compares
+its <1,1> with the closed form and _gram_checks its Gram matrix with the
+closed-form norms; the limits suite and the family-specific checks keep
+their own code.
+
 Report schema (JSON): {suite, config_echo, checks: [{name, anchor, lhs,
 rhs, abs_err, rel_err, tol, pass, ms}], summary: {pass, fail}}. The
 anchor field carries a short statement of the identity being checked.
@@ -24,8 +31,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
-from .askey_wilson import aw1_oracle, aw_norm, aw_polynomial, gustafson_constant
-from .bcpoly import LaurentPolynomial, partitions_dominated_by
+from .askey_wilson import (
+    aw1_oracle,
+    aw_norm,
+    aw_polynomials,
+    gustafson_constant,
+)
+from .bcpoly import LaurentPolynomial, OrthogonalPolynomial
 from .big import (
     BigParams,
     askey_evans_lhs,
@@ -217,28 +229,110 @@ def _tol(cfg: SuiteConfig, default: float) -> float:
     return float(cfg.get("tol", default))
 
 
-def _aw_params(cfg: SuiteConfig) -> AWParams:
-    return AWParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["t0"],
-                    cfg["t1"], cfg["t2"], cfg["t3"])
+@dataclass(frozen=True)
+class _Family:
+    """One orthogonal family as the paper certifies it: its parameters,
+    its pairing, the monic polynomials of degree mu <= top (a dict in
+    graded-lex order), and the closed forms of the quadratic norms and of
+    the constant term <1,1>."""
+
+    params: object
+    pair: Callable[[LaurentPolynomial, LaurentPolynomial], complex]
+    polynomials: Callable[[Tuple[int, ...]],
+                          Dict[Tuple[int, ...], OrthogonalPolynomial]]
+    norm: Callable[[Tuple[int, ...]], complex]
+    mass: Callable[[], complex]
+
+
+def _aw_family(cfg: SuiteConfig) -> _Family:
+    p = AWParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["t0"], cfg["t1"],
+                 cfg["t2"], cfg["t3"])
+    M, seed = int(cfg["M"]), int(cfg["seed"])
+    return _Family(p, lambda f, g: torus_bilinear(f, g, p, M).value,
+                   lambda top: aw_polynomials(top, p, seed=seed),
+                   lambda lam: aw_norm(lam, p),
+                   lambda: gustafson_constant(p))
+
+
+def _qracah_family(cfg: SuiteConfig) -> _Family:
+    qp = QRacahParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["t0"],
+                      cfg["t1"], cfg["t2"], int(cfg["N"]))
+    return _Family(qp, lambda f, g: bilinear_qR(f, g, qp),
+                   lambda top: qracah_polynomials(top, qp),
+                   lambda lam: norm_qR(lam, qp),
+                   lambda: summation_qR(qp))
+
+
+def _little_family(cfg: SuiteConfig) -> _Family:
+    lp = LittleParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["a"], cfg["b"])
+    return _Family(lp, lambda f, g: bilinear_little(f, g, lp),
+                   lambda top: little_polynomials(top, lp),
+                   lambda lam: norm_little(lam, lp),
+                   lambda: selberg_little(lp))
+
+
+def _big_family(cfg: SuiteConfig) -> _Family:
+    bp = BigParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["a"], cfg["b"],
+                   cfg["c"], cfg["d"])
+    return _Family(bp, lambda f, g: bilinear_big(f, g, bp),
+                   lambda top: big_polynomials(top, bp),
+                   lambda lam: norm_big(lam, bp),
+                   lambda: selberg_big(bp))
+
+
+def _mass_check(report: CertificationReport, name: str, anchor: str,
+                tol: float, fam: _Family) -> None:
+    """The family's <1,1> against its closed form."""
+    one = LaurentPolynomial.constant(fam.params.n)
+    _run_check(report, name, anchor, tol,
+               lambda: (fam.pair(one, one), fam.mass()))
+
+
+def _gram_checks(report: CertificationReport, fam: _Family,
+                 top: Tuple[int, ...], tol_orth: float,
+                 tol_norm: float) -> None:
+    """The Gram matrix of the family's polynomials of degree mu <= top:
+    off-diagonals against |<1,1>| ("orthogonality") and diagonals against
+    the closed-form norms N ("norms", relative to max(1, |N|))."""
+    polys = {lam: P.to_laurent() for lam, P in fam.polynomials(top).items()}
+    lams = list(polys)
+    scale = abs(fam.mass())
+
+    def off_diag() -> Tuple[float, float]:
+        worst = 0.0
+        for i, la in enumerate(lams):
+            for lb in lams[i + 1:]:
+                worst = max(worst,
+                            abs(fam.pair(polys[la], polys[lb])) / scale)
+        return worst, 0.0
+
+    def diag() -> Tuple[float, float]:
+        worst = 0.0
+        for la in lams:
+            v = fam.pair(polys[la], polys[la])
+            w = fam.norm(la)
+            worst = max(worst, abs(v - w) / max(1.0, abs(w)))
+        return worst, 0.0
+
+    _run_check(report, "orthogonality", "Gram off-diagonals vanish",
+               tol_orth, off_diag)
+    _run_check(report, "norms", "Gram diagonals = closed-form norms",
+               tol_norm, diag)
 
 
 def _suite_aw(cfg: SuiteConfig, report: CertificationReport) -> None:
-    p = _aw_params(cfg)
-    M = int(cfg["M"])
-    one = LaurentPolynomial.constant(p.n)
-
-    _run_check(report, "constant-term", "torus <1,1> = closed product",
-               _tol(cfg, 1e-8),
-               lambda: (torus_bilinear(one, one, p, M).value.real,
-                        gustafson_constant(p).real))
+    fam = _aw_family(cfg)
+    p = fam.params
+    _mass_check(report, "constant-term", "torus <1,1> = closed product",
+                _tol(cfg, 1e-8), fam)
 
     p1 = AWParams(1, p.q, p.t, p.t0, p.t1, p.t2, p.t3)
 
     def n1_oracle() -> Tuple[float, float]:
         z = 0.9 * complex(math.cos(0.7), math.sin(0.7))
         dev = 0.0
-        for lam in range(5):
-            poly = aw_polynomial((lam,), p1, seed=int(cfg["seed"]))
+        for (lam,), poly in aw_polynomials(
+                (4,), p1, seed=int(cfg["seed"])).items():
             got = poly.to_laurent().eval([z])
             want = aw1_oracle(lam, z, p1)
             dev = max(dev, abs(got - want) / max(1.0, abs(want)))
@@ -247,46 +341,15 @@ def _suite_aw(cfg: SuiteConfig, report: CertificationReport) -> None:
     _run_check(report, "n1-closed-form",
                "one-variable polynomial = terminating series closed form",
                _tol(cfg, 1e-10), n1_oracle)
-
-    lams = partitions_dominated_by((int(cfg["lmax"]),) * p.n)
-    polys = {lam: aw_polynomial(lam, p, seed=int(cfg["seed"])).to_laurent()
-             for lam in lams}
-    scale = abs(gustafson_constant(p))
-
-    def off_diag() -> Tuple[float, float]:
-        worst = 0.0
-        for i, la in enumerate(lams):
-            for lb in lams[i + 1:]:
-                v = torus_bilinear(polys[la], polys[lb], p, M).value
-                worst = max(worst, abs(v) / scale)
-        return worst, 0.0
-
-    def diag() -> Tuple[float, float]:
-        worst = 0.0
-        for la in lams:
-            v = torus_bilinear(polys[la], polys[la], p, M).value.real
-            w = aw_norm(la, p).real
-            worst = max(worst, abs(v - w) / max(1.0, abs(w)))
-        return worst, 0.0
-
-    _run_check(report, "orthogonality", "Gram off-diagonals vanish",
-               _tol(cfg, 1e-8), off_diag)
-    _run_check(report, "norms", "Gram diagonals = closed-form norms",
-               _tol(cfg, 1e-6), diag)
-
-
-def _qracah_params(cfg: SuiteConfig) -> QRacahParams:
-    return QRacahParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["t0"],
-                        cfg["t1"], cfg["t2"], int(cfg["N"]))
+    _gram_checks(report, fam, (int(cfg["lmax"]),) * p.n, _tol(cfg, 1e-8),
+                 _tol(cfg, 1e-6))
 
 
 def _suite_qracah(cfg: SuiteConfig, report: CertificationReport) -> None:
-    qp = _qracah_params(cfg)
-    one = LaurentPolynomial.constant(qp.n)
-
-    _run_check(report, "summation", "finite sum of weights = closed product",
-               _tol(cfg, 1e-10),
-               lambda: (bilinear_qR(one, one, qp), summation_qR(qp)))
+    fam = _qracah_family(cfg)
+    qp = fam.params
+    _mass_check(report, "summation", "finite sum of weights = closed product",
+                _tol(cfg, 1e-10), fam)
 
     def residue_split() -> Tuple[float, float]:
         # the residue weight factors into the chain constant K_r times
@@ -306,34 +369,9 @@ def _suite_qracah(cfg: SuiteConfig, report: CertificationReport) -> None:
     _run_check(report, "residue-split",
                "discrete weight = chain constant times node weight",
                _tol(cfg, 1e-10), residue_split)
-
     # the partitions mu <= (lmax, ..., lmax) with mu_1 <= N
-    top = (min(int(cfg["lmax"]), qp.N),) * qp.n
-    polys = {lam: P.to_laurent()
-             for lam, P in qracah_polynomials(top, qp).items()}
-    lams = list(polys)
-    scale = abs(summation_qR(qp))
-
-    def off_diag() -> Tuple[float, float]:
-        worst = 0.0
-        for i, la in enumerate(lams):
-            for lb in lams[i + 1:]:
-                worst = max(worst, abs(
-                    bilinear_qR(polys[la], polys[lb], qp)) / scale)
-        return worst, 0.0
-
-    def diag() -> Tuple[float, float]:
-        worst = 0.0
-        for la in lams:
-            v = bilinear_qR(polys[la], polys[la], qp)
-            w = norm_qR(la, qp)
-            worst = max(worst, abs(v - w) / max(1.0, abs(w)))
-        return worst, 0.0
-
-    _run_check(report, "orthogonality", "Gram off-diagonals vanish",
-               _tol(cfg, 1e-9), off_diag)
-    _run_check(report, "norms", "Gram diagonals = closed-form norms",
-               _tol(cfg, 1e-8), diag)
+    _gram_checks(report, fam, (min(int(cfg["lmax"]), qp.N),) * qp.n,
+                 _tol(cfg, 1e-9), _tol(cfg, 1e-8))
     _run_check(report, "support-size",
                "number of admissible labels matches the binomial count",
                0.0,
@@ -341,55 +379,18 @@ def _suite_qracah(cfg: SuiteConfig, report: CertificationReport) -> None:
                         float(math.comb(qp.N + qp.n, qp.n))))
 
 
-def _little_params(cfg: SuiteConfig) -> LittleParams:
-    return LittleParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["a"],
-                        cfg["b"])
-
-
 def _suite_little(cfg: SuiteConfig, report: CertificationReport) -> None:
-    lp = _little_params(cfg)
-    one = LaurentPolynomial.constant(lp.n)
-
-    _run_check(report, "constant-term",
-               "Jackson multisum <1,1> = closed product",
-               _tol(cfg, 1e-8),
-               lambda: (bilinear_little(one, one, lp), selberg_little(lp)))
-
-    polys = {lam: P.to_laurent() for lam, P in little_polynomials(
-        (int(cfg["lmax"]),) * lp.n, lp).items()}
-    lams = list(polys)
-    scale = abs(selberg_little(lp))
-
-    def off_diag() -> Tuple[float, float]:
-        worst = 0.0
-        for i, la in enumerate(lams):
-            for lb in lams[i + 1:]:
-                worst = max(worst, abs(
-                    bilinear_little(polys[la], polys[lb], lp)) / scale)
-        return worst, 0.0
-
-    def diag() -> Tuple[float, float]:
-        worst = 0.0
-        for la in lams:
-            v = bilinear_little(polys[la], polys[la], lp)
-            w = norm_little(la, lp)
-            worst = max(worst, abs(v - w) / max(1.0, abs(w)))
-        return worst, 0.0
-
-    _run_check(report, "orthogonality", "Gram off-diagonals vanish",
-               _tol(cfg, 1e-8), off_diag)
-    _run_check(report, "norms", "Gram diagonals = closed-form norms",
-               _tol(cfg, 1e-6), diag)
-
-
-def _big_params(cfg: SuiteConfig) -> BigParams:
-    return BigParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["a"],
-                     cfg["b"], cfg["c"], cfg["d"])
+    fam = _little_family(cfg)
+    _mass_check(report, "constant-term",
+                "Jackson multisum <1,1> = closed product",
+                _tol(cfg, 1e-8), fam)
+    _gram_checks(report, fam, (int(cfg["lmax"]),) * fam.params.n,
+                 _tol(cfg, 1e-8), _tol(cfg, 1e-6))
 
 
 def _suite_big(cfg: SuiteConfig, report: CertificationReport) -> None:
-    bp = _big_params(cfg)
-    one = LaurentPolynomial.constant(bp.n)
+    fam = _big_family(cfg)
+    bp = fam.params
 
     def dual_form() -> Tuple[float, float]:
         rng = random.Random(int(cfg["seed"]))
@@ -411,10 +412,9 @@ def _suite_big(cfg: SuiteConfig, report: CertificationReport) -> None:
     _run_check(report, "c-weight-dual-form",
                "split-weight theta form = base constant times Psi products",
                _tol(cfg, 1e-9), dual_form)
-    _run_check(report, "constant-term",
-               "two-sided weighted multisum <1,1> = closed product",
-               _tol(cfg, 1e-7),
-               lambda: (bilinear_big(one, one, bp), selberg_big(bp)))
+    _mass_check(report, "constant-term",
+                "two-sided weighted multisum <1,1> = closed product",
+                _tol(cfg, 1e-7), fam)
 
     def askey_evans() -> Tuple[float, float]:
         k = max(1, round(math.log(bp.t) / math.log(bp.q)))
@@ -445,36 +445,13 @@ def _suite_big(cfg: SuiteConfig, report: CertificationReport) -> None:
                "split-weight ratios balance where a chain coordinate "
                "crosses zero", _tol(cfg, 1e-5), asym)
 
-    polys = {lam: P.to_laurent() for lam, P in big_polynomials(
-        (int(cfg["lmax"]),) * bp.n, bp).items()}
-    lams = list(polys)
-    scale = abs(selberg_big(bp))
-
-    def off_diag() -> Tuple[float, float]:
-        worst = 0.0
-        for i, la in enumerate(lams):
-            for lb in lams[i + 1:]:
-                worst = max(worst, abs(
-                    bilinear_big(polys[la], polys[lb], bp)) / scale)
-        return worst, 0.0
-
-    def diag() -> Tuple[float, float]:
-        worst = 0.0
-        for la in lams:
-            v = bilinear_big(polys[la], polys[la], bp)
-            w = norm_big(la, bp)
-            worst = max(worst, abs(v - w) / max(1.0, abs(w)))
-        return worst, 0.0
-
-    _run_check(report, "orthogonality", "Gram off-diagonals vanish",
-               _tol(cfg, 1e-8), off_diag)
-    _run_check(report, "norms", "Gram diagonals = closed-form norms",
-               _tol(cfg, 1e-6), diag)
+    _gram_checks(report, fam, (int(cfg["lmax"]),) * bp.n, _tol(cfg, 1e-8),
+                 _tol(cfg, 1e-6))
 
 
 def _suite_limits(cfg: SuiteConfig, report: CertificationReport) -> None:
-    lp = _little_params(cfg)
-    bp = _big_params(cfg)
+    lp = _little_family(cfg).params
+    bp = _big_family(cfg).params
     kmax = int(cfg["kmax"])
     seed = int(cfg["seed"])
     lam = (1,) + (0,) * (lp.n - 1)
@@ -516,29 +493,19 @@ def _suite_limits(cfg: SuiteConfig, report: CertificationReport) -> None:
 
 
 def _suite_selberg(cfg: SuiteConfig, report: CertificationReport) -> None:
-    p = _aw_params(cfg)
+    aw = _aw_family(cfg)
+    _mass_check(report, "torus", "torus constant term = closed product",
+                _tol(cfg, 1e-8), aw)
+    _mass_check(report, "finite-sum", "finite constant term = closed product",
+                _tol(cfg, 1e-10), _qracah_family(cfg))
+    _mass_check(report, "jackson", "multisum constant term = closed product",
+                _tol(cfg, 1e-8), _little_family(cfg))
+    _mass_check(report, "two-sided",
+                "weighted multisum constant term = closed product",
+                _tol(cfg, 1e-7), _big_family(cfg))
+
+    p = aw.params
     one = LaurentPolynomial.constant(p.n)
-    _run_check(report, "torus", "torus constant term = closed product",
-               _tol(cfg, 1e-8),
-               lambda: (torus_bilinear(one, one, p, int(cfg["M"])).value.real,
-                        gustafson_constant(p).real))
-
-    qp = _qracah_params(cfg)
-    _run_check(report, "finite-sum", "finite constant term = closed product",
-               _tol(cfg, 1e-10),
-               lambda: (bilinear_qR(one, one, qp), summation_qR(qp)))
-
-    lp = _little_params(cfg)
-    _run_check(report, "jackson", "multisum constant term = closed product",
-               _tol(cfg, 1e-8),
-               lambda: (bilinear_little(one, one, lp), selberg_little(lp)))
-
-    bp = _big_params(cfg)
-    _run_check(report, "two-sided",
-               "weighted multisum constant term = closed product",
-               _tol(cfg, 1e-7),
-               lambda: (bilinear_big(one, one, bp), selberg_big(bp)))
-
     pd = AWParams(p.n, p.q, p.t, 1.1, p.t1, p.t2, p.t3)
     _run_check(report, "partially-discrete",
                "torus plus chain corrections constant term = closed product",

@@ -19,10 +19,6 @@ class LengthMismatch(BcorthoError):
     """Two vectors that must have equal length do not."""
 
 
-class ZeroScale(BcorthoError):
-    """A rescaling factor that must be nonzero is zero."""
-
-
 class ZeroCoordinate(BcorthoError):
     """A Laurent polynomial was evaluated at a point with a zero entry."""
 

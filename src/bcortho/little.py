@@ -35,6 +35,7 @@ from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from .askey_wilson import limit_scan
 from .bcpoly import (
     LaurentPolynomial,
     OrthogonalPolynomial,
@@ -43,7 +44,6 @@ from .bcpoly import (
     monomial_w,
     orthogonalize,
     partition,
-    partitions_dominated_by,
 )
 from .errors import DomainViolation, SlowConvergence, ZeroProduct
 from .params import CACHE_SIZE, AWParams
@@ -368,46 +368,27 @@ def aw_params_little(eps: float, lp: LittleParams) -> AWParams:
 
 
 def limit_scan_little(lam: Sequence[int], lp: LittleParams, kmax: int,
-                      eps0: float | None = None,
                       seed: int = 0) -> List[Tuple[int, float, float]]:
     """Table of (k, eps_k, max coefficient deviation) for the limit of
     rescaled Askey-Wilson coefficients to little q-Jacobi coefficients,
-    along eps_k = eps0 q^k."""
-    from .askey_wilson import aw_polynomial
-
+    along eps_k = q^(k+1) (askey_wilson.limit_scan)."""
     lam = partition(lam)
-    if eps0 is None:
-        eps0 = lp.q
-    target = little_polynomials(lam, lp)[lam]
     rq = math.sqrt(lp.q)
-    rows: List[Tuple[int, float, float]] = []
-    for k in range(kmax + 1):
-        eps = eps0 * lp.q ** k
-        p = aw_params_little(eps, lp)
-        aw = aw_polynomial(lam, p, seed=seed)
-        dev = 0.0
-        for mu in partitions_dominated_by(lam):
-            scaled = aw.coeffs.get(mu, 0.0) * (eps / rq) ** (
-                sum(lam) - sum(mu))
-            want = target.coeffs.get(mu, 0.0)
-            dev = max(dev, abs(scaled - want))
-        rows.append((k, eps, dev))
-    return rows
+    return limit_scan(little_polynomials(lam, lp)[lam],
+                      lambda eps: aw_params_little(eps, lp),
+                      lambda eps: eps / rq, lp.q, kmax, seed)
 
 
 def measure_constant_little(lam: Sequence[int], mu: Sequence[int],
                             lp: LittleParams, kmax: int, M: int = 64,
-                            eps0: float | None = None,
                             depth: int = 128) -> List[Tuple[int, float, float]]:
     """Table of (k, eps_k, relative deviation) for the limit of the
     renormalized partially discrete pairing of W-monomials to the
-    Jackson pairing of S-monomials."""
+    Jackson pairing of S-monomials, along eps_k = q^(k+1)."""
     from .measures import partial_bilinear
 
     lam = partition(lam)
     mu = partition(mu)
-    if eps0 is None:
-        eps0 = lp.q
     n, q, t = lp.n, lp.q, lp.t
     rq = math.sqrt(q)
     want = (2 ** n * math.factorial(n)
@@ -417,7 +398,7 @@ def measure_constant_little(lam: Sequence[int], mu: Sequence[int],
     g = monomial_w(mu)
     rows: List[Tuple[int, float, float]] = []
     for k in range(kmax + 1):
-        eps = eps0 * q ** k
+        eps = q * q ** k
         p = aw_params_little(eps, lp)
         pair = partial_bilinear(f, g, p, M, depth=depth).value
         pref = 1.0

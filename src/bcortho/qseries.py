@@ -167,27 +167,6 @@ def qpoch_ratio(num: Iterable[complex], den: Iterable[complex],
     return val
 
 
-def qpoch_product(a_list: Iterable[complex], q: float, exponent) -> complex:
-    """Product of q-shifted factorials (a_1,...,a_m;q)_b.
-
-    The exponent b is a nonnegative integer, math.inf, or a pair
-    (t, tau) carrying a real exponent tau through its companion value
-    t = q^tau.
-    """
-    prod: complex = 1.0
-    if isinstance(exponent, tuple):
-        t, _tau = exponent
-        for a in a_list:
-            prod *= qpoch_real(a, q, t)
-    elif exponent == math.inf:
-        for a in a_list:
-            prod *= qpoch_infinite(a, q)
-    else:
-        for a in a_list:
-            prod *= qpoch_finite(a, q, exponent)
-    return prod
-
-
 def theta_jacobi(x: complex, q: float) -> complex:
     """Jacobi theta function theta(x) = (q;q)_inf (x;q)_inf (q/x;q)_inf."""
     if x == 0:

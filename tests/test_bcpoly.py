@@ -13,13 +13,11 @@ from bcortho.bcpoly import (
     monomial_s,
     monomial_w,
     partitions_dominated_by,
-    rescale_monomial,
 )
 from bcortho.errors import (
     DomainViolation,
     LengthMismatch,
     ZeroCoordinate,
-    ZeroScale,
 )
 
 
@@ -117,35 +115,6 @@ class TestMonomials:
         v = m.eval(z)
         assert abs(m.eval([z[1], z[0]]) - v) < 1e-12 * abs(v)
         assert abs(m.eval([1 / z[0], z[1]]) - v) < 1e-12 * abs(v)
-
-
-class TestRescale:
-    def test_u_one(self):
-        assert rescale_monomial((2, 1), 1.0) == monomial_w((2, 1))
-
-    def test_explicit(self):
-        m = rescale_monomial((1, 0), 0.5)
-        assert m.coefficient((1, 0)) == 1
-        assert m.coefficient((0, 1)) == 1
-        assert m.coefficient((-1, 0)) == pytest.approx(0.25)
-        assert m.coefficient((0, -1)) == pytest.approx(0.25)
-
-    def test_zero_partition(self):
-        assert rescale_monomial((0, 0), 0.3) == LaurentPolynomial.constant(2)
-
-    def test_limit_to_s_monomial(self):
-        lam = (2, 1)
-        m = rescale_monomial(lam, 1e-9)
-        ms = monomial_s(lam)
-        for e, c in ms.terms.items():
-            assert abs(m.coefficient(e) - c) < 1e-12
-        for e, c in m.terms.items():
-            if e not in ms.terms:
-                assert abs(c) < 1e-12
-
-    def test_zero_scale(self):
-        with pytest.raises(ZeroScale):
-            rescale_monomial((1, 0), 0.0)
 
 
 class TestEval:

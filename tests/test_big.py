@@ -149,7 +149,8 @@ class TestConstantTerm:
 
 
 class TestAskeyEvans:
-    @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1),
+                                     (3, 2)])
     def test_two_sided_integral(self, n, k):
         bp = BigParams(n, 0.5, 0.5 ** k, 0.6, 0.3, 1.0, 0.8)
         assert rel(askey_evans_lhs(bp), askey_evans_rhs(bp)) < 1e-12

@@ -97,22 +97,6 @@ class TestQpochReal:
             qseries.qpoch_real(8.0, 0.5, 0.25)
 
 
-class TestQpochProduct:
-    def test_empty(self):
-        assert qseries.qpoch_product([], Q, 3) == 1
-
-    def test_finite_pair(self):
-        assert qseries.qpoch_product([0.5, 0.25], 0.5, 1) == pytest.approx(
-            0.375)
-
-    def test_single_factor_consistency(self):
-        a = 0.2 + 0.7j
-        assert qseries.qpoch_product([a], Q, math.inf) == qseries.qpoch_infinite(a, Q)
-        t = 0.3
-        assert qseries.qpoch_product([a], Q, (t, math.log(t) / math.log(Q))) \
-            == qseries.qpoch_real(a, Q, t)
-
-
 class TestQpochRatio:
     def test_matches_products(self):
         num, den = [0.3, 0.2 + 0.4j], [0.7, -0.6]
