@@ -2,8 +2,9 @@
 
 P_lambda is the unique W-invariant Laurent polynomial that is monic in
 m_lambda, supported on {mu <= lambda}, and an eigenfunction of the BC-type
-q-difference operator. It is built by back-substitution on the triangular
-operator matrix. The quadratic norms N(lambda) = 2^n n! N+ N- and the
+q-difference operator. aw_polynomials builds every P_mu, mu <= top, by
+back-substitution on the one triangular operator matrix of top, which
+has no random input. The quadratic norms N(lambda) = 2^n n! N+ N- and the
 constant term <1,1> are evaluated as products of infinite q-shifted
 factorials.
 """
@@ -32,46 +33,38 @@ from .qseries import qpoch_ratio
 SEPARATION = 1e-8
 
 
-def aw_polynomial(lam: Sequence[int], p: AWParams,
-                  seed: int = 0) -> OrthogonalPolynomial:
-    """Construct the monic Askey-Wilson polynomial of degree lambda.
-
-    Solves (M - E_lambda I) c = 0 with c_lambda = 1 by back-substitution
-    along the graded-lex order; raises EigenvalueCollision when two
-    eigenvalues are too close to separate."""
-    lam = partition(lam)
-    m = op_matrix(lam, p, seed=seed)
-    mus = m.index
-    N = len(mus)
-    e_lam = eigenvalue_E(lam, p)
-    evs = [eigenvalue_E(mu, p) for mu in mus]
-    coeffs: Dict[Tuple[int, ...], complex] = {lam: 1.0}
-    cvec = [0.0 + 0.0j] * N
-    cvec[N - 1] = 1.0
-    for k in range(N - 2, -1, -1):
-        gap = e_lam - evs[k]
-        if abs(gap) <= SEPARATION * max(1.0, abs(e_lam)):
-            raise EigenvalueCollision(
-                f"E({lam}) collides with E({mus[k]}): gap {abs(gap):.3g}")
-        s = sum(cvec[r] * m.entries[r, k] for r in range(k + 1, N))
-        cvec[k] = s / gap
-        coeffs[mus[k]] = cvec[k]
-    return OrthogonalPolynomial(lam, coeffs, monomial_w)
-
-
-def aw_polynomials(top: Sequence[int], p: AWParams, seed: int = 0
+def aw_polynomials(top: Sequence[int], p: AWParams
                    ) -> Dict[Tuple[int, ...], OrthogonalPolynomial]:
     """The monic Askey-Wilson polynomials P_mu for every mu <= top, in
-    graded-lex order, each from its own operator matrix, as aw_polynomial
-    builds it."""
-    return {mu: aw_polynomial(mu, p, seed=seed)
-            for mu in partitions_dominated_by(top)}
+    graded-lex order, all from the one operator matrix of top.
+
+    For each mu, solves (M - E_mu I) c = 0 with c_mu = 1 by
+    back-substitution on the rows and columns of the partitions <= mu;
+    raises EigenvalueCollision when E_mu is too close to some E_nu,
+    nu < mu, to separate."""
+    m = op_matrix(top, p)
+    pos = {mu: k for k, mu in enumerate(m.index)}
+    out: Dict[Tuple[int, ...], OrthogonalPolynomial] = {}
+    for lam in m.index:
+        mus = partitions_dominated_by(lam)
+        e_lam = eigenvalue_E(lam, p)
+        coeffs: Dict[Tuple[int, ...], complex] = {lam: 1.0}
+        for k in range(len(mus) - 2, -1, -1):
+            gap = e_lam - eigenvalue_E(mus[k], p)
+            if abs(gap) <= SEPARATION * max(1.0, abs(e_lam)):
+                raise EigenvalueCollision(
+                    f"E({lam}) collides with E({mus[k]}): gap {abs(gap):.3g}")
+            col = pos[mus[k]]
+            coeffs[mus[k]] = sum(coeffs[nu] * m.entries[pos[nu], col]
+                                 for nu in mus[k + 1:]) / gap
+        out[lam] = OrthogonalPolynomial(lam, coeffs, monomial_w)
+    return out
 
 
 def limit_scan(target: OrthogonalPolynomial,
                deformation: Callable[[float], AWParams],
-               rescale: Callable[[float], float], q: float, kmax: int,
-               seed: int) -> List[Tuple[int, float, float]]:
+               rescale: Callable[[float], float], q: float, kmax: int
+               ) -> List[Tuple[int, float, float]]:
     """Table of (k, eps_k, max coefficient deviation) along eps_k = q^(k+1)
     for a limit transition from the Askey-Wilson family to target.
 
@@ -83,7 +76,7 @@ def limit_scan(target: OrthogonalPolynomial,
     rows: List[Tuple[int, float, float]] = []
     for k in range(kmax + 1):
         eps = q * q ** k
-        aw = aw_polynomial(lam, deformation(eps), seed=seed)
+        aw = aw_polynomials(lam, deformation(eps))[lam]
         r = rescale(eps)
         dev = 0.0
         for mu in partitions_dominated_by(lam):

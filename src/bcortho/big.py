@@ -433,8 +433,8 @@ def aw_params_big(eps: float, bp: BigParams) -> AWParams:
                     eps * a * rdc, -eps * b * rcd)
 
 
-def limit_scan_big(lam: Sequence[int], bp: BigParams, kmax: int,
-                   seed: int = 0) -> List[Tuple[int, float, float]]:
+def limit_scan_big(lam: Sequence[int], bp: BigParams, kmax: int
+                   ) -> List[Tuple[int, float, float]]:
     """Table of (k, eps_k, max coefficient deviation) for the limit of
     rescaled Askey-Wilson coefficients to big q-Jacobi coefficients,
     along eps_k = q^(k+1) (askey_wilson.limit_scan)."""
@@ -442,7 +442,7 @@ def limit_scan_big(lam: Sequence[int], bp: BigParams, kmax: int,
     scale = math.sqrt(bp.c * bp.d / bp.q)
     return limit_scan(big_polynomials(lam, bp)[lam],
                       lambda eps: aw_params_big(eps, bp),
-                      lambda eps: eps * scale, bp.q, kmax, seed)
+                      lambda eps: eps * scale, bp.q, kmax)
 
 
 def measure_constant_big(lam: Sequence[int], mu: Sequence[int],

@@ -67,10 +67,6 @@ class EigenvalueCollision(BcorthoError):
     """Two operator eigenvalues are too close to separate numerically."""
 
 
-class IllConditionedSamples(BcorthoError):
-    """No well-conditioned sample configuration was found."""
-
-
 class DiagonalMismatch(BcorthoError):
     """An extracted triangular matrix disagrees with closed-form eigenvalues."""
 

@@ -1,16 +1,19 @@
 """The second-order q-difference operator of BC type.
 
-Provides pointwise application of the operator D on W-invariant Laurent
-polynomials, its closed-form eigenvalues E_lambda, and extraction of the
-triangular coefficient matrix E_{lambda,mu} on the monomial basis by
-interpolation at random sample points.
+Provides the operator D on W-invariant Laurent polynomials, evaluated at
+every row of an (m, n) point array, its closed-form eigenvalues E_lambda,
+and the triangular coefficient matrix E_{lambda,mu} on the monomial basis.
+Since D m_lambda is a Laurent polynomial with exponents in
+[-lambda_1, lambda_1] on every axis, its coefficients are read off exactly
+(up to rounding) by a discrete Fourier transform of its values on a fixed
+product grid of K = 2 lambda_1 + 1 nodes per axis.
 """
 
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -20,57 +23,67 @@ from .bcpoly import (
     partition,
     partitions_dominated_by,
 )
-from .errors import DiagonalMismatch, IllConditionedSamples, NearPole
+from .errors import DiagonalMismatch, NearPole
 from .params import AWParams
 
 POLE_GUARD = 1e-12
-COND_LIMIT = 1e10
-MAX_ATTEMPTS = 20
+
+# Radius of the node circle on the first three axes; further axes use the
+# unit circle. The per-axis phase offsets of _nodes keep z_j^2, z_j z_l
+# and z_j / z_l off the positive real axis at every node, so no
+# denominator factor of phi vanishes there whatever the radii.
+RADII = (0.8, 1.25, 1.4)
 
 
-def phi_plus(j: int, z: Sequence[complex], p: AWParams) -> complex:
-    """Coefficient function phi_j^+ of the forward q-shift in D.
+def phi_plus(j: int, Z: np.ndarray, p: AWParams) -> np.ndarray:
+    """Coefficient function phi_j^+ of the forward q-shift in D at every
+    row of the (m, n) point array Z.
 
     The axis index j is 0-based. Raises NearPole when any denominator
     factor is within guard distance of zero.
     """
-    zj = z[j]
-    num: complex = 1.0
+    Z = np.asarray(Z, dtype=complex)
+    zj = Z[:, j]
+    num = np.ones(len(Z), dtype=complex)
     for ti in p.tvec:
-        num *= 1.0 - ti * zj
+        num = num * (1.0 - ti * zj)
     val = num / (_guard(1.0 - zj * zj) * _guard(1.0 - p.q * zj * zj))
-    for l, zl in enumerate(z):
+    for l in range(Z.shape[1]):
         if l == j:
             continue
-        val *= (1.0 - p.t * zl * zj) * (1.0 - p.t * zj / zl)
-        val /= _guard(1.0 - zl * zj) * _guard(1.0 - zj / zl)
+        zl = Z[:, l]
+        val = val * ((1.0 - p.t * zl * zj) * (1.0 - p.t * zj / zl))
+        val = val / (_guard(1.0 - zl * zj) * _guard(1.0 - zj / zl))
     return val
 
 
-def phi_minus(j: int, z: Sequence[complex], p: AWParams) -> complex:
+def phi_minus(j: int, Z: np.ndarray, p: AWParams) -> np.ndarray:
     """phi_j^-(z) = phi_j^+(z^{-1}) with all coordinates inverted."""
-    return phi_plus(j, [1.0 / zi for zi in z], p)
+    return phi_plus(j, 1.0 / np.asarray(Z, dtype=complex), p)
 
 
-def _guard(x: complex) -> complex:
-    if abs(x) < POLE_GUARD:
-        raise NearPole(f"denominator factor {x} within guard distance")
+def _guard(x: np.ndarray) -> np.ndarray:
+    small = np.abs(x) < POLE_GUARD
+    if np.any(small):
+        raise NearPole(
+            f"denominator factor {x[small][0]} within guard distance")
     return x
 
 
-def apply_D(f: LaurentPolynomial, z: Sequence[complex], p: AWParams) -> complex:
-    """Apply D = sum_j phi_j^+ (T_j^+ - Id) + phi_j^- (T_j^- - Id) at z,
-    where T_j^{+-} shifts z_j to q^{+-1} z_j."""
-    fz = f.eval(z)
-    total: complex = 0.0
-    zl = list(z)
+def apply_D(f: LaurentPolynomial, Z: np.ndarray, p: AWParams) -> np.ndarray:
+    """Apply D = sum_j phi_j^+ (T_j^+ - Id) + phi_j^- (T_j^- - Id) at every
+    row of the (m, n) point array Z, where T_j^{+-} shifts z_j to
+    q^{+-1} z_j."""
+    Z = np.asarray(Z, dtype=complex)
+    fz = f.eval_points(Z)
+    total = np.zeros(len(Z), dtype=complex)
     for j in range(p.n):
-        zp = list(zl)
-        zp[j] = p.q * zp[j]
-        zm = list(zl)
-        zm[j] = zm[j] / p.q
-        total += phi_plus(j, zl, p) * (f.eval(zp) - fz)
-        total += phi_minus(j, zl, p) * (f.eval(zm) - fz)
+        zp = Z.copy()
+        zp[:, j] = p.q * zp[:, j]
+        zm = Z.copy()
+        zm[:, j] = zm[:, j] / p.q
+        total += phi_plus(j, Z, p) * (f.eval_points(zp) - fz)
+        total += phi_minus(j, Z, p) * (f.eval_points(zm) - fz)
     return total
 
 
@@ -108,60 +121,52 @@ class TriangularOpMatrix:
 
     index: Tuple[Tuple[int, ...], ...]
     entries: np.ndarray
-    residual: float
-    condition: float
 
 
-def _sample_points(rng: np.random.Generator, n: int) -> List[complex]:
-    r = rng.uniform(0.7, 1.4, size=n)
-    th = rng.uniform(0.0, 1.0, size=n)
-    return [r[i] * cmath.exp(2j * cmath.pi * th[i]) for i in range(n)]
+def _nodes(n: int, K: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The product grid z_j = b_j omega^k (omega = e^{2 pi i / K},
+    k = 0..K-1) as a (K^n, n) array in C order, and the axis bases
+    b_j = r_j e^{i pi (j + 1) / (K (n + 1))}, r_j from RADII."""
+    radii = RADII[:n] + (1.0,) * (n - len(RADII))
+    base = np.array([r * np.exp(1j * math.pi * (j + 1) / (K * (n + 1)))
+                     for j, r in enumerate(radii)])
+    omega = np.exp(2j * math.pi * np.arange(K) / K)
+    mesh = np.meshgrid(*(b * omega for b in base), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1), base
 
 
-def op_matrix(lam: Sequence[int], p: AWParams, seed: int = 0) -> TriangularOpMatrix:
+def op_matrix(lam: Sequence[int], p: AWParams) -> TriangularOpMatrix:
     """Extract the triangular matrix of D on {m_mu : mu <= lambda}.
 
-    Evaluates D m_{lambda'} at N = #{mu <= lambda} random points and
-    solves against the monomial evaluation matrix. Resamples on NearPole
-    or poor conditioning; the diagonal is verified against the closed
-    form eigenvalues.
+    Evaluates D m_{lambda'} on the K^n nodes of _nodes, K = 2 lambda_1 + 1,
+    and reads the coefficient of z^mu, the leading term of m_mu, from the
+    n-dimensional FFT of those values: exponents in [-lambda_1, lambda_1]
+    fall on distinct FFT bins. The diagonal is verified against the
+    closed-form eigenvalues.
     """
     lam = partition(lam)
     mus = partitions_dominated_by(lam)
-    N = len(mus)
     monomials = [monomial_w(mu) for mu in mus]
-    rng = np.random.default_rng(seed)
-
-    last_cond = float("inf")
-    for _ in range(MAX_ATTEMPTS):
-        # 2x oversampling keeps the least-squares system well conditioned
-        pts = [_sample_points(rng, p.n) for _ in range(2 * N)]
-        try:
-            A = np.array([[m.eval(z) for m in monomials] for z in pts])
-            cond = np.linalg.cond(A)
-            if cond > COND_LIMIT:
-                last_cond = min(last_cond, cond)
-                continue
-            B = np.array([[apply_D(m, z, p) for m in monomials] for z in pts])
-        except NearPole:
-            continue
-        X, _res, _rank, _sv = np.linalg.lstsq(A, B, rcond=None)
-        entries = X.T  # rows lambda', columns mu
-        residual = float(np.max(np.abs(A @ X - B)))
-        # the intermediate phi values inside apply_D grow like the
-        # product of the two largest |t_i| while the result stays
-        # bounded, so cancellation leaves absolute noise of that order
-        # times machine epsilon; for strongly deformed parameters
-        # (|t_i| >> 1) that can exceed a fixed tolerance on the O(1)
-        # eigenvalues
-        tmax = max(abs(ti) for ti in p.tvec)
-        noise = 1e-12 * max(1.0, tmax * tmax) * float(np.max(np.abs(A)))
-        for k, mu in enumerate(mus):
-            ek = eigenvalue_E(mu, p)
-            if abs(entries[k, k] - ek) > 1e-8 * max(1.0, abs(ek)) + noise:
-                raise DiagonalMismatch(
-                    f"diagonal at {mu}: got {entries[k, k]}, closed form {ek}")
-        return TriangularOpMatrix(tuple(mus), entries, residual, float(cond))
-    raise IllConditionedSamples(
-        f"no well-conditioned sample set in {MAX_ATTEMPTS} attempts "
-        f"(best condition {last_cond:.3g})")
+    n = p.n
+    K = 2 * lam[0] + 1
+    Z, base = _nodes(n, K)
+    bins = tuple(np.array(mus).T % K)
+    # coefficient of z^mu = (FFT bin of mu) / (K^n b^mu)
+    scale = K ** n * np.prod(base ** np.array(mus), axis=1)
+    entries = np.array(
+        [np.fft.fftn(apply_D(m, Z, p).reshape((K,) * n))[bins] / scale
+         for m in monomials])  # rows lambda', columns mu
+    # the intermediate phi values inside apply_D grow like the product of
+    # the two largest |t_i| while the result stays bounded, so
+    # cancellation leaves absolute noise of that order times machine
+    # epsilon; for strongly deformed parameters (|t_i| >> 1) that can
+    # exceed a fixed tolerance on the O(1) eigenvalues
+    tmax = max(abs(ti) for ti in p.tvec)
+    mmax = max(float(np.max(np.abs(m.eval_points(Z)))) for m in monomials)
+    noise = 1e-12 * max(1.0, tmax * tmax) * mmax
+    for k, mu in enumerate(mus):
+        ek = eigenvalue_E(mu, p)
+        if abs(entries[k, k] - ek) > 1e-8 * max(1.0, abs(ek)) + noise:
+            raise DiagonalMismatch(
+                f"diagonal at {mu}: got {entries[k, k]}, closed form {ek}")
+    return TriangularOpMatrix(tuple(mus), entries)

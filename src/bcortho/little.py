@@ -367,8 +367,8 @@ def aw_params_little(eps: float, lp: LittleParams) -> AWParams:
                     eps * lp.b * rq, -rq)
 
 
-def limit_scan_little(lam: Sequence[int], lp: LittleParams, kmax: int,
-                      seed: int = 0) -> List[Tuple[int, float, float]]:
+def limit_scan_little(lam: Sequence[int], lp: LittleParams, kmax: int
+                      ) -> List[Tuple[int, float, float]]:
     """Table of (k, eps_k, max coefficient deviation) for the limit of
     rescaled Askey-Wilson coefficients to little q-Jacobi coefficients,
     along eps_k = q^(k+1) (askey_wilson.limit_scan)."""
@@ -376,7 +376,7 @@ def limit_scan_little(lam: Sequence[int], lp: LittleParams, kmax: int,
     rq = math.sqrt(lp.q)
     return limit_scan(little_polynomials(lam, lp)[lam],
                       lambda eps: aw_params_little(eps, lp),
-                      lambda eps: eps / rq, lp.q, kmax, seed)
+                      lambda eps: eps / rq, lp.q, kmax)
 
 
 def measure_constant_little(lam: Sequence[int], mu: Sequence[int],

@@ -18,7 +18,7 @@ from test_measures import contour_value
 from bcortho.askey_wilson import (
     aw1_oracle,
     aw_norm,
-    aw_polynomial,
+    aw_polynomials,
     gustafson_constant,
 )
 from bcortho.bcpoly import (
@@ -96,7 +96,7 @@ class TestOneVariableClosedForm:
         points = [0.9 * cmath.exp(2j * math.pi * s)
                   for s in (0.13, 0.41, 0.77)]
         for lam in range(7):
-            poly = aw_polynomial((lam,), p).to_laurent()
+            poly = aw_polynomials((lam,), p)[(lam,)].to_laurent()
             for z in points:
                 want = aw1_oracle(lam, z, p)
                 assert abs(poly.eval([z]) - want) <= 1e-10 * max(
@@ -127,7 +127,7 @@ class TestTorusOrthogonality:
         M = 64
         lams = [mu for mu in partitions_dominated_by((4, 4))
                 if sum(mu) <= 4]
-        polys = {lam: aw_polynomial(lam, p).to_laurent() for lam in lams}
+        polys = {lam: aw_polynomials(lam, p)[lam].to_laurent() for lam in lams}
         scale = abs(gustafson_constant(p))
         for i, la in enumerate(lams):
             for lb in lams[i:]:
@@ -151,7 +151,7 @@ class TestPartiallyDiscreteOrthogonality:
         M = 320
         lams = [mu for mu in partitions_dominated_by((2, 2))
                 if sum(mu) <= 2]
-        polys = {lam: aw_polynomial(lam, p).to_laurent() for lam in lams}
+        polys = {lam: aw_polynomials(lam, p)[lam].to_laurent() for lam in lams}
         scale = abs(gustafson_constant(p))
         for i, la in enumerate(lams):
             for lb in lams[i:]:

@@ -6,6 +6,8 @@ import random
 import numpy as np
 import pytest
 
+from bcortho import askey_wilson
+from bcortho.askey_wilson import aw_polynomials
 from bcortho.bcpoly import LaurentPolynomial, monomial_w, partitions_dominated_by, dominance_leq
 from bcortho.errors import NearPole
 from bcortho.koornwinder import (
@@ -20,6 +22,7 @@ from bcortho.params import AWParams
 
 P1 = AWParams(1, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 - 0.4j)
 P2 = AWParams(2, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 - 0.4j)
+P3 = AWParams(3, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 - 0.4j)
 
 
 def random_vaw(rng, n):
@@ -58,36 +61,37 @@ class TestDomainFlags:
 
 class TestPhi:
     def test_at_zero(self):
-        assert phi_plus(0, [0.0], P1) == pytest.approx(1.0)
+        assert phi_plus(0, np.array([[0.0]]), P1)[0] == pytest.approx(1.0)
 
     def test_zero_factor(self):
         z = [1.0 / P1.t0]
-        assert abs(phi_plus(0, z, P1)) < 1e-12
+        assert abs(phi_plus(0, np.array([z]), P1)[0]) < 1e-12
 
     def test_symmetry_n2(self):
         rng = random.Random(1)
         z = rand_point(rng, 2)
-        a = phi_plus(0, z, P2)
-        b = phi_plus(1, [z[1], z[0]], P2)
+        a = phi_plus(0, np.array([z]), P2)[0]
+        b = phi_plus(1, np.array([[z[1], z[0]]]), P2)[0]
         assert abs(a - b) < 1e-12 * max(1, abs(a))
 
     def test_minus_is_plus_of_inverse(self):
         rng = random.Random(2)
         z = rand_point(rng, 2)
-        a = phi_minus(0, z, P2)
-        b = phi_plus(0, [1 / z[0], 1 / z[1]], P2)
+        a = phi_minus(0, np.array([z]), P2)[0]
+        b = phi_plus(0, np.array([[1 / z[0], 1 / z[1]]]), P2)[0]
         assert abs(a - b) < 1e-12 * max(1, abs(a))
 
     def test_near_pole(self):
         with pytest.raises(NearPole):
-            phi_plus(0, [1.0], P1)
+            phi_plus(0, np.array([[1.0]]), P1)
 
 
 class TestApplyD:
     def test_constant(self):
         rng = random.Random(3)
         z = rand_point(rng, 2)
-        assert abs(apply_D(LaurentPolynomial.constant(2), z, P2)) < 1e-13
+        one = LaurentPolynomial.constant(2)
+        assert abs(apply_D(one, np.array([z]), P2)[0]) < 1e-13
 
     def test_n1_hand_expansion(self):
         # D(z + 1/z) = E_1 (z + 1/z) + E_{1,0}
@@ -98,7 +102,7 @@ class TestApplyD:
         f = monomial_w((1,))
         for _ in range(5):
             z = rand_point(rng, 1)
-            lhs = apply_D(f, z, P1)
+            lhs = apply_D(f, np.array([z]), P1)[0]
             rhs = e1 * f.eval(z) + e10
             assert abs(lhs - rhs) < 1e-9 * max(1, abs(rhs))
 
@@ -106,9 +110,10 @@ class TestApplyD:
         rng = random.Random(5)
         f = monomial_w((2, 1))
         z = rand_point(rng, 2)
-        a = apply_D(f, z, P2)
-        assert abs(apply_D(f, [z[1], z[0]], P2) - a) < 1e-10 * max(1, abs(a))
-        assert abs(apply_D(f, [1 / z[0], z[1]], P2) - a) < 1e-10 * max(1, abs(a))
+        a, b, c = apply_D(f, np.array([z, [z[1], z[0]], [1 / z[0], z[1]]]),
+                          P2)
+        assert abs(b - a) < 1e-10 * max(1, abs(a))
+        assert abs(c - a) < 1e-10 * max(1, abs(a))
 
 
 class TestEigenvalue:
@@ -148,7 +153,7 @@ class TestOpMatrix:
         for r, lamp in enumerate(m.index):
             for c, mu in enumerate(m.index):
                 if not dominance_leq(mu, lamp):
-                    assert abs(m.entries[r, c]) < 1e-8 * max(1, scale)
+                    assert abs(m.entries[r, c]) < 1e-12 * max(1, scale)
 
     def test_diagonal_random_params(self):
         rng = random.Random(11)
@@ -171,14 +176,44 @@ class TestOpMatrix:
         while checked < 20:
             z = rand_point(rng, 2)
             try:
-                lhs = apply_D(monos[-1], z, P2)
+                lhs = apply_D(monos[-1], np.array([z]), P2)[0]
             except NearPole:
                 continue
             rhs = sum(c * mm.eval(z) for c, mm in zip(row, monos))
             assert abs(lhs - rhs) < 1e-8 * max(1, abs(rhs))
             checked += 1
 
-    def test_deterministic(self):
-        a = op_matrix((1, 1), P2, seed=5)
-        b = op_matrix((1, 1), P2, seed=5)
-        assert np.array_equal(a.entries, b.entries)
+    @pytest.mark.parametrize("p,top", [(P2, (2, 1)), (P3, (3, 3, 3))])
+    def test_restriction_is_lower_matrix(self, p, top):
+        # the matrix of top, restricted to the partitions <= mu, is the
+        # matrix of mu, although the two come from different node grids
+        big = op_matrix(top, p)
+        scale = np.max(np.abs(big.entries))
+        for mu in partitions_dominated_by(top):
+            small = op_matrix(mu, p)
+            rows = [big.index.index(nu) for nu in small.index]
+            sub = big.entries[np.ix_(rows, rows)]
+            assert np.max(np.abs(sub - small.entries)) <= 1e-13 * scale
+
+
+class TestAwPolynomials:
+    @pytest.mark.parametrize("p,top", [(P2, (2, 1)), (P3, (2, 2, 1))])
+    def test_lower_polynomials_match(self, p, top):
+        family = aw_polynomials(top, p)
+        for mu, P in family.items():
+            own = aw_polynomials(mu, p)[mu]
+            assert P.coeffs.keys() == own.coeffs.keys()
+            for nu, c in own.coeffs.items():
+                assert abs(P.coeffs[nu] - c) <= 1e-12 * max(1, abs(c))
+
+    def test_one_op_matrix_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(lam, p):
+            calls.append(lam)
+            return op_matrix(lam, p)
+
+        monkeypatch.setattr(askey_wilson, "op_matrix", counted)
+        family = aw_polynomials((2, 2), P2)
+        assert len(family) == len(partitions_dominated_by((2, 2)))
+        assert calls == [(2, 2)]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bcortho import measures, qseries
-from bcortho.askey_wilson import aw_polynomial, gustafson_constant
+from bcortho.askey_wilson import aw_polynomials, gustafson_constant
 from bcortho.bcpoly import LaurentPolynomial, monomial_w
 from bcortho.errors import DomainViolation, NearPole
 from bcortho.koornwinder import op_matrix
@@ -97,7 +97,7 @@ class TestTorusBilinear:
         assert rel(rep.value, gustafson_constant(PS2)) < 1e-8
 
     def test_orthogonality_degree_one(self):
-        P = aw_polynomial((1, 0), PS2).to_laurent()
+        P = aw_polynomials((1, 0), PS2)[(1, 0)].to_laurent()
         rep = torus_bilinear(P, ONE2, PS2, 64)
         scale = abs(gustafson_constant(PS2))
         assert abs(rep.value) < 1e-8 * scale

@@ -3,7 +3,7 @@ polynomial class it returns for every family."""
 
 import pytest
 
-from bcortho.askey_wilson import aw_polynomial
+from bcortho.askey_wilson import aw_polynomials
 from bcortho.bcpoly import (
     LaurentPolynomial,
     monomial_s,
@@ -51,7 +51,7 @@ def test_basis_travels(build, p, basis):
 
 def test_aw_basis():
     p = AWParams(2, 0.5, 0.3, 0.35, -0.45, 0.25, 0.2)
-    assert aw_polynomial((1, 0), p).basis is monomial_w
+    assert aw_polynomials((1, 0), p)[(1, 0)].basis is monomial_w
 
 
 @pytest.mark.parametrize("build, p, basis", FAMILIES)
