@@ -131,11 +131,14 @@ class LaurentPolynomial:
             raise LengthMismatch("points have wrong length")
         if np.any(Z == 0):
             raise ZeroCoordinate("evaluation point has a zero coordinate")
+        # real points and coefficients: the same real parts, in floats
+        real = (not np.iscomplexobj(Z)
+                and all(c.imag == 0 for c in self.terms.values()))
         cols = [Z[:, i] for i in range(self.nvars)]
         cache: Dict[Tuple[int, int], np.ndarray] = {}
-        total = np.zeros(len(Z), dtype=complex)
+        total = np.zeros(len(Z), dtype=float if real else complex)
         for e in sorted(self.terms):
-            term = self.terms[e]
+            term = self.terms[e].real if real else self.terms[e]
             for i, ei in enumerate(e):
                 if (i, ei) not in cache:
                     cache[i, ei] = cols[i] ** ei

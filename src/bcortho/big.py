@@ -19,11 +19,10 @@ split-weights, and numeric scans of the limit transition. The closed
 forms go through qseries.qpoch_ratio, which keeps complex products whole,
 so they hold on the conjugate branch as well.
 
-Pairings reuse a per-parameter node table, kept for the CACHE_SIZE most
-recently used parameter sets: for each shell, the nodes and their weights
-c_{B,j} Delta^B(z) |prod z|, computed once with the array kernel. A
-pairing is then one weighted dot product per shell. weight_big stays as
-the scalar reference for these weights.
+Pairings reuse a per-parameter node table (little._jackson_table, one
+part per split j), kept for the CACHE_SIZE most recently used parameter
+sets; a pairing is one weighted dot product per part. weight_big stays
+as the scalar reference for the table's weights.
 """
 
 from __future__ import annotations
@@ -51,13 +50,7 @@ from .errors import (
     SlowConvergence,
     ZeroProduct,
 )
-from .little import (
-    _ShellTable,
-    _ascending_with_sum,
-    _delta_qJ_rows,
-    delta_qJ,
-    nqj_product,
-)
+from .little import Table, _jackson_table, _pair, delta_qJ, nqj_product
 from .measures import _natural_k
 from .params import CACHE_SIZE, AWParams
 from .qseries import (
@@ -224,44 +217,44 @@ def c_weights_defining(bp: BigParams) -> List[float]:
 def bilinear_big(f: LaurentPolynomial, g: LaurentPolynomial,
                  bp: BigParams) -> float:
     """<f,g>_B: the c-weighted Jackson integral of f g Delta^B over the
-    two-sided chain set, summed in shells of constant |nu| + |nu'|."""
-    return _node_table(bp).pair(f, g)
+    two-sided chain set."""
+    return _pair(_node_table(bp), f, g)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _node_table(bp: BigParams) -> _ShellTable:
-    cw = np.array(c_weights(bp, check=False))
-    return _ShellTable(lambda s: _big_shell(bp, cw, s), bp.n, bp.q,
-                       "big q-Jacobi multisum")
+def _node_table(bp: BigParams) -> Table:
+    """The nodes (rho_B q^nu, sigma_B q^nu') and weights
+    (1-q)^n c_{B,j} Delta^B(z) |prod z|, as weight_big computes them,
+    vectorized (little._jackson_table); one part per j = 0..n."""
+    n = bp.n
+    const = (1.0 - bp.q) ** n * np.array(c_weights(bp, check=False))
+
+    def parts(S: int):
+        z, a = _axis_factors(bp, S)
+        rows = [np.r_[0:j, n:2 * n - j] for j in range(n + 1)]
+        return [((j, n - j), z[r], a[r], const[j]) for j, r in enumerate(rows)]
+
+    return _jackson_table(parts, n, bp.q, bp.t, "big q-Jacobi multisum")
 
 
-def _big_shell(bp: BigParams, cw: np.ndarray,
-               s: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes of shell |nu| + |nu'| = s, ordered by j, and their weights
-    c_{B,j} Delta^B(z) |prod z| as weight_big computes them, vectorized
-    over the shell."""
-    n, q = bp.n, bp.q
-    rows: List[Tuple[float, ...]] = []
-    js: List[int] = []
-    for j in range(n + 1):
-        for s1 in range(s + 1):
-            for nu in _ascending_with_sum(j, s1):
-                for nup in _ascending_with_sum(n - j, s - s1):
-                    rows.append(support_point(j, nu, nup, bp))
-                    js.append(j)
-    Z = np.array(rows)
-    num = (qpoch_infinite_arr(q * Z / bp.c, q)
-           * qpoch_infinite_arr(-q * Z / bp.d, q))
-    args = (q * bp.a * Z / bp.c, -q * bp.b * Z / bp.d)
+def _axis_factors(bp: BigParams, S: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The (2n, S+1) arrays of node coordinates and one-axis factors
+    v_B(z) |z|, for nu = 0..S: row i holds z = c t^i q^nu (position i of
+    the positive chain), row n + i holds z = -d t^i q^nu."""
+    q = bp.q
+    base = bp.t ** np.arange(bp.n)[:, None] * q ** np.arange(S + 1.0)
+    z = np.concatenate([bp.c * base, -bp.d * base])
+    num = qpoch_infinite_arr(q * z / bp.c, q) * qpoch_infinite_arr(
+        -q * z / bp.d, q)
+    args = (q * bp.a * z / bp.c, -q * bp.b * z / bp.d)
     try:
         den = (qpoch_infinite_arr(args[0], q, require_nonzero=True)
                * qpoch_infinite_arr(args[1], q, require_nonzero=True))
     except ZeroProduct as exc:
         den = qpoch_infinite_arr(args[0], q) * qpoch_infinite_arr(args[1], q)
-        x = Z.flat[np.argmin(np.abs(den))]
+        x = z.flat[np.argmin(np.abs(den))]
         raise DomainViolation(f"v_B denominator vanishes at x={x}") from exc
-    w = np.prod((num / den).real, axis=1) * _delta_qJ_rows(Z, q, bp.t)
-    return Z, cw[js] * w * np.prod(np.abs(Z), axis=1)
+    return z, (num / den).real * np.abs(z)
 
 
 def big_polynomials(top: Sequence[int], bp: BigParams

@@ -71,6 +71,10 @@ class DiagonalMismatch(BcorthoError):
     """An extracted triangular matrix disagrees with closed-form eigenvalues."""
 
 
+class NonFiniteWeight(BcorthoError):
+    """A measure weight overflowed or is not a number."""
+
+
 class NonPositiveWeight(BcorthoError):
     """A weight that must be positive is not."""
 

@@ -11,12 +11,11 @@ the closed-form norms and q-Selberg constant term, and numeric scans of
 the limit transition.
 
 Pairings reuse a per-parameter node table, kept for the CACHE_SIZE most
-recently used parameter sets: for each shell, the nodes and their weights
-Delta^L(z) prod z, computed once with the array kernel. A pairing is then
-one weighted dot product per shell. The shell loop and its stopping rule
-(_sum_shells) are shared with jackson_multisum and the big q-Jacobi form.
-A table refuses a measure whose own mass sum stops while its shells
-still grow, as it does for masses far below 1 at q near 1.
+recently used parameter sets: the labels nu with |nu| <= S and their
+weights, computed once with the array kernel (_jackson_table, shared with
+the big q-Jacobi form). S grows until the last shells are negligible
+against the table's own mass, so masses far below 1, as at q near 1,
+keep full relative precision. A pairing is one weighted dot product.
 
 Closed forms are stated with the q-gamma function of arguments involving
 alpha = log_q a and beta = log_q b; they are evaluated here through
@@ -31,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,9 +44,15 @@ from .bcpoly import (
     orthogonalize,
     partition,
 )
-from .errors import DomainViolation, SlowConvergence, ZeroProduct
+from .errors import (
+    DomainViolation,
+    NonFiniteWeight,
+    SlowConvergence,
+    ZeroProduct,
+)
 from .params import CACHE_SIZE, AWParams
 from .qseries import (
+    EPS_TRUNC,
     qpoch_infinite,
     qpoch_infinite_arr,
     qpoch_ratio,
@@ -55,10 +60,10 @@ from .qseries import (
     qpoch_real_arr,
 )
 
-# Stopping rule of every Jackson multisum: a shell is negligible once
-# |shell| <= SHELL_TOL max(1, |total|); at most MAX_SHELLS shells are summed.
-SHELL_TOL = 1e-13
+# A Jackson node table holds the labels of |nu| <= S for S <= MAX_SHELLS.
 MAX_SHELLS = 400
+# one (z, nu, w) per part of the chain set (_jackson_table)
+Table = List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -104,144 +109,118 @@ def weight_little(nu: Sequence[int], lp: LittleParams) -> float:
     return _weight_at_point(support_point(nu, lp), lp)
 
 
-def _ascending_with_sum(n: int, s: int) -> Iterator[Tuple[int, ...]]:
-    """Weakly increasing nonnegative n-tuples with total s."""
-
-    def rec(prefix: List[int], lo: int, rem: int):
-        if len(prefix) == n - 1:
-            if rem >= lo:
-                yield tuple(prefix) + (rem,)
-            return
-        slots = n - 1 - len(prefix)
-        for v in range(lo, rem // (slots + 1) + 1):
-            yield from rec(prefix + [v], v, rem - v)
-
-    if n == 0:
-        if s == 0:
-            yield ()
-    elif n == 1:
-        yield (s,)
-    else:
-        yield from rec([], 0, s)
-
-
-def _sum_shells(shell_value: Callable[[int], float], n: int, q: float,
-                what: str, refuse_growth: bool = False) -> float:
-    """(1-q)^n times the sum of shell_value(s) over the shells s = 0, 1, ...
-
-    Stops once four consecutive shells are negligible,
-    |shell| <= SHELL_TOL max(1, |total|), and s >= n; raises
-    SlowConvergence after MAX_SHELLS shells. This is the one stopping rule
-    of every Jackson multisum in the package. With refuse_growth, a stop
-    at a shell larger than every earlier one raises SlowConvergence too:
-    the sum was cut before its shells began to decay."""
-    total = 0.0
-    peak = 0.0
-    quiet = 0
-    for s in range(MAX_SHELLS):
-        shell = shell_value(s)
-        total += shell
-        if abs(shell) <= SHELL_TOL * max(1.0, abs(total)):
-            quiet += 1
-            if quiet >= 4 and s >= n:
-                if refuse_growth and abs(shell) > peak:
-                    raise SlowConvergence(
-                        f"{what} stopped at shell {s} while its shells "
-                        f"still grow")
-                return (1.0 - q) ** n * total
-        else:
-            quiet = 0
-        peak = max(peak, abs(shell))
-    raise SlowConvergence(
-        f"{what} did not settle within {MAX_SHELLS} shells")
-
-
-def jackson_multisum(f, lp: LittleParams) -> float:
-    """Jackson integral of f over the chain set <rho_L>_n:
-    (1-q)^n sum_nu f(rho_L q^nu) prod_i rho_{L,i} q^{nu_i}.
-
-    The sum runs over shells of constant |nu| until several consecutive
-    shells are negligible; raises SlowConvergence at the shell cap."""
-
-    def shell(s: int) -> float:
-        val = 0.0
-        for nu in _ascending_with_sum(lp.n, s):
-            z = support_point(nu, lp)
-            val += f(z) * math.prod(z)
-        return val
-
-    return _sum_shells(shell, lp.n, lp.q, "Jackson multisum")
-
-
-class _ShellTable:
-    """Node arrays of one discrete measure in n variables with base q, one
-    (Z, w) pair per shell: Z holds the shell's nodes as rows and w their
-    weights, Jackson factor included. Shells are built on first use by
-    build(s); what names the multisum in SlowConvergence messages.
-
-    Before its first pairing the table sums the measure's own mass and
-    refuses the measure (SlowConvergence on every pairing) if that sum
-    stops while its shells still grow. For a mass far below 1 every shell
-    passes the stopping rule's absolute test: at q = 0.99 a little
-    q-Jacobi mass of 2.5e-94 would stop at 9.2e-111, and checks against
-    the closed forms would pass on the absolute error."""
-
-    def __init__(self, build: Callable[[int], Tuple[np.ndarray, np.ndarray]],
-                 n: int, q: float, what: str):
-        self._build = build
-        self._shells: List[Tuple[np.ndarray, np.ndarray]] = []
-        self.n, self.q, self.what = n, q, what
-        self._mass_summed = False
-
-    def shell(self, s: int) -> Tuple[np.ndarray, np.ndarray]:
-        while len(self._shells) <= s:
-            self._shells.append(self._build(len(self._shells)))
-        return self._shells[s]
-
-    def pair(self, f: LaurentPolynomial, g: LaurentPolynomial) -> float:
-        """Jackson multisum of Re(f g) against the table's weights."""
-        if not self._mass_summed:
-            _sum_shells(lambda s: float(np.sum(self.shell(s)[1])), self.n,
-                        self.q, f"{self.what} of the mass",
-                        refuse_growth=True)
-            self._mass_summed = True
-
-        def shell_sum(s: int) -> float:
-            Z, w = self.shell(s)
-            return float(np.dot((f.eval_points(Z) * g.eval_points(Z)).real,
-                                w))
-
-        return _sum_shells(shell_sum, self.n, self.q, self.what)
-
-
 def bilinear_little(f: LaurentPolynomial, g: LaurentPolynomial,
                     lp: LittleParams) -> float:
     """<f,g>_L: Jackson multisum of f g Delta^L."""
-    return _node_table(lp).pair(f, g)
+    return _pair(_node_table(lp), f, g)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _node_table(lp: LittleParams) -> _ShellTable:
-    return _ShellTable(lambda s: _little_shell(lp, s), lp.n, lp.q,
-                       "Jackson multisum")
-
-
-def _little_shell(lp: LittleParams, s: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes of shell |nu| = s and their weights Delta^L(z) prod z, as
-    _weight_at_point computes them, vectorized over the shell."""
+def _node_table(lp: LittleParams) -> Table:
+    """The nodes rho_L q^nu and weights (1-q)^n Delta^L(z) prod z, as
+    _weight_at_point computes them, vectorized (_jackson_table)."""
     n, q, t = lp.n, lp.q, lp.t
-    tau, alpha = lp.tau, lp.alpha
-    Z = np.array([support_point(nu, lp) for nu in _ascending_with_sum(n, s)])
-    try:
-        den = qpoch_infinite_arr(q * lp.b * Z, q, require_nonzero=True)
-    except ZeroProduct as exc:
-        x = Z.flat[np.argmin(np.abs(qpoch_infinite_arr(q * lp.b * Z, q)))]
-        raise DomainViolation(f"(qbx;q)_inf vanishes at x={x}") from exc
-    val = (q ** (-2.0 * tau * tau * math.comb(n, 3))
-           * t ** (-(alpha + 1.0) * math.comb(n, 2)))
-    val = val * np.prod(qpoch_infinite_arr(q * Z, q) / den * Z ** alpha,
-                        axis=1)
-    return Z, val * _delta_qJ_rows(Z, q, t) * np.prod(Z, axis=1)
+    const = (q ** (-2.0 * lp.tau * lp.tau * math.comb(n, 3))
+             * t ** (-(lp.alpha + 1.0) * math.comb(n, 2)) * (1.0 - q) ** n)
+
+    def parts(S: int):
+        # one chain; axis i: z = t^i q^nu, a = (qz;q)_inf/(qbz;q)_inf z^alpha z
+        z = t ** np.arange(n)[:, None] * q ** np.arange(S + 1.0)
+        try:
+            den = qpoch_infinite_arr(q * lp.b * z, q, require_nonzero=True)
+        except ZeroProduct as exc:
+            x = z.flat[np.argmin(np.abs(qpoch_infinite_arr(q * lp.b * z, q)))]
+            raise DomainViolation(f"(qbx;q)_inf vanishes at x={x}") from exc
+        a = qpoch_infinite_arr(q * z, q) / den * z ** lp.alpha * z
+        return [((n,), z, a, const)]
+
+    return _jackson_table(parts, n, q, t, "Jackson multisum")
+
+
+def _jackson_table(parts: Callable[[int], list], n: int, q: float, t: float,
+                   what: str) -> Table:
+    """Node table of a Jackson multisum over chains, one (z, nu, w) per
+    part of the chain set: node r of a part is z[i, nu[i, r]] (i < n),
+    with weight w[r].
+
+    parts(S) lists the parts, each as (chains, z, a, const): the chain
+    lengths in axis order, the (n, S+1) arrays of the node coordinates
+    z_i(nu) and one-axis factors a_i(nu), and a constant. A part's labels
+    nu are those that ascend within each chain and have |nu| <= S; their
+    weights are const prod_i a_i(nu_i) prod_{i<j} delta_qJ(z_i, z_j).
+
+    S starts at 32 and doubles, up to MAX_SHELLS, until S >= n and each
+    of the last four shells |nu| = s carries at most EPS_TRUNC of the
+    table's sum of |w|; SlowConvergence if S = MAX_SHELLS does not
+    settle. NonFiniteWeight names the first node whose weight is not
+    finite."""
+    S = 32
+    while True:
+        table, mass = [], np.zeros(S + 1)
+        for chains, z, a, const in parts(S):
+            nu = _chain_labels(chains, S)
+            chain = np.repeat(np.arange(len(chains)), chains)
+            w = const * np.prod(np.take_along_axis(a, nu, axis=1), axis=0)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    w *= _pair_factors(z[i], z[j], chain[i] == chain[j], q,
+                                       t)[nu[i], nu[j]]
+            bad = np.flatnonzero(~np.isfinite(w))
+            if bad.size:
+                r = bad[0]
+                raise NonFiniteWeight(
+                    f"{what} weight {w[r]} at the node "
+                    f"z = {z[np.arange(n), nu[:, r]].tolist()}, label "
+                    f"nu = {nu[:, r].tolist()}")
+            mass += np.bincount(nu.sum(axis=0), np.abs(w), minlength=S + 1)
+            table.append((z, nu, w))
+        if S >= n and np.all(mass[-4:] <= EPS_TRUNC * mass.sum()):
+            return table
+        if S == MAX_SHELLS:
+            raise SlowConvergence(f"{what} did not settle within "
+                                  f"{MAX_SHELLS} shells")
+        S = min(2 * S, MAX_SHELLS)
+
+
+def _pair(table: Table, f: LaurentPolynomial, g: LaurentPolynomial) -> float:
+    """Re(f g) summed against a node table: one dot product per part."""
+    total = 0.0
+    for z, nu, w in table:
+        Z = np.array([zi.take(nui) for zi, nui in zip(z, nu)]).T
+        total += np.dot((f.eval_points(Z) * g.eval_points(Z)).real, w)
+    return float(total)
+
+
+def _pair_factors(zi: np.ndarray, zj: np.ndarray, same_chain: bool,
+                  q: float, t: float) -> np.ndarray:
+    """The (S+1, S+1) matrix of delta_qJ(zi[u], zj[v]) on the index pairs a
+    label can hold: u + v <= S, and u <= v within one chain. NaN elsewhere:
+    outside the chain order a denominator factor may vanish."""
+    S = len(zi) - 1
+    u, v = np.indices((S + 1, S + 1)).reshape(2, -1)
+    keep = (u + v <= S) & ((u <= v) | (not same_chain))
+    u, v = u[keep], v[keep]
+    out = np.full((S + 1, S + 1), np.nan)
+    out[u, v] = _delta_qJ_rows(np.column_stack([zi[u], zj[v]]), q, t)
+    return out
+
+
+def _chain_labels(chains: Sequence[int], S: int) -> np.ndarray:
+    """Every label nu with |nu| <= S that ascends within each chain (of
+    the given lengths, in axis order), as the columns of an int16 array:
+    row i holds axis i."""
+    cols: List[np.ndarray] = []
+    total = np.zeros(1, dtype=int)
+    for length in chains:
+        for k in range(length):
+            lo = cols[-1] if k else np.zeros(len(total), dtype=int)
+            count = np.maximum(S - total - lo + 1, 0)
+            rows = np.repeat(np.arange(len(total)), count)
+            step = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count,
+                                                    count)
+            cols = [c[rows] for c in cols] + [lo[rows] + step]
+            total = total[rows] + cols[-1]
+    return np.array(cols, dtype=np.int16)
 
 
 def delta_qJ(z: Sequence[float], q: float, t: float) -> float:

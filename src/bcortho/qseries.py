@@ -136,16 +136,24 @@ def qpoch_real(a: complex, q: float, t: float) -> complex:
 
 def qpoch_real_arr(a: np.ndarray, q: float, t: float) -> np.ndarray:
     """Vectorized qpoch_real over an ndarray, with its per-factor guard:
-    PoleAtDenominator if any factor 1 - a t q^j vanishes."""
+    PoleAtDenominator if any factor 1 - a t q^j vanishes.
+
+    Multiplies the factor ratios (1 - a q^j) / (1 - a t q^j), so that
+    |a| >> 1 cannot overflow where the two products would."""
     if not t > 0:
         raise DomainViolation(f"companion value t must be positive, got {t}")
     a = np.asarray(a)
-    num = qpoch_infinite_arr(a, q)
-    try:
-        den = qpoch_infinite_arr(a * t, q, require_nonzero=True)
-    except ZeroProduct as exc:
-        raise PoleAtDenominator(f"(a t;q)_inf vanishes for t={t}") from exc
-    return num / den
+    prod = np.ones_like(a, dtype=complex if np.iscomplexobj(a) else float)
+    aq = a.astype(prod.dtype)
+    mag = float(np.abs(a).max(initial=0.0)) * max(1.0, t)
+    while mag >= EPS_TRUNC:
+        den = 1.0 - aq * t
+        if np.min(np.abs(den)) < POLE_GUARD:
+            raise PoleAtDenominator(f"(a t;q)_inf vanishes for t={t}")
+        prod *= (1.0 - aq) / den
+        aq *= q
+        mag *= q
+    return prod
 
 
 def qpoch_ratio(num: Iterable[complex], den: Iterable[complex],

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -18,6 +19,7 @@ from bcortho.cli import (
     parse_config_file,
     run_suite,
 )
+from bcortho.bcpoly import LaurentPolynomial
 from bcortho.errors import ConfigError, IoError
 
 
@@ -145,12 +147,31 @@ class TestMain:
         assert main(["--suite", "qracah", "--n", "9"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_tiny_mass_does_not_pass(self, capsys):
-        # the multisum of a mass of 2.5e-94 used to stop at 9.2e-111, and
-        # the checks passed on the absolute error
-        assert main(["--suite", "little", "--q", "0.99", "--b", "0.6",
-                     "--lmax", "1"]) != 0
-        assert "still grow" in capsys.readouterr().err
+    def test_tiny_mass_matches_closed_forms(self, tmp_path):
+        # a mass of 2.5e-94, summed to 256 shells; the checks' max(1, |N|)
+        # floor would pass any value, so the test compares relative errors
+        argv = ["--suite", "little", "--q", "0.99", "--b", "0.6",
+                "--lmax", "1"]
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        mass = {c["name"]: c for c in json.loads(out.read_text())["checks"]
+                }["constant-term"]
+        assert abs(mass["lhs"] - mass["rhs"]) < 1e-12 * mass["rhs"]
+        errs = true_relative_errors(cli._little_family(
+            build_config({"suite": "little", "q": "0.99", "b": "0.6"})),
+            (1, 1))
+        assert errs["norm"] < 1e-12
+
+    def test_overflowing_pair_factor(self, tmp_path):
+        # q = 0.7 overflowed (a;q)_inf of the cross-chain delta_qJ factor
+        # from shell 65 on, and NaN weights reached the orthogonalization
+        # (exit 2); asymptotic-match compares at L = 25, where q^L = 1.3e-4
+        out = tmp_path / "r.json"
+        assert main(["--suite", "big", "--q", "0.7", "--out",
+                     str(out)]) == 1
+        failed = [c["name"] for c in json.loads(out.read_text())["checks"]
+                  if not c["pass"]]
+        assert failed == ["asymptotic-match"]
 
     def test_exit_one_on_failing_check(self, tmp_path):
         # an absurdly tight tolerance forces at least one failure
@@ -170,6 +191,45 @@ class TestMain:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["config_echo"]["N"] == 1
+
+
+def true_relative_errors(fam, top) -> dict:
+    """Errors of the family's pairing against its closed forms, relative to
+    the value certified: <1,1>, the worst norm of the polynomials mu <=
+    top, and their worst cosine |<P_a,P_b>| / sqrt(|N_a N_b|)."""
+    one = LaurentPolynomial.constant(fam.params.n)
+    mass = fam.mass()
+    polys = {lam: P.to_laurent() for lam, P in fam.polynomials(top).items()}
+    norms = {lam: fam.norm(lam) for lam in polys}
+    lams = list(polys)
+    return {
+        "mass": abs(fam.pair(one, one) - mass) / abs(mass),
+        "norm": max(abs(fam.pair(polys[la], polys[la]) - norms[la])
+                    / abs(norms[la]) for la in lams),
+        "cosine": max(abs(fam.pair(polys[la], polys[lb]))
+                      / math.sqrt(abs(norms[la] * norms[lb]))
+                      for i, la in enumerate(lams) for lb in lams[i + 1:]),
+    }
+
+
+class TestTrueRelative:
+    # at the parent of the node tables these read, as mass / norm / cosine:
+    # little --q 0.9 1.6e-5 / 0.965 / 0.35, little --b -50 3.1e-9 / 0.34 /
+    # 9.0e-4, little --n 3 5.5e-16 / 0.955 / 0.11, big --n 3 1.3e-12 /
+    # 5.1e-8 / 1.3e-10
+    @pytest.mark.parametrize("suite, raw", [
+        ("little", {"q": "0.9"}),
+        ("little", {"b": "-50"}),
+        ("little", {"n": "3"}),
+        ("big", {"n": "3"}),
+    ], ids=["little-q0.9", "little-b-50", "little-n3", "big-n3"])
+    def test_default_top(self, suite, raw):
+        cfg = build_config({"suite": suite, **raw})
+        fam = FAMILIES[suite][0](cfg)
+        errs = true_relative_errors(fam, (int(cfg["lmax"]),) * fam.params.n)
+        assert errs["mass"] < 1e-13
+        assert errs["norm"] < 1e-10
+        assert errs["cosine"] < 1e-9
 
 
 # family record builder and the default tolerances of its suite's

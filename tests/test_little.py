@@ -10,7 +10,6 @@ from bcortho.little import (
     LittleParams,
     aw_params_little,
     bilinear_little,
-    jackson_multisum,
     limit_scan_little,
     little_polynomials,
     norm_little,
@@ -44,30 +43,6 @@ class TestParams:
     def test_alpha(self):
         lp = LittleParams(1, 0.5, 0.3, 0.25, 0.2)
         assert abs(lp.alpha - 2.0) < 1e-14
-
-
-class TestJacksonMultisum:
-    def test_constant_n1(self):
-        # (1-q) sum q^k = 1
-        got = jackson_multisum(lambda z: 1.0, LP1)
-        assert rel(got, 1.0) < 1e-12
-
-    def test_linear_n1(self):
-        # (1-q) sum q^{2k} = 1/(1+q)
-        got = jackson_multisum(lambda z: z[0], LP1)
-        assert rel(got, 1.0 / (1.0 + LP1.q)) < 1e-12
-
-    def test_n2_matches_nested_sum(self):
-        # brute-force double sum over the ascending chain labels
-        q, t = LP2.q, LP2.t
-        want = 0.0
-        for n2 in range(60):
-            for n1 in range(n2 + 1):
-                z1, z2 = q ** n1, t * q ** n2
-                want += (z1 + z2) * z1 * z2
-        want *= (1.0 - q) ** 2
-        got = jackson_multisum(lambda z: z[0] + z[1], LP2)
-        assert rel(got, want) < 1e-12
 
 
 class TestWeight:

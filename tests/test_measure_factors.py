@@ -13,6 +13,7 @@ from bcortho import big, little, measures
 from bcortho.big import (
     BigParams,
     askey_evans_rhs,
+    big_polynomials,
     bilinear_big,
     norm_big,
     selberg_big,
@@ -26,7 +27,14 @@ from bcortho.errors import (
     SlowConvergence,
     ZeroProduct,
 )
-from bcortho.little import LittleParams, bilinear_little, weight_little
+from bcortho.little import (
+    LittleParams,
+    bilinear_little,
+    little_polynomials,
+    norm_little,
+    selberg_little,
+    weight_little,
+)
 from bcortho.measures import (
     delta_d,
     interaction_c,
@@ -193,8 +201,9 @@ class TestPerFactorGuards:
         # (qbx;q)_inf = 5.7e-32 at the node x = 1
         lp = LittleParams(2, self.Q, 0.3, 0.4, 0.6)
         assert abs(qpoch_infinite(self.Q * 0.6, self.Q)) < 1e-30
-        Z, w = little._little_shell(lp, 0)
-        want = weight_little((0, 0), lp) * np.prod(Z[0])
+        [(z, nu, w)] = little._node_table(lp)
+        assert nu[:, 0].tolist() == [0, 0] and z[:, 0].tolist() == [1.0, 0.3]
+        want = (1 - self.Q) ** 2 * weight_little((0, 0), lp) * 0.3
         assert w[0] > 0 and abs(w[0] - want) < 1e-13 * want
         with pytest.raises(DomainViolation):
             little._weight_at_point((1.0 / (self.Q * 0.6), 0.3), lp)
@@ -204,8 +213,10 @@ class TestPerFactorGuards:
         bp = BigParams(1, self.Q, self.Q, -0.9, 0.3, 1.0, 1.0)
         assert abs(qpoch_infinite(0.9 * self.Q, self.Q)) < 1e-50
         assert weight_big((-1.0,), bp) > 0
-        Z, _w = big._big_shell(bp, np.ones(2), 0)
-        assert len(Z) == 2
+        z, a = big._axis_factors(bp, 0)
+        assert z.ravel().tolist() == [1.0, -1.0]
+        assert np.all(a > 0) and np.all(np.isfinite(a))
+        assert abs(a[1, 0] - weight_big((-1.0,), bp)) < 1e-13 * a[1, 0]
         sel = selberg_big(bp)
         assert abs(norm_big((0,), bp) - sel) < 1e-12 * sel
         rhs = askey_evans_rhs(bp)
@@ -216,27 +227,32 @@ class TestPerFactorGuards:
 
 
 class TestTinyMasses:
-    """The guards above let q = 0.99 measures with masses far below the
-    stopping rule's absolute floor through; their multisums are refused
-    instead of stopping before their shells decay."""
+    """The guards above let q = 0.99 measures with masses far below 1
+    through; their node tables grow until the last shells are negligible
+    against the table's own mass, so the pairings keep full relative
+    precision."""
 
-    def test_growing_sum_is_refused(self):
-        shells = [10.0 ** (s - 120) for s in range(8)]
-        args = (shells.__getitem__, 2, 0.5, "test sum")
-        assert little._sum_shells(*args) > 0
-        with pytest.raises(SlowConvergence):
-            little._sum_shells(*args, refuse_growth=True)
-        # a decaying tail far below the floor is still summed
-        assert little._sum_shells(lambda s: 1e-120 * 0.5 ** s, 2, 0.5,
-                                  "test sum", refuse_growth=True) > 0
+    @pytest.mark.parametrize("params, pairing, polynomials, norm, mass", [
+        # masses 2.5e-94, 1.2e-146 (tables to 256 shells) and 2.4e-12
+        (LittleParams(2, 0.99, 0.3, 0.4, 0.6), bilinear_little,
+         little_polynomials, norm_little, selberg_little),
+        (BigParams(2, 0.99, 0.4, 0.6, 0.3, 1, 0.8), bilinear_big,
+         big_polynomials, norm_big, selberg_big),
+        (LittleParams(2, 0.9, 0.3, 0.4, 0.2), bilinear_little,
+         little_polynomials, norm_little, selberg_little),
+    ], ids=["little-q0.99", "big-q0.99", "little-q0.9"])
+    def test_pairings_match_closed_forms(self, params, pairing, polynomials,
+                                         norm, mass):
+        one = LaurentPolynomial.constant(2)
+        want = mass(params)
+        assert abs(pairing(one, one, params) - want) < 1e-12 * want
+        for lam, P in polynomials((1, 1), params).items():
+            f = P.to_laurent()
+            want = norm(lam, params)
+            assert abs(pairing(f, f, params) - want) < 1e-12 * want
 
-    def test_pairings_refused(self):
+    def test_unsettled_table_is_refused(self):
+        # a = 1.9: the one-axis factors decay like q^(0.074 nu)
         one = LaurentPolynomial.constant(2)
         with pytest.raises(SlowConvergence):
-            # mass 2.5e-94; the shells grow for hundreds of shells
-            bilinear_little(one, one, LittleParams(2, 0.99, 0.3, 0.4, 0.6))
-        with pytest.raises(SlowConvergence):
-            bilinear_big(one, one, BigParams(2, 0.99, 0.4, 0.6, 0.3, 1, 0.8))
-        # q = 0.9: a mass of 2.4e-12 whose shells decay before the stop
-        lp = LittleParams(2, 0.9, 0.3, 0.4, 0.2)
-        assert bilinear_little(one, one, lp) > 0
+            bilinear_little(one, one, LittleParams(2, 0.5, 0.3, 1.9, 0.2))

@@ -2,7 +2,9 @@
 scalar weight functions they replace in the pairings, and the caching that
 makes a repeated pairing compute no weights."""
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,13 +16,13 @@ from bcortho.errors import (
     BcorthoError,
     DomainViolation,
     LengthMismatch,
+    NonFiniteWeight,
     PoleAtDenominator,
     ZeroCoordinate,
     ZeroProduct,
 )
 from bcortho.little import (
     LittleParams,
-    _ascending_with_sum,
     _weight_at_point,
     bilinear_little,
     delta_qJ,
@@ -34,7 +36,9 @@ from bcortho.qseries import (
     qpoch_real_arr,
 )
 
-SHELLS = range(7)
+# weights are compared with the scalar functions on the shells |nu| <= 6;
+# deeper, (a;q)_inf of the scalar delta_qJ overflows for |a| >> 1
+SHELLS = 6
 U = 0.3 + 0.4j
 
 
@@ -56,6 +60,43 @@ def raised(fn, *args):
     return None
 
 
+def ascending_labels(lengths, S):
+    """Brute force: labels with |nu| <= S ascending within each chain."""
+    out = set()
+    for nu in itertools.product(range(S + 1), repeat=sum(lengths)):
+        k = 0
+        ok = sum(nu) <= S
+        for length in lengths:
+            ok = ok and all(nu[i] <= nu[i + 1]
+                            for i in range(k, k + length - 1))
+            k += length
+        if ok:
+            out.add(nu)
+    return out
+
+
+def check_labels(nu, lengths):
+    """The labels nu (columns) are those of _chain_labels at the table's
+    S."""
+    S = int(nu.sum(axis=0).max())
+    assert S in (32, 64, 128, 256, 400)
+    want = little._chain_labels(lengths, S)
+    assert sorted(map(tuple, nu.T.tolist())) == sorted(
+        map(tuple, want.T.tolist()))
+
+
+class TestChainLabels:
+    @pytest.mark.parametrize("lengths", [(1,), (3,), (0, 2), (2, 1),
+                                         (1, 2), (3, 0)])
+    @pytest.mark.parametrize("S", [0, 1, 7])
+    def test_matches_brute_force(self, lengths, S):
+        nu = little._chain_labels(lengths, S)
+        assert nu.shape[0] == sum(lengths)
+        labels = set(map(tuple, nu.T.tolist()))
+        assert len(labels) == nu.shape[1]
+        assert labels == ascending_labels(lengths, S)
+
+
 class TestBigTable:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("branch", ["real", "conjugate"])
@@ -63,21 +104,29 @@ class TestBigTable:
         bp = big_params(n, branch)
         cw = c_weights(bp, check=False)
         table = big._node_table(bp)
-        for s in SHELLS:
-            Z, w = table.shell(s)
-            r = 0
-            for j in range(n + 1):
-                for s1 in range(s + 1):
-                    for nu in _ascending_with_sum(j, s1):
-                        for nup in _ascending_with_sum(n - j, s - s1):
-                            z = big.support_point(j, nu, nup, bp)
-                            assert tuple(Z[r]) == z
-                            jac = math.prod(z[:j]) * math.prod(
-                                -x for x in z[j:])
-                            want = cw[j] * weight_big(z, bp) * jac
-                            assert rel(w[r], want) < 1e-13
-                            r += 1
-            assert r == len(Z) == len(w)
+        assert len(table) == n + 1
+        compared = 0
+        for j, (z, nu, w) in enumerate(table):
+            check_labels(nu, (j, n - j))
+            assert nu.shape == (n, len(w))
+            # axis i: c t^i q^nu on the positive chain, -d t^(i-j) q^nu on
+            # the negative one
+            for i in range(n):
+                lead, pos = (bp.c, i) if i < j else (-bp.d, i - j)
+                want = [lead * bp.t ** pos * bp.q ** v
+                        for v in range(len(z[i]))]
+                assert np.allclose(z[i], want, rtol=1e-14, atol=0)
+            for r, lab in enumerate(nu.T.tolist()):
+                if sum(lab) <= SHELLS:
+                    x = big.support_point(j, lab[:j], lab[j:], bp)
+                    assert np.allclose(z[np.arange(n), lab], x, rtol=1e-14,
+                                       atol=0)
+                    want = ((1 - bp.q) ** n * cw[j] * weight_big(x, bp)
+                            * abs(math.prod(x)))
+                    assert rel(w[r], want) < 1e-13
+                    compared += 1
+        assert compared == sum(len(ascending_labels((j, n - j), SHELLS))
+                               for j in range(n + 1))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_scalar_pole_raises_same_class(self, n):
@@ -94,16 +143,22 @@ class TestLittleTable:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_weights_match_scalar(self, n):
         lp = LittleParams(n, 0.5, 0.4, 0.6, -2.0)
-        table = little._node_table(lp)
-        for s in SHELLS:
-            Z, w = table.shell(s)
-            nodes = list(_ascending_with_sum(n, s))
-            assert len(Z) == len(w) == len(nodes)
-            for r, nu in enumerate(nodes):
-                z = little.support_point(nu, lp)
-                assert tuple(Z[r]) == z
-                want = _weight_at_point(z, lp) * math.prod(z)
+        [(z, nu, w)] = little._node_table(lp)
+        check_labels(nu, (n,))
+        assert nu.shape == (n, len(w))
+        for i in range(n):
+            want = [lp.t ** i * lp.q ** v for v in range(len(z[i]))]
+            assert np.allclose(z[i], want, rtol=1e-14, atol=0)
+        compared = 0
+        for r, lab in enumerate(nu.T.tolist()):
+            if sum(lab) <= SHELLS:
+                x = little.support_point(lab, lp)
+                assert np.allclose(z[np.arange(n), lab], x, rtol=1e-14,
+                                   atol=0)
+                want = (1 - lp.q) ** n * _weight_at_point(x, lp) * math.prod(x)
                 assert rel(w[r], want) < 1e-13
+                compared += 1
+        assert compared == len(ascending_labels((n,), SHELLS))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_scalar_pole_raises_same_class(self, n):
@@ -148,6 +203,36 @@ class TestArrayKernel:
         with pytest.raises(PoleAtDenominator):
             qpoch_real(4.0, 0.5, 0.5)
         assert qpoch_infinite(4.0, 0.5) == 0.0
+
+
+    @pytest.mark.parametrize("t, finite", [
+        # t = q^2: (a;q)_2 = (1 - a)(1 - a q); t = 1/q: 1 / (1 - a/q)
+        (0.25, lambda a: (1 - a) * (1 - 0.5 * a)),
+        (2.0, lambda a: 1 / (1 - 2 * a)),
+    ], ids=["tau=2", "tau=-1"])
+    def test_real_arr_large_arguments(self, t, finite):
+        # (a;q)_inf and (a t;q)_inf overflow for |a| >> 1, their ratio
+        # does not
+        a = np.array([1e30, -3e25, 0.7])
+        got = qpoch_real_arr(a, 0.5, t)
+        for x, y in zip(a, got):
+            assert rel(y, finite(x)) < 1e-14
+
+
+class TestNonFiniteWeights:
+    def test_table_names_the_node(self, monkeypatch):
+        def delta(Z, q, t):
+            out = np.ones(len(Z))
+            out[3] = np.inf
+            return out
+
+        monkeypatch.setattr(little, "_delta_qJ_rows", delta)
+        lp = LittleParams(2, 0.5, 0.4, 0.6, -2.0)
+        # row 3 of the table: label (0, 3)
+        z = list(little.support_point((0, 3), lp))
+        with pytest.raises(NonFiniteWeight, match=re.escape(
+                f"z = {z}, label nu = [0, 3]")):
+            little._node_table.__wrapped__(lp)
 
 
 class TestEvalPoints:
