@@ -7,16 +7,25 @@ back-substitution on the one triangular operator matrix of top, which
 has no random input. The quadratic norms N(lambda) = 2^n n! N+ N- and the
 constant term <1,1> are evaluated as products of infinite q-shifted
 factorials.
+
+The little and big q-Jacobi families are limits of this family along a
+deformation eps -> 0 of its parameters. Each limit is one Limit record,
+and two scans along eps_k = q^(k+1) test it: limit_scan on the
+polynomial coefficients and measure_scan on the partially discrete
+pairing.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .bcpoly import (
+    LaurentPolynomial,
     OrthogonalPolynomial,
+    monomial_s,
     monomial_w,
     partition,
     partitions_dominated_by,
@@ -27,8 +36,9 @@ from .errors import (
     PoleInProduct,
 )
 from .koornwinder import eigenvalue_E, op_matrix
+from .measures import partial_bilinear
 from .params import AWParams
-from .qseries import qpoch_ratio
+from .qseries import qpoch_infinite, qpoch_ratio
 
 SEPARATION = 1e-8
 
@@ -61,29 +71,72 @@ def aw_polynomials(top: Sequence[int], p: AWParams
     return out
 
 
-def limit_scan(target: OrthogonalPolynomial,
-               deformation: Callable[[float], AWParams],
-               rescale: Callable[[float], float], q: float, kmax: int
-               ) -> List[Tuple[int, float, float]]:
-    """Table of (k, eps_k, max coefficient deviation) along eps_k = q^(k+1)
-    for a limit transition from the Askey-Wilson family to target.
+@dataclass(frozen=True)
+class Limit:
+    """A limit transition eps -> 0 from the Askey-Wilson family to a
+    family of Jackson type with parameters params (n and q among them).
 
-    At each eps the Askey-Wilson polynomial of target's degree lambda is
-    built at the parameters deformation(eps); its coefficient of the
-    monomial of degree mu, times rescale(eps)^(|lambda| - |mu|), is compared
-    with target's."""
-    lam = target.degree
+    deformation(eps) gives the Askey-Wilson parameters. The coefficient of
+    m_mu in P_lambda, times rescale(eps)^(|lambda| - |mu|), tends to the
+    target's coefficient; prefactor(eps) rescale(eps)^(|lambda| + |mu|)
+    times the partially discrete pairing of m_lambda and m_mu tends to
+    2^n n! (q;q)_inf^(-2n) (1-q)^(-n) times the target pairing of the
+    S-monomials. polynomials(top) and pair are the target family's;
+    measure_kmax is the last k of the CLI's measure scan."""
+
+    params: object
+    deformation: Callable[[float], AWParams]
+    rescale: Callable[[float], float]
+    prefactor: Callable[[float], float]
+    polynomials: Callable[[Tuple[int, ...]],
+                          Dict[Tuple[int, ...], OrthogonalPolynomial]]
+    pair: Callable[[LaurentPolynomial, LaurentPolynomial], float]
+    measure_kmax: int
+
+
+def limit_scan(limit: Limit, lam: Sequence[int], kmax: int
+               ) -> List[Tuple[int, float, float]]:
+    """Table of (k, eps_k, max coefficient deviation) along eps_k = q^(k+1):
+    at each eps the Askey-Wilson polynomial P_lambda at the deformed
+    parameters, rescaled, against the target polynomial of degree lambda."""
+    lam = partition(lam)
+    target = limit.polynomials(lam)[lam]
+    q = limit.params.q
     rows: List[Tuple[int, float, float]] = []
     for k in range(kmax + 1):
         eps = q * q ** k
-        aw = aw_polynomials(lam, deformation(eps))[lam]
-        r = rescale(eps)
+        aw = aw_polynomials(lam, limit.deformation(eps))[lam]
+        r = limit.rescale(eps)
         dev = 0.0
         for mu in partitions_dominated_by(lam):
             scaled = aw.coeffs.get(mu, 0.0) * r ** (sum(lam) - sum(mu))
             want = target.coeffs.get(mu, 0.0)
             dev = max(dev, abs(scaled - want))
         rows.append((k, eps, dev))
+    return rows
+
+
+def measure_scan(limit: Limit, lam: Sequence[int], mu: Sequence[int],
+                 kmax: int, M: int) -> List[Tuple[int, float, float]]:
+    """Table of (k, eps_k, relative deviation) along eps_k = q^(k+1): the
+    renormalized partially discrete pairing of the W-monomials of degrees
+    lambda and mu (M grid points per axis) against its limit, the target
+    pairing of the S-monomials times the constant of Limit."""
+    lam = partition(lam)
+    mu = partition(mu)
+    n, q = limit.params.n, limit.params.q
+    want = (2 ** n * math.factorial(n)
+            * qpoch_infinite(q, q).real ** (-2 * n) * (1 - q) ** (-n)
+            * limit.pair(monomial_s(lam), monomial_s(mu)))
+    f = monomial_w(lam)
+    g = monomial_w(mu)
+    rows: List[Tuple[int, float, float]] = []
+    for k in range(kmax + 1):
+        eps = q * q ** k
+        pair = partial_bilinear(f, g, limit.deformation(eps), M).value
+        got = (limit.prefactor(eps)
+               * limit.rescale(eps) ** (sum(lam) + sum(mu)) * pair)
+        rows.append((k, eps, abs(got - want) / max(1.0, abs(want))))
     return rows
 
 

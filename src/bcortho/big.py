@@ -15,7 +15,7 @@ against each other), the bilinear form, the polynomials
 (big_polynomials: bcpoly.orthogonalize in the mtilde basis for that
 form), closed-form norms, the q-Selberg constant term together with its
 two-sided t = q^k evaluation, the asymptotic matching of the
-split-weights, and numeric scans of the limit transition. The closed
+split-weights, and the record of the limit transition (big_limit). The closed
 forms go through qseries.qpoch_ratio, which keeps complex products whole,
 so they hold on the conjugate branch as well.
 
@@ -34,18 +34,16 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .askey_wilson import limit_scan
+from .askey_wilson import Limit
 from .bcpoly import (
     LaurentPolynomial,
     OrthogonalPolynomial,
     monomial_s,
-    monomial_w,
     orthogonalize,
     partition,
 )
 from .errors import (
     DomainViolation,
-    FormMismatch,
     PoleInTheta,
     SlowConvergence,
     ZeroProduct,
@@ -64,6 +62,7 @@ from .qseries import (
     theta_jacobi,
 )
 
+# agreement of the two forms of the split-weights (c-weight-dual-form)
 FORM_TOL = 1e-9
 # askey_evans_lhs sums the Jackson nodes c q^m and -d q^m with
 # q^m >= NODE_CUTOFF, for at most MAX_NODES values of m.
@@ -146,13 +145,10 @@ def weight_big(z: Sequence[float], bp: BigParams) -> float:
     return val * delta_qJ(z, q, bp.t)
 
 
-def c_weights(bp: BigParams, check: bool = True) -> List[float]:
+def c_weights(bp: BigParams) -> List[float]:
     """Split-weights (c_{B,0}, ..., c_{B,n}) of the two-sided Jackson
-    integral, from the theta-product closed form.
-
-    When check is set, the defining form c_B * d_{B,j} (a base constant
-    times products of the quasi-constant Psi_t) is evaluated as well and
-    FormMismatch is raised if the two disagree."""
+    integral, from the theta-product closed form (c_weights_defining is
+    the independent defining form)."""
     n, q, t, c, d = bp.n, bp.q, bp.t, bp.c, bp.d
     tau = bp.tau
     qq = qpoch_infinite(q, q).real
@@ -177,15 +173,6 @@ def c_weights(bp: BigParams, check: bool = True) -> List[float]:
         val *= c ** (-2.0 * tau * (j * (n - j) + math.comb(j, 2)) - j)
         val *= d ** (-2.0 * tau * math.comb(n - j, 2) + j - n)
         out.append(float(val))
-    if check:
-        defining = c_weights_defining(bp)
-        for j in range(n + 1):
-            want = defining[j]
-            scale = max(abs(out[j]), abs(want), 1e-300)
-            if abs(out[j] - want) > FORM_TOL * scale:
-                raise FormMismatch(
-                    f"c_B weight forms disagree at j={j}: "
-                    f"{out[j]} vs {want}")
     return out
 
 
@@ -227,7 +214,7 @@ def _node_table(bp: BigParams) -> Table:
     (1-q)^n c_{B,j} Delta^B(z) |prod z|, as weight_big computes them,
     vectorized (little._jackson_table); one part per j = 0..n."""
     n = bp.n
-    const = (1.0 - bp.q) ** n * np.array(c_weights(bp, check=False))
+    const = (1.0 - bp.q) ** n * np.array(c_weights(bp))
 
     def parts(S: int):
         z, a = _axis_factors(bp, S)
@@ -311,25 +298,16 @@ def askey_evans_lhs(bp: BigParams) -> float:
     axes, so the sum over all n-tuples of one-axis nodes is one
     contraction of the node vector with the pair matrix."""
     k = _natural_k(bp)
-    n, q, c, d = bp.n, bp.q, bp.c, bp.d
-    a, b = bp.a, bp.b
-
-    def v(x: float) -> float:
-        num = (qpoch_infinite(q * x / c, q)
-               * qpoch_infinite(-q * x / d, q))
-        den = (qpoch_infinite(q * a * x / c, q)
-               * qpoch_infinite(-q * b * x / d, q))
-        return (num / den).real
-
-    # one axis: nodes c q^m (weight c q^m) and -d q^m (weight d q^m)
-    qm: List[float] = []
-    while q ** len(qm) >= NODE_CUTOFF:
-        if len(qm) == MAX_NODES:
+    n, q = bp.n, bp.q
+    nodes = 0
+    while q ** nodes >= NODE_CUTOFF:
+        if nodes == MAX_NODES:
             raise SlowConvergence("Jackson node list did not terminate")
-        qm.append(q ** len(qm))
-    w = np.array(qm)
-    x = np.concatenate([c * w, -d * w])
-    axis = np.concatenate([c * w, d * w]) * np.array([v(xi) for xi in x])
+        nodes += 1
+    # one axis: nodes c q^m and -d q^m (rows 0 and n), weight v_B(x) |x|
+    z, a = _axis_factors(bp, nodes - 1)
+    x = np.concatenate([z[0], z[n]])
+    axis = np.concatenate([a[0], a[n]])
     # pair[i, j] = x_i^{2k} (q^{1-k} x_j / x_i; q)_{2k}
     pair = (x[:, None] ** (2 * k)
             * qpoch_finite_arr(q ** (1 - k) * x[None, :] / x[:, None], q,
@@ -385,7 +363,7 @@ def selberg_big_qk(bp: BigParams) -> float:
     integral equals <1,1>_B / (c_B prod_i (1-q^k)/(1-q^{ik}))."""
     k = _natural_k(bp)
     n, q = bp.n, bp.q
-    const = c_weights(bp, check=False)[0]
+    const = c_weights(bp)[0]
     for i in range(1, n + 1):
         const *= (1.0 - q ** k) / (1.0 - q ** (i * k))
     return selberg_big(bp) / const
@@ -399,7 +377,7 @@ def asymptotic_ratio(j: int, lam: Sequence[int], mu: Sequence[int],
         raise DomainViolation(f"j must be in 1..n, got {j}")
     if len(lam) != j - 1 or len(mu) != bp.n - j:
         raise DomainViolation("chain labels have wrong lengths")
-    cw = c_weights(bp, check=False)
+    cw = c_weights(bp)
     zp = support_point(j, tuple(lam) + (L,), tuple(mu), bp)
     zm = support_point(j - 1, tuple(lam), tuple(mu) + (L,), bp)
     num = cw[j] * weight_big(zp, bp)
@@ -426,43 +404,20 @@ def aw_params_big(eps: float, bp: BigParams) -> AWParams:
                     eps * a * rdc, -eps * b * rcd)
 
 
-def limit_scan_big(lam: Sequence[int], bp: BigParams, kmax: int
-                   ) -> List[Tuple[int, float, float]]:
-    """Table of (k, eps_k, max coefficient deviation) for the limit of
-    rescaled Askey-Wilson coefficients to big q-Jacobi coefficients,
-    along eps_k = q^(k+1) (askey_wilson.limit_scan)."""
-    lam = partition(lam)
-    scale = math.sqrt(bp.c * bp.d / bp.q)
-    return limit_scan(big_polynomials(lam, bp)[lam],
-                      lambda eps: aw_params_big(eps, bp),
-                      lambda eps: eps * scale, bp.q, kmax)
-
-
-def measure_constant_big(lam: Sequence[int], mu: Sequence[int],
-                         bp: BigParams, kmax: int, M: int = 64,
-                         depth: int = 128) -> List[Tuple[int, float, float]]:
-    """Table of (k, eps_k, relative deviation) for the limit of the
-    renormalized partially discrete pairing of W-monomials to the
-    c-weighted Jackson pairing of S-monomials, along eps_k = q^(k+1)."""
-    from .measures import partial_bilinear
-
-    lam = partition(lam)
-    mu = partition(mu)
-    n, q, t = bp.n, bp.q, bp.t
+def big_limit(bp: BigParams) -> Limit:
+    """The limit to the big q-Jacobi family along t_B(eps): rescale
+    eps (cd/q)^(1/2), measure prefactor prod_i (-q t^(i-1)/eps^2; q)_inf,
+    measure scan up to k = 11."""
+    q, t = bp.q, bp.t
     scale = math.sqrt(bp.c * bp.d / q)
-    want = (2 ** n * math.factorial(n)
-            * qpoch_infinite(q, q).real ** (-2 * n) * (1 - q) ** (-n)
-            * bilinear_big(monomial_s(lam), monomial_s(mu), bp))
-    f = monomial_w(lam)
-    g = monomial_w(mu)
-    rows: List[Tuple[int, float, float]] = []
-    for k in range(kmax + 1):
-        eps = q * q ** k
-        p = aw_params_big(eps, bp)
-        pair = partial_bilinear(f, g, p, M, depth=depth).value
+
+    def prefactor(eps: float) -> float:
         pref = 1.0
-        for i in range(1, n + 1):
+        for i in range(1, bp.n + 1):
             pref *= qpoch_infinite(-q * t ** (i - 1) / (eps * eps), q).real
-        got = pref * (eps * scale) ** (sum(lam) + sum(mu)) * pair
-        rows.append((k, eps, abs(got - want) / max(1.0, abs(want))))
-    return rows
+        return pref
+
+    return Limit(bp, lambda eps: aw_params_big(eps, bp),
+                 lambda eps: eps * scale, prefactor,
+                 lambda top: big_polynomials(top, bp),
+                 lambda f, g: bilinear_big(f, g, bp), 11)

@@ -3,14 +3,17 @@
 Runs named suites of numerical identity checks (orthogonality, norms,
 constant terms, limit transitions) over a parameter configuration and
 emits a machine-readable certification report. Configurations come from
-a flat key=value file, command-line flags, or both (flags win).
+a flat key=value file, command-line flags, or both (flags win). The keys
+are suite, out, format and those of INT_KEYS and FLOAT_KEYS; any other
+key is a configuration error (exit 2).
 
 Each family (aw, qracah, little, big) is one _Family record: its
 parameters, pairing, polynomials up to a top partition, and the closed
 forms of its norms and of its constant term <1,1>. _mass_check compares
 its <1,1> with the closed form and _gram_checks its Gram matrix with the
-closed-form norms; the limits suite and the family-specific checks keep
-their own code.
+closed-form norms. The limits suite runs one coefficient scan and one
+measure scan on each limit record (askey_wilson.Limit, from little_limit
+and big_limit). The family-specific checks keep their own code.
 
 Report schema (JSON): {suite, config_echo, checks: [{name, anchor, lhs,
 rhs, abs_err, rel_err, tol, pass, ms}], summary: {pass, fail}}. The
@@ -39,19 +42,21 @@ from .askey_wilson import (
     aw_norm,
     aw_polynomials,
     gustafson_constant,
+    limit_scan,
+    measure_scan,
 )
 from .bcpoly import LaurentPolynomial, OrthogonalPolynomial
 from .big import (
+    FORM_TOL,
     BigParams,
     askey_evans_lhs,
     askey_evans_rhs,
     asymptotic_ratio,
+    big_limit,
     big_polynomials,
     bilinear_big,
     c_weights,
     c_weights_defining,
-    limit_scan_big,
-    measure_constant_big,
     norm_big,
     selberg_big,
     selberg_big_qk,
@@ -60,9 +65,8 @@ from .errors import BcorthoError, ConfigError, IoError
 from .little import (
     LittleParams,
     bilinear_little,
-    limit_scan_little,
+    little_limit,
     little_polynomials,
-    measure_constant_little,
     norm_little,
     selberg_little,
 )
@@ -92,13 +96,13 @@ DEFAULTS: Dict[str, Dict[str, float]] = {
     "big": dict(n=2, lmax=2, q=0.5, t=0.4, a=0.6, b=0.3, c=1.0, d=0.8,
                 seed=0),
     "limits": dict(n=2, lmax=2, q=0.5, t=0.3, a=0.4, b=0.2, c=1.0, d=0.8,
-                   M=64, depth=128, kmax=15, seed=0),
+                   M=64, kmax=15, seed=0),
     "selberg": dict(n=2, q=0.5, t=0.3, t0=0.35, t1=-0.45, t2=0.25,
                     t3=0.2, a=0.4, b=0.2, c=1.0, d=0.8, N=2, M=128,
-                    depth=64, seed=0),
+                    seed=0),
 }
 
-INT_KEYS = {"n", "lmax", "N", "M", "depth", "kmax", "seed"}
+INT_KEYS = {"n", "lmax", "N", "M", "kmax", "seed"}
 FLOAT_KEYS = {"q", "t", "t0", "t1", "t2", "t3", "a", "b", "c", "d", "tol"}
 STR_KEYS = {"suite", "out", "format"}
 
@@ -405,7 +409,7 @@ def _suite_big(cfg: SuiteConfig, report: CertificationReport) -> None:
             a = rng.uniform(-0.9 * c / (d * q), 0.9 / q)
             b = rng.uniform(-0.9 * d / (c * q), 0.9 / q)
             rp = BigParams(bp.n, q, t, a, b, c, d)
-            got = c_weights(rp, check=False)
+            got = c_weights(rp)
             want = c_weights_defining(rp)
             for x, y in zip(got, want):
                 worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
@@ -413,7 +417,7 @@ def _suite_big(cfg: SuiteConfig, report: CertificationReport) -> None:
 
     _run_check(report, "c-weight-dual-form",
                "split-weight theta form = base constant times Psi products",
-               _tol(cfg, 1e-9), dual_form)
+               _tol(cfg, FORM_TOL), dual_form)
     _mass_check(report, "constant-term",
                 "two-sided weighted multisum <1,1> = closed product",
                 _tol(cfg, 1e-7), fam)
@@ -455,6 +459,7 @@ def _suite_limits(cfg: SuiteConfig, report: CertificationReport) -> None:
     lp = _little_family(cfg).params
     bp = _big_family(cfg).params
     kmax = int(cfg["kmax"])
+    M = int(cfg["M"])
     lam = (1,) + (0,) * (lp.n - 1)
 
     def tail_ok(rows) -> float:
@@ -465,30 +470,19 @@ def _suite_limits(cfg: SuiteConfig, report: CertificationReport) -> None:
             return float("inf")
         return devs[-1]
 
-    _run_check(report, "little-coefficients",
-               "rescaled coefficients converge to the Jackson-side family",
-               _tol(cfg, 1e-4),
-               lambda: (tail_ok(limit_scan_little(lam, lp, kmax)), 0.0))
-    _run_check(report, "big-coefficients",
-               "rescaled coefficients converge to the two-sided family",
-               _tol(cfg, 1e-4),
-               lambda: (tail_ok(limit_scan_big(lam, bp, kmax)), 0.0))
-
-    M = int(cfg["M"])
-    depth = int(cfg["depth"])
-
-    _run_check(report, "little-measure-constant",
-               "renormalized pairings converge with the expected constant",
-               _tol(cfg, 1e-3),
-               lambda: (measure_constant_little(
-                   lam, (0,) * lp.n, lp, min(kmax, 12), M=M,
-                   depth=depth)[-1][2], 0.0))
-    _run_check(report, "big-measure-constant",
-               "renormalized pairings converge with the expected constant",
-               _tol(cfg, 1e-3),
-               lambda: (measure_constant_big(
-                   lam, (0,) * bp.n, bp, min(kmax, 11), M=M,
-                   depth=depth)[-1][2], 0.0))
+    for name, target, limit in (
+            ("little", "the Jackson-side family", little_limit(lp)),
+            ("big", "the two-sided family", big_limit(bp))):
+        _run_check(report, f"{name}-coefficients",
+                   f"rescaled coefficients converge to {target}",
+                   _tol(cfg, 1e-4),
+                   lambda: (tail_ok(limit_scan(limit, lam, kmax)), 0.0))
+        _run_check(report, f"{name}-measure-constant",
+                   "renormalized pairings converge with the expected "
+                   "constant", _tol(cfg, 1e-3),
+                   lambda: (measure_scan(
+                       limit, lam, (0,) * lp.n,
+                       min(kmax, limit.measure_kmax), M)[-1][2], 0.0))
 
 
 def _suite_selberg(cfg: SuiteConfig, report: CertificationReport) -> None:
@@ -509,8 +503,8 @@ def _suite_selberg(cfg: SuiteConfig, report: CertificationReport) -> None:
     _run_check(report, "partially-discrete",
                "torus plus chain corrections constant term = closed product",
                _tol(cfg, 1e-6),
-               lambda: (partial_bilinear(one, one, pd, int(cfg["M"]) * 2,
-                                         depth=int(cfg["depth"])).value.real,
+               lambda: (partial_bilinear(one, one, pd,
+                                         int(cfg["M"]) * 2).value.real,
                         gustafson_constant(pd).real))
 
 

@@ -80,7 +80,7 @@ class NonPositiveWeight(BcorthoError):
 
 
 class SlowConvergence(BcorthoError):
-    """An adaptive summation failed to converge within its depth cap."""
+    """A summation or a support chain did not end within its cap."""
 
 
 class SingularGram(BcorthoError):

@@ -99,18 +99,6 @@ def eigenvalue_E(lam: Sequence[int], p: AWParams) -> complex:
     return total
 
 
-def eigen_separation(lam: Sequence[int], p: AWParams) -> float:
-    """min over mu < lambda of |E_lambda - E_mu| (infinity if lambda = 0)."""
-    lam = partition(lam)
-    e_lam = eigenvalue_E(lam, p)
-    best = float("inf")
-    for mu in partitions_dominated_by(lam):
-        if mu == lam:
-            continue
-        best = min(best, abs(e_lam - eigenvalue_E(mu, p)))
-    return best
-
-
 @dataclass(frozen=True)
 class TriangularOpMatrix:
     """Coefficients E_{lambda',mu} of D m_{lambda'} = sum_mu E m_mu.

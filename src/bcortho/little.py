@@ -7,8 +7,8 @@ infinity through t_L(eps) = (eps^{-1} q^{1/2}, -a q^{1/2}, eps b q^{1/2},
 -q^{1/2}). This module provides the Jackson-multisum bilinear form, the
 polynomials (little_polynomials: bcpoly.orthogonalize in the mtilde basis
 for that form, monic and orthogonal to every dominance-lower monomial),
-the closed-form norms and q-Selberg constant term, and numeric scans of
-the limit transition.
+the closed-form norms and q-Selberg constant term, and the record of the
+limit transition (little_limit).
 
 Pairings reuse a per-parameter node table, kept for the CACHE_SIZE most
 recently used parameter sets: the labels nu with |nu| <= S and their
@@ -34,13 +34,12 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .askey_wilson import limit_scan
+from .askey_wilson import Limit
 from .bcpoly import (
     LaurentPolynomial,
     OrthogonalPolynomial,
     ascending_index,
     monomial_s,
-    monomial_w,
     orthogonalize,
     partition,
 )
@@ -346,44 +345,22 @@ def aw_params_little(eps: float, lp: LittleParams) -> AWParams:
                     eps * lp.b * rq, -rq)
 
 
-def limit_scan_little(lam: Sequence[int], lp: LittleParams, kmax: int
-                      ) -> List[Tuple[int, float, float]]:
-    """Table of (k, eps_k, max coefficient deviation) for the limit of
-    rescaled Askey-Wilson coefficients to little q-Jacobi coefficients,
-    along eps_k = q^(k+1) (askey_wilson.limit_scan)."""
-    lam = partition(lam)
-    rq = math.sqrt(lp.q)
-    return limit_scan(little_polynomials(lam, lp)[lam],
-                      lambda eps: aw_params_little(eps, lp),
-                      lambda eps: eps / rq, lp.q, kmax)
-
-
-def measure_constant_little(lam: Sequence[int], mu: Sequence[int],
-                            lp: LittleParams, kmax: int, M: int = 64,
-                            depth: int = 128) -> List[Tuple[int, float, float]]:
-    """Table of (k, eps_k, relative deviation) for the limit of the
-    renormalized partially discrete pairing of W-monomials to the
-    Jackson pairing of S-monomials, along eps_k = q^(k+1)."""
-    from .measures import partial_bilinear
-
-    lam = partition(lam)
-    mu = partition(mu)
-    n, q, t = lp.n, lp.q, lp.t
+def little_limit(lp: LittleParams) -> Limit:
+    """The limit to the little q-Jacobi family along t_L(eps): rescale
+    eps q^(-1/2), measure prefactor
+    prod_i (-q t^(i-1)/eps, -q a t^(i-1)/eps; q)_inf, measure scan up to
+    k = 12."""
+    q, t = lp.q, lp.t
     rq = math.sqrt(q)
-    want = (2 ** n * math.factorial(n)
-            * qpoch_infinite(q, q).real ** (-2 * n) * (1 - q) ** (-n)
-            * bilinear_little(monomial_s(lam), monomial_s(mu), lp))
-    f = monomial_w(lam)
-    g = monomial_w(mu)
-    rows: List[Tuple[int, float, float]] = []
-    for k in range(kmax + 1):
-        eps = q * q ** k
-        p = aw_params_little(eps, lp)
-        pair = partial_bilinear(f, g, p, M, depth=depth).value
+
+    def prefactor(eps: float) -> float:
         pref = 1.0
-        for i in range(1, n + 1):
+        for i in range(1, lp.n + 1):
             pref *= qpoch_infinite(-q * t ** (i - 1) / eps, q).real
             pref *= qpoch_infinite(-q * lp.a * t ** (i - 1) / eps, q).real
-        got = pref * (eps / rq) ** (sum(lam) + sum(mu)) * pair
-        rows.append((k, eps, abs(got - want) / max(1.0, abs(want))))
-    return rows
+        return pref
+
+    return Limit(lp, lambda eps: aw_params_little(eps, lp),
+                 lambda eps: eps / rq, prefactor,
+                 lambda top: little_polynomials(top, lp),
+                 lambda f, g: bilinear_little(f, g, lp), 12)

@@ -26,8 +26,11 @@ CACHE_SIZE most recently used of each. The partially discrete forms
 carry a per-point interaction factor on every axis, which is folded
 into the Vandermonde matrix instead of into the grid.
 
-The discrete part of the partially discrete form is tabulated once per
-call: every support point of F(r) with its weight and, for r < n, its
+The discrete supports are never truncated: each chain of D_i(r) runs to
+the last support value off the closed unit disk, and a chain of more
+than MAX_CHAIN points raises SlowConvergence instead. The discrete part
+of the partially discrete form is tabulated once per call: every
+support point of F(r) with its weight and, for r < n, its
 delta_c row over the grid axis. Within that table the w_d prefactor of
 each chain start tau0 and Delta^(d) of each label nu are computed once,
 and all delta_c rows are evaluated in one batch. The table is not
@@ -36,6 +39,7 @@ cached: each measure is paired once.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -44,13 +48,15 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .bcpoly import PRUNE, LaurentPolynomial
+from .bcpoly import LaurentPolynomial
 from .errors import (
     DomainViolation,
     LengthMismatch,
     NearPole,
+    NonFiniteWeight,
     NonPositiveWeight,
     PoleInWeight,
+    SlowConvergence,
     ZeroProduct,
 )
 from .params import CACHE_SIZE, AWParams
@@ -64,6 +70,8 @@ from .qseries import (
 
 POLE_GUARD = 1e-12
 TORUS_GUARD = 1e-9
+# support_D follows a chain of residues for at most this many points
+MAX_CHAIN = 256
 
 
 @dataclass(frozen=True)
@@ -74,7 +82,6 @@ class MeasureReport:
     abs_error_estimate: float
     quadrature_points_per_axis: int
     discrete_points_used: int
-    truncation_depth: int
 
 
 @dataclass(frozen=True)
@@ -317,21 +324,10 @@ class _Pairing:
         self.D = int(np.abs(self.sums).max(initial=0))
 
     def degree(self) -> int:
-        """Largest total degree among the terms that f * g keeps: an
-        exponent whose coefficient sum cancels to |c| <= PRUNE does not
-        count. The sum runs in the order LaurentPolynomial.__mul__ uses."""
-        sums = self.sums.reshape(-1, self.nvars)
-        deg = np.abs(sums).sum(axis=1)
-        for d in np.unique(deg)[::-1]:
-            for e in set(map(tuple, sums[deg == d].tolist())):
-                c: complex = 0.0
-                for e1, c1 in self.f.terms.items():
-                    c2 = self.g.terms.get(tuple(a - b for a, b in zip(e, e1)))
-                    if c2 is not None:
-                        c = c + c1 * c2
-                if abs(c) > PRUNE:
-                    return int(d)
-        return 0
+        """Largest total degree of f * g. It sits on a vertex of the
+        product's Newton polytope, whose coefficient is the single product
+        f_a g_b and so cannot cancel."""
+        return int(np.abs(self.sums).sum(axis=-1).max(initial=0))
 
     def against(self, p: AWParams, n_axes: int, M: int, k: int | None,
                 axis_factor: np.ndarray | None = None) -> tuple[complex, float]:
@@ -362,7 +358,7 @@ def torus_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
     if pair.nvars != p.n:
         raise LengthMismatch("grid has wrong number of axes")
     value, err = pair.against(p, p.n, M, None)
-    return MeasureReport(value, err, M, 0, 0)
+    return MeasureReport(value, err, M, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +384,8 @@ def _wd_prefactor(tau0: complex, tau1: complex, tau2: complex,
 def _wd_from_prefactor(val: complex, i: int, tau0: complex, tau1: complex,
                        tau2: complex, tau3: complex, q: float) -> complex:
     """w_d(tau0 q^i; tau0) from its prefactor val: the i-dependent factors.
-    Each denominator factor 1 - x q^j is tested on its own."""
+    Each denominator factor 1 - x q^j is tested on its own; NonFiniteWeight
+    if the i-dependent products overflow."""
     num_i = qpoch_finite(tau0 ** 2, q, i)
     den_i = qpoch_finite(q, q, i)
     try:
@@ -399,7 +396,13 @@ def _wd_from_prefactor(val: complex, i: int, tau0: complex, tau1: complex,
         raise PoleInWeight("vanishing denominator in w_d i-factor") from exc
     val *= num_i / den_i
     val *= (1.0 - tau0 ** 2 * q ** (2 * i)) / (1.0 - tau0 ** 2)
-    val *= (q / (tau0 * tau1 * tau2 * tau3)) ** i
+    try:
+        val *= (q / (tau0 * tau1 * tau2 * tau3)) ** i
+    except OverflowError:
+        val = math.nan
+    if not cmath.isfinite(val):
+        raise NonFiniteWeight(f"w_d overflows at offset {i} of the chain "
+                              f"starting at tau0 = {tau0}")
     return val
 
 
@@ -497,37 +500,28 @@ def _large_params(p: AWParams) -> List[int]:
     return idx
 
 
-def support_D(i_param: int, r: int, p: AWParams,
-              depth: int = 64) -> List[Tuple[int, ...]]:
-    """Ascending labels nu of D_i(r): all chains with every support value
-    off the closed unit disk. Empty when |t_i| < 1."""
+def support_D(i_param: int, r: int, p: AWParams) -> List[Tuple[int, ...]]:
+    """Ascending labels nu of D_i(r), in lexicographic order: all chains
+    with every support value t_i t^(j-1) q^(nu_j) off the closed unit
+    disk. Empty when |t_i| <= 1. SlowConvergence when a chain position
+    holds more than MAX_CHAIN support values."""
     ti = abs(p.tvec[i_param])
-    if ti < 1.0 or r == 0:
-        return [()] if r == 0 else []
-    out: List[Tuple[int, ...]] = []
-
-    def ok(jpos: int, nj: int) -> bool:
-        return ti * p.t ** (jpos - 1) * p.q ** nj > 1.0
-
-    def rec(prefix: List[int]):
-        jpos = len(prefix) + 1
-        lo = prefix[-1] if prefix else 0
-        for nj in range(lo, depth + 1):
-            if not ok(jpos, nj):
-                break
-            prefix.append(nj)
-            if len(prefix) == r:
-                out.append(tuple(prefix))
-            else:
-                rec(prefix)
-            prefix.pop()
-
-    rec([])
-    out.sort()
+    out: List[Tuple[int, ...]] = [()]
+    for j in range(r):
+        # position j + 1 of the chain holds the labels nu < end
+        end = 0
+        while ti * p.t ** j * p.q ** end > 1.0:
+            end += 1
+            if end > MAX_CHAIN:
+                raise SlowConvergence(
+                    f"the chain of t_{i_param} = {p.tvec[i_param]} holds "
+                    f"more than {MAX_CHAIN} support values")
+        out = [nu + (k,) for nu in out
+               for k in range(nu[-1] if nu else 0, end)]
     return out
 
 
-def support_F(r: int, p: AWParams, depth: int = 64) -> List[DiscreteSupportPoint]:
+def support_F(r: int, p: AWParams) -> List[DiscreteSupportPoint]:
     """All points of F(r), enumerated lexicographically in (split, nu, nu')."""
     large = _large_params(p)
     i_param = large[0] if large else 0
@@ -535,8 +529,9 @@ def support_F(r: int, p: AWParams, depth: int = 64) -> List[DiscreteSupportPoint
     out: List[DiscreteSupportPoint] = []
     for l in range(r + 1):
         m = r - l
-        for nu in support_D(i_param, l, p, depth):
-            for nup in support_D(j_param, m, p, depth):
+        nups = support_D(j_param, m, p)
+        for nu in support_D(i_param, l, p):
+            for nup in nups:
                 wi = tuple(_rho(p, i_param, j) * p.q ** nu[j - 1]
                            for j in range(1, l + 1))
                 wj = tuple(_rho(p, j_param, j) * p.q ** nup[j - 1]
@@ -549,7 +544,7 @@ def support_F(r: int, p: AWParams, depth: int = 64) -> List[DiscreteSupportPoint
 # ---------------------------------------------------------------------------
 # partially discrete bilinear form
 
-def _chain_table(p: AWParams, M: int, depth: int) -> list:
+def _chain_table(p: AWParams, M: int) -> list:
     """[(r, point, weight, row), ...] over every point of F(r), r = 1..n:
     the point's z-independent weight and, for r < n, its delta_c row over
     the M-point grid axis (None for r = n). Each distinct factor is
@@ -591,7 +586,7 @@ def _chain_table(p: AWParams, M: int, depth: int) -> list:
         return val * c
 
     points = [(r, pt) for r in range(1, p.n + 1)
-              for pt in support_F(r, p, depth)]
+              for pt in support_F(r, p)]
     ws = list(dict.fromkeys(w for r, pt in points if r < p.n
                             for w in pt.omega))
     rows = dict(zip(ws, _interaction_c_rows(ws, _grid_axes(M), p)))
@@ -602,7 +597,7 @@ def _chain_table(p: AWParams, M: int, depth: int) -> list:
 
 
 def partial_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
-                     M: int, depth: int = 64) -> MeasureReport:
+                     M: int) -> MeasureReport:
     """The partially discrete bilinear form on the positive-measure domain:
     torus term plus discrete-chain corrections over F(r), r = 1..n."""
     n = p.n
@@ -612,7 +607,7 @@ def partial_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
     err = base.abs_error_estimate
     mass = abs(base.value)
     npoints = 0
-    for r, pt, w_disc, vec in _chain_table(p, M, depth):
+    for r, pt, w_disc, vec in _chain_table(p, M):
         comb = 2 ** r * math.factorial(n) // math.factorial(n - r)
         fz = f.substitute_prefix(list(pt.omega))
         gz = g.substitute_prefix(list(pt.omega))
@@ -634,7 +629,7 @@ def partial_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
     # noise of the individual contributions
     if check_positive and abs(complex(total).imag) > 1e-9 * max(1e-300, mass):
         raise NonPositiveWeight("bilinear form value has an imaginary part")
-    return MeasureReport(total, err, M, npoints, depth)
+    return MeasureReport(total, err, M, npoints)
 
 
 # ---------------------------------------------------------------------------
@@ -714,4 +709,4 @@ def natural_t_bilinear(f: LaurentPolynomial, g: LaurentPolynomial,
                 err += comb * abs(wdisc) * e
         if r == 0 and not large:
             break
-    return MeasureReport(total, err, M, npoints, 0)
+    return MeasureReport(total, err, M, npoints)

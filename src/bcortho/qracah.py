@@ -123,12 +123,11 @@ def weight_qR(nu: Sequence[int], p) -> complex:
     return val
 
 
-def kr_constant(r: int, p, check: bool = True) -> complex:
+def kr_constant(r: int, p) -> complex:
     """Proportionality constant K_r with Delta^(d) = K_r Delta^qR.
 
-    Evaluates the closed-form product; when check is set, also evaluates
-    the defining residue-product form and raises FormMismatch if the two
-    disagree."""
+    Evaluates the closed-form product and the defining residue-product
+    form, and raises FormMismatch if the two disagree."""
     q, t = p.q, p.t
     tv = (p.t0, p.t1, p.t2, p.t3)
     closed: complex = 1.0
@@ -145,25 +144,24 @@ def kr_constant(r: int, p, check: bool = True) -> complex:
         if abs(den) < POLE_GUARD * max(1.0, abs(num)):
             raise PoleInWeight(f"K_r denominator vanishes at i={i}")
         closed *= num / den
-    if check:
-        resid: complex = 1.0
-        for i in range(1, r + 1):
-            rho = _rho(p, i)
-            num = qpoch_infinite(rho ** -2, q)
-            den = qpoch_infinite(q, q)
-            for tk in tv[1:]:
-                den *= qpoch_infinite(rho * tk, q)
-                den *= qpoch_infinite(tk / rho, q)
-            resid *= num / den
-        for k in range(1, r + 1):
-            for l in range(k + 1, r + 1):
-                rk, rl = _rho(p, k), _rho(p, l)
-                resid *= qpoch_real(rl / rk, q, t)
-                resid *= qpoch_real(1.0 / (rk * rl), q, t)
-        scale = max(abs(closed), abs(resid), 1e-300)
-        if abs(closed - resid) > FORM_TOL * scale:
-            raise FormMismatch(
-                f"K_{r} forms disagree: {closed} vs {resid}")
+    resid: complex = 1.0
+    for i in range(1, r + 1):
+        rho = _rho(p, i)
+        num = qpoch_infinite(rho ** -2, q)
+        den = qpoch_infinite(q, q)
+        for tk in tv[1:]:
+            den *= qpoch_infinite(rho * tk, q)
+            den *= qpoch_infinite(tk / rho, q)
+        resid *= num / den
+    for k in range(1, r + 1):
+        for l in range(k + 1, r + 1):
+            rk, rl = _rho(p, k), _rho(p, l)
+            resid *= qpoch_real(rl / rk, q, t)
+            resid *= qpoch_real(1.0 / (rk * rl), q, t)
+    scale = max(abs(closed), abs(resid), 1e-300)
+    if abs(closed - resid) > FORM_TOL * scale:
+        raise FormMismatch(
+            f"K_{r} forms disagree: {closed} vs {resid}")
     return closed
 
 

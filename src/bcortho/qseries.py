@@ -61,11 +61,11 @@ def qpoch_finite(a: complex, q: float, k: int,
     return prod
 
 
-def qpoch_infinite(a: complex, q: float, rel_tol: float = EPS_TRUNC,
+def qpoch_infinite(a: complex, q: float,
                    require_nonzero: bool = False) -> complex:
     """Infinite q-shifted factorial (a;q)_inf = prod_{j>=0} (1 - a q^j).
 
-    The product is truncated at the first j with |a| q^j < rel_tol; the
+    The product is truncated at the first j with |a| q^j < EPS_TRUNC; the
     discarded tail changes the value by a relative amount of that order.
 
     Parameters
@@ -75,12 +75,10 @@ def qpoch_infinite(a: complex, q: float, rel_tol: float = EPS_TRUNC,
         pole guard (a = q^{-m} for some m >= 0), instead of returning a
         value that is exactly or nearly zero.
     """
-    if rel_tol <= 0:
-        raise DomainViolation("rel_tol must be positive")
     prod: complex = 1.0
     aq = a
     mag = abs(a)
-    while mag >= rel_tol:
+    while mag >= EPS_TRUNC:
         f = 1.0 - aq
         if require_nonzero and abs(f) < POLE_GUARD:
             raise ZeroProduct(f"(a;q)_inf vanishes: factor 1 - {aq} ~ 0")

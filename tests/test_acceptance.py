@@ -20,6 +20,8 @@ from bcortho.askey_wilson import (
     aw_norm,
     aw_polynomials,
     gustafson_constant,
+    limit_scan,
+    measure_scan,
 )
 from bcortho.bcpoly import (
     LaurentPolynomial,
@@ -35,8 +37,7 @@ from bcortho.big import (
     bilinear_big,
     c_weights,
     c_weights_defining,
-    limit_scan_big,
-    measure_constant_big,
+    big_limit,
     selberg_big,
     selberg_big_qk,
 )
@@ -44,9 +45,8 @@ from bcortho.koornwinder import op_matrix
 from bcortho.little import (
     LittleParams,
     bilinear_little,
-    limit_scan_little,
+    little_limit,
     little_polynomials,
-    measure_constant_little,
     norm_little,
     selberg_little,
 )
@@ -275,7 +275,7 @@ class TestBigIdentities:
             a = rng.uniform(-0.9 * c / (d * q), 0.9 / q)
             b = rng.uniform(-0.9 * d / (c * q), 0.9 / q)
             bp = BigParams(n, q, t, a, b, c, d)
-            got = c_weights(bp, check=False)
+            got = c_weights(bp)
             want = c_weights_defining(bp)
             for x, y in zip(got, want):
                 assert abs(x - y) <= 1e-9 * max(abs(x), abs(y))
@@ -327,7 +327,7 @@ class TestLimitTransitions:
                                        ((1, 1), 2), ((2, 0), 2)])
     def test_little_coefficients(self, lam, n):
         lp = self.LP1 if n == 1 else self.LP2
-        self.check_table(limit_scan_little(lam, lp, 15))
+        self.check_table(limit_scan(little_limit(lp), lam, 15))
 
     @pytest.mark.parametrize("lam,n", [((2,), 1), ((1, 0), 2),
                                        ((1, 1), 2), ((2, 0), 2)])
@@ -335,14 +335,14 @@ class TestLimitTransitions:
         # beyond k = 11 the deformed operator data grows like eps^{-2}
         # and rounding noise overtakes the geometric convergence
         bp = self.BP1 if n == 1 else self.BP2
-        self.check_table(limit_scan_big(lam, bp, 11))
+        self.check_table(limit_scan(big_limit(bp), lam, 11))
 
     def test_little_measure_constant(self):
-        rows = measure_constant_little((1, 0), (0, 0), self.LP2, 12)
+        rows = measure_scan(little_limit(self.LP2), (1, 0), (0, 0), 12, 64)
         assert rows[-1][2] < 1e-3
 
     def test_big_measure_constant(self):
-        rows = measure_constant_big((1, 0), (0, 0), self.BP2, 11)
+        rows = measure_scan(big_limit(self.BP2), (1, 0), (0, 0), 11, 64)
         assert rows[-1][2] < 1e-3
 
 

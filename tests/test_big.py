@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+from bcortho.askey_wilson import limit_scan
 from bcortho.bcpoly import LaurentPolynomial, monomial_s
 from bcortho.errors import DomainViolation
 from bcortho.big import (
+    FORM_TOL,
     BigParams,
     askey_evans_lhs,
     askey_evans_rhs,
@@ -15,8 +17,9 @@ from bcortho.big import (
     aw_params_big,
     big_polynomials,
     bilinear_big,
+    big_limit,
     c_weights,
-    limit_scan_big,
+    c_weights_defining,
     norm_big,
     selberg_big,
     selberg_big_qk,
@@ -81,7 +84,9 @@ class TestCWeights:
         # base-constant-times-Psi_t form, at random admissible points
         rng = random.Random(7)
         for _ in range(10):
-            c_weights(random_vb(rng, rng.choice([1, 2, 3])), check=True)
+            bp = random_vb(rng, rng.choice([1, 2, 3]))
+            for got, want in zip(c_weights(bp), c_weights_defining(bp)):
+                assert abs(got - want) <= FORM_TOL * max(abs(got), abs(want))
 
     @pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (2, 2), (3, 1)])
     def test_qk_closed_form(self, n, k):
@@ -248,11 +253,11 @@ class TestLimit:
                           0.5 * BP1.a * rdc, -0.5 * BP1.b * rcd)
 
     def test_scan_zero_partition(self):
-        rows = limit_scan_big((0,), BP1, 3)
+        rows = limit_scan(big_limit(BP1), (0,), 3)
         assert all(dev == 0.0 for _k, _e, dev in rows)
 
     def test_scan_decreasing(self):
-        rows = limit_scan_big((1,), BP1, 12)
+        rows = limit_scan(big_limit(BP1), (1,), 12)
         devs = [dev for _k, _e, dev in rows]
         assert devs[-1] < 1e-4
         assert all(b < a for a, b in zip(devs[4:-1], devs[5:]))

@@ -329,6 +329,25 @@ def test_default_suite_check_names(suite):
     assert [c.name for c in report.checks] == CHECK_NAMES[suite]
 
 
+def test_configuration_keys():
+    # a new option shows up here as a test change
+    assert cli.INT_KEYS | cli.FLOAT_KEYS | cli.STR_KEYS == {
+        "n", "lmax", "N", "M", "kmax", "seed",
+        "q", "t", "t0", "t1", "t2", "t3", "a", "b", "c", "d", "tol",
+        "suite", "out", "format"}
+
+
+def test_no_depth_option(tmp_path, capsys):
+    # chains end where their support ends; there is no cap to set
+    with pytest.raises(SystemExit) as exc:
+        main(["--suite", "limits", "--depth", "5"])
+    assert exc.value.code == 2
+    cfgfile = tmp_path / "cfg"
+    cfgfile.write_text("suite=limits\ndepth=5\n")
+    assert main(["--config", str(cfgfile)]) == 2
+    assert "unknown configuration key 'depth'" in capsys.readouterr().err
+
+
 @functools.lru_cache(maxsize=None)
 def seeded_checks(suite: str, seed: int) -> tuple:
     """The checks of a default suite run at seed, without wall times."""

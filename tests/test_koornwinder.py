@@ -12,7 +12,6 @@ from bcortho.bcpoly import LaurentPolynomial, monomial_w, partitions_dominated_b
 from bcortho.errors import NearPole
 from bcortho.koornwinder import (
     apply_D,
-    eigen_separation,
     eigenvalue_E,
     op_matrix,
     phi_minus,
@@ -129,9 +128,6 @@ class TestEigenvalue:
         q, t = P2.q, P2.t
         want = P2.T / q * t ** 2 * (q - 1) + (1 / q - 1)
         assert eigenvalue_E((1, 0), P2) == pytest.approx(want)
-
-    def test_separation_positive(self):
-        assert eigen_separation((2, 1), P2) > 1e-8
 
 
 class TestOpMatrix:

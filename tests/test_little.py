@@ -4,13 +4,14 @@ import math
 
 import pytest
 
+from bcortho.askey_wilson import limit_scan
 from bcortho.bcpoly import LaurentPolynomial, monomial_s
 from bcortho.errors import DomainViolation
 from bcortho.little import (
     LittleParams,
     aw_params_little,
     bilinear_little,
-    limit_scan_little,
+    little_limit,
     little_polynomials,
     norm_little,
     selberg_little,
@@ -146,11 +147,11 @@ class TestLimit:
             aw_params_little(0.5, lp)
 
     def test_scan_zero_partition(self):
-        rows = limit_scan_little((0,), LP1, 3)
+        rows = limit_scan(little_limit(LP1), (0,), 3)
         assert all(dev == 0.0 for _k, _e, dev in rows)
 
     def test_scan_decreasing(self):
-        rows = limit_scan_little((1,), LP1, 15)
+        rows = limit_scan(little_limit(LP1), (1,), 15)
         devs = [dev for _k, _e, dev in rows]
         assert devs[-1] < 1e-4
         assert all(b < a for a, b in zip(devs[4:-1], devs[5:]))

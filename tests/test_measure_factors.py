@@ -116,7 +116,7 @@ class TestSlabMoments:
 class TestChainTables:
     @pytest.mark.parametrize("p, M", [(PC3, 32), (PK2, 32)])
     def test_weights_equal_scalar_oracles(self, p, M):
-        table = measures._chain_table(p, M, 64)
+        table = measures._chain_table(p, M)
         assert [(r, pt) for r, pt, _w, _row in table] == [
             (r, pt) for r in range(1, p.n + 1) for pt in support_F(r, p)]
         zvals = measures._grid_axes(M)
@@ -149,7 +149,7 @@ class TestChainTables:
             starts, measures._wd_prefactor))
         monkeypatch.setattr(measures, "_wd_from_prefactor", counted(
             weights, measures._wd_from_prefactor))
-        measures._chain_table(PC3, 32, 64)
+        measures._chain_table(PC3, 32)
         # every chain start once, although most carry several points
         assert starts and len(starts) == len(set(starts))
         assert len(weights) > len(starts)

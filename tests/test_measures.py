@@ -10,9 +10,15 @@ import pytest
 from bcortho import measures, qseries
 from bcortho.askey_wilson import aw_polynomials, gustafson_constant
 from bcortho.bcpoly import LaurentPolynomial, monomial_w
-from bcortho.errors import DomainViolation, NearPole
+from bcortho.errors import (
+    DomainViolation,
+    NearPole,
+    NonFiniteWeight,
+    SlowConvergence,
+)
 from bcortho.koornwinder import op_matrix
 from bcortho.measures import (
+    MAX_CHAIN,
     interaction_c,
     multi_discrete_weight,
     natural_t_bilinear,
@@ -215,6 +221,21 @@ class TestSupports:
         with pytest.raises(DomainViolation):
             support_F(1, p)
 
+    def test_long_chain_runs_to_its_end(self):
+        # 67 support values t0 q^nu > 1, past the old cap of 64 labels
+        p = AWParams(1, 0.97, 0.3, 0.97 ** -66.5, 0.1, -0.1, 0.05)
+        assert support_D(0, 1, p) == [(nu,) for nu in range(67)]
+        rep = partial_bilinear(ONE1, ONE1, p, 64)
+        assert rep.discrete_points_used == 67
+        assert rel(rep.value, gustafson_constant(p)) < 1e-13
+
+    def test_chain_past_cap_raises(self):
+        p = AWParams(1, 0.97, 0.3, 0.97 ** -(MAX_CHAIN - 0.5), 0.1, -0.1,
+                     0.05)
+        assert len(support_D(0, 1, p)) == MAX_CHAIN
+        with pytest.raises(SlowConvergence):
+            support_D(0, 1, p.replace_t0(0.97 ** -(MAX_CHAIN + 0.5)))
+
 
 class TestPartialBilinear:
     def test_reduces_to_torus(self):
@@ -235,6 +256,15 @@ class TestPartialBilinear:
     def test_constant_term_two_chains_n2(self):
         rep = partial_bilinear(ONE2, ONE2, PDD2, 320)
         assert rel(rep.value, gustafson_constant(PDD2)) < 1e-7
+
+    def test_residue_weight_overflow_is_typed(self):
+        # the i-dependent products of w_d overflow to NaN from offset 48
+        # of 67, and (q / (t0 t1 t2 t3))^i raises OverflowError from 52 on
+        p = AWParams(1, 0.95, 0.3, 0.95 ** -66.5, 5e-3, -3e-3, 2e-3)
+        with pytest.raises(NonFiniteWeight, match="offset 48"):
+            partial_bilinear(ONE1, ONE1, p, 128)
+        with pytest.raises(NonFiniteWeight, match="offset 52"):
+            wd_residue_weight(52, p.t0, p.t1, p.t2, p.t3, p.q)
 
     def test_symmetry_and_positivity(self):
         rng = random.Random(3)

@@ -102,7 +102,7 @@ class TestBigTable:
     @pytest.mark.parametrize("branch", ["real", "conjugate"])
     def test_weights_match_scalar(self, n, branch):
         bp = big_params(n, branch)
-        cw = c_weights(bp, check=False)
+        cw = c_weights(bp)
         table = big._node_table(bp)
         assert len(table) == n + 1
         compared = 0
