@@ -44,6 +44,7 @@ from .bcpoly import (
 )
 from .errors import (
     DomainViolation,
+    NonFiniteWeight,
     PoleInTheta,
     SlowConvergence,
     ZeroProduct,
@@ -372,7 +373,8 @@ def selberg_big_qk(bp: BigParams) -> float:
 def asymptotic_ratio(j: int, lam: Sequence[int], mu: Sequence[int],
                      bp: BigParams, L: int) -> float:
     """Ratio of c_{B,j} Delta^B at z+(L) to c_{B,j-1} Delta^B at z-(L):
-    the two ways a chain coordinate can vanish. Tends to 1 as L grows."""
+    the two ways a chain coordinate can vanish. Tends to 1 as L grows.
+    NonFiniteWeight when either weight is not finite."""
     if not 1 <= j <= bp.n:
         raise DomainViolation(f"j must be in 1..n, got {j}")
     if len(lam) != j - 1 or len(mu) != bp.n - j:
@@ -382,6 +384,8 @@ def asymptotic_ratio(j: int, lam: Sequence[int], mu: Sequence[int],
     zm = support_point(j - 1, tuple(lam), tuple(mu) + (L,), bp)
     num = cw[j] * weight_big(zp, bp)
     den = cw[j - 1] * weight_big(zm, bp)
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise NonFiniteWeight(f"split weights {num}, {den} at L = {L}")
     if abs(den) < 1e-300:
         raise DomainViolation("vanishing comparison weight")
     return num / den

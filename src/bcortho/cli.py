@@ -440,10 +440,12 @@ def _suite_big(cfg: SuiteConfig, report: CertificationReport) -> None:
                _tol(cfg, 1e-7), askey_evans_translated)
 
     def asym() -> Tuple[float, float]:
+        # the ratios tend to 1 like q^L: compare where q^L = tol / 1000
+        L = math.ceil(math.log(_tol(cfg, 1e-5) / 1000) / math.log(bp.q))
         worst = 0.0
         for j in range(1, bp.n + 1):
             ratio = asymptotic_ratio(j, (0,) * (j - 1), (0,) * (bp.n - j),
-                                     bp, 25)
+                                     bp, L)
             worst = max(worst, abs(ratio - 1.0))
         return worst, 0.0
 

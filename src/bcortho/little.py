@@ -49,6 +49,7 @@ from .errors import (
     SlowConvergence,
     ZeroProduct,
 )
+from .measures import _chain_labels, _label_weights
 from .params import CACHE_SIZE, AWParams
 from .qseries import (
     EPS_TRUNC,
@@ -157,13 +158,10 @@ def _jackson_table(parts: Callable[[int], list], n: int, q: float, t: float,
     while True:
         table, mass = [], np.zeros(S + 1)
         for chains, z, a, const in parts(S):
-            nu = _chain_labels(chains, S)
+            nu = _chain_labels(chains, [S + 1] * n, S)
             chain = np.repeat(np.arange(len(chains)), chains)
-            w = const * np.prod(np.take_along_axis(a, nu, axis=1), axis=0)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    w *= _pair_factors(z[i], z[j], chain[i] == chain[j], q,
-                                       t)[nu[i], nu[j]]
+            w = _label_weights(nu, const, a, lambda i, j: _pair_factors(
+                z[i], z[j], chain[i] == chain[j], q, t))
             bad = np.flatnonzero(~np.isfinite(w))
             if bad.size:
                 r = bad[0]
@@ -202,24 +200,6 @@ def _pair_factors(zi: np.ndarray, zj: np.ndarray, same_chain: bool,
     out = np.full((S + 1, S + 1), np.nan)
     out[u, v] = _delta_qJ_rows(np.column_stack([zi[u], zj[v]]), q, t)
     return out
-
-
-def _chain_labels(chains: Sequence[int], S: int) -> np.ndarray:
-    """Every label nu with |nu| <= S that ascends within each chain (of
-    the given lengths, in axis order), as the columns of an int16 array:
-    row i holds axis i."""
-    cols: List[np.ndarray] = []
-    total = np.zeros(1, dtype=int)
-    for length in chains:
-        for k in range(length):
-            lo = cols[-1] if k else np.zeros(len(total), dtype=int)
-            count = np.maximum(S - total - lo + 1, 0)
-            rows = np.repeat(np.arange(len(total)), count)
-            step = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count,
-                                                    count)
-            cols = [c[rows] for c in cols] + [lo[rows] + step]
-            total = total[rows] + cols[-1]
-    return np.array(cols, dtype=np.int16)
 
 
 def delta_qJ(z: Sequence[float], q: float, t: float) -> float:

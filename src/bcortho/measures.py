@@ -2,7 +2,7 @@
 
 Continuous torus measure with density Delta = prod w_c(z_j) * delta(z;t),
 residue-derived discrete weights (w_d, Delta^(d), delta_d, delta_c), the
-discrete support sets D_i(r) and F(r), the partially discrete bilinear
+node tables of the discrete support F(r), the partially discrete bilinear
 form that mixes (n-r)-torus integration with r-point discrete chains, and
 its rewrite for natural deformation parameter t = q^k.
 
@@ -26,15 +26,15 @@ CACHE_SIZE most recently used of each. The partially discrete forms
 carry a per-point interaction factor on every axis, which is folded
 into the Vandermonde matrix instead of into the grid.
 
-The discrete supports are never truncated: each chain of D_i(r) runs to
-the last support value off the closed unit disk, and a chain of more
-than MAX_CHAIN points raises SlowConvergence instead. The discrete part
-of the partially discrete form is tabulated once per call: every
-support point of F(r) with its weight and, for r < n, its
-delta_c row over the grid axis. Within that table the w_d prefactor of
-each chain start tau0 and Delta^(d) of each label nu are computed once,
-and all delta_c rows are evaluated in one batch. The table is not
-cached: each measure is paired once.
+The discrete supports are never truncated: each chain position runs to
+the last support value off the closed unit disk (SlowConvergence past
+MAX_CHAIN values). The discrete part of the partially discrete form is
+one uncached node table per split of F(r), built as the little and big
+q-Jacobi tables are: by Delta^(d) = K_r Delta^qR a weight is K_l K_m
+times the Delta^qR one-axis and in-chain pair factors, cumulative
+products of per-step ratios that neither underflow nor overflow on long
+chains, times the cross-chain delta_c factors. The scalar residue forms
+stay as the references.
 """
 
 from __future__ import annotations
@@ -66,11 +66,13 @@ from .qseries import (
     qpoch_infinite,
     qpoch_infinite_arr,
     qpoch_real,
+    qpoch_real_arr,
 )
+from .qracah import kr_constant
 
 POLE_GUARD = 1e-12
 TORUS_GUARD = 1e-9
-# support_D follows a chain of residues for at most this many points
+# a chain position holds at most this many support values
 MAX_CHAIN = 256
 
 
@@ -82,31 +84,6 @@ class MeasureReport:
     abs_error_estimate: float
     quadrature_points_per_axis: int
     discrete_points_used: int
-
-
-@dataclass(frozen=True)
-class DiscreteSupportPoint:
-    """One point of F(r): two ascending chains, one per large parameter.
-
-    nu labels the chain of parameter index i_param (length l), nu_prime
-    the chain of j_param (length m), l + m = r. omega_i/omega_j hold the
-    actual support values t_param * t^{p-1} * q^{nu_p}.
-    """
-
-    i_param: int
-    j_param: int
-    nu: Tuple[int, ...]
-    nu_prime: Tuple[int, ...]
-    omega_i: Tuple[complex, ...]
-    omega_j: Tuple[complex, ...]
-
-    @property
-    def omega(self) -> Tuple[complex, ...]:
-        return self.omega_i + self.omega_j
-
-    @property
-    def r(self) -> int:
-        return len(self.nu) + len(self.nu_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +339,19 @@ def torus_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
 
 
 # ---------------------------------------------------------------------------
-# discrete weights
+# discrete weights: the scalar residue forms
 
-def _wd_prefactor(tau0: complex, tau1: complex, tau2: complex,
-                  tau3: complex, q: float) -> complex:
-    """The part of w_d(tau0 q^i; tau0) that does not depend on i:
-    (tau0^-2;q)_inf / (q, tau0 tk, tk / tau0;q)_inf over k = 1, 2, 3."""
+def wd_residue_weight(i: int, tau0: complex, tau1: complex, tau2: complex,
+                      tau3: complex, q: float) -> complex:
+    """Residue weight w_d(tau0 q^i; tau0): the mass that the pole chain of
+    parameter tau0 deposits at tau0 q^i; each denominator factor is
+    tested on its own. A scalar reference: far along a long chain its
+    separate i-dependent products underflow to 0 or overflow
+    (NonFiniteWeight) where the weight is finite."""
     if abs(1.0 - tau0 * tau0) < POLE_GUARD:
         raise PoleInWeight("1 - tau0^2 vanishes")
-    num = qpoch_infinite(tau0 ** -2, q)
+    num_i = qpoch_finite(tau0 ** 2, q, i)
+    den_i = qpoch_finite(q, q, i)
     try:
         den: complex = qpoch_infinite(q, q, require_nonzero=True)
         for tk in (tau1, tau2, tau3):
@@ -378,16 +359,7 @@ def _wd_prefactor(tau0: complex, tau1: complex, tau2: complex,
             den *= qpoch_infinite(tk / tau0, q, require_nonzero=True)
     except ZeroProduct as exc:
         raise PoleInWeight("vanishing denominator in w_d prefactor") from exc
-    return num / den
-
-
-def _wd_from_prefactor(val: complex, i: int, tau0: complex, tau1: complex,
-                       tau2: complex, tau3: complex, q: float) -> complex:
-    """w_d(tau0 q^i; tau0) from its prefactor val: the i-dependent factors.
-    Each denominator factor 1 - x q^j is tested on its own; NonFiniteWeight
-    if the i-dependent products overflow."""
-    num_i = qpoch_finite(tau0 ** 2, q, i)
-    den_i = qpoch_finite(q, q, i)
+    val = qpoch_infinite(tau0 ** -2, q) / den
     try:
         for tk in (tau1, tau2, tau3):
             num_i *= qpoch_finite(tau0 * tk, q, i)
@@ -404,14 +376,6 @@ def _wd_from_prefactor(val: complex, i: int, tau0: complex, tau1: complex,
         raise NonFiniteWeight(f"w_d overflows at offset {i} of the chain "
                               f"starting at tau0 = {tau0}")
     return val
-
-
-def wd_residue_weight(i: int, tau0: complex, tau1: complex, tau2: complex,
-                      tau3: complex, q: float) -> complex:
-    """Residue weight w_d(tau0 q^i; tau0): the mass that the pole chain of
-    parameter tau0 deposits at tau0 q^i."""
-    return _wd_from_prefactor(_wd_prefactor(tau0, tau1, tau2, tau3, q),
-                              i, tau0, tau1, tau2, tau3, q)
 
 
 def _rho(p: AWParams, which: int, j: int) -> complex:
@@ -447,22 +411,14 @@ def delta_d(nu: Sequence[int], p: AWParams, which: int) -> complex:
 def multi_discrete_weight(nu: Sequence[int], p: AWParams,
                           which: int = 0) -> complex:
     """Delta^(d) of one ascending chain labelled nu for parameter t_which:
-    product of shifted one-variable residue weights times delta_d."""
-    o1, o2, o3 = _others(p, which)
-    return _label_weight(nu, p, which, lambda i, tau0: wd_residue_weight(
-        i, tau0, o1, o2, o3, p.q))
-
-
-def _label_weight(nu: Sequence[int], p: AWParams, which: int,
-                  wd: Callable[[int, complex], complex]) -> complex:
-    """Delta^(d)(nu) with w_d(tau0 q^i; tau0) = wd(i, tau0): the chain
-    point j contributes the residue weight of its start tau0 = rho_j
-    q^nu_(j-1) at its offset nu_j - nu_(j-1)."""
-    q = p.q
+    the chain point j contributes the residue weight of its start
+    tau0 = rho_j q^nu_(j-1) at its offset nu_j - nu_(j-1); times delta_d."""
+    others = _others(p, which)
     val: complex = 1.0
     prev = 0
     for j, nj in enumerate(nu, start=1):
-        val *= wd(nj - prev, _rho(p, which, j) * q ** prev)
+        val *= wd_residue_weight(nj - prev, _rho(p, which, j) * p.q ** prev,
+                                 *others, p.q)
         prev = nj
     return val * delta_d(nu, p, which)
 
@@ -478,20 +434,52 @@ def interaction_c(omega: Sequence[complex], z: Sequence[complex],
     return val
 
 
-def _interaction_c_rows(ws: Sequence[complex], zvals: np.ndarray,
+def _interaction_c_rows(ws: np.ndarray, xs: np.ndarray,
                         p: AWParams) -> np.ndarray:
-    """delta_c((w,); z) over one axis of grid values, one row per w,
-    evaluated for all rows at once."""
-    w = np.asarray(ws, dtype=complex)[:, None]
-    out = np.ones((len(ws), len(zvals)), dtype=complex)
-    for arg in (w * zvals, w / zvals, zvals / w, 1.0 / (w * zvals)):
-        out *= qpoch_infinite_arr(arg, p.q)
-        out /= qpoch_infinite_arr(arg * p.t, p.q)
+    """delta_c((w,); (x,)) for every w of ws (rows) and x of xs."""
+    w, x = ws[:, None], xs[None, :]
+    out = np.ones((len(ws), len(xs)), dtype=complex)
+    for arg in (w * x, w / x, x / w, 1.0 / (w * x)):
+        out *= qpoch_real_arr(arg, p.q, p.t)
     return out
 
 
 # ---------------------------------------------------------------------------
-# discrete supports
+# chain labels and node weights, shared by every discrete measure
+
+def _chain_labels(chains: Sequence[int], ends: Sequence[int],
+                  S: int) -> np.ndarray:
+    """Every label nu with |nu| <= S and nu_i < ends[i] that ascends
+    within each chain (of the given lengths, in axis order), in
+    lexicographic order, as the columns of an int16 array: row i holds
+    axis i."""
+    cols: List[np.ndarray] = []
+    total = np.zeros(1, dtype=int)
+    starts = [k == 0 for length in chains for k in range(length)]
+    for start, end in zip(starts, ends):
+        lo = np.zeros(len(total), dtype=int) if start else cols[-1]
+        count = np.maximum(np.minimum(S - total, end - 1) - lo + 1, 0)
+        rows = np.repeat(np.arange(len(total)), count)
+        step = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count,
+                                                count)
+        cols = [c[rows] for c in cols] + [lo[rows] + step]
+        total = total[rows] + cols[-1]
+    return np.array(cols, dtype=np.int16)
+
+
+def _label_weights(nu: np.ndarray, const, axis: Sequence[np.ndarray],
+                   pair: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """const prod_i axis[i][nu_i] prod_{i<j} pair(i, j)[nu_i, nu_j] for
+    every label (column) of nu, multiplied in that order."""
+    w = const * np.prod([a[lab] for a, lab in zip(axis, nu)], axis=0)
+    for i in range(len(nu)):
+        for j in range(i + 1, len(nu)):
+            w = w * pair(i, j)[nu[i], nu[j]]
+    return w
+
+
+# ---------------------------------------------------------------------------
+# the partially discrete chain tables
 
 def _large_params(p: AWParams) -> List[int]:
     idx = [i for i, ti in enumerate(p.tvec) if abs(ti) >= 1.0]
@@ -500,101 +488,128 @@ def _large_params(p: AWParams) -> List[int]:
     return idx
 
 
-def support_D(i_param: int, r: int, p: AWParams) -> List[Tuple[int, ...]]:
-    """Ascending labels nu of D_i(r), in lexicographic order: all chains
-    with every support value t_i t^(j-1) q^(nu_j) off the closed unit
-    disk. Empty when |t_i| <= 1. SlowConvergence when a chain position
-    holds more than MAX_CHAIN support values."""
-    ti = abs(p.tvec[i_param])
-    out: List[Tuple[int, ...]] = [()]
-    for j in range(r):
-        # position j + 1 of the chain holds the labels nu < end
+def _chain_ends(p: AWParams, which: int) -> List[int]:
+    """Per chain position j = 0..n-1 of t_which, the number of support
+    values t_which t^j q^nu off the closed unit disk; SlowConvergence past
+    MAX_CHAIN."""
+    ti = abs(p.tvec[which])
+    ends = []
+    for j in range(p.n):
         end = 0
         while ti * p.t ** j * p.q ** end > 1.0:
             end += 1
             if end > MAX_CHAIN:
-                raise SlowConvergence(
-                    f"the chain of t_{i_param} = {p.tvec[i_param]} holds "
-                    f"more than {MAX_CHAIN} support values")
-        out = [nu + (k,) for nu in out
-               for k in range(nu[-1] if nu else 0, end)]
-    return out
+                raise SlowConvergence(f"the chain of t_{which} holds more "
+                                      f"than {MAX_CHAIN} support values")
+        ends.append(end)
+    return ends
 
 
-def support_F(r: int, p: AWParams) -> List[DiscreteSupportPoint]:
-    """All points of F(r), enumerated lexicographically in (split, nu, nu')."""
+def _step_products(num: Sequence[complex], den: Sequence[complex],
+                   scale: complex, q: float, length: int) -> np.ndarray:
+    """prod_x (x;q)_s over num / the same over den, times scale^s, for
+    s < length, as the cumulative product of the per-step ratios."""
+    qs = q ** np.arange(length - 1.0)
+    step = np.full(length - 1, scale, dtype=complex)
+    for x in num:
+        step *= 1.0 - x * qs
+    for x in den:
+        d = 1.0 - x * qs
+        if np.min(np.abs(d), initial=np.inf) < POLE_GUARD:
+            raise PoleInWeight(f"(x;q)_s vanishes for x = {x}")
+        step /= d
+    return np.concatenate([[1.0], np.cumprod(step)])
+
+
+def _qr_axis(pc: AWParams, k: int, end: int) -> np.ndarray:
+    """The one-axis factor of Delta^qR (qracah.weight_qR) at position k of
+    the chain of pc.t0, rho = t0 t^k, for nu < end; its
+    (q rho^2;q)_2nu / (rho^2;q)_2nu telescopes."""
+    q, rho = pc.q, pc.tvec[0] * pc.t ** k
+    r2 = rho * rho
+    return ((1.0 - r2 * q ** (2.0 * np.arange(end))) / (1.0 - r2)
+            * _step_products([tj * rho for tj in pc.tvec],
+                             [q * rho / tj for tj in pc.tvec],
+                             q / (pc.T * pc.t ** (2 * k)), q, end))
+
+
+def _qr_pair(pc: AWParams, k: int, l: int, ek: int, el: int) -> np.ndarray:
+    """The pair factor of Delta^qR for chain positions k < l of pc.t0 over
+    nu_k < ek, nu_l < el: A(nu_k + nu_l) B(nu_l - nu_k) with
+    A(s) = (q x, t x;q)_s / (q x / t, x;q)_s at x = rho_k rho_l, B the same
+    at x = rho_l / rho_k; NaN where nu_k > nu_l."""
+    q, t = pc.q, pc.t
+    rk, rl = pc.tvec[0] * t ** k, pc.tvec[0] * t ** l
+
+    def run(x: complex, length: int) -> np.ndarray:
+        # (q x;q)_s / (x;q)_s telescopes
+        return ((1.0 - x * q ** np.arange(length)) / (1.0 - x)
+                * _step_products([t * x], [q * x / t], 1.0, q, length))
+
+    u, v = np.indices((ek, el))
+    A, B = run(rk * rl, ek + el - 1), run(rl / rk, el)
+    return np.where(v >= u, A[u + v] * B[np.maximum(v - u, 0)], np.nan)
+
+
+def _discrete_table(p: AWParams, M: int) -> list:
+    """One node table per split l + m = r of F(r), r = 1..n, as
+    [(l, nu, omega, w, rows), ...]: the labels nu (one column per label,
+    nu on the chain of t_i in its first l rows, nu' on that of t_j in
+    the other m), their support values omega (one row per label), the
+    weights Delta^(d)(nu) Delta^(d)(nu') delta_c(omega; omega') and, for
+    r < n, the delta_c rows over the grid axis (None for r = n)."""
+    n = p.n
     large = _large_params(p)
     i_param = large[0] if large else 0
     j_param = large[1] if len(large) > 1 else (1 if i_param == 0 else 0)
-    out: List[DiscreteSupportPoint] = []
-    for l in range(r + 1):
-        m = r - l
-        nups = support_D(j_param, m, p)
-        for nu in support_D(i_param, l, p):
-            for nup in nups:
-                wi = tuple(_rho(p, i_param, j) * p.q ** nu[j - 1]
-                           for j in range(1, l + 1))
-                wj = tuple(_rho(p, j_param, j) * p.q ** nup[j - 1]
-                           for j in range(1, m + 1))
-                out.append(DiscreteSupportPoint(
-                    i_param, j_param, nu, nup, wi, wj))
-    return out
+    zvals = _grid_axes(M)
+    # per axis (chain c, position k): support values, one-axis factor and
+    # delta_c rows; per pair of axes: the pair factor matrix
+    ends, K, values, axis, rows, pairs = {}, {}, {}, {}, {}, {}
+    for c in (i_param, j_param):
+        ends[c] = _chain_ends(p, c)
+        live = [k for k in range(n) if ends[c][k]]
+        pc = AWParams(n, p.q, p.t, p.tvec[c], *_others(p, c))
+        K[c] = [kr_constant(r, pc) for r in range(len(live) + 1)]
+        for k in live:
+            values[c, k] = pc.tvec[0] * p.t ** k * p.q ** np.arange(
+                ends[c][k])
+            axis[c, k] = _qr_axis(pc, k, ends[c][k])
+            if k < n - 1:
+                rows[c, k] = _interaction_c_rows(values[c, k], zvals, p)
+            for l in live[:k]:
+                pairs[(c, l), (c, k)] = _qr_pair(pc, l, k, ends[c][l],
+                                                 ends[c][k])
+    for (c, a), (d, b) in iter_product(values, repeat=2):
+        if c == i_param and d == j_param and a + b < n - 1:
+            pairs[(c, a), (d, b)] = _interaction_c_rows(values[c, a],
+                                                        values[d, b], p)
+    table = []
+    for r in range(1, n + 1):
+        for l in range(r + 1):
+            axes = ([(i_param, k) for k in range(l)]
+                    + [(j_param, k) for k in range(r - l)])
+            if not all(ax in values for ax in axes):
+                continue
+            nu = _chain_labels((l, r - l), [ends[c][k] for c, k in axes],
+                               sum(ends[c][k] for c, k in axes))
+            w = _label_weights(nu, K[i_param][l] * K[j_param][r - l],
+                               [axis[ax] for ax in axes],
+                               lambda a, b: pairs[axes[a], axes[b]])
+            bad = np.flatnonzero(~np.isfinite(w))
+            if bad.size:
+                raise NonFiniteWeight(
+                    f"discrete weight {w[bad[0]]} at the label "
+                    f"{nu[:, bad[0]].tolist()} of the split ({l}, {r - l})")
+            omega = np.array([values[ax][lab] for ax, lab in zip(axes, nu)])
+            row = (np.prod([rows[ax][lab] for ax, lab in zip(axes, nu)],
+                           axis=0) if r < n else None)
+            table.append((l, nu, omega.T, w, row))
+    return table
 
 
 # ---------------------------------------------------------------------------
 # partially discrete bilinear form
-
-def _chain_table(p: AWParams, M: int) -> list:
-    """[(r, point, weight, row), ...] over every point of F(r), r = 1..n:
-    the point's z-independent weight and, for r < n, its delta_c row over
-    the M-point grid axis (None for r = n). Each distinct factor is
-    computed once per table: the w_d prefactor per chain start tau0,
-    Delta^(d) per label, the four chain-chain delta_c factors per pair of
-    support values, and the delta_c rows of every support value in one
-    batch."""
-    q = p.q
-    prefactors: Dict[tuple, complex] = {}
-    labels: Dict[tuple, complex] = {}
-    cross: Dict[tuple, tuple] = {}
-
-    def wd(which: int, i: int, tau0: complex) -> complex:
-        others = _others(p, which)
-        if (which, tau0) not in prefactors:
-            prefactors[which, tau0] = _wd_prefactor(tau0, *others, q)
-        return _wd_from_prefactor(prefactors[which, tau0], i, tau0,
-                                  *others, q)
-
-    def label(nu: Tuple[int, ...], which: int) -> complex:
-        if (which, nu) not in labels:
-            labels[which, nu] = _label_weight(
-                nu, p, which, functools.partial(wd, which))
-        return labels[which, nu]
-
-    def weight(pt: DiscreteSupportPoint) -> complex:
-        # multiplied in the order of multi_discrete_weight and
-        # interaction_c
-        val = label(pt.nu, pt.i_param) * label(pt.nu_prime, pt.j_param)
-        c: complex = 1.0
-        for w in pt.omega_i:
-            for x in pt.omega_j:
-                if (w, x) not in cross:
-                    cross[w, x] = tuple(
-                        qpoch_real(arg, q, p.t)
-                        for arg in (w * x, w / x, x / w, 1.0 / (w * x)))
-                for factor in cross[w, x]:
-                    c *= factor
-        return val * c
-
-    points = [(r, pt) for r in range(1, p.n + 1)
-              for pt in support_F(r, p)]
-    ws = list(dict.fromkeys(w for r, pt in points if r < p.n
-                            for w in pt.omega))
-    rows = dict(zip(ws, _interaction_c_rows(ws, _grid_axes(M), p)))
-    return [(r, pt, weight(pt),
-             np.prod([rows[w] for w in pt.omega], axis=0) if r < p.n
-             else None)
-            for r, pt in points]
-
 
 def partial_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
                      M: int) -> MeasureReport:
@@ -607,23 +622,26 @@ def partial_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
     err = base.abs_error_estimate
     mass = abs(base.value)
     npoints = 0
-    for r, pt, w_disc, vec in _chain_table(p, M):
+    for _l, nu, omega, weights, rows in _discrete_table(p, M):
+        r = len(nu)
         comb = 2 ** r * math.factorial(n) // math.factorial(n - r)
-        fz = f.substitute_prefix(list(pt.omega))
-        gz = g.substitute_prefix(list(pt.omega))
-        if vec is None:
-            contrib = fz.coefficient(()) * gz.coefficient(()) * w_disc
-        else:
-            val, e = _Pairing(fz, gz).against(p, n - r, M, None, vec)
-            contrib = w_disc * val
-            err += comb * e * abs(w_disc)
-        if check_positive and abs(contrib) > 0:
-            if abs(complex(w_disc).imag) > 1e-9 * abs(w_disc):
-                raise NonPositiveWeight(
-                    f"discrete weight not real at {pt.nu}/{pt.nu_prime}")
-        total += comb * contrib
-        mass += comb * abs(contrib)
-        npoints += 1
+        for k, (pt, w_disc) in enumerate(zip(omega.tolist(),
+                                             weights.tolist())):
+            fz = f.substitute_prefix(pt)
+            gz = g.substitute_prefix(pt)
+            if rows is None:
+                contrib = fz.coefficient(()) * gz.coefficient(()) * w_disc
+            else:
+                val, e = _Pairing(fz, gz).against(p, n - r, M, None, rows[k])
+                contrib = w_disc * val
+                err += comb * e * abs(w_disc)
+            if check_positive and abs(contrib) > 0:
+                if abs(complex(w_disc).imag) > 1e-9 * abs(w_disc):
+                    raise NonPositiveWeight(
+                        f"discrete weight not real at {nu[:, k].tolist()}")
+            total += comb * contrib
+            mass += comb * abs(contrib)
+            npoints += 1
     # the realness check is scaled by the summed term magnitudes, not the
     # total: orthogonal pairs cancel to a value far below the rounding
     # noise of the individual contributions
@@ -650,19 +668,13 @@ def natural_t_bilinear(f: LaurentPolynomial, g: LaurentPolynomial,
     k = _natural_k(p)
     n = p.n
     q = p.q
-    large = [i for i, ti in enumerate(p.tvec) if abs(ti) > 1.0]
-    _large_params(p)  # domain check
+    large = _large_params(p)
     chains: Dict[int, List[Tuple[complex, complex]]] = {}
     for i in large:
         e = p.tvec[i]
         others = _others(p, i)
-        vals = []
-        m = 0
-        while abs(e) * q ** m > 1.0:
-            vals.append((e * q ** m,
-                         wd_residue_weight(m, e, *others, q)))
-            m += 1
-        chains[i] = vals
+        chains[i] = [(e * q ** m, wd_residue_weight(m, e, *others, q))
+                     for m in range(_chain_ends(p, i)[0])]
     _check_torus_clearance(p)
     zvals = _grid_axes(M)
 

@@ -42,7 +42,8 @@ from .errors import (
     UncancelledPole,
 )
 from .params import CACHE_SIZE, AWParams
-from .qseries import POLE_GUARD, qpoch_finite, qpoch_infinite, qpoch_real
+from .qseries import (POLE_GUARD, qpoch_finite, qpoch_infinite, qpoch_ratio,
+                      qpoch_real)
 
 FORM_TOL = 1e-10
 
@@ -126,24 +127,18 @@ def weight_qR(nu: Sequence[int], p) -> complex:
 def kr_constant(r: int, p) -> complex:
     """Proportionality constant K_r with Delta^(d) = K_r Delta^qR.
 
-    Evaluates the closed-form product and the defining residue-product
-    form, and raises FormMismatch if the two disagree."""
+    Evaluates the closed-form product through qpoch_ratio, which tests
+    each denominator factor on its own (PoleInProduct), and the defining
+    residue-product form, and raises FormMismatch if the two disagree."""
     q, t = p.q, p.t
     tv = (p.t0, p.t1, p.t2, p.t3)
     closed: complex = 1.0
     for i in range(1, r + 1):
         rho = _rho(p, i)
-        num = (qpoch_infinite(rho ** -2, q) * qpoch_infinite(t, q)
-               * qpoch_infinite(p.t0 ** -2 * t ** (2 - i - r), q))
-        den: complex = qpoch_infinite(q, q)
-        for tk in tv[1:]:
-            den *= qpoch_infinite(rho * tk, q)
-            den *= qpoch_infinite(tk / rho, q)
-        den *= qpoch_infinite(t ** i, q)
-        den *= qpoch_infinite(p.t0 ** -2 * t ** (2 - 2 * i), q)
-        if abs(den) < POLE_GUARD * max(1.0, abs(num)):
-            raise PoleInWeight(f"K_r denominator vanishes at i={i}")
-        closed *= num / den
+        closed *= qpoch_ratio(
+            [rho ** -2, t, p.t0 ** -2 * t ** (2 - i - r)],
+            [q] + [x for tk in tv[1:] for x in (rho * tk, tk / rho)]
+            + [t ** i, p.t0 ** -2 * t ** (2 - 2 * i)], q)
     resid: complex = 1.0
     for i in range(1, r + 1):
         rho = _rho(p, i)

@@ -5,8 +5,9 @@ function, the q-gamma function and the quasi-constant Psi_t. All functions
 assume a fixed base 0 < q < 1.
 
 Real exponents tau never enter through complex powers: a factorial
-(a;q)_tau is realized as the ratio (a;q)_inf / (a*t;q)_inf with t = q^tau
-supplied by the caller, so only multiplications by t occur in inner loops.
+(a;q)_tau = (a;q)_inf / (a*t;q)_inf, with t = q^tau supplied by the
+caller, is the product of the factor ratios (1 - a q^j) / (1 - a t q^j),
+so only multiplications by t occur in inner loops.
 """
 
 from __future__ import annotations
@@ -117,19 +118,22 @@ def qpoch_infinite_arr(a: np.ndarray, q: float,
 
 
 def qpoch_real(a: complex, q: float, t: float) -> complex:
-    """q-shifted factorial with real exponent: (a;q)_tau with t = q^tau.
-
-    Defined as (a;q)_inf / (a t;q)_inf. Only the companion value t is
-    used; tau itself never enters.
-    """
+    """q-shifted factorial with real exponent: (a;q)_tau with t = q^tau,
+    the product of the factor ratios (1 - a q^j) / (1 - a t q^j). Only the
+    companion value t is used; tau itself never enters."""
     if not t > 0:
         raise DomainViolation(f"companion value t must be positive, got {t}")
-    num = qpoch_infinite(a, q)
-    try:
-        den = qpoch_infinite(a * t, q, require_nonzero=True)
-    except ZeroProduct as exc:
-        raise PoleAtDenominator(f"(a t;q)_inf vanishes for a={a}, t={t}") from exc
-    return num / den
+    prod: complex = 1.0
+    aq = a
+    mag = abs(a) * max(1.0, t)
+    while mag >= EPS_TRUNC:
+        den = 1.0 - aq * t
+        if abs(den) < POLE_GUARD:
+            raise PoleAtDenominator(f"(a t;q)_inf vanishes for a={a}, t={t}")
+        prod *= (1.0 - aq) / den
+        aq *= q
+        mag *= q
+    return prod
 
 
 def qpoch_real_arr(a: np.ndarray, q: float, t: float) -> np.ndarray:

@@ -238,6 +238,12 @@ class TestAsymptotics:
         for j, lam, mu in [(1, (), (0,)), (1, (), (1,)), (2, (0,), ())]:
             assert abs(asymptotic_ratio(j, lam, mu, BP2, 25) - 1.0) < 1e-5
 
+    def test_large_argument_pair_factor(self):
+        # at L = 50 the delta_qJ factor has |a| ~ q^-50: its two infinite
+        # products overflowed to inf / inf = NaN; the factor ratios do not
+        bp = BigParams(2, 0.5, 0.4, 0.6, 0.3, 1.0, 0.8)
+        assert abs(asymptotic_ratio(1, (), (0,), bp, 50) - 1.0) < 1e-13
+
     def test_monotone_beyond_10(self):
         errs = [abs(asymptotic_ratio(1, (), (0,), BP2, L) - 1.0)
                 for L in (10, 14, 18, 22)]

@@ -7,7 +7,8 @@ from dataclasses import replace
 
 import pytest
 
-from bcortho import cli
+from bcortho import big, cli, measures
+from bcortho.big import BigParams
 from bcortho.cli import (
     SUITES,
     CertificationReport,
@@ -20,7 +21,7 @@ from bcortho.cli import (
     run_suite,
 )
 from bcortho.bcpoly import LaurentPolynomial
-from bcortho.errors import ConfigError, IoError
+from bcortho.errors import ConfigError, IoError, NonFiniteWeight
 
 
 def strip_ms(doc: dict) -> dict:
@@ -165,10 +166,22 @@ class TestMain:
     def test_overflowing_pair_factor(self, tmp_path):
         # q = 0.7 overflowed (a;q)_inf of the cross-chain delta_qJ factor
         # from shell 65 on, and NaN weights reached the orthogonalization
-        # (exit 2); asymptotic-match compares at L = 25, where q^L = 1.3e-4
+        # (exit 2); asymptotic-match compares where q^L = tol / 1000
         out = tmp_path / "r.json"
         assert main(["--suite", "big", "--q", "0.7", "--out",
-                     str(out)]) == 1
+                     str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert "asymptotic-match" in [c["name"] for c in checks]
+        assert all(c["pass"] for c in checks)
+
+    def test_nan_ratio_fails_asymptotic_match(self, tmp_path, monkeypatch):
+        # max(worst, nan) is worst: a NaN ratio must raise, not pass
+        monkeypatch.setattr(big, "weight_big", lambda z, bp: math.nan)
+        with pytest.raises(NonFiniteWeight):
+            big.asymptotic_ratio(1, (), (0,), BigParams(
+                2, 0.5, 0.4, 0.6, 0.3, 1.0, 0.8), 27)
+        out = tmp_path / "r.json"
+        assert main(["--suite", "big", "--out", str(out)]) == 1
         failed = [c["name"] for c in json.loads(out.read_text())["checks"]
                   if not c["pass"]]
         assert failed == ["asymptotic-match"]
@@ -306,6 +319,28 @@ class TestFamilyChecks:
         verdicts = family_verdicts(replace(fam, polynomials=mixed), name)
         assert not verdicts["orthogonality"]
         assert verdicts["constant-term"]
+
+
+class TestPartiallyDiscrete:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_scaled_chain_table_fails(self, n, scaled, monkeypatch):
+        # the discrete part carries 23% (n = 2) and 35% (n = 3) of <1,1>:
+        # every chain weight off by 10 tol moves it by more than tol
+        tol = 1e-6
+        table = measures._discrete_table
+
+        def wrong(p, M):
+            return [(l, nu, omega, w * (1 + 10 * tol), rows)
+                    for l, nu, omega, w, rows in table(p, M)]
+
+        if scaled:
+            monkeypatch.setattr(measures, "_discrete_table", wrong)
+        report = run_suite(build_config({"suite": "selberg", "n": str(n)}))
+        [check] = [c for c in report.checks
+                   if c.name == "partially-discrete"]
+        assert check.tol == tol
+        assert check.passed != scaled
 
 
 # perfbench/run.py keys its expected verdicts on these names

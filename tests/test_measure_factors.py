@@ -3,6 +3,7 @@ tables formed slab by slab against the whole Delta grid, the per-measure
 chain tables against the scalar residue weights, and the per-factor pole
 guards of the chain weights and of the little and big q-Jacobi weights."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from bcortho import big, little, measures
+from bcortho.askey_wilson import gustafson_constant
 from bcortho.big import (
     BigParams,
     askey_evans_rhs,
@@ -39,7 +41,6 @@ from bcortho.measures import (
     delta_d,
     interaction_c,
     multi_discrete_weight,
-    support_F,
     wd_residue_weight,
 )
 from bcortho.params import AWParams
@@ -113,46 +114,90 @@ class TestSlabMoments:
         assert peak < 32 * 2 ** 20
 
 
+def rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+def scalar_weight(p, l, label):
+    """Delta^(d)(nu) Delta^(d)(nu') delta_c(omega; omega') of the label
+    (nu, nu') = (label[:l], label[l:]) from the scalar residue forms."""
+    large = [i for i, ti in enumerate(p.tvec) if abs(ti) >= 1]
+    i, j = large[0], (large[1] if len(large) > 1 else 1)
+    omega = [p.tvec[c] * p.t ** k * p.q ** nu for c, k, nu in zip(
+        [i] * l + [j] * (len(label) - l),
+        list(range(l)) + list(range(len(label) - l)), label)]
+    return (multi_discrete_weight(label[:l], p, i)
+            * multi_discrete_weight(label[l:], p, j)
+            * interaction_c(omega[:l], omega[l:], p))
+
+
 class TestChainTables:
     @pytest.mark.parametrize("p, M", [(PC3, 32), (PK2, 32)])
     def test_weights_equal_scalar_oracles(self, p, M):
-        table = measures._chain_table(p, M)
-        assert [(r, pt) for r, pt, _w, _row in table] == [
-            (r, pt) for r in range(1, p.n + 1) for pt in support_F(r, p)]
+        # the table forms Delta^(d) as K_r Delta^qR from per-step ratios:
+        # the same product as the scalar residue forms, in another order
+        table = measures._discrete_table(p, M)
         zvals = measures._grid_axes(M)
         crossed = 0
-        for r, pt, w, row in table:
-            want = multi_discrete_weight(pt.nu, p, pt.i_param)
-            want *= multi_discrete_weight(pt.nu_prime, p, pt.j_param)
-            want *= interaction_c(pt.omega_i, pt.omega_j, p)
-            assert w == want
-            crossed += bool(pt.omega_i and pt.omega_j)
-            if r == p.n:
-                assert row is None
-                continue
-            oracle = np.array([interaction_c(pt.omega, (z,), p)
-                               for z in zvals])
-            assert np.max(np.abs(row - oracle)) < 1e-13 * np.max(
-                np.abs(oracle))
+        for l, nu, omega, w, rows in table:
+            r = len(nu)
+            for k, label in enumerate(nu.T.tolist()):
+                assert rel(w[k], scalar_weight(p, l, label)) < 1e-13
+                if r == p.n:
+                    continue
+                oracle = np.array([interaction_c(omega[k], (z,), p)
+                                   for z in zvals])
+                assert np.max(np.abs(rows[k] - oracle)) < 1e-13 * np.max(
+                    np.abs(oracle))
+            crossed += 0 < l < r
+            assert (rows is None) == (r == p.n)
         assert (crossed > 0) == (p is PC3)
 
-    def test_prefactor_once_per_chain_start(self, monkeypatch):
-        starts, weights = [], []
+    @pytest.mark.parametrize("p", [PC3, PK2])
+    def test_labels_ascend_to_the_support_ends(self, p):
+        # every label of every split, in lexicographic order: each chain
+        # ascends and each support value lies off the closed unit disk
+        large = [i for i, ti in enumerate(p.tvec) if abs(ti) >= 1]
+        i, j = large[0], (large[1] if len(large) > 1 else 1)
+        ends_i, ends_j = (measures._chain_ends(p, c) for c in (i, j))
 
-        def counted(calls, real):
-            def wrapper(*args):
-                calls.append(args)
-                return real(*args)
-            return wrapper
+        def ascending(ends):
+            return [a for a in itertools.product(*map(range, ends))
+                    if list(a) == sorted(a)]
 
-        monkeypatch.setattr(measures, "_wd_prefactor", counted(
-            starts, measures._wd_prefactor))
-        monkeypatch.setattr(measures, "_wd_from_prefactor", counted(
-            weights, measures._wd_from_prefactor))
-        measures._chain_table(PC3, 32)
-        # every chain start once, although most carry several points
-        assert starts and len(starts) == len(set(starts))
-        assert len(weights) > len(starts)
+        for l, nu, omega, _w, _rows in measures._discrete_table(p, 16):
+            want = [a + b for a in ascending(ends_i[:l])
+                    for b in ascending(ends_j[:len(nu) - l])]
+            assert [tuple(c) for c in nu.T.tolist()] == want
+            assert np.all(np.abs(omega) > 1)
+
+
+class TestLongChains:
+    """Chains far longer than the residue products can reach: the
+    table's weights are cumulative products of per-step ratios."""
+
+    P1 = AWParams(1, 0.95, 0.3, 0.95 ** -66.5, 5e-3, -3e-3, 2e-3)
+
+    def test_weights_far_along_the_chain(self):
+        # 50-digit mpmath values; the scalar residue weight is 0 at offsets
+        # 30 and 47 and raises NonFiniteWeight at 52
+        [(_l, nu, _omega, w, _rows)] = measures._discrete_table(self.P1, 16)
+        assert nu.shape == (1, 67)
+        for k, want in ((30, 3.729659880183797e-46),
+                        (47, 7.3060168232280592e-67),
+                        (52, 1.1071948121939259e-70)):
+            assert rel(w[k], want) < 1e-12
+
+    def test_n1_mass(self):
+        one = LaurentPolynomial.constant(1)
+        got = measures.partial_bilinear(one, one, self.P1, 256).value
+        assert rel(got, gustafson_constant(self.P1)) < 1e-12
+
+    def test_n2_mass(self):
+        p = AWParams(2, 0.97, 0.3, 0.97 ** -80.5, 5e-3, -3e-3, 2e-3)
+        one = LaurentPolynomial.constant(2)
+        got = measures.partial_bilinear(one, one, p, 128).value
+        assert rel(got, gustafson_constant(p)) < 1e-8
 
 
 class TestPerFactorGuards:

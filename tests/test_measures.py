@@ -23,8 +23,6 @@ from bcortho.measures import (
     multi_discrete_weight,
     natural_t_bilinear,
     partial_bilinear,
-    support_D,
-    support_F,
     torus_bilinear,
     wd_residue_weight,
     weight_continuous,
@@ -195,36 +193,41 @@ class TestDiscreteWeights:
         assert rel(lhs, rhs) < 1e-12
 
 
+def table_labels(p):
+    """The labels (nu, nu') of the discrete table of p, in table order."""
+    return [(tuple(col[:l]), tuple(col[l:]))
+            for l, nu, *_ in measures._discrete_table(p, 16)
+            for col in nu.T.tolist()]
+
+
 class TestSupports:
     def test_all_small_empty(self):
-        assert support_F(1, PS2) == []
-        assert support_F(2, PS2) == []
+        assert measures._discrete_table(PS2, 16) == []
 
     def test_single_point(self):
         p = AWParams(1, 0.5, 0.4, 1.2, 0.5, 0.3, 0.1)
-        assert support_D(0, 1, p) == [(0,)]
+        assert table_labels(p) == [((0,), ())]
 
     def test_r2_empty_when_chain_shrinks(self):
         p = AWParams(2, 0.5, 0.4, 1.2, 0.5, 0.3, 0.1)
-        assert support_D(0, 2, p) == []
+        assert table_labels(p) == [((0,), ())]
 
     def test_two_chains(self):
-        pts = support_F(2, PDD2)
-        splits = {(len(pt.nu), len(pt.nu_prime)) for pt in pts}
+        table = measures._discrete_table(PDD2, 16)
+        splits = {(l, len(nu) - l) for l, nu, *_ in table}
         assert (1, 1) in splits
-        for pt in pts:
-            for w in pt.omega:
-                assert abs(w) > 1
+        for _l, _nu, omega, _w, _rows in table:
+            assert np.all(np.abs(omega) > 1)
 
     def test_too_many_large(self):
         p = AWParams(2, 0.5, 0.3, 1.1, 1.2, -1.3, 0.1)
         with pytest.raises(DomainViolation):
-            support_F(1, p)
+            measures._discrete_table(p, 16)
 
     def test_long_chain_runs_to_its_end(self):
         # 67 support values t0 q^nu > 1, past the old cap of 64 labels
         p = AWParams(1, 0.97, 0.3, 0.97 ** -66.5, 0.1, -0.1, 0.05)
-        assert support_D(0, 1, p) == [(nu,) for nu in range(67)]
+        assert table_labels(p) == [((nu,), ()) for nu in range(67)]
         rep = partial_bilinear(ONE1, ONE1, p, 64)
         assert rep.discrete_points_used == 67
         assert rel(rep.value, gustafson_constant(p)) < 1e-13
@@ -232,9 +235,10 @@ class TestSupports:
     def test_chain_past_cap_raises(self):
         p = AWParams(1, 0.97, 0.3, 0.97 ** -(MAX_CHAIN - 0.5), 0.1, -0.1,
                      0.05)
-        assert len(support_D(0, 1, p)) == MAX_CHAIN
+        assert len(table_labels(p)) == MAX_CHAIN
         with pytest.raises(SlowConvergence):
-            support_D(0, 1, p.replace_t0(0.97 ** -(MAX_CHAIN + 0.5)))
+            measures._discrete_table(
+                p.replace_t0(0.97 ** -(MAX_CHAIN + 0.5)), 16)
 
 
 class TestPartialBilinear:
@@ -258,11 +262,13 @@ class TestPartialBilinear:
         assert rel(rep.value, gustafson_constant(PDD2)) < 1e-7
 
     def test_residue_weight_overflow_is_typed(self):
-        # the i-dependent products of w_d overflow to NaN from offset 48
-        # of 67, and (q / (t0 t1 t2 t3))^i raises OverflowError from 52 on
+        # the scalar reference: the i-dependent products of w_d overflow
+        # to NaN from offset 48 of 67, and (q / (t0 t1 t2 t3))^i raises
+        # OverflowError from 52 on (the chain table's weights stay finite:
+        # test_measure_factors.TestLongChains)
         p = AWParams(1, 0.95, 0.3, 0.95 ** -66.5, 5e-3, -3e-3, 2e-3)
         with pytest.raises(NonFiniteWeight, match="offset 48"):
-            partial_bilinear(ONE1, ONE1, p, 128)
+            wd_residue_weight(48, *p.tvec, p.q)
         with pytest.raises(NonFiniteWeight, match="offset 52"):
             wd_residue_weight(52, p.t0, p.t1, p.t2, p.t3, p.q)
 

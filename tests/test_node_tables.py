@@ -80,7 +80,7 @@ def check_labels(nu, lengths):
     S."""
     S = int(nu.sum(axis=0).max())
     assert S in (32, 64, 128, 256, 400)
-    want = little._chain_labels(lengths, S)
+    want = measures._chain_labels(lengths, [S + 1] * sum(lengths), S)
     assert sorted(map(tuple, nu.T.tolist())) == sorted(
         map(tuple, want.T.tolist()))
 
@@ -90,11 +90,22 @@ class TestChainLabels:
                                          (1, 2), (3, 0)])
     @pytest.mark.parametrize("S", [0, 1, 7])
     def test_matches_brute_force(self, lengths, S):
-        nu = little._chain_labels(lengths, S)
+        nu = measures._chain_labels(lengths, [S + 1] * sum(lengths), S)
         assert nu.shape[0] == sum(lengths)
         labels = set(map(tuple, nu.T.tolist()))
         assert len(labels) == nu.shape[1]
         assert labels == ascending_labels(lengths, S)
+
+    @pytest.mark.parametrize("lengths, ends", [
+        ((3,), (6, 4, 2)), ((2, 2), (5, 3, 4, 1)), ((0, 2), (3, 3)),
+        ((2, 1), (4, 0, 3))])
+    def test_per_axis_ends(self, lengths, ends):
+        # S = sum(ends) never binds: the labels below each axis end, in
+        # lexicographic order
+        nu = measures._chain_labels(lengths, ends, sum(ends))
+        want = sorted(label for label in ascending_labels(lengths, sum(ends))
+                      if all(x < e for x, e in zip(label, ends)))
+        assert list(map(tuple, nu.T.tolist())) == want
 
 
 class TestBigTable:

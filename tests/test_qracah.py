@@ -72,6 +72,14 @@ class TestKr:
         want = wd_residue_weight(0, PG.t0, PG.t1, PG.t2, PG.t3, PG.q)
         assert rel(got, want) < 1e-12
 
+    def test_tiny_factor_near_q_one(self):
+        # (q;q)_inf = 1.3e-13 at q = 0.95: a small product, not a pole
+        p = AWParams(1, 0.95, 0.3, 0.95 ** -66.5, 5e-3, -3e-3, 2e-3)
+        got = kr_constant(1, p)
+        assert abs(got - 1.01811840407536e14) < 1e-13 * 1.01811840407536e14
+        want = wd_residue_weight(0, p.t0, p.t1, p.t2, p.t3, p.q)
+        assert rel(got, want) < 1e-14
+
     def test_residue_weight_identity(self):
         rng = random.Random(11)
         for _ in range(20):
