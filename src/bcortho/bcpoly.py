@@ -13,6 +13,8 @@ bilinear form, so orthogonalize builds all of them the same way.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
@@ -21,6 +23,7 @@ import numpy as np
 from .errors import (
     DomainViolation,
     LengthMismatch,
+    NotWInvariant,
     SingularGram,
     ZeroCoordinate,
 )
@@ -55,7 +58,7 @@ class LaurentPolynomial:
     """Sparse Laurent polynomial: map from integer exponent vectors to
     complex coefficients. Instances are treated as immutable."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_w_coeffs")
 
     def __init__(self, nvars: int, terms: Dict[Exponent, complex] | None = None):
         self.nvars = nvars
@@ -67,6 +70,7 @@ class LaurentPolynomial:
                 if abs(c) > PRUNE:
                     clean[tuple(int(x) for x in e)] = complex(c)
         self.terms = clean
+        self._w_coeffs: Dict[Exponent, complex] | None = None
 
     @classmethod
     def constant(cls, nvars: int, c: complex = 1.0) -> "LaurentPolynomial":
@@ -176,6 +180,26 @@ class LaurentPolynomial:
                 term = term * vec.reshape(sh)
             out += term
         return out
+
+    def w_coefficients(self) -> Dict[Exponent, complex]:
+        """{lambda: c} with self = sum c monomial_w(lambda), computed once.
+        NotWInvariant unless every W-orbit of exponents is present with
+        one coefficient; sums of scaled monomial_w always are, since
+        W-orbits are disjoint."""
+        if self._w_coeffs is None:
+            orbits: Dict[Exponent, List[complex]] = {}
+            for e, c in self.terms.items():
+                orbits.setdefault(tuple(sorted(map(abs, e), reverse=True)),
+                                  []).append(c)
+            for lam, cs in orbits.items():
+                size = (2 ** sum(x > 0 for x in lam)
+                        * math.factorial(len(lam)) // math.prod(
+                            map(math.factorial, Counter(lam).values())))
+                if len(cs) != size or any(c != cs[0] for c in cs):
+                    raise NotWInvariant(f"the terms of orbit {lam} are not "
+                                        f"one W-orbit sum")
+            self._w_coeffs = {lam: cs[0] for lam, cs in orbits.items()}
+        return self._w_coeffs
 
     def substitute_prefix(self, values: Sequence[complex]) -> "LaurentPolynomial":
         """Fix the first len(values) variables at the given nonzero values,

@@ -75,6 +75,11 @@ class NonFiniteWeight(BcorthoError):
     """A measure weight overflowed or is not a number."""
 
 
+class NotWInvariant(BcorthoError):
+    """A Laurent polynomial that must be invariant under the
+    hyperoctahedral group is not exactly so."""
+
+
 class NonPositiveWeight(BcorthoError):
     """A weight that must be positive is not."""
 

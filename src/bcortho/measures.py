@@ -7,24 +7,20 @@ form that mixes (n-r)-torus integration with r-point discrete chains, and
 its rewrite for natural deformation parameter t = q^k.
 
 Torus integrals use the uniform tensor trapezoid rule on angles, which is
-spectrally accurate for these analytic periodic integrands. Every torus
-pairing is <f,g> = sum_{a,b} f_a g_b L(a + b) for the moment functional
-L(e) = mean of z^e * Delta over the M^n grid. A moment table holds L(e)
-for every e in [-D, D]^n, and the same means H(e) over the even-index
-subgrid, whose distance to the pairing is its error estimate; it is one
-truncated DFT of the weight grid, contracted one axis at a time with the
-Vandermonde matrix z_k^(j-D), and D is the largest exponent of the
-pairing's product.
-
-A measure is kept as its distinct factors, never as its M^n grid: per
-(params, M, k) the axis vector w_c(z) and the M x M pair table, from
-which the moment tables form Delta one slab of the leading axis at a
-time (the largest temporary is one slab: about 2^20 points, or 16
-leading-axis points where M^(n-1) is larger). The factors and the
-moment tables, per (params, axes, M, k, D), are cached for the
-CACHE_SIZE most recently used of each. The partially discrete forms
-carry a per-point interaction factor on every axis, which is folded
-into the Vandermonde matrix instead of into the grid.
+spectrally accurate for these analytic periodic integrands. Delta, the
+delta_c factors and every pair of polynomials paired are invariant under
+the hyperoctahedral group W, and so is the grid, so its mean is a sum
+over the W-chamber 0 <= k_1 <= ... <= k_n <= M/2 of grid indices, node k
+weighted by Delta(z_k) |orbit(k)| / M^n. One cached chamber table per
+(params, axes, M, k) holds the nodes and weights, built slab by slab
+from w_c(z_k), k <= M/2, and one vector of the M roots, (w^m;q)_tau or
+(w^m;q)_k for t = q^k, from which every pair factor is read. On a table
+a polynomial is the sum of its W-orbit sums m_lambda, real on the torus
+and cached per table (a constant stays a scalar; the node values of the
+polynomials paired last are kept); NotWInvariant for any other input.
+The error estimate is the distance to the pairing on the ceil(M/2)-point
+grid: the even-index subgrid for even M, a table of its own for odd M,
+whose even-index points are not closed under z -> 1/z.
 
 The discrete supports are never truncated: each chain position runs to
 the last support value off the closed unit disk (SlowConvergence past
@@ -33,8 +29,10 @@ one uncached node table per split of F(r), built as the little and big
 q-Jacobi tables are: by Delta^(d) = K_r Delta^qR a weight is K_l K_m
 times the Delta^qR one-axis and in-chain pair factors, cumulative
 products of per-step ratios that neither underflow nor overflow on long
-chains, times the cross-chain delta_c factors. The scalar residue forms
-stay as the references.
+chains, times the cross-chain delta_c factors. All labels of a split are
+paired in one batch against the chamber table of the remaining axes,
+each label's delta_c row (over the chamber axis, k <= M/2) multiplied in
+per node. The scalar residue forms stay as the references.
 """
 
 from __future__ import annotations
@@ -43,12 +41,13 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from itertools import product as iter_product
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .bcpoly import LaurentPolynomial
+from .bcpoly import LaurentPolynomial, monomial_w
 from .errors import (
     DomainViolation,
     LengthMismatch,
@@ -74,6 +73,11 @@ POLE_GUARD = 1e-12
 TORUS_GUARD = 1e-9
 # a chain position holds at most this many support values
 MAX_CHAIN = 256
+# chamber nodes per slab of a table build, and label x node entries per
+# batch of a pairing
+_SLAB = 2 ** 15
+# node values of polynomials kept per chamber table (32 MiB of complex)
+_KEPT_VALUES = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -115,90 +119,192 @@ def weight_continuous(z: Sequence[complex], p: AWParams) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# torus quadrature grids
+# torus quadrature: one W-chamber node table per measure
 
 def _grid_axes(M: int) -> np.ndarray:
     ang = 2.0 * np.pi * np.arange(M) / M
     return np.exp(1j * ang)
 
 
-def _pair_table(zvals: np.ndarray, p: AWParams, k: int | None) -> np.ndarray:
-    """M x M table of the interaction factor for one pair of axes.
-
-    k = None uses the real exponent tau (ratio of infinite products);
-    integer k uses the finite Pochhammer of length k (t = q^k).
-
-    The arguments are the M^2 rounded products z_a z_b, z_b / z_a, ...,
-    although on the grid each is an M-th root of unity with only M
-    distinct values. Evaluating the M roots once and indexing them, with
-    the factors multiplied in the same order, makes the aw --lmax 4 Gram
-    errors 3-5x worse at seeds 1-3 (norms 2.2-3.0e-13 -> 1.2-1.4e-12,
-    orthogonality 0.8-1.1e-13 -> 2.8-3.0e-13): the pairings' cancellation
-    relies on the rounding that the products carry. So the M^2 arguments
-    stay, at the cost of M^2 products per argument kind, which is large
-    at q near 1 (about 3,600 factors each at q = 0.99)."""
-    za = zvals[:, None]
-    zb = zvals[None, :]
-    out = np.ones((len(zvals), len(zvals)), dtype=complex)
-    for arg in (za * zb, zb / za, za / zb, 1.0 / (za * zb)):
-        if k is None:
-            out *= qpoch_infinite_arr(arg, p.q)
-            out /= qpoch_infinite_arr(arg * p.t, p.q)
-        else:
-            out *= qpoch_finite_arr(arg, p.q, k)
-    return out
+def _grid_sizes(M: int) -> Tuple[int, int]:
+    """The grid of a pairing and the coarser one of its error estimate."""
+    return M, (M + 1) // 2
 
 
 def _axis_wc(zvals: np.ndarray, p: AWParams) -> np.ndarray:
-    num = (qpoch_infinite_arr(zvals ** 2, p.q)
-           * qpoch_infinite_arr(zvals ** -2, p.q))
-    den = np.ones_like(num)
+    """w_c(z) for every z of zvals: one kernel call on the numerator's two
+    arguments stacked and one on the denominator's eight."""
+    num = qpoch_infinite_arr(np.stack([zvals ** 2, zvals ** -2]), p.q)
     try:
-        for ti in p.tvec:
-            den *= qpoch_infinite_arr(ti * zvals, p.q, require_nonzero=True)
-            den *= qpoch_infinite_arr(ti / zvals, p.q, require_nonzero=True)
+        den = qpoch_infinite_arr(np.stack([
+            x for ti in p.tvec for x in (ti * zvals, ti / zvals)]), p.q,
+            require_nonzero=True)
     except ZeroProduct as exc:
         raise NearPole("w_c pole on the quadrature grid") from exc
-    return num / den
+    return num[0] * num[1] / np.prod(den, axis=0)
+
+
+def _orbit_sizes(nodes: np.ndarray, M: int) -> np.ndarray:
+    """|W-orbit| of every chamber node (column of nodes) in the M-point
+    grid: n! over the factorials of the multiplicities, times 2 for each
+    coordinate other than 0 and M/2."""
+    size = np.full(nodes.shape[1], float(math.factorial(len(nodes))))
+    run = np.ones(nodes.shape[1])
+    for j, kj in enumerate(nodes):
+        if j:
+            run = np.where(kj == nodes[j - 1], run + 1, 1)
+        size = size / run * np.where((kj == 0) | (2 * kj == M), 1, 2)
+    return size
+
+
+class _Chamber:
+    """The M-point trapezoid rule of Delta on n_axes axes, folded onto the
+    W-chamber: the nodes (int16 columns k, ascending, k_n <= M/2) and the
+    weights Delta(z_k) |orbit(k)| / M^n_axes. With no axes it is one node
+    of weight 1."""
+
+    def __init__(self, p: AWParams, n_axes: int, M: int, k: int | None):
+        roots = _grid_axes(M)
+        half = M // 2
+        self.axis = roots[:half + 1]
+        self.cos = roots.real
+        self.M = M
+        self.nodes = _chain_labels((n_axes,), [half + 1] * n_axes,
+                                   n_axes * half)
+        wc = _axis_wc(self.axis, p) if n_axes else None
+        R = (None if n_axes < 2 else qpoch_finite_arr(roots, p.q, k)
+             if k is not None else qpoch_infinite_arr(roots, p.q)
+             / qpoch_infinite_arr(roots * p.t, p.q))
+        self.weights = np.empty(self.nodes.shape[1], dtype=complex)
+        for lo in range(0, len(self.weights), _SLAB):
+            nu = self.nodes[:, lo:lo + _SLAB].astype(int)
+            w = _orbit_sizes(nu, M) / M ** n_axes
+            for kj in nu:
+                w = w * wc[kj]
+            for a, b in combinations(nu, 2):
+                for m in (a + b, b - a, a - b, -a - b):
+                    w = w * R[m % M]
+            self.weights[lo:lo + _SLAB] = w
+        self._sums: Dict[Tuple[int, ...], np.ndarray] = {}
+        self._values: Dict[tuple, np.ndarray] = {}
+
+    def orbit_sum(self, lam: Tuple[int, ...]) -> np.ndarray:
+        """m_lambda at every node, real on the torus: twice the sum of
+        cos(2 pi e.k / M) over one of each pair +-e of the orbit. For
+        lambda = 0 a single 1, so a constant stays a scalar."""
+        if lam not in self._sums:
+            if not any(lam):
+                s = np.ones(1)
+            else:
+                s = np.zeros(self.nodes.shape[1])
+                for e in monomial_w(lam).terms:
+                    if e > tuple(-x for x in e):
+                        s += self.cos[np.dot(e, self.nodes) % self.M]
+                s = 2.0 * s
+            self._sums[lam] = s
+        return self._sums[lam]
+
+    def evaluate(self, coeffs: Dict[Tuple[int, ...], np.ndarray],
+                 labels: int) -> np.ndarray:
+        """sum_mu coeffs[mu] m_mu at every node, one row per label: (labels,
+        nodes), or (labels, 1) for a constant. The orbit sums are real, so
+        the real and imaginary parts of the coefficients are summed apart,
+        in real arithmetic."""
+        parts = [np.zeros((labels, 1)), np.zeros((labels, 1))]
+        for mu in sorted(coeffs):
+            S = self.orbit_sum(mu)
+            for i, c in enumerate((coeffs[mu].real, coeffs[mu].imag)):
+                term = c[:, None] * S
+                if term.shape == parts[i].shape:
+                    parts[i] += term
+                else:
+                    parts[i] = parts[i] + term
+        return parts[0] + 1j * parts[1] if parts[1].any() else parts[0]
+
+
+    def values(self, f: LaurentPolynomial) -> np.ndarray:
+        """f at every node, as one label. The values of the polynomials
+        evaluated last, up to _KEPT_VALUES node values, are kept, so a
+        Gram matrix evaluates each of its polynomials once per table."""
+        coeffs = f.w_coefficients()
+        key = tuple(sorted(coeffs.items()))
+        if key not in self._values:
+            if len(self._values) * self.nodes.shape[1] >= _KEPT_VALUES:
+                del self._values[next(iter(self._values))]
+            self._values[key] = self.evaluate(
+                {lam: np.full(1, c) for lam, c in coeffs.items()}, 1)
+        return self._values[key]
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _factors(p: AWParams, M: int, k: int | None) -> tuple:
-    """Cached distinct factors of the Delta grid: (z-axis values, the axis
-    vector w_c(z), the M x M pair table or None when p.n = 1). Every grid
-    of the measure, on any number of axes up to p.n, is their product."""
-    zvals = _grid_axes(M)
-    wc = _axis_wc(zvals, p)
-    return zvals, wc, _pair_table(zvals, p, k) if p.n > 1 else None
+def _tables(p: AWParams, n_axes: int, M: int,
+            k: int | None) -> Tuple[_Chamber, ...]:
+    """Cached chamber tables of the measure on n_axes axes, one per grid
+    of _grid_sizes(M)."""
+    return tuple(_Chamber(p, n_axes, m, k) for m in _grid_sizes(M))
 
 
-def _weight_slab(factors: tuple, n_axes: int, lo: int, hi: int) -> np.ndarray:
-    """Rows lo:hi of the leading axis of the Delta grid over n_axes axes,
-    each point multiplied up in the same order on every path: the axis
-    factors axis by axis, then the pair factors pair by pair."""
-    zvals, wc, pair = factors
-    M = len(zvals)
-    slab = wc[lo:hi].copy().reshape((-1,) + (1,) * (n_axes - 1))
-    for ax in range(1, n_axes):
-        sh = [1] * n_axes
-        sh[ax] = M
-        slab = slab * wc.reshape(sh)
-    for a in range(n_axes - 1):
-        rows = pair[lo:hi] if a == 0 else pair
-        for b in range(a + 1, n_axes):
-            sh = [1] * n_axes
-            sh[a], sh[b] = len(rows), M
-            slab *= rows.reshape(sh)
-    return slab
+def _pairing_degree(f: LaurentPolynomial, g: LaurentPolynomial) -> int:
+    """Largest total degree of f * g for W-invariant f and g: the sum of
+    their largest orbit degrees, reached by one product of orbit members
+    with aligned signs, which cannot cancel."""
+    if f.nvars != g.nvars:
+        raise LengthMismatch("variable count mismatch")
+    degs = [[sum(lam) for lam in h.w_coefficients()] for h in (f, g)]
+    return sum(map(max, degs)) if all(degs) else 0
 
 
-def _weight_grid(p: AWParams, n_axes: int, M: int,
-                 k: int | None = None) -> tuple:
-    """(z-axis values, Delta grid over the M^n_axes tensor grid). Not on
-    the pairing path, which never forms the whole grid; kept as the
-    oracle the moment tables are tested against."""
-    factors = _factors(p, M, k)
-    return factors[0], _weight_slab(factors, n_axes, 0, M)
+def _tail_coefficients(f: LaurentPolynomial, omega: np.ndarray
+                       ) -> Dict[Tuple[int, ...], np.ndarray]:
+    """f(omega_l, z) = sum_mu A[mu][l] m_mu(z) in the variables past the
+    first r = omega.shape[1], one entry per label (row of omega). For
+    W-invariant f the coefficient of m_mu is read off the terms whose
+    tail is the dominant mu."""
+    r = omega.shape[1]
+    out: Dict[Tuple[int, ...], np.ndarray] = {}
+    for e, c in sorted(f.terms.items()):
+        tail = e[r:]
+        if tail and (tail[-1] < 0 or any(a < b for a, b in zip(tail,
+                                                               tail[1:]))):
+            continue
+        term = np.full(len(omega), c)
+        for i, h in enumerate(e[:r]):
+            term = term * omega[:, i] ** h
+        out[tail] = out[tail] + term if tail in out else term
+    return out
+
+
+def _chamber_pairings(f: LaurentPolynomial, g: LaurentPolynomial,
+                      p: AWParams, M: int, k: int | None,
+                      omega: np.ndarray, rows: tuple | None = None) -> tuple:
+    """Per label (row of omega, the values of the first r variables): the
+    M-point pairing of f(omega, z) g(omega, z) prod_j row(z_j) over the
+    other n - r variables, and its distance to the same on the coarser
+    grid; rows holds one (labels, axis) array per table of _tables, None
+    for a row of ones. f and g are put in a canonical order first,
+    so that the result is exactly symmetric in them."""
+    if (sorted((lam, c.real, c.imag) for lam, c in g.w_coefficients().items())
+            < sorted((lam, c.real, c.imag)
+                     for lam, c in f.w_coefficients().items())):
+        f, g = g, f
+    sums = []
+    for table, row in zip(_tables(p, p.n - omega.shape[1], M, k),
+                          rows or (None, None)):
+        n_nodes = table.nodes.shape[1]
+        step = max(1, _SLAB // n_nodes)
+        out = []
+        for lo in range(0, len(omega), step):
+            labels = omega[lo:lo + step]
+            F, G = (table.evaluate(_tail_coefficients(h, labels), len(labels))
+                    if omega.shape[1] else table.values(h) for h in (f, g))
+            fg = F * G
+            if row is not None:
+                fg = fg * np.prod([row[lo:lo + step, kj]
+                                   for kj in table.nodes], axis=0)
+            out.append(fg[:, 0] * table.weights.sum() if fg.shape[1] == 1
+                       else np.sum(fg * table.weights, axis=1))
+        sums.append(np.concatenate(out))
+    return sums[0], np.abs(sums[0] - sums[1])
 
 
 def _check_torus_clearance(p: AWParams) -> None:
@@ -217,125 +323,24 @@ def _check_torus_clearance(p: AWParams) -> None:
                         f"parameter chain value t_i t^{j} q^{sr} on torus")
 
 
-def _vandermonde(zvals: np.ndarray, D: int) -> np.ndarray:
-    """M x (2D+1) matrix V[k, j] = z_k^(j-D), read off the grid's own
-    roots of unity z_k = exp(2 pi i k / M)."""
-    M = len(zvals)
-    return zvals[np.outer(np.arange(M), np.arange(-D, D + 1)) % M]
-
-
-# grid points per slab of _grid_moments (16 MiB of complex values); a
-# slab spans a multiple of 16 leading-axis points, which is two
-# contraction blocks of the grid and one of its even-index subgrid
-_SLAB_POINTS = 2 ** 20
-
-
-def _contract(G: np.ndarray, A: np.ndarray, acc=0):
-    """acc plus G contracted on its last axis with A, as rows: summed in
-    blocks of 8 grid points and then block by block. One long BLAS dot
-    product per moment rounds several times worse, and the pairings
-    amplify that by their cancellation."""
-    rows = G.reshape(-1, G.shape[-1])
-    for i in range(0, len(A), 8):
-        acc = acc + rows[:, i:i + 8] @ A[i:i + 8]
-    return acc
-
-
-def _grid_moments(factors: tuple, n_axes: int, V: np.ndarray) -> tuple:
-    """(L, H): L[e + D] = mean of Delta * prod_j V[k_j, e_j + D] over the
-    M^n_axes tensor grid for every e in [-D, D]^n_axes, and H the same
-    over the even-index subgrid. The grid is formed one slab of about
-    _SLAB_POINTS points, and at least 16 leading-axis points, at a time:
-    each slab's trailing axes are contracted one at a time, last axis
-    first, and its leading axis is added into the running sums last,
-    block after block in grid order."""
-    M = len(factors[0])
-    C = V.shape[1]
-    step = max(16, _SLAB_POINTS // M ** (n_axes - 1) // 16 * 16)
-    even = (slice(None, None, 2),) * n_axes
-    sums = [0, 0]
-    for lo in range(0, M, step):
-        slab = _weight_slab(factors, n_axes, lo, lo + step)
-        for s, (G, A, lead) in enumerate((
-                (slab, V, V[lo:lo + step]),
-                (slab[even], V[::2], V[lo:lo + step:2]))):
-            for _ in range(n_axes - 1):
-                G = np.moveaxis(_contract(G, A).reshape(G.shape[:-1] + (C,)),
-                                -1, 0)
-            # G is now (e_2, ..., e_n, leading points of this slab)
-            sums[s] = _contract(G, lead, sums[s])
-        del slab  # freed before the next slab is formed
-    L, H = (np.moveaxis(acc.reshape((C,) * n_axes), -1, 0) / size
-            for acc, size in zip(sums, (M ** n_axes, ((M + 1) // 2) ** n_axes)))
-    return L, H
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _moment_table(p: AWParams, n_axes: int, M: int, k: int | None,
-                  D: int) -> tuple:
-    """Cached (L, H) moment tables of the Delta grid up to degree D."""
-    factors = _factors(p, M, k)
-    return _grid_moments(factors, n_axes, _vandermonde(factors[0], D))
-
-
-class _Pairing:
-    """The terms of f and g, in a canonical order of the two so that a
-    pairing is exactly symmetric under swapping them, ready to be
-    contracted against moment tables."""
-
-    def __init__(self, f: LaurentPolynomial, g: LaurentPolynomial):
-        if f.nvars != g.nvars:
-            raise LengthMismatch("variable count mismatch")
-        terms = [sorted(h.terms.items()) for h in (f, g)]
-        keys = [([e for e, _ in t], [(c.real, c.imag) for _, c in t])
-                for t in terms]
-        if keys[1] < keys[0]:
-            f, g, terms = g, f, terms[::-1]
-        self.f, self.g, self.nvars = f, g, f.nvars
-        self.cf, self.cg = (np.array([c for _, c in t], dtype=complex)
-                            for t in terms)
-        ef, eg = (np.array([e for e, _ in t], dtype=int).reshape(
-            len(t), self.nvars) for t in terms)
-        # exponent of every product term: (terms_f, terms_g, nvars)
-        self.sums = ef[:, None] + eg
-        self.D = int(np.abs(self.sums).max(initial=0))
-
-    def degree(self) -> int:
-        """Largest total degree of f * g. It sits on a vertex of the
-        product's Newton polytope, whose coefficient is the single product
-        f_a g_b and so cannot cancel."""
-        return int(np.abs(self.sums).sum(axis=-1).max(initial=0))
-
-    def against(self, p: AWParams, n_axes: int, M: int, k: int | None,
-                axis_factor: np.ndarray | None = None) -> tuple[complex, float]:
-        """(sum_{a,b} f_a g_b L(a + b), |that - the same against H|) for
-        the Delta grid times axis_factor(z_j) on every axis. The factor is
-        folded into the Vandermonde matrix; without one the cached table
-        is used."""
-        if axis_factor is None:
-            L, H = _moment_table(p, n_axes, M, k, self.D)
-        else:
-            factors = _factors(p, M, k)
-            L, H = _grid_moments(factors, n_axes, _vandermonde(
-                factors[0], self.D) * axis_factor[:, None])
-        idx = tuple(np.moveaxis(self.sums + self.D, -1, 0))
-        value = complex(self.cf @ L[idx] @ self.cg)
-        return value, abs(value - complex(self.cf @ H[idx] @ self.cg))
+def _check_grid(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
+                M: int) -> None:
+    """Reject a pairing the M-point grid cannot resolve or hold."""
+    deg = _pairing_degree(f, g)
+    if M < 2 * deg + 8:
+        raise DomainViolation(f"M={M} too small for degree {deg}")
+    _check_torus_clearance(p)
+    if f.nvars != p.n:
+        raise LengthMismatch("grid has wrong number of axes")
 
 
 def torus_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
                    M: int) -> MeasureReport:
     """<f,g> over the n-torus with density Delta, via the M-point uniform
-    tensor grid per axis."""
-    pair = _Pairing(f, g)
-    deg = pair.degree()
-    if M < 2 * deg + 8:
-        raise DomainViolation(f"M={M} too small for degree {deg}")
-    _check_torus_clearance(p)
-    if pair.nvars != p.n:
-        raise LengthMismatch("grid has wrong number of axes")
-    value, err = pair.against(p, p.n, M, None)
-    return MeasureReport(value, err, M, 0)
+    tensor grid per axis, for W-invariant f and g."""
+    _check_grid(f, g, p, M)
+    value, err = _chamber_pairings(f, g, p, M, None, np.ones((1, 0)))
+    return MeasureReport(complex(value[0]), float(err[0]), M, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +441,12 @@ def interaction_c(omega: Sequence[complex], z: Sequence[complex],
 
 def _interaction_c_rows(ws: np.ndarray, xs: np.ndarray,
                         p: AWParams) -> np.ndarray:
-    """delta_c((w,); (x,)) for every w of ws (rows) and x of xs."""
+    """delta_c((w,); (x,)) for every w of ws (rows) and x of xs: one
+    kernel call on the four arguments stacked."""
     w, x = ws[:, None], xs[None, :]
-    out = np.ones((len(ws), len(xs)), dtype=complex)
-    for arg in (w * x, w / x, x / w, 1.0 / (w * x)):
-        out *= qpoch_real_arr(arg, p.q, p.t)
-    return out
+    f = qpoch_real_arr(np.stack([w * x, w / x, x / w, 1.0 / (w * x)]),
+                       p.q, p.t)
+    return f[0] * f[1] * f[2] * f[3]
 
 
 # ---------------------------------------------------------------------------
@@ -453,18 +458,20 @@ def _chain_labels(chains: Sequence[int], ends: Sequence[int],
     within each chain (of the given lengths, in axis order), in
     lexicographic order, as the columns of an int16 array: row i holds
     axis i."""
+    # int32 temporaries: a chamber table of 366,145 labels is built here
+    i32 = np.int32
     cols: List[np.ndarray] = []
-    total = np.zeros(1, dtype=int)
+    total = np.zeros(1, dtype=i32)
     starts = [k == 0 for length in chains for k in range(length)]
     for start, end in zip(starts, ends):
-        lo = np.zeros(len(total), dtype=int) if start else cols[-1]
+        lo = np.zeros(len(total), dtype=i32) if start else cols[-1]
         count = np.maximum(np.minimum(S - total, end - 1) - lo + 1, 0)
-        rows = np.repeat(np.arange(len(total)), count)
-        step = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count,
-                                                count)
+        rows = np.repeat(np.arange(len(total), dtype=i32), count)
+        step = np.arange(len(rows), dtype=i32) - np.repeat(
+            np.cumsum(count, dtype=i32) - count, count)
         cols = [c[rows] for c in cols] + [lo[rows] + step]
         total = total[rows] + cols[-1]
-    return np.array(cols, dtype=np.int16)
+    return np.array(cols, dtype=np.int16).reshape(len(cols), len(total))
 
 
 def _label_weights(nu: np.ndarray, const, axis: Sequence[np.ndarray],
@@ -557,12 +564,14 @@ def _discrete_table(p: AWParams, M: int) -> list:
     nu on the chain of t_i in its first l rows, nu' on that of t_j in
     the other m), their support values omega (one row per label), the
     weights Delta^(d)(nu) Delta^(d)(nu') delta_c(omega; omega') and, for
-    r < n, the delta_c rows over the grid axis (None for r = n)."""
+    r < n, the delta_c rows over the axes of the two tables of _tables
+    (None for r = n)."""
     n = p.n
     large = _large_params(p)
     i_param = large[0] if large else 0
     j_param = large[1] if len(large) > 1 else (1 if i_param == 0 else 0)
-    zvals = _grid_axes(M)
+    grid_axes = [_grid_axes(m)[:m // 2 + 1] for m in _grid_sizes(M)]
+    zvals = np.concatenate(grid_axes)
     # per axis (chain c, position k): support values, one-axis factor and
     # delta_c rows; per pair of axes: the pair factor matrix
     ends, K, values, axis, rows, pairs = {}, {}, {}, {}, {}, {}
@@ -602,8 +611,9 @@ def _discrete_table(p: AWParams, M: int) -> list:
                     f"discrete weight {w[bad[0]]} at the label "
                     f"{nu[:, bad[0]].tolist()} of the split ({l}, {r - l})")
             omega = np.array([values[ax][lab] for ax, lab in zip(axes, nu)])
-            row = (np.prod([rows[ax][lab] for ax, lab in zip(axes, nu)],
-                           axis=0) if r < n else None)
+            row = (np.split(np.prod([rows[ax][lab] for ax, lab in zip(
+                axes, nu)], axis=0), [len(grid_axes[0])], axis=1)
+                   if r < n else None)
             table.append((l, nu, omega.T, w, row))
     return table
 
@@ -614,7 +624,8 @@ def _discrete_table(p: AWParams, M: int) -> list:
 def partial_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
                      M: int) -> MeasureReport:
     """The partially discrete bilinear form on the positive-measure domain:
-    torus term plus discrete-chain corrections over F(r), r = 1..n."""
+    torus term plus discrete-chain corrections over F(r), r = 1..n, all
+    labels of a split paired in one batch."""
     n = p.n
     check_positive = p.in_V_AW()
     base = torus_bilinear(f, g, p, M)
@@ -625,23 +636,18 @@ def partial_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
     for _l, nu, omega, weights, rows in _discrete_table(p, M):
         r = len(nu)
         comb = 2 ** r * math.factorial(n) // math.factorial(n - r)
-        for k, (pt, w_disc) in enumerate(zip(omega.tolist(),
-                                             weights.tolist())):
-            fz = f.substitute_prefix(pt)
-            gz = g.substitute_prefix(pt)
-            if rows is None:
-                contrib = fz.coefficient(()) * gz.coefficient(()) * w_disc
-            else:
-                val, e = _Pairing(fz, gz).against(p, n - r, M, None, rows[k])
-                contrib = w_disc * val
-                err += comb * e * abs(w_disc)
-            if check_positive and abs(contrib) > 0:
-                if abs(complex(w_disc).imag) > 1e-9 * abs(w_disc):
-                    raise NonPositiveWeight(
-                        f"discrete weight not real at {nu[:, k].tolist()}")
-            total += comb * contrib
-            mass += comb * abs(contrib)
-            npoints += 1
+        vals, errs = _chamber_pairings(f, g, p, M, None, omega, rows)
+        contrib = weights * vals
+        if check_positive:
+            bad = np.flatnonzero((np.abs(contrib) > 0) & (
+                np.abs(weights.imag) > 1e-9 * np.abs(weights)))
+            if bad.size:
+                raise NonPositiveWeight(
+                    f"discrete weight not real at {nu[:, bad[0]].tolist()}")
+        total += comb * complex(np.sum(contrib))
+        mass += comb * float(np.sum(np.abs(contrib)))
+        err += comb * float(np.sum(errs * np.abs(weights)))
+        npoints += len(weights)
     # the realness check is scaled by the summed term magnitudes, not the
     # total: orthogonal pairs cancel to a value far below the rounding
     # noise of the individual contributions
@@ -664,7 +670,8 @@ def natural_t_bilinear(f: LaurentPolynomial, g: LaurentPolynomial,
                        p: AWParams, M: int) -> MeasureReport:
     """The t = q^k rewrite of the partially discrete form: independent
     discrete chains per coordinate, all interactions carried by the
-    Laurent-polynomial factor delta(z;q^k)."""
+    Laurent-polynomial factor delta(z;q^k); the picks of one choice of
+    chains are paired in one batch."""
     k = _natural_k(p)
     n = p.n
     q = p.q
@@ -675,8 +682,9 @@ def natural_t_bilinear(f: LaurentPolynomial, g: LaurentPolynomial,
         others = _others(p, i)
         chains[i] = [(e * q ** m, wd_residue_weight(m, e, *others, q))
                      for m in range(_chain_ends(p, i)[0])]
-    _check_torus_clearance(p)
-    zvals = _grid_axes(M)
+    _check_grid(f, g, p, M)
+    grid_axes = [_grid_axes(m)[:m // 2 + 1] for m in _grid_sizes(M)]
+    x = np.concatenate(grid_axes)[None, :]
 
     def pair_fin(a, b):
         out = 1.0
@@ -684,41 +692,31 @@ def natural_t_bilinear(f: LaurentPolynomial, g: LaurentPolynomial,
             out = out * qpoch_finite(arg, q, k)
         return out
 
-    def pair_fin_axis(w):
-        out = np.ones(M, dtype=complex)
-        for arg in (w * zvals, w / zvals, zvals / w, 1.0 / (w * zvals)):
-            out *= qpoch_finite_arr(arg, q, k)
-        return out
-
     total: complex = 0.0
     err = 0.0
     npoints = 0
     for r in range(n + 1):
         comb = 2 ** r * math.comb(n, r)
-        ncont = n - r
         for es in iter_product(large, repeat=r):
-            chain_lists = [chains[e] for e in es]
-            for picks in iter_product(*chain_lists):
-                zdisc = [zv for zv, _w in picks]
-                wdisc = 1.0
-                for _zv, w in picks:
-                    wdisc *= w
-                for a in range(r):
-                    for b in range(a + 1, r):
-                        wdisc *= pair_fin(zdisc[a], zdisc[b])
-                if abs(wdisc) == 0.0:
-                    continue
-                npoints += 1
-                if ncont == 0:
-                    total += comb * wdisc * f.eval(zdisc) * g.eval(zdisc)
-                    continue
-                vec = (np.prod([pair_fin_axis(zv) for zv in zdisc], axis=0)
-                       if zdisc else None)
-                val, e = _Pairing(f.substitute_prefix(zdisc),
-                                  g.substitute_prefix(zdisc)).against(
-                                      p, ncont, M, k, vec)
-                total += comb * wdisc * val
-                err += comb * abs(wdisc) * e
-        if r == 0 and not large:
-            break
+            picks = list(iter_product(*[chains[e] for e in es]))
+            omega = np.array([[zv for zv, _w in pk] for pk in picks],
+                             dtype=complex).reshape(len(picks), r)
+            wdisc = np.array([math.prod(w for _zv, w in pk) * math.prod(
+                pair_fin(a, b) for a, b in combinations(pt, 2))
+                for pk, pt in zip(picks, omega)], dtype=complex)
+            keep = wdisc != 0
+            omega, wdisc = omega[keep], wdisc[keep]
+            if not len(wdisc):
+                continue
+            rows = None
+            if r < n:
+                row = np.ones((len(omega), x.shape[1]), dtype=complex)
+                for w in omega.T[:, :, None]:
+                    for arg in (w * x, w / x, x / w, 1.0 / (w * x)):
+                        row *= qpoch_finite_arr(arg, q, k)
+                rows = np.split(row, [len(grid_axes[0])], axis=1)
+            vals, errs = _chamber_pairings(f, g, p, M, k, omega, rows)
+            total += comb * complex(np.sum(wdisc * vals))
+            err += comb * float(np.sum(np.abs(wdisc) * errs))
+            npoints += len(wdisc)
     return MeasureReport(total, err, M, npoints)

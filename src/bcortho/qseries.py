@@ -147,14 +147,21 @@ def qpoch_real_arr(a: np.ndarray, q: float, t: float) -> np.ndarray:
     a = np.asarray(a)
     prod = np.ones_like(a, dtype=complex if np.iscomplexobj(a) else float)
     aq = a.astype(prod.dtype)
-    mag = float(np.abs(a).max(initial=0.0)) * max(1.0, t)
+    absa = np.abs(a)
+    mag = float(absa.max(initial=0.0)) * max(1.0, t)
+    hi = float(absa.max(initial=0.0)) * t
+    low = float(absa.min()) * t if a.size else 0.0
     while mag >= EPS_TRUNC:
         den = 1.0 - aq * t
-        if np.min(np.abs(den)) < POLE_GUARD:
+        # |1 - a t q^j| >= | |a t q^j| - 1 |: a factor can vanish only
+        # while some |a t q^j|, between low and hi, is close to 1
+        if low <= 2.0 and hi >= 0.5 and np.min(np.abs(den)) < POLE_GUARD:
             raise PoleAtDenominator(f"(a t;q)_inf vanishes for t={t}")
         prod *= (1.0 - aq) / den
         aq *= q
         mag *= q
+        hi *= q
+        low *= q
     return prod
 
 

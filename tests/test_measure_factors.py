@@ -1,10 +1,11 @@
-"""The Askey-Wilson measures built from their distinct factors: moment
+"""The Askey-Wilson measures built from their distinct factors: chamber
 tables formed slab by slab against the whole Delta grid, the per-measure
 chain tables against the scalar residue weights, and the per-factor pole
 guards of the chain weights and of the little and big q-Jacobi weights."""
 
 import itertools
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,11 @@ from bcortho.big import (
     selberg_big_qk,
     weight_big,
 )
-from bcortho.bcpoly import LaurentPolynomial
+from bcortho.bcpoly import (
+    LaurentPolynomial,
+    monomial_w,
+    partitions_dominated_by,
+)
 from bcortho.errors import (
     DomainViolation,
     PoleInWeight,
@@ -42,9 +47,11 @@ from bcortho.measures import (
     interaction_c,
     multi_discrete_weight,
     wd_residue_weight,
+    weight_continuous,
 )
 from bcortho.params import AWParams
 from bcortho.qseries import qpoch_finite, qpoch_infinite, qpoch_infinite_arr
+from test_moment_tables import weight_grid
 
 PS = {n: AWParams(n, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 - 0.4j)
       for n in (1, 2, 3)}
@@ -54,64 +61,84 @@ PC3 = AWParams(3, 0.5, 0.3, 3.5, -2.5, 0.25, 0.2)
 PK2 = AWParams(2, 0.5, 0.25, 1.1, -0.5, 0.3, 0.4)
 
 
-def whole_grid_moments(grid, V):
-    """(L, H) from the whole Delta grid: one einsum over all axes."""
-    n = grid.ndim
-    axes = "abc"[:n]
-    spec = (axes + "," + ",".join(a + a.upper() for a in axes) + "->"
-            + axes.upper())
+def random_invariant(rng, n):
+    """A random complex combination of the W-orbit sums up to (1, 1, 1)."""
+    out = LaurentPolynomial(n)
+    for mu in partitions_dominated_by((1,) * n):
+        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        out = out + monomial_w(mu).scale(c)
+    return out
 
-    def mean(G, A):
-        return np.einsum(spec, G, *[A] * n) / G.size
 
-    even = (slice(None, None, 2),) * n
-    return mean(grid, V), mean(grid[even], V[::2])
+def inversion_symmetric(rng, M):
+    """A random per-axis factor phi(z_k) = phi(z_{M-k}), like a delta_c
+    row: (phi on the chamber axis, phi on the whole grid axis)."""
+    half = rng.uniform(0.5, 2, M // 2 + 1) * np.exp(
+        1j * rng.uniform(0, 6, M // 2 + 1))
+    return half, half[np.minimum(np.arange(M), M - np.arange(M))]
 
 
 class TestSlabMoments:
+    """Chamber pairings against the whole Delta grid, with and without a
+    per-axis factor, built in one slab or in slabs of one node."""
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("M", [24, 25])
     @pytest.mark.parametrize("factor", [False, True])
     @pytest.mark.parametrize("slabs", ["one", "many"])
     def test_equal_whole_grid(self, n, M, factor, slabs, monkeypatch):
-        # D = 2; with many slabs of 16 leading points, M = 24, 25 end on
-        # a partial one
         if slabs == "many":
-            monkeypatch.setattr(measures, "_SLAB_POINTS", 1)
+            monkeypatch.setattr(measures, "_SLAB", 1)
+        measures._tables.cache_clear()
         p = PS[n]
-        zvals, grid = measures._weight_grid(p, n, M)
-        V = measures._vandermonde(zvals, 2)
-        if factor:
-            rng = np.random.default_rng(n * M)
-            V = V * (rng.uniform(0.5, 2, M)
-                     * np.exp(1j * rng.uniform(0, 6, M)))[:, None]
-        got = measures._grid_moments(measures._factors(p, M, None), n, V)
-        want = whole_grid_moments(grid, V)
-        scale = whole_grid_moments(np.abs(grid), np.abs(V))
-        for g, w, s in zip(got, want, scale):
-            assert g.shape == w.shape == (5,) * n
-            assert np.max(np.abs(g - w)) < 1e-13 * np.max(s)
+        f = random_invariant(random.Random(n * M), n)
+        g = LaurentPolynomial.constant(n)
+        rng = np.random.default_rng(n * M)
+        rows, want, scale = [], [], []
+        for m in (M, (M + 1) // 2):
+            half, whole = inversion_symmetric(rng, m)
+            if not factor:
+                half, whole = np.ones_like(half), np.ones_like(whole)
+            rows.append(half[None, :])
+            z, grid = weight_grid(p, n, m)
+            for a in range(n):
+                sh = [1] * n
+                sh[a] = m
+                grid = grid * whole.reshape(sh)
+            G = f.eval_grid([z] * n) * grid
+            want.append(np.mean(G))
+            scale.append(np.mean(np.abs(G)))
+        got, err = measures._chamber_pairings(f, g, p, M, None,
+                                              np.ones((1, 0)), rows)
+        measures._tables.cache_clear()
+        assert abs(got[0] - want[0]) < 1e-13 * scale[0]
+        assert abs(err[0] - abs(want[0] - want[1])) < 1e-13 * max(scale)
 
     def test_weight_grid_is_the_product_of_the_factors(self):
-        p = PS[2]
-        zvals, wc, pair = measures._factors(p, 8, None)
-        _, grid = measures._weight_grid(p, 2, 8)
-        assert np.max(np.abs(grid - wc[:, None] * wc[None, :] * pair)) \
-            < 1e-14 * np.max(np.abs(grid))
+        # each chamber weight is |orbit| / M^n times Delta at its node,
+        # read off the scalar density
+        p, M = PS[2], 8
+        [table, _] = measures._tables(p, 2, M, None)
+        sizes = measures._orbit_sizes(table.nodes, M)
+        for k, w, size in zip(table.nodes.T.tolist(), table.weights, sizes):
+            want = weight_continuous(list(table.axis[k]), p) * size / M ** 2
+            assert abs(w - want) < 1e-13 * max(1.0, abs(want))
 
     def test_no_grid_in_memory(self):
-        # the whole n = 3, M = 256 grid is 256^3 complex values, 268 MB
+        # the n = 3, M = 256 chamber holds 366,145 nodes (the whole grid
+        # is 256^3 complex values, 268 MB); built slab by slab, its peak
+        # is the finished table plus the int32 label temporaries
         p = PS[3]
-        measures._factors(p, 256, None)
-        measures._moment_table.cache_clear()
+        measures._tables.cache_clear()
         tracemalloc.start()
         try:
-            L, _H = measures._moment_table(p, 3, 256, None, 0)
+            [table, _] = measures._tables(p, 3, 256, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert L.shape == (1, 1, 1)
-        assert peak < 32 * 2 ** 20
+        measures._tables.cache_clear()
+        assert table.nodes.shape == (3, 366145)
+        assert peak < 16 * 2 ** 20
 
 
 def rel(a, b):
@@ -136,8 +163,11 @@ class TestChainTables:
     def test_weights_equal_scalar_oracles(self, p, M):
         # the table forms Delta^(d) as K_r Delta^qR from per-step ratios:
         # the same product as the scalar residue forms, in another order
+        # the delta_c rows run over the chamber axes, k <= M/2, of the
+        # M-point grid and of the ceil(M/2)-point one
         table = measures._discrete_table(p, M)
-        zvals = measures._grid_axes(M)
+        axes = [measures._grid_axes(m)[:m // 2 + 1]
+                for m in (M, (M + 1) // 2)]
         crossed = 0
         for l, nu, omega, w, rows in table:
             r = len(nu)
@@ -145,10 +175,11 @@ class TestChainTables:
                 assert rel(w[k], scalar_weight(p, l, label)) < 1e-13
                 if r == p.n:
                     continue
-                oracle = np.array([interaction_c(omega[k], (z,), p)
-                                   for z in zvals])
-                assert np.max(np.abs(rows[k] - oracle)) < 1e-13 * np.max(
-                    np.abs(oracle))
+                for row, zvals in zip(rows, axes):
+                    oracle = np.array([interaction_c(omega[k], (z,), p)
+                                       for z in zvals])
+                    assert np.max(np.abs(row[k] - oracle)) < 1e-13 * np.max(
+                        np.abs(oracle))
             crossed += 0 < l < r
             assert (rows is None) == (r == p.n)
         assert (crossed > 0) == (p is PC3)

@@ -28,6 +28,7 @@ from bcortho.measures import (
     weight_continuous,
 )
 from bcortho.params import AWParams
+from test_moment_tables import weight_grid
 
 ONE1 = LaurentPolynomial.constant(1)
 ONE2 = LaurentPolynomial.constant(2)
@@ -84,7 +85,7 @@ class TestWeightContinuous:
             assert v.real > -1e-12
 
     def test_grid_matches_scalar(self):
-        zvals, grid = measures._weight_grid(PS2, 2, 8)
+        zvals, grid = weight_grid(PS2, 2, 8)
         for a in range(8):
             for b in range(8):
                 want = weight_continuous([zvals[a], zvals[b]], PS2)

@@ -1,22 +1,34 @@
-"""Torus pairings as contractions of moment tables, checked against the
-grid formula they replace (mean of f*g*Delta over the tensor grid, with
-the even-index subgrid as error estimate), and the per-factor pole guards
-of the Askey-Wilson side."""
+"""Torus pairings on the W-chamber node tables (which replaced the
+moment tables), checked against the full tensor-grid formula: the mean
+of f*g*Delta over the M^n grid, with the same mean on the ceil(M/2)-point
+grid as the error estimate. Also the batched partially discrete and
+natural-t forms against per-label oracles, the guards of the pairings,
+and the per-factor pole guards of the Askey-Wilson side."""
 
 import math
 import random
 from dataclasses import replace
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
 
 from bcortho import measures
-from bcortho.askey_wilson import aw_norm, gustafson_constant
-from bcortho.bcpoly import LaurentPolynomial
-from bcortho.cli import DEFAULTS
-from bcortho.errors import DomainViolation, LengthMismatch, PoleInWeight
+from bcortho.askey_wilson import aw_norm, aw_polynomials, gustafson_constant
+from bcortho.bcpoly import (
+    LaurentPolynomial,
+    monomial_w,
+    partitions_dominated_by,
+)
+from bcortho.cli import DEFAULTS, build_config, run_suite
+from bcortho.errors import (
+    DomainViolation,
+    LengthMismatch,
+    NotWInvariant,
+    PoleInWeight,
+)
 from bcortho.measures import (
+    interaction_c,
     multi_discrete_weight,
     natural_t_bilinear,
     partial_bilinear,
@@ -25,22 +37,81 @@ from bcortho.measures import (
 )
 from bcortho.params import AWParams
 from bcortho.qracah import kr_constant, weight_qR
+from bcortho.qseries import qpoch_finite, qpoch_finite_arr, qpoch_infinite_arr
 
 PS = {n: AWParams(n, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 - 0.4j)
       for n in (1, 2, 3)}
-# one discrete chain; t = q^2 for the natural-t form
-PD2 = AWParams(2, 0.5, 0.3, 1.1, -0.5, 0.35, 0.45)
+# one discrete chain (n = 2, 3); two chains; t = q^2 for the natural-t form
+PD = {n: AWParams(n, 0.5, 0.3, 1.1, -0.5, 0.35, 0.45) for n in (2, 3)}
+PDD2 = AWParams(2, 0.5, 0.3, 1.1, -1.05, 0.35, 0.45)
 PK2 = AWParams(2, 0.5, 0.25, 1.1, -0.5, 0.3, 0.4)
+# a chain of three support values, 7.5 q^m
+PK3 = AWParams(2, 0.5, 0.25, 7.5, -0.5, 0.3, 0.4)
 
 
-def random_laurent(rng, n, real=False):
-    """Four (n = 1) or six terms with exponents in [-2, 2]^n and complex
-    (or real) coefficients: negative exponents, no symmetry."""
-    terms = {}
-    while len(terms) < (4 if n == 1 else 6):
-        e = tuple(rng.randint(-2, 2) for _ in range(n))
-        terms[e] = complex(rng.uniform(-1, 1), 0 if real else rng.uniform(-1, 1))
-    return LaurentPolynomial(n, terms)
+def weight_grid(p, n_axes, M, k=None):
+    """(z-axis values, Delta over the whole M^n_axes tensor grid): the
+    axis factor w_c on every axis times, per pair of axes, the M x M
+    table of the interaction factor on the M^2 products z_a z_b, z_b/z_a,
+    z_a/z_b, 1/(z_a z_b); k = None uses (x;q)_tau, integer k (x;q)_k."""
+    z = np.exp(2j * np.pi * np.arange(M) / M)
+    wc = qpoch_infinite_arr(z ** 2, p.q) * qpoch_infinite_arr(z ** -2, p.q)
+    for ti in p.tvec:
+        wc = wc / qpoch_infinite_arr(ti * z, p.q)
+        wc = wc / qpoch_infinite_arr(ti / z, p.q)
+    za, zb = z[:, None], z[None, :]
+    pair = np.ones((M, M), dtype=complex)
+    for arg in (za * zb, zb / za, za / zb, 1.0 / (za * zb)):
+        if k is None:
+            pair *= qpoch_infinite_arr(arg, p.q) / qpoch_infinite_arr(
+                arg * p.t, p.q)
+        else:
+            pair *= qpoch_finite_arr(arg, p.q, k)
+    grid = np.ones((M,) * n_axes, dtype=complex)
+    for a in range(n_axes):
+        sh = [1] * n_axes
+        sh[a] = M
+        grid = grid * wc.reshape(sh)
+        for b in range(a + 1, n_axes):
+            sh = [1] * n_axes
+            sh[a] = sh[b] = M
+            grid = grid * pair.reshape(sh)
+    return z, grid
+
+
+def grid_mean(h, p, n_axes, M, k=None, factor=None):
+    """Mean of h * Delta (* factor(z_j) on every axis) over the M^n grid;
+    h is a callable on the grid axes, factor one on the axis values."""
+    z, grid = weight_grid(p, n_axes, M, k)
+    if factor is not None:
+        fz = factor(z)
+        for a in range(n_axes):
+            sh = [1] * n_axes
+            sh[a] = M
+            grid = grid * fz.reshape(sh)
+    return complex(np.mean(h([z] * n_axes) * grid))
+
+
+def oracle(f, g, p, M, k=None):
+    """(value, error estimate) of the torus pairing by the grid formula."""
+    fine, coarse = (grid_mean((f * g).eval_grid, p, p.n, m, k)
+                    for m in (M, (M + 1) // 2))
+    return fine, abs(fine - coarse)
+
+
+def random_invariant(rng, n, top):
+    """A random complex combination of monomial_w(mu), mu <= top."""
+    out = LaurentPolynomial(n)
+    for mu in partitions_dominated_by(top):
+        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        out = out + monomial_w(mu).scale(c)
+    return out
+
+
+def real_part(h):
+    """h with the real parts of its coefficients: the partially discrete
+    form checks that its value is real on real measures."""
+    return LaurentPolynomial(h.nvars, {e: c.real for e, c in h.terms.items()})
 
 
 def product_degree(f, g):
@@ -49,30 +120,12 @@ def product_degree(f, g):
     return max((sum(map(abs, e)) for e in (f * g).terms), default=0)
 
 
-def grid_pairing(f, g, zvals, grid):
-    """The grid formula: mean of f*g*grid and its even-subgrid estimate."""
-    G = (f * g).eval_grid([zvals] * grid.ndim) * grid
-    value = complex(np.mean(G))
-    half = complex(np.mean(G[(slice(None, None, 2),) * G.ndim]))
-    return value, abs(value - half)
-
-
-def oracle_against(pair, p, n_axes, M, k, axis_factor=None):
-    """measures._Pairing.against by the grid formula: the axis factor is
-    multiplied into a copy of the grid."""
-    zvals, grid = measures._weight_grid(p, n_axes, M, k)
-    grid = grid.copy()
-    if axis_factor is not None:
-        for ax in range(n_axes):
-            sh = [1] * n_axes
-            sh[ax] = M
-            grid *= axis_factor.reshape(sh)
-    return grid_pairing(pair.f, pair.g, zvals, grid)
-
-
 def term_mass(f, g):
     return (sum(abs(c) for c in f.terms.values())
             * sum(abs(c) for c in g.terms.values()))
+
+
+TOPS = {1: (2,), 2: (2, 1), 3: (1, 1, 0)}
 
 
 class TestAgainstGridFormula:
@@ -81,90 +134,212 @@ class TestAgainstGridFormula:
     def test_torus(self, n, odd):
         rng = random.Random(10 * n + odd)
         p = PS[n]
-        for _ in range(3):
-            f, g = random_laurent(rng, n), random_laurent(rng, n)
-            M = 2 * product_degree(f, g) + 8 + odd
+        for _ in range(2):
+            f, g = (random_invariant(rng, n, TOPS[n]) for _ in range(2))
+            M = 2 * sum(TOPS[n]) * 2 + 8 + odd
             rep = torus_bilinear(f, g, p, M)
-            zvals, grid = measures._weight_grid(p, n, M)
-            value, err = grid_pairing(f, g, zvals, grid)
-            tol = 1e-13 * term_mass(f, g) * np.mean(np.abs(grid))
+            value, err = oracle(f, g, p, M)
+            scale = term_mass(f, g) * np.mean(np.abs(weight_grid(p, n, M)[1]))
+            assert abs(rep.value - value) < 1e-13 * scale
+            assert abs(rep.abs_error_estimate - err) < 1e-13 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("M", [16, 17])
+    def test_orbit_sizes_fill_the_grid(self, n, M):
+        [fine, coarse] = measures._tables(PS[n], n, M, None)
+        for table, m in ((fine, M), (coarse, (M + 1) // 2)):
+            assert table.nodes.dtype == np.int16
+            assert table.nodes.shape[0] == n
+            assert np.all(np.diff(table.nodes.astype(int), axis=0) >= 0)
+            assert table.nodes.max() == m // 2
+            assert measures._orbit_sizes(table.nodes, m).sum() == m ** n
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_weights_fold_the_grid(self, n):
+        # every grid point's weight lands on its chamber node
+        M = 12
+        [table, _] = measures._tables(PS[n], n, M, None)
+        _, grid = weight_grid(PS[n], n, M)
+        folded = {}
+        for idx in np.ndindex(grid.shape):
+            key = tuple(sorted(min(i, M - i) for i in idx))
+            folded[key] = folded.get(key, 0) + grid[idx] / M ** n
+        got = {tuple(c): w for c, w in zip(table.nodes.T.tolist(),
+                                           table.weights)}
+        assert got.keys() == folded.keys()
+        scale = np.max(np.abs(grid))
+        for key, w in folded.items():
+            assert abs(got[key] - w) < 1e-14 * scale
+
+    def test_error_estimate_is_the_coarse_pairing(self):
+        rng = random.Random(3)
+        p = PS[2]
+        f, g = (random_invariant(rng, 2, (1, 1)) for _ in range(2))
+        for M in (32, 33):
+            rep = torus_bilinear(f, g, p, M)
+            coarse = torus_bilinear(f, g, p, (M + 1) // 2).value
+            assert abs(rep.abs_error_estimate - abs(rep.value - coarse)) \
+                < 1e-15 * term_mass(f, g)
+
+    def test_natural_t_torus_term(self):
+        # the torus term of the natural-t form pairs against the t = q^k
+        # table; all four parameters small leaves only that term
+        p = AWParams(2, 0.5, 0.25, 0.6, -0.5, 0.3, 0.4)
+        rng = random.Random(6)
+        f, g = (random_invariant(rng, 2, (2, 0)) for _ in range(2))
+        rep = natural_t_bilinear(f, g, p, 24)
+        value, err = oracle(f, g, p, 24, k=2)
+        scale = term_mass(f, g) * abs(gustafson_constant(p))
+        assert abs(rep.value - value) < 1e-13 * scale
+        assert abs(rep.abs_error_estimate - err) < 1e-13 * scale
+
+    def test_partial(self):
+        cases = [(PD[2], 24), (PD[2], 25), (PDD2, 24), (PD[3], 20)]
+        for p, M in cases:
+            rng = random.Random(M)
+            f, g = (real_part(random_invariant(rng, p.n, (1,) * p.n))
+                    for _ in range(2))
+            rep = partial_bilinear(f, g, p, M)
+            assert rep.discrete_points_used > 0
+            value, err = per_label_partial(f, g, p, M)
+            # the chain values |omega| > 1 scale the substituted
+            # coefficients
+            tol = 1e-13 * term_mass(f, g) * 10 * abs(gustafson_constant(p))
             assert abs(rep.value - value) < tol
             assert abs(rep.abs_error_estimate - err) < tol
 
-    def test_partial(self, monkeypatch):
-        # real coefficients: the form checks that its value is real there
-        rng = random.Random(5)
-        f, g = random_laurent(rng, 2, real=True), random_laurent(rng, 2, True)
-        M = 2 * product_degree(f, g) + 9
-        rep = partial_bilinear(f, g, PD2, M)
-        assert rep.discrete_points_used > 0
-        # the torus term and every chain point by the grid formula
-        monkeypatch.setattr(measures._Pairing, "against", oracle_against)
-        want = partial_bilinear(f, g, PD2, M)
-        # the chain values |omega| > 1 scale the substituted coefficients
-        tol = 1e-13 * term_mass(f, g) * 10 * abs(gustafson_constant(PD2))
-        assert abs(rep.value - want.value) < tol
-        assert abs(rep.abs_error_estimate - want.abs_error_estimate) < tol
+    def test_natural_t(self):
+        # one chain of t0, three support values: every pick of r = 1, 2
+        # points substituted one at a time
+        p, k, M = PK3, 2, 24
+        q = p.q
+        rng = random.Random(4)
+        f, g = (random_invariant(rng, 2, (1, 1)) for _ in range(2))
+        rep = natural_t_bilinear(f, g, p, M)
+        chain = [(p.t0 * q ** m, measures.wd_residue_weight(m, *p.tvec, q))
+                 for m in range(measures._chain_ends(p, 0)[0])]
+        assert len(chain) == 3
+        value, err = oracle(f, g, p, M, k)
+        count, mass = 0, 0.0
+        for r in (1, 2):
+            for picks in product(chain, repeat=r):
+                pt = [zv for zv, _w in picks]
+                w = math.prod(w for _zv, w in picks)
+                for a, b in ((0, 1),) * (r - 1):
+                    for arg in (pt[a] * pt[b], pt[b] / pt[a], pt[a] / pt[b],
+                                1 / (pt[a] * pt[b])):
+                        w *= qpoch_finite(arg, q, k)
+                if w == 0:
+                    continue
+                count += 1
+                if r == 2:
+                    term = 4 * w * f.eval(pt) * g.eval(pt)
+                    value += term
+                    mass += abs(term)
+                    continue
+                fz, gz = f.substitute_prefix(pt), g.substitute_prefix(pt)
 
-    def test_natural_t(self, monkeypatch):
-        rng = random.Random(6)
-        f, g = random_laurent(rng, 2), random_laurent(rng, 2)
-        M = 2 * product_degree(f, g) + 8
-        rep = natural_t_bilinear(f, g, PK2, M)
-        assert rep.discrete_points_used > 1
-        monkeypatch.setattr(measures._Pairing, "against", oracle_against)
-        want = natural_t_bilinear(f, g, PK2, M)
-        tol = 1e-13 * term_mass(f, g) * 10 * abs(gustafson_constant(PK2))
-        assert abs(rep.value - want.value) < tol
-        assert abs(rep.abs_error_estimate - want.abs_error_estimate) < tol
+                def row(z, zv=pt[0]):
+                    out = np.ones(len(z), dtype=complex)
+                    for arg in (zv * z, zv / z, z / zv, 1 / (zv * z)):
+                        out *= qpoch_finite_arr(arg, q, k)
+                    return out
+
+                pq = AWParams(1, q, p.t, *p.tvec)
+                fine, coarse = (grid_mean((fz * gz).eval_grid, pq, 1, m, k,
+                                          row) for m in (M, (M + 1) // 2))
+                value += 4 * w * fine
+                mass += abs(4 * w * fine)
+                err += 4 * abs(w) * abs(fine - coarse)
+        # r = 2: (x;q)_2 vanishes at x = 1, 1/q, so only (0, 2), (2, 0);
+        # the torus term counts as one point
+        assert count + 1 == rep.discrete_points_used == 1 + 3 + 2
+        assert abs(rep.value - value) < 1e-13 * mass
+        assert abs(rep.abs_error_estimate - err) < 1e-13 * mass
+
+
+def per_label_partial(f, g, p, M):
+    """partial_bilinear label by label: every discrete label substituted
+    into f and g, its (n - r)-axis pairing by the grid formula with the
+    label's delta_c factor on every axis."""
+    n = p.n
+    value, err = oracle(f, g, p, M)
+    for _l, nu, omega, weights, _rows in measures._discrete_table(p, M):
+        r = len(nu)
+        comb = 2 ** r * math.perm(n, r)
+        for pt, w in zip(omega.tolist(), weights.tolist()):
+            fz, gz = f.substitute_prefix(pt), g.substitute_prefix(pt)
+            if r == n:
+                value += comb * w * fz.coefficient(()) * gz.coefficient(())
+                continue
+            pq = AWParams(n - r, p.q, p.t, *p.tvec)
+
+            def row(z, pt=pt):
+                return np.array([interaction_c(pt, (x,), p) for x in z])
+
+            fine, coarse = (grid_mean((fz * gz).eval_grid, pq, n - r, m,
+                                      factor=row)
+                            for m in (M, (M + 1) // 2))
+            value += comb * w * fine
+            err += comb * abs(w) * abs(fine - coarse)
+    return value, err
 
 
 class TestPairingTerms:
     def test_exactly_symmetric(self):
         rng = random.Random(8)
         for n in (1, 2, 3):
-            f, g = random_laurent(rng, n), random_laurent(rng, n)
-            # same exponents, different coefficients: the order comes
-            # from the coefficients
-            h = LaurentPolynomial(n, {e: 2 * c for e, c in f.terms.items()})
-            for a, b in ((f, g), (f, h)):
-                M = 2 * product_degree(a, b) + 8
-                assert (torus_bilinear(a, b, PS[n], M)
-                        == torus_bilinear(b, a, PS[n], M))
+            f, g = (random_invariant(rng, n, TOPS[n]) for _ in range(2))
+            M = 2 * 2 * sum(TOPS[n]) + 8
+            assert torus_bilinear(f, g, PS[n], M) == torus_bilinear(
+                g, f, PS[n], M)
+        f, g = (real_part(random_invariant(rng, 2, (1, 1))) for _ in range(2))
+        for form, p in ((partial_bilinear, PDD2), (natural_t_bilinear, PK2)):
+            assert form(f, g, p, 24) == form(g, f, p, 24)
 
     def test_degree_counts_kept_terms_only(self):
-        # the top-degree terms of f*g cancel: (z1 + 1/z2)(z1 - 1/z2)
-        # keeps z1^2 and z2^-2 at degree 2, but (z1 + z2)(z1^-1 - z2^-1)
-        # keeps z1 z2^-1 and z2 z1^-1 and cancels its constant term
-        cases = [
-            (LaurentPolynomial(2, {(1, 0): 1, (0, -1): 1}),
-             LaurentPolynomial(2, {(1, 0): 1, (0, -1): -1})),
-            (LaurentPolynomial(2, {(1, 0): 1, (0, 1): 1}),
-             LaurentPolynomial(2, {(-1, 0): 1, (0, -1): -1})),
-            (LaurentPolynomial(1, {(3,): 1, (1,): 1}),
-             LaurentPolynomial(1, {(-3,): 1, (-1,): -1})),
-            (LaurentPolynomial(1, {(2,): 1}), LaurentPolynomial(1)),
-        ]
+        # for W-invariant f and g the top degrees add: no product term of
+        # the largest orbits cancels
         rng = random.Random(9)
-        cases += [(random_laurent(rng, n), random_laurent(rng, n))
-                  for n in (1, 2, 3) for _ in range(5)]
+        cases = [(monomial_w((2, 1)), monomial_w((1, 0))),
+                 (monomial_w((1, 1)) - monomial_w((2, 0)), monomial_w((1, 1))),
+                 (LaurentPolynomial.constant(2), monomial_w((0, 0)))]
+        cases += [tuple(random_invariant(rng, n, TOPS[n]) for _ in range(2))
+                  for n in (1, 2, 3) for _ in range(3)]
         for f, g in cases:
-            pair = measures._Pairing(f, g)
-            assert pair.degree() == product_degree(pair.f, pair.g)
+            assert measures._pairing_degree(f, g) == product_degree(f, g)
 
     def test_m_guard_boundary(self):
-        f = LaurentPolynomial(1, {(3,): 1, (1,): 1})
-        g = LaurentPolynomial(1, {(-3,): 1, (-1,): -1})
-        # f*g = z^2 - z^-2 after cancellation: degree 2, so M = 12 is the
-        # smallest accepted grid although the exponent sums reach 6
-        torus_bilinear(f, g, PS[1], 12)
+        # degree 3 + 1: M = 16 is the smallest accepted grid
+        f, g = monomial_w((3,)), monomial_w((1,))
+        torus_bilinear(f, g, PS[1], 16)
         with pytest.raises(DomainViolation):
-            torus_bilinear(f, g, PS[1], 11)
+            torus_bilinear(f, g, PS[1], 15)
+        # at n = 2 the degrees add along aligned signs: |(2,1)| + |(1,0)|
+        f, g = monomial_w((2, 1)), monomial_w((1, 0))
+        torus_bilinear(f, g, PS[2], 16)
+        with pytest.raises(DomainViolation):
+            torus_bilinear(f, g, PS[2], 15)
+
+    @pytest.mark.parametrize("form, p", [(torus_bilinear, PS[2]),
+                                         (partial_bilinear, PD[2]),
+                                         (natural_t_bilinear, PK2)])
+    def test_not_invariant_raises(self, form, p):
+        m = monomial_w((1, 0))
+        for bad in (
+                # a missing orbit member, then unequal coefficients
+                LaurentPolynomial(2, {(1, 0): 1.0}),
+                m + LaurentPolynomial(2, {(0, 1): 1e-3}),
+                LaurentPolynomial(2, {(1, 0): 1.0, (-1, 0): 1.0,
+                                      (0, 1): 1.0, (0, -1): 1.0 + 1e-15})):
+            with pytest.raises(NotWInvariant):
+                form(bad, m, p, 32)
+            with pytest.raises(NotWInvariant):
+                form(m, bad, p, 32)
 
     def test_zero_polynomial(self):
         zero = LaurentPolynomial(2)
-        rep = torus_bilinear(zero, random_laurent(random.Random(1), 2),
-                             PS[2], 32)
+        rep = torus_bilinear(zero, monomial_w((2, 1)), PS[2], 32)
         assert rep.value == 0 and rep.abs_error_estimate == 0
 
     def test_length_mismatch(self):
@@ -182,43 +357,85 @@ class TestMechanism:
             raise AssertionError("pairing built a product or grid values")
 
         rng = random.Random(11)
-        f, g = random_laurent(rng, 2, True), random_laurent(rng, 2, True)
-        M = 2 * product_degree(f, g) + 8
+        f, g = (real_part(random_invariant(rng, 2, (1, 1))) for _ in range(2))
         monkeypatch.setattr(LaurentPolynomial, "eval_grid", forbidden)
         monkeypatch.setattr(LaurentPolynomial, "__mul__", forbidden)
-        torus_bilinear(f, g, PS[2], M)
-        assert partial_bilinear(f, g, PD2, M).discrete_points_used > 0
-        assert natural_t_bilinear(f, g, PK2, M).discrete_points_used > 0
+        monkeypatch.setattr(LaurentPolynomial, "substitute_prefix", forbidden)
+        torus_bilinear(f, g, PS[2], 24)
+        assert partial_bilinear(f, g, PD[2], 24).discrete_points_used > 0
+        assert natural_t_bilinear(f, g, PK3, 24).discrete_points_used > 1
 
     def test_repeated_call_builds_nothing(self):
         rng = random.Random(12)
-        f, g = random_laurent(rng, 2, True), random_laurent(rng, 2, True)
-        M = 2 * product_degree(f, g) + 8
-
-        def params():
-            # equal but distinct parameter objects
-            return (replace(PS[2]), replace(PD2), replace(PK2))
+        f, g = (real_part(random_invariant(rng, 2, (1, 1))) for _ in range(2))
 
         def run():
-            ps, pd, pk = params()
-            return (torus_bilinear(f, g, ps, M), partial_bilinear(f, g, pd, M),
-                    natural_t_bilinear(f, g, pk, M))
+            # equal but distinct parameter objects
+            ps, pd, pk = replace(PS[2]), replace(PD[2]), replace(PK2)
+            return (torus_bilinear(f, g, ps, 24),
+                    partial_bilinear(f, g, pd, 24),
+                    natural_t_bilinear(f, g, pk, 24))
 
-        measures._factors.cache_clear()
-        measures._moment_table.cache_clear()
+        measures._tables.cache_clear()
         first = run()
-        built = (measures._factors.cache_info().misses,
-                 measures._moment_table.cache_info().misses)
+        built = measures._tables.cache_info().misses
         assert run() == first
-        assert (measures._factors.cache_info().misses,
-                measures._moment_table.cache_info().misses) == built
+        assert measures._tables.cache_info().misses == built
+
+    def test_gram_evaluates_each_polynomial_once(self, monkeypatch):
+        # the node values of the polynomials paired last are kept per
+        # table; a bound of one polynomial evicts, and the values agree
+        rng = random.Random(13)
+        polys = [random_invariant(rng, 2, (2, 1)) for _ in range(4)]
+        calls = []
+        evaluate = measures._Chamber.evaluate
+
+        def counted(table, coeffs, labels):
+            calls.append(table.M)
+            return evaluate(table, coeffs, labels)
+
+        monkeypatch.setattr(measures._Chamber, "evaluate", counted)
+
+        def gram():
+            measures._tables.cache_clear()
+            calls.clear()
+            return [torus_bilinear(a, b, PS[2], 32).value
+                    for a in polys for b in polys]
+
+        kept = gram()
+        assert sorted(calls) == [16] * 4 + [32] * 4
+        monkeypatch.setattr(measures, "_KEPT_VALUES", 1)
+        assert gram() == kept
+        assert len(calls) > 8
 
     def test_one_over_one_is_a_weighted_sum(self):
-        one = LaurentPolynomial.constant(3)
-        pair = measures._Pairing(one, one)
-        assert pair.D == 0
-        L, H = measures._moment_table(PS[3], 3, 16, None, pair.D)
-        assert L.shape == H.shape == (1, 1, 1)
+        # a constant stays a scalar: the pairing is the sum of the weights
+        one = LaurentPolynomial.constant(3, 0.5)
+        [table, coarse] = measures._tables(PS[3], 3, 16, None)
+        assert table.evaluate({(0, 0, 0): np.ones(1)}, 1).shape == (1, 1)
+        rep = torus_bilinear(one, one, PS[3], 16)
+        assert rep.value == 0.25 * table.weights.sum()
+        assert rep.abs_error_estimate == abs(
+            0.25 * (table.weights.sum() - coarse.weights.sum()))
+
+
+class TestReportedValues:
+    def test_imaginary_residue(self):
+        # <P_(4,2), P_(4,2)> at the aw defaults: a real norm whose
+        # imaginary part is rounding only
+        d = DEFAULTS["aw"]
+        p = AWParams(2, d["q"], d["t"], d["t0"], d["t1"], d["t2"], d["t3"])
+        P = aw_polynomials((4, 2), p)[(4, 2)].to_laurent()
+        v = torus_bilinear(P, P, p, 128).value
+        assert abs(v.imag) <= 1e-14 * abs(v.real)
+
+    def test_aw_near_q_one(self):
+        # q = 0.99 needs M = 256; every check passes
+        report = run_suite(build_config({"suite": "aw", "q": "0.99",
+                                         "M": "256"}))
+        assert len(report.checks) == 4
+        assert all(c.passed for c in report.checks), [
+            (c.name, c.rel_err) for c in report.checks]
 
 
 class TestPoleGuards:

@@ -318,6 +318,5 @@ class TestTablesAreReused:
 
     def test_one_bound_for_every_table(self):
         for table in (big._node_table, little._node_table,
-                      qracah._node_table, measures._factors,
-                      measures._moment_table):
+                      qracah._node_table, measures._tables):
             assert table.cache_info().maxsize == CACHE_SIZE

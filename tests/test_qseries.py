@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from bcortho import qseries
@@ -95,6 +96,19 @@ class TestQpochReal:
         # a t = 2 = q^{-1}
         with pytest.raises(PoleAtDenominator):
             qseries.qpoch_real(8.0, 0.5, 0.25)
+
+    @pytest.mark.parametrize("j", [1, 3, 12])
+    def test_array_pole_past_the_first_factor(self, j):
+        # a t q^j = 1 for the last entry only; the others stay far from 1
+        # (|a t q^i| < 1e-3 or > 50 while it is near 1), so only the
+        # per-factor guard of that entry can fire
+        q, t = 0.5, 0.25
+        a = np.array([1e-3, 3e3 * q ** -j, q ** -j / t])
+        with pytest.raises(PoleAtDenominator):
+            qseries.qpoch_real_arr(a, q, t)
+        got = qseries.qpoch_real_arr(a[:2], q, t)
+        want = [qseries.qpoch_real(x, q, t) for x in a[:2]]
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 class TestQpochRatio:
