@@ -58,7 +58,7 @@ class LaurentPolynomial:
     """Sparse Laurent polynomial: map from integer exponent vectors to
     complex coefficients. Instances are treated as immutable."""
 
-    __slots__ = ("nvars", "terms", "_w_coeffs")
+    __slots__ = ("nvars", "terms", "_w_coeffs", "_node_values")
 
     def __init__(self, nvars: int, terms: Dict[Exponent, complex] | None = None):
         self.nvars = nvars
@@ -71,6 +71,7 @@ class LaurentPolynomial:
                     clean[tuple(int(x) for x in e)] = complex(c)
         self.terms = clean
         self._w_coeffs: Dict[Exponent, complex] | None = None
+        self._node_values: Dict[int, tuple] | None = None
 
     @classmethod
     def constant(cls, nvars: int, c: complex = 1.0) -> "LaurentPolynomial":
@@ -149,6 +150,22 @@ class LaurentPolynomial:
                 term = term * cache[i, ei]
             total += term
         return total
+
+    def node_values(self, table: object,
+                    nodes: Callable[[], np.ndarray]) -> np.ndarray:
+        """eval_points(nodes()) for the node table `table`, computed once
+        and kept on this instance, like w_coefficients, so the values die
+        with the polynomial. Keyed by the identity of table, which the
+        entry holds so that the key cannot be reused; nodes() is called
+        only on the first request. The array is read-only."""
+        if self._node_values is None:
+            self._node_values = {}
+        entry = self._node_values.get(id(table))
+        if entry is None:
+            values = self.eval_points(nodes())
+            values.flags.writeable = False
+            entry = self._node_values[id(table)] = (table, values)
+        return entry[1]
 
     def eval_grid(self, axes: List[np.ndarray]) -> np.ndarray:
         """Evaluate on the tensor grid axes[0] x ... x axes[n-1].

@@ -21,7 +21,8 @@ so they hold on the conjugate branch as well.
 
 Pairings reuse a per-parameter node table (little._jackson_table, one
 part per split j), kept for the CACHE_SIZE most recently used parameter
-sets; a pairing is one weighted dot product per part. weight_big stays
+sets; a pairing is one weighted dot product per part, of node values
+kept on each polynomial as for the little form. weight_big stays
 as the scalar reference for the table's weights.
 """
 

@@ -15,7 +15,9 @@ recently used parameter sets: the labels nu with |nu| <= S and their
 weights, computed once with the array kernel (_jackson_table, shared with
 the big q-Jacobi form). S grows until the last shells are negligible
 against the table's own mass, so masses far below 1, as at q near 1,
-keep full relative precision. A pairing is one weighted dot product.
+keep full relative precision. A pairing is one weighted dot product of
+the node values of f and g, which each polynomial computes once per
+table part and keeps (LaurentPolynomial.node_values).
 
 Closed forms are stated with the q-gamma function of arguments involving
 alpha = log_q a and beta = log_q b; they are evaluated here through
@@ -180,11 +182,18 @@ def _jackson_table(parts: Callable[[int], list], n: int, q: float, t: float,
 
 
 def _pair(table: Table, f: LaurentPolynomial, g: LaurentPolynomial) -> float:
-    """Re(f g) summed against a node table: one dot product per part."""
+    """Re(f g) summed against a node table: one dot product per part, with
+    the values of f and g at its nodes computed once per part and kept on
+    each polynomial (LaurentPolynomial.node_values)."""
     total = 0.0
-    for z, nu, w in table:
-        Z = np.array([zi.take(nui) for zi, nui in zip(z, nu)]).T
-        total += np.dot((f.eval_points(Z) * g.eval_points(Z)).real, w)
+    for part in table:
+        z, nu, w = part
+
+        def nodes() -> np.ndarray:
+            return np.array([zi.take(nui) for zi, nui in zip(z, nu)]).T
+
+        total += np.dot((f.node_values(part, nodes)
+                         * g.node_values(part, nodes)).real, w)
     return float(total)
 
 

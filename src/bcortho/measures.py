@@ -25,7 +25,7 @@ whose even-index points are not closed under z -> 1/z.
 The discrete supports are never truncated: each chain position runs to
 the last support value off the closed unit disk (SlowConvergence past
 MAX_CHAIN values). The discrete part of the partially discrete form is
-one uncached node table per split of F(r), built as the little and big
+one cached node table per split of F(r), built as the little and big
 q-Jacobi tables are: by Delta^(d) = K_r Delta^qR a weight is K_l K_m
 times the Delta^qR one-axis and in-chain pair factors, cumulative
 products of per-step ratios that neither underflow nor overflow on long
@@ -558,14 +558,15 @@ def _qr_pair(pc: AWParams, k: int, l: int, ek: int, el: int) -> np.ndarray:
     return np.where(v >= u, A[u + v] * B[np.maximum(v - u, 0)], np.nan)
 
 
-def _discrete_table(p: AWParams, M: int) -> list:
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _discrete_table(p: AWParams, M: int) -> tuple:
     """One node table per split l + m = r of F(r), r = 1..n, as
-    [(l, nu, omega, w, rows), ...]: the labels nu (one column per label,
-    nu on the chain of t_i in its first l rows, nu' on that of t_j in
-    the other m), their support values omega (one row per label), the
-    weights Delta^(d)(nu) Delta^(d)(nu') delta_c(omega; omega') and, for
-    r < n, the delta_c rows over the axes of the two tables of _tables
-    (None for r = n)."""
+    ((l, nu, omega, w, rows), ...), cached like _tables: the labels nu
+    (one column per label, nu on the chain of t_i in its first l rows,
+    nu' on that of t_j in the other m), their support values omega (one
+    row per label), the weights Delta^(d)(nu) Delta^(d)(nu')
+    delta_c(omega; omega') and, for r < n, the delta_c rows over the axes
+    of the two tables of _tables (None for r = n)."""
     n = p.n
     large = _large_params(p)
     i_param = large[0] if large else 0
@@ -611,11 +612,11 @@ def _discrete_table(p: AWParams, M: int) -> list:
                     f"discrete weight {w[bad[0]]} at the label "
                     f"{nu[:, bad[0]].tolist()} of the split ({l}, {r - l})")
             omega = np.array([values[ax][lab] for ax, lab in zip(axes, nu)])
-            row = (np.split(np.prod([rows[ax][lab] for ax, lab in zip(
-                axes, nu)], axis=0), [len(grid_axes[0])], axis=1)
+            row = (tuple(np.split(np.prod([rows[ax][lab] for ax, lab in zip(
+                axes, nu)], axis=0), [len(grid_axes[0])], axis=1))
                    if r < n else None)
             table.append((l, nu, omega.T, w, row))
-    return table
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,14 @@ the residue-product weight Delta^(d), the finite bilinear form, the
 polynomials (qracah_polynomials: bcpoly.orthogonalize in the m basis for
 that form) and the closed-form quadratic norms.
 
-The bilinear form reuses a per-parameter table of the support nodes and
-their weights, kept for the CACHE_SIZE most recently used parameter sets;
-its terms are still added node by node, in support order.
+The bilinear form reuses a per-parameter node table, kept for the
+CACHE_SIZE most recently used parameter sets: the (m, n) array of the
+support nodes and the vector of their weights, the shape of the little
+and big q-Jacobi tables. Each polynomial is evaluated once per table,
+as a vector kept on the polynomial (LaurentPolynomial.node_values), and
+the terms f g w are added one by one in support order. The denominators
+of the weights and of the summation are tested factor by factor, so a
+tiny product of nonzero factors is a value, not a pole.
 
 The closed-form norm N(lambda) / (2^n n! K_n) is a ratio in which single
 factors vanish or diverge at the truncated parameters, so it is evaluated
@@ -27,6 +32,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from .bcpoly import (
     LaurentPolynomial,
     OrthogonalPolynomial,
@@ -40,6 +47,7 @@ from .errors import (
     FormMismatch,
     PoleInWeight,
     UncancelledPole,
+    ZeroProduct,
 )
 from .params import CACHE_SIZE, AWParams
 from .qseries import (POLE_GUARD, qpoch_finite, qpoch_infinite, qpoch_ratio,
@@ -84,11 +92,22 @@ def _rho(p, i: int) -> complex:
     return p.t0 * p.t ** (i - 1)
 
 
+def _den_qpoch(a: complex, q: float, k: int, what: str) -> complex:
+    """(a;q)_k as a denominator factor: PoleInWeight if one of its factors
+    1 - a q^j vanishes, each tested on its own as qpoch_ratio does, so a
+    tiny but nonzero product is accepted."""
+    try:
+        return qpoch_finite(a, q, k, require_nonzero=True)
+    except ZeroProduct as exc:
+        raise PoleInWeight(f"{what}: ({a};q)_{k} vanishes") from exc
+
+
 def weight_qR(nu: Sequence[int], p) -> complex:
     """Rewritten discrete weight Delta^qR at the node rho q^nu.
 
     nu is a weakly increasing chain label; p carries (q, t, t0..t3) as an
-    AWParams or QRacahParams-compatible object."""
+    AWParams or QRacahParams-compatible object. PoleInWeight if a factor
+    of a denominator vanishes."""
     nu = ascending_index(nu)
     q, t = p.q, p.t
     tv = (p.t0, p.t1, p.t2, p.t3)
@@ -96,30 +115,30 @@ def weight_qR(nu: Sequence[int], p) -> complex:
     val: complex = 1.0
     for i, li in enumerate(nu, start=1):
         rho = _rho(p, i)
+        what = f"Delta^qR denominator at i={i}"
         num = qpoch_finite(q * rho ** 2, q, 2 * li)
-        den = (qpoch_finite(rho ** 2, q, 2 * li)
-               * (T / q * t ** (2 * i - 2)) ** li)
+        power = (T / q * t ** (2 * i - 2)) ** li
+        if power == 0:
+            raise PoleInWeight(f"{what}: (T t^(2i-2) / q)^{li} vanishes")
+        den = _den_qpoch(rho ** 2, q, 2 * li, what) * power
         for tj in tv:
             num *= qpoch_finite(tj * rho, q, li)
-            den *= qpoch_finite(q * rho / tj, q, li)
-        if abs(den) < POLE_GUARD * max(1.0, abs(num)):
-            raise PoleInWeight(f"Delta^qR denominator vanishes at i={i}")
+            den *= _den_qpoch(q * rho / tj, q, li, what)
         val *= num / den
     r = len(nu)
     for k in range(1, r + 1):
         for l in range(k + 1, r + 1):
             rk, rl = _rho(p, k), _rho(p, l)
             lk, ll = nu[k - 1], nu[l - 1]
+            what = f"Delta^qR pair denominator at ({k}, {l})"
             num = (qpoch_finite(q * rk * rl, q, lk + ll)
                    * qpoch_finite(t * rk * rl, q, lk + ll)
                    * qpoch_finite(q * rl / rk, q, ll - lk)
                    * qpoch_finite(t * rl / rk, q, ll - lk))
-            den = (qpoch_finite(q * rk * rl / t, q, lk + ll)
-                   * qpoch_finite(rk * rl, q, lk + ll)
-                   * qpoch_finite(q * rl / (t * rk), q, ll - lk)
-                   * qpoch_finite(rl / rk, q, ll - lk))
-            if abs(den) < POLE_GUARD * max(1.0, abs(num)):
-                raise PoleInWeight("Delta^qR pair denominator vanishes")
+            den = (_den_qpoch(q * rk * rl / t, q, lk + ll, what)
+                   * _den_qpoch(rk * rl, q, lk + ll, what)
+                   * _den_qpoch(q * rl / (t * rk), q, ll - lk, what)
+                   * _den_qpoch(rl / rk, q, ll - lk, what))
             val *= num / den
     return val
 
@@ -171,42 +190,48 @@ def bilinear_qR(f: LaurentPolynomial, g: LaurentPolynomial,
                 qp: QRacahParams) -> complex:
     """Finite discrete bilinear form sum_nu f g Delta^qR at rho q^nu.
 
-    The terms are added node by node in support order. Another order
-    leaves the polynomials as orthogonal, by the cosine
-    |<P_a,P_b>| / sqrt(N_a N_b) (6e-14 either way at the suite defaults),
-    but moves the CLI orthogonality metric, which divides by <1,1>
-    rather than by the norms, that reach 5e3 times <1,1>: one dot
-    product over eval_points of the table read 4.4e-11 instead of
-    4.8e-12 there, and 6.9e-10 instead of 5.6e-10 at N = 3."""
+    f and g are evaluated once per node table, as vectors kept on each
+    polynomial (LaurentPolynomial.node_values); the terms f g w are then
+    added one by one in support order. Another order leaves the
+    polynomials as orthogonal, by the cosine |<P_a,P_b>| / sqrt(N_a N_b)
+    (6e-14 either way at the suite defaults), but moves the CLI
+    orthogonality metric, which divides by <1,1> rather than by the
+    norms, that reach 5e3 times <1,1>: one dot product over the table
+    read 4.4e-11 instead of 4.8e-12 there, and 6.9e-10 instead of
+    5.6e-10 at N = 3."""
+    table = _node_table(qp)
+    Z, w = table
+    terms = (f.node_values(table, lambda: Z)
+             * g.node_values(table, lambda: Z) * w)
     total: complex = 0.0
-    for z, w in _node_table(qp):
-        total += f.eval(z) * g.eval(z) * w
+    for term in terms.tolist():
+        total += term
     return total
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _node_table(qp: QRacahParams) -> Tuple[Tuple[Tuple[complex, ...],
-                                                 complex], ...]:
-    """(node rho q^nu, Delta^qR) over the finite support, in order."""
+def _node_table(qp: QRacahParams) -> Tuple[np.ndarray, np.ndarray]:
+    """The (m, n) array of the nodes rho q^nu and the vector of their
+    weights Delta^qR (complex), over the finite support in order."""
     p = qp.aw
-    return tuple(
-        (tuple(_rho(p, i) * p.q ** nu[i - 1] for i in range(1, qp.n + 1)),
-         weight_qR(nu, p))
-        for nu in support_qR(qp))
+    support = support_qR(qp)
+    Z = np.array([[_rho(p, i) * p.q ** nu[i - 1] for i in range(1, qp.n + 1)]
+                  for nu in support])
+    return Z, np.array([weight_qR(nu, p) for nu in support], dtype=complex)
 
 
 def summation_qR(qp: QRacahParams) -> complex:
-    """Closed form of the constant term <1,1>_qR."""
+    """Closed form of the constant term <1,1>_qR; PoleInWeight if a factor
+    of a denominator vanishes."""
     q, t, N, n = qp.q, qp.t, qp.N, qp.n
     t0, t1, t2 = qp.t0, qp.t1, qp.t2
+    what = "summation denominator"
     val: complex = 1.0
     for i in range(1, n + 1):
         num = (qpoch_finite(q * t0 ** 2 * t ** (2 * n - i - 1), q, N)
                * qpoch_finite(q / (t1 * t2) * t ** (i - n), q, N))
-        den = (qpoch_finite(q * t0 / t1 * t ** (n - i), q, N)
-               * qpoch_finite(q * t0 / t2 * t ** (n - i), q, N))
-        if abs(den) < POLE_GUARD * max(1.0, abs(num)):
-            raise PoleInWeight("summation denominator vanishes")
+        den = (_den_qpoch(q * t0 / t1 * t ** (n - i), q, N, what)
+               * _den_qpoch(q * t0 / t2 * t ** (n - i), q, N, what))
         val *= num / den
     return val
 

@@ -203,7 +203,7 @@ def table_labels(p):
 
 class TestSupports:
     def test_all_small_empty(self):
-        assert measures._discrete_table(PS2, 16) == []
+        assert measures._discrete_table(PS2, 16) == ()
 
     def test_single_point(self):
         p = AWParams(1, 0.5, 0.4, 1.2, 0.5, 0.3, 0.1)

@@ -2,9 +2,12 @@
 scalar weight functions they replace in the pairings, and the caching that
 makes a repeated pairing compute no weights."""
 
+import gc
 import itertools
 import math
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ import pytest
 from bcortho import big, little, measures, qracah
 from bcortho.bcpoly import LaurentPolynomial, monomial_s, monomial_w
 from bcortho.big import BigParams, bilinear_big, c_weights, weight_big
+from bcortho.cli import build_config, run_suite
 from bcortho.errors import (
     BcorthoError,
     DomainViolation,
@@ -27,7 +31,7 @@ from bcortho.little import (
     bilinear_little,
     delta_qJ,
 )
-from bcortho.params import CACHE_SIZE
+from bcortho.params import CACHE_SIZE, AWParams
 from bcortho.qracah import QRacahParams, bilinear_qR
 from bcortho.qseries import (
     qpoch_infinite,
@@ -269,6 +273,81 @@ class TestEvalPoints:
             self.POLY.eval_points(np.ones(3))
 
 
+class TestNodeValues:
+    """LaurentPolynomial.node_values: the values at a table's nodes are
+    computed once per polynomial and table, and live on the polynomial."""
+
+    Z = np.array([[0.5, 2.0], [1.5, -0.3], [0.7, 0.9]])
+
+    def test_once_per_table(self):
+        f = monomial_s((2, 1))
+        calls = []
+
+        def nodes():
+            calls.append(1)
+            return self.Z
+
+        table, other = object(), object()
+        first = f.node_values(table, nodes)
+        assert f.node_values(table, nodes) is first
+        assert len(calls) == 1
+        assert np.array_equal(first, f.eval_points(self.Z))
+        assert not first.flags.writeable
+        # equal contents, another table: its own entry
+        assert f.node_values(other, nodes) is not first
+        assert len(calls) == 2
+
+    def test_values_die_with_the_polynomial(self):
+        f = monomial_s((2, 1))
+        table = object()
+        ref = weakref.ref(f.node_values(table, lambda: self.Z))
+        assert ref() is not None
+        del f
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("raw", [
+        {"suite": "qracah", "n": "3", "N": "3"},
+        {"suite": "little"},
+        {"suite": "big"},
+    ], ids=["qracah-n3-N3", "little", "big"])
+    def test_each_polynomial_evaluated_once_per_table(self, raw,
+                                                      monkeypatch):
+        # the polynomials of orthogonalize and of the Gram checks are
+        # evaluated at most once per instance and node table
+        seen = []
+        eval_points = LaurentPolynomial.eval_points
+
+        def counting(self, Z):
+            seen.append((self, Z.shape, Z.tobytes()))
+            return eval_points(self, Z)
+
+        monkeypatch.setattr(LaurentPolynomial, "eval_points", counting)
+        report = run_suite(build_config(raw))
+        assert any(c.name == "orthogonality" for c in report.checks)
+        keys = [(id(f), shape, data) for f, shape, data in seen]
+        assert len(keys) > 0
+        assert len(set(keys)) == len(keys)
+
+    def test_big_n3_gram_memory(self):
+        # the node values of the lmax 1 polynomials at n = 3 (66k nodes in
+        # four parts) stay within 6 MiB traced; 4.5 MiB measured, and the
+        # gathered nodes are not kept
+        bp = BigParams(3, 0.5, 0.4, 0.6, 0.3, 1.0, 0.8)
+        big._node_table(bp)
+        tracemalloc.start()
+        try:
+            polys = [P.to_laurent()
+                     for P in big.big_polynomials((1, 1, 1), bp).values()]
+            for i, f in enumerate(polys):
+                for g in polys[i:]:
+                    bilinear_big(f, g, bp)
+            _cur, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
+
+
 class TestTablesAreReused:
     """A repeated pairing on equal parameters computes no node weight."""
 
@@ -316,7 +395,20 @@ class TestTablesAreReused:
                    lambda: QRacahParams(2, 0.5, 0.3, 0.7, -0.5, 0.4, 2),
                    [qracah._node_table], [(qracah, ["weight_qR"])])
 
+    def test_partial_gram_builds_one_table(self):
+        # a Gram matrix of k polynomials makes k(k+1)/2 partially discrete
+        # pairings on one measure and builds its chain table once
+        p = AWParams(2, 0.5, 0.3, 1.1, -1.05, 0.35, 0.45)
+        polys = [monomial_w(lam) for lam in [(0, 0), (1, 0), (1, 1), (2, 0)]]
+        measures._discrete_table.cache_clear()
+        for i, f in enumerate(polys):
+            for g in polys[i:]:
+                measures.partial_bilinear(f, g, p, 32)
+        info = measures._discrete_table.cache_info()
+        assert (info.misses, info.hits) == (1, 9)
+
     def test_one_bound_for_every_table(self):
         for table in (big._node_table, little._node_table,
-                      qracah._node_table, measures._tables):
+                      qracah._node_table, measures._tables,
+                      measures._discrete_table):
             assert table.cache_info().maxsize == CACHE_SIZE

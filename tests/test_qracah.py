@@ -1,12 +1,16 @@
 """Tests for the finite discrete q-Racah orthogonality."""
 
+import cmath
 import random
 
+import numpy as np
 import pytest
 
 from bcortho.askey_wilson import aw1_oracle
-from bcortho.bcpoly import LaurentPolynomial
-from bcortho.errors import DomainViolation
+from bcortho import qracah
+from bcortho.bcpoly import (LaurentPolynomial, monomial_w,
+                            partitions_dominated_by)
+from bcortho.errors import DomainViolation, PoleInWeight
 from bcortho.measures import multi_discrete_weight, wd_residue_weight
 from bcortho.params import AWParams
 from bcortho.qracah import (
@@ -31,6 +35,47 @@ PG = AWParams(2, 0.5, 0.3, 1.1, -0.5, 0.35, 0.45)
 
 def rel(a, b):
     return abs(a - b) / max(1.0, abs(b))
+
+
+def nodewise_table(qp):
+    """The nodes rho q^nu and weights Delta^qR, each computed on its own,
+    in support order."""
+    p = qp.aw
+    return [(tuple(p.t0 * p.t ** (i - 1) * p.q ** nu[i - 1]
+                   for i in range(1, qp.n + 1)), weight_qR(nu, p))
+            for nu in support_qR(qp)]
+
+
+def bilinear_qR_nodewise(f, g, table):
+    """The q-Racah pairing node by node, as it was computed before the
+    pairing went to vectors: f and g evaluated at each node by eval, and
+    the terms added in support order."""
+    total = 0.0
+    for z, w in table:
+        total += f.eval(z) * g.eval(z) * w
+    return total
+
+
+class Memo:
+    """A polynomial whose eval results are kept, so that the oracle pairs
+    a Gram matrix without evaluating a polynomial twice at one node."""
+
+    def __init__(self, f):
+        self.f, self.values = f, {}
+
+    def eval(self, z):
+        if z not in self.values:
+            self.values[z] = self.f.eval(z)
+        return self.values[z]
+
+    def eval_abs(self, z):
+        """sum |c| |z^e|: the scale of the rounding of eval at z."""
+        total = 0.0
+        for e, c in self.f.terms.items():
+            for zi, ei in zip(z, e):
+                c = abs(c) * abs(zi) ** ei
+            total += abs(c)
+        return total
 
 
 class TestWeight:
@@ -59,6 +104,80 @@ class TestWeight:
     def test_rejects_decreasing_label(self):
         with pytest.raises(DomainViolation):
             weight_qR((2, 1), QP2.aw)
+
+
+class TestWeightGuards:
+    """The denominators of weight_qR and summation_qR are tested factor by
+    factor: a tiny product of nonzero factors is a value, a vanishing
+    factor is a pole."""
+
+    Q, T0 = 0.5, 0.3
+    # 1 - q t0 / t1 = 1e-9 and 1 - q t0 / t2 = -1e-9: the product of the
+    # two denominator factors is 1e-18, far below the pole guard
+    T1, T2 = Q * T0 / (1 - 1e-9), Q * T0 / (1 + 1e-9)
+
+    def test_tiny_one_axis_denominator(self):
+        p = AWParams(1, self.Q, 0.3, self.T0, self.T1, self.T2, 0.45)
+        q, rho = p.q, p.t0
+        T = p.t0 * p.t1 * p.t2 * p.t3
+        num = qpoch_finite(q * rho ** 2, q, 2)
+        den = qpoch_finite(rho ** 2, q, 2) * (T / q)
+        for tj in (p.t0, p.t1, p.t2, p.t3):
+            num *= qpoch_finite(tj * rho, q, 1)
+            den *= qpoch_finite(q * rho / tj, q, 1)
+        assert abs(den) < 1e-20
+        assert weight_qR((1,), p) == num / den
+
+    def test_tiny_pair_denominator(self):
+        # t0^2 t = q^-1 (1 - 1e-9) at t = q: the pair factors
+        # (q rho_1 rho_2 / t;q)_1 and (rho_1 rho_2;q)_1 are both 1e-9
+        q = t = 0.5
+        t0 = ((1 - 1e-9) / q) ** 0.5
+        p = AWParams(2, q, t, t0, -0.5, 0.35, 0.45)
+        rk, rl = t0, t0 * t
+        pair_num = (qpoch_finite(q * rk * rl, q, 1)
+                    * qpoch_finite(t * rk * rl, q, 1)
+                    * qpoch_finite(q * rl / rk, q, 1)
+                    * qpoch_finite(t * rl / rk, q, 1))
+        pair_den = (qpoch_finite(q * rk * rl / t, q, 1)
+                    * qpoch_finite(rk * rl, q, 1))
+        assert abs(pair_den) < 1e-17
+        pair_den *= (qpoch_finite(q * rl / (t * rk), q, 1)
+                     * qpoch_finite(rl / rk, q, 1))
+        # the one-axis factor of nu_2 = 1 at rho_2 = t0 t
+        T = p.t0 * p.t1 * p.t2 * p.t3
+        num = qpoch_finite(q * rl ** 2, q, 2)
+        den = qpoch_finite(rl ** 2, q, 2) * (T / q * t ** 2)
+        for tj in (p.t0, p.t1, p.t2, p.t3):
+            num *= qpoch_finite(tj * rl, q, 1)
+            den *= qpoch_finite(q * rl / tj, q, 1)
+        assert rel(weight_qR((0, 1), p),
+                   num / den * (pair_num / pair_den)) < 1e-12
+
+    def test_tiny_summation_denominator(self):
+        q, t0, t1, t2 = self.Q, self.T0, self.T1, self.T2
+        qp = QRacahParams(1, q, 0.3, t0, t1, t2, 1)
+        num = (1 - q * t0 ** 2 * 1.0) * (1 - q / (t1 * t2) * 1.0)
+        den = (1 - q * t0 / t1 * 1.0) * (1 - q * t0 / t2 * 1.0)
+        assert abs(den) < 1e-17
+        assert summation_qR(qp) == num / den
+
+    def test_vanishing_one_axis_factor(self):
+        # q rho / t1 = 0.5 * 0.5 / 0.25 = 1 exactly
+        p = AWParams(1, 0.5, 0.3, 0.5, 0.25, 0.35, 0.45)
+        with pytest.raises(PoleInWeight, match="denominator at i=1"):
+            weight_qR((1,), p)
+
+    def test_vanishing_pair_factor(self):
+        # rho_1 rho_2 = t0^2 t = 4 * 0.25 = 1 exactly
+        p = AWParams(2, 0.5, 0.25, 2.0, -0.5, 0.35, 0.45)
+        with pytest.raises(PoleInWeight, match="pair denominator"):
+            weight_qR((0, 1), p)
+
+    def test_vanishing_summation_factor(self):
+        qp = QRacahParams(1, 0.5, 0.3, 0.5, 0.25, 0.35, 2)
+        with pytest.raises(PoleInWeight, match="summation"):
+            summation_qR(qp)
 
 
 class TestKr:
@@ -150,6 +269,52 @@ class TestOrthogonality:
             v = norm_qR(lam, QP2)
             assert abs(complex(v).imag) < 1e-12 * abs(v)
             assert complex(v).real > 0
+
+
+class TestNodeTable:
+    """The vectorized pairing against the node-by-node oracle."""
+
+    @staticmethod
+    def gram_pairs(qp):
+        top = (qp.N,) * qp.n
+        polys = [P.to_laurent() for P in qracah_polynomials(top, qp).values()]
+        polys += [monomial_w(lam) for lam in partitions_dominated_by(top)]
+        memo = [Memo(f) for f in polys]
+        return [(polys[i], polys[j], memo[i], memo[j])
+                for i in range(len(polys)) for j in range(i, len(polys))]
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_table_in_support_order(self, n, N):
+        qp = QRacahParams(n, 0.5, 0.3, 0.7, -0.5, 0.4, N)
+        Z, w = qracah._node_table(qp)
+        table = nodewise_table(qp)
+        assert Z.shape == (len(table), n) and w.shape == (len(table),)
+        assert [(tuple(z), wk) for z, wk in zip(Z.tolist(), w.tolist())
+                ] == table
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_nodewise_oracle_bitwise(self, n, N):
+        # real parameters: the real path of eval_points reproduces eval,
+        # and the terms are added in the same order
+        qp = QRacahParams(n, 0.5, 0.3, 0.7, -0.5, 0.4, N)
+        table = nodewise_table(qp)
+        for f, g, fm, gm in self.gram_pairs(qp):
+            assert bilinear_qR(f, g, qp) == bilinear_qR_nodewise(fm, gm,
+                                                                 table)
+
+    @pytest.mark.parametrize("n, N", [(1, 3), (2, 2), (3, 1)])
+    def test_complex_t0(self, n, N):
+        # numpy's complex powers may differ from Python's in the last bit
+        qp = QRacahParams(n, 0.5, 0.3, 0.7 * cmath.exp(0.4j), -0.5, 0.4, N)
+        assert np.iscomplexobj(qracah._node_table(qp)[0])
+        table = nodewise_table(qp)
+        for f, g, fm, gm in self.gram_pairs(qp):
+            want = bilinear_qR_nodewise(fm, gm, table)
+            scale = sum(fm.eval_abs(z) * gm.eval_abs(z) * abs(w)
+                        for z, w in table)
+            assert abs(bilinear_qR(f, g, qp) - want) <= 1e-13 * scale
 
 
 class TestErrors:
