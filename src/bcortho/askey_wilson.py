@@ -12,7 +12,7 @@ The little and big q-Jacobi families are limits of this family along a
 deformation eps -> 0 of its parameters. Each limit is one Limit record,
 and two scans along eps_k = q^(k+1) test it: limit_scan on the
 polynomial coefficients and measure_scan on the partially discrete
-pairing.
+pairing. Each scan evaluates only the steps k it is given.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .bcpoly import (
     LaurentPolynomial,
@@ -82,7 +82,8 @@ class Limit:
     times the partially discrete pairing of m_lambda and m_mu tends to
     2^n n! (q;q)_inf^(-2n) (1-q)^(-n) times the target pairing of the
     S-monomials. polynomials(top) and pair are the target family's;
-    measure_kmax is the last k of the CLI's measure scan."""
+    measure_kmax caps the step k at which the CLI's measure check reads
+    the pairing."""
 
     params: object
     deformation: Callable[[float], AWParams]
@@ -94,16 +95,17 @@ class Limit:
     measure_kmax: int
 
 
-def limit_scan(limit: Limit, lam: Sequence[int], kmax: int
+def limit_scan(limit: Limit, lam: Sequence[int], ks: Iterable[int]
                ) -> List[Tuple[int, float, float]]:
-    """Table of (k, eps_k, max coefficient deviation) along eps_k = q^(k+1):
-    at each eps the Askey-Wilson polynomial P_lambda at the deformed
-    parameters, rescaled, against the target polynomial of degree lambda."""
+    """Table of (k, eps_k, max coefficient deviation) for each k in ks,
+    eps_k = q^(k+1): at each eps the Askey-Wilson polynomial P_lambda at
+    the deformed parameters, rescaled, against the target polynomial of
+    degree lambda."""
     lam = partition(lam)
     target = limit.polynomials(lam)[lam]
     q = limit.params.q
     rows: List[Tuple[int, float, float]] = []
-    for k in range(kmax + 1):
+    for k in ks:
         eps = q * q ** k
         aw = aw_polynomials(lam, limit.deformation(eps))[lam]
         r = limit.rescale(eps)
@@ -117,11 +119,13 @@ def limit_scan(limit: Limit, lam: Sequence[int], kmax: int
 
 
 def measure_scan(limit: Limit, lam: Sequence[int], mu: Sequence[int],
-                 kmax: int, M: int) -> List[Tuple[int, float, float]]:
-    """Table of (k, eps_k, relative deviation) along eps_k = q^(k+1): the
-    renormalized partially discrete pairing of the W-monomials of degrees
-    lambda and mu (M grid points per axis) against its limit, the target
-    pairing of the S-monomials times the constant of Limit."""
+                 ks: Iterable[int], M: int
+                 ) -> List[Tuple[int, float, float]]:
+    """Table of (k, eps_k, relative deviation) for each k in ks,
+    eps_k = q^(k+1): the renormalized partially discrete pairing of the
+    W-monomials of degrees lambda and mu (M grid points per axis) against
+    its limit, the target pairing of the S-monomials times the constant
+    of Limit."""
     lam = partition(lam)
     mu = partition(mu)
     n, q = limit.params.n, limit.params.q
@@ -131,7 +135,7 @@ def measure_scan(limit: Limit, lam: Sequence[int], mu: Sequence[int],
     f = monomial_w(lam)
     g = monomial_w(mu)
     rows: List[Tuple[int, float, float]] = []
-    for k in range(kmax + 1):
+    for k in ks:
         eps = q * q ** k
         pair = partial_bilinear(f, g, limit.deformation(eps), M).value
         got = (limit.prefactor(eps)

@@ -147,6 +147,15 @@ def weight_big(z: Sequence[float], bp: BigParams) -> float:
     return val * delta_qJ(z, q, bp.t)
 
 
+def _theta_den(x: float, q: float, where: str) -> complex:
+    """theta(x) as a denominator factor: raises PoleInTheta when this
+    factor on its own is below the pole guard."""
+    th = theta_jacobi(x, q)
+    if abs(th) < POLE_GUARD:
+        raise PoleInTheta(f"theta factor vanishes in {where}")
+    return th
+
+
 def c_weights(bp: BigParams) -> List[float]:
     """Split-weights (c_{B,0}, ..., c_{B,n}) of the two-sided Jackson
     integral, from the theta-product closed form (c_weights_defining is
@@ -158,16 +167,11 @@ def c_weights(bp: BigParams) -> List[float]:
     for j in range(n + 1):
         val = qq ** n
         for i in range(1, j + 1):
-            den = (theta_jacobi(-t ** (1 - i) * d / c, q)
-                   * theta_jacobi(-t ** i * c / d, q))
-            if abs(den) < POLE_GUARD:
-                raise PoleInTheta("theta factor vanishes in c_{B,j}")
+            den = (_theta_den(-t ** (1 - i) * d / c, q, "c_{B,j}")
+                   * _theta_den(-t ** i * c / d, q, "c_{B,j}"))
             val *= (theta_jacobi(-t ** (i + j - n) * c / d, q) / den).real
         for i in range(1, n - j + 1):
-            den = theta_jacobi(-t ** (1 - i) * c / d, q)
-            if abs(den) < POLE_GUARD:
-                raise PoleInTheta("theta factor vanishes in c_{B,j}")
-            val /= den.real
+            val /= _theta_den(-t ** (1 - i) * c / d, q, "c_{B,j}").real
         val *= q ** (-2.0 * tau * tau * (
             (n - j) * math.comb(j, 2) + math.comb(j, 3)
             + math.comb(n - j, 3)))
@@ -188,10 +192,7 @@ def c_weights_defining(bp: BigParams) -> List[float]:
     base *= d ** (-2.0 * tau * math.comb(n, 2) - n)
     base *= t ** (-math.comb(n, 2))
     for i in range(1, n + 1):
-        den = theta_jacobi(-t ** (1 - i) * c / d, q)
-        if abs(den) < POLE_GUARD:
-            raise PoleInTheta("theta factor vanishes in c_B")
-        base /= den.real
+        base /= _theta_den(-t ** (1 - i) * c / d, q, "c_B").real
     out: List[float] = []
     for j in range(n + 1):
         dB = 1.0

@@ -327,7 +327,7 @@ class TestLimitTransitions:
                                        ((1, 1), 2), ((2, 0), 2)])
     def test_little_coefficients(self, lam, n):
         lp = self.LP1 if n == 1 else self.LP2
-        self.check_table(limit_scan(little_limit(lp), lam, 15))
+        self.check_table(limit_scan(little_limit(lp), lam, range(16)))
 
     @pytest.mark.parametrize("lam,n", [((2,), 1), ((1, 0), 2),
                                        ((1, 1), 2), ((2, 0), 2)])
@@ -335,14 +335,16 @@ class TestLimitTransitions:
         # beyond k = 11 the deformed operator data grows like eps^{-2}
         # and rounding noise overtakes the geometric convergence
         bp = self.BP1 if n == 1 else self.BP2
-        self.check_table(limit_scan(big_limit(bp), lam, 11))
+        self.check_table(limit_scan(big_limit(bp), lam, range(12)))
 
     def test_little_measure_constant(self):
-        rows = measure_scan(little_limit(self.LP2), (1, 0), (0, 0), 12, 64)
+        rows = measure_scan(little_limit(self.LP2), (1, 0), (0, 0), range(13),
+                            64)
         assert rows[-1][2] < 1e-3
 
     def test_big_measure_constant(self):
-        rows = measure_scan(big_limit(self.BP2), (1, 0), (0, 0), 11, 64)
+        rows = measure_scan(big_limit(self.BP2), (1, 0), (0, 0), range(12),
+                            64)
         assert rows[-1][2] < 1e-3
 
 

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
+from bcortho import big
 from bcortho.askey_wilson import limit_scan
 from bcortho.bcpoly import LaurentPolynomial, monomial_s
-from bcortho.errors import DomainViolation
+from bcortho.errors import DomainViolation, PoleInTheta
 from bcortho.big import (
     FORM_TOL,
     BigParams,
@@ -110,6 +111,24 @@ class TestCWeights:
         ca, cb = c_weights(bp), c_weights(bq)
         for j in range(3):
             assert rel(ca[j] / ca[0], cb[j] / cb[0]) < 1e-12
+
+
+class TestCWeightGuard:
+    # each theta factor of a denominator is guarded on its own, as in
+    # qpoch_ratio, so a small product of admissible factors is accepted
+    def test_small_factors_accepted(self, monkeypatch):
+        # the product of the two factors of c_{B,1} is 1e-14, below the
+        # pole guard, but neither factor is
+        monkeypatch.setattr(big, "theta_jacobi", lambda x, q: 1e-7)
+        assert all(math.isfinite(v) and v != 0.0
+                   for v in big.c_weights(BP2))
+
+    def test_vanishing_factor_raises(self, monkeypatch):
+        x0 = -BP2.t * BP2.c / BP2.d   # theta(-t c / d) divides c_{B,1}
+        monkeypatch.setattr(big, "theta_jacobi",
+                            lambda x, q: 1e-14 if x == x0 else 1.0)
+        with pytest.raises(PoleInTheta):
+            big.c_weights(BP2)
 
 
 class TestWeight:
@@ -259,11 +278,11 @@ class TestLimit:
                           0.5 * BP1.a * rdc, -0.5 * BP1.b * rcd)
 
     def test_scan_zero_partition(self):
-        rows = limit_scan(big_limit(BP1), (0,), 3)
+        rows = limit_scan(big_limit(BP1), (0,), range(4))
         assert all(dev == 0.0 for _k, _e, dev in rows)
 
     def test_scan_decreasing(self):
-        rows = limit_scan(big_limit(BP1), (1,), 12)
+        rows = limit_scan(big_limit(BP1), (1,), range(13))
         devs = [dev for _k, _e, dev in rows]
         assert devs[-1] < 1e-4
         assert all(b < a for a, b in zip(devs[4:-1], devs[5:]))

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from bcortho import big, cli, measures
+from bcortho.askey_wilson import limit_scan, measure_scan
 from bcortho.big import BigParams
 from bcortho.cli import (
     SUITES,
@@ -21,7 +22,9 @@ from bcortho.cli import (
     run_suite,
 )
 from bcortho.bcpoly import LaurentPolynomial
-from bcortho.errors import ConfigError, IoError, NonFiniteWeight
+from bcortho.errors import (ConfigError, DomainViolation, IoError,
+                            NonFiniteWeight)
+from bcortho.little import little_limit
 
 
 def strip_ms(doc: dict) -> dict:
@@ -67,6 +70,13 @@ class TestConfig:
     def test_bad_tol(self):
         with pytest.raises(ConfigError):
             build_config({"suite": "aw", "tol": "-1"})
+
+    def test_negative_kmax(self, capsys):
+        with pytest.raises(ConfigError):
+            build_config({"suite": "limits", "kmax": "-1"})
+        assert build_config({"suite": "limits", "kmax": "0"})["kmax"] == 0
+        assert main(["--suite", "limits", "--kmax", "-1"]) == 2
+        assert "kmax" in capsys.readouterr().err
 
     def test_defaults_applied(self):
         cfg = build_config({"suite": "qracah", "N": "1"})
@@ -341,6 +351,68 @@ class TestPartiallyDiscrete:
                    if c.name == "partially-discrete"]
         assert check.tol == tol
         assert check.passed != scaled
+
+
+def full_scan_tail_ok(rows) -> float:
+    """The coefficient verdict on a scan from k = 0: the last deviation,
+    provided the tail half of the table decreases."""
+    devs = [dev for _k, _e, dev in rows]
+    tail = devs[len(devs) // 2:]
+    if any(b >= a for a, b in zip(tail, tail[1:])):
+        return math.inf
+    return devs[-1]
+
+
+def broken_at(limit, k):
+    """limit, with a deformation that raises at the step k."""
+    bad_eps = limit.params.q * limit.params.q ** k
+
+    def deformation(eps):
+        if eps == bad_eps:
+            raise DomainViolation(f"deformation refused at eps = {eps}")
+        return limit.deformation(eps)
+
+    return replace(limit, deformation=deformation)
+
+
+class TestLimitsSteps:
+    # the limits checks evaluate only the steps their verdicts read: the
+    # tail half of the coefficient scan and the last measure step
+
+    @pytest.mark.parametrize("raw", [{}, {"n": "1"}])
+    def test_values_equal_full_scans(self, raw):
+        cfg = build_config({"suite": "limits", **raw})
+        checks = {c.name: c for c in run_suite(cfg).checks}
+        kmax, M = int(cfg["kmax"]), int(cfg["M"])
+        lp = cli._little_family(cfg).params
+        bp = cli._big_family(cfg).params
+        lam = (1,) + (0,) * (lp.n - 1)
+        for name, limit in (("little", little_limit(lp)),
+                            ("big", big.big_limit(bp))):
+            rows = limit_scan(limit, lam, range(kmax + 1))
+            assert checks[f"{name}-coefficients"].lhs == \
+                full_scan_tail_ok(rows)
+            k = min(kmax, limit.measure_kmax)
+            rows = measure_scan(limit, lam, (0,) * lp.n, range(k + 1), M)
+            assert checks[f"{name}-measure-constant"].lhs == rows[-1][2]
+
+    @pytest.mark.parametrize("k,failed", [
+        (15, {"little-coefficients"}),
+        (12, {"little-coefficients", "little-measure-constant"}),
+        (8, {"little-coefficients"}),
+        (7, set()),
+    ])
+    def test_error_at_step(self, k, failed, monkeypatch):
+        # at kmax = 15 the verdicts read k = 8..15 of the coefficient scan
+        # and k = 12 of the measure scan: an error at a step read fails
+        # that check with NaN sides, an error at k = 7 fails none
+        monkeypatch.setattr(cli, "little_limit",
+                            lambda lp: broken_at(little_limit(lp), k))
+        checks = run_suite(build_config({"suite": "limits"})).checks
+        assert {c.name for c in checks if not c.passed} == failed
+        for c in checks:
+            if c.name in failed:
+                assert math.isnan(c.lhs) and math.isnan(c.rhs)
 
 
 # perfbench/run.py keys its expected verdicts on these names

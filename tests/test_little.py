@@ -147,11 +147,11 @@ class TestLimit:
             aw_params_little(0.5, lp)
 
     def test_scan_zero_partition(self):
-        rows = limit_scan(little_limit(LP1), (0,), 3)
+        rows = limit_scan(little_limit(LP1), (0,), range(4))
         assert all(dev == 0.0 for _k, _e, dev in rows)
 
     def test_scan_decreasing(self):
-        rows = limit_scan(little_limit(LP1), (1,), 15)
+        rows = limit_scan(little_limit(LP1), (1,), range(16))
         devs = [dev for _k, _e, dev in rows]
         assert devs[-1] < 1e-4
         assert all(b < a for a, b in zip(devs[4:-1], devs[5:]))
