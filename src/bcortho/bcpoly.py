@@ -4,10 +4,10 @@ The hyperoctahedral group W = S_n x {+-1}^n acts on Laurent polynomials in
 z_1..z_n by permuting variables and inverting them; the symmetric group S_n
 acts by permutation only. This module provides the invariant monomial bases
 m_lambda (W-orbit sums) and mtilde_lambda (S-orbit sums), the dominance
-order used for triangular expansions, sparse Laurent arithmetic, and the
-one orthogonalizer of the package: every family is monic in a monomial
-basis, triangular in the dominance order and orthogonal for its own
-bilinear form, so orthogonalize builds all of them the same way.
+order, sparse Laurent arithmetic with node values kept per node table,
+the PointTable of the discrete measures, and the one orthogonalizer: every
+family is monic in a monomial basis, triangular in the dominance order and
+orthogonal for its own bilinear form, so orthogonalize builds all alike.
 """
 
 from __future__ import annotations
@@ -151,18 +151,17 @@ class LaurentPolynomial:
             total += term
         return total
 
-    def node_values(self, table: object,
-                    nodes: Callable[[], np.ndarray]) -> np.ndarray:
-        """eval_points(nodes()) for the node table `table`, computed once
-        and kept on this instance, like w_coefficients, so the values die
-        with the polynomial. Keyed by the identity of table, which the
-        entry holds so that the key cannot be reused; nodes() is called
-        only on the first request. The array is read-only."""
+    def node_values(self, table) -> np.ndarray:
+        """table.at_nodes(self), the values at the nodes of a node table,
+        computed once per table and kept on this instance, like
+        w_coefficients, so the values die with the polynomial. Keyed by
+        the identity of table, which the entry holds so that the key
+        cannot be reused. The array is read-only."""
         if self._node_values is None:
             self._node_values = {}
         entry = self._node_values.get(id(table))
         if entry is None:
-            values = self.eval_points(nodes())
+            values = table.at_nodes(self)
             values.flags.writeable = False
             entry = self._node_values[id(table)] = (table, values)
         return entry[1]
@@ -237,6 +236,21 @@ class LaurentPolynomial:
     def __repr__(self):
         items = ", ".join(f"{e}: {c:.6g}" for e, c in sorted(self.terms.items()))
         return f"LaurentPolynomial({self.nvars}, {{{items}}})"
+
+
+@dataclass(frozen=True, eq=False)
+class PointTable:
+    """A node table of a discrete measure: node r is the point
+    (z[i, nu[i, r]])_i, with weight weights[r]."""
+
+    z: np.ndarray
+    nu: np.ndarray
+    weights: np.ndarray
+
+    def at_nodes(self, f: LaurentPolynomial) -> np.ndarray:
+        """f at every node, the nodes gathered on each call, not kept."""
+        return f.eval_points(
+            np.array([zi.take(nui) for zi, nui in zip(self.z, self.nu)]).T)
 
 
 def dominance_leq(mu: Sequence[int], lam: Sequence[int]) -> bool:

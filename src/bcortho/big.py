@@ -20,9 +20,9 @@ forms go through qseries.qpoch_ratio, which keeps complex products whole,
 so they hold on the conjugate branch as well.
 
 Pairings reuse a per-parameter node table (little._jackson_table, one
-part per split j), kept for the CACHE_SIZE most recently used parameter
-sets; a pairing is one weighted dot product per part, of node values
-kept on each polynomial as for the little form. weight_big stays
+bcpoly.PointTable per split j), kept for the CACHE_SIZE most recently used
+parameter sets; a pairing is one real dot product per part, of node
+values kept on each polynomial as for the little form. weight_big stays
 as the scalar reference for the table's weights.
 """
 
@@ -39,6 +39,7 @@ from .askey_wilson import Limit
 from .bcpoly import (
     LaurentPolynomial,
     OrthogonalPolynomial,
+    PointTable,
     monomial_s,
     orthogonalize,
     partition,
@@ -50,7 +51,7 @@ from .errors import (
     SlowConvergence,
     ZeroProduct,
 )
-from .little import Table, _jackson_table, _pair, delta_qJ, nqj_product
+from .little import _jackson_table, _pair, delta_qJ, nqj_product
 from .measures import _natural_k
 from .params import CACHE_SIZE, AWParams
 from .qseries import (
@@ -212,7 +213,7 @@ def bilinear_big(f: LaurentPolynomial, g: LaurentPolynomial,
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _node_table(bp: BigParams) -> Table:
+def _node_table(bp: BigParams) -> List[PointTable]:
     """The nodes (rho_B q^nu, sigma_B q^nu') and weights
     (1-q)^n c_{B,j} Delta^B(z) |prod z|, as weight_big computes them,
     vectorized (little._jackson_table); one part per j = 0..n."""

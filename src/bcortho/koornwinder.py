@@ -25,8 +25,7 @@ from .bcpoly import (
 )
 from .errors import DiagonalMismatch, NearPole
 from .params import AWParams
-
-POLE_GUARD = 1e-12
+from .qseries import POLE_GUARD
 
 # Radius of the node circle on the first three axes; further axes use the
 # unit circle. The per-axis phase offsets of _nodes keep z_j^2, z_j z_l

@@ -11,13 +11,13 @@ the closed-form norms and q-Selberg constant term, and the record of the
 limit transition (little_limit).
 
 Pairings reuse a per-parameter node table, kept for the CACHE_SIZE most
-recently used parameter sets: the labels nu with |nu| <= S and their
-weights, computed once with the array kernel (_jackson_table, shared with
-the big q-Jacobi form). S grows until the last shells are negligible
-against the table's own mass, so masses far below 1, as at q near 1,
-keep full relative precision. A pairing is one weighted dot product of
-the node values of f and g, which each polynomial computes once per
-table part and keeps (LaurentPolynomial.node_values).
+recently used parameter sets: one bcpoly.PointTable per part of the chain
+set, the labels nu with |nu| <= S and their weights, computed once with
+the array kernel (_jackson_table, shared with the big q-Jacobi form). S
+grows until the last shells are negligible against the table's own mass,
+so masses far below 1, as at q near 1, keep full relative precision. A
+pairing is one real dot product per part of the node values of f and g,
+kept on each polynomial (LaurentPolynomial.node_values).
 
 Closed forms are stated with the q-gamma function of arguments involving
 alpha = log_q a and beta = log_q b; they are evaluated here through
@@ -40,6 +40,7 @@ from .askey_wilson import Limit
 from .bcpoly import (
     LaurentPolynomial,
     OrthogonalPolynomial,
+    PointTable,
     ascending_index,
     monomial_s,
     orthogonalize,
@@ -64,8 +65,6 @@ from .qseries import (
 
 # A Jackson node table holds the labels of |nu| <= S for S <= MAX_SHELLS.
 MAX_SHELLS = 400
-# one (z, nu, w) per part of the chain set (_jackson_table)
-Table = List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ def bilinear_little(f: LaurentPolynomial, g: LaurentPolynomial,
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _node_table(lp: LittleParams) -> Table:
+def _node_table(lp: LittleParams) -> List[PointTable]:
     """The nodes rho_L q^nu and weights (1-q)^n Delta^L(z) prod z, as
     _weight_at_point computes them, vectorized (_jackson_table)."""
     n, q, t = lp.n, lp.q, lp.t
@@ -140,8 +139,8 @@ def _node_table(lp: LittleParams) -> Table:
 
 
 def _jackson_table(parts: Callable[[int], list], n: int, q: float, t: float,
-                   what: str) -> Table:
-    """Node table of a Jackson multisum over chains, one (z, nu, w) per
+                   what: str) -> List[PointTable]:
+    """Node table of a Jackson multisum over chains, one PointTable per
     part of the chain set: node r of a part is z[i, nu[i, r]] (i < n),
     with weight w[r].
 
@@ -172,7 +171,7 @@ def _jackson_table(parts: Callable[[int], list], n: int, q: float, t: float,
                     f"z = {z[np.arange(n), nu[:, r]].tolist()}, label "
                     f"nu = {nu[:, r].tolist()}")
             mass += np.bincount(nu.sum(axis=0), np.abs(w), minlength=S + 1)
-            table.append((z, nu, w))
+            table.append(PointTable(z, nu, w))
         if S >= n and np.all(mass[-4:] <= EPS_TRUNC * mass.sum()):
             return table
         if S == MAX_SHELLS:
@@ -181,19 +180,14 @@ def _jackson_table(parts: Callable[[int], list], n: int, q: float, t: float,
         S = min(2 * S, MAX_SHELLS)
 
 
-def _pair(table: Table, f: LaurentPolynomial, g: LaurentPolynomial) -> float:
-    """Re(f g) summed against a node table: one dot product per part, with
-    the values of f and g at its nodes computed once per part and kept on
-    each polynomial (LaurentPolynomial.node_values)."""
+def _pair(table: List[PointTable], f: LaurentPolynomial,
+          g: LaurentPolynomial) -> float:
+    """Re(f g) summed against a node table: one dot product per part, of
+    the node values of f and g (LaurentPolynomial.node_values)."""
     total = 0.0
     for part in table:
-        z, nu, w = part
-
-        def nodes() -> np.ndarray:
-            return np.array([zi.take(nui) for zi, nui in zip(z, nu)]).T
-
-        total += np.dot((f.node_values(part, nodes)
-                         * g.node_values(part, nodes)).real, w)
+        total += np.dot((f.node_values(part) * g.node_values(part)).real,
+                        part.weights)
     return float(total)
 
 

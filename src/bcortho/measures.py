@@ -12,12 +12,12 @@ delta_c factors and every pair of polynomials paired are invariant under
 the hyperoctahedral group W, and so is the grid, so its mean is a sum
 over the W-chamber 0 <= k_1 <= ... <= k_n <= M/2 of grid indices, node k
 weighted by Delta(z_k) |orbit(k)| / M^n. One cached chamber table per
-(params, axes, M, k) holds the nodes and weights, built slab by slab
-from w_c(z_k), k <= M/2, and one vector of the M roots, (w^m;q)_tau or
-(w^m;q)_k for t = q^k, from which every pair factor is read. On a table
-a polynomial is the sum of its W-orbit sums m_lambda, real on the torus
-and cached per table (a constant stays a scalar; the node values of the
-polynomials paired last are kept); NotWInvariant for any other input.
+(params, axes, M) holds the nodes and weights, built slab by slab from
+w_c(z_k), k <= M/2, and one vector of the M roots, (w^m;q)_tau, from
+which every pair factor is read. On a table a polynomial is the sum of
+its W-orbit sums m_lambda, cached per table and real on the torus (a
+constant stays a scalar), and keeps its node values, as on the discrete
+tables (LaurentPolynomial.node_values); NotWInvariant for any other input.
 The error estimate is the distance to the pairing on the ceil(M/2)-point
 grid: the even-index subgrid for even M, a table of its own for odd M,
 whose even-index points are not closed under z -> 1/z.
@@ -60,6 +60,7 @@ from .errors import (
 )
 from .params import CACHE_SIZE, AWParams
 from .qseries import (
+    POLE_GUARD,
     qpoch_finite,
     qpoch_finite_arr,
     qpoch_infinite,
@@ -69,15 +70,12 @@ from .qseries import (
 )
 from .qracah import kr_constant
 
-POLE_GUARD = 1e-12
 TORUS_GUARD = 1e-9
 # a chain position holds at most this many support values
 MAX_CHAIN = 256
 # chamber nodes per slab of a table build, and label x node entries per
 # batch of a pairing
 _SLAB = 2 ** 15
-# node values of polynomials kept per chamber table (32 MiB of complex)
-_KEPT_VALUES = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -163,7 +161,7 @@ class _Chamber:
     weights Delta(z_k) |orbit(k)| / M^n_axes. With no axes it is one node
     of weight 1."""
 
-    def __init__(self, p: AWParams, n_axes: int, M: int, k: int | None):
+    def __init__(self, p: AWParams, n_axes: int, M: int):
         roots = _grid_axes(M)
         half = M // 2
         self.axis = roots[:half + 1]
@@ -172,8 +170,7 @@ class _Chamber:
         self.nodes = _chain_labels((n_axes,), [half + 1] * n_axes,
                                    n_axes * half)
         wc = _axis_wc(self.axis, p) if n_axes else None
-        R = (None if n_axes < 2 else qpoch_finite_arr(roots, p.q, k)
-             if k is not None else qpoch_infinite_arr(roots, p.q)
+        R = (None if n_axes < 2 else qpoch_infinite_arr(roots, p.q)
              / qpoch_infinite_arr(roots * p.t, p.q))
         self.weights = np.empty(self.nodes.shape[1], dtype=complex)
         for lo in range(0, len(self.weights), _SLAB):
@@ -186,7 +183,6 @@ class _Chamber:
                     w = w * R[m % M]
             self.weights[lo:lo + _SLAB] = w
         self._sums: Dict[Tuple[int, ...], np.ndarray] = {}
-        self._values: Dict[tuple, np.ndarray] = {}
 
     def orbit_sum(self, lam: Tuple[int, ...]) -> np.ndarray:
         """m_lambda at every node, real on the torus: twice the sum of
@@ -221,27 +217,17 @@ class _Chamber:
                     parts[i] = parts[i] + term
         return parts[0] + 1j * parts[1] if parts[1].any() else parts[0]
 
-
-    def values(self, f: LaurentPolynomial) -> np.ndarray:
-        """f at every node, as one label. The values of the polynomials
-        evaluated last, up to _KEPT_VALUES node values, are kept, so a
-        Gram matrix evaluates each of its polynomials once per table."""
-        coeffs = f.w_coefficients()
-        key = tuple(sorted(coeffs.items()))
-        if key not in self._values:
-            if len(self._values) * self.nodes.shape[1] >= _KEPT_VALUES:
-                del self._values[next(iter(self._values))]
-            self._values[key] = self.evaluate(
-                {lam: np.full(1, c) for lam, c in coeffs.items()}, 1)
-        return self._values[key]
+    def at_nodes(self, f: LaurentPolynomial) -> np.ndarray:
+        """f at every node, as one label."""
+        return self.evaluate({lam: np.full(1, c)
+                              for lam, c in f.w_coefficients().items()}, 1)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _tables(p: AWParams, n_axes: int, M: int,
-            k: int | None) -> Tuple[_Chamber, ...]:
+def _tables(p: AWParams, n_axes: int, M: int) -> Tuple[_Chamber, ...]:
     """Cached chamber tables of the measure on n_axes axes, one per grid
     of _grid_sizes(M)."""
-    return tuple(_Chamber(p, n_axes, m, k) for m in _grid_sizes(M))
+    return tuple(_Chamber(p, n_axes, m) for m in _grid_sizes(M))
 
 
 def _pairing_degree(f: LaurentPolynomial, g: LaurentPolynomial) -> int:
@@ -275,8 +261,8 @@ def _tail_coefficients(f: LaurentPolynomial, omega: np.ndarray
 
 
 def _chamber_pairings(f: LaurentPolynomial, g: LaurentPolynomial,
-                      p: AWParams, M: int, k: int | None,
-                      omega: np.ndarray, rows: tuple | None = None) -> tuple:
+                      p: AWParams, M: int, omega: np.ndarray,
+                      rows: tuple | None = None) -> tuple:
     """Per label (row of omega, the values of the first r variables): the
     M-point pairing of f(omega, z) g(omega, z) prod_j row(z_j) over the
     other n - r variables, and its distance to the same on the coarser
@@ -288,7 +274,7 @@ def _chamber_pairings(f: LaurentPolynomial, g: LaurentPolynomial,
                      for lam, c in f.w_coefficients().items())):
         f, g = g, f
     sums = []
-    for table, row in zip(_tables(p, p.n - omega.shape[1], M, k),
+    for table, row in zip(_tables(p, p.n - omega.shape[1], M),
                           rows or (None, None)):
         n_nodes = table.nodes.shape[1]
         step = max(1, _SLAB // n_nodes)
@@ -296,7 +282,8 @@ def _chamber_pairings(f: LaurentPolynomial, g: LaurentPolynomial,
         for lo in range(0, len(omega), step):
             labels = omega[lo:lo + step]
             F, G = (table.evaluate(_tail_coefficients(h, labels), len(labels))
-                    if omega.shape[1] else table.values(h) for h in (f, g))
+                    if omega.shape[1] else h.node_values(table)
+                    for h in (f, g))
             fg = F * G
             if row is not None:
                 fg = fg * np.prod([row[lo:lo + step, kj]
@@ -339,7 +326,7 @@ def torus_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
     """<f,g> over the n-torus with density Delta, via the M-point uniform
     tensor grid per axis, for W-invariant f and g."""
     _check_grid(f, g, p, M)
-    value, err = _chamber_pairings(f, g, p, M, None, np.ones((1, 0)))
+    value, err = _chamber_pairings(f, g, p, M, np.ones((1, 0)))
     return MeasureReport(complex(value[0]), float(err[0]), M, 0)
 
 
@@ -637,7 +624,7 @@ def partial_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
     for _l, nu, omega, weights, rows in _discrete_table(p, M):
         r = len(nu)
         comb = 2 ** r * math.factorial(n) // math.factorial(n - r)
-        vals, errs = _chamber_pairings(f, g, p, M, None, omega, rows)
+        vals, errs = _chamber_pairings(f, g, p, M, omega, rows)
         contrib = weights * vals
         if check_positive:
             bad = np.flatnonzero((np.abs(contrib) > 0) & (
@@ -672,7 +659,8 @@ def natural_t_bilinear(f: LaurentPolynomial, g: LaurentPolynomial,
     """The t = q^k rewrite of the partially discrete form: independent
     discrete chains per coordinate, all interactions carried by the
     Laurent-polynomial factor delta(z;q^k); the picks of one choice of
-    chains are paired in one batch."""
+    chains are paired in one batch. The chain factors are finite products;
+    the torus axes use the chamber table, (x;q)_tau = (x;q)_k at t = q^k."""
     k = _natural_k(p)
     n = p.n
     q = p.q
@@ -716,7 +704,7 @@ def natural_t_bilinear(f: LaurentPolynomial, g: LaurentPolynomial,
                     for arg in (w * x, w / x, x / w, 1.0 / (w * x)):
                         row *= qpoch_finite_arr(arg, q, k)
                 rows = np.split(row, [len(grid_axes[0])], axis=1)
-            vals, errs = _chamber_pairings(f, g, p, M, k, omega, rows)
+            vals, errs = _chamber_pairings(f, g, p, M, omega, rows)
             total += comb * complex(np.sum(wdisc * vals))
             err += comb * float(np.sum(np.abs(wdisc) * errs))
             npoints += len(wdisc)

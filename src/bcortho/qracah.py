@@ -11,11 +11,11 @@ polynomials (qracah_polynomials: bcpoly.orthogonalize in the m basis for
 that form) and the closed-form quadratic norms.
 
 The bilinear form reuses a per-parameter node table, kept for the
-CACHE_SIZE most recently used parameter sets: the (m, n) array of the
-support nodes and the vector of their weights, the shape of the little
-and big q-Jacobi tables. Each polynomial is evaluated once per table,
-as a vector kept on the polynomial (LaurentPolynomial.node_values), and
-the terms f g w are added one by one in support order. The denominators
+CACHE_SIZE most recently used parameter sets: a bcpoly.PointTable, like
+each part of the little and big q-Jacobi tables, of the support labels
+and their weights. Each polynomial is evaluated once per table, as a
+vector kept on the polynomial (LaurentPolynomial.node_values), and the
+terms f g w are added one by one in support order. The denominators
 of the weights and of the summation are tested factor by factor, so a
 tiny product of nonzero factors is a value, not a pole.
 
@@ -37,6 +37,7 @@ import numpy as np
 from .bcpoly import (
     LaurentPolynomial,
     OrthogonalPolynomial,
+    PointTable,
     ascending_index,
     monomial_w,
     orthogonalize,
@@ -200,9 +201,7 @@ def bilinear_qR(f: LaurentPolynomial, g: LaurentPolynomial,
     read 4.4e-11 instead of 4.8e-12 there, and 6.9e-10 instead of
     5.6e-10 at N = 3."""
     table = _node_table(qp)
-    Z, w = table
-    terms = (f.node_values(table, lambda: Z)
-             * g.node_values(table, lambda: Z) * w)
+    terms = f.node_values(table) * g.node_values(table) * table.weights
     total: complex = 0.0
     for term in terms.tolist():
         total += term
@@ -210,14 +209,16 @@ def bilinear_qR(f: LaurentPolynomial, g: LaurentPolynomial,
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _node_table(qp: QRacahParams) -> Tuple[np.ndarray, np.ndarray]:
-    """The (m, n) array of the nodes rho q^nu and the vector of their
-    weights Delta^qR (complex), over the finite support in order."""
+def _node_table(qp: QRacahParams) -> PointTable:
+    """The nodes rho q^nu over the finite support in order, row i - 1 of z
+    holding rho_i q^v for v = 0..N, and their weights Delta^qR
+    (complex)."""
     p = qp.aw
     support = support_qR(qp)
-    Z = np.array([[_rho(p, i) * p.q ** nu[i - 1] for i in range(1, qp.n + 1)]
-                  for nu in support])
-    return Z, np.array([weight_qR(nu, p) for nu in support], dtype=complex)
+    z = np.array([[_rho(p, i) * p.q ** v for v in range(qp.N + 1)]
+                  for i in range(1, qp.n + 1)])
+    return PointTable(z, np.array(support).T, np.array(
+        [weight_qR(nu, p) for nu in support], dtype=complex))
 
 
 def summation_qR(qp: QRacahParams) -> complex:

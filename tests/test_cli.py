@@ -71,12 +71,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_config({"suite": "aw", "tol": "-1"})
 
-    def test_negative_kmax(self, capsys):
+    @pytest.mark.parametrize("key, low", [("kmax", 0), ("M", 1)],
+                             ids=["kmax", "M"])
+    def test_below_minimum(self, key, low, capsys):
+        # a bad configuration exits 2, not 1 with NaN checks
         with pytest.raises(ConfigError):
-            build_config({"suite": "limits", "kmax": "-1"})
-        assert build_config({"suite": "limits", "kmax": "0"})["kmax"] == 0
-        assert main(["--suite", "limits", "--kmax", "-1"]) == 2
-        assert "kmax" in capsys.readouterr().err
+            build_config({"suite": "limits", key: str(low - 1)})
+        assert build_config({"suite": "limits", key: str(low)})[key] == low
+        assert main(["--suite", "limits", f"--{key}", str(low - 1)]) == 2
+        assert key in capsys.readouterr().err
 
     def test_defaults_applied(self):
         cfg = build_config({"suite": "qracah", "N": "1"})

@@ -108,8 +108,8 @@ class TestSlabMoments:
             G = f.eval_grid([z] * n) * grid
             want.append(np.mean(G))
             scale.append(np.mean(np.abs(G)))
-        got, err = measures._chamber_pairings(f, g, p, M, None,
-                                              np.ones((1, 0)), rows)
+        got, err = measures._chamber_pairings(f, g, p, M, np.ones((1, 0)),
+                                              rows)
         measures._tables.cache_clear()
         assert abs(got[0] - want[0]) < 1e-13 * scale[0]
         assert abs(err[0] - abs(want[0] - want[1])) < 1e-13 * max(scale)
@@ -118,7 +118,7 @@ class TestSlabMoments:
         # each chamber weight is |orbit| / M^n times Delta at its node,
         # read off the scalar density
         p, M = PS[2], 8
-        [table, _] = measures._tables(p, 2, M, None)
+        [table, _] = measures._tables(p, 2, M)
         sizes = measures._orbit_sizes(table.nodes, M)
         for k, w, size in zip(table.nodes.T.tolist(), table.weights, sizes):
             want = weight_continuous(list(table.axis[k]), p) * size / M ** 2
@@ -132,7 +132,7 @@ class TestSlabMoments:
         measures._tables.cache_clear()
         tracemalloc.start()
         try:
-            [table, _] = measures._tables(p, 3, 256, None)
+            [table, _] = measures._tables(p, 3, 256)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -277,7 +277,8 @@ class TestPerFactorGuards:
         # (qbx;q)_inf = 5.7e-32 at the node x = 1
         lp = LittleParams(2, self.Q, 0.3, 0.4, 0.6)
         assert abs(qpoch_infinite(self.Q * 0.6, self.Q)) < 1e-30
-        [(z, nu, w)] = little._node_table(lp)
+        [part] = little._node_table(lp)
+        z, nu, w = part.z, part.nu, part.weights
         assert nu[:, 0].tolist() == [0, 0] and z[:, 0].tolist() == [1.0, 0.3]
         want = (1 - self.Q) ** 2 * weight_little((0, 0), lp) * 0.3
         assert w[0] > 0 and abs(w[0] - want) < 1e-13 * want

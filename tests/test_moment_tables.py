@@ -146,7 +146,7 @@ class TestAgainstGridFormula:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("M", [16, 17])
     def test_orbit_sizes_fill_the_grid(self, n, M):
-        [fine, coarse] = measures._tables(PS[n], n, M, None)
+        [fine, coarse] = measures._tables(PS[n], n, M)
         for table, m in ((fine, M), (coarse, (M + 1) // 2)):
             assert table.nodes.dtype == np.int16
             assert table.nodes.shape[0] == n
@@ -158,7 +158,7 @@ class TestAgainstGridFormula:
     def test_weights_fold_the_grid(self, n):
         # every grid point's weight lands on its chamber node
         M = 12
-        [table, _] = measures._tables(PS[n], n, M, None)
+        [table, _] = measures._tables(PS[n], n, M)
         _, grid = weight_grid(PS[n], n, M)
         folded = {}
         for idx in np.ndindex(grid.shape):
@@ -383,8 +383,8 @@ class TestMechanism:
         assert measures._tables.cache_info().misses == built
 
     def test_gram_evaluates_each_polynomial_once(self, monkeypatch):
-        # the node values of the polynomials paired last are kept per
-        # table; a bound of one polynomial evicts, and the values agree
+        # a polynomial keeps its node values per table
+        # (LaurentPolynomial.node_values)
         rng = random.Random(13)
         polys = [random_invariant(rng, 2, (2, 1)) for _ in range(4)]
         calls = []
@@ -396,22 +396,16 @@ class TestMechanism:
 
         monkeypatch.setattr(measures._Chamber, "evaluate", counted)
 
-        def gram():
-            measures._tables.cache_clear()
-            calls.clear()
-            return [torus_bilinear(a, b, PS[2], 32).value
-                    for a in polys for b in polys]
-
-        kept = gram()
+        measures._tables.cache_clear()
+        for a in polys:
+            for b in polys:
+                torus_bilinear(a, b, PS[2], 32)
         assert sorted(calls) == [16] * 4 + [32] * 4
-        monkeypatch.setattr(measures, "_KEPT_VALUES", 1)
-        assert gram() == kept
-        assert len(calls) > 8
 
     def test_one_over_one_is_a_weighted_sum(self):
         # a constant stays a scalar: the pairing is the sum of the weights
         one = LaurentPolynomial.constant(3, 0.5)
-        [table, coarse] = measures._tables(PS[3], 3, 16, None)
+        [table, coarse] = measures._tables(PS[3], 3, 16)
         assert table.evaluate({(0, 0, 0): np.ones(1)}, 1).shape == (1, 1)
         rep = torus_bilinear(one, one, PS[3], 16)
         assert rep.value == 0.25 * table.weights.sum()

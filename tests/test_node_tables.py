@@ -12,16 +12,23 @@ import weakref
 import numpy as np
 import pytest
 
-from bcortho import big, little, measures, qracah
-from bcortho.bcpoly import LaurentPolynomial, monomial_s, monomial_w
+from bcortho import big, koornwinder, little, measures, qracah
+from bcortho.bcpoly import (
+    LaurentPolynomial,
+    PointTable,
+    monomial_s,
+    monomial_w,
+)
 from bcortho.big import BigParams, bilinear_big, c_weights, weight_big
 from bcortho.cli import build_config, run_suite
 from bcortho.errors import (
     BcorthoError,
     DomainViolation,
     LengthMismatch,
+    NearPole,
     NonFiniteWeight,
     PoleAtDenominator,
+    PoleInWeight,
     ZeroCoordinate,
     ZeroProduct,
 )
@@ -121,7 +128,8 @@ class TestBigTable:
         table = big._node_table(bp)
         assert len(table) == n + 1
         compared = 0
-        for j, (z, nu, w) in enumerate(table):
+        for j, part in enumerate(table):
+            z, nu, w = part.z, part.nu, part.weights
             check_labels(nu, (j, n - j))
             assert nu.shape == (n, len(w))
             # axis i: c t^i q^nu on the positive chain, -d t^(i-j) q^nu on
@@ -158,7 +166,8 @@ class TestLittleTable:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_weights_match_scalar(self, n):
         lp = LittleParams(n, 0.5, 0.4, 0.6, -2.0)
-        [(z, nu, w)] = little._node_table(lp)
+        [part] = little._node_table(lp)
+        z, nu, w = part.z, part.nu, part.weights
         check_labels(nu, (n,))
         assert nu.shape == (n, len(w))
         for i in range(n):
@@ -219,6 +228,16 @@ class TestArrayKernel:
             qpoch_real(4.0, 0.5, 0.5)
         assert qpoch_infinite(4.0, 0.5) == 0.0
 
+    @pytest.mark.parametrize("guarded, error", [
+        (lambda d: measures._step_products([0.3], [1.0 - d], 1.0, 0.5, 2),
+         PoleInWeight),
+        (lambda d: koornwinder._guard(np.array([0.5, d])), NearPole),
+    ], ids=["step-products", "koornwinder"])
+    def test_one_pole_guard(self, guarded, error):
+        # qseries.POLE_GUARD (1e-13) tests each denominator factor
+        guarded(5e-13)
+        with pytest.raises(error):
+            guarded(5e-14)
 
     @pytest.mark.parametrize("t, finite", [
         # t = q^2: (a;q)_2 = (1 - a)(1 - a q); t = 1/q: 1 / (1 - a/q)
@@ -277,32 +296,36 @@ class TestNodeValues:
     """LaurentPolynomial.node_values: the values at a table's nodes are
     computed once per polynomial and table, and live on the polynomial."""
 
-    Z = np.array([[0.5, 2.0], [1.5, -0.3], [0.7, 0.9]])
-
-    def test_once_per_table(self):
-        f = monomial_s((2, 1))
+    @pytest.mark.parametrize("make", [
+        # two tables of equal contents each
+        lambda: [measures._Chamber(AWParams(2, 0.5, 0.3, 0.2, -0.3, 0.35,
+                                            0.45), 2, 16) for _ in "ab"],
+        lambda: [PointTable(np.array([[0.5, 1.5, 0.7], [2.0, -0.3, 0.9]]),
+                            np.array([[0, 1, 2], [0, 0, 1]]), np.ones(3))
+                 for _ in "ab"],
+    ], ids=["chamber", "point"])
+    def test_kept_once_per_table(self, make, monkeypatch):
+        table, other = make()
+        at_nodes = type(table).at_nodes
         calls = []
 
-        def nodes():
-            calls.append(1)
-            return self.Z
+        def counted(tab, h):
+            calls.append(tab)
+            return at_nodes(tab, h)
 
-        table, other = object(), object()
-        first = f.node_values(table, nodes)
-        assert f.node_values(table, nodes) is first
-        assert len(calls) == 1
-        assert np.array_equal(first, f.eval_points(self.Z))
+        monkeypatch.setattr(type(table), "at_nodes", counted)
+        f = monomial_w((2, 1))
+        first = f.node_values(table)
+        assert f.node_values(table) is first
+        assert calls == [table]
+        assert np.array_equal(first, at_nodes(table, f))
         assert not first.flags.writeable
         # equal contents, another table: its own entry
-        assert f.node_values(other, nodes) is not first
-        assert len(calls) == 2
-
-    def test_values_die_with_the_polynomial(self):
-        f = monomial_s((2, 1))
-        table = object()
-        ref = weakref.ref(f.node_values(table, lambda: self.Z))
-        assert ref() is not None
-        del f
+        second = f.node_values(other)
+        assert second is not first and calls == [table, other]
+        # the values die with the polynomial
+        ref = weakref.ref(first)
+        del f, first, second
         gc.collect()
         assert ref() is None
 
