@@ -24,7 +24,6 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .bcpoly import (
     LaurentPolynomial,
-    OrthogonalPolynomial,
     monomial_s,
     monomial_w,
     partition,
@@ -44,17 +43,18 @@ SEPARATION = 1e-8
 
 
 def aw_polynomials(top: Sequence[int], p: AWParams
-                   ) -> Dict[Tuple[int, ...], OrthogonalPolynomial]:
+                   ) -> Dict[Tuple[int, ...], LaurentPolynomial]:
     """The monic Askey-Wilson polynomials P_mu for every mu <= top, in
     graded-lex order, all from the one operator matrix of top.
 
     For each mu, solves (M - E_mu I) c = 0 with c_mu = 1 by
-    back-substitution on the rows and columns of the partitions <= mu;
-    raises EigenvalueCollision when E_mu is too close to some E_nu,
-    nu < mu, to separate."""
+    back-substitution on the rows and columns of the partitions <= mu,
+    and returns sum_nu c_nu m_nu, built at once from the disjoint W-orbits
+    of the nu; raises EigenvalueCollision when E_mu is too close to some
+    E_nu, nu < mu, to separate."""
     m = op_matrix(top, p)
     pos = {mu: k for k, mu in enumerate(m.index)}
-    out: Dict[Tuple[int, ...], OrthogonalPolynomial] = {}
+    out: Dict[Tuple[int, ...], LaurentPolynomial] = {}
     for lam in m.index:
         mus = partitions_dominated_by(lam)
         e_lam = eigenvalue_E(lam, p)
@@ -67,7 +67,8 @@ def aw_polynomials(top: Sequence[int], p: AWParams
             col = pos[mus[k]]
             coeffs[mus[k]] = sum(coeffs[nu] * m.entries[pos[nu], col]
                                  for nu in mus[k + 1:]) / gap
-        out[lam] = OrthogonalPolynomial(lam, coeffs, monomial_w)
+        out[lam] = LaurentPolynomial(p.n, {
+            e: c for nu, c in coeffs.items() for e in monomial_w(nu).terms})
     return out
 
 
@@ -90,7 +91,7 @@ class Limit:
     rescale: Callable[[float], float]
     prefactor: Callable[[float], float]
     polynomials: Callable[[Tuple[int, ...]],
-                          Dict[Tuple[int, ...], OrthogonalPolynomial]]
+                          Dict[Tuple[int, ...], LaurentPolynomial]]
     pair: Callable[[LaurentPolynomial, LaurentPolynomial], float]
     measure_kmax: int
 
@@ -111,8 +112,8 @@ def limit_scan(limit: Limit, lam: Sequence[int], ks: Iterable[int]
         r = limit.rescale(eps)
         dev = 0.0
         for mu in partitions_dominated_by(lam):
-            scaled = aw.coeffs.get(mu, 0.0) * r ** (sum(lam) - sum(mu))
-            want = target.coeffs.get(mu, 0.0)
+            scaled = aw.coefficient(mu) * r ** (sum(lam) - sum(mu))
+            want = target.coefficient(mu)
             dev = max(dev, abs(scaled - want))
         rows.append((k, eps, dev))
     return rows

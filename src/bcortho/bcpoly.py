@@ -8,6 +8,9 @@ order, sparse Laurent arithmetic with node values kept per node table,
 the PointTable of the discrete measures, and the one orthogonalizer: every
 family is monic in a monomial basis, triangular in the dominance order and
 orthogonal for its own bilinear form, so orthogonalize builds all alike.
+Every family's polynomial is a LaurentPolynomial, an exact sum of orbits of
+its basis: w_coefficients reads a W-invariant one, coefficient(mu) the
+coefficient of the basis monomial of the partition mu in any.
 """
 
 from __future__ import annotations
@@ -320,28 +323,11 @@ def monomial_s(lam: Sequence[int]) -> LaurentPolynomial:
     return LaurentPolynomial(len(lam), {e: 1.0 for e in _orbit(lam, False)})
 
 
-@dataclass(frozen=True)
-class OrthogonalPolynomial:
-    """Monic polynomial sum_{mu <= degree} coeffs[mu] basis(mu), with
-    coeffs[degree] = 1, in the monomial basis (monomial_w or monomial_s)
-    of its family."""
-
-    degree: Tuple[int, ...]
-    coeffs: Dict[Tuple[int, ...], complex]
-    basis: Callable[[Sequence[int]], LaurentPolynomial]
-
-    def to_laurent(self) -> LaurentPolynomial:
-        out = LaurentPolynomial(len(self.degree))
-        for mu, c in self.coeffs.items():
-            out = out + self.basis(mu).scale(c)
-        return out
-
-
 def orthogonalize(top: Sequence[int], n: int,
                   basis: Callable[[Sequence[int]], LaurentPolynomial],
                   pair: Callable[[LaurentPolynomial, LaurentPolynomial],
                                  complex]
-                  ) -> Dict[Tuple[int, ...], OrthogonalPolynomial]:
+                  ) -> Dict[Tuple[int, ...], LaurentPolynomial]:
     """The monic polynomials P_mu = basis(mu) + sum_{nu < mu} c_nu basis(nu)
     orthogonal for pair, for every partition mu <= top of length n.
 
@@ -350,29 +336,25 @@ def orthogonalize(top: Sequence[int], n: int,
     re-orthogonalization pass); the monomial Gram matrix itself can be too
     ill conditioned to solve. Every pairing is pair(poly, P_nu), in a
     fixed order, so the result does not depend on top: the P_mu of
-    orthogonalize(top) and of orthogonalize(mu) agree exactly. Raises
-    SingularGram when <P_mu, P_mu> vanishes relative to
-    <basis(mu), basis(mu)>."""
+    orthogonalize(top) and of orthogonalize(mu) agree exactly. Each P_mu
+    is returned as built, so the node values that pair cached on it
+    (LaurentPolynomial.node_values) come with it. Raises SingularGram
+    when <P_mu, P_mu> vanishes relative to <basis(mu), basis(mu)>."""
     top = partition(top)
     if len(top) != n:
         raise DomainViolation(f"partition {top} must have length {n}")
-    built: Dict[Tuple[int, ...], Tuple[LaurentPolynomial,
-                                       Dict[Tuple[int, ...], complex],
-                                       complex]] = {}
+    built: Dict[Tuple[int, ...], LaurentPolynomial] = {}
+    norms: Dict[Tuple[int, ...], complex] = {}
     for mu in partitions_dominated_by(top):
         m_mu = poly = basis(mu)
-        coeffs: Dict[Tuple[int, ...], complex] = {mu: 1.0}
         lower = partitions_dominated_by(mu)[:-1]
         for _ in range(2):
             for nu in lower:
-                pnu, cnu, nnu = built[nu]
-                c = pair(poly, pnu) / nnu
-                poly = poly + pnu.scale(-c)
-                for kappa, cf in cnu.items():
-                    coeffs[kappa] = coeffs.get(kappa, 0.0) - c * cf
+                c = pair(poly, built[nu]) / norms[nu]
+                poly = poly + built[nu].scale(-c)
         norm = pair(poly, poly)
         if abs(norm) <= POLE_GUARD * abs(pair(m_mu, m_mu)):
             raise SingularGram(f"vanishing quadratic norm at {mu}")
-        built[mu] = (poly, coeffs, norm)
-    return {mu: OrthogonalPolynomial(mu, coeffs, basis)
-            for mu, (_poly, coeffs, _norm) in built.items()}
+        built[mu] = poly
+        norms[mu] = norm
+    return built

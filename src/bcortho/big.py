@@ -38,7 +38,6 @@ import numpy as np
 from .askey_wilson import Limit
 from .bcpoly import (
     LaurentPolynomial,
-    OrthogonalPolynomial,
     PointTable,
     monomial_s,
     orthogonalize,
@@ -249,7 +248,7 @@ def _axis_factors(bp: BigParams, S: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def big_polynomials(top: Sequence[int], bp: BigParams
-                    ) -> Dict[Tuple[int, ...], OrthogonalPolynomial]:
+                    ) -> Dict[Tuple[int, ...], LaurentPolynomial]:
     """P^B_mu = mtilde_mu + sum_{nu < mu} c_nu mtilde_nu, orthogonal to
     every mtilde_nu with nu < mu, for every mu <= top."""
     return orthogonalize(top, bp.n, monomial_s,

@@ -8,23 +8,25 @@ are suite, out, format and those of INT_KEYS and FLOAT_KEYS; any other
 key is a configuration error (exit 2).
 
 Each family (aw, qracah, little, big) is one _Family record: its
-parameters, pairing, polynomials up to a top partition, and the closed
-forms of its norms and of its constant term <1,1>. _mass_check compares
-its <1,1> with the closed form and _gram_checks its Gram matrix with the
-closed-form norms. The limits suite scans each limit record
-(askey_wilson.Limit, from little_limit and big_limit) at the steps its
-verdicts read: the tail half of the coefficient scan and the last step
-of the measure scan. The family-specific checks keep their own code.
+parameters, pairing, polynomials up to a top partition (each a
+bcpoly.LaurentPolynomial), and the closed forms of its norms and of its
+constant term <1,1>. _mass_check compares its <1,1> with the closed form
+and _gram_checks its Gram matrix with the closed-form norms. The limits
+suite scans each limit record (askey_wilson.Limit, from little_limit and
+big_limit) at the steps its verdicts read: the tail half of the
+coefficient scan and the last step of the measure scan. The
+family-specific checks keep their own code.
 
 Report schema (JSON): {suite, config_echo, checks: [{name, anchor, lhs,
 rhs, abs_err, rel_err, tol, pass, ms}], summary: {pass, fail}}. The
 anchor field carries a short statement of the identity being checked.
-Exit status is 0 exactly when no check failed. Reruns with the same
-configuration and seed produce an identical report body except for the
-per-check wall times. The seed drives only the random draws of the
-qracah residue-split and big c-weight-dual-form checks; every other
-check, the Askey-Wilson polynomials and limit scans included, has no
-random input.
+Exit status is 0 exactly when no check failed; a configuration error,
+a torus grid too coarse for a pairing (GridTooCoarse) among them, exits
+2 without a report. Reruns with the same configuration and seed produce
+an identical report body except for the per-check wall times. The seed
+drives only the random draws of the qracah residue-split and big
+c-weight-dual-form checks; every other check, the Askey-Wilson
+polynomials and limit scans included, has no random input.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .askey_wilson import (
     limit_scan,
     measure_scan,
 )
-from .bcpoly import LaurentPolynomial, OrthogonalPolynomial
+from .bcpoly import LaurentPolynomial
 from .big import (
     FORM_TOL,
     BigParams,
@@ -62,7 +64,7 @@ from .big import (
     selberg_big,
     selberg_big_qk,
 )
-from .errors import BcorthoError, ConfigError, IoError
+from .errors import BcorthoError, ConfigError, GridTooCoarse, IoError
 from .little import (
     LittleParams,
     bilinear_little,
@@ -219,7 +221,9 @@ def _run_check(report: CertificationReport, name: str, anchor: str,
     """Evaluate fn() -> (lhs, rhs), time it and append the verdict.
 
     A BcorthoError inside fn is recorded as a failed check with NaN
-    sides rather than aborting the suite."""
+    sides rather than aborting the suite; GridTooCoarse is raised on,
+    since a torus grid too coarse for a pairing is a configuration
+    error."""
     start = time.perf_counter()
     try:
         lhs, rhs = (complex(v) for v in fn())
@@ -227,6 +231,8 @@ def _run_check(report: CertificationReport, name: str, anchor: str,
         rel_err = abs_err / max(1.0, abs(rhs))
         passed = rel_err <= tol
         lhs, rhs = lhs.real, rhs.real
+    except GridTooCoarse:
+        raise
     except BcorthoError:
         lhs = rhs = abs_err = rel_err = float("nan")
         passed = False
@@ -250,7 +256,7 @@ class _Family:
     params: object
     pair: Callable[[LaurentPolynomial, LaurentPolynomial], complex]
     polynomials: Callable[[Tuple[int, ...]],
-                          Dict[Tuple[int, ...], OrthogonalPolynomial]]
+                          Dict[Tuple[int, ...], LaurentPolynomial]]
     norm: Callable[[Tuple[int, ...]], complex]
     mass: Callable[[], complex]
 
@@ -304,8 +310,10 @@ def _gram_checks(report: CertificationReport, fam: _Family,
                  tol_norm: float) -> None:
     """The Gram matrix of the family's polynomials of degree mu <= top:
     off-diagonals against |<1,1>| ("orthogonality") and diagonals against
-    the closed-form norms N ("norms", relative to max(1, |N|))."""
-    polys = {lam: P.to_laurent() for lam, P in fam.polynomials(top).items()}
+    the closed-form norms N ("norms", relative to max(1, |N|)). The
+    polynomials are paired as returned: a family built by
+    bcpoly.orthogonalize brings the node values of its pairing with it."""
+    polys = fam.polynomials(top)
     lams = list(polys)
     scale = abs(fam.mass())
 
@@ -343,7 +351,7 @@ def _suite_aw(cfg: SuiteConfig, report: CertificationReport) -> None:
         z = 0.9 * complex(math.cos(0.7), math.sin(0.7))
         dev = 0.0
         for (lam,), poly in aw_polynomials((4,), p1).items():
-            got = poly.to_laurent().eval([z])
+            got = poly.eval([z])
             want = aw1_oracle(lam, z, p1)
             dev = max(dev, abs(got - want) / max(1.0, abs(want)))
         return dev, 0.0

@@ -15,6 +15,10 @@ class DomainViolation(BcorthoError):
     """A parameter lies outside its admissible domain."""
 
 
+class GridTooCoarse(DomainViolation):
+    """A torus grid has too few points per axis to resolve a pairing."""
+
+
 class LengthMismatch(BcorthoError):
     """Two vectors that must have equal length do not."""
 

@@ -39,7 +39,6 @@ import numpy as np
 from .askey_wilson import Limit
 from .bcpoly import (
     LaurentPolynomial,
-    OrthogonalPolynomial,
     PointTable,
     ascending_index,
     monomial_s,
@@ -247,7 +246,7 @@ def _weight_at_point(z: Sequence[float], lp: LittleParams) -> float:
 
 
 def little_polynomials(top: Sequence[int], lp: LittleParams
-                       ) -> Dict[Tuple[int, ...], OrthogonalPolynomial]:
+                       ) -> Dict[Tuple[int, ...], LaurentPolynomial]:
     """P^L_mu = mtilde_mu + sum_{nu < mu} c_nu mtilde_nu, orthogonal to
     every mtilde_nu with nu < mu, for every mu <= top."""
     return orthogonalize(top, lp.n, monomial_s,

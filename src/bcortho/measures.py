@@ -20,7 +20,9 @@ constant stays a scalar), and keeps its node values, as on the discrete
 tables (LaurentPolynomial.node_values); NotWInvariant for any other input.
 The error estimate is the distance to the pairing on the ceil(M/2)-point
 grid: the even-index subgrid for even M, a table of its own for odd M,
-whose even-index points are not closed under z -> 1/z.
+whose even-index points are not closed under z -> 1/z. A grid with
+M < 2 deg + 8 points per axis, deg the total degree of f g, raises
+GridTooCoarse.
 
 The discrete supports are never truncated: each chain position runs to
 the last support value off the closed unit disk (SlowConvergence past
@@ -50,6 +52,7 @@ import numpy as np
 from .bcpoly import LaurentPolynomial, monomial_w
 from .errors import (
     DomainViolation,
+    GridTooCoarse,
     LengthMismatch,
     NearPole,
     NonFiniteWeight,
@@ -315,7 +318,7 @@ def _check_grid(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
     """Reject a pairing the M-point grid cannot resolve or hold."""
     deg = _pairing_degree(f, g)
     if M < 2 * deg + 8:
-        raise DomainViolation(f"M={M} too small for degree {deg}")
+        raise GridTooCoarse(f"M={M} too small for degree {deg}")
     _check_torus_clearance(p)
     if f.nvars != p.n:
         raise LengthMismatch("grid has wrong number of axes")

@@ -36,7 +36,6 @@ import numpy as np
 
 from .bcpoly import (
     LaurentPolynomial,
-    OrthogonalPolynomial,
     PointTable,
     ascending_index,
     monomial_w,
@@ -389,7 +388,7 @@ def norm_qR(lam: Sequence[int], qp: QRacahParams) -> complex:
 
 
 def qracah_polynomials(top: Sequence[int], qp: QRacahParams
-                       ) -> Dict[Tuple[int, ...], OrthogonalPolynomial]:
+                       ) -> Dict[Tuple[int, ...], LaurentPolynomial]:
     """The q-Racah polynomials of degree mu <= top, for top_1 <= N: monic
     in the monomial m_mu and orthogonal to every m_nu with nu below mu.
 

@@ -96,7 +96,7 @@ class TestOneVariableClosedForm:
         points = [0.9 * cmath.exp(2j * math.pi * s)
                   for s in (0.13, 0.41, 0.77)]
         for lam in range(7):
-            poly = aw_polynomials((lam,), p)[(lam,)].to_laurent()
+            poly = aw_polynomials((lam,), p)[(lam,)]
             for z in points:
                 want = aw1_oracle(lam, z, p)
                 assert abs(poly.eval([z]) - want) <= 1e-10 * max(
@@ -127,7 +127,7 @@ class TestTorusOrthogonality:
         M = 64
         lams = [mu for mu in partitions_dominated_by((4, 4))
                 if sum(mu) <= 4]
-        polys = {lam: aw_polynomials(lam, p)[lam].to_laurent() for lam in lams}
+        polys = {lam: aw_polynomials(lam, p)[lam] for lam in lams}
         scale = abs(gustafson_constant(p))
         for i, la in enumerate(lams):
             for lb in lams[i:]:
@@ -151,7 +151,7 @@ class TestPartiallyDiscreteOrthogonality:
         M = 320
         lams = [mu for mu in partitions_dominated_by((2, 2))
                 if sum(mu) <= 2]
-        polys = {lam: aw_polynomials(lam, p)[lam].to_laurent() for lam in lams}
+        polys = {lam: aw_polynomials(lam, p)[lam] for lam in lams}
         scale = abs(gustafson_constant(p))
         for i, la in enumerate(lams):
             for lb in lams[i:]:
@@ -191,8 +191,7 @@ class TestFiniteDiscreteOrthogonality:
     def test_gram(self, N):
         qp = QRacahParams(2, 0.5, 0.3, 0.7, -0.5, 0.4, N)
         lams = [lam for lam in partitions_dominated_by((N, N))]
-        polys = {lam: qracah_polynomials(lam, qp)[lam].to_laurent()
-                 for lam in lams}
+        polys = {lam: qracah_polynomials(lam, qp)[lam] for lam in lams}
         norms = {lam: abs(norm_qR(lam, qp)) for lam in lams}
         for i, la in enumerate(lams):
             for lb in lams[i:]:
@@ -244,8 +243,7 @@ class TestLittleOrthogonality:
         lp = LittleParams(2, 0.5, 0.3, 0.4, 0.2)
         lams = [mu for mu in partitions_dominated_by((3, 3))
                 if sum(mu) <= 3]
-        polys = {lam: little_polynomials(lam, lp)[lam].to_laurent()
-                 for lam in lams}
+        polys = {lam: little_polynomials(lam, lp)[lam] for lam in lams}
         scale = abs(selberg_little(lp))
         for i, la in enumerate(lams):
             for lb in lams[i:]:

@@ -195,8 +195,7 @@ class TestOrthogonality:
     @pytest.mark.parametrize("bp", [BP2, BP2N])
     def test_n2_gram(self, bp):
         lams = [(0, 0), (1, 0), (1, 1), (2, 0)]
-        polys = {lam: big_polynomials(lam, bp)[lam].to_laurent()
-                 for lam in lams}
+        polys = {lam: big_polynomials(lam, bp)[lam] for lam in lams}
         scale = abs(selberg_big(bp))
         for i, la in enumerate(lams):
             for lb in lams[i:]:
@@ -208,7 +207,7 @@ class TestOrthogonality:
 
     def test_n1_degree2(self):
         for lam in [(1,), (2,)]:
-            P = big_polynomials(lam, BP1)[lam].to_laurent()
+            P = big_polynomials(lam, BP1)[lam]
             assert rel(bilinear_big(P, P, BP1), norm_big(lam, BP1)) < 1e-10
 
     def test_norm_positive(self):
@@ -229,7 +228,7 @@ class TestConjugateBranch:
     def test_norms(self):
         polys = big_polynomials((2, 0), BP2C)
         for lam in [(1, 0), (1, 1), (2, 0)]:
-            f = polys[lam].to_laurent()
+            f = polys[lam]
             want = bilinear_big(f, f, BP2C)
             assert abs(norm_big(lam, BP2C) - want) < 1e-10 * abs(want)
 

@@ -161,6 +161,19 @@ class TestMain:
         assert main(["--suite", "qracah", "--n", "9"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "aw", "--M", "4"],
+        ["--suite", "selberg", "--M", "1"],
+        ["--suite", "limits", "--M", "2"],
+    ], ids=["aw-M4", "selberg-M1", "limits-M2"])
+    def test_exit_two_on_coarse_grid(self, argv, tmp_path, capsys):
+        # a torus grid below M = 2 deg + 8 rejects the configuration
+        # instead of failing its checks with NaN sides
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "rejected the configuration" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tiny_mass_matches_closed_forms(self, tmp_path):
         # a mass of 2.5e-94, summed to 256 shells; the checks' max(1, |N|)
         # floor would pass any value, so the test compares relative errors
@@ -225,7 +238,7 @@ def true_relative_errors(fam, top) -> dict:
     top, and their worst cosine |<P_a,P_b>| / sqrt(|N_a N_b|)."""
     one = LaurentPolynomial.constant(fam.params.n)
     mass = fam.mass()
-    polys = {lam: P.to_laurent() for lam, P in fam.polynomials(top).items()}
+    polys = fam.polynomials(top)
     norms = {lam: fam.norm(lam) for lam in polys}
     lams = list(polys)
     return {
@@ -324,14 +337,39 @@ class TestFamilyChecks:
 
         def mixed(top):
             polys = fam.polynomials(top)
-            coeffs = dict(polys[a].coeffs)
-            for mu, cf in polys[b].coeffs.items():
-                coeffs[mu] = coeffs.get(mu, 0.0) + c * cf
-            return {**polys, a: replace(polys[a], coeffs=coeffs)}
+            return {**polys, a: polys[a] + polys[b].scale(c)}
 
         verdicts = family_verdicts(replace(fam, polynomials=mixed), name)
         assert not verdicts["orthogonality"]
         assert verdicts["constant-term"]
+
+    @pytest.mark.parametrize("name", ["qracah", "little", "big"])
+    def test_gram_checks_evaluate_nothing(self, name, monkeypatch):
+        # the orthogonalized polynomials bring the node values of their
+        # pairing with them, so the Gram matrix evaluates no polynomial
+        fam = default_family(name)
+        calls = []
+        eval_points = LaurentPolynomial.eval_points
+
+        def counting(self, Z):
+            calls.append(Z.shape)
+            return eval_points(self, Z)
+
+        monkeypatch.setattr(LaurentPolynomial, "eval_points", counting)
+        built = []
+
+        def polynomials(top):
+            polys = fam.polynomials(top)
+            built.append(len(calls))
+            return polys
+
+        report = CertificationReport(name, {})
+        _build, tol_orth, tol_norm, _tol_mass = FAMILIES[name]
+        cli._gram_checks(report, replace(fam, polynomials=polynomials),
+                         TOP, tol_orth, tol_norm)
+        assert built[0] > 0
+        assert len(calls) == built[0]
+        assert all(c.passed for c in report.checks)
 
 
 class TestPartiallyDiscrete:

@@ -113,13 +113,12 @@ class TestOrthogonality:
         pol = little_polynomials((1,), lp)[(1,)]
         mean = (bilinear_little(monomial_s((1,)), monomial_s((0,)), lp)
                 / bilinear_little(monomial_s((0,)), monomial_s((0,)), lp))
-        assert rel(pol.coeffs[(0,)], -mean) < 1e-12
+        assert rel(pol.coefficient((0,)), -mean) < 1e-12
 
     @pytest.mark.parametrize("lp", [LP2, LP2N])
     def test_n2_gram(self, lp):
         lams = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0)]
-        polys = {lam: little_polynomials(lam, lp)[lam].to_laurent()
-                 for lam in lams}
+        polys = {lam: little_polynomials(lam, lp)[lam] for lam in lams}
         scale = abs(selberg_little(lp))
         for i, la in enumerate(lams):
             for lb in lams[i:]:

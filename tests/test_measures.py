@@ -102,7 +102,7 @@ class TestTorusBilinear:
         assert rel(rep.value, gustafson_constant(PS2)) < 1e-8
 
     def test_orthogonality_degree_one(self):
-        P = aw_polynomials((1, 0), PS2)[(1, 0)].to_laurent()
+        P = aw_polynomials((1, 0), PS2)[(1, 0)]
         rep = torus_bilinear(P, ONE2, PS2, 64)
         scale = abs(gustafson_constant(PS2))
         assert abs(rep.value) < 1e-8 * scale

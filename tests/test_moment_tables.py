@@ -419,7 +419,7 @@ class TestReportedValues:
         # imaginary part is rounding only
         d = DEFAULTS["aw"]
         p = AWParams(2, d["q"], d["t"], d["t0"], d["t1"], d["t2"], d["t3"])
-        P = aw_polynomials((4, 2), p)[(4, 2)].to_laurent()
+        P = aw_polynomials((4, 2), p)[(4, 2)]
         v = torus_bilinear(P, P, p, 128).value
         assert abs(v.imag) <= 1e-14 * abs(v.real)
 

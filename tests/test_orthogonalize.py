@@ -1,5 +1,7 @@
 """Tests for the one orthogonalizer, bcpoly.orthogonalize, and the
-polynomial class it returns for every family."""
+Laurent polynomials every family returns."""
+
+import itertools
 
 import pytest
 
@@ -20,6 +22,7 @@ from bcortho.qracah import QRacahParams, qracah_polynomials
 LP2 = LittleParams(2, 0.5, 0.3, 0.4, 0.2)
 BP2 = BigParams(2, 0.5, 0.4, 0.6, 0.3, 1.0, 0.8)
 QP2 = QRacahParams(2, 0.5, 0.3, 0.7, -0.5, 0.4, 2)
+AW2 = AWParams(2, 0.5, 0.3, 0.35, -0.45, 0.25, 0.2)
 
 FAMILIES = [
     (little_polynomials, LP2, monomial_s),
@@ -34,24 +37,25 @@ def test_family_independent_of_top(build, p, basis):
     assert list(family) == partitions_dominated_by((2, 2))
     for mu, P in family.items():
         alone = build(mu, p)[mu]
-        assert P.degree == alone.degree == mu
-        assert P.coeffs == alone.coeffs
-        assert P.coeffs[mu] == 1.0
+        assert P == alone
+        assert P.coefficient(mu) == 1.0
 
 
-@pytest.mark.parametrize("build, p, basis", FAMILIES)
-def test_basis_travels(build, p, basis):
-    P = build((2, 1), p)[(2, 1)]
-    assert P.basis is basis
-    want = LaurentPolynomial(2)
-    for mu, c in P.coeffs.items():
-        want = want + basis(mu).scale(c)
-    assert P.to_laurent() == want
-
-
-def test_aw_basis():
-    p = AWParams(2, 0.5, 0.3, 0.35, -0.45, 0.25, 0.2)
-    assert aw_polynomials((1, 0), p)[(1, 0)].basis is monomial_w
+@pytest.mark.parametrize("build, p, basis",
+                         FAMILIES + [(aw_polynomials, AW2, monomial_w)])
+def test_combination_of_basis_orbits(build, p, basis):
+    # P_mu = sum_{nu <= mu} c_nu basis(nu) exactly, with c_mu = 1
+    for mu, P in build((2, 1), p).items():
+        lower = partitions_dominated_by(mu)
+        assert P.coefficient(mu) == 1.0
+        assert P == LaurentPolynomial(2, {
+            e: P.coefficient(nu) for nu in lower for e in basis(nu).terms})
+        if basis is monomial_w:
+            assert set(P.w_coefficients()) <= set(lower)
+        else:
+            for e, c in P.terms.items():
+                assert all(P.coefficient(s) == c
+                           for s in itertools.permutations(e))
 
 
 @pytest.mark.parametrize("build, p, basis", FAMILIES)

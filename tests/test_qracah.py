@@ -253,8 +253,7 @@ class TestOrthogonality:
         lams = [lam for lam in
                 [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
                 if lam[0] <= N]
-        polys = {lam: qracah_polynomials(lam, qp)[lam].to_laurent()
-                 for lam in lams}
+        polys = {lam: qracah_polynomials(lam, qp)[lam] for lam in lams}
         scale = abs(summation_qR(qp))
         for i, la in enumerate(lams):
             for lb in lams[i:]:
@@ -277,7 +276,7 @@ class TestNodeTable:
     @staticmethod
     def gram_pairs(qp):
         top = (qp.N,) * qp.n
-        polys = [P.to_laurent() for P in qracah_polynomials(top, qp).values()]
+        polys = list(qracah_polynomials(top, qp).values())
         polys += [monomial_w(lam) for lam in partitions_dominated_by(top)]
         memo = [Memo(f) for f in polys]
         return [(polys[i], polys[j], memo[i], memo[j])
