@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .bcpoly import (
@@ -30,9 +29,11 @@ from .bcpoly import (
     partitions_dominated_by,
 )
 from .errors import (
+    DomainViolation,
     EigenvalueCollision,
     PoleInPrefactor,
     PoleInProduct,
+    ZeroCoordinate,
 )
 from .koornwinder import eigenvalue_E, op_matrix
 from .measures import partial_bilinear
@@ -216,96 +217,112 @@ def gustafson_constant(p: AWParams) -> complex:
     return val
 
 
-class _CQ:
-    """Complex number over exact rationals; floats convert losslessly.
+# Exact arithmetic of the one-variable oracle. Every input is a binary
+# float, so every sum and product it forms is a Gaussian integer over a
+# power of two: a triple (re, im, k) standing for (re + i im) / 2^k.
+# No gcd is taken; the one division is made at the end.
 
-    The terminating 4phi3 sum below cancels catastrophically in floating
-    point (terms up to ~1e4 sum to ~1e-2 already at degree 6), so the
-    oracle does its arithmetic exactly and rounds once at the end.
-    """
+_ONE = (1, 0, 0)
 
-    __slots__ = ("re", "im")
 
-    def __init__(self, re, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+def _exact(x: complex) -> Tuple[int, int, int]:
+    """The binary float x as an exact triple (re, im, k), k >= 0;
+    DomainViolation for a non-finite x."""
+    x = complex(x)
+    if not (math.isfinite(x.real) and math.isfinite(x.imag)):
+        raise DomainViolation(f"oracle input {x!r} is not finite")
+    (a, da), (b, db) = x.real.as_integer_ratio(), x.imag.as_integer_ratio()
+    ka, kb = da.bit_length() - 1, db.bit_length() - 1
+    if ka < kb:
+        return a << (kb - ka), b, kb
+    return a, b << (ka - kb), ka
 
-    @classmethod
-    def of(cls, z: complex) -> "_CQ":
-        z = complex(z)
-        return cls(Fraction(z.real), Fraction(z.imag))
 
-    def __add__(self, o):
-        return _CQ(self.re + o.re, self.im + o.im)
+def _add(x, y):
+    (a, b, k), (c, d, l) = x, y
+    if k >= l:
+        return a + (c << (k - l)), b + (d << (k - l)), k
+    return (a << (l - k)) + c, (b << (l - k)) + d, l
 
-    def __sub__(self, o):
-        return _CQ(self.re - o.re, self.im - o.im)
 
-    def __mul__(self, o):
-        return _CQ(self.re * o.re - self.im * o.im,
-                   self.re * o.im + self.im * o.re)
+def _mul(x, y):
+    (a, b, k), (c, d, l) = x, y
+    return a * c - b * d, a * d + b * c, k + l
 
-    def __truediv__(self, o):
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError
-        return _CQ((self.re * o.re + self.im * o.im) / d,
-                   (self.im * o.re - self.re * o.im) / d)
 
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
+def _sub(x, y):
+    c, d, l = y
+    return _add(x, (-c, -d, l))
+
+
+def _prod(xs):
+    out = _ONE
+    for x in xs:
+        out = _mul(out, x)
+    return out
+
+
+def _quotient(num, den) -> complex:
+    """num / den rounded once: the real and imaginary parts are ratios of
+    integers, and int / int is correctly rounded."""
+    (a, b, k), (c, d, l) = num, den
+    norm = c * c + d * d
+    re, im = a * c + b * d, b * c - a * d
+    if l >= k:
+        return complex((re << (l - k)) / norm, (im << (l - k)) / norm)
+    norm <<= k - l
+    return complex(re / norm, im / norm)
 
 
 def aw1_oracle(lam: int, z: complex, p: AWParams) -> complex:
     """One-variable closed form: monic Askey-Wilson polynomial of degree
     lambda as a terminating 4phi3 sum with its monic prefactor.
 
-    Summed in exact rational arithmetic; accurate to one rounding."""
+    The sum cancels catastrophically in floating point (terms up to ~1e4
+    sum to ~1e-2 already at degree 6), so it is formed exactly, from the
+    binary floats q, t_i and z, as one numerator and one denominator,
+    and rounded once: bit-identical to the sum in exact rationals.
+    PoleInPrefactor for a denominator factor that vanishes exactly,
+    ZeroCoordinate at z = 0, DomainViolation for lambda < 0 or a
+    non-finite input."""
     if p.n != 1:
         raise PoleInPrefactor("oracle requires n = 1")
-    one = _CQ(1)
-    q = _CQ.of(p.q)
-    tv = [_CQ.of(x) for x in p.tvec]
-    T = tv[0] * tv[1] * tv[2] * tv[3]
-    zq = _CQ.of(z)
-    qpow = [one]
-    for _ in range(2 * lam + 2):
-        qpow.append(qpow[-1] * q)
-    q_lam_m1_T = (T * qpow[lam - 1]) if lam >= 1 else (T / q)
-
-    def pochf(a: _CQ, k: int) -> _CQ:
-        v = one
-        for i in range(k):
-            v = v * (one - a * qpow[i])
-        return v
-
-    t0_pow = one
+    if lam < 0:
+        raise DomainViolation(f"degree must be >= 0, got {lam}")
+    if z == 0:
+        raise ZeroCoordinate("oracle evaluated at z = 0")
+    zq = _exact(z)
+    q = _exact(p.q)
+    t0, t1, t2, t3 = (_exact(x) for x in p.tvec)
+    qpow = [_ONE]
     for _ in range(lam):
-        t0_pow = t0_pow * tv[0]
-    try:
-        pref = (pochf(tv[0] * tv[1], lam) * pochf(tv[0] * tv[2], lam)
-                * pochf(tv[0] * tv[3], lam)) / (
-            t0_pow * pochf(q_lam_m1_T, lam))
-    except ZeroDivisionError as exc:
-        raise PoleInPrefactor("vanishing prefactor denominator") from exc
-    # terminating series: (q^{-lambda};q)_m kills all m > lambda
-    a = [one / qpow[lam], q_lam_m1_T, tv[0] * zq, tv[0] / zq]
-    b = [tv[0] * tv[1], tv[0] * tv[2], tv[0] * tv[3], q]
-    total = _CQ(0)
-    term = one
-    for m in range(lam + 1):
-        total = total + term
-        fac = q
-        for ai in a:
-            fac = fac * (one - ai * qpow[m])
-        for bi in b:
-            try:
-                fac = fac / (one - bi * qpow[m])
-            except ZeroDivisionError as exc:
-                raise PoleInPrefactor(
-                    f"series denominator factor vanishes") from exc
-        term = term * fac
-    return (pref * total).to_complex()
+        qpow.append(_mul(qpow[-1], q))
+    b = [_mul(t0, t1), _mul(t0, t2), _mul(t0, t3)]
+    # q^(lambda-1) T, needed only for lambda >= 1
+    qT = _prod([t0, t1, t2, t3, qpow[lam - 1]]) if lam else None
+    t0z = _mul(t0, zq)
+    # prefactor (t0 t1, t0 t2, t0 t3; q)_lambda / (t0^lambda (q^(lambda-1)
+    # T; q)_lambda), and the series 1 + sum_m prod_{j<m} num_j / den_j by
+    # Horner's rule: S <- 1 + (num_m / den_m) S, from m = lambda - 1 down
+    pref_num = _prod(_sub(_ONE, _mul(bi, qpow[j]))
+                     for j in range(lam) for bi in b)
+    pref_den = _prod([t0] * lam + [_sub(_ONE, _mul(qT, qpow[j]))
+                                   for j in range(lam)])
+    if pref_den[:2] == (0, 0):
+        raise PoleInPrefactor("vanishing prefactor denominator")
+    s_num = s_den = _ONE
+    for m in range(lam - 1, -1, -1):
+        qm = qpow[m]
+        den = [_sub(_ONE, _mul(bi, qm)) for bi in b]
+        den.append(_sub(_ONE, qpow[m + 1]))
+        if any(f[:2] == (0, 0) for f in den):
+            raise PoleInPrefactor("series denominator factor vanishes")
+        num = _prod([q, _sub(qpow[lam], qm),
+                     _sub(_ONE, _mul(qT, qm)), _sub(_ONE, _mul(t0z, qm)),
+                     _sub(zq, _mul(t0, qm))])
+        scaled = _mul(_prod(den + [qpow[lam], zq]), s_den)
+        s_num, s_den = _add(scaled, _mul(num, s_num)), scaled
+    return _quotient(_mul(pref_num, s_num), _mul(pref_den, s_den))
 
 
 def renorm_constant(lam: Sequence[int], p: AWParams) -> complex:

@@ -8,14 +8,16 @@ are suite, out, format and those of INT_KEYS and FLOAT_KEYS; any other
 key is a configuration error (exit 2).
 
 Each family (aw, qracah, little, big) is one _Family record: its
-parameters, pairing, polynomials up to a top partition (each a
+parameters, the Gram matrix of its pairing (for aw one weighted product
+on the torus table, measures.torus_gram; for the discrete families one
+pairing per pair), polynomials up to a top partition (each a
 bcpoly.LaurentPolynomial), and the closed forms of its norms and of its
-constant term <1,1>. _mass_check compares its <1,1> with the closed form
-and _gram_checks its Gram matrix with the closed-form norms. The limits
-suite scans each limit record (askey_wilson.Limit, from little_limit and
-big_limit) at the steps its verdicts read: the tail half of the
-coefficient scan and the last step of the measure scan. The
-family-specific checks keep their own code.
+constant term <1,1>. _mass_check compares its <1,1>, the Gram matrix of
+[1], with the closed form and _gram_checks its Gram matrix with the
+closed-form norms. The limits suite scans each limit record
+(askey_wilson.Limit, from little_limit and big_limit) at the steps its
+verdicts read: the tail half of the coefficient scan and the last step
+of the measure scan. The family-specific checks keep their own code.
 
 Report schema (JSON): {suite, config_echo, checks: [{name, anchor, lhs,
 rhs, abs_err, rel_err, tol, pass, ms}], summary: {pass, fail}}. The
@@ -32,6 +34,7 @@ polynomials and limit scans included, has no random input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -39,6 +42,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
+
+import numpy as np
 
 from .askey_wilson import (
     aw1_oracle,
@@ -73,7 +78,7 @@ from .little import (
     norm_little,
     selberg_little,
 )
-from .measures import partial_bilinear, torus_bilinear
+from .measures import partial_bilinear, torus_gram
 from .params import AWParams
 from .qracah import (
     QRacahParams,
@@ -213,6 +218,14 @@ def build_config(raw: Dict[str, str]) -> SuiteConfig:
             raise ConfigError(f"{key} must be >= {low}, got {values[key]}")
     if "tol" in values and not values["tol"] > 0:
         raise ConfigError("tol must be positive")
+    # with some |t_i| >= 1 the orthogonality measure gains residue
+    # chains, and these suites would certify the torus measure alone
+    if suite in ("aw", "selberg"):
+        for key in ("t0", "t1", "t2", "t3"):
+            if not abs(values[key]) < 1:
+                raise ConfigError(
+                    f"{key} must satisfy |{key}| < 1 for suite {suite}, "
+                    f"got {values[key]}")
     return SuiteConfig(suite, values)
 
 
@@ -249,23 +262,36 @@ def _tol(cfg: SuiteConfig, default: float) -> float:
 @dataclass(frozen=True)
 class _Family:
     """One orthogonal family as the paper certifies it: its parameters,
-    its pairing, the monic polynomials of degree mu <= top (a dict in
-    graded-lex order), and the closed forms of the quadratic norms and of
-    the constant term <1,1>."""
+    the Gram matrix of its pairing on a list of polynomials, the monic
+    polynomials of degree mu <= top (a dict in graded-lex order), and the
+    closed forms of the quadratic norms and of the constant term <1,1>."""
 
     params: object
-    pair: Callable[[LaurentPolynomial, LaurentPolynomial], complex]
+    gram: Callable[[List[LaurentPolynomial]], np.ndarray]
     polynomials: Callable[[Tuple[int, ...]],
                           Dict[Tuple[int, ...], LaurentPolynomial]]
     norm: Callable[[Tuple[int, ...]], complex]
     mass: Callable[[], complex]
 
 
+def _pairwise_gram(pair: Callable[[LaurentPolynomial, LaurentPolynomial],
+                                   complex]
+                   ) -> Callable[[List[LaurentPolynomial]], np.ndarray]:
+    """The Gram matrix of a pairing, one pair(P_a, P_b) per a <= b."""
+    def gram(polys: List[LaurentPolynomial]) -> np.ndarray:
+        G = np.empty((len(polys), len(polys)), dtype=complex)
+        for a, f in enumerate(polys):
+            for b in range(a, len(polys)):
+                G[a, b] = G[b, a] = pair(f, polys[b])
+        return G
+    return gram
+
+
 def _aw_family(cfg: SuiteConfig) -> _Family:
     p = AWParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["t0"], cfg["t1"],
                  cfg["t2"], cfg["t3"])
     M = int(cfg["M"])
-    return _Family(p, lambda f, g: torus_bilinear(f, g, p, M).value,
+    return _Family(p, lambda polys: torus_gram(polys, p, M),
                    lambda top: aw_polynomials(top, p),
                    lambda lam: aw_norm(lam, p),
                    lambda: gustafson_constant(p))
@@ -274,7 +300,7 @@ def _aw_family(cfg: SuiteConfig) -> _Family:
 def _qracah_family(cfg: SuiteConfig) -> _Family:
     qp = QRacahParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["t0"],
                       cfg["t1"], cfg["t2"], int(cfg["N"]))
-    return _Family(qp, lambda f, g: bilinear_qR(f, g, qp),
+    return _Family(qp, _pairwise_gram(lambda f, g: bilinear_qR(f, g, qp)),
                    lambda top: qracah_polynomials(top, qp),
                    lambda lam: norm_qR(lam, qp),
                    lambda: summation_qR(qp))
@@ -282,7 +308,7 @@ def _qracah_family(cfg: SuiteConfig) -> _Family:
 
 def _little_family(cfg: SuiteConfig) -> _Family:
     lp = LittleParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["a"], cfg["b"])
-    return _Family(lp, lambda f, g: bilinear_little(f, g, lp),
+    return _Family(lp, _pairwise_gram(lambda f, g: bilinear_little(f, g, lp)),
                    lambda top: little_polynomials(top, lp),
                    lambda lam: norm_little(lam, lp),
                    lambda: selberg_little(lp))
@@ -291,7 +317,7 @@ def _little_family(cfg: SuiteConfig) -> _Family:
 def _big_family(cfg: SuiteConfig) -> _Family:
     bp = BigParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["a"], cfg["b"],
                    cfg["c"], cfg["d"])
-    return _Family(bp, lambda f, g: bilinear_big(f, g, bp),
+    return _Family(bp, _pairwise_gram(lambda f, g: bilinear_big(f, g, bp)),
                    lambda top: big_polynomials(top, bp),
                    lambda lam: norm_big(lam, bp),
                    lambda: selberg_big(bp))
@@ -302,7 +328,7 @@ def _mass_check(report: CertificationReport, name: str, anchor: str,
     """The family's <1,1> against its closed form."""
     one = LaurentPolynomial.constant(fam.params.n)
     _run_check(report, name, anchor, tol,
-               lambda: (fam.pair(one, one), fam.mass()))
+               lambda: (fam.gram([one])[0, 0], fam.mass()))
 
 
 def _gram_checks(report: CertificationReport, fam: _Family,
@@ -312,25 +338,28 @@ def _gram_checks(report: CertificationReport, fam: _Family,
     off-diagonals against |<1,1>| ("orthogonality") and diagonals against
     the closed-form norms N ("norms", relative to max(1, |N|)). The
     polynomials are paired as returned: a family built by
-    bcpoly.orthogonalize brings the node values of its pairing with it."""
+    bcpoly.orthogonalize brings the node values of its pairing with it.
+    The Gram matrix is formed once, inside the first check that reads
+    it, so that check's time includes it."""
     polys = fam.polynomials(top)
     lams = list(polys)
     scale = abs(fam.mass())
+    gram = functools.cache(lambda: fam.gram(list(polys.values())))
 
     def off_diag() -> Tuple[float, float]:
+        G = gram()
         worst = 0.0
-        for i, la in enumerate(lams):
-            for lb in lams[i + 1:]:
-                worst = max(worst,
-                            abs(fam.pair(polys[la], polys[lb])) / scale)
+        for a in range(len(lams)):
+            for b in range(a + 1, len(lams)):
+                worst = max(worst, abs(G[a, b]) / scale)
         return worst, 0.0
 
     def diag() -> Tuple[float, float]:
+        G = gram()
         worst = 0.0
-        for la in lams:
-            v = fam.pair(polys[la], polys[la])
+        for a, la in enumerate(lams):
             w = fam.norm(la)
-            worst = max(worst, abs(v - w) / max(1.0, abs(w)))
+            worst = max(worst, abs(G[a, a] - w) / max(1.0, abs(w)))
         return worst, 0.0
 
     _run_check(report, "orthogonality", "Gram off-diagonals vanish",

@@ -79,6 +79,8 @@ MAX_CHAIN = 256
 # chamber nodes per slab of a table build, and label x node entries per
 # batch of a pairing
 _SLAB = 2 ** 15
+# polynomial x node entries per batch of a Gram product
+_GRAM_SLAB = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -331,6 +333,30 @@ def torus_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
     _check_grid(f, g, p, M)
     value, err = _chamber_pairings(f, g, p, M, np.ones((1, 0)))
     return MeasureReport(complex(value[0]), float(err[0]), M, 0)
+
+
+def torus_gram(polys: Sequence[LaurentPolynomial], p: AWParams,
+               M: int) -> np.ndarray:
+    """The Gram matrix <P_a, P_b> of torus_bilinear, for every pair of
+    W-invariant polys, as one product V diag(w) V^T: V holds the node
+    values of each polynomial on the M-point chamber table, w its
+    weights. The grid must resolve the pair of highest degree; no error
+    estimate is formed. The product is summed over batches of nodes,
+    _GRAM_SLAB entries of V each, so that its temporaries stay small."""
+    if any(f.nvars != p.n for f in polys):
+        raise LengthMismatch("grid has wrong number of axes")
+    top = max(polys, key=lambda f: _pairing_degree(f, f))
+    _check_grid(top, top, p, M)
+    table = _tables(p, p.n, M)[0]
+    w = table.weights
+    rows = [np.broadcast_to(f.node_values(table), (1, len(w)))[0]
+            for f in polys]
+    step = max(1, _GRAM_SLAB // len(polys))
+    G = np.zeros((len(polys),) * 2, dtype=complex)
+    for lo in range(0, len(w), step):
+        V = np.stack([r[lo:lo + step] for r in rows])
+        G += (V * w[lo:lo + step]) @ V.T
+    return G
 
 
 # ---------------------------------------------------------------------------

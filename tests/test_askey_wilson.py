@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,11 @@ from bcortho.askey_wilson import (
     gustafson_constant,
     renorm_constant,
 )
-from bcortho.errors import EigenvalueCollision
+from bcortho.errors import (
+    DomainViolation,
+    EigenvalueCollision,
+    ZeroCoordinate,
+)
 from bcortho.koornwinder import apply_D, eigenvalue_E
 from bcortho.params import AWParams
 
@@ -151,7 +156,105 @@ class TestNorms:
         assert rel(gustafson_constant(p), want) < 1e-12
 
 
+class _CQ:
+    """Complex number over exact rationals; floats convert losslessly."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    @classmethod
+    def of(cls, z: complex) -> "_CQ":
+        z = complex(z)
+        return cls(Fraction(z.real), Fraction(z.imag))
+
+    def __add__(self, o):
+        return _CQ(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return _CQ(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return _CQ(self.re * o.re - self.im * o.im,
+                   self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        d = o.re * o.re + o.im * o.im
+        return _CQ((self.re * o.re + self.im * o.im) / d,
+                   (self.im * o.re - self.re * o.im) / d)
+
+
+def fraction_oracle(lam, z, p):
+    """The terminating 4phi3 sum with its monic prefactor in exact
+    rationals (fractions.Fraction), rounded once at the end: the
+    reference the gcd-free aw1_oracle must match bit for bit."""
+    one = _CQ(1)
+    q = _CQ.of(p.q)
+    tv = [_CQ.of(x) for x in p.tvec]
+    T = tv[0] * tv[1] * tv[2] * tv[3]
+    zq = _CQ.of(z)
+    qpow = [one]
+    for _ in range(2 * lam + 2):
+        qpow.append(qpow[-1] * q)
+    q_lam_m1_T = (T * qpow[lam - 1]) if lam >= 1 else (T / q)
+
+    def pochf(a, k):
+        v = one
+        for i in range(k):
+            v = v * (one - a * qpow[i])
+        return v
+
+    t0_pow = one
+    for _ in range(lam):
+        t0_pow = t0_pow * tv[0]
+    pref = (pochf(tv[0] * tv[1], lam) * pochf(tv[0] * tv[2], lam)
+            * pochf(tv[0] * tv[3], lam)) / (t0_pow * pochf(q_lam_m1_T, lam))
+    a = [one / qpow[lam], q_lam_m1_T, tv[0] * zq, tv[0] / zq]
+    b = [tv[0] * tv[1], tv[0] * tv[2], tv[0] * tv[3], q]
+    total = _CQ(0)
+    term = one
+    for m in range(lam + 1):
+        total = total + term
+        fac = q
+        for ai in a:
+            fac = fac * (one - ai * qpow[m])
+        for bi in b:
+            fac = fac / (one - bi * qpow[m])
+        term = term * fac
+    val = pref * total
+    return complex(float(val.re), float(val.im))
+
+
+ORACLE_SETS = {
+    "defaults": AWParams(1, 0.5, 0.3, 0.35, -0.45, 0.25, 0.2),
+    "complex-t0": AWParams(1, 0.5, 0.3, 0.35 + 0.1j, -0.45, 0.25, 0.2),
+    "q0.99": AWParams(1, 0.99, 0.3, 0.35, -0.45, 0.25, 0.2),
+}
+
+
 class TestOracle:
+    @pytest.mark.parametrize("name", list(ORACLE_SETS))
+    def test_bit_identical_to_exact_rationals(self, name):
+        p = ORACLE_SETS[name]
+        zs = [cmath.exp(0.7j), 0.9 * cmath.exp(0.7j), 1.3 * cmath.exp(-2j),
+              -0.6, 2.5 + 1e-3j]
+        for lam in range(7):
+            for z in zs:
+                assert aw1_oracle(lam, z, p) == fraction_oracle(lam, z, p)
+
+    @pytest.mark.parametrize("lam, z, error", [
+        (2, 0.0, ZeroCoordinate),
+        (2, 0j, ZeroCoordinate),
+        (2, complex(math.nan, 0.0), DomainViolation),
+        (2, complex(1.0, math.inf), DomainViolation),
+        (-1, 0.7, DomainViolation),
+    ], ids=["zero", "complex-zero", "nan", "inf", "negative-degree"])
+    def test_typed_errors(self, lam, z, error):
+        with pytest.raises(error):
+            aw1_oracle(lam, z, P1)
+
     def test_degree_zero(self):
         assert aw1_oracle(0, 0.7 + 0.2j, P1) == 1
 

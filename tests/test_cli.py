@@ -174,6 +174,19 @@ class TestMain:
         assert "rejected the configuration" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("suite", ["aw", "selberg"])
+    @pytest.mark.parametrize("key, value", [
+        ("t0", "1.1"), ("t2", "-1.0"), ("t3", "nan")])
+    def test_exit_two_on_parameter_off_the_disk(self, suite, key, value,
+                                                tmp_path, capsys):
+        # a t_i on or off the unit circle adds residue chains to the
+        # orthogonality measure; the torus measure alone is not it
+        out = tmp_path / "r.json"
+        assert main(["--suite", suite, f"--{key}", value,
+                     "--out", str(out)]) == 2
+        assert f"|{key}| < 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tiny_mass_matches_closed_forms(self, tmp_path):
         # a mass of 2.5e-94, summed to 256 shells; the checks' max(1, |N|)
         # floor would pass any value, so the test compares relative errors
@@ -239,15 +252,15 @@ def true_relative_errors(fam, top) -> dict:
     one = LaurentPolynomial.constant(fam.params.n)
     mass = fam.mass()
     polys = fam.polynomials(top)
-    norms = {lam: fam.norm(lam) for lam in polys}
-    lams = list(polys)
+    norms = [fam.norm(lam) for lam in polys]
+    G = fam.gram(list(polys.values()))
+    k = len(norms)
     return {
-        "mass": abs(fam.pair(one, one) - mass) / abs(mass),
-        "norm": max(abs(fam.pair(polys[la], polys[la]) - norms[la])
-                    / abs(norms[la]) for la in lams),
-        "cosine": max(abs(fam.pair(polys[la], polys[lb]))
-                      / math.sqrt(abs(norms[la] * norms[lb]))
-                      for i, la in enumerate(lams) for lb in lams[i + 1:]),
+        "mass": abs(fam.gram([one])[0, 0] - mass) / abs(mass),
+        "norm": max(abs(G[a, a] - norms[a]) / abs(norms[a])
+                    for a in range(k)),
+        "cosine": max(abs(G[a, b]) / math.sqrt(abs(norms[a] * norms[b]))
+                      for a in range(k) for b in range(a + 1, k)),
     }
 
 
@@ -343,10 +356,12 @@ class TestFamilyChecks:
         assert not verdicts["orthogonality"]
         assert verdicts["constant-term"]
 
-    @pytest.mark.parametrize("name", ["qracah", "little", "big"])
+    @pytest.mark.parametrize("name", list(FAMILIES))
     def test_gram_checks_evaluate_nothing(self, name, monkeypatch):
         # the orthogonalized polynomials bring the node values of their
-        # pairing with them, so the Gram matrix evaluates no polynomial
+        # pairing with them, so the Gram matrix evaluates no polynomial;
+        # the aw Gram is one product on the fine chamber table, which
+        # evaluates each polynomial once and pairs none of them alone
         fam = default_family(name)
         calls = []
         eval_points = LaurentPolynomial.eval_points
@@ -356,19 +371,38 @@ class TestFamilyChecks:
             return eval_points(self, Z)
 
         monkeypatch.setattr(LaurentPolynomial, "eval_points", counting)
+        on_torus = []
+        at_nodes = measures._Chamber.at_nodes
+
+        def counting_torus(table, f):
+            on_torus.append((table.M, id(f)))
+            return at_nodes(table, f)
+
+        def no_pairing(*args):
+            raise AssertionError("pairwise torus pairing")
+
+        monkeypatch.setattr(measures._Chamber, "at_nodes", counting_torus)
+        monkeypatch.setattr(measures, "_chamber_pairings", no_pairing)
         built = []
 
         def polynomials(top):
             polys = fam.polynomials(top)
-            built.append(len(calls))
+            built.append((len(calls), len(on_torus), list(polys.values())))
             return polys
 
         report = CertificationReport(name, {})
         _build, tol_orth, tol_norm, _tol_mass = FAMILIES[name]
         cli._gram_checks(report, replace(fam, polynomials=polynomials),
                          TOP, tol_orth, tol_norm)
-        assert built[0] > 0
-        assert len(calls) == built[0]
+        [(n_calls, n_torus, polys)] = built
+        assert len(calls) == n_calls
+        if name == "aw":
+            grams = on_torus[n_torus:]
+            assert sorted(i for _M, i in grams) == sorted(map(id, polys))
+            assert {M for M, _i in grams} == {cli.DEFAULTS["aw"]["M"]}
+        else:
+            assert n_calls > 0
+            assert on_torus == []
         assert all(c.passed for c in report.checks)
 
 

@@ -23,6 +23,7 @@ from bcortho.bcpoly import (
 from bcortho.cli import DEFAULTS, build_config, run_suite
 from bcortho.errors import (
     DomainViolation,
+    GridTooCoarse,
     LengthMismatch,
     NotWInvariant,
     PoleInWeight,
@@ -33,6 +34,7 @@ from bcortho.measures import (
     natural_t_bilinear,
     partial_bilinear,
     torus_bilinear,
+    torus_gram,
     wd_residue_weight,
 )
 from bcortho.params import AWParams
@@ -411,6 +413,55 @@ class TestMechanism:
         assert rep.value == 0.25 * table.weights.sum()
         assert rep.abs_error_estimate == abs(
             0.25 * (table.weights.sum() - coarse.weights.sum()))
+
+
+# (n, top, M) of the Gram tests: the smallest grid each top accepts,
+# the n = 3 case on an odd grid, and the aw --lmax 4 defaults
+GRAM_CASES = [(1, (6,), 32), (2, (2, 2), 24), (3, (1, 1, 1), 21),
+              (2, (4, 4), 128)]
+
+
+class TestTorusGram:
+    @pytest.mark.parametrize("n, top, M", GRAM_CASES,
+                             ids=["n1", "n2", "n3-odd", "n2-lmax4"])
+    @pytest.mark.parametrize("params", ["complex", "cli"])
+    def test_entries_match_pairings(self, n, top, M, params):
+        # one weighted product against the k(k+1)/2 pairwise pairings
+        if params == "cli":
+            d = DEFAULTS["aw"]
+            p = AWParams(n, d["q"], d["t"], d["t0"], d["t1"], d["t2"],
+                         d["t3"])
+        else:
+            p = PS[n]
+        polys = [LaurentPolynomial.constant(n, 0.5)] + list(
+            aw_polynomials(top, p).values())
+        G = torus_gram(polys, p, M)
+        assert G.shape == (len(polys),) * 2
+        for a, f in enumerate(polys):
+            for b, g in enumerate(polys):
+                want = torus_bilinear(f, g, p, M).value
+                assert abs(G[a, b] - want) <= 1e-13 * math.sqrt(
+                    abs(G[a, a] * G[b, b]))
+
+    @pytest.mark.parametrize("n, top", [(1, (6,)), (2, (2, 2)),
+                                        (3, (1, 1, 1))])
+    def test_grid_guard_matches_pairings(self, n, top):
+        # the pair of highest degree sets the grid, as for the pairwise
+        # path: M = 4 |top| + 8 is the smallest accepted grid
+        polys = list(aw_polynomials(top, PS[n]).values())
+        M = 4 * sum(top) + 8
+        torus_gram(polys, PS[n], M)
+        torus_bilinear(polys[-1], polys[-1], PS[n], M)
+        with pytest.raises(GridTooCoarse):
+            torus_gram(polys, PS[n], M - 1)
+        with pytest.raises(GridTooCoarse):
+            torus_bilinear(polys[-1], polys[-1], PS[n], M - 1)
+        torus_gram(polys[:-1], PS[n], M - 1)
+
+    def test_wrong_variable_count(self):
+        polys = [monomial_w((1, 0)), monomial_w((1,))]
+        with pytest.raises(LengthMismatch):
+            torus_gram(polys, PS[2], 32)
 
 
 class TestReportedValues:
