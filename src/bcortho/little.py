@@ -13,7 +13,9 @@ limit transition (little_limit).
 Pairings reuse a per-parameter node table, kept for the CACHE_SIZE most
 recently used parameter sets: one bcpoly.PointTable per part of the chain
 set, the labels nu with |nu| <= S and their weights, computed once with
-the array kernel (_jackson_table, shared with the big q-Jacobi form). S
+the array kernel (_jackson_table, shared with the big q-Jacobi form);
+the pair factors of a part take one kernel call over the differences
+nu_j - nu_i, the only thing their argument q z_j / (t z_i) depends on. S
 grows until the last shells are negligible against the table's own mass,
 so masses far below 1, as at q near 1, keep full relative precision. A
 pairing is one real dot product per part of the node values of f and g,
@@ -159,9 +161,7 @@ def _jackson_table(parts: Callable[[int], list], n: int, q: float, t: float,
         table, mass = [], np.zeros(S + 1)
         for chains, z, a, const in parts(S):
             nu = _chain_labels(chains, [S + 1] * n, S)
-            chain = np.repeat(np.arange(len(chains)), chains)
-            w = _label_weights(nu, const, a, lambda i, j: _pair_factors(
-                z[i], z[j], chain[i] == chain[j], q, t))
+            w = _label_weights(nu, const, a, _pair_factors(z, chains, q, t))
             bad = np.flatnonzero(~np.isfinite(w))
             if bad.size:
                 r = bad[0]
@@ -190,18 +190,42 @@ def _pair(table: List[PointTable], f: LaurentPolynomial,
     return float(total)
 
 
-def _pair_factors(zi: np.ndarray, zj: np.ndarray, same_chain: bool,
-                  q: float, t: float) -> np.ndarray:
-    """The (S+1, S+1) matrix of delta_qJ(zi[u], zj[v]) on the index pairs a
-    label can hold: u + v <= S, and u <= v within one chain. NaN elsewhere:
-    outside the chain order a denominator factor may vanish."""
-    S = len(zi) - 1
-    u, v = np.indices((S + 1, S + 1)).reshape(2, -1)
-    keep = (u + v <= S) & ((u <= v) | (not same_chain))
-    u, v = u[keep], v[keep]
-    out = np.full((S + 1, S + 1), np.nan)
-    out[u, v] = _delta_qJ_rows(np.column_stack([zi[u], zj[v]]), q, t)
-    return out
+def _pair_factors(z: np.ndarray, chains: Sequence[int], q: float,
+                  t: float) -> Callable[[int, int], np.ndarray]:
+    """pair(i, j), i < j: the (S+1, S+1) matrix of delta_qJ(z[i, u],
+    z[j, v]) on the index pairs a label can hold: u + v <= S, and u <= v
+    within one chain (of the given lengths, in axis order). NaN
+    elsewhere: outside the chain order a denominator factor may vanish.
+
+    Every row of z is geometric, z[i, u] = z[i, 0] q^u, so the argument
+    q z_j / (t z_i) of the factor (.;q)_{2 tau - 1} depends only on
+    d = v - u: one kernel call takes every pair's differences, d = 0..S
+    within a chain and -S..S across chains."""
+    S = z.shape[1] - 1
+    tau = math.log(t) / math.log(q)
+    chain = np.repeat(np.arange(len(chains)), chains)
+    I, J = np.triu_indices(len(z), 1)
+    d = np.arange(-S, S + 1)
+    up, e = d >= 0, np.abs(d)
+    # the argument at (u, v) = (0, d) for d >= 0 and (-d, 0) for d < 0
+    arg = (q * np.where(up, z[J][:, e], z[J][:, :1])
+           / (t * np.where(up, z[I][:, :1], z[I][:, e])))
+    skip = (chain[I] == chain[J])[:, None] & ~up
+    F = qpoch_real_arr(np.where(skip, 0.0, arg), q, t * t / q).real
+    # a row of F per pair, NaN at d < 0 within a chain, and a last NaN
+    # read wherever u + v > S
+    F = np.concatenate([np.where(skip, np.nan, F),
+                        np.full((len(F), 1), np.nan)], axis=1)
+    k = np.arange(S + 1)
+    at = np.where(k[:, None] + k > S, 2 * S + 1, k - k[:, None] + S)
+    row = {(i, j): r for r, (i, j) in enumerate(zip(I.tolist(), J.tolist()))}
+
+    def pair(i: int, j: int) -> np.ndarray:
+        zi = z[i][:, None]
+        return (np.abs(zi - z[j]) * np.abs(zi) ** (2.0 * tau - 1.0)
+                * F[row[i, j]][at])
+
+    return pair
 
 
 def delta_qJ(z: Sequence[float], q: float, t: float) -> float:
@@ -215,19 +239,6 @@ def delta_qJ(z: Sequence[float], q: float, t: float) -> float:
         for j in range(i + 1, len(z)):
             val *= abs(z[i] - z[j]) * abs(z[i]) ** (2.0 * tau - 1.0)
             val *= qpoch_real(q * z[j] / (t * z[i]), q, t2q).real
-    return val
-
-
-def _delta_qJ_rows(Z: np.ndarray, q: float, t: float) -> np.ndarray:
-    """delta_qJ at every row of Z, with qpoch_real's per-factor guard."""
-    tau = math.log(t) / math.log(q)
-    t2q = t * t / q
-    val = np.ones(len(Z))
-    for i in range(Z.shape[1]):
-        for j in range(i + 1, Z.shape[1]):
-            zi, zj = Z[:, i], Z[:, j]
-            val *= np.abs(zi - zj) * np.abs(zi) ** (2.0 * tau - 1.0)
-            val *= qpoch_real_arr(q * zj / (t * zi), q, t2q).real
     return val
 
 

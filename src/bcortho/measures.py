@@ -9,20 +9,20 @@ its rewrite for natural deformation parameter t = q^k.
 Torus integrals use the uniform tensor trapezoid rule on angles, which is
 spectrally accurate for these analytic periodic integrands. Delta, the
 delta_c factors and every pair of polynomials paired are invariant under
-the hyperoctahedral group W, and so is the grid, so its mean is a sum
-over the W-chamber 0 <= k_1 <= ... <= k_n <= M/2 of grid indices, node k
-weighted by Delta(z_k) |orbit(k)| / M^n. One cached chamber table per
-(params, axes, M) holds the nodes and weights, built slab by slab from
-w_c(z_k), k <= M/2, and one vector of the M roots, (w^m;q)_tau, from
-which every pair factor is read. On a table a polynomial is the sum of
-its W-orbit sums m_lambda, cached per table and real on the torus (a
-constant stays a scalar), and keeps its node values, as on the discrete
-tables (LaurentPolynomial.node_values); NotWInvariant for any other input.
-The error estimate is the distance to the pairing on the ceil(M/2)-point
-grid: the even-index subgrid for even M, a table of its own for odd M,
-whose even-index points are not closed under z -> 1/z. A grid with
-M < 2 deg + 8 points per axis, deg the total degree of f g, raises
-GridTooCoarse.
+the hyperoctahedral group W, and so is the grid, and Delta vanishes on
+the walls of the W-chamber (z_j = +-1, z_i = z_j^(+-1)), so the mean is
+a sum over the open chamber 0 < k_1 < ... < k_n < M/2 of grid indices,
+node k weighted by Delta(z_k) 2^n n! / M^n. One cached table per
+(params, axes, grid) holds the nodes and weights, built slab by slab
+from w_c(z_k), k <= M/2, and one real table of the pair factors
+(_pair_table). On a table a polynomial is the sum of its W-orbit sums
+m_lambda, cached per table and real on the torus (a constant stays a
+scalar), and keeps its node values, as on the discrete tables
+(LaurentPolynomial.node_values); NotWInvariant for any other input. The
+error estimate is the distance to the pairing on the ceil(M/2)-point
+grid, whose table only a pairing builds (the Gram matrix reads the
+M-point table alone). A grid with M < 2 deg + 8 points per axis, deg the
+total degree of f g, raises GridTooCoarse.
 
 The discrete supports are never truncated: each chain position runs to
 the last support value off the closed unit disk (SlowConvergence past
@@ -147,46 +147,44 @@ def _axis_wc(zvals: np.ndarray, p: AWParams) -> np.ndarray:
     return num[0] * num[1] / np.prod(den, axis=0)
 
 
-def _orbit_sizes(nodes: np.ndarray, M: int) -> np.ndarray:
-    """|W-orbit| of every chamber node (column of nodes) in the M-point
-    grid: n! over the factorials of the multiplicities, times 2 for each
-    coordinate other than 0 and M/2."""
-    size = np.full(nodes.shape[1], float(math.factorial(len(nodes))))
-    run = np.ones(nodes.shape[1])
-    for j, kj in enumerate(nodes):
-        if j:
-            run = np.where(kj == nodes[j - 1], run + 1, 1)
-        size = size / run * np.where((kj == 0) | (2 * kj == M), 1, 2)
-    return size
+def _pair_table(p: AWParams, M: int) -> np.ndarray:
+    """The four pair factors of two axes at grid indices a, b < M/2, in
+    one real number: P[a, b] = |R(w^(a+b))|^2 |R(w^(b-a))|^2 with
+    w = e^(2 pi i / M) and R(z) = (z;q)_tau, as R(w^-m) = conj R(w^m) for
+    real q and t (a negative index is read modulo M)."""
+    roots = _grid_axes(M)
+    R2 = np.abs(qpoch_infinite_arr(roots, p.q)
+                / qpoch_infinite_arr(roots * p.t, p.q)) ** 2
+    k = np.arange((M + 1) // 2)
+    return R2[k[:, None] + k] * R2[k - k[:, None]]
 
 
 class _Chamber:
     """The M-point trapezoid rule of Delta on n_axes axes, folded onto the
-    W-chamber: the nodes (int16 columns k, ascending, k_n <= M/2) and the
-    weights Delta(z_k) |orbit(k)| / M^n_axes. With no axes it is one node
-    of weight 1."""
+    open W-chamber: the nodes (int16 columns k, 0 < k_1 < ... < k_n < M/2)
+    and the weights Delta(z_k) 2^n n! / M^n_axes, 2^n n! the size of every
+    node's orbit. With no axes it is one node of weight 1."""
 
     def __init__(self, p: AWParams, n_axes: int, M: int):
         roots = _grid_axes(M)
-        half = M // 2
+        half, top = M // 2, (M - 1) // 2
         self.axis = roots[:half + 1]
         self.cos = roots.real
         self.M = M
-        self.nodes = _chain_labels((n_axes,), [half + 1] * n_axes,
-                                   n_axes * half)
-        wc = _axis_wc(self.axis, p) if n_axes else None
-        R = (None if n_axes < 2 else qpoch_infinite_arr(roots, p.q)
-             / qpoch_infinite_arr(roots * p.t, p.q))
+        # k_i = i + nu_i for nu ascending in 0..top - n_axes
+        self.nodes = _chain_labels(
+            (n_axes,), [top - n_axes + 1] * n_axes, n_axes * top
+        ) + np.arange(1, n_axes + 1, dtype=np.int16)[:, None]
+        # w_c on the chamber axis; no values without axes
+        wc = _axis_wc(self.axis, p) if n_axes else np.ones(0)
+        P = _pair_table(p, M) if n_axes > 1 else None
+        const = 2 ** n_axes * math.factorial(n_axes) / M ** n_axes
         self.weights = np.empty(self.nodes.shape[1], dtype=complex)
         for lo in range(0, len(self.weights), _SLAB):
-            nu = self.nodes[:, lo:lo + _SLAB].astype(int)
-            w = _orbit_sizes(nu, M) / M ** n_axes
-            for kj in nu:
-                w = w * wc[kj]
-            for a, b in combinations(nu, 2):
-                for m in (a + b, b - a, a - b, -a - b):
-                    w = w * R[m % M]
-            self.weights[lo:lo + _SLAB] = w
+            # the real pair factors, then the complex axis factors
+            nu = self.nodes[:, lo:lo + _SLAB]
+            self.weights[lo:lo + _SLAB] = _label_weights(
+                nu, const, [], lambda i, j: P) * np.prod(wc[nu], axis=0)
         self._sums: Dict[Tuple[int, ...], np.ndarray] = {}
 
     def orbit_sum(self, lam: Tuple[int, ...]) -> np.ndarray:
@@ -228,11 +226,11 @@ class _Chamber:
                               for lam, c in f.w_coefficients().items()}, 1)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _tables(p: AWParams, n_axes: int, M: int) -> Tuple[_Chamber, ...]:
-    """Cached chamber tables of the measure on n_axes axes, one per grid
-    of _grid_sizes(M)."""
-    return tuple(_Chamber(p, n_axes, m) for m in _grid_sizes(M))
+@functools.lru_cache(maxsize=2 * CACHE_SIZE)
+def _table(p: AWParams, n_axes: int, m: int) -> _Chamber:
+    """The chamber table of the measure on n_axes axes and the m-point
+    grid, cached for CACHE_SIZE measures of two grids each."""
+    return _Chamber(p, n_axes, m)
 
 
 def _pairing_degree(f: LaurentPolynomial, g: LaurentPolynomial) -> int:
@@ -271,18 +269,17 @@ def _chamber_pairings(f: LaurentPolynomial, g: LaurentPolynomial,
     """Per label (row of omega, the values of the first r variables): the
     M-point pairing of f(omega, z) g(omega, z) prod_j row(z_j) over the
     other n - r variables, and its distance to the same on the coarser
-    grid; rows holds one (labels, axis) array per table of _tables, None
-    for a row of ones. f and g are put in a canonical order first,
+    grid; rows holds one (labels, axis) array per grid of _grid_sizes(M),
+    None for a row of ones. f and g are put in a canonical order first,
     so that the result is exactly symmetric in them."""
     if (sorted((lam, c.real, c.imag) for lam, c in g.w_coefficients().items())
             < sorted((lam, c.real, c.imag)
                      for lam, c in f.w_coefficients().items())):
         f, g = g, f
     sums = []
-    for table, row in zip(_tables(p, p.n - omega.shape[1], M),
-                          rows or (None, None)):
-        n_nodes = table.nodes.shape[1]
-        step = max(1, _SLAB // n_nodes)
+    for m, row in zip(_grid_sizes(M), rows or (None, None)):
+        table = _table(p, p.n - omega.shape[1], m)
+        step = max(1, _SLAB // max(1, table.nodes.shape[1]))
         out = []
         for lo in range(0, len(omega), step):
             labels = omega[lo:lo + step]
@@ -347,7 +344,7 @@ def torus_gram(polys: Sequence[LaurentPolynomial], p: AWParams,
         raise LengthMismatch("grid has wrong number of axes")
     top = max(polys, key=lambda f: _pairing_degree(f, f))
     _check_grid(top, top, p, M)
-    table = _tables(p, p.n, M)[0]
+    table = _table(p, p.n, M)
     w = table.weights
     rows = [np.broadcast_to(f.node_values(table), (1, len(w)))[0]
             for f in polys]
@@ -474,7 +471,7 @@ def _chain_labels(chains: Sequence[int], ends: Sequence[int],
     within each chain (of the given lengths, in axis order), in
     lexicographic order, as the columns of an int16 array: row i holds
     axis i."""
-    # int32 temporaries: a chamber table of 366,145 labels is built here
+    # int32 temporaries: a chamber table of 333,375 labels is built here
     i32 = np.int32
     cols: List[np.ndarray] = []
     total = np.zeros(1, dtype=i32)
@@ -493,11 +490,13 @@ def _chain_labels(chains: Sequence[int], ends: Sequence[int],
 def _label_weights(nu: np.ndarray, const, axis: Sequence[np.ndarray],
                    pair: Callable[[int, int], np.ndarray]) -> np.ndarray:
     """const prod_i axis[i][nu_i] prod_{i<j} pair(i, j)[nu_i, nu_j] for
-    every label (column) of nu, multiplied in that order."""
+    every label (column) of nu, multiplied in that order; a pair matrix
+    is read at its flat indices, one gather each."""
+    nu = nu.astype(np.intp)
     w = const * np.prod([a[lab] for a, lab in zip(axis, nu)], axis=0)
-    for i in range(len(nu)):
-        for j in range(i + 1, len(nu)):
-            w = w * pair(i, j)[nu[i], nu[j]]
+    for i, j in combinations(range(len(nu)), 2):
+        m = pair(i, j)
+        w = w * m.ravel()[nu[i] * m.shape[1] + nu[j]]
     return w
 
 
@@ -577,12 +576,12 @@ def _qr_pair(pc: AWParams, k: int, l: int, ek: int, el: int) -> np.ndarray:
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _discrete_table(p: AWParams, M: int) -> tuple:
     """One node table per split l + m = r of F(r), r = 1..n, as
-    ((l, nu, omega, w, rows), ...), cached like _tables: the labels nu
+    ((l, nu, omega, w, rows), ...), cached like _table: the labels nu
     (one column per label, nu on the chain of t_i in its first l rows,
     nu' on that of t_j in the other m), their support values omega (one
     row per label), the weights Delta^(d)(nu) Delta^(d)(nu')
-    delta_c(omega; omega') and, for r < n, the delta_c rows over the axes
-    of the two tables of _tables (None for r = n)."""
+    delta_c(omega; omega') and, for r < n, the delta_c rows over the
+    chamber axes of the two grids of _grid_sizes(M) (None for r = n)."""
     n = p.n
     large = _large_params(p)
     i_param = large[0] if large else 0

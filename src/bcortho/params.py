@@ -10,9 +10,9 @@ from .qseries import check_q
 
 _TOL = 1e-10
 
-# Entries kept by each cache of measure tables (the torus chamber tables,
-# one per measure and number of axes, and the discrete node tables); the
-# least recently used entry is dropped first.
+# Measures kept by each cache of measure tables (the discrete node tables,
+# and the torus chamber tables: one per measure, number of axes and grid,
+# two grids to a pairing); the least recently used entry is dropped first.
 CACHE_SIZE = 8
 
 

@@ -89,7 +89,7 @@ class TestSlabMoments:
     def test_equal_whole_grid(self, n, M, factor, slabs, monkeypatch):
         if slabs == "many":
             monkeypatch.setattr(measures, "_SLAB", 1)
-        measures._tables.cache_clear()
+        measures._table.cache_clear()
         p = PS[n]
         f = random_invariant(random.Random(n * M), n)
         g = LaurentPolynomial.constant(n)
@@ -110,34 +110,33 @@ class TestSlabMoments:
             scale.append(np.mean(np.abs(G)))
         got, err = measures._chamber_pairings(f, g, p, M, np.ones((1, 0)),
                                               rows)
-        measures._tables.cache_clear()
+        measures._table.cache_clear()
         assert abs(got[0] - want[0]) < 1e-13 * scale[0]
         assert abs(err[0] - abs(want[0] - want[1])) < 1e-13 * max(scale)
 
     def test_weight_grid_is_the_product_of_the_factors(self):
-        # each chamber weight is |orbit| / M^n times Delta at its node,
+        # each chamber weight is 2^n n! / M^n times Delta at its node,
         # read off the scalar density
         p, M = PS[2], 8
-        [table, _] = measures._tables(p, 2, M)
-        sizes = measures._orbit_sizes(table.nodes, M)
-        for k, w, size in zip(table.nodes.T.tolist(), table.weights, sizes):
-            want = weight_continuous(list(table.axis[k]), p) * size / M ** 2
+        table = measures._table(p, 2, M)
+        for k, w in zip(table.nodes.T.tolist(), table.weights):
+            want = weight_continuous(list(table.axis[k]), p) * 8 / M ** 2
             assert abs(w - want) < 1e-13 * max(1.0, abs(want))
 
     def test_no_grid_in_memory(self):
-        # the n = 3, M = 256 chamber holds 366,145 nodes (the whole grid
+        # the n = 3, M = 256 chamber holds 333,375 nodes (the whole grid
         # is 256^3 complex values, 268 MB); built slab by slab, its peak
         # is the finished table plus the int32 label temporaries
         p = PS[3]
-        measures._tables.cache_clear()
+        measures._table.cache_clear()
         tracemalloc.start()
         try:
-            [table, _] = measures._tables(p, 3, 256)
+            table = measures._table(p, 3, 256)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        measures._tables.cache_clear()
-        assert table.nodes.shape == (3, 366145)
+        measures._table.cache_clear()
+        assert table.nodes.shape == (3, 333375)
         assert peak < 16 * 2 ** 20
 
 

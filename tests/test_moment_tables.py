@@ -148,19 +148,28 @@ class TestAgainstGridFormula:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("M", [16, 17])
     def test_orbit_sizes_fill_the_grid(self, n, M):
-        [fine, coarse] = measures._tables(PS[n], n, M)
-        for table, m in ((fine, M), (coarse, (M + 1) // 2)):
+        # each node stands for 2^n n! grid points; the rest of the grid
+        # lies on a wall: a coordinate folded to 0 or M/2, or two equal
+        for m in (M, (M + 1) // 2):
+            table = measures._table(PS[n], n, m)
             assert table.nodes.dtype == np.int16
             assert table.nodes.shape[0] == n
-            assert np.all(np.diff(table.nodes.astype(int), axis=0) >= 0)
-            assert table.nodes.max() == m // 2
-            assert measures._orbit_sizes(table.nodes, m).sum() == m ** n
+            assert np.all(np.diff(table.nodes.astype(int), axis=0) > 0)
+            assert table.nodes.min() == 1
+            assert table.nodes.max() == (m - 1) // 2
+            walls = 0
+            for idx in np.ndindex((m,) * n):
+                fold = {min(i, m - i) for i in idx}
+                walls += len(fold) < n or bool(fold & {0, m / 2})
+            orbit = 2 ** n * math.factorial(n)
+            assert orbit * table.nodes.shape[1] + walls == m ** n
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_weights_fold_the_grid(self, n):
-        # every grid point's weight lands on its chamber node
+        # every grid point's weight lands on its chamber node; the walls
+        # carry none
         M = 12
-        [table, _] = measures._tables(PS[n], n, M)
+        table = measures._table(PS[n], n, M)
         _, grid = weight_grid(PS[n], n, M)
         folded = {}
         for idx in np.ndindex(grid.shape):
@@ -168,10 +177,10 @@ class TestAgainstGridFormula:
             folded[key] = folded.get(key, 0) + grid[idx] / M ** n
         got = {tuple(c): w for c, w in zip(table.nodes.T.tolist(),
                                            table.weights)}
-        assert got.keys() == folded.keys()
+        assert got.keys() <= folded.keys()
         scale = np.max(np.abs(grid))
         for key, w in folded.items():
-            assert abs(got[key] - w) < 1e-14 * scale
+            assert abs(got.get(key, 0) - w) < 1e-14 * scale
 
     def test_error_estimate_is_the_coarse_pairing(self):
         rng = random.Random(3)
@@ -353,6 +362,62 @@ class TestPairingTerms:
                            LaurentPolynomial.constant(1), PS[2], 32)
 
 
+class TestOpenChamber:
+    """The chamber tables hold the open W-chamber 0 < k_1 < ... < k_n < M/2
+    only: Delta vanishes on its walls."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("M", [12, 13])
+    def test_matches_weight_grid(self, n, M):
+        # node k carries 2^n n! grid points of weight Delta(z_k) / M^n,
+        # and the nodes carry the whole mean of the grid
+        table = measures._table(PS[n], n, M)
+        _, grid = weight_grid(PS[n], n, M)
+        scale = np.max(np.abs(grid))
+        want = grid[tuple(table.nodes.astype(int))] * (
+            2 ** n * math.factorial(n) / M ** n)
+        assert np.all(np.abs(table.weights - want) < 1e-14 * scale)
+        assert abs(table.weights.sum() - np.mean(grid)) < 1e-14 * scale
+
+    @pytest.mark.parametrize("M", [16, 17, 256])
+    def test_pair_table_is_the_four_factor_product(self, M):
+        # the real P[a, b] against the complex product over
+        # m = a + b, b - a, a - b, -a - b of R = (w^m;q)_tau, on the
+        # entries the nodes read, 0 < a < b; next to the diagonal the
+        # products differ by up to 1e-14 of themselves, because w^m and
+        # w^-m are rounded apart and 1 - w^m cancels
+        p = PS[2]
+        z = np.exp(2j * np.pi * np.arange(M) / M)
+        R = qpoch_infinite_arr(z, p.q) / qpoch_infinite_arr(z * p.t, p.q)
+        P = measures._pair_table(p, M)
+        assert P.dtype == float and P.shape == ((M + 1) // 2,) * 2
+        a, b = np.indices(P.shape)
+        want = np.ones(P.shape, dtype=complex)
+        for m in (a + b, b - a, a - b, -a - b):
+            want = want * R[m % M]
+        read = (a > 0) & (b > a)
+        assert np.all(np.abs(P - want)[read]
+                      < 1e-14 * np.max(np.abs(want)))
+
+    def test_table_without_interior_node(self):
+        # n = 3 needs 0 < k_1 < k_2 < k_3 < M/2: no node for M <= 6 and
+        # one, (1, 2, 3), for M = 7 and 8, whose coarse 4-point table is
+        # empty
+        for M in (4, 5, 6):
+            table = measures._table(PS[3], 3, M)
+            assert table.nodes.shape == (3, 0)
+            assert table.weights.sum() == 0
+        one = LaurentPolynomial.constant(3)
+        rep = torus_bilinear(one, one, PS[3], 8)
+        [weight] = measures._table(PS[3], 3, 8).weights
+        assert rep.value == weight
+        assert rep.abs_error_estimate == abs(weight)
+        f = monomial_w((1, 0, 0))
+        value, err = measures._chamber_pairings(f, f, PS[3], 6,
+                                                np.ones((1, 0)))
+        assert value.tolist() == [0] and err.tolist() == [0]
+
+
 class TestMechanism:
     def test_no_product_and_no_grid_evaluation(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -378,11 +443,11 @@ class TestMechanism:
                     partial_bilinear(f, g, pd, 24),
                     natural_t_bilinear(f, g, pk, 24))
 
-        measures._tables.cache_clear()
+        measures._table.cache_clear()
         first = run()
-        built = measures._tables.cache_info().misses
+        built = measures._table.cache_info().misses
         assert run() == first
-        assert measures._tables.cache_info().misses == built
+        assert measures._table.cache_info().misses == built
 
     def test_gram_evaluates_each_polynomial_once(self, monkeypatch):
         # a polynomial keeps its node values per table
@@ -398,7 +463,7 @@ class TestMechanism:
 
         monkeypatch.setattr(measures._Chamber, "evaluate", counted)
 
-        measures._tables.cache_clear()
+        measures._table.cache_clear()
         for a in polys:
             for b in polys:
                 torus_bilinear(a, b, PS[2], 32)
@@ -407,7 +472,7 @@ class TestMechanism:
     def test_one_over_one_is_a_weighted_sum(self):
         # a constant stays a scalar: the pairing is the sum of the weights
         one = LaurentPolynomial.constant(3, 0.5)
-        [table, coarse] = measures._tables(PS[3], 3, 16)
+        table, coarse = (measures._table(PS[3], 3, m) for m in (16, 8))
         assert table.evaluate({(0, 0, 0): np.ones(1)}, 1).shape == (1, 1)
         rep = torus_bilinear(one, one, PS[3], 16)
         assert rep.value == 0.25 * table.weights.sum()

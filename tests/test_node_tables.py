@@ -71,6 +71,19 @@ def raised(fn, *args):
     return None
 
 
+def delta_qJ_rows(Z, q, t):
+    """delta_qJ at every row of Z, with qpoch_real's per-factor guard: the
+    reference for little._pair_factors."""
+    tau = math.log(t) / math.log(q)
+    val = np.ones(len(Z))
+    for i in range(Z.shape[1]):
+        for j in range(i + 1, Z.shape[1]):
+            zi, zj = Z[:, i], Z[:, j]
+            val *= np.abs(zi - zj) * np.abs(zi) ** (2.0 * tau - 1.0)
+            val *= qpoch_real_arr(q * zj / (t * zi), q, t * t / q).real
+    return val
+
+
 def ascending_labels(lengths, S):
     """Brute force: labels with |nu| <= S ascending within each chain."""
     out = set()
@@ -199,12 +212,51 @@ class TestLittleTable:
         # (q z_2 / (t z_1); q)_{2 tau - 1} exactly at zero
         q, t = 0.5, 0.4
         assert raised(delta_qJ, (t, 1.0), q, t) is PoleAtDenominator
-        assert raised(little._delta_qJ_rows, np.array([[t, 1.0]]), q,
+        assert raised(delta_qJ_rows, np.array([[t, 1.0]]), q,
                       t) is PoleAtDenominator
+        # the same node, (u, v) = (0, 0), of one chain and of two
+        z = np.array([t, 1.0])[:, None] * q ** np.arange(4.0)
+        for chains in ((2,), (1, 1)):
+            assert raised(little._pair_factors, z, chains, q,
+                          t) is PoleAtDenominator
         Z = np.array([[1.0, 0.3], [0.7, 0.2], [-0.9, 0.4]])
-        got = little._delta_qJ_rows(Z, q, t)
+        got = delta_qJ_rows(Z, q, t)
         for r in range(len(Z)):
             assert rel(got[r], delta_qJ(tuple(Z[r]), q, t)) < 1e-13
+
+    @pytest.mark.parametrize("q, tol", [(0.5, 1e-14), (0.9, 2e-14)])
+    @pytest.mark.parametrize("family", ["little", "big-real", "big-conj"])
+    def test_pair_factors_match_rows(self, family, q, tol):
+        # one kernel call over the differences v - u against delta_qJ at
+        # every index pair a label can hold; NaN at every other. At
+        # q = 0.9 the relative condition of (x;q)_{2 tau - 1} in x
+        # reaches 2 tau - 1 = 16.4 for |x| >> 1 (big's two chains), and
+        # each form strays up to 1.2e-14 from 40-digit values, measured
+        # at (u, v) = (39, 4) and (41, 3) of big's split j = 1
+        n, S = 3, 48
+        if family == "little":
+            lp = LittleParams(n, q, 0.4, 0.6, -2.0)
+            parts = [((n,), lp.t ** np.arange(n)[:, None]
+                      * q ** np.arange(S + 1.0))]
+            t = lp.t
+        else:
+            bp = big_params(n, family[4:])
+            bp = BigParams(n, q, bp.t, bp.a, bp.b, bp.c, bp.d)
+            z, _ = big._axis_factors(bp, S)
+            parts = [((j, n - j), z[np.r_[0:j, n:2 * n - j]])
+                     for j in range(n + 1)]
+            t = bp.t
+        u, v = np.indices((S + 1, S + 1))
+        for chains, z in parts:
+            pair = little._pair_factors(z, chains, q, t)
+            chain = np.repeat(np.arange(len(chains)), chains)
+            for i, j in itertools.combinations(range(n), 2):
+                keep = (u + v <= S) & ((u <= v) | (chain[i] != chain[j]))
+                got = pair(i, j)
+                assert np.all(np.isnan(got[~keep]))
+                want = delta_qJ_rows(np.column_stack(
+                    [z[i][u[keep]], z[j][v[keep]]]), q, t)
+                assert np.all(np.abs(got[keep] - want) < tol * np.abs(want))
 
 
 class TestArrayKernel:
@@ -255,12 +307,19 @@ class TestArrayKernel:
 
 class TestNonFiniteWeights:
     def test_table_names_the_node(self, monkeypatch):
-        def delta(Z, q, t):
-            out = np.ones(len(Z))
-            out[3] = np.inf
-            return out
+        pair_factors = little._pair_factors
 
-        monkeypatch.setattr(little, "_delta_qJ_rows", delta)
+        def injected(z, chains, q, t):
+            pair = pair_factors(z, chains, q, t)
+
+            def with_inf(i, j):
+                out = pair(i, j)
+                out[0, 3] = np.inf
+                return out
+
+            return with_inf
+
+        monkeypatch.setattr(little, "_pair_factors", injected)
         lp = LittleParams(2, 0.5, 0.4, 0.6, -2.0)
         # row 3 of the table: label (0, 3)
         z = list(little.support_point((0, 3), lp))
@@ -431,6 +490,8 @@ class TestTablesAreReused:
 
     def test_one_bound_for_every_table(self):
         for table in (big._node_table, little._node_table,
-                      qracah._node_table, measures._tables,
-                      measures._discrete_table):
+                      qracah._node_table, measures._discrete_table):
             assert table.cache_info().maxsize == CACHE_SIZE
+        # a torus pairing reads one chamber table per grid of its measure
+        assert measures._table.cache_info().maxsize == len(
+            measures._grid_sizes(64)) * CACHE_SIZE
