@@ -32,7 +32,6 @@ from .errors import (
     DomainViolation,
     EigenvalueCollision,
     PoleInPrefactor,
-    PoleInProduct,
     ZeroCoordinate,
 )
 from .koornwinder import eigenvalue_E, op_matrix
@@ -323,15 +322,3 @@ def aw1_oracle(lam: int, z: complex, p: AWParams) -> complex:
         scaled = _mul(_prod(den + [qpow[lam], zq]), s_den)
         s_num, s_den = _add(scaled, _mul(num, s_num)), scaled
     return _quotient(_mul(pref_num, s_num), _mul(pref_den, s_den))
-
-
-def renorm_constant(lam: Sequence[int], p: AWParams) -> complex:
-    """Renormalization c(lambda) = (N+(0)/N+(lambda)) prod (t0 t^{n-j})^{lambda_j}."""
-    lam = partition(lam)
-    n_plus = aw_norm_plus(lam, p)
-    if abs(n_plus) < 1e-300:
-        raise PoleInProduct("N+(lambda) vanishes")
-    val = aw_norm_plus((0,) * p.n, p) / n_plus
-    for j in range(1, p.n + 1):
-        val *= (p.t0 * p.t ** (p.n - j)) ** lam[j - 1]
-    return val

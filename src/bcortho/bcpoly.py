@@ -36,6 +36,9 @@ Exponent = Tuple[int, ...]
 
 PRUNE = 1e-300
 
+# Element count of the largest (terms x points) slab of eval_points.
+SLAB = 1 << 12
+
 
 def partition(parts: Sequence[int]) -> Tuple[int, ...]:
     """Validate a weakly decreasing nonnegative integer vector."""
@@ -61,7 +64,7 @@ class LaurentPolynomial:
     """Sparse Laurent polynomial: map from integer exponent vectors to
     complex coefficients. Instances are treated as immutable."""
 
-    __slots__ = ("nvars", "terms", "_w_coeffs", "_node_values")
+    __slots__ = ("nvars", "terms", "_w_coeffs", "_node_values", "_slabs")
 
     def __init__(self, nvars: int, terms: Dict[Exponent, complex] | None = None):
         self.nvars = nvars
@@ -74,6 +77,7 @@ class LaurentPolynomial:
                     clean[tuple(int(x) for x in e)] = complex(c)
         self.terms = clean
         self._w_coeffs: Dict[Exponent, complex] | None = None
+        self._slabs: tuple | None = None
         self._node_values: Dict[int, tuple] | None = None
 
     @classmethod
@@ -87,13 +91,20 @@ class LaurentPolynomial:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
+    @classmethod
+    def _pruned(cls, nvars: int, terms: Dict[Exponent, complex]):
+        """A polynomial on the terms of instances: only PRUNE applies."""
+        poly = cls(nvars)
+        poly.terms = {e: c for e, c in terms.items() if abs(c) > PRUNE}
+        return poly
+
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if self.nvars != other.nvars:
             raise LengthMismatch("variable count mismatch")
         t = dict(self.terms)
         for e, c in other.terms.items():
             t[e] = t.get(e, 0.0) + c
-        return LaurentPolynomial(self.nvars, t)
+        return LaurentPolynomial._pruned(self.nvars, t)
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + other.scale(-1.0)
@@ -109,8 +120,8 @@ class LaurentPolynomial:
         return LaurentPolynomial(self.nvars, t)
 
     def scale(self, c: complex) -> "LaurentPolynomial":
-        return LaurentPolynomial(
-            self.nvars, {e: c * v for e, v in self.terms.items()})
+        return LaurentPolynomial._pruned(
+            self.nvars, {e: complex(c * v) for e, v in self.terms.items()})
 
     def coefficient(self, e: Sequence[int]) -> complex:
         return self.terms.get(tuple(int(x) for x in e), 0.0)
@@ -131,28 +142,54 @@ class LaurentPolynomial:
         return total
 
     def eval_points(self, Z: np.ndarray) -> np.ndarray:
-        """Evaluate at every row of the (m, nvars) array Z, summing terms
-        in sorted exponent order as eval does. Entries agree with eval at
-        each row up to the last bit of numpy's power function."""
+        """Evaluate at every row of the (m, nvars) array Z, bit for bit as
+        the loop adding c z_1^e_1 ... z_n^e_n, formed left to right, over
+        the terms in sorted exponent order: the orthogonality metric of
+        the discrete families, which divides by <1,1>, reads that rounding.
+        A slab of at most SLAB terms x points (or one term) multiplies the
+        power rows gathered per term, adds the running total to its first
+        row and is summed down its rows, which numpy does one row at a
+        time unless there is one column: so a lone point is doubled."""
         Z = np.asarray(Z)
         if Z.ndim != 2 or Z.shape[1] != self.nvars:
             raise LengthMismatch("points have wrong length")
-        if np.any(Z == 0):
+        if not Z.all():
             raise ZeroCoordinate("evaluation point has a zero coordinate")
-        # real points and coefficients: the same real parts, in floats
-        real = (not np.iscomplexobj(Z)
-                and all(c.imag == 0 for c in self.terms.values()))
-        cols = [Z[:, i] for i in range(self.nvars)]
-        cache: Dict[Tuple[int, int], np.ndarray] = {}
-        total = np.zeros(len(Z), dtype=float if real else complex)
-        for e in sorted(self.terms):
-            term = self.terms[e].real if real else self.terms[e]
-            for i, ei in enumerate(e):
-                if (i, ei) not in cache:
-                    cache[i, ei] = cols[i] ** ei
-                term = term * cache[i, ei]
-            total += term
-        return total
+        m = len(Z)
+        if m == 1:
+            Z = np.repeat(Z, 2, axis=0)
+        if self._slabs is None:
+            # the coefficients in sorted exponent order, whether all are
+            # real, and per axis the exponents and each term's among them
+            exps = sorted(self.terms)
+            coef = np.array([self.terms[e] for e in exps], dtype=complex)
+            axes = []
+            for i in range(self.nvars):
+                es = sorted({e[i] for e in exps})
+                at = {e: k for k, e in enumerate(es)}
+                axes.append((es, np.array([at[e[i]] for e in exps], int)))
+            self._slabs = coef, not coef.imag.any(), axes
+        coef, real, axes = self._slabs
+        if real and Z.dtype.kind != "c":
+            coef = coef.real
+        # per axis the rows z_i^e (in no variables, one row of ones)
+        rows, pick = [], [k for _es, k in axes]
+        for i, (es, _k) in enumerate(axes):
+            rows.append(np.empty((len(es), len(Z)), Z.dtype))
+            for k, e in enumerate(es):
+                rows[i][k] = Z[:, i] ** e
+        if not axes:
+            rows, pick = [np.ones((1, len(Z)))], [np.zeros(len(coef), int)]
+        total = np.zeros(len(Z), dtype=coef.dtype)
+        step = max(1, SLAB // len(Z)) if len(Z) else len(coef)
+        for lo in range(0, len(coef), step):
+            s = slice(lo, lo + step)
+            slab = coef[s, None] * rows[0][pick[0][s]]
+            for R, k in zip(rows[1:], pick[1:]):
+                slab *= R[k[s]]
+            slab[0] += total
+            total = np.add.reduce(slab, axis=0)
+        return total[:m]
 
     def node_values(self, table) -> np.ndarray:
         """table.at_nodes(self), the values at the nodes of a node table,

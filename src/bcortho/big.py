@@ -62,6 +62,7 @@ from .qseries import (
     qpoch_infinite_arr,
     qpoch_ratio,
     theta_jacobi,
+    theta_values,
 )
 
 # agreement of the two forms of the split-weights (c-weight-dual-form)
@@ -130,27 +131,26 @@ def support_point(j: int, nu: Sequence[int], nup: Sequence[int],
 
 def weight_big(z: Sequence[float], bp: BigParams) -> float:
     """Weight Delta^B(z) = prod_i v_B(z_i) * delta_qJ(z)."""
-    q = bp.q
+    q, c, d = bp.q, bp.c, bp.d
+    # per x: (q x/c, -q x/d;q)_inf over the guarded (q a x/c, -q b x/d;q)
+    try:
+        f = iter(qpoch_infinite_arr(
+            [y for x in z for y in (q * x / c, -q * x / d,
+                                    q * bp.a * x / c, -q * bp.b * x / d)],
+            q, [False, False, True, True] * len(z)).tolist())
+    except ZeroProduct as exc:
+        raise DomainViolation(f"v_B denominator vanishes: {exc}") from exc
     val = 1.0
-    for x in z:
-        num = (qpoch_infinite(q * x / bp.c, q)
-               * qpoch_infinite(-q * x / bp.d, q))
-        try:
-            den = (qpoch_infinite(q * bp.a * x / bp.c, q,
-                                  require_nonzero=True)
-                   * qpoch_infinite(-q * bp.b * x / bp.d, q,
-                                    require_nonzero=True))
-        except ZeroProduct as exc:
-            raise DomainViolation(
-                f"v_B denominator vanishes at x={x}") from exc
+    for _ in z:
+        num = next(f) * next(f)
+        den = next(f) * next(f)
         val *= (num / den).real
     return val * delta_qJ(z, q, bp.t)
 
 
-def _theta_den(x: float, q: float, where: str) -> complex:
-    """theta(x) as a denominator factor: raises PoleInTheta when this
-    factor on its own is below the pole guard."""
-    th = theta_jacobi(x, q)
+def _theta_den(th: complex, where: str) -> complex:
+    """A theta value th read as a denominator factor: raises PoleInTheta
+    when this factor on its own is below the pole guard."""
     if abs(th) < POLE_GUARD:
         raise PoleInTheta(f"theta factor vanishes in {where}")
     return th
@@ -163,15 +163,20 @@ def c_weights(bp: BigParams) -> List[float]:
     n, q, t, c, d = bp.n, bp.q, bp.t, bp.c, bp.d
     tau = bp.tau
     qq = qpoch_infinite(q, q).real
+    # theta(-t^e c/d), e = 1-n..n, and theta(-t^e d/c), e = 1-n..0
+    es = range(1 - n, n + 1)
+    th = theta_values([-t ** e * c / d for e in es]
+                      + [-t ** e * d / c for e in range(1 - n, 1)], q)
+    cd, dc = dict(zip(es, th)), dict(zip(range(1 - n, 1), th[2 * n:]))
     out: List[float] = []
     for j in range(n + 1):
         val = qq ** n
         for i in range(1, j + 1):
-            den = (_theta_den(-t ** (1 - i) * d / c, q, "c_{B,j}")
-                   * _theta_den(-t ** i * c / d, q, "c_{B,j}"))
-            val *= (theta_jacobi(-t ** (i + j - n) * c / d, q) / den).real
+            den = (_theta_den(dc[1 - i], "c_{B,j}")
+                   * _theta_den(cd[i], "c_{B,j}"))
+            val *= (cd[i + j - n] / den).real
         for i in range(1, n - j + 1):
-            val /= _theta_den(-t ** (1 - i) * c / d, q, "c_{B,j}").real
+            val /= _theta_den(cd[1 - i], "c_{B,j}").real
         val *= q ** (-2.0 * tau * tau * (
             (n - j) * math.comb(j, 2) + math.comb(j, 3)
             + math.comb(n - j, 3)))
@@ -192,7 +197,8 @@ def c_weights_defining(bp: BigParams) -> List[float]:
     base *= d ** (-2.0 * tau * math.comb(n, 2) - n)
     base *= t ** (-math.comb(n, 2))
     for i in range(1, n + 1):
-        base /= _theta_den(-t ** (1 - i) * c / d, q, "c_B").real
+        base /= _theta_den(theta_jacobi(-t ** (1 - i) * c / d, q),
+                           "c_B").real
     out: List[float] = []
     for j in range(n + 1):
         dB = 1.0
@@ -234,16 +240,15 @@ def _axis_factors(bp: BigParams, S: int) -> Tuple[np.ndarray, np.ndarray]:
     q = bp.q
     base = bp.t ** np.arange(bp.n)[:, None] * q ** np.arange(S + 1.0)
     z = np.concatenate([bp.c * base, -bp.d * base])
-    num = qpoch_infinite_arr(q * z / bp.c, q) * qpoch_infinite_arr(
-        -q * z / bp.d, q)
-    args = (q * bp.a * z / bp.c, -q * bp.b * z / bp.d)
+    # (q z/c, -q z/d;q)_inf over the guarded (q a z/c, -q b z/d;q)_inf
     try:
-        den = (qpoch_infinite_arr(args[0], q, require_nonzero=True)
-               * qpoch_infinite_arr(args[1], q, require_nonzero=True))
+        f = qpoch_infinite_arr(
+            np.stack([q * z / bp.c, -q * z / bp.d, q * bp.a * z / bp.c,
+                      -q * bp.b * z / bp.d]),
+            q, np.array([False, False, True, True])[:, None, None])
     except ZeroProduct as exc:
-        den = qpoch_infinite_arr(args[0], q) * qpoch_infinite_arr(args[1], q)
-        x = z.flat[np.argmin(np.abs(den))]
-        raise DomainViolation(f"v_B denominator vanishes at x={x}") from exc
+        raise DomainViolation(f"v_B denominator vanishes: {exc}") from exc
+    num, den = f[0] * f[1], f[2] * f[3]
     return z, (num / den).real * np.abs(z)
 
 

@@ -339,15 +339,18 @@ def _gram_checks(report: CertificationReport, fam: _Family,
     the closed-form norms N ("norms", relative to max(1, |N|)). The
     polynomials are paired as returned: a family built by
     bcpoly.orthogonalize brings the node values of its pairing with it.
-    The Gram matrix is formed once, inside the first check that reads
-    it, so that check's time includes it."""
-    polys = fam.polynomials(top)
-    lams = list(polys)
+    The polynomials and their Gram matrix are built once, inside the
+    first check that reads them, so that check's time includes both; a
+    BcorthoError while building them fails both checks."""
     scale = abs(fam.mass())
-    gram = functools.cache(lambda: fam.gram(list(polys.values())))
+
+    @functools.cache
+    def gram() -> Tuple[List[Tuple[int, ...]], np.ndarray]:
+        polys = fam.polynomials(top)
+        return list(polys), fam.gram(list(polys.values()))
 
     def off_diag() -> Tuple[float, float]:
-        G = gram()
+        lams, G = gram()
         worst = 0.0
         for a in range(len(lams)):
             for b in range(a + 1, len(lams)):
@@ -355,7 +358,7 @@ def _gram_checks(report: CertificationReport, fam: _Family,
         return worst, 0.0
 
     def diag() -> Tuple[float, float]:
-        G = gram()
+        lams, G = gram()
         worst = 0.0
         for a, la in enumerate(lams):
             w = fam.norm(la)

@@ -106,11 +106,6 @@ def support_point(nu: Sequence[int], lp: LittleParams) -> Tuple[float, ...]:
                  for i in range(1, lp.n + 1))
 
 
-def weight_little(nu: Sequence[int], lp: LittleParams) -> float:
-    """Weight Delta^L at the node rho_L q^nu."""
-    return _weight_at_point(support_point(nu, lp), lp)
-
-
 def bilinear_little(f: LaurentPolynomial, g: LaurentPolynomial,
                     lp: LittleParams) -> float:
     """<f,g>_L: Jackson multisum of f g Delta^L."""
@@ -119,8 +114,8 @@ def bilinear_little(f: LaurentPolynomial, g: LaurentPolynomial,
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _node_table(lp: LittleParams) -> List[PointTable]:
-    """The nodes rho_L q^nu and weights (1-q)^n Delta^L(z) prod z, as
-    _weight_at_point computes them, vectorized (_jackson_table)."""
+    """The nodes rho_L q^nu and weights (1-q)^n Delta^L(z) prod z,
+    vectorized (_jackson_table)."""
     n, q, t = lp.n, lp.q, lp.t
     const = (q ** (-2.0 * lp.tau * lp.tau * math.comb(n, 3))
              * t ** (-(lp.alpha + 1.0) * math.comb(n, 2)) * (1.0 - q) ** n)
@@ -129,11 +124,11 @@ def _node_table(lp: LittleParams) -> List[PointTable]:
         # one chain; axis i: z = t^i q^nu, a = (qz;q)_inf/(qbz;q)_inf z^alpha z
         z = t ** np.arange(n)[:, None] * q ** np.arange(S + 1.0)
         try:
-            den = qpoch_infinite_arr(q * lp.b * z, q, require_nonzero=True)
+            f = qpoch_infinite_arr(np.stack([q * z, q * lp.b * z]), q,
+                                   np.array([False, True])[:, None, None])
         except ZeroProduct as exc:
-            x = z.flat[np.argmin(np.abs(qpoch_infinite_arr(q * lp.b * z, q)))]
-            raise DomainViolation(f"(qbx;q)_inf vanishes at x={x}") from exc
-        a = qpoch_infinite_arr(q * z, q) / den * z ** lp.alpha * z
+            raise DomainViolation(f"(qbx;q)_inf vanishes: {exc}") from exc
+        a = f[0] / f[1] * z ** lp.alpha * z
         return [((n,), z, a, const)]
 
     return _jackson_table(parts, n, q, t, "Jackson multisum")
@@ -240,20 +235,6 @@ def delta_qJ(z: Sequence[float], q: float, t: float) -> float:
             val *= abs(z[i] - z[j]) * abs(z[i]) ** (2.0 * tau - 1.0)
             val *= qpoch_real(q * z[j] / (t * z[i]), q, t2q).real
     return val
-
-
-def _weight_at_point(z: Sequence[float], lp: LittleParams) -> float:
-    n, q, t = lp.n, lp.q, lp.t
-    tau, alpha = lp.tau, lp.alpha
-    val = (q ** (-2.0 * tau * tau * math.comb(n, 3))
-           * t ** (-(alpha + 1.0) * math.comb(n, 2)))
-    for x in z:
-        try:
-            den = qpoch_infinite(q * lp.b * x, q, require_nonzero=True)
-        except ZeroProduct as exc:
-            raise DomainViolation(f"(qbx;q)_inf vanishes at x={x}") from exc
-        val *= qpoch_infinite(q * x, q) / den * x ** alpha
-    return float(val * delta_qJ(z, q, t))
 
 
 def little_polynomials(top: Sequence[int], lp: LittleParams

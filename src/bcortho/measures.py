@@ -66,7 +66,6 @@ from .qseries import (
     POLE_GUARD,
     qpoch_finite,
     qpoch_finite_arr,
-    qpoch_infinite,
     qpoch_infinite_arr,
     qpoch_real,
     qpoch_real_arr,
@@ -91,34 +90,6 @@ class MeasureReport:
     abs_error_estimate: float
     quadrature_points_per_axis: int
     discrete_points_used: int
-
-
-# ---------------------------------------------------------------------------
-# continuous weight
-
-def _wc_scalar(x: complex, p: AWParams) -> complex:
-    num = qpoch_infinite(x * x, p.q) * qpoch_infinite(1.0 / (x * x), p.q)
-    den: complex = 1.0
-    for ti in p.tvec:
-        for arg in (ti * x, ti / x):
-            f = qpoch_infinite(arg, p.q)
-            if abs(f) < POLE_GUARD:
-                raise NearPole(f"w_c denominator factor near zero at {arg}")
-            den *= f
-    return num / den
-
-
-def weight_continuous(z: Sequence[complex], p: AWParams) -> complex:
-    """Density Delta(z) = prod_j w_c(z_j) * prod_{i<j} (4 cross factors;q)_tau."""
-    val: complex = 1.0
-    for x in z:
-        val *= _wc_scalar(x, p)
-    for i in range(len(z)):
-        for j in range(i + 1, len(z)):
-            zi, zj = z[i], z[j]
-            for arg in (zi * zj, zj / zi, zi / zj, 1.0 / (zi * zj)):
-                val *= qpoch_real(arg, p.q, p.t)
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +341,15 @@ def wd_residue_weight(i: int, tau0: complex, tau1: complex, tau2: complex,
         raise PoleInWeight("1 - tau0^2 vanishes")
     num_i = qpoch_finite(tau0 ** 2, q, i)
     den_i = qpoch_finite(q, q, i)
+    # (tau0^-2;q)_inf over the guarded (q, tau0 tk, tk/tau0;q)_inf
     try:
-        den: complex = qpoch_infinite(q, q, require_nonzero=True)
-        for tk in (tau1, tau2, tau3):
-            den *= qpoch_infinite(tau0 * tk, q, require_nonzero=True)
-            den *= qpoch_infinite(tk / tau0, q, require_nonzero=True)
+        num, *dens = qpoch_infinite_arr(
+            [tau0 ** -2, q] + [x for tk in (tau1, tau2, tau3)
+                               for x in (tau0 * tk, tk / tau0)],
+            q, [False] + [True] * 7).tolist()
     except ZeroProduct as exc:
         raise PoleInWeight("vanishing denominator in w_d prefactor") from exc
-    val = qpoch_infinite(tau0 ** -2, q) / den
+    val = num / math.prod(dens)
     try:
         for tk in (tau1, tau2, tau3):
             num_i *= qpoch_finite(tau0 * tk, q, i)
@@ -439,17 +411,6 @@ def multi_discrete_weight(nu: Sequence[int], p: AWParams,
                                  *others, p.q)
         prev = nj
     return val * delta_d(nu, p, which)
-
-
-def interaction_c(omega: Sequence[complex], z: Sequence[complex],
-                  p: AWParams) -> complex:
-    """Discrete-continuous interaction delta_c(omega; z)."""
-    val: complex = 1.0
-    for w in omega:
-        for x in z:
-            for arg in (w * x, w / x, x / w, 1.0 / (w * x)):
-                val *= qpoch_real(arg, p.q, p.t)
-    return val
 
 
 def _interaction_c_rows(ws: np.ndarray, xs: np.ndarray,

@@ -28,6 +28,7 @@ q, t, t0, t1, t2 with t3 eliminated) before any numerics.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Dict, List, Sequence, Tuple
@@ -50,8 +51,8 @@ from .errors import (
     ZeroProduct,
 )
 from .params import CACHE_SIZE, AWParams
-from .qseries import (POLE_GUARD, qpoch_finite, qpoch_infinite, qpoch_ratio,
-                      qpoch_real)
+from .qseries import (POLE_GUARD, qpoch_finite, qpoch_infinite,
+                      qpoch_ratios, qpoch_real_arr)
 
 FORM_TOL = 1e-10
 
@@ -151,27 +152,22 @@ def kr_constant(r: int, p) -> complex:
     residue-product form, and raises FormMismatch if the two disagree."""
     q, t = p.q, p.t
     tv = (p.t0, p.t1, p.t2, p.t3)
-    closed: complex = 1.0
-    for i in range(1, r + 1):
-        rho = _rho(p, i)
-        closed *= qpoch_ratio(
-            [rho ** -2, t, p.t0 ** -2 * t ** (2 - i - r)],
-            [q] + [x for tk in tv[1:] for x in (rho * tk, tk / rho)]
-            + [t ** i, p.t0 ** -2 * t ** (2 - 2 * i)], q)
-    resid: complex = 1.0
-    for i in range(1, r + 1):
-        rho = _rho(p, i)
-        num = qpoch_infinite(rho ** -2, q)
-        den = qpoch_infinite(q, q)
-        for tk in tv[1:]:
-            den *= qpoch_infinite(rho * tk, q)
-            den *= qpoch_infinite(tk / rho, q)
-        resid *= num / den
-    for k in range(1, r + 1):
-        for l in range(k + 1, r + 1):
-            rk, rl = _rho(p, k), _rho(p, l)
-            resid *= qpoch_real(rl / rk, q, t)
-            resid *= qpoch_real(1.0 / (rk * rl), q, t)
+    rhos = [_rho(p, i) for i in range(1, r + 1)]
+    # per i the closed-form ratio, then (rho^-2;q)_inf over (q;q)_inf
+    # and the six (rho t_k, t_k/rho;q)_inf of the residue product
+    ratios = qpoch_ratios(
+        [([rho ** -2, t, p.t0 ** -2 * t ** (2 - i - r)],
+          [q] + [x for tk in tv[1:] for x in (rho * tk, tk / rho)]
+          + [t ** i, p.t0 ** -2 * t ** (2 - 2 * i)])
+         for i, rho in enumerate(rhos, start=1)]
+        + [([rho ** -2], [q] + [x for tk in tv[1:]
+                                for x in (rho * tk, tk / rho)])
+           for rho in rhos], q)
+    pairs = [(rhos[k], rhos[l]) for k in range(r) for l in range(k + 1, r)]
+    closed = math.prod(ratios[:r])
+    resid = math.prod(ratios[r:] + qpoch_real_arr(
+        [x for rk, rl in pairs for x in (rl / rk, 1.0 / (rk * rl))],
+        q, t).tolist())
     scale = max(abs(closed), abs(resid), 1e-300)
     if abs(closed - resid) > FORM_TOL * scale:
         raise FormMismatch(

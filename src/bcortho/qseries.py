@@ -1,8 +1,13 @@
-"""Scalar q-analysis kernel.
+"""q-analysis kernel.
 
 q-shifted factorials (finite, infinite, real exponent), the Jacobi theta
 function, the q-gamma function and the quasi-constant Psi_t. All functions
 assume a fixed base 0 < q < 1.
+
+(a;q)_inf and (a;q)_tau have one block kernel each, qpoch_infinite_arr
+and qpoch_real_arr, over arguments of any shape; qpoch_infinite and
+qpoch_real are one-element calls, and callers pass all their arguments in
+one call, since each keeps its own truncation, pole guard and rounding.
 
 Real exponents tau never enter through complex powers: a factorial
 (a;q)_tau = (a;q)_inf / (a*t;q)_inf, with t = q^tau supplied by the
@@ -12,8 +17,9 @@ so only multiplications by t occur in inner loops.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Iterable
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +40,9 @@ EPS_TRUNC = 2.0 ** -53
 
 # Guard distance for denominator factors.
 POLE_GUARD = 1e-13
+
+# Element count of the largest (factors x arguments) block of the kernel.
+BLOCK = 1 << 12
 
 
 def check_q(q: float) -> float:
@@ -64,105 +73,106 @@ def qpoch_finite(a: complex, q: float, k: int,
 
 def qpoch_infinite(a: complex, q: float,
                    require_nonzero: bool = False) -> complex:
-    """Infinite q-shifted factorial (a;q)_inf = prod_{j>=0} (1 - a q^j).
-
-    The product is truncated at the first j with |a| q^j < EPS_TRUNC; the
-    discarded tail changes the value by a relative amount of that order.
-
-    Parameters
-    ----------
-    require_nonzero : bool
-        When True, raise ZeroProduct if a factor vanishes to within the
-        pole guard (a = q^{-m} for some m >= 0), instead of returning a
-        value that is exactly or nearly zero.
-    """
-    prod: complex = 1.0
-    aq = a
-    mag = abs(a)
-    while mag >= EPS_TRUNC:
-        f = 1.0 - aq
-        if require_nonzero and abs(f) < POLE_GUARD:
-            raise ZeroProduct(f"(a;q)_inf vanishes: factor 1 - {aq} ~ 0")
-        prod *= f
-        aq *= q
-        mag *= q
-    return prod
+    """Infinite q-shifted factorial (a;q)_inf of one argument: a
+    one-element call of qpoch_infinite_arr."""
+    return qpoch_infinite_arr(a, q, require_nonzero).item()
 
 
 def qpoch_infinite_arr(a: np.ndarray, q: float,
-                       require_nonzero: bool = False) -> np.ndarray:
-    """Vectorized (a;q)_inf over an ndarray of arguments.
-
-    Truncates once q^j * max|a| falls below EPS_TRUNC. Zeros come out as
-    zeros unless require_nonzero is set: then ZeroProduct is raised when a
-    single factor 1 - a q^j is within the pole guard, as in qpoch_infinite.
-    """
-    a = np.asarray(a)
-    prod = np.ones_like(a, dtype=complex if np.iscomplexobj(a) else float)
-    aq = a.copy().astype(prod.dtype)
-    absa = np.abs(a)
-    mag = float(absa.max()) if a.size else 0.0
-    low = float(absa.min()) if a.size else 0.0
-    while mag >= EPS_TRUNC:
-        f = 1.0 - aq
-        # |1 - a q^j| >= | |a q^j| - 1 |: a factor can vanish only while
-        # some |a q^j|, between low and mag, is close to 1
-        if (require_nonzero and low <= 2.0 and mag >= 0.5
-                and np.min(np.abs(f)) < POLE_GUARD):
-            raise ZeroProduct("(a;q)_inf vanishes: a factor 1 - a q^j ~ 0")
-        prod *= f
-        aq *= q
-        mag *= q
-        low *= q
-    return prod
+                       require_nonzero=False) -> np.ndarray:
+    """(a;q)_inf = prod_{j>=0} (1 - a q^j) at every entry of an array of
+    any shape. Where require_nonzero (a bool, or bools broadcastable to a)
+    holds, ZeroProduct names an argument with a factor within the pole
+    guard (a = q^{-m}, m >= 0), instead of returning a value near zero."""
+    return _qpoch_blocks(a, q, None, require_nonzero)
 
 
 def qpoch_real(a: complex, q: float, t: float) -> complex:
-    """q-shifted factorial with real exponent: (a;q)_tau with t = q^tau,
-    the product of the factor ratios (1 - a q^j) / (1 - a t q^j). Only the
-    companion value t is used; tau itself never enters."""
-    if not t > 0:
-        raise DomainViolation(f"companion value t must be positive, got {t}")
-    prod: complex = 1.0
-    aq = a
-    mag = abs(a) * max(1.0, t)
-    while mag >= EPS_TRUNC:
-        den = 1.0 - aq * t
-        if abs(den) < POLE_GUARD:
-            raise PoleAtDenominator(f"(a t;q)_inf vanishes for a={a}, t={t}")
-        prod *= (1.0 - aq) / den
-        aq *= q
-        mag *= q
-    return prod
+    """q-shifted factorial with real exponent (a;q)_tau, t = q^tau, of one
+    argument: a one-element call of qpoch_real_arr."""
+    return qpoch_real_arr(a, q, t).item()
 
 
 def qpoch_real_arr(a: np.ndarray, q: float, t: float) -> np.ndarray:
-    """Vectorized qpoch_real over an ndarray, with its per-factor guard:
-    PoleAtDenominator if any factor 1 - a t q^j vanishes.
-
-    Multiplies the factor ratios (1 - a q^j) / (1 - a t q^j), so that
-    |a| >> 1 cannot overflow where the two products would."""
+    """(a;q)_tau with t = q^tau at every entry of an array of any shape:
+    the product of the factor ratios (1 - a q^j) / (1 - a t q^j), so that
+    |a| >> 1 cannot overflow where the two products would. Only the
+    companion value t is used; tau itself never enters. PoleAtDenominator
+    names the argument if a factor 1 - a t q^j vanishes."""
     if not t > 0:
         raise DomainViolation(f"companion value t must be positive, got {t}")
+    return _qpoch_blocks(a, q, t, True)
+
+
+def _qpoch_blocks(a, q: float, t: float | None, guard) -> np.ndarray:
+    """The kernel: (a;q)_inf for t None, else (a;q)_tau with t = q^tau.
+
+    Factor j of an argument is taken while |a| max(1, t) q^j >= EPS_TRUNC,
+    with q^j formed by repeated multiplication. A step multiplies a block
+    of rows j by arguments (at most BLOCK elements, or one row) down its
+    rows, the running products in its first row: numpy does that one row
+    at a time unless the block has one column, so a lone argument is
+    doubled. Where guard (as require_nonzero) holds, a taken factor
+    1 - a q^j, or denominator 1 - a t q^j, below POLE_GUARD raises."""
     a = np.asarray(a)
-    prod = np.ones_like(a, dtype=complex if np.iscomplexobj(a) else float)
-    aq = a.astype(prod.dtype)
-    absa = np.abs(a)
-    mag = float(absa.max(initial=0.0)) * max(1.0, t)
-    hi = float(absa.max(initial=0.0)) * t
-    low = float(absa.min()) * t if a.size else 0.0
-    while mag >= EPS_TRUNC:
-        den = 1.0 - aq * t
-        # |1 - a t q^j| >= | |a t q^j| - 1 |: a factor can vanish only
-        # while some |a t q^j|, between low and hi, is close to 1
-        if low <= 2.0 and hi >= 0.5 and np.min(np.abs(den)) < POLE_GUARD:
-            raise PoleAtDenominator(f"(a t;q)_inf vanishes for t={t}")
-        prod *= (1.0 - aq) / den
-        aq *= q
-        mag *= q
-        hi *= q
-        low *= q
-    return prod
+    dtype = complex if a.dtype.kind == "c" else float
+    x = a.astype(dtype).ravel()
+    mask = None
+    if not isinstance(guard, bool):
+        mask = (np.zeros(a.shape, bool) | np.asarray(guard, bool)).ravel()
+        guard = bool(mask.any())
+    if x.size == 1:
+        x, mask = np.concatenate((x, x)), None
+    mag = np.abs(x) * (1.0 if t is None else max(1.0, t))
+    top = float(np.maximum.reduce(mag)) if x.size else 0.0
+    if top == math.inf:
+        raise DomainViolation("q-shifted factorial of an infinite argument")
+    if not top >= EPS_TRUNC:
+        return np.ones(a.shape, dtype)
+    low = float(np.minimum.reduce(mag))
+    # |guarded factor| >= | |a g q^j| - 1 |, with |a g q^j| ~ mag g
+    g = 1.0 if t is None else min(1.0, t)
+    # q^j for every j the largest argument takes: the estimate n is off
+    # by one at most, where top q^n rounds across EPS_TRUNC
+    n = int(math.log(EPS_TRUNC / top) / math.log(q)) + 1
+    Q = _powers(q, 64 * (n // 64 + 1))
+    n += int(top * Q[n] >= EPS_TRUNC) - int(top * Q[n - 1] < EPS_TRUNC)
+    rows = max(1, BLOCK // x.size)
+    run: complex | np.ndarray = 1.0
+    for j in range(0, n, rows):
+        qj = Q[j:min(n, j + rows), None]
+        blk = np.empty((len(qj) + 1, x.size), dtype)
+        blk[0] = run
+        f = np.multiply(x, qj, out=blk[1:])
+        checked = f if t is None else 1.0 - f * t
+        np.subtract(1.0, f, out=f)
+        q_lo = qj[-1, 0]
+        dead = mag * qj < EPS_TRUNC if low * q_lo < EPS_TRUNC else None
+        if guard and low * q_lo * g <= 2.0 and top * qj[0, 0] * g >= 0.5:
+            near = np.abs(checked) < POLE_GUARD
+            if near.any() and dead is not None:
+                near &= ~dead
+            if near.any() and mask is not None:
+                near &= mask
+            if near.any():
+                x0 = x[np.argwhere(near)[0, 1]]
+                raise (ZeroProduct if t is None else PoleAtDenominator)(
+                    f"a guarded factor vanishes at a = {x0}, q = {q}"
+                    + ("" if t is None else f", t = {t}"))
+        if t is not None:
+            f /= checked
+        if dead is not None:
+            np.putmask(f, dead, 1.0)
+        run = np.multiply.reduce(blk, axis=0)
+    return run[:a.size].reshape(a.shape)
+
+
+@functools.lru_cache(maxsize=16)
+def _powers(q: float, n: int) -> np.ndarray:
+    """q^j for j < n, each the previous times q; read-only."""
+    Q = np.multiply.accumulate(np.r_[1.0, np.full(n - 1, q)])
+    Q.flags.writeable = False
+    return Q
 
 
 def qpoch_ratio(num: Iterable[complex], den: Iterable[complex],
@@ -172,25 +182,45 @@ def qpoch_ratio(num: Iterable[complex], den: Iterable[complex],
     Each denominator factor 1 - x q^j is tested against the pole guard on
     its own, so a tiny but nonzero product is accepted; a vanishing one
     raises PoleInProduct."""
-    val: complex = 1.0
-    for x in num:
-        val *= qpoch_infinite(x, q)
-    for x in den:
-        try:
-            val /= qpoch_infinite(x, q, require_nonzero=True)
-        except ZeroProduct as exc:
-            raise PoleInProduct(
-                f"(x;q)_inf vanishes in denominator, x={x}") from exc
-    return val
+    return qpoch_ratios([(num, den)], q)[0]
+
+
+def qpoch_ratios(ratios: Iterable[Tuple[Iterable[complex],
+                                        Iterable[complex]]],
+                 q: float) -> List[complex]:
+    """qpoch_ratio(num, den, q) for every (num, den) of ratios, from one
+    kernel call; each value is multiplied and divided in argument order,
+    as separate qpoch_infinite calls would be."""
+    sides = [(list(num), list(den)) for num, den in ratios]
+    try:
+        vals = iter(qpoch_infinite_arr(
+            [x for num, den in sides for x in num + den], q,
+            [d for num, den in sides
+             for d in [False] * len(num) + [True] * len(den)]).tolist())
+    except ZeroProduct as exc:
+        raise PoleInProduct(f"in a denominator: {exc}") from exc
+    out: List[complex] = []
+    for num, den in sides:
+        val: complex = 1.0
+        for _ in num:
+            val *= next(vals)
+        for _ in den:
+            val /= next(vals)
+        out.append(val)
+    return out
 
 
 def theta_jacobi(x: complex, q: float) -> complex:
     """Jacobi theta function theta(x) = (q;q)_inf (x;q)_inf (q/x;q)_inf."""
-    if x == 0:
+    return theta_values([x], q)[0]
+
+
+def theta_values(xs: Sequence[complex], q: float) -> List[complex]:
+    """theta_jacobi at every x of xs, from one kernel call."""
+    if any(x == 0 for x in xs):
         raise ZeroArgument("theta is undefined at x = 0")
-    return (qpoch_infinite(q, q)
-            * qpoch_infinite(x, q)
-            * qpoch_infinite(q / x, q))
+    f = qpoch_infinite_arr([q, *xs, *(q / x for x in xs)], q).tolist()
+    return [f[0] * f[1 + k] * f[1 + len(xs) + k] for k in range(len(xs))]
 
 
 def qgamma(u: float, q: float, qu: complex | None = None) -> float:
@@ -219,8 +249,7 @@ def psi_t(x: float, q: float, t: float) -> float:
     if x == 0:
         raise ZeroArgument("Psi_t is undefined at x = 0")
     tau = math.log(t) / math.log(q)
-    num = theta_jacobi(t * x, q)
-    den = theta_jacobi(q * x / t, q)
+    num, den = theta_values([t * x, q * x / t], q)
     if abs(den) < POLE_GUARD:
         raise PoleInDenominator(f"theta(q x / t) ~ 0 at x={x}, t={t}")
     power = math.exp((2.0 * tau - 1.0) * math.log(abs(x)))

@@ -15,7 +15,6 @@ from bcortho.askey_wilson import (
     aw_norm_plus,
     aw_polynomials,
     gustafson_constant,
-    renorm_constant,
 )
 from bcortho.errors import (
     DomainViolation,
@@ -24,6 +23,7 @@ from bcortho.errors import (
 )
 from bcortho.koornwinder import apply_D, eigenvalue_E
 from bcortho.params import AWParams
+from oracles import renorm_constant
 
 P1 = AWParams(1, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 - 0.4j)
 P2 = AWParams(2, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 - 0.4j)

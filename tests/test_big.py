@@ -119,14 +119,15 @@ class TestCWeightGuard:
     def test_small_factors_accepted(self, monkeypatch):
         # the product of the two factors of c_{B,1} is 1e-14, below the
         # pole guard, but neither factor is
-        monkeypatch.setattr(big, "theta_jacobi", lambda x, q: 1e-7)
+        monkeypatch.setattr(big, "theta_values",
+                            lambda xs, q: [1e-7] * len(xs))
         assert all(math.isfinite(v) and v != 0.0
                    for v in big.c_weights(BP2))
 
     def test_vanishing_factor_raises(self, monkeypatch):
         x0 = -BP2.t * BP2.c / BP2.d   # theta(-t c / d) divides c_{B,1}
-        monkeypatch.setattr(big, "theta_jacobi",
-                            lambda x, q: 1e-14 if x == x0 else 1.0)
+        monkeypatch.setattr(big, "theta_values", lambda xs, q: [
+            1e-14 if x == x0 else 1.0 for x in xs])
         with pytest.raises(PoleInTheta):
             big.c_weights(BP2)
 

@@ -23,7 +23,7 @@ from bcortho.cli import (
 )
 from bcortho.bcpoly import LaurentPolynomial
 from bcortho.errors import (ConfigError, DomainViolation, IoError,
-                            NonFiniteWeight)
+                            NonFiniteWeight, SingularGram)
 from bcortho.little import little_limit
 
 
@@ -233,6 +233,24 @@ class TestMain:
         assert code == 1
         doc = json.loads(out.read_text())
         assert doc["summary"]["fail"] > 0
+
+    def test_exit_one_on_failing_polynomial_build(self, tmp_path,
+                                                   monkeypatch):
+        # the polynomials are built inside the timed orthogonality check:
+        # an error there fails the two checks that read them, and the
+        # configuration is not rejected
+        def singular(top, qp):
+            raise SingularGram("vanishing quadratic norm")
+
+        monkeypatch.setattr(cli, "qracah_polynomials", singular)
+        out = tmp_path / "r.json"
+        assert main(["--suite", "qracah", "--out", str(out)]) == 1
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        for name in ("orthogonality", "norms"):
+            assert not checks[name]["pass"]
+            assert math.isnan(checks[name]["lhs"])
+        assert all(c["pass"] for name, c in checks.items()
+                   if name not in ("orthogonality", "norms"))
 
     def test_config_file_with_override(self, tmp_path):
         cfgfile = tmp_path / "cfg"

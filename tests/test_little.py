@@ -16,9 +16,9 @@ from bcortho.little import (
     norm_little,
     selberg_little,
     support_point,
-    weight_little,
 )
 from bcortho.qseries import qgamma, qpoch_infinite
+from oracles import weight_little
 
 LP1 = LittleParams(1, 0.5, 0.3, 0.4, 0.2)
 LP2 = LittleParams(2, 0.5, 0.3, 0.4, 0.2)

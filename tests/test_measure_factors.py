@@ -40,17 +40,20 @@ from bcortho.little import (
     little_polynomials,
     norm_little,
     selberg_little,
-    weight_little,
 )
 from bcortho.measures import (
     delta_d,
-    interaction_c,
     multi_discrete_weight,
     wd_residue_weight,
-    weight_continuous,
 )
 from bcortho.params import AWParams
 from bcortho.qseries import qpoch_finite, qpoch_infinite, qpoch_infinite_arr
+from oracles import (
+    interaction_c,
+    little_weight_at_point,
+    weight_continuous,
+    weight_little,
+)
 from test_moment_tables import weight_grid
 
 PS = {n: AWParams(n, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 - 0.4j)
@@ -282,7 +285,7 @@ class TestPerFactorGuards:
         want = (1 - self.Q) ** 2 * weight_little((0, 0), lp) * 0.3
         assert w[0] > 0 and abs(w[0] - want) < 1e-13 * want
         with pytest.raises(DomainViolation):
-            little._weight_at_point((1.0 / (self.Q * 0.6), 0.3), lp)
+            little_weight_at_point((1.0 / (self.Q * 0.6), 0.3), lp)
 
     def test_big(self):
         # (q a x / c;q)_inf is below 1e-50 at x = -1 and in the closed forms

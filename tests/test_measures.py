@@ -19,15 +19,14 @@ from bcortho.errors import (
 from bcortho.koornwinder import op_matrix
 from bcortho.measures import (
     MAX_CHAIN,
-    interaction_c,
     multi_discrete_weight,
     natural_t_bilinear,
     partial_bilinear,
     torus_bilinear,
     wd_residue_weight,
-    weight_continuous,
 )
 from bcortho.params import AWParams
+from oracles import interaction_c, weight_continuous
 from test_moment_tables import weight_grid
 
 ONE1 = LaurentPolynomial.constant(1)

@@ -29,7 +29,6 @@ from bcortho.errors import (
     PoleInWeight,
 )
 from bcortho.measures import (
-    interaction_c,
     multi_discrete_weight,
     natural_t_bilinear,
     partial_bilinear,
@@ -40,6 +39,7 @@ from bcortho.measures import (
 from bcortho.params import AWParams
 from bcortho.qracah import kr_constant, weight_qR
 from bcortho.qseries import qpoch_finite, qpoch_finite_arr, qpoch_infinite_arr
+from oracles import interaction_c
 
 PS = {n: AWParams(n, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 - 0.4j)
       for n in (1, 2, 3)}

@@ -12,12 +12,16 @@ import weakref
 import numpy as np
 import pytest
 
+from oracles import eval_points_loop, little_weight_at_point
+
 from bcortho import big, koornwinder, little, measures, qracah
 from bcortho.bcpoly import (
+    SLAB,
     LaurentPolynomial,
     PointTable,
     monomial_s,
     monomial_w,
+    partitions_dominated_by,
 )
 from bcortho.big import BigParams, bilinear_big, c_weights, weight_big
 from bcortho.cli import build_config, run_suite
@@ -34,7 +38,6 @@ from bcortho.errors import (
 )
 from bcortho.little import (
     LittleParams,
-    _weight_at_point,
     bilinear_little,
     delta_qJ,
 )
@@ -192,7 +195,8 @@ class TestLittleTable:
                 x = little.support_point(lab, lp)
                 assert np.allclose(z[np.arange(n), lab], x, rtol=1e-14,
                                    atol=0)
-                want = (1 - lp.q) ** n * _weight_at_point(x, lp) * math.prod(x)
+                want = ((1 - lp.q) ** n * little_weight_at_point(x, lp)
+                        * math.prod(x))
                 assert rel(w[r], want) < 1e-13
                 compared += 1
         assert compared == len(ascending_labels((n,), SHELLS))
@@ -202,7 +206,7 @@ class TestLittleTable:
         # 1 - q b ~ 1e-14 makes (qbx;q)_inf vanish at the node x = 1
         lp = LittleParams(n, 0.5, 0.4, 0.6, (1.0 - 1e-14) / 0.5)
         z = little.support_point((0,) * n, lp)
-        want = raised(_weight_at_point, z, lp)
+        want = raised(little_weight_at_point, z, lp)
         assert want is DomainViolation
         one = LaurentPolynomial.constant(n)
         assert raised(bilinear_little, one, one, lp) is want
@@ -342,6 +346,69 @@ class TestEvalPoints:
         for r in range(len(Z)):
             assert rel(got[r], self.POLY.eval(list(Z[r]))) < 1e-14
 
+    @staticmethod
+    def random_poly(rng, top, coeffs):
+        f = LaurentPolynomial(len(top))
+        for mu in partitions_dominated_by(top):
+            c = rng.normal()
+            f = f + monomial_w(mu).scale(
+                c + 1j * rng.normal() if coeffs == "complex" else c)
+        return f
+
+    @pytest.mark.parametrize("nodes, coeffs", [
+        ("real", "real"), ("real", "complex"), ("complex", "complex")])
+    @pytest.mark.parametrize("m", [1, 2, 7, 100, SLAB + 3])
+    def test_bit_identical_to_term_loop(self, nodes, coeffs, m):
+        # 343 terms with negative exponents; at m = 100 a slab holds 40
+        # of them, at m > SLAB one, and a lone point is doubled
+        rng = np.random.default_rng(m)
+        f = self.random_poly(rng, (3, 3, 3), coeffs)
+        Z = rng.uniform(0.3, 1.5, (m, 3)) * rng.choice([-1, 1], (m, 3))
+        if nodes == "complex":
+            Z = Z * np.exp(1j * rng.uniform(0, 2 * np.pi, (m, 3)))
+        got, want = f.eval_points(Z), eval_points_loop(f, Z)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("coeffs", ["real", "complex"])
+    def test_op_matrix_points(self, coeffs):
+        # the complex node grid of koornwinder.op_matrix and the shifted
+        # copies apply_D evaluates
+        q = 0.5
+        Z, _base = koornwinder._nodes(3, 5)
+        f = self.random_poly(np.random.default_rng(5), (2, 2, 2), coeffs)
+        for j in range(3):
+            zp, zm = Z.copy(), Z.copy()
+            zp[:, j] = q * zp[:, j]
+            zm[:, j] = zm[:, j] / q
+            for pts in (Z, zp, zm):
+                assert np.array_equal(f.eval_points(pts),
+                                      eval_points_loop(f, pts))
+
+    def test_empty_polynomial(self):
+        f = LaurentPolynomial(3)
+        Z = np.ones((4, 3))
+        got = f.eval_points(Z)
+        assert got.dtype == float and np.array_equal(got, np.zeros(4))
+        assert np.array_equal(got, eval_points_loop(f, Z))
+
+    @pytest.mark.parametrize("table", ["big-n3", "qracah-n3"])
+    def test_node_tables_bit_identical(self, table):
+        # every value the discrete Gram checks read, on their own tables
+        if table == "big-n3":
+            bp = BigParams(3, 0.5, 0.4, 0.6, 0.3, 1.0, 0.8)
+            parts = big._node_table(bp)
+            polys = big.big_polynomials((1, 1, 1), bp).values()
+        else:
+            qp = QRacahParams(3, 0.5, 0.3, 0.7, -0.5, 0.4, 3)
+            parts = [qracah._node_table(qp)]
+            polys = [monomial_w(mu) for mu in
+                     partitions_dominated_by((3, 3, 3))]
+        for part in parts:
+            Z = np.array([zi.take(nui) for zi, nui in zip(part.z, part.nu)]).T
+            for f in polys:
+                assert np.array_equal(f.eval_points(Z), eval_points_loop(f, Z))
+
     def test_errors(self):
         with pytest.raises(ZeroCoordinate):
             self.POLY.eval_points(np.array([[1.0, 0.0, 2.0]]))
@@ -427,6 +494,37 @@ class TestNodeValues:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2 ** 20
+
+    def test_big_n3_eval_points_memory(self):
+        # a lmax 1 polynomial on the big --n 3 table (parts of 8,536 and
+        # 24,497 nodes): 2.43 MiB traced, 1.7 of it the power rows; a
+        # slab of 16 times SLAB elements takes 3.0 MiB
+        bp = BigParams(3, 0.5, 0.4, 0.6, 0.3, 1.0, 0.8)
+        f = sum((monomial_w(mu) for mu in partitions_dominated_by((1, 1, 1))),
+                LaurentPolynomial(3))
+        Zs = [np.array([zi.take(nui) for zi, nui in zip(p.z, p.nu)]).T
+              for p in big._node_table(bp)]
+        tracemalloc.start()
+        try:
+            for Z in Zs:
+                f.eval_points(Z)
+            _cur, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * 2 ** 20
+
+    def test_kernel_memory(self):
+        # 4,096 complex arguments at q = 0.99, about 3,600 factors each:
+        # 0.5 MiB traced; a block of 4 times BLOCK elements takes 1.05 MiB
+        rng = np.random.default_rng(0)
+        a = rng.uniform(0.1, 0.9, 4096) * np.exp(1j * rng.uniform(0, 6, 4096))
+        tracemalloc.start()
+        try:
+            qpoch_infinite_arr(a, 0.99)
+            _cur, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * 2 ** 20
 
 
 class TestTablesAreReused:

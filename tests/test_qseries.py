@@ -1,7 +1,9 @@
-"""Tests for the scalar q-analysis kernel."""
+"""Tests for the q-analysis kernel."""
 
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -227,3 +229,83 @@ def test_check_q():
     with pytest.raises(DomainViolation):
         qseries.check_q(0.0)
     assert qseries.check_q(0.5) == 0.5
+
+
+class TestBlockKernel:
+    """qpoch_infinite_arr and qpoch_real_arr: every value of a batched
+    call is that of a call on its argument alone."""
+
+    # moduli from 1e-12 to 7e4, real and complex
+    ARGS = [0.3, -0.9, 2.5, 1e-12, 7e4, 0.5 + 0.4j, -3.0 - 2.0j, 0.999]
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_batched_equals_one_at_a_time(self, q, kind):
+        a = np.array([x for x in self.ARGS
+                      if kind == "complex" or not isinstance(x, complex)])
+        for got, one in (
+                (qseries.qpoch_infinite_arr(a, q), qseries.qpoch_infinite),
+                (qseries.qpoch_real_arr(a, q, 0.3),
+                 lambda x, q: qseries.qpoch_real(x, q, 0.3)),
+                (qseries.qpoch_real_arr(a, q, 1.7),
+                 lambda x, q: qseries.qpoch_real(x, q, 1.7))):
+            assert got.dtype == a.dtype
+            assert [one(x, q) for x in a.tolist()] == got.tolist()
+        grid = qseries.qpoch_infinite_arr(a.reshape(2, -1), q)
+        assert grid.shape == (2, len(a) // 2)
+        assert grid.ravel().tolist() == qseries.qpoch_infinite_arr(
+            a, q).tolist()
+
+    @pytest.mark.parametrize("q", [0.5, 0.9])
+    def test_moduli_keep_their_own_results(self, q):
+        # among BLOCK + 5 random arguments each step takes one factor of
+        # every argument, and the small ones take far fewer factors
+        rng = np.random.default_rng(7)
+        a = np.concatenate([np.array(self.ARGS, complex), rng.normal(
+            size=qseries.BLOCK + 5) * 10.0 ** rng.uniform(-12, 4)])
+        got = qseries.qpoch_infinite_arr(a, q)
+        for k in list(range(len(self.ARGS))) + [-1, -2, -3]:
+            assert got[k] == qseries.qpoch_infinite(a[k], q)
+
+    @pytest.mark.parametrize("j", [5, 40])
+    def test_pole_past_the_first_block(self, j):
+        # with BLOCK arguments a step takes one factor, so the factor
+        # j of a = q^-j that vanishes comes in step j + 1
+        q, t = 0.5, 0.25
+        a = np.full(qseries.BLOCK, 0.3)
+        a[-7] = q ** -j
+        with pytest.raises(ZeroProduct, match=re.escape(f"a = {q ** -j}")):
+            qseries.qpoch_infinite_arr(a, q, require_nonzero=True)
+        guard = np.zeros(a.shape, dtype=bool)
+        guard[-7] = True
+        with pytest.raises(ZeroProduct):
+            qseries.qpoch_infinite_arr(a, q, guard)
+        assert qseries.qpoch_infinite_arr(a, q, ~guard)[-7] == 0.0
+        with pytest.raises(PoleInProduct, match=re.escape(str(q ** -j))):
+            qseries.qpoch_ratio([q ** -j], list(a), q)
+        assert qseries.qpoch_ratio(list(a), [0.3], q) == 0.0
+        with pytest.raises(PoleAtDenominator,
+                           match=re.escape(f"a = {q ** -j / t}")):
+            qseries.qpoch_real_arr(a / t, q, t)
+
+    @pytest.mark.parametrize("q", [0.5, 0.9])
+    def test_matches_mpmath(self, q):
+        # 40-digit (a;q)_inf, and (a;q)_tau as (a;q)_inf / (a t;q)_inf;
+        # mpmath.qp does not converge at q = 0.99
+        args = [0.3, -0.9, 0.75, -2.5, 0.5 + 0.4j, -0.7 - 0.6j, 1e-9,
+                3.0 + 0.1j]
+        a = np.array(args, complex)
+        t = 0.3
+        inf = qseries.qpoch_infinite_arr(a, q)
+        real = qseries.qpoch_real_arr(a, q, t)
+        with mpmath.workdps(40):
+            for x, v, r in zip(args, inf, real):
+                want = mpmath.qp(mpmath.mpc(x), mpmath.mpf(q))
+                ratio = want / mpmath.qp(mpmath.mpc(x) * t, mpmath.mpf(q))
+                assert abs(v - complex(want)) <= 1e-13 * abs(complex(want))
+                assert abs(r - complex(ratio)) <= 1e-13 * abs(complex(ratio))
+
+    def test_empty_and_infinite(self):
+        assert qseries.qpoch_infinite_arr(np.zeros((0, 3)), Q).shape == (0, 3)
+        with pytest.raises(DomainViolation):
+            qseries.qpoch_infinite(math.inf, Q)
