@@ -21,9 +21,9 @@ so they hold on the conjugate branch as well.
 
 Pairings reuse a per-parameter node table (little._jackson_table, one
 bcpoly.PointTable per split j), kept for the CACHE_SIZE most recently used
-parameter sets; a pairing is one real dot product per part, of node
-values kept on each polynomial as for the little form. weight_big stays
-as the scalar reference for the table's weights.
+parameter sets; a pairing is bcpoly.pair on the parts, as for the little
+form. weight_big stays as the scalar reference for the table's
+weights.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .bcpoly import (
     PointTable,
     monomial_s,
     orthogonalize,
+    pair,
     partition,
 )
 from .errors import (
@@ -50,7 +51,7 @@ from .errors import (
     SlowConvergence,
     ZeroProduct,
 )
-from .little import _jackson_table, _pair, delta_qJ, nqj_product
+from .little import _jackson_table, delta_qJ, nqj_product
 from .measures import _natural_k
 from .params import CACHE_SIZE, AWParams
 from .qseries import (
@@ -213,8 +214,8 @@ def c_weights_defining(bp: BigParams) -> List[float]:
 def bilinear_big(f: LaurentPolynomial, g: LaurentPolynomial,
                  bp: BigParams) -> float:
     """<f,g>_B: the c-weighted Jackson integral of f g Delta^B over the
-    two-sided chain set."""
-    return _pair(_node_table(bp), f, g)
+    two-sided chain set: pair on the node table."""
+    return pair(f, g, _node_table(bp))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)

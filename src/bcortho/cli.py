@@ -8,9 +8,9 @@ are suite, out, format and those of INT_KEYS and FLOAT_KEYS; any other
 key is a configuration error (exit 2).
 
 Each family (aw, qracah, little, big) is one _Family record: its
-parameters, the Gram matrix of its pairing (for aw one weighted product
-on the torus table, measures.torus_gram; for the discrete families one
-pairing per pair), polynomials up to a top partition (each a
+parameters, the Gram matrix of its pairing (bcpoly.gram on the family's
+node tables; for aw through measures.torus_gram, which checks the grid
+first), polynomials up to a top partition (each a
 bcpoly.LaurentPolynomial), and the closed forms of its norms and of its
 constant term <1,1>. _mass_check compares its <1,1>, the Gram matrix of
 [1], with the closed form and _gram_checks its Gram matrix with the
@@ -53,7 +53,8 @@ from .askey_wilson import (
     limit_scan,
     measure_scan,
 )
-from .bcpoly import LaurentPolynomial
+from . import big, little, qracah
+from .bcpoly import LaurentPolynomial, gram
 from .big import (
     FORM_TOL,
     BigParams,
@@ -62,7 +63,6 @@ from .big import (
     asymptotic_ratio,
     big_limit,
     big_polynomials,
-    bilinear_big,
     c_weights,
     c_weights_defining,
     norm_big,
@@ -72,7 +72,6 @@ from .big import (
 from .errors import BcorthoError, ConfigError, GridTooCoarse, IoError
 from .little import (
     LittleParams,
-    bilinear_little,
     little_limit,
     little_polynomials,
     norm_little,
@@ -82,7 +81,6 @@ from .measures import partial_bilinear, torus_gram
 from .params import AWParams
 from .qracah import (
     QRacahParams,
-    bilinear_qR,
     kr_constant,
     norm_qR,
     qracah_polynomials,
@@ -274,19 +272,6 @@ class _Family:
     mass: Callable[[], complex]
 
 
-def _pairwise_gram(pair: Callable[[LaurentPolynomial, LaurentPolynomial],
-                                   complex]
-                   ) -> Callable[[List[LaurentPolynomial]], np.ndarray]:
-    """The Gram matrix of a pairing, one pair(P_a, P_b) per a <= b."""
-    def gram(polys: List[LaurentPolynomial]) -> np.ndarray:
-        G = np.empty((len(polys), len(polys)), dtype=complex)
-        for a, f in enumerate(polys):
-            for b in range(a, len(polys)):
-                G[a, b] = G[b, a] = pair(f, polys[b])
-        return G
-    return gram
-
-
 def _aw_family(cfg: SuiteConfig) -> _Family:
     p = AWParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["t0"], cfg["t1"],
                  cfg["t2"], cfg["t3"])
@@ -300,7 +285,7 @@ def _aw_family(cfg: SuiteConfig) -> _Family:
 def _qracah_family(cfg: SuiteConfig) -> _Family:
     qp = QRacahParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["t0"],
                       cfg["t1"], cfg["t2"], int(cfg["N"]))
-    return _Family(qp, _pairwise_gram(lambda f, g: bilinear_qR(f, g, qp)),
+    return _Family(qp, lambda polys: gram(polys, [qracah._node_table(qp)]),
                    lambda top: qracah_polynomials(top, qp),
                    lambda lam: norm_qR(lam, qp),
                    lambda: summation_qR(qp))
@@ -308,7 +293,7 @@ def _qracah_family(cfg: SuiteConfig) -> _Family:
 
 def _little_family(cfg: SuiteConfig) -> _Family:
     lp = LittleParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["a"], cfg["b"])
-    return _Family(lp, _pairwise_gram(lambda f, g: bilinear_little(f, g, lp)),
+    return _Family(lp, lambda polys: gram(polys, little._node_table(lp)),
                    lambda top: little_polynomials(top, lp),
                    lambda lam: norm_little(lam, lp),
                    lambda: selberg_little(lp))
@@ -317,7 +302,7 @@ def _little_family(cfg: SuiteConfig) -> _Family:
 def _big_family(cfg: SuiteConfig) -> _Family:
     bp = BigParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["a"], cfg["b"],
                    cfg["c"], cfg["d"])
-    return _Family(bp, _pairwise_gram(lambda f, g: bilinear_big(f, g, bp)),
+    return _Family(bp, lambda polys: gram(polys, big._node_table(bp)),
                    lambda top: big_polynomials(top, bp),
                    lambda lam: norm_big(lam, bp),
                    lambda: selberg_big(bp))

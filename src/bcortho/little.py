@@ -18,8 +18,9 @@ the pair factors of a part take one kernel call over the differences
 nu_j - nu_i, the only thing their argument q z_j / (t z_i) depends on. S
 grows until the last shells are negligible against the table's own mass,
 so masses far below 1, as at q near 1, keep full relative precision. A
-pairing is one real dot product per part of the node values of f and g,
-kept on each polynomial (LaurentPolynomial.node_values).
+pairing is bcpoly.pair on the parts: the node values of f and g, kept on
+each polynomial (LaurentPolynomial.node_values), times the weights,
+summed in node order.
 
 Closed forms are stated with the q-gamma function of arguments involving
 alpha = log_q a and beta = log_q b; they are evaluated here through
@@ -45,6 +46,7 @@ from .bcpoly import (
     ascending_index,
     monomial_s,
     orthogonalize,
+    pair,
     partition,
 )
 from .errors import (
@@ -108,8 +110,9 @@ def support_point(nu: Sequence[int], lp: LittleParams) -> Tuple[float, ...]:
 
 def bilinear_little(f: LaurentPolynomial, g: LaurentPolynomial,
                     lp: LittleParams) -> float:
-    """<f,g>_L: Jackson multisum of f g Delta^L."""
-    return _pair(_node_table(lp), f, g)
+    """<f,g>_L: Jackson multisum of f g Delta^L, pair on the node
+    table."""
+    return pair(f, g, _node_table(lp))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -172,17 +175,6 @@ def _jackson_table(parts: Callable[[int], list], n: int, q: float, t: float,
             raise SlowConvergence(f"{what} did not settle within "
                                   f"{MAX_SHELLS} shells")
         S = min(2 * S, MAX_SHELLS)
-
-
-def _pair(table: List[PointTable], f: LaurentPolynomial,
-          g: LaurentPolynomial) -> float:
-    """Re(f g) summed against a node table: one dot product per part, of
-    the node values of f and g (LaurentPolynomial.node_values)."""
-    total = 0.0
-    for part in table:
-        total += np.dot((f.node_values(part) * g.node_values(part)).real,
-                        part.weights)
-    return float(total)
 
 
 def _pair_factors(z: np.ndarray, chains: Sequence[int], q: float,

@@ -18,11 +18,12 @@ from w_c(z_k), k <= M/2, and one real table of the pair factors
 (_pair_table). On a table a polynomial is the sum of its W-orbit sums
 m_lambda, cached per table and real on the torus (a constant stays a
 scalar), and keeps its node values, as on the discrete tables
-(LaurentPolynomial.node_values); NotWInvariant for any other input. The
-error estimate is the distance to the pairing on the ceil(M/2)-point
-grid, whose table only a pairing builds (the Gram matrix reads the
-M-point table alone). A grid with M < 2 deg + 8 points per axis, deg the
-total degree of f g, raises GridTooCoarse.
+(LaurentPolynomial.node_values); NotWInvariant for any other input. A
+torus pairing is bcpoly.pair on the table, and its Gram matrix
+bcpoly.gram. The error estimate is the distance to the pairing on the
+ceil(M/2)-point grid, whose table only a pairing builds (the Gram matrix
+reads the M-point table alone). A grid with M < 2 deg + 8 points per
+axis, deg the total degree of f g, raises GridTooCoarse.
 
 The discrete supports are never truncated: each chain position runs to
 the last support value off the closed unit disk (SlowConvergence past
@@ -49,7 +50,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .bcpoly import LaurentPolynomial, monomial_w
+from .bcpoly import LaurentPolynomial, gram, monomial_w, pair
 from .errors import (
     DomainViolation,
     GridTooCoarse,
@@ -76,10 +77,8 @@ TORUS_GUARD = 1e-9
 # a chain position holds at most this many support values
 MAX_CHAIN = 256
 # chamber nodes per slab of a table build, and label x node entries per
-# batch of a pairing
+# batch of a labelled pairing
 _SLAB = 2 ** 15
-# polynomial x node entries per batch of a Gram product
-_GRAM_SLAB = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -255,14 +254,12 @@ def _chamber_pairings(f: LaurentPolynomial, g: LaurentPolynomial,
         for lo in range(0, len(omega), step):
             labels = omega[lo:lo + step]
             F, G = (table.evaluate(_tail_coefficients(h, labels), len(labels))
-                    if omega.shape[1] else h.node_values(table)
                     for h in (f, g))
             fg = F * G
             if row is not None:
                 fg = fg * np.prod([row[lo:lo + step, kj]
                                    for kj in table.nodes], axis=0)
-            out.append(fg[:, 0] * table.weights.sum() if fg.shape[1] == 1
-                       else np.sum(fg * table.weights, axis=1))
+            out.append(np.sum(fg * table.weights, axis=1))
         sums.append(np.concatenate(out))
     return sums[0], np.abs(sums[0] - sums[1])
 
@@ -297,34 +294,26 @@ def _check_grid(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
 def torus_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
                    M: int) -> MeasureReport:
     """<f,g> over the n-torus with density Delta, via the M-point uniform
-    tensor grid per axis, for W-invariant f and g."""
+    tensor grid per axis, for W-invariant f and g: bcpoly.pair on the
+    M-point chamber table, with the distance to the same on the coarser
+    grid as the error estimate."""
     _check_grid(f, g, p, M)
-    value, err = _chamber_pairings(f, g, p, M, np.ones((1, 0)))
-    return MeasureReport(complex(value[0]), float(err[0]), M, 0)
+    value, coarse = (pair(f, g, [_table(p, p.n, m)])
+                     for m in _grid_sizes(M))
+    return MeasureReport(complex(value), abs(value - coarse), M, 0)
 
 
 def torus_gram(polys: Sequence[LaurentPolynomial], p: AWParams,
                M: int) -> np.ndarray:
     """The Gram matrix <P_a, P_b> of torus_bilinear, for every pair of
-    W-invariant polys, as one product V diag(w) V^T: V holds the node
-    values of each polynomial on the M-point chamber table, w its
-    weights. The grid must resolve the pair of highest degree; no error
-    estimate is formed. The product is summed over batches of nodes,
-    _GRAM_SLAB entries of V each, so that its temporaries stay small."""
+    W-invariant polys: bcpoly.gram on the M-point chamber table. The grid
+    must resolve the pair of highest degree; no error estimate is
+    formed."""
     if any(f.nvars != p.n for f in polys):
         raise LengthMismatch("grid has wrong number of axes")
     top = max(polys, key=lambda f: _pairing_degree(f, f))
     _check_grid(top, top, p, M)
-    table = _table(p, p.n, M)
-    w = table.weights
-    rows = [np.broadcast_to(f.node_values(table), (1, len(w)))[0]
-            for f in polys]
-    step = max(1, _GRAM_SLAB // len(polys))
-    G = np.zeros((len(polys),) * 2, dtype=complex)
-    for lo in range(0, len(w), step):
-        V = np.stack([r[lo:lo + step] for r in rows])
-        G += (V * w[lo:lo + step]) @ V.T
-    return G
+    return gram(polys, [_table(p, p.n, M)])
 
 
 # ---------------------------------------------------------------------------

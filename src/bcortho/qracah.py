@@ -13,11 +13,12 @@ that form) and the closed-form quadratic norms.
 The bilinear form reuses a per-parameter node table, kept for the
 CACHE_SIZE most recently used parameter sets: a bcpoly.PointTable, like
 each part of the little and big q-Jacobi tables, of the support labels
-and their weights. Each polynomial is evaluated once per table, as a
-vector kept on the polynomial (LaurentPolynomial.node_values), and the
-terms f g w are added one by one in support order. The denominators
-of the weights and of the summation are tested factor by factor, so a
-tiny product of nonzero factors is a value, not a pole.
+and their weights. A pairing is bcpoly.pair on it: each polynomial is
+evaluated once per table, as a vector kept on the polynomial
+(LaurentPolynomial.node_values), and the terms f g w are added one by one
+in support order. The denominators of the weights and of the summation
+are tested factor by factor, so a tiny product of nonzero factors is a
+value, not a pole.
 
 The closed-form norm N(lambda) / (2^n n! K_n) is a ratio in which single
 factors vanish or diverge at the truncated parameters, so it is evaluated
@@ -41,6 +42,7 @@ from .bcpoly import (
     ascending_index,
     monomial_w,
     orthogonalize,
+    pair,
     partition,
 )
 from .errors import (
@@ -184,23 +186,9 @@ def support_qR(qp: QRacahParams) -> List[Tuple[int, ...]]:
 
 def bilinear_qR(f: LaurentPolynomial, g: LaurentPolynomial,
                 qp: QRacahParams) -> complex:
-    """Finite discrete bilinear form sum_nu f g Delta^qR at rho q^nu.
-
-    f and g are evaluated once per node table, as vectors kept on each
-    polynomial (LaurentPolynomial.node_values); the terms f g w are then
-    added one by one in support order. Another order leaves the
-    polynomials as orthogonal, by the cosine |<P_a,P_b>| / sqrt(N_a N_b)
-    (6e-14 either way at the suite defaults), but moves the CLI
-    orthogonality metric, which divides by <1,1> rather than by the
-    norms, that reach 5e3 times <1,1>: one dot product over the table
-    read 4.4e-11 instead of 4.8e-12 there, and 6.9e-10 instead of
-    5.6e-10 at N = 3."""
-    table = _node_table(qp)
-    terms = f.node_values(table) * g.node_values(table) * table.weights
-    total: complex = 0.0
-    for term in terms.tolist():
-        total += term
-    return total
+    """Finite discrete bilinear form sum_nu f g Delta^qR at rho q^nu: pair
+    on the node table, its terms added in support order."""
+    return pair(f, g, [_node_table(qp)])
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -235,80 +223,60 @@ def summation_qR(qp: QRacahParams) -> complex:
 # ---------------------------------------------------------------------------
 # closed-form norms via symbolic cancellation
 
-def _kadd(a: Key, b: Key) -> Key:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _kmul(a: Key, c: int) -> Key:
-    return tuple(c * x for x in a)
-
-
-_Q: Key = (1, 0, 0, 0, 0)
-_T: Key = (0, 1, 0, 0, 0)
-_T0: Key = (0, 0, 1, 0, 0)
-_T1: Key = (0, 0, 0, 1, 0)
-_T2: Key = (0, 0, 0, 0, 1)
-
-
-def _t3_key(qp: QRacahParams) -> Key:
-    return (-qp.N, 1 - qp.n, -1, 0, 0)
-
-
 def _norm_ratio_keys(lam: Tuple[int, ...],
                      qp: QRacahParams) -> Tuple[List[Key], List[Key]]:
     """Numerator and denominator argument monomials of the q-Racah norm
     N(lambda) / (2^n n! K_n), with t3 eliminated by the truncation."""
-    n = qp.n
-    T3 = _t3_key(qp)
-    Tbig = _kadd(_kadd(_T0, _T1), _kadd(_T2, T3))
+    n, N = qp.n, qp.N
+
+    def key(a: int = 0, b: int = 0, c0: int = 0, c1: int = 0, c2: int = 0,
+            c3: int = 0) -> Key:
+        # q^a t^b t0^c0 t1^c1 t2^c2 t3^c3 at t3 = q^-N t^(1-n) t0^-1
+        return (a - N * c3, b + (1 - n) * c3, c0 - c3, c1, c2)
+
     num: List[Key] = []
     den: List[Key] = []
-
-    def base(a: int, b: int) -> Key:
-        return _kadd(_kmul(_Q, a), _kmul(_T, b))
-
-    # factor N+
+    # factor N+; T = t0 t1 t2 t3 is (1, 1, 1, 1)
     for i in range(1, n + 1):
         li = lam[i - 1]
-        num.append(_kadd(base(2 * li - 1, 2 * (n - i)), Tbig))
-        den.append(_kadd(base(li - 1, n - i), Tbig))
-        den.append(_kadd(base(li, n - i), _kadd(_T0, _T1)))
-        den.append(_kadd(base(li, n - i), _kadd(_T0, _T2)))
-        den.append(_kadd(base(li, n - i), _kadd(_T0, T3)))
+        num.append(key(2 * li - 1, 2 * (n - i), 1, 1, 1, 1))
+        den.append(key(li - 1, n - i, 1, 1, 1, 1))
+        den.append(key(li, n - i, 1, 1))
+        den.append(key(li, n - i, 1, 0, 1))
+        den.append(key(li, n - i, 1, 0, 0, 1))
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
             lj, lk = lam[j - 1], lam[k - 1]
-            num.append(_kadd(base(lj + lk - 1, 2 * n - j - k), Tbig))
-            num.append(base(lj - lk, k - j))
-            den.append(_kadd(base(lj + lk - 1, 2 * n - j - k + 1), Tbig))
-            den.append(base(lj - lk, k - j + 1))
+            num.append(key(lj + lk - 1, 2 * n - j - k, 1, 1, 1, 1))
+            num.append(key(lj - lk, k - j))
+            den.append(key(lj + lk - 1, 2 * n - j - k + 1, 1, 1, 1, 1))
+            den.append(key(lj - lk, k - j + 1))
     # factor N-
     for i in range(1, n + 1):
         li = lam[i - 1]
-        num.append(_kadd(base(2 * li, 2 * (n - i)), Tbig))
-        den.append(base(li + 1, n - i))
-        den.append(_kadd(base(li, n - i), _kadd(_T1, _T2)))
-        den.append(_kadd(base(li, n - i), _kadd(_T1, T3)))
-        den.append(_kadd(base(li, n - i), _kadd(_T2, T3)))
+        num.append(key(2 * li, 2 * (n - i), 1, 1, 1, 1))
+        den.append(key(li + 1, n - i))
+        den.append(key(li, n - i, 0, 1, 1))
+        den.append(key(li, n - i, 0, 1, 0, 1))
+        den.append(key(li, n - i, 0, 0, 1, 1))
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
             lj, lk = lam[j - 1], lam[k - 1]
-            num.append(_kadd(base(lj + lk, 2 * n - j - k), Tbig))
-            num.append(base(lj - lk + 1, k - j))
-            den.append(_kadd(base(lj + lk, 2 * n - j - k - 1), Tbig))
-            den.append(base(lj - lk + 1, k - j - 1))
-    # dividing by K_n swaps its numerator and denominator
+            num.append(key(lj + lk, 2 * n - j - k, 1, 1, 1, 1))
+            num.append(key(lj - lk + 1, k - j))
+            den.append(key(lj + lk, 2 * n - j - k - 1, 1, 1, 1, 1))
+            den.append(key(lj - lk + 1, k - j - 1))
+    # dividing by K_n swaps its numerator and denominator; rho_i = t0 t^(i-1)
     for i in range(1, n + 1):
-        rho_i = _kadd(_T0, _kmul(_T, i - 1))
-        den.append(_kmul(rho_i, -2))
-        den.append(_T)
-        den.append(_kadd(_kmul(_T0, -2), _kmul(_T, 2 - i - n)))
-        num.append(_Q)
-        for tk in (_T1, _T2, T3):
-            num.append(_kadd(rho_i, tk))
-            num.append(_kadd(_kmul(rho_i, -1), tk))
-        num.append(_kmul(_T, i))
-        num.append(_kadd(_kmul(_T0, -2), _kmul(_T, 2 - 2 * i)))
+        den.append(key(0, 2 - 2 * i, -2))
+        den.append(key(0, 1))
+        den.append(key(0, 2 - i - n, -2))
+        num.append(key(1))
+        for tk in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            num.append(key(0, i - 1, 1, *tk))
+            num.append(key(0, 1 - i, -1, *tk))
+        num.append(key(0, i))
+        num.append(key(0, 2 - 2 * i, -2))
     return num, den
 
 

@@ -1,10 +1,13 @@
 """Reference forms that the vectorized code of bcortho must reproduce.
 
 eval_points_loop is LaurentPolynomial.eval_points as a loop over the
-terms, the form the slab evaluator replaced; the slab evaluator keeps its
-rounding bit for bit, because the orthogonality metric of the discrete
-families reads it. The weights below are the scalar forms of the densities
-that the node tables build as arrays, one point or label at a time.
+terms, the form the slab evaluator replaced, and pair_loop is
+bcpoly.pair as a loop over the nodes, the form of the old q-Racah
+pairing; both keep their rounding bit for bit, because the orthogonality
+metric of the discrete families reads it. norm_ratio_keys_tuples is the
+q-Racah norm key builder as tuple arithmetic. The weights below are the
+scalar forms of the densities that the node tables build as arrays, one
+point or label at a time.
 """
 
 import math
@@ -39,6 +42,79 @@ def eval_points_loop(f, Z: np.ndarray) -> np.ndarray:
             term = term * cache[i, ei]
         total += term
     return total
+
+
+def pair_loop(f, g, tables) -> complex:
+    """sum f g w over the nodes of every table in turn: the terms f g w
+    of each table formed as arrays, then added one by one to a running
+    total in node order."""
+    total = 0.0
+    for table in tables:
+        F, G = (np.ravel(h.node_values(table)) for h in (f, g))
+        for term in (F * G * table.weights).tolist():
+            total += term
+    return total
+
+
+def norm_ratio_keys_tuples(lam: Sequence[int], n: int, N: int):
+    """The numerator and denominator keys (exponents of q, t, t0, t1, t2)
+    of the q-Racah norm, built by tuple arithmetic with t3 as the key
+    (-N, 1 - n, -1, 0, 0)."""
+    def add(*keys):
+        return tuple(map(sum, zip(*keys)))
+
+    def mul(a, c):
+        return tuple(c * x for x in a)
+
+    Q, T, T0, T1, T2 = (tuple(int(i == j) for j in range(5))
+                        for i in range(5))
+    T3 = (-N, 1 - n, -1, 0, 0)
+    Tbig = add(T0, T1, T2, T3)
+    num, den = [], []
+
+    def base(a, b):
+        return add(mul(Q, a), mul(T, b))
+
+    for i in range(1, n + 1):
+        li = lam[i - 1]
+        num.append(add(base(2 * li - 1, 2 * (n - i)), Tbig))
+        den.append(add(base(li - 1, n - i), Tbig))
+        den.append(add(base(li, n - i), T0, T1))
+        den.append(add(base(li, n - i), T0, T2))
+        den.append(add(base(li, n - i), T0, T3))
+    for j in range(1, n + 1):
+        for k in range(j + 1, n + 1):
+            lj, lk = lam[j - 1], lam[k - 1]
+            num.append(add(base(lj + lk - 1, 2 * n - j - k), Tbig))
+            num.append(base(lj - lk, k - j))
+            den.append(add(base(lj + lk - 1, 2 * n - j - k + 1), Tbig))
+            den.append(base(lj - lk, k - j + 1))
+    for i in range(1, n + 1):
+        li = lam[i - 1]
+        num.append(add(base(2 * li, 2 * (n - i)), Tbig))
+        den.append(base(li + 1, n - i))
+        den.append(add(base(li, n - i), T1, T2))
+        den.append(add(base(li, n - i), T1, T3))
+        den.append(add(base(li, n - i), T2, T3))
+    for j in range(1, n + 1):
+        for k in range(j + 1, n + 1):
+            lj, lk = lam[j - 1], lam[k - 1]
+            num.append(add(base(lj + lk, 2 * n - j - k), Tbig))
+            num.append(base(lj - lk + 1, k - j))
+            den.append(add(base(lj + lk, 2 * n - j - k - 1), Tbig))
+            den.append(base(lj - lk + 1, k - j - 1))
+    for i in range(1, n + 1):
+        rho_i = add(T0, mul(T, i - 1))
+        den.append(mul(rho_i, -2))
+        den.append(T)
+        den.append(add(mul(T0, -2), mul(T, 2 - i - n)))
+        num.append(Q)
+        for tk in (T1, T2, T3):
+            num.append(add(rho_i, tk))
+            num.append(add(mul(rho_i, -1), tk))
+        num.append(mul(T, i))
+        num.append(add(mul(T0, -2), mul(T, 2 - 2 * i)))
+    return num, den
 
 
 def _wc_scalar(x: complex, p: AWParams) -> complex:

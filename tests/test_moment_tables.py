@@ -470,14 +470,22 @@ class TestMechanism:
         assert sorted(calls) == [16] * 4 + [32] * 4
 
     def test_one_over_one_is_a_weighted_sum(self):
-        # a constant stays a scalar: the pairing is the sum of the weights
+        # a constant stays a scalar: the pairing is the sum of the
+        # weights, added one by one in node order
         one = LaurentPolynomial.constant(3, 0.5)
         table, coarse = (measures._table(PS[3], 3, m) for m in (16, 8))
         assert table.evaluate({(0, 0, 0): np.ones(1)}, 1).shape == (1, 1)
+
+        def in_order(weights):
+            total = 0.0
+            for w in weights.tolist():
+                total += 0.25 * w
+            return total
+
         rep = torus_bilinear(one, one, PS[3], 16)
-        assert rep.value == 0.25 * table.weights.sum()
+        assert rep.value == in_order(table.weights)
         assert rep.abs_error_estimate == abs(
-            0.25 * (table.weights.sum() - coarse.weights.sum()))
+            in_order(table.weights) - in_order(coarse.weights))
 
 
 # (n, top, M) of the Gram tests: the smallest grid each top accepts,
@@ -491,7 +499,10 @@ class TestTorusGram:
                              ids=["n1", "n2", "n3-odd", "n2-lmax4"])
     @pytest.mark.parametrize("params", ["complex", "cli"])
     def test_entries_match_pairings(self, n, top, M, params):
-        # one weighted product against the k(k+1)/2 pairwise pairings
+        # bcpoly.gram against the pairwise pairings: both are bcpoly.pair
+        # on the M-point table, so the entries are equal. gram pairs
+        # (P_a, P_b) for a <= b; for complex values numpy's products
+        # f g and g f may differ in the last bit
         if params == "cli":
             d = DEFAULTS["aw"]
             p = AWParams(n, d["q"], d["t"], d["t0"], d["t1"], d["t2"],
@@ -503,10 +514,8 @@ class TestTorusGram:
         G = torus_gram(polys, p, M)
         assert G.shape == (len(polys),) * 2
         for a, f in enumerate(polys):
-            for b, g in enumerate(polys):
-                want = torus_bilinear(f, g, p, M).value
-                assert abs(G[a, b] - want) <= 1e-13 * math.sqrt(
-                    abs(G[a, a] * G[b, b]))
+            for b, g in enumerate(polys[a:], start=a):
+                assert G[a, b] == G[b, a] == torus_bilinear(f, g, p, M).value
 
     @pytest.mark.parametrize("n, top", [(1, (6,)), (2, (2, 2)),
                                         (3, (1, 1, 1))])

@@ -24,6 +24,7 @@ from bcortho.qracah import (
     weight_qR,
 )
 from bcortho.qseries import qpoch_finite
+from oracles import norm_ratio_keys_tuples
 
 QP1 = QRacahParams(1, 0.5, 0.3, 0.7, -0.5, 0.4, 3)
 QP2 = QRacahParams(2, 0.5, 0.3, 0.7, -0.5, 0.4, 2)
@@ -315,6 +316,18 @@ class TestNodeTable:
             scale = sum(fm.eval_abs(z) * gm.eval_abs(z) * abs(w)
                         for z, w in table)
             assert abs(bilinear_qR(f, g, qp) - want) <= 1e-13 * scale
+
+
+class TestNormKeys:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_keys_equal_tuple_arithmetic(self, n):
+        # the one-step keys are the tuple-arithmetic ones, in the same
+        # order, so norm_qR keeps its rounding
+        qp = QRacahParams(n, 0.5, 0.3, 0.7, -0.5, 0.4, 3)
+        for lam in partitions_dominated_by((3,) * n):
+            num, den = qracah._norm_ratio_keys(lam, qp)
+            assert (num, den) == norm_ratio_keys_tuples(lam, n, 3)
+            assert all(type(x) is int for key in num + den for x in key)
 
 
 class TestErrors:
