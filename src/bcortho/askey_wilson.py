@@ -23,6 +23,8 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .bcpoly import (
     LaurentPolynomial,
+    _w_sum,
+    dominance_leq,
     monomial_s,
     monomial_w,
     partition,
@@ -54,21 +56,21 @@ def aw_polynomials(top: Sequence[int], p: AWParams
     E_nu, nu < mu, to separate."""
     m = op_matrix(top, p)
     pos = {mu: k for k, mu in enumerate(m.index)}
+    energy = {mu: eigenvalue_E(mu, p) for mu in m.index}
     out: Dict[Tuple[int, ...], LaurentPolynomial] = {}
     for lam in m.index:
-        mus = partitions_dominated_by(lam)
-        e_lam = eigenvalue_E(lam, p)
+        mus = [nu for nu in m.index if dominance_leq(nu, lam)]
+        e_lam = energy[lam]
         coeffs: Dict[Tuple[int, ...], complex] = {lam: 1.0}
         for k in range(len(mus) - 2, -1, -1):
-            gap = e_lam - eigenvalue_E(mus[k], p)
+            gap = e_lam - energy[mus[k]]
             if abs(gap) <= SEPARATION * max(1.0, abs(e_lam)):
                 raise EigenvalueCollision(
                     f"E({lam}) collides with E({mus[k]}): gap {abs(gap):.3g}")
             col = pos[mus[k]]
             coeffs[mus[k]] = sum(coeffs[nu] * m.entries[pos[nu], col]
                                  for nu in mus[k + 1:]) / gap
-        out[lam] = LaurentPolynomial(p.n, {
-            e: c for nu, c in coeffs.items() for e in monomial_w(nu).terms})
+        out[lam] = _w_sum(p.n, coeffs)
     return out
 
 

@@ -18,9 +18,8 @@ coefficient of the basis monomial of the partition mu in any.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
@@ -252,10 +251,8 @@ class LaurentPolynomial:
                 orbits.setdefault(tuple(sorted(map(abs, e), reverse=True)),
                                   []).append(c)
             for lam, cs in orbits.items():
-                size = (2 ** sum(x > 0 for x in lam)
-                        * math.factorial(len(lam)) // math.prod(
-                            map(math.factorial, Counter(lam).values())))
-                if len(cs) != size or any(c != cs[0] for c in cs):
+                if (len(cs) != len(_orbit(lam, True))
+                        or any(c != cs[0] for c in cs)):
                     raise NotWInvariant(f"the terms of orbit {lam} are not "
                                         f"one W-orbit sum")
             self._w_coeffs = {lam: cs[0] for lam, cs in orbits.items()}
@@ -384,22 +381,28 @@ def partitions_dominated_by(lam: Sequence[int]) -> List[Tuple[int, ...]]:
     return out
 
 
-def _orbit(v: Sequence[int], signs: bool) -> Iterable[Exponent]:
-    seen = set()
+@functools.lru_cache(maxsize=1024)
+def _orbit(v: Tuple[int, ...], signs: bool) -> Tuple[Exponent, ...]:
     sign_choices = ([1, -1] if signs else [1],) * len(v)
-    for perm in itertools.permutations(v):
-        for sg in itertools.product(*sign_choices):
-            w = tuple(s * x for s, x in zip(sg, perm))
-            if w not in seen:
-                seen.add(w)
-                yield w
+    return tuple(dict.fromkeys(
+        tuple(s * x for s, x in zip(sg, perm))
+        for perm in itertools.permutations(v)
+        for sg in itertools.product(*sign_choices)))
+
+
+def _w_sum(n: int, coeffs: Dict[Exponent, complex]) -> LaurentPolynomial:
+    """sum c m_nu over {nu: c} of partitions of length n, the terms of
+    each W-orbit in turn; only PRUNE applies, since the orbits are
+    disjoint."""
+    return LaurentPolynomial._pruned(n, {
+        e: complex(c) for nu, c in coeffs.items() for e in _orbit(nu, True)})
 
 
 def monomial_w(lam: Sequence[int]) -> LaurentPolynomial:
     """W-invariant monomial m_lambda: sum of z^mu over the orbit of lambda
     under permutations and independent sign flips of the exponents."""
     lam = partition(lam)
-    return LaurentPolynomial(len(lam), {e: 1.0 for e in _orbit(lam, True)})
+    return _w_sum(len(lam), {lam: 1.0})
 
 
 def monomial_s(lam: Sequence[int]) -> LaurentPolynomial:

@@ -273,13 +273,13 @@ def norm_big(lam: Sequence[int], bp: BigParams) -> float:
         li = lam[i - 1]
         val *= q ** math.comb(li, 2) * (t ** (n - i)) ** li
         try:
-            den = (qpoch_infinite(-q ** (li + 1) * b * t ** (n - i) * c / d,
-                                  q, require_nonzero=True)
-                   * qpoch_infinite(-q ** (li + 1) * a * t ** (n - i) * d / c,
-                                    q, require_nonzero=True))
+            pb, pa = qpoch_infinite_arr(np.array(
+                [-q ** (li + 1) * b * t ** (n - i) * c / d,
+                 -q ** (li + 1) * a * t ** (n - i) * d / c]), q,
+                require_nonzero=True).tolist()
         except ZeroProduct as exc:
             raise DomainViolation("norm denominator factor vanishes") from exc
-        val /= den
+        val /= pb * pa
     val = complex(val)
     return float(val.real)
 

@@ -6,7 +6,12 @@ and the triangular coefficient matrix E_{lambda,mu} on the monomial basis.
 Since D m_lambda is a Laurent polynomial with exponents in
 [-lambda_1, lambda_1] on every axis, its coefficients are read off exactly
 (up to rounding) by a discrete Fourier transform of its values on a fixed
-product grid of K = 2 lambda_1 + 1 nodes per axis.
+product grid of K = 2 lambda_1 + 1 nodes per axis. D is applied in one
+place, _apply_D_rows, to a batch of polynomials at once: the
+coefficients phi_j^{+-} and the shifted grids are formed once per batch
+and each polynomial is evaluated once on all of them. So op_matrix is one
+pass of D over every monomial and one FFT, and apply_D is the same pass
+on one polynomial.
 """
 
 from __future__ import annotations
@@ -73,17 +78,29 @@ def apply_D(f: LaurentPolynomial, Z: np.ndarray, p: AWParams) -> np.ndarray:
     """Apply D = sum_j phi_j^+ (T_j^+ - Id) + phi_j^- (T_j^- - Id) at every
     row of the (m, n) point array Z, where T_j^{+-} shifts z_j to
     q^{+-1} z_j."""
+    return _apply_D_rows([f], Z, p)[1][0]
+
+
+def _apply_D_rows(fs: Sequence, Z: np.ndarray, p: AWParams) -> tuple:
+    """(f(Z), (D f)(Z)) for every f of fs, as two (len(fs), m) arrays.
+
+    Each f is evaluated once, on Z and its 2n shifted copies stacked,
+    which eval_points adds point by point as it would each copy alone.
+    The D-values of all f are then summed at once, from zero, adding
+    phi_j^+ (f(q z) - f(z)) and then phi_j^- (f(z/q) - f(z)) for
+    j = 0..n-1."""
     Z = np.asarray(Z, dtype=complex)
-    fz = f.eval_points(Z)
-    total = np.zeros(len(Z), dtype=complex)
+    grids = np.array([Z] * (2 * p.n + 1))
     for j in range(p.n):
-        zp = Z.copy()
-        zp[:, j] = p.q * zp[:, j]
-        zm = Z.copy()
-        zm[:, j] = zm[:, j] / p.q
-        total += phi_plus(j, Z, p) * (f.eval_points(zp) - fz)
-        total += phi_minus(j, Z, p) * (f.eval_points(zm) - fz)
-    return total
+        grids[2 * j + 1:2 * j + 3, :, j] = p.q * Z[:, j], Z[:, j] / p.q
+    flat = grids.reshape(-1, Z.shape[1])
+    vals = np.array([f.eval_points(flat).reshape(len(grids), -1) for f in fs])
+    fz = vals[:, 0]
+    total = np.zeros(fz.shape, dtype=complex)
+    for j in range(p.n):
+        total += phi_plus(j, Z, p) * (vals[:, 2 * j + 1] - fz)
+        total += phi_minus(j, Z, p) * (vals[:, 2 * j + 2] - fz)
+    return fz, total
 
 
 def eigenvalue_E(lam: Sequence[int], p: AWParams) -> complex:
@@ -125,31 +142,30 @@ def _nodes(n: int, K: int) -> Tuple[np.ndarray, np.ndarray]:
 def op_matrix(lam: Sequence[int], p: AWParams) -> TriangularOpMatrix:
     """Extract the triangular matrix of D on {m_mu : mu <= lambda}.
 
-    Evaluates D m_{lambda'} on the K^n nodes of _nodes, K = 2 lambda_1 + 1,
-    and reads the coefficient of z^mu, the leading term of m_mu, from the
-    n-dimensional FFT of those values: exponents in [-lambda_1, lambda_1]
-    fall on distinct FFT bins. The diagonal is verified against the
-    closed-form eigenvalues.
+    Applies D to every m_{lambda'} in one pass on the K^n nodes of _nodes,
+    K = 2 lambda_1 + 1, and reads the coefficient of z^mu, the leading
+    term of m_mu, from one n-dimensional FFT of those values over the
+    node axes: exponents in [-lambda_1, lambda_1] fall on distinct FFT
+    bins. The diagonal is verified against the closed-form eigenvalues.
     """
     lam = partition(lam)
     mus = partitions_dominated_by(lam)
-    monomials = [monomial_w(mu) for mu in mus]
     n = p.n
     K = 2 * lam[0] + 1
     Z, base = _nodes(n, K)
-    bins = tuple(np.array(mus).T % K)
+    fz, Df = _apply_D_rows([monomial_w(mu) for mu in mus], Z, p)
+    bins = (slice(None),) + tuple(np.array(mus).T % K)
     # coefficient of z^mu = (FFT bin of mu) / (K^n b^mu)
     scale = K ** n * np.prod(base ** np.array(mus), axis=1)
-    entries = np.array(
-        [np.fft.fftn(apply_D(m, Z, p).reshape((K,) * n))[bins] / scale
-         for m in monomials])  # rows lambda', columns mu
+    entries = np.fft.fftn(  # rows lambda', columns mu
+        Df.reshape((len(mus),) + (K,) * n), axes=range(1, n + 1))[bins] / scale
     # the intermediate phi values inside apply_D grow like the product of
     # the two largest |t_i| while the result stays bounded, so
     # cancellation leaves absolute noise of that order times machine
     # epsilon; for strongly deformed parameters (|t_i| >> 1) that can
     # exceed a fixed tolerance on the O(1) eigenvalues
     tmax = max(abs(ti) for ti in p.tvec)
-    mmax = max(float(np.max(np.abs(m.eval_points(Z)))) for m in monomials)
+    mmax = float(np.max(np.abs(fz)))
     noise = 1e-12 * max(1.0, tmax * tmax) * mmax
     for k, mu in enumerate(mus):
         ek = eigenvalue_E(mu, p)

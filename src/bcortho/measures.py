@@ -68,7 +68,6 @@ from .qseries import (
     qpoch_finite,
     qpoch_finite_arr,
     qpoch_infinite_arr,
-    qpoch_real,
     qpoch_real_arr,
 )
 from .qracah import kr_constant
@@ -374,8 +373,9 @@ def delta_d(nu: Sequence[int], p: AWParams, which: int) -> complex:
             rk, rl = _rho(p, which, k), _rho(p, which, l)
             nk, nl = nu[k - 1], nu[l - 1]
             nk_prev = nu[k - 2] if k >= 2 else 0
-            val *= qpoch_real(rl / rk * q ** (nl - nk), q, t)
-            val *= qpoch_real(q ** (-nk - nl) / (rk * rl), q, t)
+            args = [rl / rk * q ** (nl - nk), q ** (-nk - nl) / (rk * rl)]
+            for x in qpoch_real_arr(np.array(args), q, t).tolist():
+                val *= x
             try:
                 d = (qpoch_finite(rk * rl * q ** (nk_prev + nl), q,
                                   nk - nk_prev, require_nonzero=True)

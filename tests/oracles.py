@@ -4,7 +4,11 @@ eval_points_loop is LaurentPolynomial.eval_points as a loop over the
 terms, the form the slab evaluator replaced, and pair_loop is
 bcpoly.pair as a loop over the nodes, the form of the old q-Racah
 pairing; both keep their rounding bit for bit, because the orthogonality
-metric of the discrete families reads it. norm_ratio_keys_tuples is the
+metric of the discrete families reads it. op_matrix_loop is
+koornwinder.op_matrix with one apply_D and one FFT per monomial, and
+aw_polynomials_loop the back-substitution on it with every W-orbit and
+eigenvalue formed anew per use; the Askey-Wilson reports read their
+rounding bit for bit. norm_ratio_keys_tuples is the
 q-Racah norm key builder as tuple arithmetic. The weights below are the
 scalar forms of the densities that the node tables build as arrays, one
 point or label at a time.
@@ -15,10 +19,14 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from bcortho.askey_wilson import aw_norm_plus
-from bcortho.bcpoly import partition
-from bcortho.errors import (DomainViolation, NearPole, PoleInProduct,
+from bcortho.askey_wilson import SEPARATION, aw_norm_plus
+from bcortho.bcpoly import (LaurentPolynomial, monomial_w, partition,
+                            partitions_dominated_by)
+from bcortho.errors import (DiagonalMismatch, DomainViolation,
+                            EigenvalueCollision, NearPole, PoleInProduct,
                             ZeroProduct)
+from bcortho.koornwinder import (TriangularOpMatrix, _nodes, apply_D,
+                                 eigenvalue_E)
 from bcortho.little import LittleParams, delta_qJ, support_point
 from bcortho.params import AWParams
 from bcortho.qseries import POLE_GUARD, qpoch_infinite, qpoch_real
@@ -54,6 +62,57 @@ def pair_loop(f, g, tables) -> complex:
         for term in (F * G * table.weights).tolist():
             total += term
     return total
+
+
+def op_matrix_loop(lam: Sequence[int], p: AWParams) -> TriangularOpMatrix:
+    """The matrix of D on {m_mu : mu <= lambda}: one apply_D on the nodes
+    and one FFT per monomial, each monomial evaluated once more for the
+    noise floor of the diagonal check."""
+    lam = partition(lam)
+    mus = partitions_dominated_by(lam)
+    monomials = [monomial_w(mu) for mu in mus]
+    n = p.n
+    K = 2 * lam[0] + 1
+    Z, base = _nodes(n, K)
+    bins = tuple(np.array(mus).T % K)
+    scale = K ** n * np.prod(base ** np.array(mus), axis=1)
+    entries = np.array(
+        [np.fft.fftn(apply_D(m, Z, p).reshape((K,) * n))[bins] / scale
+         for m in monomials])
+    tmax = max(abs(ti) for ti in p.tvec)
+    mmax = max(float(np.max(np.abs(m.eval_points(Z)))) for m in monomials)
+    noise = 1e-12 * max(1.0, tmax * tmax) * mmax
+    for k, mu in enumerate(mus):
+        ek = eigenvalue_E(mu, p)
+        if abs(entries[k, k] - ek) > 1e-8 * max(1.0, abs(ek)) + noise:
+            raise DiagonalMismatch(
+                f"diagonal at {mu}: got {entries[k, k]}, closed form {ek}")
+    return TriangularOpMatrix(tuple(mus), entries)
+
+
+def aw_polynomials_loop(top: Sequence[int], p: AWParams
+                        ) -> Dict[Tuple[int, ...], LaurentPolynomial]:
+    """askey_wilson.aw_polynomials on op_matrix_loop, with the partitions
+    below each mu enumerated, each eigenvalue formed and each W-orbit
+    built anew wherever it is used."""
+    m = op_matrix_loop(top, p)
+    pos = {mu: k for k, mu in enumerate(m.index)}
+    out: Dict[Tuple[int, ...], LaurentPolynomial] = {}
+    for lam in m.index:
+        mus = partitions_dominated_by(lam)
+        e_lam = eigenvalue_E(lam, p)
+        coeffs: Dict[Tuple[int, ...], complex] = {lam: 1.0}
+        for k in range(len(mus) - 2, -1, -1):
+            gap = e_lam - eigenvalue_E(mus[k], p)
+            if abs(gap) <= SEPARATION * max(1.0, abs(e_lam)):
+                raise EigenvalueCollision(
+                    f"E({lam}) collides with E({mus[k]}): gap {abs(gap):.3g}")
+            col = pos[mus[k]]
+            coeffs[mus[k]] = sum(coeffs[nu] * m.entries[pos[nu], col]
+                                 for nu in mus[k + 1:]) / gap
+        out[lam] = LaurentPolynomial(p.n, {
+            e: c for nu, c in coeffs.items() for e in monomial_w(nu).terms})
+    return out
 
 
 def norm_ratio_keys_tuples(lam: Sequence[int], n: int, N: int):

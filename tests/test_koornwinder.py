@@ -6,10 +6,10 @@ import random
 import numpy as np
 import pytest
 
-from bcortho import askey_wilson
+from bcortho import askey_wilson, koornwinder
 from bcortho.askey_wilson import aw_polynomials
 from bcortho.bcpoly import LaurentPolynomial, monomial_w, partitions_dominated_by, dominance_leq
-from bcortho.errors import NearPole
+from bcortho.errors import DiagonalMismatch, NearPole
 from bcortho.koornwinder import (
     apply_D,
     eigenvalue_E,
@@ -18,6 +18,8 @@ from bcortho.koornwinder import (
     phi_plus,
 )
 from bcortho.params import AWParams
+
+from oracles import aw_polynomials_loop, op_matrix_loop
 
 P1 = AWParams(1, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 - 0.4j)
 P2 = AWParams(2, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 - 0.4j)
@@ -214,3 +216,64 @@ class TestAwPolynomials:
         family = aw_polynomials((2, 2), P2)
         assert len(family) == len(partitions_dominated_by((2, 2)))
         assert calls == [(2, 2)]
+
+
+P2_REAL = AWParams(2, 0.5, 0.3, 0.6, -0.5, 0.4, 0.2)
+P2_PAIR = AWParams(2, 0.5, 0.3, 0.3 + 0.4j, 0.3 - 0.4j, -0.45, 0.25)
+P2_LARGE = AWParams(2, 0.9, 0.3, 1.1, -0.5, 0.4, 0.2)
+P4 = AWParams(4, 0.5, 0.3, 0.35, -0.45, 0.25, 0.2)
+
+
+class TestOnePass:
+    """op_matrix applies D to every monomial in one pass and reads every
+    row from one FFT: bit for bit the per-monomial form, which the
+    Askey-Wilson reports read."""
+
+    @pytest.mark.parametrize("p,top", [
+        (P1, (6,)), (AWParams(1, 0.9, 0.3, 1.1, -0.5, 0.4, 0.2), (3,)),
+        (P2_REAL, (4, 4)), (P2_PAIR, (3, 1)), (P2_LARGE, (2, 2)),
+        (P2, (2, 1)),
+        (AWParams(3, 0.5, 0.3, 0.6, -0.5, 0.4, 0.2), (3, 2, 1)),
+        (AWParams(3, 0.5, 0.3, 0.3 + 0.4j, 0.3 - 0.4j, -0.45, 0.25),
+         (2, 2, 1)),
+        (AWParams(3, 0.9, 0.3, 1.1, -0.5, 0.4, 0.2), (2, 1, 1)),
+    ])
+    def test_matches_per_monomial_form(self, p, top):
+        m, want = op_matrix(top, p), op_matrix_loop(top, p)
+        assert m.index == want.index
+        assert np.array_equal(m.entries, want.entries)
+        family, old = aw_polynomials(top, p), aw_polynomials_loop(top, p)
+        assert list(family) == list(old)
+        for mu, P in family.items():
+            assert P.terms == old[mu].terms
+
+    def test_diagonal_check_stays(self, monkeypatch):
+        exact = koornwinder.eigenvalue_E
+        monkeypatch.setattr(koornwinder, "eigenvalue_E",
+                            lambda mu, p: exact(mu, p) + 1e-6)
+        with pytest.raises(DiagonalMismatch):
+            op_matrix((2, 1), P2)
+
+    def test_apply_D_is_one_row_of_the_batch(self):
+        rng = random.Random(13)
+        Z = np.array([rand_point(rng, 2) for _ in range(7)])
+        f, g = monomial_w((2, 1)), monomial_w((1, 0)) + monomial_w((2, 2))
+        fz, values = koornwinder._apply_D_rows([f, g], Z, P2)
+        assert np.array_equal(fz[0], f.eval_points(Z))
+        assert np.array_equal(fz[1], g.eval_points(Z))
+        assert np.array_equal(apply_D(f, Z, P2), values[0])
+        assert np.array_equal(apply_D(g, Z, P2), values[1])
+
+
+class TestFourVariables:
+    """RADII sets three node radii; axes past the third use the unit
+    circle, and the matrix must still vanish off the dominance triangle."""
+
+    @pytest.mark.parametrize("top", [(1, 1, 1, 1), (2, 1, 0, 0)])
+    def test_triangular(self, top):
+        m = op_matrix(top, P4)
+        scale = np.max(np.abs(m.entries))
+        for r, lamp in enumerate(m.index):
+            for c, mu in enumerate(m.index):
+                if not dominance_leq(mu, lamp):
+                    assert abs(m.entries[r, c]) <= 1e-13 * scale
