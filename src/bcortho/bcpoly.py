@@ -10,7 +10,8 @@ orthogonalizer. Every family's bilinear form is a sum of f g w over the
 nodes of its node tables (pair, and gram for a Gram matrix): a node table
 has weights and at_nodes(f), the values of f at its nodes. Every family
 is monic in a monomial basis, triangular in the dominance order and
-orthogonal for its own bilinear form, so orthogonalize builds all alike.
+orthogonal for its own bilinear form, so orthogonalize builds all alike,
+on the values of its polynomials at the nodes of their PointTables.
 Every family's polynomial is a LaurentPolynomial, an exact sum of orbits of
 its basis: w_coefficients reads a W-invariant one, coefficient(mu) the
 coefficient of the basis monomial of the partition mu in any.
@@ -41,6 +42,9 @@ PRUNE = 1e-300
 # Element count of the largest (terms x points) slab of eval_points, and
 # node count of the largest slab of pair.
 SLAB = 1 << 12
+# Element count up to which orthogonalize keeps a node table's nodes and
+# power rows between the evaluations of one exponent layout.
+KEEP_NODES = 1 << 14
 
 
 def partition(parts: Sequence[int]) -> Tuple[int, ...]:
@@ -154,45 +158,18 @@ class LaurentPolynomial:
         row and is summed down its rows, which numpy does one row at a
         time unless there is one column: so a lone point is doubled."""
         Z = np.asarray(Z)
-        if Z.ndim != 2 or Z.shape[1] != self.nvars:
-            raise LengthMismatch("points have wrong length")
-        if not Z.all():
-            raise ZeroCoordinate("evaluation point has a zero coordinate")
-        m = len(Z)
-        if m == 1:
-            Z = np.repeat(Z, 2, axis=0)
+        X = _points(Z, self.nvars)
         if self._slabs is None:
             # the coefficients in sorted exponent order, whether all are
             # real, and per axis the exponents and each term's among them
             exps = sorted(self.terms)
             coef = np.array([self.terms[e] for e in exps], dtype=complex)
-            axes = []
-            for i in range(self.nvars):
-                es = sorted({e[i] for e in exps})
-                at = {e: k for k, e in enumerate(es)}
-                axes.append((es, np.array([at[e[i]] for e in exps], int)))
-            self._slabs = coef, not coef.imag.any(), axes
+            self._slabs = coef, not coef.imag.any(), _axes(exps, self.nvars)
         coef, real, axes = self._slabs
-        if real and Z.dtype.kind != "c":
+        if real and X.dtype.kind != "c":
             coef = coef.real
-        # per axis the rows z_i^e (in no variables, one row of ones)
-        rows, pick = [], [k for _es, k in axes]
-        for i, (es, _k) in enumerate(axes):
-            rows.append(np.empty((len(es), len(Z)), Z.dtype))
-            for k, e in enumerate(es):
-                rows[i][k] = Z[:, i] ** e
-        if not axes:
-            rows, pick = [np.ones((1, len(Z)))], [np.zeros(len(coef), int)]
-        total = np.zeros(len(Z), dtype=coef.dtype)
-        step = max(1, SLAB // len(Z)) if len(Z) else len(coef)
-        for lo in range(0, len(coef), step):
-            s = slice(lo, lo + step)
-            slab = coef[s, None] * rows[0][pick[0][s]]
-            for R, k in zip(rows[1:], pick[1:]):
-                slab *= R[k[s]]
-            slab[0] += total
-            total = np.add.reduce(slab, axis=0)
-        return total[:m]
+        rows = [_power_rows(X, i, es) for i, (es, _k) in enumerate(axes)]
+        return _slab_sum(coef, rows, [k for _es, k in axes], len(X))[:len(Z)]
 
     def node_values(self, table) -> np.ndarray:
         """table.at_nodes(self), the values at the nodes of a node table,
@@ -279,6 +256,54 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({self.nvars}, {{{items}}})"
 
 
+def _points(Z: np.ndarray, nvars: int) -> np.ndarray:
+    """Z checked as an (m, nvars) array of points with nonzero
+    coordinates, a lone point doubled (see eval_points)."""
+    if Z.ndim != 2 or Z.shape[1] != nvars:
+        raise LengthMismatch("points have wrong length")
+    if not Z.all():
+        raise ZeroCoordinate("evaluation point has a zero coordinate")
+    return np.repeat(Z, 2, axis=0) if len(Z) == 1 else Z
+
+
+def _axes(exps: Sequence[Exponent], nvars: int) -> list:
+    """Per axis i the sorted exponents e_i of exps and, per exponent of
+    exps, the index of its e_i among them."""
+    axes = []
+    for i in range(nvars):
+        es = sorted({e[i] for e in exps})
+        at = {e: k for k, e in enumerate(es)}
+        axes.append((es, np.array([at[e[i]] for e in exps], int)))
+    return axes
+
+
+def _power_rows(Z: np.ndarray, i: int, es: Sequence[int]) -> np.ndarray:
+    """The rows Z[:, i] ** e for e in es."""
+    rows = np.empty((len(es), len(Z)), Z.dtype)
+    for k, e in enumerate(es):
+        rows[k] = Z[:, i] ** e
+    return rows
+
+
+def _slab_sum(coef: np.ndarray, rows: List[np.ndarray],
+              pick: List[np.ndarray], npts: int) -> np.ndarray:
+    """sum_k coef[k] prod_i rows[i][pick[i][k]] at each of npts points,
+    the product formed left to right from the coefficient and the terms
+    added in order: the slab arithmetic of eval_points."""
+    if not rows:
+        rows, pick = [np.ones((1, npts))], [np.zeros(len(coef), int)]
+    total = np.zeros(npts, dtype=coef.dtype)
+    step = max(1, SLAB // npts) if npts else len(coef)
+    for lo in range(0, len(coef), step):
+        s = slice(lo, lo + step)
+        slab = coef[s, None] * rows[0][pick[0][s]]
+        for R, k in zip(rows[1:], pick[1:]):
+            slab *= R[k[s]]
+        slab[0] += total
+        total = np.add.reduce(slab, axis=0)
+    return total
+
+
 @dataclass(frozen=True, eq=False)
 class PointTable:
     """A node table of a discrete measure: node r is the point
@@ -288,10 +313,38 @@ class PointTable:
     nu: np.ndarray
     weights: np.ndarray
 
+    def nodes(self) -> np.ndarray:
+        """The (nodes, nvars) array of the node coordinates, gathered on
+        each call."""
+        return np.array([zi.take(nui) for zi, nui in zip(self.z, self.nu)]).T
+
     def at_nodes(self, f: LaurentPolynomial) -> np.ndarray:
         """f at every node, the nodes gathered on each call, not kept."""
-        return f.eval_points(
-            np.array([zi.take(nui) for zi, nui in zip(self.z, self.nu)]).T)
+        return f.eval_points(self.nodes())
+
+
+def _column(values: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Node values as a vector along the weights w, a constant's single
+    value broadcast."""
+    values = values.ravel()
+    return np.broadcast_to(values, w.shape) if len(values) == 1 else values
+
+
+def _add_pairs(total, F: np.ndarray, G: np.ndarray, w: np.ndarray):
+    """total plus sum F G w over the nodes of one table, the terms added
+    one by one in node order: a slab of at most SLAB nodes at a time, the
+    running total added to its first term and the slab summed with
+    np.add.accumulate, which adds in order."""
+    F, G = _column(F, w), _column(G, w)
+    for lo in range(0, len(w), SLAB):
+        terms = F[lo:lo + SLAB] * G[lo:lo + SLAB] * w[lo:lo + SLAB]
+        terms[0] += total
+        total = np.add.accumulate(terms)[-1]
+    return total
+
+
+def _scalar(total) -> complex:
+    return total.item() if isinstance(total, np.generic) else total
 
 
 def pair(f: LaurentPolynomial, g: LaurentPolynomial,
@@ -302,30 +355,19 @@ def pair(f: LaurentPolynomial, g: LaurentPolynomial,
 
     The values of f and g are their node values (node_values); a
     constant's single value on a torus table is broadcast. The terms
-    f g w are added one by one in node order, bit for bit as a Python
-    loop adding each to a running total. Another order leaves the
-    polynomials as orthogonal, by the cosine |<P_a,P_b>| / sqrt(N_a N_b)
-    (6e-14 either way at the q-Racah defaults), but moves the CLI
-    orthogonality metric, which divides by <1,1> rather than by the
-    norms, that reach 5e3 times <1,1>: one dot product over the q-Racah
-    table read 4.4e-11 instead of 4.8e-12 there, and 6.9e-10 instead of
-    5.6e-10 at N = 3. A slab of at most SLAB nodes is formed at a time,
-    the running total added to its first term and the slab summed with
-    np.add.accumulate, which adds in order."""
+    f g w are added one by one in node order (_add_pairs), bit for bit
+    as a Python loop adding each to a running total. Another order
+    leaves the polynomials as orthogonal, by the cosine
+    |<P_a,P_b>| / sqrt(N_a N_b) (6e-14 either way at the q-Racah
+    defaults), but moves the CLI orthogonality metric, which divides by
+    <1,1> rather than by the norms, that reach 5e3 times <1,1>: one dot
+    product over the q-Racah table read 4.4e-11 instead of 4.8e-12
+    there, and 6.9e-10 instead of 5.6e-10 at N = 3."""
     total = 0.0
     for table in tables:
-        w = table.weights
-        F = f.node_values(table).ravel()
-        G = g.node_values(table).ravel()
-        if len(F) == 1:
-            F = np.broadcast_to(F, w.shape)
-        if len(G) == 1:
-            G = np.broadcast_to(G, w.shape)
-        for lo in range(0, len(w), SLAB):
-            terms = F[lo:lo + SLAB] * G[lo:lo + SLAB] * w[lo:lo + SLAB]
-            terms[0] += total
-            total = np.add.accumulate(terms)[-1]
-    return total.item() if isinstance(total, np.generic) else total
+        total = _add_pairs(total, f.node_values(table),
+                           g.node_values(table), table.weights)
+    return _scalar(total)
 
 
 def gram(polys: Sequence[LaurentPolynomial], tables: Sequence) -> np.ndarray:
@@ -411,38 +453,137 @@ def monomial_s(lam: Sequence[int]) -> LaurentPolynomial:
     return LaurentPolynomial(len(lam), {e: 1.0 for e in _orbit(lam, False)})
 
 
+def _layout_values(table: PointTable, nvars: int, layout: List[Exponent],
+                   keep: bool) -> Callable[[list | None, np.ndarray],
+                                           np.ndarray]:
+    """For a sorted exponent layout, the function of (present, coef)
+    giving sum_k coef[k] z^e_k over the layout's exponents e_k at the
+    indices present (None: all), at the nodes of the table, read-only:
+    bit for bit eval_points of that polynomial at table.nodes(). With
+    keep the nodes are gathered and raised to the layout's power rows
+    z_i^e once; else, as eval_points does, per call and only to the
+    powers of the exponents present."""
+    def power_rows(axes: list) -> Tuple[np.ndarray, List[np.ndarray]]:
+        X = _points(np.asarray(table.nodes()), nvars)
+        return X, [_power_rows(X, i, es) for i, (es, _k) in enumerate(axes)]
+
+    axes = _axes(layout, nvars)
+    kept = power_rows(axes) if keep else None
+    m = len(table.weights)
+
+    def values(present: list | None, coef: np.ndarray) -> np.ndarray:
+        if keep:
+            X, rows = kept
+            pick = [k if present is None else k[present] for _es, k in axes]
+        else:
+            now = axes if present is None else _axes(
+                [layout[k] for k in present], nvars)
+            X, rows = power_rows(now)
+            pick = [k for _es, k in now]
+        if X.dtype.kind != "c" and not coef.imag.any():
+            coef = coef.real
+        out = _slab_sum(coef, rows, pick, len(X))[:m]
+        out.flags.writeable = False
+        return out
+
+    return values
+
+
+def _add_scaled(terms: Dict[Exponent, complex],
+                other: Dict[Exponent, complex],
+                c: complex) -> Dict[Exponent, complex]:
+    """The terms of poly + other.scale(c), poly with the (pruned) terms
+    given, which are modified: in Python scalars and in the order of
+    LaurentPolynomial.__add__ and scale, each scaled term pruned, the
+    kept ones added in the order of other, then the sum pruned. The
+    values of other are complex, so c * v is the complex(c * v) of
+    scale."""
+    get = terms.get
+    small = False
+    for e, v in other.items():
+        x = c * v
+        if abs(x) > PRUNE:
+            y = terms[e] = get(e, 0.0) + x
+            small = small or abs(y) <= PRUNE
+    if small:
+        return {e: x for e, x in terms.items() if abs(x) > PRUNE}
+    return terms
+
+
 def orthogonalize(top: Sequence[int], n: int,
                   basis: Callable[[Sequence[int]], LaurentPolynomial],
-                  pair: Callable[[LaurentPolynomial, LaurentPolynomial],
-                                 complex]
+                  tables: Sequence[PointTable]
                   ) -> Dict[Tuple[int, ...], LaurentPolynomial]:
     """The monic polynomials P_mu = basis(mu) + sum_{nu < mu} c_nu basis(nu)
-    orthogonal for pair, for every partition mu <= top of length n.
+    orthogonal for pair on the node tables, for every partition mu <= top
+    of length n; basis(mu) has exponents |e_i| <= mu_1.
 
     Walks the graded-lex order and orthogonalizes each basis(mu) against
     the lower P_nu already built (Gram-Schmidt with one
     re-orthogonalization pass); the monomial Gram matrix itself can be too
-    ill conditioned to solve. Every pairing is pair(poly, P_nu), in a
+    ill conditioned to solve. It runs on node-value columns, bit for bit
+    the loop c = pair(poly, P_nu) / N_nu, poly = poly + P_nu.scale(-c)
+    (oracles.orthogonalize_loop): each mu fixes one exponent layout, the
+    sorted exponents its poly can hold, the coefficients are updated as
+    Python scalars (_add_scaled) and the values at the nodes formed anew
+    from them by eval_points' slab arithmetic (_layout_values), and every
+    pairing is pair's in-order sum on those values. A table of m nodes
+    with m (nvars + rows) <= KEEP_NODES, rows bounding a layout's power
+    rows, has its nodes gathered and raised to the layout's powers once
+    per mu; a larger one once per evaluation, as eval_points does, so
+    the memory stays that of one evaluation. Every pairing comes in a
     fixed order, so the result does not depend on top: the P_mu of
     orthogonalize(top) and of orthogonalize(mu) agree exactly. Each P_mu
-    is returned as built, so the node values that pair cached on it
-    (LaurentPolynomial.node_values) come with it. Raises SingularGram
-    when <P_mu, P_mu> vanishes relative to <basis(mu), basis(mu)>."""
+    is returned with its node values kept on it
+    (LaurentPolynomial.node_values), so a Gram matrix on the tables
+    evaluates nothing. Raises SingularGram when <P_mu, P_mu> vanishes
+    relative to <basis(mu), basis(mu)>."""
     top = partition(top)
     if len(top) != n:
         raise DomainViolation(f"partition {top} must have length {n}")
+    tables = list(tables)
+    # a layout has at most n (2 top_1 + 1) power rows
+    keep = [len(t.weights) * n * (2 * max(top, default=0) + 2) <= KEEP_NODES
+            for t in tables]
+
+    def dot(F: List[np.ndarray], G: List[np.ndarray]) -> complex:
+        # pair on the node values F and G of the tables
+        total = 0.0
+        for Fk, Gk, t in zip(F, G, tables):
+            total = _add_pairs(total, Fk, Gk, t.weights)
+        return _scalar(total)
+
     built: Dict[Tuple[int, ...], LaurentPolynomial] = {}
     norms: Dict[Tuple[int, ...], complex] = {}
     for mu in partitions_dominated_by(top):
-        m_mu = poly = basis(mu)
+        m_mu = basis(mu)
         lower = partitions_dominated_by(mu)[:-1]
+        layout = sorted(set(m_mu.terms).union(
+            *(built[nu].terms for nu in lower)))
+        on_tables = [_layout_values(t, n, layout, k)
+                     for t, k in zip(tables, keep)]
+
+        def at_nodes(terms: Dict[Exponent, complex]) -> List[np.ndarray]:
+            # terms holds a subset of the layout
+            present = None
+            if len(terms) < len(layout):
+                present = [k for k, e in enumerate(layout) if e in terms]
+            exps = layout if present is None else [layout[k] for k in present]
+            coef = np.array([terms[e] for e in exps], dtype=complex)
+            return [f(present, coef) for f in on_tables]
+
+        terms = dict(m_mu.terms)
+        F = F_mu = at_nodes(terms)
         for _ in range(2):
             for nu in lower:
-                c = pair(poly, built[nu]) / norms[nu]
-                poly = poly + built[nu].scale(-c)
-        norm = pair(poly, poly)
-        if abs(norm) <= POLE_GUARD * abs(pair(m_mu, m_mu)):
+                P = built[nu]
+                c = dot(F, [P.node_values(t) for t in tables]) / norms[nu]
+                terms = _add_scaled(terms, P.terms, -c)
+                F = at_nodes(terms)
+        norm = dot(F, F)
+        if abs(norm) <= POLE_GUARD * abs(dot(F_mu, F_mu)):
             raise SingularGram(f"vanishing quadratic norm at {mu}")
-        built[mu] = poly
+        P = built[mu] = LaurentPolynomial._pruned(n, terms)
+        P._node_values = {id(t): (t, v) for t, v in zip(tables, F)}
         norms[mu] = norm
     return built

@@ -257,8 +257,7 @@ def big_polynomials(top: Sequence[int], bp: BigParams
                     ) -> Dict[Tuple[int, ...], LaurentPolynomial]:
     """P^B_mu = mtilde_mu + sum_{nu < mu} c_nu mtilde_nu, orthogonal to
     every mtilde_nu with nu < mu, for every mu <= top."""
-    return orthogonalize(top, bp.n, monomial_s,
-                         lambda f, g: bilinear_big(f, g, bp))
+    return orthogonalize(top, bp.n, monomial_s, _node_table(bp))
 
 
 def norm_big(lam: Sequence[int], bp: BigParams) -> float:

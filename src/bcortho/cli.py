@@ -53,7 +53,7 @@ from .askey_wilson import (
     limit_scan,
     measure_scan,
 )
-from . import big, little, qracah
+from . import big, little, measures, qracah
 from .bcpoly import LaurentPolynomial, gram
 from .big import (
     FORM_TOL,
@@ -380,30 +380,36 @@ def _suite_aw(cfg: SuiteConfig, report: CertificationReport) -> None:
                  _tol(cfg, 1e-6))
 
 
+def _residue_split(qp: QRacahParams, seed: int) -> float:
+    """The largest relative distance of the residue weight
+    Delta^(d)(nu) from K_r Delta^qR(nu), the chain constant times the
+    per-label weight, over 20 random labels nu of length r <= n at
+    t0 = 1.1: the labels drawn first, weighed in one batch, and K_r
+    formed once per length."""
+    rng = random.Random(seed)
+    pg = AWParams(qp.n, qp.q, qp.t, 1.1, -0.5, 0.35, 0.45)
+    labels = []
+    for _ in range(20):
+        r = rng.choice(range(1, qp.n + 1))
+        labels.append(tuple(sorted(rng.randrange(5) for _ in range(r))))
+    lhs = measures._multi_discrete_weights(labels, pg, 0)
+    K = {r: kr_constant(r, pg) for r in sorted(set(map(len, labels)))}
+    worst = 0.0
+    for nu, lhs_nu in zip(labels, lhs):
+        rhs = K[len(nu)] * weight_qR(nu, pg)
+        worst = max(worst, abs(lhs_nu - rhs) / max(1.0, abs(rhs)))
+    return worst
+
+
 def _suite_qracah(cfg: SuiteConfig, report: CertificationReport) -> None:
     fam = _qracah_family(cfg)
     qp = fam.params
     _mass_check(report, "summation", "finite sum of weights = closed product",
                 _tol(cfg, 1e-10), fam)
-
-    def residue_split() -> Tuple[float, float]:
-        # the residue weight factors into the chain constant K_r times
-        # the per-label weight
-        rng = random.Random(int(cfg["seed"]))
-        from .measures import multi_discrete_weight
-        pg = AWParams(qp.n, qp.q, qp.t, 1.1, -0.5, 0.35, 0.45)
-        worst = 0.0
-        for _ in range(20):
-            r = rng.choice(range(1, qp.n + 1))
-            nu = tuple(sorted(rng.randrange(5) for _ in range(r)))
-            lhs = multi_discrete_weight(nu, pg, 0)
-            rhs = kr_constant(r, pg) * weight_qR(nu, pg)
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-        return worst, 0.0
-
     _run_check(report, "residue-split",
                "discrete weight = chain constant times node weight",
-               _tol(cfg, 1e-10), residue_split)
+               _tol(cfg, 1e-10),
+               lambda: (_residue_split(qp, int(cfg["seed"])), 0.0))
     # the partitions mu <= (lmax, ..., lmax) with mu_1 <= N
     _gram_checks(report, fam, (min(int(cfg["lmax"]), qp.N),) * qp.n,
                  _tol(cfg, 1e-9), _tol(cfg, 1e-8))

@@ -233,8 +233,7 @@ def little_polynomials(top: Sequence[int], lp: LittleParams
                        ) -> Dict[Tuple[int, ...], LaurentPolynomial]:
     """P^L_mu = mtilde_mu + sum_{nu < mu} c_nu mtilde_nu, orthogonal to
     every mtilde_nu with nu < mu, for every mu <= top."""
-    return orthogonalize(top, lp.n, monomial_s,
-                         lambda f, g: bilinear_little(f, g, lp))
+    return orthogonalize(top, lp.n, monomial_s, _node_table(lp))
 
 
 def nqj_product(lam: Sequence[int], n: int, q: float, t: float,

@@ -364,5 +364,4 @@ def qracah_polynomials(top: Sequence[int], qp: QRacahParams
     top = partition(top)
     if top and top[0] > qp.N:
         raise DomainViolation(f"lambda_1 = {top[0]} exceeds N = {qp.N}")
-    return orthogonalize(top, qp.n, monomial_w,
-                         lambda f, g: bilinear_qR(f, g, qp))
+    return orthogonalize(top, qp.n, monomial_w, [_node_table(qp)])

@@ -8,13 +8,19 @@ metric of the discrete families reads it. op_matrix_loop is
 koornwinder.op_matrix with one apply_D and one FFT per monomial, and
 aw_polynomials_loop the back-substitution on it with every W-orbit and
 eigenvalue formed anew per use; the Askey-Wilson reports read their
-rounding bit for bit. norm_ratio_keys_tuples is the
+rounding bit for bit. orthogonalize_loop is bcpoly.orthogonalize with a
+new polynomial per projection step, paired through a pair callable, and
+multi_discrete_weight_loop and residue_split_loop the residue weight and
+the CLI's residue-split value with kernel calls of their own per chain
+point and per label: the batched forms reproduce their values, and
+their errors, exactly. norm_ratio_keys_tuples is the
 q-Racah norm key builder as tuple arithmetic. The weights below are the
 scalar forms of the densities that the node tables build as arrays, one
 point or label at a time.
 """
 
 import math
+import random
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -22,13 +28,15 @@ import numpy as np
 from bcortho.askey_wilson import SEPARATION, aw_norm_plus
 from bcortho.bcpoly import (LaurentPolynomial, monomial_w, partition,
                             partitions_dominated_by)
-from bcortho.errors import (DiagonalMismatch, DomainViolation,
-                            EigenvalueCollision, NearPole, PoleInProduct,
-                            ZeroProduct)
+from bcortho.errors import (BcorthoError, DiagonalMismatch,
+                            DomainViolation, EigenvalueCollision, NearPole,
+                            PoleInProduct, SingularGram, ZeroProduct)
 from bcortho.koornwinder import (TriangularOpMatrix, _nodes, apply_D,
                                  eigenvalue_E)
 from bcortho.little import LittleParams, delta_qJ, support_point
+from bcortho.measures import delta_d, wd_residue_weight
 from bcortho.params import AWParams
+from bcortho.qracah import kr_constant, weight_qR
 from bcortho.qseries import POLE_GUARD, qpoch_infinite, qpoch_real
 
 
@@ -62,6 +70,65 @@ def pair_loop(f, g, tables) -> complex:
         for term in (F * G * table.weights).tolist():
             total += term
     return total
+
+
+def orthogonalize_loop(top: Sequence[int], n: int, basis,
+                       pair) -> Dict[Tuple[int, ...], LaurentPolynomial]:
+    """The monic polynomials P_mu, mu <= top, orthogonal for
+    pair(f, g): Gram-Schmidt with one re-orthogonalization pass, each
+    projection c = pair(poly, P_nu) / N_nu making a new polynomial
+    poly + P_nu.scale(-c), evaluated anew by the next pairing."""
+    top = partition(top)
+    if len(top) != n:
+        raise DomainViolation(f"partition {top} must have length {n}")
+    built: Dict[Tuple[int, ...], LaurentPolynomial] = {}
+    norms: Dict[Tuple[int, ...], complex] = {}
+    for mu in partitions_dominated_by(top):
+        m_mu = poly = basis(mu)
+        lower = partitions_dominated_by(mu)[:-1]
+        for _ in range(2):
+            for nu in lower:
+                c = pair(poly, built[nu]) / norms[nu]
+                poly = poly + built[nu].scale(-c)
+        norm = pair(poly, poly)
+        if abs(norm) <= POLE_GUARD * abs(pair(m_mu, m_mu)):
+            raise SingularGram(f"vanishing quadratic norm at {mu}")
+        built[mu] = poly
+        norms[mu] = norm
+    return built
+
+
+def multi_discrete_weight_loop(nu: Sequence[int], p: AWParams,
+                               which: int = 0) -> complex:
+    """Delta^(d) of one chain label: one wd_residue_weight per chain
+    point, then delta_d, each making its own kernel calls."""
+    others = tuple(tv for m, tv in enumerate(p.tvec) if m != which)
+    val: complex = 1.0
+    prev = 0
+    for j, nj in enumerate(nu, start=1):
+        tau0 = p.tvec[which] * p.t ** (j - 1) * p.q ** prev
+        val *= wd_residue_weight(nj - prev, tau0, *others, p.q)
+        prev = nj
+    return val * delta_d(nu, p, which)
+
+
+def residue_split_loop(qp, seed: int) -> float:
+    """The CLI's q-Racah residue-split value as a loop over its 20 random
+    labels, each weighed, and its K_r formed, on its own; NaN where a
+    BcorthoError is raised."""
+    rng = random.Random(seed)
+    pg = AWParams(qp.n, qp.q, qp.t, 1.1, -0.5, 0.35, 0.45)
+    worst = 0.0
+    try:
+        for _ in range(20):
+            r = rng.choice(range(1, qp.n + 1))
+            nu = tuple(sorted(rng.randrange(5) for _ in range(r)))
+            lhs = multi_discrete_weight_loop(nu, pg, 0)
+            rhs = kr_constant(r, pg) * weight_qR(nu, pg)
+            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    except BcorthoError:
+        return math.nan
+    return worst
 
 
 def op_matrix_loop(lam: Sequence[int], p: AWParams) -> TriangularOpMatrix:

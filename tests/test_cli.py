@@ -377,9 +377,11 @@ class TestFamilyChecks:
     @pytest.mark.parametrize("name", list(FAMILIES))
     def test_gram_checks_evaluate_nothing(self, name, monkeypatch):
         # the orthogonalized polynomials bring the node values of their
-        # pairing with them, so the Gram matrix evaluates no polynomial;
-        # the aw Gram is one product on the fine chamber table, which
-        # evaluates each polynomial once and pairs none of them alone
+        # pairing with them, so the Gram matrix evaluates no polynomial
+        # (orthogonalize forms them on its own node columns, without
+        # eval_points); the aw Gram is one product on the fine chamber
+        # table, which evaluates each polynomial once and pairs none of
+        # them alone
         fam = default_family(name)
         calls = []
         eval_points = LaurentPolynomial.eval_points
@@ -419,7 +421,8 @@ class TestFamilyChecks:
             assert sorted(i for _M, i in grams) == sorted(map(id, polys))
             assert {M for M, _i in grams} == {cli.DEFAULTS["aw"]["M"]}
         else:
-            assert n_calls > 0
+            assert n_calls == 0
+            assert all(P._node_values for P in polys)
             assert on_torus == []
         assert all(c.passed for c in report.checks)
 

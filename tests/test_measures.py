@@ -11,9 +11,12 @@ from bcortho import measures, qseries
 from bcortho.askey_wilson import aw_polynomials, gustafson_constant
 from bcortho.bcpoly import LaurentPolynomial, monomial_w
 from bcortho.errors import (
+    BcorthoError,
     DomainViolation,
     NearPole,
     NonFiniteWeight,
+    PoleAtDenominator,
+    PoleInWeight,
     SlowConvergence,
 )
 from bcortho.koornwinder import op_matrix
@@ -26,7 +29,8 @@ from bcortho.measures import (
     wd_residue_weight,
 )
 from bcortho.params import AWParams
-from oracles import interaction_c, weight_continuous
+from oracles import (interaction_c, multi_discrete_weight_loop,
+                     weight_continuous)
 from test_moment_tables import weight_grid
 
 ONE1 = LaurentPolynomial.constant(1)
@@ -385,3 +389,71 @@ class TestNaturalT:
         k = 1
         a = qseries.qpoch_finite(1.0, q, k)
         assert a == 0
+
+
+def weigh(fn, *args):
+    """fn(*args), or the type of the BcorthoError it raises."""
+    try:
+        return fn(*args)
+    except BcorthoError as exc:
+        return type(exc)
+
+
+class TestBatchedResidueWeights:
+    """measures._multi_discrete_weights against one multi_discrete_weight
+    loop per label, each chain point with kernel calls of its own
+    (oracles.multi_discrete_weight_loop): equal values, and the error the
+    loop raises first."""
+
+    LABELS = [(0,), (3,), (0, 0), (1, 1), (0, 2), (2, 4), (0, 1, 3),
+              (1, 1, 1), (48,)]
+    PARAMS = {
+        # no pole
+        "generic": AWParams(3, 0.5, 0.3, 1.1, -0.5, 0.35, 0.45),
+        # t0 t1 = 1: a vanishing factor of the w_d prefactor
+        "prefactor": AWParams(2, 0.5, 0.3, 1.25, 0.8, 0.35, 0.45),
+        # t0^2 = q^-2: a delta_d denominator at nu_1 + nu_2 = 2, and
+        # t1 = t0 q^3: a w_d i-factor from offset 3 on
+        "delta-and-i": AWParams(2, 0.5, 0.3, 2.0, 0.25, 0.35, 0.45),
+        # offset 48 overflows (test_residue_weight_overflow_is_typed)
+        "overflow": AWParams(1, 0.95, 0.3, 0.95 ** -66.5, 5e-3, -3e-3,
+                             2e-3),
+    }
+
+    @pytest.mark.parametrize("name", list(PARAMS))
+    def test_one_label_equals_loop(self, name):
+        p = self.PARAMS[name]
+        for nu in self.LABELS:
+            got = weigh(multi_discrete_weight, nu, p, 0)
+            want = weigh(multi_discrete_weight_loop, nu, p, 0)
+            assert got == want, nu
+
+    @pytest.mark.parametrize("name", list(PARAMS))
+    def test_batch_equals_loop(self, name):
+        # every order of a few labels: the batch raises what the loop
+        # over the labels raises first, or gives its values
+        p = self.PARAMS[name]
+        rng = random.Random(5)
+        for _ in range(30):
+            labels = rng.sample(self.LABELS, 4)
+            got = weigh(measures._multi_discrete_weights, labels, p, 0)
+
+            def loop():
+                return [multi_discrete_weight_loop(nu, p, 0)
+                        for nu in labels]
+
+            assert got == weigh(loop), labels
+
+    def test_poles_are_typed(self):
+        # the pole sets above reach each kind of error
+        p = self.PARAMS["delta-and-i"]
+        assert weigh(multi_discrete_weight, (1, 1), p, 0) is \
+            PoleAtDenominator
+        assert weigh(multi_discrete_weight, (3,), p, 0) is PoleInWeight
+        assert weigh(multi_discrete_weight, (0,),
+                     self.PARAMS["prefactor"], 0) is PoleInWeight
+        assert weigh(multi_discrete_weight, (48,),
+                     self.PARAMS["overflow"], 0) is NonFiniteWeight
+        # the batch raises the first label's error, not the first kernel's
+        assert weigh(measures._multi_discrete_weights, [(3,), (1, 1)], p,
+                     0) is PoleInWeight

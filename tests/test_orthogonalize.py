@@ -3,14 +3,20 @@ Laurent polynomials every family returns."""
 
 import itertools
 
+import numpy as np
 import pytest
 
+from oracles import orthogonalize_loop
+
 from bcortho.askey_wilson import aw_polynomials
+from bcortho import big, little, qracah
 from bcortho.bcpoly import (
     LaurentPolynomial,
+    PointTable,
     monomial_s,
     monomial_w,
     orthogonalize,
+    pair,
     partitions_dominated_by,
 )
 from bcortho.big import BigParams, big_polynomials
@@ -65,13 +71,56 @@ def test_length_checked(build, p, basis):
 
 
 def test_rank_one_pairing_is_singular():
-    z0 = (0.7, 0.4)
-
-    def pair(f, g):
-        return f.eval(z0) * g.eval(z0)
-
+    # one node: m_(1,0) is a multiple of 1 there
+    table = PointTable(np.array([[0.7], [0.4]]), np.zeros((2, 1), int),
+                       np.ones(1))
     with pytest.raises(SingularGram):
-        orthogonalize((1, 0), 2, monomial_s, pair)
+        orthogonalize((1, 0), 2, monomial_s, [table])
+
+
+# (build, params, top) of the bit-identity tests
+LOOP_CASES = {
+    "qracah-n2-N2": (qracah_polynomials, QP2, (2, 2)),
+    "qracah-n2-N3": (qracah_polynomials,
+                     QRacahParams(2, 0.5, 0.3, 0.7, -0.5, 0.4, 3), (3, 3)),
+    "qracah-n3-N2": (qracah_polynomials,
+                     QRacahParams(3, 0.5, 0.3, 0.7, -0.5, 0.4, 2),
+                     (2, 2, 2)),
+    "qracah-n3-N3": (qracah_polynomials,
+                     QRacahParams(3, 0.5, 0.3, 0.7, -0.5, 0.4, 3),
+                     (3, 3, 3)),
+    "qracah-complex-t0": (qracah_polynomials,
+                          QRacahParams(2, 0.5, 0.3, 0.7 + 0.2j, -0.5, 0.4,
+                                       2), (2, 2)),
+    "little-q0.5": (little_polynomials, LP2, (2, 2)),
+    "little-q0.9": (little_polynomials,
+                    LittleParams(2, 0.9, 0.3, 0.4, 0.2), (2, 2)),
+    "big-n2": (big_polynomials, BP2, (2, 2)),
+    "big-n3": (big_polynomials, BigParams(3, 0.5, 0.4, 0.6, 0.3, 1.0, 0.8),
+               (1, 1, 1)),
+}
+TABLES = {qracah_polynomials: lambda p: [qracah._node_table(p)],
+          little_polynomials: little._node_table,
+          big_polynomials: big._node_table}
+
+
+@pytest.mark.parametrize("case", list(LOOP_CASES))
+def test_columns_equal_polynomial_loop(case):
+    # on node-value columns, orthogonalize forms the terms (in their
+    # order) and node values of the loop that made a new polynomial per
+    # projection step and evaluated it anew
+    build, p, top = LOOP_CASES[case]
+    tables = TABLES[build](p)
+    basis = monomial_w if build is qracah_polynomials else monomial_s
+    got = build(top, p)
+    want = orthogonalize_loop(top, len(top), basis,
+                              lambda f, g: pair(f, g, tables))
+    assert list(got) == list(want)
+    for mu, P in got.items():
+        assert list(P.terms.items()) == list(want[mu].terms.items())
+        for t in tables:
+            assert np.array_equal(P.node_values(t), want[mu].node_values(t))
+            assert P.node_values(t).dtype == want[mu].node_values(t).dtype
 
 
 def test_small_measure_is_not_singular():

@@ -1,16 +1,17 @@
 """Tests for the finite discrete q-Racah orthogonality."""
 
 import cmath
+import math
 import random
 
 import numpy as np
 import pytest
 
 from bcortho.askey_wilson import aw1_oracle
-from bcortho import qracah
+from bcortho import cli, qracah
 from bcortho.bcpoly import (LaurentPolynomial, monomial_w,
                             partitions_dominated_by)
-from bcortho.errors import DomainViolation, PoleInWeight
+from bcortho.errors import BcorthoError, DomainViolation, PoleInWeight
 from bcortho.measures import multi_discrete_weight, wd_residue_weight
 from bcortho.params import AWParams
 from bcortho.qracah import (
@@ -24,7 +25,7 @@ from bcortho.qracah import (
     weight_qR,
 )
 from bcortho.qseries import qpoch_finite
-from oracles import norm_ratio_keys_tuples
+from oracles import norm_ratio_keys_tuples, residue_split_loop
 
 QP1 = QRacahParams(1, 0.5, 0.3, 0.7, -0.5, 0.4, 3)
 QP2 = QRacahParams(2, 0.5, 0.3, 0.7, -0.5, 0.4, 2)
@@ -199,6 +200,20 @@ class TestKr:
         assert abs(got - 1.01811840407536e14) < 1e-13 * 1.01811840407536e14
         want = wd_residue_weight(0, p.t0, p.t1, p.t2, p.t3, p.q)
         assert rel(got, want) < 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batched_residue_split_equals_loop(self, n):
+        # the CLI's check weighs its 20 labels in one batch and forms K_r
+        # once per length: the value of the loop over the labels, or NaN
+        # where that loop raises (a failed check)
+        qp = QRacahParams(n, 0.5, 0.3, 0.7, -0.5, 0.4, 2)
+        for seed in range(60):
+            try:
+                got = cli._residue_split(qp, seed)
+            except BcorthoError:
+                got = math.nan
+            want = residue_split_loop(qp, seed)
+            assert got == want or (math.isnan(got) and math.isnan(want))
 
     def test_residue_weight_identity(self):
         rng = random.Random(11)
