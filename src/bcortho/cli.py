@@ -53,7 +53,7 @@ from .askey_wilson import (
     limit_scan,
     measure_scan,
 )
-from . import big, little, measures, qracah
+from . import big, little, qracah
 from .bcpoly import LaurentPolynomial, gram
 from .big import (
     FORM_TOL,
@@ -63,6 +63,7 @@ from .big import (
     asymptotic_ratio,
     big_limit,
     big_polynomials,
+    bilinear_big,
     c_weights,
     c_weights_defining,
     norm_big,
@@ -72,15 +73,17 @@ from .big import (
 from .errors import BcorthoError, ConfigError, GridTooCoarse, IoError
 from .little import (
     LittleParams,
+    bilinear_little,
     little_limit,
     little_polynomials,
     norm_little,
     selberg_little,
 )
-from .measures import partial_bilinear, torus_gram
+from .measures import multi_discrete_weight, partial_bilinear, torus_gram
 from .params import AWParams
 from .qracah import (
     QRacahParams,
+    bilinear_qR,
     kr_constant,
     norm_qR,
     qracah_polynomials,
@@ -260,11 +263,13 @@ def _tol(cfg: SuiteConfig, default: float) -> float:
 @dataclass(frozen=True)
 class _Family:
     """One orthogonal family as the paper certifies it: its parameters,
-    the Gram matrix of its pairing on a list of polynomials, the monic
-    polynomials of degree mu <= top (a dict in graded-lex order), and the
-    closed forms of the quadratic norms and of the constant term <1,1>."""
+    its pairing <f, g>, the Gram matrix of that pairing on a list of
+    polynomials, the monic polynomials of degree mu <= top (a dict in
+    graded-lex order), and the closed forms of the quadratic norms and of
+    the constant term <1,1>."""
 
     params: object
+    pair: Callable[[LaurentPolynomial, LaurentPolynomial], complex]
     gram: Callable[[List[LaurentPolynomial]], np.ndarray]
     polynomials: Callable[[Tuple[int, ...]],
                           Dict[Tuple[int, ...], LaurentPolynomial]]
@@ -276,7 +281,11 @@ def _aw_family(cfg: SuiteConfig) -> _Family:
     p = AWParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["t0"], cfg["t1"],
                  cfg["t2"], cfg["t3"])
     M = int(cfg["M"])
-    return _Family(p, lambda polys: torus_gram(polys, p, M),
+    # one entry of the torus Gram (torus_bilinear would also pair on a
+    # coarser grid for its error estimate)
+    return _Family(p, lambda f, g: torus_gram([f] if f is g else [f, g],
+                                              p, M)[0, -1],
+                   lambda polys: torus_gram(polys, p, M),
                    lambda top: aw_polynomials(top, p),
                    lambda lam: aw_norm(lam, p),
                    lambda: gustafson_constant(p))
@@ -285,7 +294,8 @@ def _aw_family(cfg: SuiteConfig) -> _Family:
 def _qracah_family(cfg: SuiteConfig) -> _Family:
     qp = QRacahParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["t0"],
                       cfg["t1"], cfg["t2"], int(cfg["N"]))
-    return _Family(qp, lambda polys: gram(polys, [qracah._node_table(qp)]),
+    return _Family(qp, lambda f, g: bilinear_qR(f, g, qp),
+                   lambda polys: gram(polys, [qracah._node_table(qp)]),
                    lambda top: qracah_polynomials(top, qp),
                    lambda lam: norm_qR(lam, qp),
                    lambda: summation_qR(qp))
@@ -293,7 +303,8 @@ def _qracah_family(cfg: SuiteConfig) -> _Family:
 
 def _little_family(cfg: SuiteConfig) -> _Family:
     lp = LittleParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["a"], cfg["b"])
-    return _Family(lp, lambda polys: gram(polys, little._node_table(lp)),
+    return _Family(lp, lambda f, g: bilinear_little(f, g, lp),
+                   lambda polys: gram(polys, little._node_table(lp)),
                    lambda top: little_polynomials(top, lp),
                    lambda lam: norm_little(lam, lp),
                    lambda: selberg_little(lp))
@@ -302,7 +313,8 @@ def _little_family(cfg: SuiteConfig) -> _Family:
 def _big_family(cfg: SuiteConfig) -> _Family:
     bp = BigParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["a"], cfg["b"],
                    cfg["c"], cfg["d"])
-    return _Family(bp, lambda polys: gram(polys, big._node_table(bp)),
+    return _Family(bp, lambda f, g: bilinear_big(f, g, bp),
+                   lambda polys: gram(polys, big._node_table(bp)),
                    lambda top: big_polynomials(top, bp),
                    lambda lam: norm_big(lam, bp),
                    lambda: selberg_big(bp))
@@ -313,7 +325,7 @@ def _mass_check(report: CertificationReport, name: str, anchor: str,
     """The family's <1,1> against its closed form."""
     one = LaurentPolynomial.constant(fam.params.n)
     _run_check(report, name, anchor, tol,
-               lambda: (fam.gram([one])[0, 0], fam.mass()))
+               lambda: (fam.pair(one, one), fam.mass()))
 
 
 def _gram_checks(report: CertificationReport, fam: _Family,
@@ -384,20 +396,23 @@ def _residue_split(qp: QRacahParams, seed: int) -> float:
     """The largest relative distance of the residue weight
     Delta^(d)(nu) from K_r Delta^qR(nu), the chain constant times the
     per-label weight, over 20 random labels nu of length r <= n at
-    t0 = 1.1: the labels drawn first, weighed in one batch, and K_r
-    formed once per length."""
+    t0 = 1.1. A label drawn again is weighed once and K_r is formed once
+    per length; both are exact repeats, so the value, and the first error
+    raised, are those of a loop over all 20 draws."""
     rng = random.Random(seed)
     pg = AWParams(qp.n, qp.q, qp.t, 1.1, -0.5, 0.35, 0.45)
-    labels = []
+    labels = {}  # the distinct labels in draw order
     for _ in range(20):
         r = rng.choice(range(1, qp.n + 1))
-        labels.append(tuple(sorted(rng.randrange(5) for _ in range(r))))
-    lhs = measures._multi_discrete_weights(labels, pg, 0)
-    K = {r: kr_constant(r, pg) for r in sorted(set(map(len, labels)))}
+        labels[tuple(sorted(rng.randrange(5) for _ in range(r)))] = None
+    K = {}
     worst = 0.0
-    for nu, lhs_nu in zip(labels, lhs):
+    for nu in labels:
+        lhs = multi_discrete_weight(nu, pg, 0)
+        if len(nu) not in K:
+            K[len(nu)] = kr_constant(len(nu), pg)
         rhs = K[len(nu)] * weight_qR(nu, pg)
-        worst = max(worst, abs(lhs_nu - rhs) / max(1.0, abs(rhs)))
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     return worst
 
 

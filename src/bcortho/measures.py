@@ -35,9 +35,7 @@ products of per-step ratios that neither underflow nor overflow on long
 chains, times the cross-chain delta_c factors. All labels of a split are
 paired in one batch against the chamber table of the remaining axes,
 each label's delta_c row (over the chamber axis, k <= M/2) multiplied in
-per node. The scalar residue forms stay as the references; the weights
-Delta^(d) of many chain labels (_multi_discrete_weights, of which
-multi_discrete_weight is the one-label call) share two kernel calls.
+per node. The scalar residue forms stay as the references.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ import numpy as np
 
 from .bcpoly import LaurentPolynomial, gram, monomial_w, pair
 from .errors import (
-    BcorthoError,
     DomainViolation,
     GridTooCoarse,
     LengthMismatch,
@@ -321,30 +318,23 @@ def torus_gram(polys: Sequence[LaurentPolynomial], p: AWParams,
 # ---------------------------------------------------------------------------
 # discrete weights: the scalar residue forms
 
-def _wd_prefactor_args(tau0: complex, tau1: complex, tau2: complex,
-                       tau3: complex, q: float) -> list:
-    """The arguments of the (x;q)_inf of the w_d prefactor: tau0^-2 and q,
-    then tau0 tk and tk / tau0 per k; all but the first are guarded."""
-    return [tau0 ** -2, q] + [x for tk in (tau1, tau2, tau3)
-                              for x in (tau0 * tk, tk / tau0)]
-
-
-def _wd_kernel(a: np.ndarray, q: float) -> np.ndarray:
-    return qpoch_infinite_arr(a, q, [False] + [True] * 7)
-
-
-def _wd_weight(i: int, tau0: complex, tau1: complex, tau2: complex,
-               tau3: complex, q: float,
-               prefactor: Callable[[], list]) -> complex:
-    """wd_residue_weight with prefactor() the values of the (x;q)_inf at
-    _wd_prefactor_args, read where the one-argument-set call stood."""
+def wd_residue_weight(i: int, tau0: complex, tau1: complex, tau2: complex,
+                      tau3: complex, q: float) -> complex:
+    """Residue weight w_d(tau0 q^i; tau0): the mass that the pole chain of
+    parameter tau0 deposits at tau0 q^i; each denominator factor is
+    tested on its own. A scalar reference: far along a long chain its
+    separate i-dependent products underflow to 0 or overflow
+    (NonFiniteWeight) where the weight is finite."""
     if abs(1.0 - tau0 * tau0) < POLE_GUARD:
         raise PoleInWeight("1 - tau0^2 vanishes")
     num_i = qpoch_finite(tau0 ** 2, q, i)
     den_i = qpoch_finite(q, q, i)
     # (tau0^-2;q)_inf over the guarded (q, tau0 tk, tk/tau0;q)_inf
     try:
-        num, *dens = prefactor()
+        num, *dens = qpoch_infinite_arr(
+            [tau0 ** -2, q] + [x for tk in (tau1, tau2, tau3)
+                               for x in (tau0 * tk, tk / tau0)],
+            q, [False] + [True] * 7).tolist()
     except ZeroProduct as exc:
         raise PoleInWeight("vanishing denominator in w_d prefactor") from exc
     val = num / math.prod(dens)
@@ -366,36 +356,6 @@ def _wd_weight(i: int, tau0: complex, tau1: complex, tau2: complex,
     return val
 
 
-def wd_residue_weight(i: int, tau0: complex, tau1: complex, tau2: complex,
-                      tau3: complex, q: float) -> complex:
-    """Residue weight w_d(tau0 q^i; tau0): the mass that the pole chain of
-    parameter tau0 deposits at tau0 q^i; each denominator factor is
-    tested on its own. A scalar reference: far along a long chain its
-    separate i-dependent products underflow to 0 or overflow
-    (NonFiniteWeight) where the weight is finite."""
-    return _wd_weight(i, tau0, tau1, tau2, tau3, q, lambda: _wd_kernel(
-        _wd_prefactor_args(tau0, tau1, tau2, tau3, q), q).tolist())
-
-
-def _stacked(kernel: Callable[[np.ndarray], np.ndarray],
-             groups: Sequence[Callable[[], list]]
-             ) -> List[Callable[[], list]]:
-    """Per group (a function forming its arguments) a function giving
-    kernel(its arguments).tolist(), all from one kernel call on the
-    groups stacked: a batched call returns each argument's value as a
-    call per group would (qseries). If forming or evaluating the stack
-    raises, each group is formed and evaluated when its function is
-    called instead, so an error surfaces where a call per group raises
-    it."""
-    try:
-        args = [group() for group in groups]
-        rows = kernel(np.array(args)).tolist() if args else []
-    except (BcorthoError, ArithmeticError):
-        return [lambda group=group: kernel(np.array(group())).tolist()
-                for group in groups]
-    return [lambda row=row: row for row in rows]
-
-
 def _rho(p: AWParams, which: int, j: int) -> complex:
     return p.tvec[which] * p.t ** (j - 1)
 
@@ -404,86 +364,42 @@ def _others(p: AWParams, which: int) -> tuple:
     return tuple(tv for m, tv in enumerate(p.tvec) if m != which)
 
 
-def _delta_d_args(nu: Sequence[int], p: AWParams, which: int, k: int,
-                  l: int) -> list:
-    """The two (x;q)_tau arguments of the pair k < l of delta_d."""
-    rk, rl = _rho(p, which, k), _rho(p, which, l)
-    nk, nl = nu[k - 1], nu[l - 1]
-    return [rl / rk * p.q ** (nl - nk), p.q ** (-nk - nl) / (rk * rl)]
-
-
-def _delta_d_pairs(nu: Sequence[int]) -> List[Tuple[int, int]]:
-    return [(k, l) for k in range(1, len(nu) + 1)
-            for l in range(k + 1, len(nu) + 1)]
-
-
-def _delta_d(nu: Sequence[int], p: AWParams, which: int,
-             real: Callable[[int, int], list]) -> complex:
-    """delta_d with real(k, l) the values of the (x;q)_tau at
-    _delta_d_args(nu, p, which, k, l)."""
-    q = p.q
-    val: complex = 1.0
-    for k, l in _delta_d_pairs(nu):
-        rk, rl = _rho(p, which, k), _rho(p, which, l)
-        nk, nl = nu[k - 1], nu[l - 1]
-        nk_prev = nu[k - 2] if k >= 2 else 0
-        for x in real(k, l):
-            val *= x
-        try:
-            d = (qpoch_finite(rk * rl * q ** (nk_prev + nl), q,
-                              nk - nk_prev, require_nonzero=True)
-                 * qpoch_finite(rk / rl * q ** (nk_prev - nl), q,
-                                nk - nk_prev, require_nonzero=True))
-        except ZeroProduct as exc:
-            raise PoleInWeight("vanishing delta_d denominator") from exc
-        val /= d
-    return val
-
-
 def delta_d(nu: Sequence[int], p: AWParams, which: int) -> complex:
     """Discrete-discrete interaction factor of one ascending chain."""
-    return _delta_d(nu, p, which, lambda k, l: qpoch_real_arr(
-        np.array(_delta_d_args(nu, p, which, k, l)), p.q, p.t).tolist())
-
-
-def _multi_discrete_weights(labels: Sequence[Sequence[int]], p: AWParams,
-                            which: int) -> List[complex]:
-    """multi_discrete_weight of every label, in order: the prefactor
-    arguments of every chain point's w_d stacked into one (x;q)_inf call
-    and the two arguments of every delta_d pair into one (x;q)_tau call
-    (_stacked), the rest of each weight formed as for one label."""
     q, t = p.q, p.t
-    others = _others(p, which)
-    points = [[(nj - prev, _rho(p, which, j) * q ** prev)
-               for j, (prev, nj) in enumerate(zip((0,) + tuple(nu), nu),
-                                              start=1)]
-              for nu in labels]
-    pre = iter(_stacked(
-        lambda a: _wd_kernel(a, q),
-        [functools.partial(_wd_prefactor_args, tau0, *others, q)
-         for chain in points for _i, tau0 in chain]))
-    real = iter(_stacked(
-        lambda a: qpoch_real_arr(a, q, t),
-        [functools.partial(_delta_d_args, nu, p, which, k, l)
-         for nu in labels for k, l in _delta_d_pairs(nu)]))
-    out = []
-    for nu, chain in zip(labels, points):
-        val: complex = 1.0
-        for i, tau0 in chain:
-            val *= _wd_weight(i, tau0, *others, q, next(pre))
-        out.append(val * _delta_d(nu, p, which,
-                                  lambda k, l: next(real)()))
-    return out
+    val: complex = 1.0
+    for k in range(1, len(nu) + 1):
+        for l in range(k + 1, len(nu) + 1):
+            rk, rl = _rho(p, which, k), _rho(p, which, l)
+            nk, nl = nu[k - 1], nu[l - 1]
+            nk_prev = nu[k - 2] if k >= 2 else 0
+            args = [rl / rk * q ** (nl - nk), q ** (-nk - nl) / (rk * rl)]
+            for x in qpoch_real_arr(np.array(args), q, t).tolist():
+                val *= x
+            try:
+                d = (qpoch_finite(rk * rl * q ** (nk_prev + nl), q,
+                                  nk - nk_prev, require_nonzero=True)
+                     * qpoch_finite(rk / rl * q ** (nk_prev - nl), q,
+                                    nk - nk_prev, require_nonzero=True))
+            except ZeroProduct as exc:
+                raise PoleInWeight("vanishing delta_d denominator") from exc
+            val /= d
+    return val
 
 
 def multi_discrete_weight(nu: Sequence[int], p: AWParams,
                           which: int = 0) -> complex:
     """Delta^(d) of one ascending chain labelled nu for parameter t_which:
     the chain point j contributes the residue weight of its start
-    tau0 = rho_j q^nu_(j-1) at its offset nu_j - nu_(j-1); times delta_d.
-    The one-label call of _multi_discrete_weights, which weighs many
-    labels with two kernel calls."""
-    return _multi_discrete_weights([nu], p, which)[0]
+    tau0 = rho_j q^nu_(j-1) at its offset nu_j - nu_(j-1); times delta_d."""
+    others = _others(p, which)
+    val: complex = 1.0
+    prev = 0
+    for j, nj in enumerate(nu, start=1):
+        val *= wd_residue_weight(nj - prev, _rho(p, which, j) * p.q ** prev,
+                                 *others, p.q)
+        prev = nj
+    return val * delta_d(nu, p, which)
 
 
 def _interaction_c_rows(ws: np.ndarray, xs: np.ndarray,

@@ -10,10 +10,9 @@ aw_polynomials_loop the back-substitution on it with every W-orbit and
 eigenvalue formed anew per use; the Askey-Wilson reports read their
 rounding bit for bit. orthogonalize_loop is bcpoly.orthogonalize with a
 new polynomial per projection step, paired through a pair callable, and
-multi_discrete_weight_loop and residue_split_loop the residue weight and
-the CLI's residue-split value with kernel calls of their own per chain
-point and per label: the batched forms reproduce their values, and
-their errors, exactly. norm_ratio_keys_tuples is the
+residue_split_loop the CLI's residue-split value with every one of its
+20 labels weighed, and its K_r formed, on its own: the CLI reproduces
+its value, and its errors, exactly. norm_ratio_keys_tuples is the
 q-Racah norm key builder as tuple arithmetic. The weights below are the
 scalar forms of the densities that the node tables build as arrays, one
 point or label at a time.
@@ -34,7 +33,7 @@ from bcortho.errors import (BcorthoError, DiagonalMismatch,
 from bcortho.koornwinder import (TriangularOpMatrix, _nodes, apply_D,
                                  eigenvalue_E)
 from bcortho.little import LittleParams, delta_qJ, support_point
-from bcortho.measures import delta_d, wd_residue_weight
+from bcortho.measures import multi_discrete_weight
 from bcortho.params import AWParams
 from bcortho.qracah import kr_constant, weight_qR
 from bcortho.qseries import POLE_GUARD, qpoch_infinite, qpoch_real
@@ -98,20 +97,6 @@ def orthogonalize_loop(top: Sequence[int], n: int, basis,
     return built
 
 
-def multi_discrete_weight_loop(nu: Sequence[int], p: AWParams,
-                               which: int = 0) -> complex:
-    """Delta^(d) of one chain label: one wd_residue_weight per chain
-    point, then delta_d, each making its own kernel calls."""
-    others = tuple(tv for m, tv in enumerate(p.tvec) if m != which)
-    val: complex = 1.0
-    prev = 0
-    for j, nj in enumerate(nu, start=1):
-        tau0 = p.tvec[which] * p.t ** (j - 1) * p.q ** prev
-        val *= wd_residue_weight(nj - prev, tau0, *others, p.q)
-        prev = nj
-    return val * delta_d(nu, p, which)
-
-
 def residue_split_loop(qp, seed: int) -> float:
     """The CLI's q-Racah residue-split value as a loop over its 20 random
     labels, each weighed, and its K_r formed, on its own; NaN where a
@@ -123,7 +108,7 @@ def residue_split_loop(qp, seed: int) -> float:
         for _ in range(20):
             r = rng.choice(range(1, qp.n + 1))
             nu = tuple(sorted(rng.randrange(5) for _ in range(r)))
-            lhs = multi_discrete_weight_loop(nu, pg, 0)
+            lhs = multi_discrete_weight(nu, pg, 0)
             rhs = kr_constant(r, pg) * weight_qR(nu, pg)
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     except BcorthoError:

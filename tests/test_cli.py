@@ -342,6 +342,17 @@ class TestFamilyChecks:
         assert family_verdicts(default_family(name), name) == {
             "constant-term": True, "orthogonality": True, "norms": True}
 
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_pair_is_the_gram_pairing(self, name):
+        # the <1,1> check pairs through fam.pair, the Gram checks through
+        # fam.gram: the same sum, bit for bit
+        fam = default_family(name)
+        polys = list(fam.polynomials((1,) * fam.params.n).values())
+        G = fam.gram(polys)
+        for a, f in enumerate(polys):
+            for b, g in enumerate(polys[a:], start=a):
+                assert fam.pair(f, g) == G[a, b]
+
     @pytest.mark.parametrize("name", FLOORED_FAMILIES)
     def test_scaled_norm_fails(self, name):
         fam = default_family(name)

@@ -29,8 +29,7 @@ from bcortho.measures import (
     wd_residue_weight,
 )
 from bcortho.params import AWParams
-from oracles import (interaction_c, multi_discrete_weight_loop,
-                     weight_continuous)
+from oracles import interaction_c, weight_continuous
 from test_moment_tables import weight_grid
 
 ONE1 = LaurentPolynomial.constant(1)
@@ -399,17 +398,11 @@ def weigh(fn, *args):
         return type(exc)
 
 
-class TestBatchedResidueWeights:
-    """measures._multi_discrete_weights against one multi_discrete_weight
-    loop per label, each chain point with kernel calls of its own
-    (oracles.multi_discrete_weight_loop): equal values, and the error the
-    loop raises first."""
+class TestResidueWeightPoles:
+    """multi_discrete_weight raises a typed error at each kind of pole
+    of Delta^(d)."""
 
-    LABELS = [(0,), (3,), (0, 0), (1, 1), (0, 2), (2, 4), (0, 1, 3),
-              (1, 1, 1), (48,)]
     PARAMS = {
-        # no pole
-        "generic": AWParams(3, 0.5, 0.3, 1.1, -0.5, 0.35, 0.45),
         # t0 t1 = 1: a vanishing factor of the w_d prefactor
         "prefactor": AWParams(2, 0.5, 0.3, 1.25, 0.8, 0.35, 0.45),
         # t0^2 = q^-2: a delta_d denominator at nu_1 + nu_2 = 2, and
@@ -420,32 +413,7 @@ class TestBatchedResidueWeights:
                              2e-3),
     }
 
-    @pytest.mark.parametrize("name", list(PARAMS))
-    def test_one_label_equals_loop(self, name):
-        p = self.PARAMS[name]
-        for nu in self.LABELS:
-            got = weigh(multi_discrete_weight, nu, p, 0)
-            want = weigh(multi_discrete_weight_loop, nu, p, 0)
-            assert got == want, nu
-
-    @pytest.mark.parametrize("name", list(PARAMS))
-    def test_batch_equals_loop(self, name):
-        # every order of a few labels: the batch raises what the loop
-        # over the labels raises first, or gives its values
-        p = self.PARAMS[name]
-        rng = random.Random(5)
-        for _ in range(30):
-            labels = rng.sample(self.LABELS, 4)
-            got = weigh(measures._multi_discrete_weights, labels, p, 0)
-
-            def loop():
-                return [multi_discrete_weight_loop(nu, p, 0)
-                        for nu in labels]
-
-            assert got == weigh(loop), labels
-
     def test_poles_are_typed(self):
-        # the pole sets above reach each kind of error
         p = self.PARAMS["delta-and-i"]
         assert weigh(multi_discrete_weight, (1, 1), p, 0) is \
             PoleAtDenominator
@@ -454,6 +422,3 @@ class TestBatchedResidueWeights:
                      self.PARAMS["prefactor"], 0) is PoleInWeight
         assert weigh(multi_discrete_weight, (48,),
                      self.PARAMS["overflow"], 0) is NonFiniteWeight
-        # the batch raises the first label's error, not the first kernel's
-        assert weigh(measures._multi_discrete_weights, [(3,), (1, 1)], p,
-                     0) is PoleInWeight

@@ -202,10 +202,10 @@ class TestKr:
         assert rel(got, want) < 1e-14
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_batched_residue_split_equals_loop(self, n):
-        # the CLI's check weighs its 20 labels in one batch and forms K_r
-        # once per length: the value of the loop over the labels, or NaN
-        # where that loop raises (a failed check)
+    def test_residue_split_equals_loop(self, n):
+        # the CLI's check weighs each distinct label once and forms K_r
+        # once per length: the value of the loop over all 20 labels, or
+        # NaN where that loop raises (a failed check)
         qp = QRacahParams(n, 0.5, 0.3, 0.7, -0.5, 0.4, 2)
         for seed in range(60):
             try:
