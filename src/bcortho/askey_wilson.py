@@ -5,8 +5,10 @@ m_lambda, supported on {mu <= lambda}, and an eigenfunction of the BC-type
 q-difference operator. aw_polynomials builds every P_mu, mu <= top, by
 back-substitution on the one triangular operator matrix of top, which
 has no random input. The quadratic norms N(lambda) = 2^n n! N+ N- and the
-constant term <1,1> are evaluated as products of infinite q-shifted
-factorials.
+constant term <1,1> are evaluated as products of ratios of infinite
+q-shifted factorials, each closed form from one kernel call
+(qseries.qpoch_ratios) and bit for bit the product of one qpoch_ratio
+per factor group.
 
 The little and big q-Jacobi families are limits of this family along a
 deformation eps -> 0 of its parameters. Each limit is one Limit record,
@@ -39,7 +41,7 @@ from .errors import (
 from .koornwinder import eigenvalue_E, op_matrix
 from .measures import partial_bilinear
 from .params import AWParams
-from .qseries import qpoch_infinite, qpoch_ratio
+from .qseries import qpoch_infinite, qpoch_ratios
 
 SEPARATION = 1e-8
 
@@ -147,74 +149,65 @@ def measure_scan(limit: Limit, lam: Sequence[int], mu: Sequence[int],
     return rows
 
 
-def aw_norm_plus(lam: Sequence[int], p: AWParams) -> complex:
-    """The factor N+ of the closed-form quadratic norm."""
-    lam = partition(lam)
+def _norm_ratios(lam: Tuple[int, ...], p: AWParams
+                 ) -> List[Tuple[List[complex], List[complex]]]:
+    """The (num, den) arguments of the q-shifted factorial ratios whose
+    products are N+ (first half) and N- (second half), each half in the
+    order its factors multiply: one ratio per i, then one per j < k."""
     n, q, t, T = p.n, p.q, p.t, p.T
-    t0, t1, t2, t3 = p.tvec
-    val: complex = 1.0
-    for i in range(1, n + 1):
-        li = lam[i - 1]
-        val *= qpoch_ratio(
-            [q ** (2 * li - 1) * t ** (2 * (n - i)) * T],
-            [q ** (li - 1) * t ** (n - i) * T,
-             q ** li * t ** (n - i) * t0 * t1,
-             q ** li * t ** (n - i) * t0 * t2,
-             q ** li * t ** (n - i) * t0 * t3], q)
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            lj, lk = lam[j - 1], lam[k - 1]
-            val *= qpoch_ratio(
-                [q ** (lj + lk - 1) * t ** (2 * n - j - k) * T,
-                 q ** (lj - lk) * t ** (k - j)],
-                [q ** (lj + lk - 1) * t ** (2 * n - j - k + 1) * T,
-                 q ** (lj - lk) * t ** (k - j + 1)], q)
-    return val
-
-
-def aw_norm_minus(lam: Sequence[int], p: AWParams) -> complex:
-    """The factor N- of the closed-form quadratic norm."""
-    lam = partition(lam)
-    n, q, t, T = p.n, p.q, p.t, p.T
-    _t0, t1, t2, t3 = p.tvec
-    val: complex = 1.0
-    for i in range(1, n + 1):
-        li = lam[i - 1]
-        val *= qpoch_ratio(
-            [q ** (2 * li) * t ** (2 * (n - i)) * T],
-            [q ** (li + 1) * t ** (n - i),
-             q ** li * t ** (n - i) * t1 * t2,
-             q ** li * t ** (n - i) * t1 * t3,
-             q ** li * t ** (n - i) * t2 * t3], q)
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            lj, lk = lam[j - 1], lam[k - 1]
-            val *= qpoch_ratio(
-                [q ** (lj + lk) * t ** (2 * n - j - k) * T,
-                 q ** (lj - lk + 1) * t ** (k - j)],
-                [q ** (lj + lk) * t ** (2 * n - j - k - 1) * T,
-                 q ** (lj - lk + 1) * t ** (k - j - 1)], q)
-    return val
+    tv = p.tvec
+    ratios = []
+    for s, pairs in ((0, ((0, 1), (0, 2), (0, 3))),
+                     (1, ((1, 2), (1, 3), (2, 3)))):
+        for i in range(1, n + 1):
+            li = lam[i - 1]
+            tn = t ** (n - i)
+            first = q ** (li - 1) * tn * T if s == 0 else q ** (li + 1) * tn
+            ratios.append(
+                ([q ** (2 * li - 1 + s) * t ** (2 * (n - i)) * T],
+                 [first] + [q ** li * tn * tv[a] * tv[b] for a, b in pairs]))
+        # the t-exponents of the denominators step up in N+, down in N-
+        d = 1 - 2 * s
+        for j in range(1, n + 1):
+            for k in range(j + 1, n + 1):
+                lj, lk = lam[j - 1], lam[k - 1]
+                ratios.append(
+                    ([q ** (lj + lk - 1 + s) * t ** (2 * n - j - k) * T,
+                      q ** (lj - lk + s) * t ** (k - j)],
+                     [q ** (lj + lk - 1 + s) * t ** (2 * n - j - k + d) * T,
+                      q ** (lj - lk + s) * t ** (k - j + d)]))
+    return ratios
 
 
 def aw_norm(lam: Sequence[int], p: AWParams) -> complex:
-    """Closed-form quadratic norm N(lambda) = 2^n n! N+ N-."""
-    return (2 ** p.n * math.factorial(p.n)
-            * aw_norm_plus(lam, p) * aw_norm_minus(lam, p))
+    """Closed-form quadratic norm N(lambda) = 2^n n! N+ N-, from one
+    kernel call; N+ and N- multiply their ratios in order."""
+    ratios = qpoch_ratios(_norm_ratios(partition(lam), p), p.q)
+    half = len(ratios) // 2
+    plus: complex = 1.0
+    for r in ratios[:half]:
+        plus *= r
+    minus: complex = 1.0
+    for r in ratios[half:]:
+        minus *= r
+    return 2 ** p.n * math.factorial(p.n) * plus * minus
 
 
 def gustafson_constant(p: AWParams) -> complex:
-    """Closed-form constant term <1,1> of the torus measure."""
+    """Closed-form constant term <1,1> of the torus measure: one ratio
+    per i, from one kernel call."""
     n, q, t, T = p.n, p.q, p.t, p.T
     tv = p.tvec
-    val: complex = 2 ** n * math.factorial(n)
+    ratios = []
     for i in range(1, n + 1):
-        num = [t, t ** (2 * n - i - 1) * T]
         den = [q, t ** (n - i + 1)]
         for j in range(4):
             for k in range(j + 1, 4):
                 den.append(t ** (n - i) * tv[j] * tv[k])
-        val *= qpoch_ratio(num, den, q)
+        ratios.append(([t, t ** (2 * n - i - 1) * T], den))
+    val: complex = 2 ** n * math.factorial(n)
+    for r in qpoch_ratios(ratios, q):
+        val *= r
     return val
 
 

@@ -16,8 +16,9 @@ against each other), the bilinear form, the polynomials
 form), closed-form norms, the q-Selberg constant term together with its
 two-sided t = q^k evaluation, the asymptotic matching of the
 split-weights, and the record of the limit transition (big_limit). The closed
-forms go through qseries.qpoch_ratio, which keeps complex products whole,
-so they hold on the conjugate branch as well.
+forms keep complex products whole, so they hold on the conjugate branch as
+well, and each fetches all its q-shifted factorials and thetas in one
+kernel call.
 
 Pairings reuse a per-parameter node table (little._jackson_table, one
 bcpoly.PointTable per split j), kept for the CACHE_SIZE most recently used
@@ -51,19 +52,20 @@ from .errors import (
     SlowConvergence,
     ZeroProduct,
 )
-from .little import _jackson_table, delta_qJ, nqj_product
+from .little import _jackson_table, _nqj_args, delta_qJ
 from .measures import _natural_k
 from .params import CACHE_SIZE, AWParams
 from .qseries import (
     POLE_GUARD,
-    psi_t,
+    _in_denominator,
+    _ratio,
+    psi_of_thetas,
     qpoch_finite,
     qpoch_finite_arr,
-    qpoch_infinite,
     qpoch_infinite_arr,
-    qpoch_ratio,
-    theta_jacobi,
-    theta_values,
+    qpoch_infinite_values,
+    qpoch_ratios,
+    qpoch_theta_values,
 )
 
 # agreement of the two forms of the split-weights (c-weight-dual-form)
@@ -163,11 +165,13 @@ def c_weights(bp: BigParams) -> List[float]:
     the independent defining form)."""
     n, q, t, c, d = bp.n, bp.q, bp.t, bp.c, bp.d
     tau = bp.tau
-    qq = qpoch_infinite(q, q).real
-    # theta(-t^e c/d), e = 1-n..n, and theta(-t^e d/c), e = 1-n..0
+    # (q;q)_inf, theta(-t^e c/d), e = 1-n..n, and theta(-t^e d/c),
+    # e = 1-n..0, from one kernel call
     es = range(1 - n, n + 1)
-    th = theta_values([-t ** e * c / d for e in es]
-                      + [-t ** e * d / c for e in range(1 - n, 1)], q)
+    (qq,), th = qpoch_theta_values(
+        [q], [-t ** e * c / d for e in es]
+        + [-t ** e * d / c for e in range(1 - n, 1)], q)
+    qq = qq.real
     cd, dc = dict(zip(es, th)), dict(zip(range(1 - n, 1), th[2 * n:]))
     out: List[float] = []
     for j in range(n + 1):
@@ -190,23 +194,30 @@ def c_weights(bp: BigParams) -> List[float]:
 
 def c_weights_defining(bp: BigParams) -> List[float]:
     """The split-weights from their defining form: a base constant c_B
-    times the products d_{B,j} of the quasi-constant Psi_t."""
+    times the products d_{B,j} of the quasi-constant Psi_t, with
+    (q;q)_inf, the thetas of c_B and those of every Psi_t from one kernel
+    call."""
     n, q, t, c, d = bp.n, bp.q, bp.t, bp.c, bp.d
     tau = bp.tau
-    qq = qpoch_infinite(q, q).real
-    base = qq ** n * q ** (-2.0 * tau * tau * math.comb(n, 3))
+    # d_{B,j} multiplies Psi_t(x_km) over k <= j, for k < m in this order
+    pairs = [(k, m) for k in range(1, n) for m in range(k + 1, n + 1)]
+    xs = [-t ** (n - m - k + 1) * d / c for k, m in pairs]
+    (qq,), th = qpoch_theta_values(
+        [q], [-t ** (1 - i) * c / d for i in range(1, n + 1)]
+        + [y for x in xs for y in (t * x, q * x / t)], q)
+    base = qq.real ** n * q ** (-2.0 * tau * tau * math.comb(n, 3))
     base *= d ** (-2.0 * tau * math.comb(n, 2) - n)
     base *= t ** (-math.comb(n, 2))
-    for i in range(1, n + 1):
-        base /= _theta_den(theta_jacobi(-t ** (1 - i) * c / d, q),
-                           "c_B").real
+    for i in range(n):
+        base /= _theta_den(th[i], "c_B").real
+    psi = [psi_of_thetas(x, q, t, th[n + 2 * r], th[n + 2 * r + 1])
+           for r, x in enumerate(xs)]
     out: List[float] = []
     for j in range(n + 1):
         dB = 1.0
-        for k in range(1, n):
-            for m in range(k + 1, n + 1):
-                if k <= j:
-                    dB *= psi_t(-t ** (n - m - k + 1) * d / c, q, t)
+        for (k, _m), v in zip(pairs, psi):
+            if k <= j:
+                dB *= v
         out.append(float(base * dB))
     return out
 
@@ -261,26 +272,37 @@ def big_polynomials(top: Sequence[int], bp: BigParams
 
 
 def norm_big(lam: Sequence[int], bp: BigParams) -> float:
-    """Closed-form quadratic norm N^B(lambda)."""
+    """Closed-form quadratic norm N^B(lambda): nqj_product times one
+    factor per i, all infinite q-shifted factorials from one kernel
+    call."""
     lam = partition(lam)
     if len(lam) != bp.n:
         raise DomainViolation("partition length must equal n")
     n, q, t, c, d = bp.n, bp.q, bp.t, bp.c, bp.d
     a, b = bp.a, bp.b
-    val = (c * d) ** sum(lam) * nqj_product(lam, n, q, t, a, b)
+    num, den = _nqj_args(lam, n, q, t, a, b)
+    poles = [x for i in range(1, n + 1) for x in (
+        -q ** (lam[i - 1] + 1) * b * t ** (n - i) * c / d,
+        -q ** (lam[i - 1] + 1) * a * t ** (n - i) * d / c)]
+    vals = qpoch_infinite_values(
+        [q] + den + num + poles, q,
+        [None] * (1 + len(den)) + [_in_denominator] * len(num)
+        + [_norm_pole] * len(poles))
+    k = 1 + len(den)
+    ratio = _ratio(vals[1:k], vals[k:k + len(num)])
+    val = (c * d) ** sum(lam) * (
+        (1.0 - q) ** n * vals[0].real ** (2 * n) * ratio)
+    pole = iter(vals[k + len(num):])
     for i in range(1, n + 1):
         li = lam[i - 1]
         val *= q ** math.comb(li, 2) * (t ** (n - i)) ** li
-        try:
-            pb, pa = qpoch_infinite_arr(np.array(
-                [-q ** (li + 1) * b * t ** (n - i) * c / d,
-                 -q ** (li + 1) * a * t ** (n - i) * d / c]), q,
-                require_nonzero=True).tolist()
-        except ZeroProduct as exc:
-            raise DomainViolation("norm denominator factor vanishes") from exc
-        val /= pb * pa
+        val /= next(pole) * next(pole)
     val = complex(val)
     return float(val.real)
+
+
+def _norm_pole(exc: ZeroProduct) -> DomainViolation:
+    return DomainViolation("norm denominator factor vanishes")
 
 
 def selberg_big(bp: BigParams) -> float:
@@ -293,8 +315,8 @@ def selberg_big(bp: BigParams) -> float:
         num += [q * a * t ** (j - 1), q * b * t ** (j - 1), t ** j,
                 -q * a * t ** (j - 1) * d / c, -q * b * t ** (j - 1) * c / d]
         den += [q * q * a * b * t ** (n + j - 2), t]
-    qq = qpoch_infinite(q, q).real
-    val = (1.0 - q) ** n * qq ** n * qpoch_ratio(den, num, q)
+    qq, ratio = qpoch_ratios([([q], []), (den, num)], q)
+    val = (1.0 - q) ** n * qq.real ** n * ratio
     return float(complex(val).real)
 
 
@@ -332,33 +354,42 @@ def askey_evans_lhs(bp: BigParams) -> float:
 
 
 def askey_evans_rhs(bp: BigParams) -> float:
-    """Closed form of the two-sided t = q^k Selberg integral."""
+    """Closed form of the two-sided t = q^k Selberg integral: its infinite
+    q-shifted factorials from one kernel call, multiplied and divided in
+    the order of the product over i."""
     k = _natural_k(bp)
     n, q, t, c, d = bp.n, bp.q, bp.t, bp.c, bp.d
     a, b = bp.a, bp.b
-    qq = qpoch_infinite(q, q).real
+    # (q, -d/c, -c/d;q)_inf, then per i the gamma ratio's numerator and
+    # its two guarded denominators (gamma arguments alpha+1+(i-1)k etc.,
+    # expanded so the q-powers are exact products), and the two guarded
+    # denominators of the c, d factor
+    args = [q, -d / c, -c / d]
+    errors = [None] * 3
+    for i in range(1, n + 1):
+        ti = t ** (i - 1)
+        args += [q * q * a * b * t ** (n + i - 2), q * a * ti, q * b * ti,
+                 -q * a * ti * d / c, -q * b * ti * c / d]
+        errors += [None, _in_denominator, _in_denominator,
+                   _selberg_pole, _selberg_pole]
+    f = qpoch_infinite_values(args, q, errors)
+    qq = f[0].real
     val = q ** (k * k * math.comb(n, 3)
                 - math.comb(k, 2) * math.comb(n, 2))
-    cd_pair = (qpoch_infinite(-d / c, q) * qpoch_infinite(-c / d, q)).real
+    cd_pair = (f[1] * f[2]).real
     for i in range(1, n + 1):
-        # gamma ratio with arguments alpha+1+(i-1)k etc., expanded so the
-        # q-powers are exact products
-        num = [q * a * t ** (i - 1), q * b * t ** (i - 1)]
-        den = [q * q * a * b * t ** (n + i - 2)]
-        val *= (1.0 - q) ** (1 + (n - i) * k) * qq * qpoch_ratio(den, num, q)
+        num, den_a, den_b, pole_a, pole_b = f[5 * i - 2:5 * i + 3]
+        val *= (1.0 - q) ** (1 + (n - i) * k) * qq * _ratio(
+            [num], [den_a, den_b])
         val *= (qpoch_finite(q, q, i * k)
                 / qpoch_finite(q, q, k)) * (1.0 - q) ** (k - i * k)
         val *= cd_pair * (c * d) ** (1 + (i - 1) * k) / (c + d)
-        try:
-            den2 = (qpoch_infinite(-q * a * t ** (i - 1) * d / c, q,
-                                   require_nonzero=True)
-                    * qpoch_infinite(-q * b * t ** (i - 1) * c / d, q,
-                                     require_nonzero=True))
-        except ZeroProduct as exc:
-            raise DomainViolation(
-                "Selberg denominator factor vanishes") from exc
-        val /= den2
+        val /= pole_a * pole_b
     return float(complex(val).real)
+
+
+def _selberg_pole(exc: ZeroProduct) -> DomainViolation:
+    return DomainViolation("Selberg denominator factor vanishes")
 
 
 def selberg_big_qk(bp: BigParams) -> float:
@@ -424,8 +455,10 @@ def big_limit(bp: BigParams) -> Limit:
 
     def prefactor(eps: float) -> float:
         pref = 1.0
-        for i in range(1, bp.n + 1):
-            pref *= qpoch_infinite(-q * t ** (i - 1) / (eps * eps), q).real
+        for v in qpoch_infinite_arr(
+                [-q * t ** (i - 1) / (eps * eps) for i in range(1, bp.n + 1)],
+                q).tolist():
+            pref *= v
         return pref
 
     return Limit(bp, lambda eps: aw_params_big(eps, bp),

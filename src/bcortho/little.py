@@ -26,8 +26,9 @@ Closed forms are stated with the q-gamma function of arguments involving
 alpha = log_q a and beta = log_q b; they are evaluated here through
 ratios of infinite q-shifted factorials whose arguments are the exact
 products q^u (for instance q^{lambda_i+1} t^{n-i} a b), so they remain
-valid for b <= 0 where beta is undefined. The ratios go through
-qseries.qpoch_ratio, which guards each denominator factor on its own.
+valid for b <= 0 where beta is undefined. Each closed form takes its
+factorials, (q;q)_inf among them, from one qseries.qpoch_ratios call,
+which guards each denominator factor on its own.
 """
 
 from __future__ import annotations
@@ -59,9 +60,8 @@ from .measures import _chain_labels, _label_weights
 from .params import CACHE_SIZE, AWParams
 from .qseries import (
     EPS_TRUNC,
-    qpoch_infinite,
     qpoch_infinite_arr,
-    qpoch_ratio,
+    qpoch_ratios,
     qpoch_real,
     qpoch_real_arr,
 )
@@ -240,11 +240,21 @@ def nqj_product(lam: Sequence[int], n: int, q: float, t: float,
                 a: complex, b: complex) -> complex:
     """The product N+_qJ(lambda) N-_qJ(lambda) of q-gamma factors shared
     by the little and big q-Jacobi norms; real for real a and b, complex
-    on the big q-Jacobi conjugate branch.
+    on the big q-Jacobi conjugate branch. (q;q)_inf and the ratio come
+    from one kernel call.
 
     The q-gamma ratios are expanded so that every q^u is an exact product
     of q-powers with a and b; the net power of (1-q) is n and the net
     power of (q;q)_inf is 2n, independent of the parameters."""
+    num, den = _nqj_args(lam, n, q, t, a, b)
+    qq, ratio = qpoch_ratios([([q], []), (den, num)], q)
+    return (1.0 - q) ** n * qq.real ** (2 * n) * ratio
+
+
+def _nqj_args(lam: Sequence[int], n: int, q: float, t: float,
+              a: complex, b: complex) -> Tuple[List[complex], List[complex]]:
+    """The gamma-numerator and gamma-denominator arguments q^u of
+    nqj_product, whose ratio is (den;q)_inf / (num;q)_inf."""
     num: List[float] = []   # gamma-numerator arguments q^u
     den: List[float] = []
     for i in range(1, n + 1):
@@ -265,8 +275,7 @@ def nqj_product(lam: Sequence[int], n: int, q: float, t: float,
                     q ** (lj - lk + 1) * t ** (k - j - 1)]
             den += [q ** (lj + lk + 2) * t ** (2 * n - j - k) * a * b,
                     q ** (lj - lk + 1) * t ** (k - j)]
-    qq = qpoch_infinite(q, q).real
-    return (1.0 - q) ** n * qq ** (2 * n) * qpoch_ratio(den, num, q)
+    return num, den
 
 
 def norm_little(lam: Sequence[int], lp: LittleParams) -> float:
@@ -291,8 +300,8 @@ def selberg_little(lp: LittleParams) -> float:
     for j in range(1, n + 1):
         num += [q * a * t ** (j - 1), q * b * t ** (j - 1), t ** j]
         den += [q * q * a * b * t ** (n + j - 2), t]
-    qq = qpoch_infinite(q, q).real
-    return (1.0 - q) ** n * qq ** n * qpoch_ratio(den, num, q)
+    qq, ratio = qpoch_ratios([([q], []), (den, num)], q)
+    return (1.0 - q) ** n * qq.real ** n * ratio
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +329,11 @@ def little_limit(lp: LittleParams) -> Limit:
 
     def prefactor(eps: float) -> float:
         pref = 1.0
-        for i in range(1, lp.n + 1):
-            pref *= qpoch_infinite(-q * t ** (i - 1) / eps, q).real
-            pref *= qpoch_infinite(-q * lp.a * t ** (i - 1) / eps, q).real
+        for v in qpoch_infinite_arr(
+                [x for i in range(1, lp.n + 1)
+                 for x in (-q * t ** (i - 1) / eps,
+                           -q * lp.a * t ** (i - 1) / eps)], q).tolist():
+            pref *= v
         return pref
 
     return Limit(lp, lambda eps: aw_params_little(eps, lp),

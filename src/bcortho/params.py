@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainViolation
 from .qseries import check_q
@@ -20,8 +19,8 @@ CACHE_SIZE = 8
 class AWParams:
     """Parameters (q, t, t0..t3) of the Askey-Wilson family in n variables.
 
-    The deformation exponent tau with q^tau = t is derived once; inner
-    loops always use t itself, never tau.
+    The deformation exponent tau with q^tau = t never enters: every
+    formula uses t itself.
     """
 
     n: int
@@ -52,28 +51,6 @@ class AWParams:
         """Product t0 t1 t2 t3."""
         t0, t1, t2, t3 = self.tvec
         return t0 * t1 * t2 * t3
-
-    @property
-    def tau(self) -> float:
-        return math.log(self.t) / math.log(self.q)
-
-    def replace_t0(self, value: complex) -> "AWParams":
-        return AWParams(self.n, self.q, self.t, value, self.t1, self.t2,
-                        self.t3)
-
-    def in_V(self) -> bool:
-        """Generic domain: the 8 arguments of t_i and 1/t_i are pairwise
-        distinct, and t0 t1 t2 t3 is not a real number >= 1."""
-        args = []
-        for ti in self.tvec:
-            for u in (ti, 1.0 / ti):
-                args.append(math.atan2(u.imag, u.real) % (2 * math.pi))
-        for i in range(8):
-            for j in range(i + 1, 8):
-                d = abs(args[i] - args[j]) % (2 * math.pi)
-                if min(d, 2 * math.pi - d) < _TOL:
-                    return False
-        return not _real_geq1(self.T)
 
     def in_V_AW(self) -> bool:
         """Positive-measure domain: parameters real or in conjugate pairs,

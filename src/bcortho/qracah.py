@@ -53,7 +53,7 @@ from .errors import (
     ZeroProduct,
 )
 from .params import CACHE_SIZE, AWParams
-from .qseries import (POLE_GUARD, qpoch_finite, qpoch_infinite,
+from .qseries import (POLE_GUARD, qpoch_finite, qpoch_infinite_arr,
                       qpoch_ratios, qpoch_real_arr)
 
 FORM_TOL = 1e-10
@@ -289,7 +289,9 @@ def _key_value(key: Key, qp: QRacahParams) -> complex:
 def _eval_cancelled_ratio(num: List[Key], den: List[Key],
                           qp: QRacahParams) -> complex:
     """Evaluate prod (x;q)_inf over num / same over den after grouping by
-    the t-part and converting q-shift differences to finite products."""
+    the t-part and converting q-shift differences to finite products; the
+    infinite factors left uncancelled, if any, come from one kernel call,
+    and every factor multiplies or divides in group order."""
     q = qp.q
     groups: Dict[Tuple[int, int, int, int], Dict[str, List[int]]] = {}
     for side, keys in (("num", num), ("den", den)):
@@ -297,7 +299,10 @@ def _eval_cancelled_ratio(num: List[Key], den: List[Key],
             tpart = key[1:]
             groups.setdefault(tpart, {"num": [], "den": []})[side].append(
                 key[0])
-    val: complex = 1.0
+    # per group: its t-part, its (num, den) shift pairs, and the counts of
+    # its uncancelled infinite factors, whose arguments go to args
+    plan = []
+    args: List[complex] = []
     for tpart, sides in groups.items():
         ns = sorted(sides["num"])
         ds = sorted(sides["den"])
@@ -318,7 +323,14 @@ def _eval_cancelled_ratio(num: List[Key], den: List[Key],
         ns2.extend(ns[i:])
         ds2.extend(ds[j:])
         npair = min(len(ns2), len(ds2))
-        for a, b in zip(ns2[:npair], ds2[:npair]):
+        plan.append((tpart, list(zip(ns2[:npair], ds2[:npair])),
+                     len(ns2) - npair, len(ds2) - npair))
+        args += [_key_value((a,) + tpart, qp)
+                 for a in ns2[npair:] + ds2[npair:]]
+    inf = iter(qpoch_infinite_arr(args, q).tolist() if args else ())
+    val: complex = 1.0
+    for tpart, shifts, n_num, n_den in plan:
+        for a, b in shifts:
             x = _key_value((min(a, b),) + tpart, qp)
             fin = qpoch_finite(x, q, abs(b - a))
             if a <= b:
@@ -328,10 +340,10 @@ def _eval_cancelled_ratio(num: List[Key], den: List[Key],
                     raise UncancelledPole(
                         f"finite factor vanishes in denominator at {tpart}")
                 val /= fin
-        for a in ns2[npair:]:
-            val *= qpoch_infinite(_key_value((a,) + tpart, qp), q)
-        for b in ds2[npair:]:
-            d = qpoch_infinite(_key_value((b,) + tpart, qp), q)
+        for _ in range(n_num):
+            val *= next(inf)
+        for _ in range(n_den):
+            d = next(inf)
             if abs(d) < POLE_GUARD:
                 raise UncancelledPole(
                     f"infinite factor vanishes in denominator at {tpart}")

@@ -8,6 +8,10 @@ assume a fixed base 0 < q < 1.
 and qpoch_real_arr, over arguments of any shape; qpoch_infinite and
 qpoch_real are one-element calls, and callers pass all their arguments in
 one call, since each keeps its own truncation, pole guard and rounding.
+So every closed form of the families makes one kernel call
+(qpoch_ratios, qpoch_theta_values with psi_of_thetas, or the array
+kernel itself) and multiplies the values in the order of its product: bit
+for bit the product of one-argument calls.
 
 Real exponents tau never enter through complex powers: a factorial
 (a;q)_tau = (a;q)_inf / (a*t;q)_inf, with t = q^tau supplied by the
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -175,6 +179,44 @@ def _powers(q: float, n: int) -> np.ndarray:
     return Q
 
 
+def qpoch_infinite_values(
+        args: Sequence[complex], q: float,
+        errors: Sequence[Callable[[ZeroProduct], Exception] | None]
+) -> List[complex]:
+    """(a;q)_inf at every a of args, from one kernel call. errors[k] is
+    None where a_k is unguarded, else the function that turns the
+    ZeroProduct of a vanishing factor of a_k into the caller's error. The
+    error raised is that of the first guarded argument, in order, with a
+    vanishing factor: the one that a qpoch_infinite call per argument, in
+    that order, would raise."""
+    try:
+        return qpoch_infinite_arr(
+            args, q, [err is not None for err in errors]).tolist()
+    except ZeroProduct:
+        for a, err in zip(args, errors):
+            if err is not None:
+                try:
+                    qpoch_infinite(a, q, require_nonzero=True)
+                except ZeroProduct as exc:
+                    raise err(exc) from exc
+        raise
+
+
+def _in_denominator(exc: ZeroProduct) -> PoleInProduct:
+    return PoleInProduct(f"in a denominator: {exc}")
+
+
+def _ratio(num: Iterable[complex], den: Iterable[complex]) -> complex:
+    """1.0 times every value of num, then divided by every value of den,
+    in order."""
+    val: complex = 1.0
+    for v in num:
+        val *= v
+    for v in den:
+        val /= v
+    return val
+
+
 def qpoch_ratio(num: Iterable[complex], den: Iterable[complex],
                 q: float) -> complex:
     """Product of (x;q)_inf over num divided by the same over den.
@@ -190,24 +232,15 @@ def qpoch_ratios(ratios: Iterable[Tuple[Iterable[complex],
                  q: float) -> List[complex]:
     """qpoch_ratio(num, den, q) for every (num, den) of ratios, from one
     kernel call; each value is multiplied and divided in argument order,
-    as separate qpoch_infinite calls would be."""
+    as separate qpoch_infinite calls would be, and a pole raises as the
+    first of those calls to meet one would."""
     sides = [(list(num), list(den)) for num, den in ratios]
-    try:
-        vals = iter(qpoch_infinite_arr(
-            [x for num, den in sides for x in num + den], q,
-            [d for num, den in sides
-             for d in [False] * len(num) + [True] * len(den)]).tolist())
-    except ZeroProduct as exc:
-        raise PoleInProduct(f"in a denominator: {exc}") from exc
-    out: List[complex] = []
-    for num, den in sides:
-        val: complex = 1.0
-        for _ in num:
-            val *= next(vals)
-        for _ in den:
-            val /= next(vals)
-        out.append(val)
-    return out
+    vals = iter(qpoch_infinite_values(
+        [x for num, den in sides for x in num + den], q,
+        [e for num, den in sides
+         for e in [None] * len(num) + [_in_denominator] * len(den)]))
+    return [_ratio([next(vals) for _ in num], [next(vals) for _ in den])
+            for num, den in sides]
 
 
 def theta_jacobi(x: complex, q: float) -> complex:
@@ -217,10 +250,19 @@ def theta_jacobi(x: complex, q: float) -> complex:
 
 def theta_values(xs: Sequence[complex], q: float) -> List[complex]:
     """theta_jacobi at every x of xs, from one kernel call."""
+    return qpoch_theta_values([], xs, q)[1]
+
+
+def qpoch_theta_values(args: Sequence[complex], xs: Sequence[complex],
+                       q: float) -> Tuple[List[complex], List[complex]]:
+    """(a;q)_inf at every a of args and theta_jacobi at every x of xs,
+    from one kernel call."""
     if any(x == 0 for x in xs):
         raise ZeroArgument("theta is undefined at x = 0")
-    f = qpoch_infinite_arr([q, *xs, *(q / x for x in xs)], q).tolist()
-    return [f[0] * f[1 + k] * f[1 + len(xs) + k] for k in range(len(xs))]
+    m, k = len(args), len(xs)
+    f = qpoch_infinite_arr([*args, q, *xs, *(q / x for x in xs)],
+                           q).tolist()
+    return f[:m], [f[m] * f[m + 1 + i] * f[m + 1 + k + i] for i in range(k)]
 
 
 def qgamma(u: float, q: float, qu: complex | None = None) -> float:
@@ -236,8 +278,8 @@ def qgamma(u: float, q: float, qu: complex | None = None) -> float:
         raise PoleAtNonpositiveInteger(f"Gamma_q pole at u = {u}")
     if qu is None:
         qu = q ** u
-    den = qpoch_infinite(qu, q, require_nonzero=True)
-    val = qpoch_infinite(q, q) * (1.0 - q) ** (1.0 - u) / den
+    qq, den = qpoch_infinite_arr([q, qu], q, [False, True]).tolist()
+    val = qq * (1.0 - q) ** (1.0 - u) / den
     return val.real if isinstance(val, complex) else val
 
 
@@ -248,8 +290,15 @@ def psi_t(x: float, q: float, t: float) -> float:
     """
     if x == 0:
         raise ZeroArgument("Psi_t is undefined at x = 0")
+    return psi_of_thetas(x, q, t, *theta_values([t * x, q * x / t], q))
+
+
+def psi_of_thetas(x: float, q: float, t: float, num: complex,
+                  den: complex) -> float:
+    """Psi_t(x) from its two theta values num = theta(t x) and
+    den = theta(q x / t), so that a caller can fetch those of many x with
+    its other factors in one kernel call (qpoch_theta_values)."""
     tau = math.log(t) / math.log(q)
-    num, den = theta_values([t * x, q * x / t], q)
     if abs(den) < POLE_GUARD:
         raise PoleInDenominator(f"theta(q x / t) ~ 0 at x={x}, t={t}")
     power = math.exp((2.0 * tau - 1.0) * math.log(abs(x)))

@@ -16,6 +16,14 @@ its value, and its errors, exactly. norm_ratio_keys_tuples is the
 q-Racah norm key builder as tuple arithmetic. The weights below are the
 scalar forms of the densities that the node tables build as arrays, one
 point or label at a time.
+
+The *_loop closed forms at the end (aw_norm_loop, gustafson_loop,
+c_weights_defining_loop, askey_evans_rhs_loop, the limit prefactor loops,
+eval_cancelled_ratio_loop, and the little and big q-Jacobi norms and
+constant terms) make one kernel call per factor group, as the closed
+forms did before each fetched all its q-shifted factorials in one call;
+the closed forms equal them bit for bit, and raise the same typed error
+first.
 """
 
 import math
@@ -24,19 +32,23 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from bcortho.askey_wilson import SEPARATION, aw_norm_plus
+from bcortho.askey_wilson import SEPARATION
 from bcortho.bcpoly import (LaurentPolynomial, monomial_w, partition,
                             partitions_dominated_by)
+from bcortho.big import BigParams, _theta_den
 from bcortho.errors import (BcorthoError, DiagonalMismatch,
                             DomainViolation, EigenvalueCollision, NearPole,
-                            PoleInProduct, SingularGram, ZeroProduct)
+                            PoleInProduct, SingularGram, UncancelledPole,
+                            ZeroProduct)
 from bcortho.koornwinder import (TriangularOpMatrix, _nodes, apply_D,
                                  eigenvalue_E)
-from bcortho.little import LittleParams, delta_qJ, support_point
-from bcortho.measures import multi_discrete_weight
+from bcortho.little import LittleParams, _nqj_args, delta_qJ, support_point
+from bcortho.measures import _natural_k, multi_discrete_weight
 from bcortho.params import AWParams
-from bcortho.qracah import kr_constant, weight_qR
-from bcortho.qseries import POLE_GUARD, qpoch_infinite, qpoch_real
+from bcortho.qracah import QRacahParams, _key_value, kr_constant, weight_qR
+from bcortho.qseries import (POLE_GUARD, psi_t, qpoch_finite, qpoch_infinite,
+                             qpoch_infinite_arr, qpoch_ratio, qpoch_real,
+                             theta_jacobi)
 
 
 def eval_points_loop(f, Z: np.ndarray) -> np.ndarray:
@@ -267,10 +279,10 @@ def interaction_c(omega: Sequence[complex], z: Sequence[complex],
 def renorm_constant(lam: Sequence[int], p: AWParams) -> complex:
     """Renormalization c(lambda) = (N+(0)/N+(lambda)) prod (t0 t^{n-j})^{lambda_j}."""
     lam = partition(lam)
-    n_plus = aw_norm_plus(lam, p)
+    n_plus = aw_norm_plus_loop(lam, p)
     if abs(n_plus) < 1e-300:
         raise PoleInProduct("N+(lambda) vanishes")
-    val = aw_norm_plus((0,) * p.n, p) / n_plus
+    val = aw_norm_plus_loop((0,) * p.n, p) / n_plus
     for j in range(1, p.n + 1):
         val *= (p.t0 * p.t ** (p.n - j)) ** lam[j - 1]
     return val
@@ -294,3 +306,253 @@ def little_weight_at_point(z: Sequence[float], lp: LittleParams) -> float:
 def weight_little(nu: Sequence[int], lp: LittleParams) -> float:
     """Weight Delta^L at the node rho_L q^nu."""
     return little_weight_at_point(support_point(nu, lp), lp)
+
+
+def aw_norm_plus_loop(lam: Sequence[int], p: AWParams) -> complex:
+    """The factor N+ of the closed-form quadratic norm, one qpoch_ratio
+    per factor group."""
+    lam = partition(lam)
+    n, q, t, T = p.n, p.q, p.t, p.T
+    t0, t1, t2, t3 = p.tvec
+    val: complex = 1.0
+    for i in range(1, n + 1):
+        li = lam[i - 1]
+        val *= qpoch_ratio(
+            [q ** (2 * li - 1) * t ** (2 * (n - i)) * T],
+            [q ** (li - 1) * t ** (n - i) * T,
+             q ** li * t ** (n - i) * t0 * t1,
+             q ** li * t ** (n - i) * t0 * t2,
+             q ** li * t ** (n - i) * t0 * t3], q)
+    for j in range(1, n + 1):
+        for k in range(j + 1, n + 1):
+            lj, lk = lam[j - 1], lam[k - 1]
+            val *= qpoch_ratio(
+                [q ** (lj + lk - 1) * t ** (2 * n - j - k) * T,
+                 q ** (lj - lk) * t ** (k - j)],
+                [q ** (lj + lk - 1) * t ** (2 * n - j - k + 1) * T,
+                 q ** (lj - lk) * t ** (k - j + 1)], q)
+    return val
+
+
+def aw_norm_minus_loop(lam: Sequence[int], p: AWParams) -> complex:
+    """The factor N- of the closed-form quadratic norm, one qpoch_ratio
+    per factor group."""
+    lam = partition(lam)
+    n, q, t, T = p.n, p.q, p.t, p.T
+    _t0, t1, t2, t3 = p.tvec
+    val: complex = 1.0
+    for i in range(1, n + 1):
+        li = lam[i - 1]
+        val *= qpoch_ratio(
+            [q ** (2 * li) * t ** (2 * (n - i)) * T],
+            [q ** (li + 1) * t ** (n - i),
+             q ** li * t ** (n - i) * t1 * t2,
+             q ** li * t ** (n - i) * t1 * t3,
+             q ** li * t ** (n - i) * t2 * t3], q)
+    for j in range(1, n + 1):
+        for k in range(j + 1, n + 1):
+            lj, lk = lam[j - 1], lam[k - 1]
+            val *= qpoch_ratio(
+                [q ** (lj + lk) * t ** (2 * n - j - k) * T,
+                 q ** (lj - lk + 1) * t ** (k - j)],
+                [q ** (lj + lk) * t ** (2 * n - j - k - 1) * T,
+                 q ** (lj - lk + 1) * t ** (k - j - 1)], q)
+    return val
+
+
+def aw_norm_loop(lam: Sequence[int], p: AWParams) -> complex:
+    """N(lambda) = 2^n n! N+ N-."""
+    return (2 ** p.n * math.factorial(p.n)
+            * aw_norm_plus_loop(lam, p) * aw_norm_minus_loop(lam, p))
+
+
+def gustafson_loop(p: AWParams) -> complex:
+    """The torus constant term <1,1>, one qpoch_ratio per i."""
+    n, q, t, T = p.n, p.q, p.t, p.T
+    tv = p.tvec
+    val: complex = 2 ** n * math.factorial(n)
+    for i in range(1, n + 1):
+        num = [t, t ** (2 * n - i - 1) * T]
+        den = [q, t ** (n - i + 1)]
+        for j in range(4):
+            for k in range(j + 1, 4):
+                den.append(t ** (n - i) * tv[j] * tv[k])
+        val *= qpoch_ratio(num, den, q)
+    return val
+
+
+def c_weights_defining_loop(bp: BigParams) -> list:
+    """The big q-Jacobi split-weights c_B d_{B,j}, with one theta_jacobi
+    per factor of c_B and one psi_t per factor of each d_{B,j}."""
+    n, q, t, c, d = bp.n, bp.q, bp.t, bp.c, bp.d
+    tau = bp.tau
+    qq = qpoch_infinite(q, q).real
+    base = qq ** n * q ** (-2.0 * tau * tau * math.comb(n, 3))
+    base *= d ** (-2.0 * tau * math.comb(n, 2) - n)
+    base *= t ** (-math.comb(n, 2))
+    for i in range(1, n + 1):
+        base /= _theta_den(theta_jacobi(-t ** (1 - i) * c / d, q),
+                           "c_B").real
+    out = []
+    for j in range(n + 1):
+        dB = 1.0
+        for k in range(1, n):
+            for m in range(k + 1, n + 1):
+                if k <= j:
+                    dB *= psi_t(-t ** (n - m - k + 1) * d / c, q, t)
+        out.append(float(base * dB))
+    return out
+
+
+def askey_evans_rhs_loop(bp: BigParams) -> float:
+    """The two-sided t = q^k Selberg closed form, one kernel call per
+    factor group."""
+    k = _natural_k(bp)
+    n, q, t, c, d = bp.n, bp.q, bp.t, bp.c, bp.d
+    a, b = bp.a, bp.b
+    qq = qpoch_infinite(q, q).real
+    val = q ** (k * k * math.comb(n, 3)
+                - math.comb(k, 2) * math.comb(n, 2))
+    cd_pair = (qpoch_infinite(-d / c, q) * qpoch_infinite(-c / d, q)).real
+    for i in range(1, n + 1):
+        num = [q * a * t ** (i - 1), q * b * t ** (i - 1)]
+        den = [q * q * a * b * t ** (n + i - 2)]
+        val *= (1.0 - q) ** (1 + (n - i) * k) * qq * qpoch_ratio(den, num, q)
+        val *= (qpoch_finite(q, q, i * k)
+                / qpoch_finite(q, q, k)) * (1.0 - q) ** (k - i * k)
+        val *= cd_pair * (c * d) ** (1 + (i - 1) * k) / (c + d)
+        try:
+            den2 = (qpoch_infinite(-q * a * t ** (i - 1) * d / c, q,
+                                   require_nonzero=True)
+                    * qpoch_infinite(-q * b * t ** (i - 1) * c / d, q,
+                                     require_nonzero=True))
+        except ZeroProduct as exc:
+            raise DomainViolation(
+                "Selberg denominator factor vanishes") from exc
+        val /= den2
+    return float(complex(val).real)
+
+
+def little_prefactor_loop(lp: LittleParams, eps: float) -> float:
+    """prod_i (-q t^(i-1)/eps, -q a t^(i-1)/eps; q)_inf, one factor per
+    kernel call."""
+    q, t = lp.q, lp.t
+    pref = 1.0
+    for i in range(1, lp.n + 1):
+        pref *= qpoch_infinite(-q * t ** (i - 1) / eps, q).real
+        pref *= qpoch_infinite(-q * lp.a * t ** (i - 1) / eps, q).real
+    return pref
+
+
+def big_prefactor_loop(bp: BigParams, eps: float) -> float:
+    """prod_i (-q t^(i-1)/eps^2; q)_inf, one factor per kernel call."""
+    q, t = bp.q, bp.t
+    pref = 1.0
+    for i in range(1, bp.n + 1):
+        pref *= qpoch_infinite(-q * t ** (i - 1) / (eps * eps), q).real
+    return pref
+
+
+def eval_cancelled_ratio_loop(num, den, qp: QRacahParams) -> complex:
+    """The cancelled q-Racah product ratio, each uncancelled infinite
+    factor from its own kernel call."""
+    q = qp.q
+    groups: Dict[Tuple[int, int, int, int], Dict[str, list]] = {}
+    for side, keys in (("num", num), ("den", den)):
+        for key in keys:
+            tpart = key[1:]
+            groups.setdefault(tpart, {"num": [], "den": []})[side].append(
+                key[0])
+    val: complex = 1.0
+    for tpart, sides in groups.items():
+        ns = sorted(sides["num"])
+        ds = sorted(sides["den"])
+        i = j = 0
+        ns2, ds2 = [], []
+        while i < len(ns) and j < len(ds):
+            if ns[i] == ds[j]:
+                i += 1
+                j += 1
+            elif ns[i] < ds[j]:
+                ns2.append(ns[i])
+                i += 1
+            else:
+                ds2.append(ds[j])
+                j += 1
+        ns2.extend(ns[i:])
+        ds2.extend(ds[j:])
+        npair = min(len(ns2), len(ds2))
+        for a, b in zip(ns2[:npair], ds2[:npair]):
+            x = _key_value((min(a, b),) + tpart, qp)
+            fin = qpoch_finite(x, q, abs(b - a))
+            if a <= b:
+                val *= fin
+            else:
+                if abs(fin) < POLE_GUARD:
+                    raise UncancelledPole(
+                        f"finite factor vanishes in denominator at {tpart}")
+                val /= fin
+        for a in ns2[npair:]:
+            val *= qpoch_infinite(_key_value((a,) + tpart, qp), q)
+        for b in ds2[npair:]:
+            d = qpoch_infinite(_key_value((b,) + tpart, qp), q)
+            if abs(d) < POLE_GUARD:
+                raise UncancelledPole(
+                    f"infinite factor vanishes in denominator at {tpart}")
+            val /= d
+    return val
+
+
+def nqj_product_loop(lam, n, q, t, a, b) -> complex:
+    """little.nqj_product with (q;q)_inf and the ratio from two kernel
+    calls."""
+    num, den = _nqj_args(lam, n, q, t, a, b)
+    qq = qpoch_infinite(q, q).real
+    return (1.0 - q) ** n * qq ** (2 * n) * qpoch_ratio(den, num, q)
+
+
+def selberg_little_loop(lp: LittleParams) -> float:
+    """The little q-Jacobi constant term <1,1>_L from two kernel calls."""
+    n, q, t, a, b = lp.n, lp.q, lp.t, lp.a, lp.b
+    num, den = [], []
+    for j in range(1, n + 1):
+        num += [q * a * t ** (j - 1), q * b * t ** (j - 1), t ** j]
+        den += [q * q * a * b * t ** (n + j - 2), t]
+    qq = qpoch_infinite(q, q).real
+    return (1.0 - q) ** n * qq ** n * qpoch_ratio(den, num, q)
+
+
+def norm_big_loop(lam: Sequence[int], bp: BigParams) -> float:
+    """The big q-Jacobi norm: nqj_product_loop, then one kernel call per
+    i for its two guarded factors."""
+    lam = partition(lam)
+    n, q, t, c, d = bp.n, bp.q, bp.t, bp.c, bp.d
+    a, b = bp.a, bp.b
+    val = (c * d) ** sum(lam) * nqj_product_loop(lam, n, q, t, a, b)
+    for i in range(1, n + 1):
+        li = lam[i - 1]
+        val *= q ** math.comb(li, 2) * (t ** (n - i)) ** li
+        try:
+            pb, pa = qpoch_infinite_arr(np.array(
+                [-q ** (li + 1) * b * t ** (n - i) * c / d,
+                 -q ** (li + 1) * a * t ** (n - i) * d / c]), q,
+                require_nonzero=True).tolist()
+        except ZeroProduct as exc:
+            raise DomainViolation("norm denominator factor vanishes") from exc
+        val /= pb * pa
+    val = complex(val)
+    return float(val.real)
+
+
+def selberg_big_loop(bp: BigParams) -> float:
+    """The big q-Jacobi constant term <1,1>_B from two kernel calls."""
+    n, q, t, c, d = bp.n, bp.q, bp.t, bp.c, bp.d
+    a, b = bp.a, bp.b
+    num, den = [], []
+    for j in range(1, n + 1):
+        num += [q * a * t ** (j - 1), q * b * t ** (j - 1), t ** j,
+                -q * a * t ** (j - 1) * d / c, -q * b * t ** (j - 1) * c / d]
+        den += [q * q * a * b * t ** (n + j - 2), t]
+    qq = qpoch_infinite(q, q).real
+    val = (1.0 - q) ** n * qq ** n * qpoch_ratio(den, num, q)
+    return float(complex(val).real)

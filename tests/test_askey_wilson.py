@@ -12,7 +12,6 @@ from bcortho import qseries
 from bcortho.askey_wilson import (
     aw1_oracle,
     aw_norm,
-    aw_norm_plus,
     aw_polynomials,
     gustafson_constant,
 )

@@ -113,21 +113,27 @@ class TestCWeights:
             assert rel(ca[j] / ca[0], cb[j] / cb[0]) < 1e-12
 
 
+def fake_thetas(monkeypatch, theta):
+    """Make c_weights read theta(x) for every theta value of its kernel
+    call, and the true (a;q)_inf for the others."""
+    real = big.qpoch_theta_values
+    monkeypatch.setattr(big, "qpoch_theta_values", lambda args, xs, q: (
+        real(args, [], q)[0], [theta(x) for x in xs]))
+
+
 class TestCWeightGuard:
     # each theta factor of a denominator is guarded on its own, as in
     # qpoch_ratio, so a small product of admissible factors is accepted
     def test_small_factors_accepted(self, monkeypatch):
         # the product of the two factors of c_{B,1} is 1e-14, below the
         # pole guard, but neither factor is
-        monkeypatch.setattr(big, "theta_values",
-                            lambda xs, q: [1e-7] * len(xs))
+        fake_thetas(monkeypatch, lambda x: 1e-7)
         assert all(math.isfinite(v) and v != 0.0
                    for v in big.c_weights(BP2))
 
     def test_vanishing_factor_raises(self, monkeypatch):
         x0 = -BP2.t * BP2.c / BP2.d   # theta(-t c / d) divides c_{B,1}
-        monkeypatch.setattr(big, "theta_values", lambda xs, q: [
-            1e-14 if x == x0 else 1.0 for x in xs])
+        fake_thetas(monkeypatch, lambda x: 1e-14 if x == x0 else 1.0)
         with pytest.raises(PoleInTheta):
             big.c_weights(BP2)
 

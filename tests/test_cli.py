@@ -368,6 +368,37 @@ class TestFamilyChecks:
         wrong = replace(fam, mass=lambda: fam.mass() * (1 + 10 * tol_mass))
         assert not family_verdicts(wrong, name)["constant-term"]
 
+    # the big suite's own closed-form checks: each fails with one closed
+    # form off by 10 tol. The askey-evans checks compare on the
+    # max(1, |rhs|) floor (ROADMAP item 3a), which hides nothing here:
+    # |rhs| is 1.66 at n = 2 and 0.56 at n = 3
+    @pytest.mark.parametrize("check, form, n", [
+        ("c-weight-dual-form", "c_weights_defining", "2"),
+        ("askey-evans", "askey_evans_rhs", "2"),
+        ("askey-evans", "askey_evans_rhs", "3"),
+        ("askey-evans-translation", "askey_evans_rhs", "2"),
+        ("askey-evans-translation", "selberg_big_qk", "2"),
+    ])
+    def test_scaled_big_closed_form_fails(self, check, form, n, monkeypatch):
+        cfg = build_config({"suite": "big", "n": n})
+
+        def verdict():
+            [c] = [c for c in run_suite(cfg).checks if c.name == check]
+            return c.passed, c.tol
+
+        passed, tol = verdict()
+        assert passed
+        exact = getattr(cli, form)
+
+        def scaled(bp):
+            v = exact(bp)
+            if isinstance(v, list):
+                return [x * (1 + 10 * tol) for x in v]
+            return v * (1 + 10 * tol)
+
+        monkeypatch.setattr(cli, form, scaled)
+        assert verdict() == (False, tol)
+
     @pytest.mark.parametrize("name", list(FAMILIES))
     def test_mixed_polynomials_fail_orthogonality(self, name):
         # P_a + c P_b with c N_b = 10 tol |<1,1>|: <P_a, P_b> is then ten

@@ -1,6 +1,7 @@
 """Tests for the q-difference operator and its triangular matrix."""
 
 import cmath
+import math
 import random
 
 import numpy as np
@@ -17,7 +18,7 @@ from bcortho.koornwinder import (
     phi_minus,
     phi_plus,
 )
-from bcortho.params import AWParams
+from bcortho.params import _TOL, AWParams, _real_geq1
 
 from oracles import aw_polynomials_loop, op_matrix_loop
 
@@ -40,6 +41,21 @@ def rand_point(rng, n):
             for _ in range(n)]
 
 
+def in_V(p: AWParams) -> bool:
+    """Generic domain: the 8 arguments of t_i and 1/t_i are pairwise
+    distinct, and t0 t1 t2 t3 is not a real number >= 1."""
+    args = []
+    for ti in p.tvec:
+        for u in (ti, 1.0 / ti):
+            args.append(math.atan2(u.imag, u.real) % (2 * math.pi))
+    for i in range(8):
+        for j in range(i + 1, 8):
+            d = abs(args[i] - args[j]) % (2 * math.pi)
+            if min(d, 2 * math.pi - d) < _TOL:
+                return False
+    return not _real_geq1(p.T)
+
+
 class TestDomainFlags:
     def test_in_v_aw(self):
         assert P2.in_V_AW()
@@ -55,9 +71,9 @@ class TestDomainFlags:
     def test_in_v(self):
         p = AWParams(2, 0.5, 0.3, 0.6 * cmath.exp(0.3j), -0.5 * cmath.exp(0.1j),
                      0.4 * cmath.exp(1.1j), 0.7 * cmath.exp(2.0j))
-        assert p.in_V()
+        assert in_V(p)
         # real parameter: arg(t0) = arg(1/t0) = 0 collides
-        assert not P2.in_V()
+        assert not in_V(P2)
 
 
 class TestPhi:

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -241,7 +242,7 @@ class TestSupports:
         assert len(table_labels(p)) == MAX_CHAIN
         with pytest.raises(SlowConvergence):
             measures._discrete_table(
-                p.replace_t0(0.97 ** -(MAX_CHAIN + 0.5)), 16)
+                replace(p, t0=0.97 ** -(MAX_CHAIN + 0.5)), 16)
 
 
 class TestPartialBilinear:

@@ -556,7 +556,7 @@ class TestTablesAreReused:
         f, g = monomial_s((1, 0)), monomial_s((1, 1))
         self.check(monkeypatch, lambda bp: bilinear_big(f, g, bp),
                    lambda: big_params(2, "real"), [big._node_table],
-                   [(big, ["qpoch_infinite", "qpoch_infinite_arr",
+                   [(big, ["qpoch_theta_values", "qpoch_infinite_arr",
                            "weight_big", "c_weights"]),
                     (little, ["qpoch_real_arr"])])
 
@@ -565,8 +565,8 @@ class TestTablesAreReused:
         self.check(monkeypatch, lambda lp: bilinear_little(f, g, lp),
                    lambda: LittleParams(2, 0.5, 0.4, 0.6, -2.0),
                    [little._node_table],
-                   [(little, ["qpoch_infinite", "qpoch_infinite_arr",
-                              "qpoch_real", "qpoch_real_arr"])])
+                   [(little, ["qpoch_infinite_arr", "qpoch_real",
+                              "qpoch_real_arr"])])
 
     def test_qracah(self, monkeypatch):
         f, g = monomial_w((1, 0)), monomial_w((1, 1))
