@@ -142,7 +142,7 @@ def measure_scan(limit: Limit, lam: Sequence[int], mu: Sequence[int],
     rows: List[Tuple[int, float, float]] = []
     for k in ks:
         eps = q * q ** k
-        pair = partial_bilinear(f, g, limit.deformation(eps), M).value
+        pair = partial_bilinear(f, g, limit.deformation(eps), M)
         got = (limit.prefactor(eps)
                * limit.rescale(eps) ** (sum(lam) + sum(mu)) * pair)
         rows.append((k, eps, abs(got - want) / max(1.0, abs(want))))

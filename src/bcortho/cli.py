@@ -5,7 +5,8 @@ constant terms, limit transitions) over a parameter configuration and
 emits a machine-readable certification report. Configurations come from
 a flat key=value file, command-line flags, or both (flags win). The keys
 are suite, out, format and those of INT_KEYS and FLOAT_KEYS; any other
-key is a configuration error (exit 2).
+key, or a FLOAT_KEYS value that is not finite, is a configuration error
+(exit 2). A check whose deviation is NaN fails.
 
 Each family (aw, qracah, little, big) is one _Family record: its
 parameters, the Gram matrix of its pairing (bcpoly.gram on the family's
@@ -41,7 +42,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -79,7 +80,12 @@ from .little import (
     norm_little,
     selberg_little,
 )
-from .measures import multi_discrete_weight, partial_bilinear, torus_gram
+from .measures import (
+    multi_discrete_weight,
+    partial_bilinear,
+    torus_bilinear,
+    torus_gram,
+)
 from .params import AWParams
 from .qracah import (
     QRacahParams,
@@ -227,6 +233,9 @@ def build_config(raw: Dict[str, str]) -> SuiteConfig:
                 raise ConfigError(
                     f"{key} must satisfy |{key}| < 1 for suite {suite}, "
                     f"got {values[key]}")
+    for key in sorted(FLOAT_KEYS & values.keys()):
+        if not math.isfinite(values[key]):
+            raise ConfigError(f"{key} must be finite, got {values[key]}")
     return SuiteConfig(suite, values)
 
 
@@ -260,6 +269,13 @@ def _tol(cfg: SuiteConfig, default: float) -> float:
     return float(cfg.get("tol", default))
 
 
+def _worst(devs: Iterable[float]) -> float:
+    """The largest of the deviations devs (0 for none), NaN if one is NaN:
+    max() passes a NaN over, and a NaN deviation must fail its check."""
+    devs = list(devs)
+    return math.nan if any(map(math.isnan, devs)) else max(devs, default=0.0)
+
+
 @dataclass(frozen=True)
 class _Family:
     """One orthogonal family as the paper certifies it: its parameters,
@@ -281,10 +297,7 @@ def _aw_family(cfg: SuiteConfig) -> _Family:
     p = AWParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["t0"], cfg["t1"],
                  cfg["t2"], cfg["t3"])
     M = int(cfg["M"])
-    # one entry of the torus Gram (torus_bilinear would also pair on a
-    # coarser grid for its error estimate)
-    return _Family(p, lambda f, g: torus_gram([f] if f is g else [f, g],
-                                              p, M)[0, -1],
+    return _Family(p, lambda f, g: torus_bilinear(f, g, p, M),
                    lambda polys: torus_gram(polys, p, M),
                    lambda top: aw_polynomials(top, p),
                    lambda lam: aw_norm(lam, p),
@@ -348,19 +361,13 @@ def _gram_checks(report: CertificationReport, fam: _Family,
 
     def off_diag() -> Tuple[float, float]:
         lams, G = gram()
-        worst = 0.0
-        for a in range(len(lams)):
-            for b in range(a + 1, len(lams)):
-                worst = max(worst, abs(G[a, b]) / scale)
-        return worst, 0.0
+        return _worst(abs(G[a, b]) / scale for a in range(len(lams))
+                      for b in range(a + 1, len(lams))), 0.0
 
     def diag() -> Tuple[float, float]:
         lams, G = gram()
-        worst = 0.0
-        for a, la in enumerate(lams):
-            w = fam.norm(la)
-            worst = max(worst, abs(G[a, a] - w) / max(1.0, abs(w)))
-        return worst, 0.0
+        return _worst(abs(G[a, a] - w) / max(1.0, abs(w))
+                      for a, w in enumerate(map(fam.norm, lams))), 0.0
 
     _run_check(report, "orthogonality", "Gram off-diagonals vanish",
                tol_orth, off_diag)
@@ -378,12 +385,12 @@ def _suite_aw(cfg: SuiteConfig, report: CertificationReport) -> None:
 
     def n1_oracle() -> Tuple[float, float]:
         z = 0.9 * complex(math.cos(0.7), math.sin(0.7))
-        dev = 0.0
+        devs = []
         for (lam,), poly in aw_polynomials((4,), p1).items():
             got = poly.eval([z])
             want = aw1_oracle(lam, z, p1)
-            dev = max(dev, abs(got - want) / max(1.0, abs(want)))
-        return dev, 0.0
+            devs.append(abs(got - want) / max(1.0, abs(want)))
+        return _worst(devs), 0.0
 
     _run_check(report, "n1-closed-form",
                "one-variable polynomial = terminating series closed form",
@@ -406,14 +413,14 @@ def _residue_split(qp: QRacahParams, seed: int) -> float:
         r = rng.choice(range(1, qp.n + 1))
         labels[tuple(sorted(rng.randrange(5) for _ in range(r)))] = None
     K = {}
-    worst = 0.0
+    devs = []
     for nu in labels:
         lhs = multi_discrete_weight(nu, pg, 0)
         if len(nu) not in K:
             K[len(nu)] = kr_constant(len(nu), pg)
         rhs = K[len(nu)] * weight_qR(nu, pg)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst
+        devs.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
+    return _worst(devs)
 
 
 def _suite_qracah(cfg: SuiteConfig, report: CertificationReport) -> None:
@@ -450,7 +457,7 @@ def _suite_big(cfg: SuiteConfig, report: CertificationReport) -> None:
 
     def dual_form() -> Tuple[float, float]:
         rng = random.Random(int(cfg["seed"]))
-        worst = 0.0
+        devs = []
         for _ in range(10):
             q = rng.uniform(0.3, 0.7)
             t = rng.uniform(0.2, 0.8)
@@ -461,9 +468,9 @@ def _suite_big(cfg: SuiteConfig, report: CertificationReport) -> None:
             rp = BigParams(bp.n, q, t, a, b, c, d)
             got = c_weights(rp)
             want = c_weights_defining(rp)
-            for x, y in zip(got, want):
-                worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
-        return worst, 0.0
+            devs += [abs(x - y) / max(abs(x), abs(y))
+                     for x, y in zip(got, want)]
+        return _worst(devs), 0.0
 
     _run_check(report, "c-weight-dual-form",
                "split-weight theta form = base constant times Psi products",
@@ -492,12 +499,9 @@ def _suite_big(cfg: SuiteConfig, report: CertificationReport) -> None:
     def asym() -> Tuple[float, float]:
         # the ratios tend to 1 like q^L: compare where q^L = tol / 1000
         L = math.ceil(math.log(_tol(cfg, 1e-5) / 1000) / math.log(bp.q))
-        worst = 0.0
-        for j in range(1, bp.n + 1):
-            ratio = asymptotic_ratio(j, (0,) * (j - 1), (0,) * (bp.n - j),
-                                     bp, L)
-            worst = max(worst, abs(ratio - 1.0))
-        return worst, 0.0
+        return _worst(abs(asymptotic_ratio(j, (0,) * (j - 1),
+                                           (0,) * (bp.n - j), bp, L) - 1.0)
+                      for j in range(1, bp.n + 1)), 0.0
 
     _run_check(report, "asymptotic-match",
                "split-weight ratios balance where a chain coordinate "
@@ -559,7 +563,7 @@ def _suite_selberg(cfg: SuiteConfig, report: CertificationReport) -> None:
                "torus plus chain corrections constant term = closed product",
                _tol(cfg, 1e-6),
                lambda: (partial_bilinear(one, one, pd,
-                                         int(cfg["M"]) * 2).value.real,
+                                         int(cfg["M"]) * 2).real,
                         gustafson_constant(pd).real))
 
 

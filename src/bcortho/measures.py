@@ -2,9 +2,9 @@
 
 Continuous torus measure with density Delta = prod w_c(z_j) * delta(z;t),
 residue-derived discrete weights (w_d, Delta^(d), delta_d, delta_c), the
-node tables of the discrete support F(r), the partially discrete bilinear
-form that mixes (n-r)-torus integration with r-point discrete chains, and
-its rewrite for natural deformation parameter t = q^k.
+node tables of the discrete support F(r), and the partially discrete
+bilinear form that mixes (n-r)-torus integration with r-point discrete
+chains.
 
 Torus integrals use the uniform tensor trapezoid rule on angles, which is
 spectrally accurate for these analytic periodic integrands. Delta, the
@@ -19,11 +19,10 @@ from w_c(z_k), k <= M/2, and one real table of the pair factors
 m_lambda, cached per table and real on the torus (a constant stays a
 scalar), and keeps its node values, as on the discrete tables
 (LaurentPolynomial.node_values); NotWInvariant for any other input. A
-torus pairing is bcpoly.pair on the table, and its Gram matrix
-bcpoly.gram. The error estimate is the distance to the pairing on the
-ceil(M/2)-point grid, whose table only a pairing builds (the Gram matrix
-reads the M-point table alone). A grid with M < 2 deg + 8 points per
-axis, deg the total degree of f g, raises GridTooCoarse.
+torus pairing is bcpoly.pair on the M-point table, and its Gram matrix
+bcpoly.gram on the same table; every pairing reads that one grid. A grid
+with M < 2 deg + 8 points per axis, deg the total degree of f g, raises
+GridTooCoarse.
 
 The discrete supports are never truncated: each chain position runs to
 the last support value off the closed unit disk (SlowConvergence past
@@ -43,7 +42,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from itertools import product as iter_product
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -66,7 +64,6 @@ from .params import CACHE_SIZE, AWParams
 from .qseries import (
     POLE_GUARD,
     qpoch_finite,
-    qpoch_finite_arr,
     qpoch_infinite_arr,
     qpoch_real_arr,
 )
@@ -80,27 +77,12 @@ MAX_CHAIN = 256
 _SLAB = 2 ** 15
 
 
-@dataclass(frozen=True)
-class MeasureReport:
-    """Result of a bilinear-form evaluation."""
-
-    value: complex
-    abs_error_estimate: float
-    quadrature_points_per_axis: int
-    discrete_points_used: int
-
-
 # ---------------------------------------------------------------------------
 # torus quadrature: one W-chamber node table per measure
 
 def _grid_axes(M: int) -> np.ndarray:
     ang = 2.0 * np.pi * np.arange(M) / M
     return np.exp(1j * ang)
-
-
-def _grid_sizes(M: int) -> Tuple[int, int]:
-    """The grid of a pairing and the coarser one of its error estimate."""
-    return M, (M + 1) // 2
 
 
 def _axis_wc(zvals: np.ndarray, p: AWParams) -> np.ndarray:
@@ -195,11 +177,11 @@ class _Chamber:
                               for lam, c in f.w_coefficients().items()}, 1)
 
 
-@functools.lru_cache(maxsize=2 * CACHE_SIZE)
-def _table(p: AWParams, n_axes: int, m: int) -> _Chamber:
-    """The chamber table of the measure on n_axes axes and the m-point
-    grid, cached for CACHE_SIZE measures of two grids each."""
-    return _Chamber(p, n_axes, m)
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _table(p: AWParams, n_axes: int, M: int) -> _Chamber:
+    """The chamber table of the measure on n_axes axes and the M-point
+    grid, cached for CACHE_SIZE of them."""
+    return _Chamber(p, n_axes, M)
 
 
 def _pairing_degree(f: LaurentPolynomial, g: LaurentPolynomial) -> int:
@@ -234,33 +216,29 @@ def _tail_coefficients(f: LaurentPolynomial, omega: np.ndarray
 
 def _chamber_pairings(f: LaurentPolynomial, g: LaurentPolynomial,
                       p: AWParams, M: int, omega: np.ndarray,
-                      rows: tuple | None = None) -> tuple:
+                      row: np.ndarray | None = None) -> np.ndarray:
     """Per label (row of omega, the values of the first r variables): the
     M-point pairing of f(omega, z) g(omega, z) prod_j row(z_j) over the
-    other n - r variables, and its distance to the same on the coarser
-    grid; rows holds one (labels, axis) array per grid of _grid_sizes(M),
-    None for a row of ones. f and g are put in a canonical order first,
-    so that the result is exactly symmetric in them."""
+    other n - r variables; row is a (labels, chamber axis) array, None for
+    a row of ones. f and g are put in a canonical order first, so that the
+    result is exactly symmetric in them."""
     if (sorted((lam, c.real, c.imag) for lam, c in g.w_coefficients().items())
             < sorted((lam, c.real, c.imag)
                      for lam, c in f.w_coefficients().items())):
         f, g = g, f
-    sums = []
-    for m, row in zip(_grid_sizes(M), rows or (None, None)):
-        table = _table(p, p.n - omega.shape[1], m)
-        step = max(1, _SLAB // max(1, table.nodes.shape[1]))
-        out = []
-        for lo in range(0, len(omega), step):
-            labels = omega[lo:lo + step]
-            F, G = (table.evaluate(_tail_coefficients(h, labels), len(labels))
-                    for h in (f, g))
-            fg = F * G
-            if row is not None:
-                fg = fg * np.prod([row[lo:lo + step, kj]
-                                   for kj in table.nodes], axis=0)
-            out.append(np.sum(fg * table.weights, axis=1))
-        sums.append(np.concatenate(out))
-    return sums[0], np.abs(sums[0] - sums[1])
+    table = _table(p, p.n - omega.shape[1], M)
+    step = max(1, _SLAB // max(1, table.nodes.shape[1]))
+    out = []
+    for lo in range(0, len(omega), step):
+        labels = omega[lo:lo + step]
+        F, G = (table.evaluate(_tail_coefficients(h, labels), len(labels))
+                for h in (f, g))
+        fg = F * G
+        if row is not None:
+            fg = fg * np.prod([row[lo:lo + step, kj]
+                               for kj in table.nodes], axis=0)
+        out.append(np.sum(fg * table.weights, axis=1))
+    return np.concatenate(out)
 
 
 def _check_torus_clearance(p: AWParams) -> None:
@@ -291,23 +269,19 @@ def _check_grid(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
 
 
 def torus_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
-                   M: int) -> MeasureReport:
+                   M: int) -> complex:
     """<f,g> over the n-torus with density Delta, via the M-point uniform
     tensor grid per axis, for W-invariant f and g: bcpoly.pair on the
-    M-point chamber table, with the distance to the same on the coarser
-    grid as the error estimate."""
+    M-point chamber table."""
     _check_grid(f, g, p, M)
-    value, coarse = (pair(f, g, [_table(p, p.n, m)])
-                     for m in _grid_sizes(M))
-    return MeasureReport(complex(value), abs(value - coarse), M, 0)
+    return complex(pair(f, g, [_table(p, p.n, M)]))
 
 
 def torus_gram(polys: Sequence[LaurentPolynomial], p: AWParams,
                M: int) -> np.ndarray:
     """The Gram matrix <P_a, P_b> of torus_bilinear, for every pair of
     W-invariant polys: bcpoly.gram on the M-point chamber table. The grid
-    must resolve the pair of highest degree; no error estimate is
-    formed."""
+    must resolve the pair of highest degree."""
     if any(f.nvars != p.n for f in polys):
         raise LengthMismatch("grid has wrong number of axes")
     top = max(polys, key=lambda f: _pairing_degree(f, f))
@@ -526,18 +500,17 @@ def _qr_pair(pc: AWParams, k: int, l: int, ek: int, el: int) -> np.ndarray:
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _discrete_table(p: AWParams, M: int) -> tuple:
     """One node table per split l + m = r of F(r), r = 1..n, as
-    ((l, nu, omega, w, rows), ...), cached like _table: the labels nu
+    ((l, nu, omega, w, row), ...), cached like _table: the labels nu
     (one column per label, nu on the chain of t_i in its first l rows,
     nu' on that of t_j in the other m), their support values omega (one
     row per label), the weights Delta^(d)(nu) Delta^(d)(nu')
     delta_c(omega; omega') and, for r < n, the delta_c rows over the
-    chamber axes of the two grids of _grid_sizes(M) (None for r = n)."""
+    chamber axis k <= M/2 of the M-point grid (None for r = n)."""
     n = p.n
     large = _large_params(p)
     i_param = large[0] if large else 0
     j_param = large[1] if len(large) > 1 else (1 if i_param == 0 else 0)
-    grid_axes = [_grid_axes(m)[:m // 2 + 1] for m in _grid_sizes(M)]
-    zvals = np.concatenate(grid_axes)
+    zvals = _grid_axes(M)[:M // 2 + 1]
     # per axis (chain c, position k): support values, one-axis factor and
     # delta_c rows; per pair of axes: the pair factor matrix
     ends, K, values, axis, rows, pairs = {}, {}, {}, {}, {}, {}
@@ -577,9 +550,8 @@ def _discrete_table(p: AWParams, M: int) -> tuple:
                     f"discrete weight {w[bad[0]]} at the label "
                     f"{nu[:, bad[0]].tolist()} of the split ({l}, {r - l})")
             omega = np.array([values[ax][lab] for ax, lab in zip(axes, nu)])
-            row = (tuple(np.split(np.prod([rows[ax][lab] for ax, lab in zip(
-                axes, nu)], axis=0), [len(grid_axes[0])], axis=1))
-                   if r < n else None)
+            row = (np.prod([rows[ax][lab] for ax, lab in zip(axes, nu)],
+                           axis=0) if r < n else None)
             table.append((l, nu, omega.T, w, row))
     return tuple(table)
 
@@ -588,22 +560,18 @@ def _discrete_table(p: AWParams, M: int) -> tuple:
 # partially discrete bilinear form
 
 def partial_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
-                     M: int) -> MeasureReport:
+                     M: int) -> complex:
     """The partially discrete bilinear form on the positive-measure domain:
     torus term plus discrete-chain corrections over F(r), r = 1..n, all
-    labels of a split paired in one batch."""
+    labels of a split paired in one batch on the M-point grid."""
     n = p.n
     check_positive = p.in_V_AW()
-    base = torus_bilinear(f, g, p, M)
-    total = base.value
-    err = base.abs_error_estimate
-    mass = abs(base.value)
-    npoints = 0
-    for _l, nu, omega, weights, rows in _discrete_table(p, M):
+    total = torus_bilinear(f, g, p, M)
+    mass = abs(total)
+    for _l, nu, omega, weights, row in _discrete_table(p, M):
         r = len(nu)
         comb = 2 ** r * math.factorial(n) // math.factorial(n - r)
-        vals, errs = _chamber_pairings(f, g, p, M, omega, rows)
-        contrib = weights * vals
+        contrib = weights * _chamber_pairings(f, g, p, M, omega, row)
         if check_positive:
             bad = np.flatnonzero((np.abs(contrib) > 0) & (
                 np.abs(weights.imag) > 1e-9 * np.abs(weights)))
@@ -612,14 +580,12 @@ def partial_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
                     f"discrete weight not real at {nu[:, bad[0]].tolist()}")
         total += comb * complex(np.sum(contrib))
         mass += comb * float(np.sum(np.abs(contrib)))
-        err += comb * float(np.sum(errs * np.abs(weights)))
-        npoints += len(weights)
     # the realness check is scaled by the summed term magnitudes, not the
     # total: orthogonal pairs cancel to a value far below the rounding
     # noise of the individual contributions
     if check_positive and abs(complex(total).imag) > 1e-9 * max(1e-300, mass):
         raise NonPositiveWeight("bilinear form value has an imaginary part")
-    return MeasureReport(total, err, M, npoints)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -630,60 +596,3 @@ def _natural_k(p: AWParams) -> int:
     if k < 1 or abs(p.t - p.q ** k) > 1e-12:
         raise DomainViolation(f"t={p.t} is not an exact positive power of q")
     return int(k)
-
-
-def natural_t_bilinear(f: LaurentPolynomial, g: LaurentPolynomial,
-                       p: AWParams, M: int) -> MeasureReport:
-    """The t = q^k rewrite of the partially discrete form: independent
-    discrete chains per coordinate, all interactions carried by the
-    Laurent-polynomial factor delta(z;q^k); the picks of one choice of
-    chains are paired in one batch. The chain factors are finite products;
-    the torus axes use the chamber table, (x;q)_tau = (x;q)_k at t = q^k."""
-    k = _natural_k(p)
-    n = p.n
-    q = p.q
-    large = _large_params(p)
-    chains: Dict[int, List[Tuple[complex, complex]]] = {}
-    for i in large:
-        e = p.tvec[i]
-        others = _others(p, i)
-        chains[i] = [(e * q ** m, wd_residue_weight(m, e, *others, q))
-                     for m in range(_chain_ends(p, i)[0])]
-    _check_grid(f, g, p, M)
-    grid_axes = [_grid_axes(m)[:m // 2 + 1] for m in _grid_sizes(M)]
-    x = np.concatenate(grid_axes)[None, :]
-
-    def pair_fin(a, b):
-        out = 1.0
-        for arg in (a * b, b / a, a / b, 1.0 / (a * b)):
-            out = out * qpoch_finite(arg, q, k)
-        return out
-
-    total: complex = 0.0
-    err = 0.0
-    npoints = 0
-    for r in range(n + 1):
-        comb = 2 ** r * math.comb(n, r)
-        for es in iter_product(large, repeat=r):
-            picks = list(iter_product(*[chains[e] for e in es]))
-            omega = np.array([[zv for zv, _w in pk] for pk in picks],
-                             dtype=complex).reshape(len(picks), r)
-            wdisc = np.array([math.prod(w for _zv, w in pk) * math.prod(
-                pair_fin(a, b) for a, b in combinations(pt, 2))
-                for pk, pt in zip(picks, omega)], dtype=complex)
-            keep = wdisc != 0
-            omega, wdisc = omega[keep], wdisc[keep]
-            if not len(wdisc):
-                continue
-            rows = None
-            if r < n:
-                row = np.ones((len(omega), x.shape[1]), dtype=complex)
-                for w in omega.T[:, :, None]:
-                    for arg in (w * x, w / x, x / w, 1.0 / (w * x)):
-                        row *= qpoch_finite_arr(arg, q, k)
-                rows = np.split(row, [len(grid_axes[0])], axis=1)
-            vals, errs = _chamber_pairings(f, g, p, M, omega, rows)
-            total += comb * complex(np.sum(wdisc * vals))
-            err += comb * float(np.sum(np.abs(wdisc) * errs))
-            npoints += len(wdisc)
-    return MeasureReport(total, err, M, npoints)

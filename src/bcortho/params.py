@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .errors import DomainViolation
@@ -9,9 +10,9 @@ from .qseries import check_q
 
 _TOL = 1e-10
 
-# Measures kept by each cache of measure tables (the discrete node tables,
-# and the torus chamber tables: one per measure, number of axes and grid,
-# two grids to a pairing); the least recently used entry is dropped first.
+# Entries kept by each cache of measure tables (the discrete node tables,
+# one per measure, and the torus chamber tables, one per measure, number
+# of axes and grid); the least recently used entry is dropped first.
 CACHE_SIZE = 8
 
 
@@ -40,6 +41,8 @@ class AWParams:
         for ti in (self.t0, self.t1, self.t2, self.t3):
             if ti == 0:
                 raise DomainViolation("all t_i must be nonzero")
+            if not cmath.isfinite(ti):
+                raise DomainViolation(f"all t_i must be finite, got {ti!r}")
 
     @property
     def tvec(self) -> tuple[complex, complex, complex, complex]:

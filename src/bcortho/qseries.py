@@ -129,8 +129,9 @@ def _qpoch_blocks(a, q: float, t: float | None, guard) -> np.ndarray:
         x, mask = np.concatenate((x, x)), None
     mag = np.abs(x) * (1.0 if t is None else max(1.0, t))
     top = float(np.maximum.reduce(mag)) if x.size else 0.0
-    if top == math.inf:
-        raise DomainViolation("q-shifted factorial of an infinite argument")
+    # a NaN argument makes top NaN
+    if not math.isfinite(top):
+        raise DomainViolation("q-shifted factorial of a non-finite argument")
     if not top >= EPS_TRUNC:
         return np.ones(a.shape, dtype)
     low = float(np.minimum.reduce(mag))

@@ -15,7 +15,10 @@ residue_split_loop the CLI's residue-split value with every one of its
 its value, and its errors, exactly. norm_ratio_keys_tuples is the
 q-Racah norm key builder as tuple arithmetic. The weights below are the
 scalar forms of the densities that the node tables build as arrays, one
-point or label at a time.
+point or label at a time. natural_t_bilinear is the partially discrete
+form rewritten for t = q^k, with independent chains per coordinate and
+finite-product interactions: the reference that
+measures.partial_bilinear is compared against.
 
 The *_loop closed forms at the end (aw_norm_loop, gustafson_loop,
 c_weights_defining_loop, askey_evans_rhs_loop, the limit prefactor loops,
@@ -26,6 +29,7 @@ the closed forms equal them bit for bit, and raise the same typed error
 first.
 """
 
+import itertools
 import math
 import random
 from typing import Dict, Sequence, Tuple
@@ -43,10 +47,13 @@ from bcortho.errors import (BcorthoError, DiagonalMismatch,
 from bcortho.koornwinder import (TriangularOpMatrix, _nodes, apply_D,
                                  eigenvalue_E)
 from bcortho.little import LittleParams, _nqj_args, delta_qJ, support_point
-from bcortho.measures import _natural_k, multi_discrete_weight
+from bcortho import measures
+from bcortho.measures import (_natural_k, multi_discrete_weight,
+                              wd_residue_weight)
 from bcortho.params import AWParams
 from bcortho.qracah import QRacahParams, _key_value, kr_constant, weight_qR
-from bcortho.qseries import (POLE_GUARD, psi_t, qpoch_finite, qpoch_infinite,
+from bcortho.qseries import (POLE_GUARD, psi_t, qpoch_finite,
+                             qpoch_finite_arr, qpoch_infinite,
                              qpoch_infinite_arr, qpoch_ratio, qpoch_real,
                              theta_jacobi)
 
@@ -274,6 +281,56 @@ def interaction_c(omega: Sequence[complex], z: Sequence[complex],
             for arg in (w * x, w / x, x / w, 1.0 / (w * x)):
                 val *= qpoch_real(arg, p.q, p.t)
     return val
+
+
+def natural_t_bilinear(f, g, p: AWParams, M: int) -> complex:
+    """The t = q^k rewrite of measures.partial_bilinear: independent
+    discrete chains per coordinate, all interactions carried by the
+    Laurent-polynomial factor delta(z;q^k); the picks of one choice of
+    chains are paired in one batch. The chain factors are finite
+    products; the torus axes use the chamber table of the M-point grid,
+    (x;q)_tau = (x;q)_k at t = q^k."""
+    k = _natural_k(p)
+    n, q = p.n, p.q
+    large = measures._large_params(p)
+    chains = {}
+    for i in large:
+        e = p.tvec[i]
+        chains[i] = [(e * q ** m,
+                      wd_residue_weight(m, e, *measures._others(p, i), q))
+                     for m in range(measures._chain_ends(p, i)[0])]
+    measures._check_grid(f, g, p, M)
+    x = measures._grid_axes(M)[None, :M // 2 + 1]
+
+    def pair_fin(a, b):
+        out = 1.0
+        for arg in (a * b, b / a, a / b, 1.0 / (a * b)):
+            out = out * qpoch_finite(arg, q, k)
+        return out
+
+    total: complex = 0.0
+    for r in range(n + 1):
+        comb = 2 ** r * math.comb(n, r)
+        for es in itertools.product(large, repeat=r):
+            picks = list(itertools.product(*[chains[e] for e in es]))
+            omega = np.array([[zv for zv, _w in pk] for pk in picks],
+                             dtype=complex).reshape(len(picks), r)
+            wdisc = np.array([math.prod(w for _zv, w in pk) * math.prod(
+                pair_fin(a, b) for a, b in itertools.combinations(pt, 2))
+                for pk, pt in zip(picks, omega)], dtype=complex)
+            keep = wdisc != 0
+            omega, wdisc = omega[keep], wdisc[keep]
+            if not len(wdisc):
+                continue
+            row = None
+            if r < n:
+                row = np.ones((len(omega), x.shape[1]), dtype=complex)
+                for w in omega.T[:, :, None]:
+                    for arg in (w * x, w / x, x / w, 1.0 / (w * x)):
+                        row *= qpoch_finite_arr(arg, q, k)
+            vals = measures._chamber_pairings(f, g, p, M, omega, row)
+            total += comb * complex(np.sum(wdisc * vals))
+    return total
 
 
 def renorm_constant(lam: Sequence[int], p: AWParams) -> complex:

@@ -187,6 +187,20 @@ class TestMain:
         assert f"|{key}| < 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "qracah", "--t1", "nan"],
+        ["--suite", "qracah", "--t2", "nan"],
+        ["--suite", "little", "--a", "inf"],
+        ["--suite", "big", "--c", "inf"],
+        ["--suite", "limits", "--d", "nan"],
+    ], ids=["qracah-t1", "qracah-t2", "little-a", "big-c", "limits-d"])
+    def test_exit_two_on_non_finite_value(self, argv, tmp_path, capsys):
+        # a non-finite value is rejected before any check runs
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"{argv[2][2:]} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tiny_mass_matches_closed_forms(self, tmp_path):
         # a mass of 2.5e-94, summed to 256 shells; the checks' max(1, |N|)
         # floor would pass any value, so the test compares relative errors
@@ -417,11 +431,68 @@ class TestFamilyChecks:
         assert verdicts["constant-term"]
 
     @pytest.mark.parametrize("name", list(FAMILIES))
+    @pytest.mark.parametrize("entry, check", [((-2, -1), "orthogonality"),
+                                              ((-1, -1), "norms")])
+    def test_nan_gram_entry_fails(self, name, entry, check):
+        # a NaN deviation fails its check, wherever it falls in the fold
+        fam = default_family(name)
+
+        def gram(polys):
+            G = fam.gram(polys)
+            G[entry] = G[entry[::-1]] = math.nan
+            return G
+
+        verdicts = family_verdicts(replace(fam, gram=gram), name)
+        assert verdicts == {"constant-term": True, "orthogonality": True,
+                            "norms": True, check: False}
+
+    def test_scaled_partially_discrete_fails(self, monkeypatch):
+        # selberg's partially-discrete check: |rhs| = 52.6 at the
+        # defaults, above the max(1, |rhs|) floor
+        cfg = build_config({"suite": "selberg"})
+
+        def verdict():
+            [c] = [c for c in run_suite(cfg).checks
+                   if c.name == "partially-discrete"]
+            return c.passed, c.tol
+
+        passed, tol = verdict()
+        assert passed
+        exact = cli.gustafson_constant
+        monkeypatch.setattr(cli, "gustafson_constant",
+                            lambda p: exact(p) * (1 + 10 * tol))
+        assert verdict() == (False, tol)
+
+    @pytest.mark.parametrize("name", ["little", "big"])
+    def test_scaled_measure_constant_fails(self, name, monkeypatch):
+        # the target pairing Limit.pair off by 10 tol; |want| is 161
+        # (little) and 18.3 (big) at the defaults, above the
+        # max(1, |want|) floor
+        cfg = build_config({"suite": "limits"})
+        check = f"{name}-measure-constant"
+
+        def verdict():
+            [c] = [c for c in run_suite(cfg).checks if c.name == check]
+            return c.passed, c.tol
+
+        passed, tol = verdict()
+        assert passed
+        exact = getattr(cli, f"{name}_limit")
+
+        def scaled(params):
+            limit = exact(params)
+            return replace(limit, pair=lambda f, g: limit.pair(f, g)
+                           * (1 + 10 * tol))
+
+        monkeypatch.setattr(cli, f"{name}_limit", scaled)
+        assert verdict() == (False, tol)
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
     def test_gram_checks_evaluate_nothing(self, name, monkeypatch):
         # the orthogonalized polynomials bring the node values of their
         # pairing with them, so the Gram matrix evaluates no polynomial
         # (orthogonalize forms them on its own node columns, without
-        # eval_points); the aw Gram is one product on the fine chamber
+        # eval_points); the aw Gram is one product on the M-point chamber
         # table, which evaluates each polynomial once and pairs none of
         # them alone
         fam = default_family(name)
@@ -479,8 +550,8 @@ class TestPartiallyDiscrete:
         table = measures._discrete_table
 
         def wrong(p, M):
-            return [(l, nu, omega, w * (1 + 10 * tol), rows)
-                    for l, nu, omega, w, rows in table(p, M)]
+            return [(l, nu, omega, w * (1 + 10 * tol), row)
+                    for l, nu, omega, w, row in table(p, M)]
 
         if scaled:
             monkeypatch.setattr(measures, "_discrete_table", wrong)

@@ -10,7 +10,7 @@ import pytest
 from bcortho import askey_wilson, koornwinder
 from bcortho.askey_wilson import aw_polynomials
 from bcortho.bcpoly import LaurentPolynomial, monomial_w, partitions_dominated_by, dominance_leq
-from bcortho.errors import DiagonalMismatch, NearPole
+from bcortho.errors import DiagonalMismatch, DomainViolation, NearPole
 from bcortho.koornwinder import (
     apply_D,
     eigenvalue_E,
@@ -59,6 +59,13 @@ def in_V(p: AWParams) -> bool:
 class TestDomainFlags:
     def test_in_v_aw(self):
         assert P2.in_V_AW()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf,
+                                     complex(0.3, math.nan)])
+    def test_non_finite_parameter(self, bad):
+        # a non-finite t_i is rejected before any closed form reads it
+        with pytest.raises(DomainViolation, match="finite"):
+            AWParams(2, 0.5, 0.3, 0.6, -0.5, 0.3, bad)
 
     def test_not_in_v_aw(self):
         p = AWParams(2, 0.5, 0.3, 1.2, 0.9, 0.3, 0.1)

@@ -1,9 +1,9 @@
 """Torus pairings on the W-chamber node tables (which replaced the
 moment tables), checked against the full tensor-grid formula: the mean
-of f*g*Delta over the M^n grid, with the same mean on the ceil(M/2)-point
-grid as the error estimate. Also the batched partially discrete and
-natural-t forms against per-label oracles, the guards of the pairings,
-and the per-factor pole guards of the Askey-Wilson side."""
+of f*g*Delta over the M^n grid. Also the batched partially discrete
+form and its natural-t reference (oracles.natural_t_bilinear) against
+per-label oracles, the guards of the pairings, and the per-factor pole
+guards of the Askey-Wilson side."""
 
 import math
 import random
@@ -30,7 +30,6 @@ from bcortho.errors import (
 )
 from bcortho.measures import (
     multi_discrete_weight,
-    natural_t_bilinear,
     partial_bilinear,
     torus_bilinear,
     torus_gram,
@@ -39,7 +38,7 @@ from bcortho.measures import (
 from bcortho.params import AWParams
 from bcortho.qracah import kr_constant, weight_qR
 from bcortho.qseries import qpoch_finite, qpoch_finite_arr, qpoch_infinite_arr
-from oracles import interaction_c
+from oracles import interaction_c, natural_t_bilinear
 
 PS = {n: AWParams(n, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 - 0.4j)
       for n in (1, 2, 3)}
@@ -95,10 +94,8 @@ def grid_mean(h, p, n_axes, M, k=None, factor=None):
 
 
 def oracle(f, g, p, M, k=None):
-    """(value, error estimate) of the torus pairing by the grid formula."""
-    fine, coarse = (grid_mean((f * g).eval_grid, p, p.n, m, k)
-                    for m in (M, (M + 1) // 2))
-    return fine, abs(fine - coarse)
+    """The torus pairing by the grid formula."""
+    return grid_mean((f * g).eval_grid, p, p.n, M, k)
 
 
 def random_invariant(rng, n, top):
@@ -139,11 +136,10 @@ class TestAgainstGridFormula:
         for _ in range(2):
             f, g = (random_invariant(rng, n, TOPS[n]) for _ in range(2))
             M = 2 * sum(TOPS[n]) * 2 + 8 + odd
-            rep = torus_bilinear(f, g, p, M)
-            value, err = oracle(f, g, p, M)
+            got = torus_bilinear(f, g, p, M)
+            value = oracle(f, g, p, M)
             scale = term_mass(f, g) * np.mean(np.abs(weight_grid(p, n, M)[1]))
-            assert abs(rep.value - value) < 1e-13 * scale
-            assert abs(rep.abs_error_estimate - err) < 1e-13 * scale
+            assert abs(got - value) < 1e-13 * scale
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("M", [16, 17])
@@ -182,27 +178,16 @@ class TestAgainstGridFormula:
         for key, w in folded.items():
             assert abs(got.get(key, 0) - w) < 1e-14 * scale
 
-    def test_error_estimate_is_the_coarse_pairing(self):
-        rng = random.Random(3)
-        p = PS[2]
-        f, g = (random_invariant(rng, 2, (1, 1)) for _ in range(2))
-        for M in (32, 33):
-            rep = torus_bilinear(f, g, p, M)
-            coarse = torus_bilinear(f, g, p, (M + 1) // 2).value
-            assert abs(rep.abs_error_estimate - abs(rep.value - coarse)) \
-                < 1e-15 * term_mass(f, g)
-
     def test_natural_t_torus_term(self):
         # the torus term of the natural-t form pairs against the t = q^k
         # table; all four parameters small leaves only that term
         p = AWParams(2, 0.5, 0.25, 0.6, -0.5, 0.3, 0.4)
         rng = random.Random(6)
         f, g = (random_invariant(rng, 2, (2, 0)) for _ in range(2))
-        rep = natural_t_bilinear(f, g, p, 24)
-        value, err = oracle(f, g, p, 24, k=2)
+        got = natural_t_bilinear(f, g, p, 24)
+        value = oracle(f, g, p, 24, k=2)
         scale = term_mass(f, g) * abs(gustafson_constant(p))
-        assert abs(rep.value - value) < 1e-13 * scale
-        assert abs(rep.abs_error_estimate - err) < 1e-13 * scale
+        assert abs(got - value) < 1e-13 * scale
 
     def test_partial(self):
         cases = [(PD[2], 24), (PD[2], 25), (PDD2, 24), (PD[3], 20)]
@@ -210,14 +195,13 @@ class TestAgainstGridFormula:
             rng = random.Random(M)
             f, g = (real_part(random_invariant(rng, p.n, (1,) * p.n))
                     for _ in range(2))
-            rep = partial_bilinear(f, g, p, M)
-            assert rep.discrete_points_used > 0
-            value, err = per_label_partial(f, g, p, M)
+            assert measures._discrete_table(p, M)
+            got = partial_bilinear(f, g, p, M)
+            value = per_label_partial(f, g, p, M)
             # the chain values |omega| > 1 scale the substituted
             # coefficients
             tol = 1e-13 * term_mass(f, g) * 10 * abs(gustafson_constant(p))
-            assert abs(rep.value - value) < tol
-            assert abs(rep.abs_error_estimate - err) < tol
+            assert abs(got - value) < tol
 
     def test_natural_t(self):
         # one chain of t0, three support values: every pick of r = 1, 2
@@ -226,11 +210,11 @@ class TestAgainstGridFormula:
         q = p.q
         rng = random.Random(4)
         f, g = (random_invariant(rng, 2, (1, 1)) for _ in range(2))
-        rep = natural_t_bilinear(f, g, p, M)
+        got = natural_t_bilinear(f, g, p, M)
         chain = [(p.t0 * q ** m, measures.wd_residue_weight(m, *p.tvec, q))
                  for m in range(measures._chain_ends(p, 0)[0])]
         assert len(chain) == 3
-        value, err = oracle(f, g, p, M, k)
+        value = oracle(f, g, p, M, k)
         count, mass = 0, 0.0
         for r in (1, 2):
             for picks in product(chain, repeat=r):
@@ -257,16 +241,12 @@ class TestAgainstGridFormula:
                     return out
 
                 pq = AWParams(1, q, p.t, *p.tvec)
-                fine, coarse = (grid_mean((fz * gz).eval_grid, pq, 1, m, k,
-                                          row) for m in (M, (M + 1) // 2))
+                fine = grid_mean((fz * gz).eval_grid, pq, 1, M, k, row)
                 value += 4 * w * fine
                 mass += abs(4 * w * fine)
-                err += 4 * abs(w) * abs(fine - coarse)
-        # r = 2: (x;q)_2 vanishes at x = 1, 1/q, so only (0, 2), (2, 0);
-        # the torus term counts as one point
-        assert count + 1 == rep.discrete_points_used == 1 + 3 + 2
-        assert abs(rep.value - value) < 1e-13 * mass
-        assert abs(rep.abs_error_estimate - err) < 1e-13 * mass
+        # r = 2: (x;q)_2 vanishes at x = 1, 1/q, so only (0, 2), (2, 0)
+        assert count == 3 + 2
+        assert abs(got - value) < 1e-13 * mass
 
 
 def per_label_partial(f, g, p, M):
@@ -274,8 +254,8 @@ def per_label_partial(f, g, p, M):
     into f and g, its (n - r)-axis pairing by the grid formula with the
     label's delta_c factor on every axis."""
     n = p.n
-    value, err = oracle(f, g, p, M)
-    for _l, nu, omega, weights, _rows in measures._discrete_table(p, M):
+    value = oracle(f, g, p, M)
+    for _l, nu, omega, weights, _row in measures._discrete_table(p, M):
         r = len(nu)
         comb = 2 ** r * math.perm(n, r)
         for pt, w in zip(omega.tolist(), weights.tolist()):
@@ -288,12 +268,9 @@ def per_label_partial(f, g, p, M):
             def row(z, pt=pt):
                 return np.array([interaction_c(pt, (x,), p) for x in z])
 
-            fine, coarse = (grid_mean((fz * gz).eval_grid, pq, n - r, m,
-                                      factor=row)
-                            for m in (M, (M + 1) // 2))
-            value += comb * w * fine
-            err += comb * abs(w) * abs(fine - coarse)
-    return value, err
+            value += comb * w * grid_mean((fz * gz).eval_grid, pq, n - r, M,
+                                          factor=row)
+    return value
 
 
 class TestPairingTerms:
@@ -350,8 +327,7 @@ class TestPairingTerms:
 
     def test_zero_polynomial(self):
         zero = LaurentPolynomial(2)
-        rep = torus_bilinear(zero, monomial_w((2, 1)), PS[2], 32)
-        assert rep.value == 0 and rep.abs_error_estimate == 0
+        assert torus_bilinear(zero, monomial_w((2, 1)), PS[2], 32) == 0
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -401,21 +377,17 @@ class TestOpenChamber:
 
     def test_table_without_interior_node(self):
         # n = 3 needs 0 < k_1 < k_2 < k_3 < M/2: no node for M <= 6 and
-        # one, (1, 2, 3), for M = 7 and 8, whose coarse 4-point table is
-        # empty
+        # one, (1, 2, 3), for M = 7 and 8
         for M in (4, 5, 6):
             table = measures._table(PS[3], 3, M)
             assert table.nodes.shape == (3, 0)
             assert table.weights.sum() == 0
         one = LaurentPolynomial.constant(3)
-        rep = torus_bilinear(one, one, PS[3], 8)
         [weight] = measures._table(PS[3], 3, 8).weights
-        assert rep.value == weight
-        assert rep.abs_error_estimate == abs(weight)
+        assert torus_bilinear(one, one, PS[3], 8) == weight
         f = monomial_w((1, 0, 0))
-        value, err = measures._chamber_pairings(f, f, PS[3], 6,
-                                                np.ones((1, 0)))
-        assert value.tolist() == [0] and err.tolist() == [0]
+        value = measures._chamber_pairings(f, f, PS[3], 6, np.ones((1, 0)))
+        assert value.tolist() == [0]
 
 
 class TestMechanism:
@@ -429,8 +401,8 @@ class TestMechanism:
         monkeypatch.setattr(LaurentPolynomial, "__mul__", forbidden)
         monkeypatch.setattr(LaurentPolynomial, "substitute_prefix", forbidden)
         torus_bilinear(f, g, PS[2], 24)
-        assert partial_bilinear(f, g, PD[2], 24).discrete_points_used > 0
-        assert natural_t_bilinear(f, g, PK3, 24).discrete_points_used > 1
+        assert measures._discrete_table(PD[2], 24)
+        partial_bilinear(f, g, PD[2], 24)
 
     def test_repeated_call_builds_nothing(self):
         rng = random.Random(12)
@@ -467,13 +439,13 @@ class TestMechanism:
         for a in polys:
             for b in polys:
                 torus_bilinear(a, b, PS[2], 32)
-        assert sorted(calls) == [16] * 4 + [32] * 4
+        assert calls == [32] * 4
 
     def test_one_over_one_is_a_weighted_sum(self):
         # a constant stays a scalar: the pairing is the sum of the
         # weights, added one by one in node order
         one = LaurentPolynomial.constant(3, 0.5)
-        table, coarse = (measures._table(PS[3], 3, m) for m in (16, 8))
+        table = measures._table(PS[3], 3, 16)
         assert table.evaluate({(0, 0, 0): np.ones(1)}, 1).shape == (1, 1)
 
         def in_order(weights):
@@ -482,10 +454,7 @@ class TestMechanism:
                 total += 0.25 * w
             return total
 
-        rep = torus_bilinear(one, one, PS[3], 16)
-        assert rep.value == in_order(table.weights)
-        assert rep.abs_error_estimate == abs(
-            in_order(table.weights) - in_order(coarse.weights))
+        assert torus_bilinear(one, one, PS[3], 16) == in_order(table.weights)
 
 
 # (n, top, M) of the Gram tests: the smallest grid each top accepts,
@@ -515,7 +484,7 @@ class TestTorusGram:
         assert G.shape == (len(polys),) * 2
         for a, f in enumerate(polys):
             for b, g in enumerate(polys[a:], start=a):
-                assert G[a, b] == G[b, a] == torus_bilinear(f, g, p, M).value
+                assert G[a, b] == G[b, a] == torus_bilinear(f, g, p, M)
 
     @pytest.mark.parametrize("n, top", [(1, (6,)), (2, (2, 2)),
                                         (3, (1, 1, 1))])
@@ -545,7 +514,7 @@ class TestReportedValues:
         d = DEFAULTS["aw"]
         p = AWParams(2, d["q"], d["t"], d["t0"], d["t1"], d["t2"], d["t3"])
         P = aw_polynomials((4, 2), p)[(4, 2)]
-        v = torus_bilinear(P, P, p, 128).value
+        v = torus_bilinear(P, P, p, 128)
         assert abs(v.imag) <= 1e-14 * abs(v.real)
 
     def test_aw_near_q_one(self):
@@ -581,7 +550,7 @@ class TestPoleGuards:
         p = AWParams(1, 0.99, d["t"], d["t0"], d["t1"], d["t2"], d["t3"])
         one = LaurentPolynomial.constant(1)
         want = gustafson_constant(p)
-        got = torus_bilinear(one, one, p, 256).value
+        got = torus_bilinear(one, one, p, 256)
         assert abs(got - want) < 1e-8 * abs(want)
 
     @pytest.mark.parametrize("m", [0, 1, 2])

@@ -588,8 +588,6 @@ class TestTablesAreReused:
 
     def test_one_bound_for_every_table(self):
         for table in (big._node_table, little._node_table,
-                      qracah._node_table, measures._discrete_table):
+                      qracah._node_table, measures._discrete_table,
+                      measures._table):
             assert table.cache_info().maxsize == CACHE_SIZE
-        # a torus pairing reads one chamber table per grid of its measure
-        assert measures._table.cache_info().maxsize == len(
-            measures._grid_sizes(64)) * CACHE_SIZE

@@ -309,3 +309,13 @@ class TestBlockKernel:
         assert qseries.qpoch_infinite_arr(np.zeros((0, 3)), Q).shape == (0, 3)
         with pytest.raises(DomainViolation):
             qseries.qpoch_infinite(math.inf, Q)
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.2, math.nan)])
+    def test_nan_argument(self, bad):
+        # one NaN among the arguments makes their largest magnitude NaN:
+        # the call raises instead of truncating every product to 1
+        for a in ([0.3, bad], [bad], np.array([[bad, 0.5], [0.1, 0.2]])):
+            with pytest.raises(DomainViolation, match="non-finite"):
+                qseries.qpoch_infinite_arr(a, Q)
+            with pytest.raises(DomainViolation, match="non-finite"):
+                qseries.qpoch_real_arr(a, Q, 0.3)
