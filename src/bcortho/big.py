@@ -53,7 +53,6 @@ from .errors import (
     ZeroProduct,
 )
 from .little import _jackson_table, _nqj_args, delta_qJ
-from .measures import _natural_k
 from .params import CACHE_SIZE, AWParams
 from .qseries import (
     POLE_GUARD,
@@ -318,6 +317,14 @@ def selberg_big(bp: BigParams) -> float:
     qq, ratio = qpoch_ratios([([q], []), (den, num)], q)
     val = (1.0 - q) ** n * qq.real ** n * ratio
     return float(complex(val).real)
+
+
+def _natural_k(p) -> int:
+    """The integer k with t = q^k, k >= 1; DomainViolation otherwise."""
+    k = round(math.log(p.t) / math.log(p.q))
+    if k < 1 or abs(p.t - p.q ** k) > 1e-12:
+        raise DomainViolation(f"t={p.t} is not an exact positive power of q")
+    return int(k)
 
 
 def askey_evans_lhs(bp: BigParams) -> float:

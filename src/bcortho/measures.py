@@ -26,15 +26,17 @@ GridTooCoarse.
 
 The discrete supports are never truncated: each chain position runs to
 the last support value off the closed unit disk (SlowConvergence past
-MAX_CHAIN values). The discrete part of the partially discrete form is
-one cached node table per split of F(r), built as the little and big
-q-Jacobi tables are: by Delta^(d) = K_r Delta^qR a weight is K_l K_m
-times the Delta^qR one-axis and in-chain pair factors, cumulative
-products of per-step ratios that neither underflow nor overflow on long
-chains, times the cross-chain delta_c factors. All labels of a split are
-paired in one batch against the chamber table of the remaining axes,
-each label's delta_c row (over the chamber axis, k <= M/2) multiplied in
-per node. The scalar residue forms stay as the references.
+MAX_CHAIN values). The labels of a split of F(r) are weighed as the
+little and big q-Jacobi tables are: by Delta^(d) = K_r Delta^qR a weight
+is K_l K_m times the Delta^qR one-axis and in-chain pair factors,
+cumulative products of per-step ratios that neither underflow nor
+overflow on long chains, times the cross-chain delta_c factors. Each
+split is one cached bcpoly.PointTable: its labels' points for r = n, and
+for r < n every label times every node of the chamber table of the other
+n - r axes, the label's delta_c rows (over the chamber axis, k <= M/2)
+multiplied into the node weights once, at build. The partially discrete
+form is the torus pairing plus one bcpoly.pair per split table. The
+scalar residue forms stay as the references.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .bcpoly import LaurentPolynomial, gram, monomial_w, pair
+from .bcpoly import LaurentPolynomial, PointTable, gram, monomial_w, pair
 from .errors import (
     DomainViolation,
     GridTooCoarse,
@@ -72,8 +74,7 @@ from .qracah import kr_constant
 TORUS_GUARD = 1e-9
 # a chain position holds at most this many support values
 MAX_CHAIN = 256
-# chamber nodes per slab of a table build, and label x node entries per
-# batch of a labelled pairing
+# chamber nodes per slab of a chamber table build
 _SLAB = 2 ** 15
 
 
@@ -114,7 +115,7 @@ class _Chamber:
     """The M-point trapezoid rule of Delta on n_axes axes, folded onto the
     open W-chamber: the nodes (int16 columns k, 0 < k_1 < ... < k_n < M/2)
     and the weights Delta(z_k) 2^n n! / M^n_axes, 2^n n! the size of every
-    node's orbit. With no axes it is one node of weight 1."""
+    node's orbit."""
 
     def __init__(self, p: AWParams, n_axes: int, M: int):
         roots = _grid_axes(M)
@@ -126,8 +127,7 @@ class _Chamber:
         self.nodes = _chain_labels(
             (n_axes,), [top - n_axes + 1] * n_axes, n_axes * top
         ) + np.arange(1, n_axes + 1, dtype=np.int16)[:, None]
-        # w_c on the chamber axis; no values without axes
-        wc = _axis_wc(self.axis, p) if n_axes else np.ones(0)
+        wc = _axis_wc(self.axis, p)
         P = _pair_table(p, M) if n_axes > 1 else None
         const = 2 ** n_axes * math.factorial(n_axes) / M ** n_axes
         self.weights = np.empty(self.nodes.shape[1], dtype=complex)
@@ -154,27 +154,16 @@ class _Chamber:
             self._sums[lam] = s
         return self._sums[lam]
 
-    def evaluate(self, coeffs: Dict[Tuple[int, ...], np.ndarray],
-                 labels: int) -> np.ndarray:
-        """sum_mu coeffs[mu] m_mu at every node, one row per label: (labels,
-        nodes), or (labels, 1) for a constant. The orbit sums are real, so
-        the real and imaginary parts of the coefficients are summed apart,
-        in real arithmetic."""
-        parts = [np.zeros((labels, 1)), np.zeros((labels, 1))]
-        for mu in sorted(coeffs):
-            S = self.orbit_sum(mu)
-            for i, c in enumerate((coeffs[mu].real, coeffs[mu].imag)):
-                term = c[:, None] * S
-                if term.shape == parts[i].shape:
-                    parts[i] += term
-                else:
-                    parts[i] = parts[i] + term
-        return parts[0] + 1j * parts[1] if parts[1].any() else parts[0]
-
     def at_nodes(self, f: LaurentPolynomial) -> np.ndarray:
-        """f at every node, as one label."""
-        return self.evaluate({lam: np.full(1, c)
-                              for lam, c in f.w_coefficients().items()}, 1)
+        """sum_mu c_mu m_mu at every node for f = sum_mu c_mu m_mu, or a
+        single value for a constant. The orbit sums are real, so the real
+        and imaginary parts of the coefficients are summed apart, in real
+        arithmetic."""
+        parts = [np.zeros(1), np.zeros(1)]
+        for mu, c in sorted(f.w_coefficients().items()):
+            S = self.orbit_sum(mu)
+            parts = [part + x * S for part, x in zip(parts, (c.real, c.imag))]
+        return parts[0] + 1j * parts[1] if parts[1].any() else parts[0]
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -192,53 +181,6 @@ def _pairing_degree(f: LaurentPolynomial, g: LaurentPolynomial) -> int:
         raise LengthMismatch("variable count mismatch")
     degs = [[sum(lam) for lam in h.w_coefficients()] for h in (f, g)]
     return sum(map(max, degs)) if all(degs) else 0
-
-
-def _tail_coefficients(f: LaurentPolynomial, omega: np.ndarray
-                       ) -> Dict[Tuple[int, ...], np.ndarray]:
-    """f(omega_l, z) = sum_mu A[mu][l] m_mu(z) in the variables past the
-    first r = omega.shape[1], one entry per label (row of omega). For
-    W-invariant f the coefficient of m_mu is read off the terms whose
-    tail is the dominant mu."""
-    r = omega.shape[1]
-    out: Dict[Tuple[int, ...], np.ndarray] = {}
-    for e, c in sorted(f.terms.items()):
-        tail = e[r:]
-        if tail and (tail[-1] < 0 or any(a < b for a, b in zip(tail,
-                                                               tail[1:]))):
-            continue
-        term = np.full(len(omega), c)
-        for i, h in enumerate(e[:r]):
-            term = term * omega[:, i] ** h
-        out[tail] = out[tail] + term if tail in out else term
-    return out
-
-
-def _chamber_pairings(f: LaurentPolynomial, g: LaurentPolynomial,
-                      p: AWParams, M: int, omega: np.ndarray,
-                      row: np.ndarray | None = None) -> np.ndarray:
-    """Per label (row of omega, the values of the first r variables): the
-    M-point pairing of f(omega, z) g(omega, z) prod_j row(z_j) over the
-    other n - r variables; row is a (labels, chamber axis) array, None for
-    a row of ones. f and g are put in a canonical order first, so that the
-    result is exactly symmetric in them."""
-    if (sorted((lam, c.real, c.imag) for lam, c in g.w_coefficients().items())
-            < sorted((lam, c.real, c.imag)
-                     for lam, c in f.w_coefficients().items())):
-        f, g = g, f
-    table = _table(p, p.n - omega.shape[1], M)
-    step = max(1, _SLAB // max(1, table.nodes.shape[1]))
-    out = []
-    for lo in range(0, len(omega), step):
-        labels = omega[lo:lo + step]
-        F, G = (table.evaluate(_tail_coefficients(h, labels), len(labels))
-                for h in (f, g))
-        fg = F * G
-        if row is not None:
-            fg = fg * np.prod([row[lo:lo + step, kj]
-                               for kj in table.nodes], axis=0)
-        out.append(np.sum(fg * table.weights, axis=1))
-    return np.concatenate(out)
 
 
 def _check_torus_clearance(p: AWParams) -> None:
@@ -497,16 +439,18 @@ def _qr_pair(pc: AWParams, k: int, l: int, ek: int, el: int) -> np.ndarray:
     return np.where(v >= u, A[u + v] * B[np.maximum(v - u, 0)], np.nan)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _discrete_table(p: AWParams, M: int) -> tuple:
-    """One node table per split l + m = r of F(r), r = 1..n, as
-    ((l, nu, omega, w, row), ...), cached like _table: the labels nu
-    (one column per label, nu on the chain of t_i in its first l rows,
-    nu' on that of t_j in the other m), their support values omega (one
-    row per label), the weights Delta^(d)(nu) Delta^(d)(nu')
-    delta_c(omega; omega') and, for r < n, the delta_c rows over the
-    chamber axis k <= M/2 of the M-point grid (None for r = n)."""
+def _split_labels(p: AWParams, M: int) -> tuple:
+    """The labels of every split l + m = r of F(r), r = 1..n, as
+    ((l, nu, z, w, row), ...): the labels nu (one column per label, nu on
+    the chain of t_i in its first l rows, nu' on that of t_j in the other
+    m), the support values z[i] that row i of nu indexes, the weights
+    Delta^(d)(nu) Delta^(d)(nu') delta_c(omega; omega') of the labels'
+    points omega and, for r < n, their delta_c rows over the chamber axis
+    k <= M/2 of the M-point grid (one row per label; None for r = n). On
+    V_AW a weight that is not real and nonnegative raises
+    NonPositiveWeight."""
     n = p.n
+    check_positive = p.in_V_AW()
     large = _large_params(p)
     i_param = large[0] if large else 0
     j_param = large[1] if len(large) > 1 else (1 if i_param == 0 else 0)
@@ -549,11 +493,46 @@ def _discrete_table(p: AWParams, M: int) -> tuple:
                 raise NonFiniteWeight(
                     f"discrete weight {w[bad[0]]} at the label "
                     f"{nu[:, bad[0]].tolist()} of the split ({l}, {r - l})")
-            omega = np.array([values[ax][lab] for ax, lab in zip(axes, nu)])
+            if check_positive:
+                bad = np.flatnonzero((np.abs(w.imag) > 1e-9 * np.abs(w))
+                                     | (w.real < 0))
+                if bad.size:
+                    raise NonPositiveWeight(
+                        f"discrete weight {w[bad[0]]} not real and "
+                        f"nonnegative at the label {nu[:, bad[0]].tolist()} "
+                        f"of the split ({l}, {r - l})")
             row = (np.prod([rows[ax][lab] for ax, lab in zip(axes, nu)],
                            axis=0) if r < n else None)
-            table.append((l, nu, omega.T, w, row))
+            table.append((l, nu, [values[ax] for ax in axes], w, row))
     return tuple(table)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _discrete_table(p: AWParams, M: int) -> tuple:
+    """One node table per split of F(r), as ((labels, table), ...), cached
+    like _table: the number of labels of the split and its PointTable. For
+    r = n a node is a label's point; for r < n the nodes are every label
+    times every node of the chamber table of the other n - r axes,
+    label-major, the trailing coordinates read on the chamber axis. A
+    node's weight is 2^r n! / (n - r)! times its label's weight, times the
+    label's delta_c row at each trailing coordinate, times the chamber
+    weight."""
+    n = p.n
+    out = []
+    for _l, nu, z, w, row in _split_labels(p, M):
+        r = len(nu)
+        labels = len(w)
+        w = 2 ** r * math.perm(n, r) * w
+        if r < n:
+            chamber = _table(p, n - r, M)
+            k = chamber.nodes
+            w = (w[:, None] * np.prod([row[:, kj] for kj in k], axis=0)
+                 * chamber.weights).ravel()
+            z = z + [chamber.axis] * (n - r)
+            nu = np.vstack([np.repeat(nu, k.shape[1], axis=1),
+                            np.tile(k, labels)])
+        out.append((labels, PointTable(z, nu, w)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -562,37 +541,22 @@ def _discrete_table(p: AWParams, M: int) -> tuple:
 def partial_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
                      M: int) -> complex:
     """The partially discrete bilinear form on the positive-measure domain:
-    torus term plus discrete-chain corrections over F(r), r = 1..n, all
-    labels of a split paired in one batch on the M-point grid."""
-    n = p.n
+    the torus pairing plus one bcpoly.pair per split table of F(r),
+    r = 1..n, on the M-point grid. On V_AW a value whose imaginary part
+    exceeds 1e-9 of the summed magnitudes of the per-label contributions
+    raises NonPositiveWeight."""
     check_positive = p.in_V_AW()
     total = torus_bilinear(f, g, p, M)
     mass = abs(total)
-    for _l, nu, omega, weights, row in _discrete_table(p, M):
-        r = len(nu)
-        comb = 2 ** r * math.factorial(n) // math.factorial(n - r)
-        contrib = weights * _chamber_pairings(f, g, p, M, omega, row)
+    for labels, table in _discrete_table(p, M):
+        total += pair(f, g, [table])
         if check_positive:
-            bad = np.flatnonzero((np.abs(contrib) > 0) & (
-                np.abs(weights.imag) > 1e-9 * np.abs(weights)))
-            if bad.size:
-                raise NonPositiveWeight(
-                    f"discrete weight not real at {nu[:, bad[0]].tolist()}")
-        total += comb * complex(np.sum(contrib))
-        mass += comb * float(np.sum(np.abs(contrib)))
-    # the realness check is scaled by the summed term magnitudes, not the
+            fgw = f.node_values(table) * g.node_values(table) * table.weights
+            mass += float(np.sum(np.abs(np.sum(fgw.reshape(labels, -1),
+                                               axis=1))))
+    # the realness check is scaled by the summed label magnitudes, not the
     # total: orthogonal pairs cancel to a value far below the rounding
     # noise of the individual contributions
-    if check_positive and abs(complex(total).imag) > 1e-9 * max(1e-300, mass):
+    if check_positive and abs(total.imag) > 1e-9 * max(1e-300, mass):
         raise NonPositiveWeight("bilinear form value has an imaginary part")
     return total
-
-
-# ---------------------------------------------------------------------------
-# natural deformation parameter t = q^k
-
-def _natural_k(p: AWParams) -> int:
-    k = round(math.log(p.t) / math.log(p.q))
-    if k < 1 or abs(p.t - p.q ** k) > 1e-12:
-        raise DomainViolation(f"t={p.t} is not an exact positive power of q")
-    return int(k)

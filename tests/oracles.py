@@ -15,9 +15,13 @@ residue_split_loop the CLI's residue-split value with every one of its
 its value, and its errors, exactly. norm_ratio_keys_tuples is the
 q-Racah norm key builder as tuple arithmetic. The weights below are the
 scalar forms of the densities that the node tables build as arrays, one
-point or label at a time. natural_t_bilinear is the partially discrete
-form rewritten for t = q^k, with independent chains per coordinate and
-finite-product interactions: the reference that
+point or label at a time. labelled_partial is the partially discrete
+form summed label by label, as it was before each split of F(r) became
+one node table: each label's coefficients in the chamber variables
+(tail_coefficients), evaluated on the chamber table and paired there
+(labelled_pairings). natural_t_bilinear is the partially discrete form
+rewritten for t = q^k, with independent chains per coordinate and
+finite-product interactions. Both are references that
 measures.partial_bilinear is compared against.
 
 The *_loop closed forms at the end (aw_norm_loop, gustafson_loop,
@@ -39,7 +43,7 @@ import numpy as np
 from bcortho.askey_wilson import SEPARATION
 from bcortho.bcpoly import (LaurentPolynomial, monomial_w, partition,
                             partitions_dominated_by)
-from bcortho.big import BigParams, _theta_den
+from bcortho.big import BigParams, _natural_k, _theta_den
 from bcortho.errors import (BcorthoError, DiagonalMismatch,
                             DomainViolation, EigenvalueCollision, NearPole,
                             PoleInProduct, SingularGram, UncancelledPole,
@@ -48,8 +52,7 @@ from bcortho.koornwinder import (TriangularOpMatrix, _nodes, apply_D,
                                  eigenvalue_E)
 from bcortho.little import LittleParams, _nqj_args, delta_qJ, support_point
 from bcortho import measures
-from bcortho.measures import (_natural_k, multi_discrete_weight,
-                              wd_residue_weight)
+from bcortho.measures import multi_discrete_weight, wd_residue_weight
 from bcortho.params import AWParams
 from bcortho.qracah import QRacahParams, _key_value, kr_constant, weight_qR
 from bcortho.qseries import (POLE_GUARD, psi_t, qpoch_finite,
@@ -283,6 +286,78 @@ def interaction_c(omega: Sequence[complex], z: Sequence[complex],
     return val
 
 
+def tail_coefficients(f, omega: np.ndarray) -> Dict[Tuple[int, ...],
+                                                     np.ndarray]:
+    """f(omega_l, z) = sum_mu A[mu][l] m_mu(z) in the variables past the
+    first r = omega.shape[1], one entry per label (row of omega). For
+    W-invariant f the coefficient of m_mu is read off the terms whose
+    tail is the dominant mu."""
+    r = omega.shape[1]
+    out: Dict[Tuple[int, ...], np.ndarray] = {}
+    for e, c in sorted(f.terms.items()):
+        tail = e[r:]
+        if tail and (tail[-1] < 0 or any(a < b for a, b in zip(tail,
+                                                               tail[1:]))):
+            continue
+        term = np.full(len(omega), c)
+        for i, h in enumerate(e[:r]):
+            term = term * omega[:, i] ** h
+        out[tail] = out[tail] + term if tail in out else term
+    return out
+
+
+def labelled_values(table, coeffs, labels: int) -> np.ndarray:
+    """sum_mu coeffs[mu] m_mu at every node of a chamber table, one row
+    per label: (labels, nodes), or (labels, 1) for a constant; real and
+    imaginary parts summed apart, as the chamber table's at_nodes does."""
+    parts = [np.zeros((labels, 1)), np.zeros((labels, 1))]
+    for mu in sorted(coeffs):
+        S = table.orbit_sum(mu)
+        for i, c in enumerate((coeffs[mu].real, coeffs[mu].imag)):
+            parts[i] = parts[i] + c[:, None] * S
+    return parts[0] + 1j * parts[1] if parts[1].any() else parts[0]
+
+
+def labelled_pairings(f, g, p: AWParams, M: int, omega: np.ndarray,
+                      row: np.ndarray | None = None) -> np.ndarray:
+    """Per label (row of omega, the values of the first r variables): the
+    M-point pairing of f(omega, z) g(omega, z) prod_j row(z_j) over the
+    other n - r variables, row a (labels, chamber axis) array or None
+    for ones; f(omega) g(omega) for r = n. f and g are put in a canonical
+    order first, so that the result is exactly symmetric in them."""
+    if (sorted((lam, c.real, c.imag) for lam, c in g.w_coefficients().items())
+            < sorted((lam, c.real, c.imag)
+                     for lam, c in f.w_coefficients().items())):
+        f, g = g, f
+    labels, r = omega.shape
+    F, G = (tail_coefficients(h, omega) for h in (f, g))
+    if r == p.n:
+        return F.get((), np.zeros(labels)) * G.get((), np.zeros(labels))
+    table = measures._table(p, p.n - r, M)
+    fg = (labelled_values(table, F, labels)
+          * labelled_values(table, G, labels))
+    if row is not None:
+        fg = fg * np.prod([row[:, kj] for kj in table.nodes], axis=0)
+    return np.sum(fg * table.weights, axis=1)
+
+
+def labelled_partial(f, g, p: AWParams, M: int) -> Tuple[complex, float]:
+    """measures.partial_bilinear label by label, as (value, mass): the
+    torus pairing plus, per split of F(r), 2^r n! / (n - r)! times the sum
+    over its labels of the label's weight times its labelled_pairings
+    value. mass is |torus term| plus the summed magnitudes of the label
+    contributions, the scale of partial_bilinear's realness test."""
+    total = measures.torus_bilinear(f, g, p, M)
+    mass = abs(total)
+    for _l, nu, z, w, row in measures._split_labels(p, M):
+        comb = 2 ** len(nu) * math.perm(p.n, len(nu))
+        omega = np.array([zi[k] for zi, k in zip(z, nu)]).T
+        contrib = w * labelled_pairings(f, g, p, M, omega, row)
+        total += comb * complex(np.sum(contrib))
+        mass += comb * float(np.sum(np.abs(contrib)))
+    return total, mass
+
+
 def natural_t_bilinear(f, g, p: AWParams, M: int) -> complex:
     """The t = q^k rewrite of measures.partial_bilinear: independent
     discrete chains per coordinate, all interactions carried by the
@@ -328,7 +403,7 @@ def natural_t_bilinear(f, g, p: AWParams, M: int) -> complex:
                 for w in omega.T[:, :, None]:
                     for arg in (w * x, w / x, x / w, 1.0 / (w * x)):
                         row *= qpoch_finite_arr(arg, q, k)
-            vals = measures._chamber_pairings(f, g, p, M, omega, row)
+            vals = labelled_pairings(f, g, p, M, omega, row)
             total += comb * complex(np.sum(wdisc * vals))
     return total
 

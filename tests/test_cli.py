@@ -21,7 +21,7 @@ from bcortho.cli import (
     parse_config_file,
     run_suite,
 )
-from bcortho.bcpoly import LaurentPolynomial
+from bcortho.bcpoly import LaurentPolynomial, PointTable
 from bcortho.errors import (ConfigError, DomainViolation, IoError,
                             NonFiniteWeight, SingularGram)
 from bcortho.little import little_limit
@@ -515,7 +515,7 @@ class TestFamilyChecks:
             raise AssertionError("pairwise torus pairing")
 
         monkeypatch.setattr(measures._Chamber, "at_nodes", counting_torus)
-        monkeypatch.setattr(measures, "_chamber_pairings", no_pairing)
+        monkeypatch.setattr(cli, "torus_bilinear", no_pairing)
         built = []
 
         def polynomials(top):
@@ -545,13 +545,14 @@ class TestPartiallyDiscrete:
     @pytest.mark.parametrize("scaled", [False, True])
     def test_scaled_chain_table_fails(self, n, scaled, monkeypatch):
         # the discrete part carries 23% (n = 2) and 35% (n = 3) of <1,1>:
-        # every chain weight off by 10 tol moves it by more than tol
+        # every split table's weights off by 10 tol move it by more than
+        # tol
         tol = 1e-6
         table = measures._discrete_table
 
         def wrong(p, M):
-            return [(l, nu, omega, w * (1 + 10 * tol), row)
-                    for l, nu, omega, w, row in table(p, M)]
+            return [(labels, PointTable(t.z, t.nu, t.weights * (1 + 10 * tol)))
+                    for labels, t in table(p, M)]
 
         if scaled:
             monkeypatch.setattr(measures, "_discrete_table", wrong)

@@ -25,7 +25,9 @@ from bcortho.big import (
 )
 from bcortho.bcpoly import (
     LaurentPolynomial,
+    PointTable,
     monomial_w,
+    pair,
     partitions_dominated_by,
 )
 from bcortho.errors import (
@@ -83,7 +85,10 @@ def inversion_symmetric(rng, M):
 
 class TestSlabMoments:
     """Chamber pairings against the whole Delta grid, with and without a
-    per-axis factor, built in one slab or in slabs of one node."""
+    per-axis factor, built in one slab or in slabs of one node. The factor
+    is multiplied into the chamber weights as a split table of F(r) does
+    with its labels' delta_c rows: one PointTable whose axes read the
+    chamber axis at the node indices."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("M", [24, 25])
@@ -106,10 +111,11 @@ class TestSlabMoments:
             sh[a] = M
             grid = grid * whole.reshape(sh)
         G = f.eval_grid([z] * n) * grid
-        got = measures._chamber_pairings(f, g, p, M, np.ones((1, 0)),
-                                         half[None, :])
+        table = measures._table(p, n, M)
+        w = np.prod([half[k] for k in table.nodes], axis=0) * table.weights
+        got = pair(f, g, [PointTable([table.axis] * n, table.nodes, w)])
         measures._table.cache_clear()
-        assert abs(got[0] - np.mean(G)) < 1e-13 * np.mean(np.abs(G))
+        assert abs(got - np.mean(G)) < 1e-13 * np.mean(np.abs(G))
 
     def test_weight_grid_is_the_product_of_the_factors(self):
         # each chamber weight is 2^n n! / M^n times Delta at its node,
@@ -154,18 +160,24 @@ def scalar_weight(p, l, label):
             * interaction_c(omega[:l], omega[l:], p))
 
 
+def label_points(z, nu):
+    """The points of the labels nu, one row per label."""
+    return np.array([zi[k] for zi, k in zip(z, nu)]).T
+
+
 class TestChainTables:
     @pytest.mark.parametrize("p, M", [(PC3, 32), (PK2, 32)])
     def test_weights_equal_scalar_oracles(self, p, M):
-        # the table forms Delta^(d) as K_r Delta^qR from per-step ratios:
+        # the labels weigh Delta^(d) as K_r Delta^qR from per-step ratios:
         # the same product as the scalar residue forms, in another order;
         # the delta_c rows run over the chamber axis, k <= M/2, of the
         # M-point grid
-        table = measures._discrete_table(p, M)
+        table = measures._split_labels(p, M)
         zvals = measures._grid_axes(M)[:M // 2 + 1]
         crossed = 0
-        for l, nu, omega, w, row in table:
+        for l, nu, z, w, row in table:
             r = len(nu)
+            omega = label_points(z, nu)
             for k, label in enumerate(nu.T.tolist()):
                 assert rel(w[k], scalar_weight(p, l, label)) < 1e-13
                 if r == p.n:
@@ -177,6 +189,35 @@ class TestChainTables:
             crossed += 0 < l < r
             assert (row is None) == (r == p.n)
         assert (crossed > 0) == (p is PC3)
+
+    @pytest.mark.parametrize("p, M", [(PC3, 12), (PK2, 12)])
+    def test_node_weights_equal_scalar_oracles(self, p, M):
+        # a split table's node is a label's point followed by a chamber
+        # node of the other n - r axes, label-major, weighted by
+        # 2^r n! / (n - r)! times the label's weight, its delta_c factor
+        # against the chamber coordinates and the chamber weight
+        n = p.n
+        tables = measures._discrete_table(p, M)
+        splits = measures._split_labels(p, M)
+        assert len(tables) == len(splits)
+        for (labels, table), (l, nu, z, _w, _row) in zip(tables, splits):
+            r = len(nu)
+            assert isinstance(table, PointTable)
+            assert labels == nu.shape[1]
+            assert len(table.weights) % labels == 0
+            nodes = table.nodes()
+            for node, w in zip(nodes, table.weights):
+                label = [z[i].tolist().index(node[i]) for i in range(r)]
+                want = (2 ** r * math.perm(n, r)
+                        * scalar_weight(p, l, label)
+                        * interaction_c(node[:r], node[r:], p)
+                        * weight_continuous(list(node[r:]), p)
+                        * 2 ** (n - r) * math.factorial(n - r)
+                        / M ** (n - r))
+                assert rel(w, want) < 1e-12
+            # label-major: each label's point over its block of nodes
+            block = len(table.weights) // labels
+            assert np.array_equal(nodes[::block, :r], label_points(z, nu))
 
     @pytest.mark.parametrize("p", [PC3, PK2])
     def test_labels_ascend_to_the_support_ends(self, p):
@@ -190,11 +231,11 @@ class TestChainTables:
             return [a for a in itertools.product(*map(range, ends))
                     if list(a) == sorted(a)]
 
-        for l, nu, omega, _w, _row in measures._discrete_table(p, 16):
+        for l, nu, z, _w, _row in measures._split_labels(p, 16):
             want = [a + b for a in ascending(ends_i[:l])
                     for b in ascending(ends_j[:len(nu) - l])]
             assert [tuple(c) for c in nu.T.tolist()] == want
-            assert np.all(np.abs(omega) > 1)
+            assert np.all(np.abs(label_points(z, nu)) > 1)
 
 
 class TestLongChains:
@@ -206,7 +247,7 @@ class TestLongChains:
     def test_weights_far_along_the_chain(self):
         # 50-digit mpmath values; the scalar residue weight is 0 at offsets
         # 30 and 47 and raises NonFiniteWeight at 52
-        [(_l, nu, _omega, w, _row)] = measures._discrete_table(self.P1, 16)
+        [(_l, nu, _z, w, _row)] = measures._split_labels(self.P1, 16)
         assert nu.shape == (1, 67)
         for k, want in ((30, 3.729659880183797e-46),
                         (47, 7.3060168232280592e-67),

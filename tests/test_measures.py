@@ -11,11 +11,14 @@ import pytest
 from bcortho import measures, qseries
 from bcortho.askey_wilson import aw_polynomials, gustafson_constant
 from bcortho.bcpoly import LaurentPolynomial, monomial_w
+from bcortho.big import big_limit
+from bcortho.cli import _big_family, _little_family, build_config
 from bcortho.errors import (
     BcorthoError,
     DomainViolation,
     NearPole,
     NonFiniteWeight,
+    NonPositiveWeight,
     PoleAtDenominator,
     PoleInWeight,
     SlowConvergence,
@@ -29,7 +32,13 @@ from bcortho.measures import (
     wd_residue_weight,
 )
 from bcortho.params import AWParams
-from oracles import interaction_c, natural_t_bilinear, weight_continuous
+from bcortho.little import little_limit
+from oracles import (
+    interaction_c,
+    labelled_partial,
+    natural_t_bilinear,
+    weight_continuous,
+)
 from test_moment_tables import weight_grid
 
 ONE1 = LaurentPolynomial.constant(1)
@@ -199,7 +208,7 @@ class TestDiscreteWeights:
 def table_labels(p):
     """The labels (nu, nu') of the discrete table of p, in table order."""
     return [(tuple(col[:l]), tuple(col[l:]))
-            for l, nu, *_ in measures._discrete_table(p, 16)
+            for l, nu, *_ in measures._split_labels(p, 16)
             for col in nu.T.tolist()]
 
 
@@ -216,11 +225,11 @@ class TestSupports:
         assert table_labels(p) == [((0,), ())]
 
     def test_two_chains(self):
-        table = measures._discrete_table(PDD2, 16)
+        table = measures._split_labels(PDD2, 16)
         splits = {(l, len(nu) - l) for l, nu, *_ in table}
         assert (1, 1) in splits
-        for _l, _nu, omega, _w, _row in table:
-            assert np.all(np.abs(omega) > 1)
+        for _l, nu, z, _w, _row in table:
+            assert np.all(np.abs([zi[k] for zi, k in zip(z, nu)]) > 1)
 
     def test_too_many_large(self):
         p = AWParams(2, 0.5, 0.3, 1.1, 1.2, -1.3, 0.1)
@@ -296,6 +305,68 @@ class TestPartialBilinear:
         lhs = partial_bilinear(Df, g, PD2, 192)
         rhs = partial_bilinear(f, Dg, PD2, 192)
         assert rel(lhs, rhs) < 1e-7
+
+
+def limit_deformation(name):
+    """The limits suite's little or big deformation at its last measure
+    step, k = measure_kmax, on its M = 64 grid."""
+    cfg = build_config({"suite": "limits"})
+    limit = (little_limit(_little_family(cfg).params) if name == "little"
+             else big_limit(_big_family(cfg).params))
+    q = limit.params.q
+    return limit.deformation(q * q ** min(15, limit.measure_kmax)), 64
+
+
+SPLIT_CASES = {
+    **{f"n{n}": lambda n=n: (AWParams(n, 0.5, 0.3, 1.1, -0.5, 0.35, 0.45),
+                             24) for n in (1, 2, 3)},
+    "two-chains": lambda: (PDD2, 24),
+    "long-chain": lambda: (AWParams(2, 0.97, 0.3, 0.97 ** -80.5, 5e-3,
+                                    -3e-3, 2e-3), 32),
+    "little-limit": lambda: limit_deformation("little"),
+    "big-limit": lambda: limit_deformation("big"),
+}
+
+
+class TestSplitTables:
+    """Each split of F(r) is one node table summed by bcpoly.pair."""
+
+    @pytest.mark.parametrize("case", list(SPLIT_CASES))
+    def test_agrees_with_labelled_pairing(self, case):
+        # the label-by-label sum of the chain pairings, within 1e-14 of
+        # the summed label magnitudes
+        p, M = SPLIT_CASES[case]()
+        n = p.n
+        polys = [LaurentPolynomial.constant(n),
+                 monomial_w((1,) + (0,) * (n - 1))]
+        if n > 1:
+            polys.append(monomial_w((1,) * n))
+        assert measures._discrete_table(p, M)
+        for a, f in enumerate(polys):
+            for g in polys[a:]:
+                value, mass = labelled_partial(f, g, p, M)
+                got = partial_bilinear(f, g, p, M)
+                assert abs(got - value) <= 1e-14 * mass
+
+    @pytest.mark.parametrize("factor", [-1.0, 1j])
+    def test_weight_not_real_and_positive_raises(self, factor, monkeypatch):
+        # on V_AW one label weight made negative or imaginary stops the
+        # build: the chain of t0 = 5 holds 5, 2.5 and 1.25
+        p = AWParams(1, 0.5, 0.3, 5.0, 0.15, -0.1, 0.12)
+        assert p.in_V_AW()
+        qr_axis = measures._qr_axis
+
+        def one_flipped(pc, k, end):
+            out = qr_axis(pc, k, end)
+            out[1] *= factor
+            return out
+
+        assert len(measures._discrete_table(p, 24)[0][1].weights) == 3
+        measures._discrete_table.cache_clear()
+        monkeypatch.setattr(measures, "_qr_axis", one_flipped)
+        with pytest.raises(NonPositiveWeight, match=r"label \[1\]"):
+            partial_bilinear(ONE1, ONE1, p, 24)
+        measures._discrete_table.cache_clear()
 
 
 def contour_value(p, R=1.3, M=4096, arg0=None):

@@ -18,6 +18,7 @@ from bcortho.askey_wilson import aw_norm, aw_polynomials, gustafson_constant
 from bcortho.bcpoly import (
     LaurentPolynomial,
     monomial_w,
+    pair,
     partitions_dominated_by,
 )
 from bcortho.cli import DEFAULTS, build_config, run_suite
@@ -255,9 +256,10 @@ def per_label_partial(f, g, p, M):
     label's delta_c factor on every axis."""
     n = p.n
     value = oracle(f, g, p, M)
-    for _l, nu, omega, weights, _row in measures._discrete_table(p, M):
+    for _l, nu, z, weights, _row in measures._split_labels(p, M):
         r = len(nu)
         comb = 2 ** r * math.perm(n, r)
+        omega = np.array([zi[k] for zi, k in zip(z, nu)]).T
         for pt, w in zip(omega.tolist(), weights.tolist()):
             fz, gz = f.substitute_prefix(pt), g.substitute_prefix(pt)
             if r == n:
@@ -386,8 +388,7 @@ class TestOpenChamber:
         [weight] = measures._table(PS[3], 3, 8).weights
         assert torus_bilinear(one, one, PS[3], 8) == weight
         f = monomial_w((1, 0, 0))
-        value = measures._chamber_pairings(f, f, PS[3], 6, np.ones((1, 0)))
-        assert value.tolist() == [0]
+        assert pair(f, f, [measures._table(PS[3], 3, 6)]) == 0
 
 
 class TestMechanism:
@@ -427,13 +428,13 @@ class TestMechanism:
         rng = random.Random(13)
         polys = [random_invariant(rng, 2, (2, 1)) for _ in range(4)]
         calls = []
-        evaluate = measures._Chamber.evaluate
+        at_nodes = measures._Chamber.at_nodes
 
-        def counted(table, coeffs, labels):
+        def counted(table, f):
             calls.append(table.M)
-            return evaluate(table, coeffs, labels)
+            return at_nodes(table, f)
 
-        monkeypatch.setattr(measures._Chamber, "evaluate", counted)
+        monkeypatch.setattr(measures._Chamber, "at_nodes", counted)
 
         measures._table.cache_clear()
         for a in polys:
@@ -446,7 +447,7 @@ class TestMechanism:
         # weights, added one by one in node order
         one = LaurentPolynomial.constant(3, 0.5)
         table = measures._table(PS[3], 3, 16)
-        assert table.evaluate({(0, 0, 0): np.ones(1)}, 1).shape == (1, 1)
+        assert table.at_nodes(one).shape == (1,)
 
         def in_order(weights):
             total = 0.0
