@@ -13,16 +13,19 @@ the hyperoctahedral group W, and so is the grid, and Delta vanishes on
 the walls of the W-chamber (z_j = +-1, z_i = z_j^(+-1)), so the mean is
 a sum over the open chamber 0 < k_1 < ... < k_n < M/2 of grid indices,
 node k weighted by Delta(z_k) 2^n n! / M^n. One cached table per
-(params, axes, grid) holds the nodes and weights, built slab by slab
-from w_c(z_k), k <= M/2, and one real table of the pair factors
-(_pair_table). On a table a polynomial is the sum of its W-orbit sums
-m_lambda, cached per table and real on the torus (a constant stays a
-scalar), and keeps its node values, as on the discrete tables
-(LaurentPolynomial.node_values); NotWInvariant for any other input. A
-torus pairing is bcpoly.pair on the M-point table, and its Gram matrix
-bcpoly.gram on the same table; every pairing reads that one grid. A grid
-with M < 2 deg + 8 points per axis, deg the total degree of f g, raises
-GridTooCoarse.
+(params, axes, grid) holds the nodes and weights, built one leading index
+k_1 at a time from w_c(z_k), k <= M/2, and one real table of the pair
+factors (_pair_table): the block of k_1 reads the factors of the other
+axes, gathered once over the chamber of one axis fewer. On a table a
+polynomial is the sum of its W-orbit sums m_lambda, cached per table and
+real on the torus (a constant stays a scalar), and keeps its node
+values, as on the discrete tables (LaurentPolynomial.node_values);
+NotWInvariant for any other input. A torus pairing is bcpoly.pair on the
+M-point table, and its Gram matrix bcpoly.gram on the same table; every
+pairing reads that one grid. A grid with M < 2 deg + 8 points per axis,
+deg the total degree of f g, raises GridTooCoarse. A pole chain value
+t_i t^j q^s (j < n, s >= 0) within TORUS_GUARD of the circle raises
+NearPole.
 
 The discrete supports are never truncated: each chain position runs to
 the last support value off the closed unit disk (SlowConvergence past
@@ -74,8 +77,6 @@ from .qracah import kr_constant
 TORUS_GUARD = 1e-9
 # a chain position holds at most this many support values
 MAX_CHAIN = 256
-# chamber nodes per slab of a chamber table build
-_SLAB = 2 ** 15
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +112,71 @@ def _pair_table(p: AWParams, M: int) -> np.ndarray:
     return R2[k[:, None] + k] * R2[k - k[:, None]]
 
 
+def _chamber_nodes(n_axes: int, top: int) -> np.ndarray:
+    """The open chamber 0 < k_1 < ... < k_n <= top as int16 columns, in
+    lexicographic order: on two axes the strict upper triangle, and on
+    each further axis, for each k_1, k_1 over the suffix of the chamber of
+    one axis fewer whose first index exceeds k_1."""
+    lead = np.arange(1, top + 1, dtype=np.int16)
+    if n_axes == 1:
+        return lead[None]
+    nodes = np.array(np.triu_indices(top, 1), dtype=np.int16) + 1
+    for _ in range(n_axes - 2):
+        starts = np.searchsorted(nodes[0], lead, "right")
+        counts = nodes.shape[1] - starts
+        out = np.empty((len(nodes) + 1, np.sum(counts)), dtype=np.int16)
+        out[0] = np.repeat(lead, counts)
+        lo = 0
+        for s, c in zip(starts.tolist(), counts.tolist()):
+            out[1:, lo:lo + c] = nodes[:, s:]
+            lo += c
+        nodes = out
+    return nodes
+
+
+def _lead_weights(nodes: np.ndarray, P: np.ndarray, wc: np.ndarray,
+                  const: float, top: int) -> np.ndarray:
+    """The weights of the chamber nodes of three or more axes, one leading
+    index k_1 at a time. The block of k_1 = 1 holds the tail of every
+    other block: the block of k_1 is k_1 over the suffix of that tail whose
+    first index exceeds k_1. The tail's pair and axis factors are gathered
+    once; each block reads slices of them and one row P[k_1] per tail
+    axis. The real factors may be multiplied in place, but each complex
+    product of axis factors is formed in a fresh array: numpy's in-place
+    complex loop rounds differently. The last product, real times complex,
+    rounds the same either way."""
+    T = nodes[1:, :np.searchsorted(nodes[0], 1, "right")].astype(np.intp)
+    first, *rest = T
+    tail_pairs = [P[a, b] for a, b in combinations(T, 2)]
+    wc_first, *wc_rest = [wc[k] for k in T]
+    # row lists: a block reads its rows without a new view each
+    cP, P, wc = list(const * P), list(P), wc.tolist()
+    starts = np.searchsorted(first, np.arange(1, top + 1), "right")
+    starts = starts[starts < len(first)]
+    weights = np.empty(nodes.shape[1], dtype=complex)
+    lo = 0
+    for k, s in enumerate(starts.tolist(), start=1):
+        hi = lo + len(first) - s
+        w = cP[k][first[s:]]
+        for t in rest:
+            w *= P[k][t[s:]]
+        for x in tail_pairs:
+            w *= x[s:]
+        ax = wc[k] * wc_first[s:]
+        for x in wc_rest:
+            ax = ax * x[s:]
+        np.multiply(w, ax, out=weights[lo:hi])
+        lo = hi
+    return weights
+
+
 class _Chamber:
     """The M-point trapezoid rule of Delta on n_axes axes, folded onto the
     open W-chamber: the nodes (int16 columns k, 0 < k_1 < ... < k_n < M/2)
     and the weights Delta(z_k) 2^n n! / M^n_axes, 2^n n! the size of every
-    node's orbit."""
+    node's orbit. One axis reads w_c on the chamber axis, two the strict
+    upper triangle of the pair table times w_c(z_a) w_c(z_b), and three or
+    more are built one leading index at a time (_lead_weights)."""
 
     def __init__(self, p: AWParams, n_axes: int, M: int):
         roots = _grid_axes(M)
@@ -123,19 +184,20 @@ class _Chamber:
         self.axis = roots[:half + 1]
         self.cos = roots.real
         self.M = M
-        # k_i = i + nu_i for nu ascending in 0..top - n_axes
-        self.nodes = _chain_labels(
-            (n_axes,), [top - n_axes + 1] * n_axes, n_axes * top
-        ) + np.arange(1, n_axes + 1, dtype=np.int16)[:, None]
+        self.nodes = _chamber_nodes(n_axes, top)
         wc = _axis_wc(self.axis, p)
-        P = _pair_table(p, M) if n_axes > 1 else None
         const = 2 ** n_axes * math.factorial(n_axes) / M ** n_axes
-        self.weights = np.empty(self.nodes.shape[1], dtype=complex)
-        for lo in range(0, len(self.weights), _SLAB):
-            # the real pair factors, then the complex axis factors
-            nu = self.nodes[:, lo:lo + _SLAB]
-            self.weights[lo:lo + _SLAB] = _label_weights(
-                nu, const, [], lambda i, j: P) * np.prod(wc[nu], axis=0)
+        # each weight is const times the real pair factors P[k_i, k_j] in
+        # (i, j) combinations order, times the complex axis factors
+        # w_c(z_k_1) ... w_c(z_k_n) multiplied left to right
+        if n_axes == 1:
+            self.weights = const * wc[1:top + 1]
+        elif n_axes == 2:
+            i, j = self.nodes.astype(np.intp)
+            self.weights = (const * _pair_table(p, M)[i, j]) * (wc[i] * wc[j])
+        else:
+            self.weights = _lead_weights(self.nodes, _pair_table(p, M), wc,
+                                         const, top)
         self._sums: Dict[Tuple[int, ...], np.ndarray] = {}
 
     def orbit_sum(self, lam: Tuple[int, ...]) -> np.ndarray:
@@ -184,17 +246,19 @@ def _pairing_degree(f: LaurentPolynomial, g: LaurentPolynomial) -> int:
 
 
 def _check_torus_clearance(p: AWParams) -> None:
-    """Reject parameters with a pole chain within guard distance of the
-    unit circle (the measure-zero exclusion t_i t^j q^s on T)."""
+    """Reject parameters with a pole chain value within guard distance of
+    the unit circle (the measure-zero exclusion t_i t^j q^s on T): the
+    values t_i t^j q^s, j = 0..n-1 and s >= 0, that _chain_ends runs
+    through."""
     for ti in p.tvec:
-        for j in range(-1, p.n):
+        for j in range(p.n):
             m = abs(ti) * p.t ** j
             if m == 0:
                 continue
-            # |t_i t^j q^s| = 1 for real s; check nearest integer s
-            s = math.log(m) / math.log(p.q)
+            # m q^s = 1 for real s; check the nearest integers s >= 0
+            s = -math.log(m) / math.log(p.q)
             for sr in (math.floor(s), math.ceil(s)):
-                if abs(m * p.q ** sr - 1.0) < TORUS_GUARD:
+                if sr >= 0 and abs(m * p.q ** sr - 1.0) < TORUS_GUARD:
                     raise NearPole(
                         f"parameter chain value t_i t^{j} q^{sr} on torus")
 
@@ -337,7 +401,8 @@ def _chain_labels(chains: Sequence[int], ends: Sequence[int],
     within each chain (of the given lengths, in axis order), in
     lexicographic order, as the columns of an int16 array: row i holds
     axis i."""
-    # int32 temporaries: a chamber table of 333,375 labels is built here
+    # int32 temporaries: half the memory of intp, and wide enough for the
+    # label counts of the discrete tables
     i32 = np.int32
     cols: List[np.ndarray] = []
     total = np.zeros(1, dtype=i32)

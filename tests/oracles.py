@@ -286,6 +286,29 @@ def interaction_c(omega: Sequence[complex], z: Sequence[complex],
     return val
 
 
+def chamber_slabs(p: AWParams, n_axes: int, M: int
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """The chamber table of measures._table as (nodes, weights), built as
+    it was before the build went one leading index at a time: the nodes
+    enumerated as chain labels, k_i = i + nu_i for nu ascending, and the
+    weights formed in slabs of 2^15 nodes by flat-index gathers of the
+    pair table, then the product of the axis factors."""
+    slab = 2 ** 15
+    top = (M - 1) // 2
+    nodes = measures._chain_labels(
+        (n_axes,), [top - n_axes + 1] * n_axes, n_axes * top
+    ) + np.arange(1, n_axes + 1, dtype=np.int16)[:, None]
+    wc = measures._axis_wc(measures._grid_axes(M)[:M // 2 + 1], p)
+    P = measures._pair_table(p, M) if n_axes > 1 else None
+    const = 2 ** n_axes * math.factorial(n_axes) / M ** n_axes
+    weights = np.empty(nodes.shape[1], dtype=complex)
+    for lo in range(0, len(weights), slab):
+        nu = nodes[:, lo:lo + slab]
+        weights[lo:lo + slab] = measures._label_weights(
+            nu, const, [], lambda i, j: P) * np.prod(wc[nu], axis=0)
+    return nodes, weights
+
+
 def tail_coefficients(f, omega: np.ndarray) -> Dict[Tuple[int, ...],
                                                      np.ndarray]:
     """f(omega_l, z) = sum_mu A[mu][l] m_mu(z) in the variables past the

@@ -1,5 +1,6 @@
 """The Askey-Wilson measures built from their distinct factors: chamber
-tables formed slab by slab against the whole Delta grid, the per-measure
+tables against the whole Delta grid and, bit for bit, against the slab
+build they replaced, the per-measure
 chain tables against the scalar residue weights, and the per-factor pole
 guards of the chain weights and of the little and big q-Jacobi weights."""
 
@@ -51,6 +52,7 @@ from bcortho.measures import (
 from bcortho.params import AWParams
 from bcortho.qseries import qpoch_finite, qpoch_infinite, qpoch_infinite_arr
 from oracles import (
+    chamber_slabs,
     interaction_c,
     little_weight_at_point,
     weight_continuous,
@@ -85,18 +87,17 @@ def inversion_symmetric(rng, M):
 
 class TestSlabMoments:
     """Chamber pairings against the whole Delta grid, with and without a
-    per-axis factor, built in one slab or in slabs of one node. The factor
-    is multiplied into the chamber weights as a split table of F(r) does
+    per-axis factor, summed over one table or over the table's blocks of
+    one leading index k_1, the blocks the build forms. The factor is
+    multiplied into the chamber weights as a split table of F(r) does
     with its labels' delta_c rows: one PointTable whose axes read the
     chamber axis at the node indices."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("M", [24, 25])
     @pytest.mark.parametrize("factor", [False, True])
-    @pytest.mark.parametrize("slabs", ["one", "many"])
-    def test_equal_whole_grid(self, n, M, factor, slabs, monkeypatch):
-        if slabs == "many":
-            monkeypatch.setattr(measures, "_SLAB", 1)
+    @pytest.mark.parametrize("tables", ["one", "many"])
+    def test_equal_whole_grid(self, n, M, factor, tables):
         measures._table.cache_clear()
         p = PS[n]
         f = random_invariant(random.Random(n * M), n)
@@ -113,7 +114,15 @@ class TestSlabMoments:
         G = f.eval_grid([z] * n) * grid
         table = measures._table(p, n, M)
         w = np.prod([half[k] for k in table.nodes], axis=0) * table.weights
-        got = pair(f, g, [PointTable([table.axis] * n, table.nodes, w)])
+        cuts = [0, len(w)]
+        if tables == "many":
+            # one block per leading index, in node order
+            lead = table.nodes[0]
+            cuts[1:1] = (np.flatnonzero(np.diff(lead)) + 1).tolist()
+            assert len(cuts) - 1 == len(np.unique(lead))
+        got = pair(f, g, [PointTable([table.axis] * n, table.nodes[:, a:b],
+                                     w[a:b])
+                          for a, b in zip(cuts, cuts[1:])])
         measures._table.cache_clear()
         assert abs(got - np.mean(G)) < 1e-13 * np.mean(np.abs(G))
 
@@ -128,8 +137,9 @@ class TestSlabMoments:
 
     def test_no_grid_in_memory(self):
         # the n = 3, M = 256 chamber holds 333,375 nodes (the whole grid
-        # is 256^3 complex values, 268 MB); built slab by slab, its peak
-        # is the finished table plus the int32 label temporaries
+        # is 256^3 complex values, 268 MB); built one leading index at a
+        # time, its peak is the finished table plus one block's products
+        # and the gathered factors of the two-axis tail (8,001 nodes)
         p = PS[3]
         measures._table.cache_clear()
         tracemalloc.start()
@@ -140,7 +150,59 @@ class TestSlabMoments:
             tracemalloc.stop()
         measures._table.cache_clear()
         assert table.nodes.shape == (3, 333375)
-        assert peak < 16 * 2 ** 20
+        assert peak <= 1.25 * (table.nodes.nbytes + table.weights.nbytes)
+
+
+# real parameters, one large parameter, and complex ones off V_AW
+BUILD_PARAMS = [AWParams(3, 0.5, 0.3, 0.35, -0.45, 0.25, 0.2),
+                AWParams(3, 0.5, 0.3, 1.1, -0.45, 0.25, 0.2),
+                AWParams(3, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 + 0.1j)]
+BUILD_CASES = [(p, n, M) for p in BUILD_PARAMS for n in (1, 2, 3)
+               for M in (8, 9, 16, 33, 64, 128, 256)] + [
+    (BUILD_PARAMS[0], 4, 48),
+    (AWParams(2, 0.99, 0.3, 0.35, -0.45, 0.25, 0.2), 2, 256)]
+
+
+class TestChamberBuild:
+    @pytest.mark.parametrize("p, n, M", BUILD_CASES)
+    def test_equals_slab_build(self, p, n, M):
+        # one leading index at a time, the nodes and weights are those of
+        # the slab build, bit for bit, except on a table of one node: there
+        # the slab build's product of the axis factors over one column took
+        # numpy's scalar reduction loop, which can round a complex product
+        # in the last bit where the vector loop, used for every other
+        # node, does not
+        measures._table.cache_clear()
+        table = measures._table(p, n, M)
+        measures._table.cache_clear()
+        nodes, weights = chamber_slabs(p, n, M)
+        assert table.nodes.dtype == np.int16
+        assert table.nodes.tobytes() == nodes.tobytes()
+        assert table.weights.dtype == complex
+        if n > 1 and len(weights) == 1:
+            assert table.weights.shape == (1,)
+            assert abs(table.weights[0] - weights[0]) <= 4e-16 * abs(
+                weights[0])
+        else:
+            assert table.weights.tobytes() == weights.tobytes()
+
+    @pytest.mark.parametrize("n, M", [(2, 5), (2, 6), (3, 8), (4, 10)])
+    def test_one_node(self, n, M):
+        # the node 1, 2, ..., n weighed as every other node is: const
+        # times the pair factors in combinations order, times the axis
+        # factors left to right
+        p = BUILD_PARAMS[2]
+        table = measures._Chamber(p, n, M)
+        wc = measures._axis_wc(table.axis, p)
+        P = measures._pair_table(p, M)
+        w = 2 ** n * math.factorial(n) / M ** n
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            w = w * P[i, j]
+        ax = wc[1:2]
+        for k in range(2, n + 1):
+            ax = ax * wc[k:k + 1]
+        assert table.nodes.T.tolist() == [list(range(1, n + 1))]
+        assert table.weights.tobytes() == (w * ax).tobytes()
 
 
 def rel(a, b):

@@ -272,6 +272,17 @@ class TestPartialBilinear:
         got = partial_bilinear(ONE2, ONE2, PDD2, 320)
         assert rel(got, gustafson_constant(PDD2)) < 1e-7
 
+    @pytest.mark.parametrize("M", [64, 128, 256])
+    def test_chain_value_next_to_the_torus_raises(self, M):
+        # t0 q lies within 1e-10 of the circle: a pole of the contour
+        # integrand next to the grid. t2 = 0.25 = q^2 of the aw defaults
+        # needs s = -2, no chain value, and PS1 has no value near it
+        p = AWParams(1, 0.5, 0.3, 2.0000000001, 0.15, -0.1, 0.12)
+        with pytest.raises(NearPole, match="q\\^1"):
+            partial_bilinear(ONE1, ONE1, p, M)
+        for clear in (AWParams(1, 0.5, 0.3, 0.35, -0.45, 0.25, 0.2), PS1):
+            partial_bilinear(ONE1, ONE1, clear, M)
+
     def test_residue_weight_overflow_is_typed(self):
         # the scalar reference: the i-dependent products of w_d overflow
         # to NaN from offset 48 of 67, and (q / (t0 t1 t2 t3))^i raises
