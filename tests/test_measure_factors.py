@@ -154,13 +154,16 @@ class TestSlabMoments:
 
 
 # real parameters, one large parameter, and complex ones off V_AW
-BUILD_PARAMS = [AWParams(3, 0.5, 0.3, 0.35, -0.45, 0.25, 0.2),
-                AWParams(3, 0.5, 0.3, 1.1, -0.45, 0.25, 0.2),
-                AWParams(3, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 + 0.1j)]
-BUILD_CASES = [(p, n, M) for p in BUILD_PARAMS for n in (1, 2, 3)
+BUILD_PARAMS = {"real": AWParams(3, 0.5, 0.3, 0.35, -0.45, 0.25, 0.2),
+                "t0=1.1": AWParams(3, 0.5, 0.3, 1.1, -0.45, 0.25, 0.2),
+                "complex": AWParams(3, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j,
+                                    0.3 + 0.1j)}
+BUILD_CASES = [pytest.param(p, n, M, id=f"{name}-{n}-{M}")
+               for name, p in BUILD_PARAMS.items() for n in (1, 2, 3)
                for M in (8, 9, 16, 33, 64, 128, 256)] + [
-    (BUILD_PARAMS[0], 4, 48),
-    (AWParams(2, 0.99, 0.3, 0.35, -0.45, 0.25, 0.2), 2, 256)]
+    pytest.param(BUILD_PARAMS["real"], 4, 48, id="real-4-48"),
+    pytest.param(AWParams(2, 0.99, 0.3, 0.35, -0.45, 0.25, 0.2), 2, 256,
+                 id="q=0.99-2-256")]
 
 
 class TestChamberBuild:
@@ -191,7 +194,7 @@ class TestChamberBuild:
         # the node 1, 2, ..., n weighed as every other node is: const
         # times the pair factors in combinations order, times the axis
         # factors left to right
-        p = BUILD_PARAMS[2]
+        p = BUILD_PARAMS["complex"]
         table = measures._Chamber(p, n, M)
         wc = measures._axis_wc(table.axis, p)
         P = measures._pair_table(p, M)
