@@ -175,9 +175,7 @@ class TestChamberBuild:
         # numpy's scalar reduction loop, which can round a complex product
         # in the last bit where the vector loop, used for every other
         # node, does not
-        measures._table.cache_clear()
-        table = measures._table(p, n, M)
-        measures._table.cache_clear()
+        table = measures._Chamber(p, n, M)
         nodes, weights = chamber_slabs(p, n, M)
         assert table.nodes.dtype == np.int16
         assert table.nodes.tobytes() == nodes.tobytes()
