@@ -8,7 +8,10 @@ order, sparse Laurent arithmetic with node values kept per node table,
 the PointTable of the discrete measures, the one pairing and the one
 orthogonalizer. Every family's bilinear form is a sum of f g w over the
 nodes of its node tables (pair, and gram for a Gram matrix): a node table
-has weights and at_nodes(f), the values of f at its nodes. Every family
+has weights and at_nodes(f), the values of f at its nodes. A PointTable
+node is a label into a few values per axis, so one evaluator serves
+at_nodes and orthogonalize: each axis's values raised to the exponents
+once, the power rows gathered by label per evaluation. Every family
 is monic in a monomial basis, triangular in the dominance order and
 orthogonal for its own bilinear form, so orthogonalize builds all alike,
 on the values of its polynomials at the nodes of their PointTables.
@@ -42,9 +45,6 @@ PRUNE = 1e-300
 # Element count of the largest (terms x points) slab of eval_points, and
 # node count of the largest slab of pair.
 SLAB = 1 << 12
-# Element count up to which orthogonalize keeps a node table's nodes and
-# power rows between the evaluations of one exponent layout.
-KEEP_NODES = 1 << 14
 
 
 def partition(parts: Sequence[int]) -> Tuple[int, ...]:
@@ -71,7 +71,7 @@ class LaurentPolynomial:
     """Sparse Laurent polynomial: map from integer exponent vectors to
     complex coefficients. Instances are treated as immutable."""
 
-    __slots__ = ("nvars", "terms", "_w_coeffs", "_node_values", "_slabs")
+    __slots__ = ("nvars", "terms", "_w_coeffs", "_node_values")
 
     def __init__(self, nvars: int, terms: Dict[Exponent, complex] | None = None):
         self.nvars = nvars
@@ -84,7 +84,6 @@ class LaurentPolynomial:
                     clean[tuple(int(x) for x in e)] = complex(c)
         self.terms = clean
         self._w_coeffs: Dict[Exponent, complex] | None = None
-        self._slabs: tuple | None = None
         self._node_values: Dict[int, tuple] | None = None
 
     @classmethod
@@ -159,15 +158,9 @@ class LaurentPolynomial:
         time unless there is one column: so a lone point is doubled."""
         Z = np.asarray(Z)
         X = _points(Z, self.nvars)
-        if self._slabs is None:
-            # the coefficients in sorted exponent order, whether all are
-            # real, and per axis the exponents and each term's among them
-            exps = sorted(self.terms)
-            coef = np.array([self.terms[e] for e in exps], dtype=complex)
-            self._slabs = coef, not coef.imag.any(), _axes(exps, self.nvars)
-        coef, real, axes = self._slabs
-        if real and X.dtype.kind != "c":
-            coef = coef.real
+        exps = sorted(self.terms)
+        coef = np.array([self.terms[e] for e in exps], dtype=complex)
+        axes = _axes(exps, self.nvars)
         rows = [_power_rows(X, i, es) for i, (es, _k) in enumerate(axes)]
         return _slab_sum(coef, rows, [k for _es, k in axes], len(X))[:len(Z)]
 
@@ -289,9 +282,12 @@ def _slab_sum(coef: np.ndarray, rows: List[np.ndarray],
               pick: List[np.ndarray], npts: int) -> np.ndarray:
     """sum_k coef[k] prod_i rows[i][pick[i][k]] at each of npts points,
     the product formed left to right from the coefficient and the terms
-    added in order: the slab arithmetic of eval_points."""
+    added in order: the slab arithmetic of eval_points. The complex
+    coefficients are taken as real if they all are and the rows are."""
     if not rows:
         rows, pick = [np.ones((1, npts))], [np.zeros(len(coef), int)]
+    if rows[0].dtype.kind != "c" and not coef.imag.any():
+        coef = coef.real
     total = np.zeros(npts, dtype=coef.dtype)
     step = max(1, SLAB // npts) if npts else len(coef)
     for lo in range(0, len(coef), step):
@@ -315,12 +311,48 @@ class PointTable:
 
     def nodes(self) -> np.ndarray:
         """The (nodes, nvars) array of the node coordinates, gathered on
-        each call."""
+        each call; the evaluation never gathers them."""
         return np.array([zi.take(nui) for zi, nui in zip(self.z, self.nu)]).T
 
     def at_nodes(self, f: LaurentPolynomial) -> np.ndarray:
-        """f at every node, the nodes gathered on each call, not kept."""
-        return f.eval_points(self.nodes())
+        """f at every node, read-only: bit for bit f.eval_points(nodes())
+        (_layout_values)."""
+        exps = sorted(f.terms)
+        return _layout_values(self, f.nvars, exps)(
+            np.array([f.terms[e] for e in exps], dtype=complex))
+
+
+def _layout_values(table: PointTable, nvars: int, layout: List[Exponent]
+                   ) -> Callable[[np.ndarray, list | None], np.ndarray]:
+    """For a sorted exponent layout, the function of (coef, present)
+    giving sum_k coef[k] z^e_k over the layout's exponents e_k at the
+    indices present (None: all), at the nodes of the table, read-only:
+    bit for bit eval_points of that polynomial at table.nodes(). Each
+    axis's values z[i] are raised to the layout's exponents once, in the
+    dtype of nodes() (real and complex pow differ in the last bit), and
+    each call gathers those power rows by label into eval_points' slab
+    arithmetic; a lone node is doubled, as eval_points doubles a lone
+    point. LengthMismatch unless the table has nvars axes, ZeroCoordinate
+    if an axis holds a zero."""
+    if len(table.z) != nvars:
+        raise LengthMismatch("node table has wrong number of axes")
+    if not all(np.all(zi) for zi in table.z):
+        raise ZeroCoordinate("node table has a zero coordinate")
+    dtype = np.result_type(*table.z)
+    axes = _axes(layout, nvars)
+    powers = [_power_rows(np.asarray(zi, dtype)[:, None], 0, es)
+              for zi, (es, _k) in zip(table.z, axes)]
+    m = len(table.weights)
+    nu = np.repeat(table.nu, 2, axis=1) if m == 1 else table.nu
+
+    def values(coef: np.ndarray, present: list | None = None) -> np.ndarray:
+        rows = [P.take(nui, axis=1) for P, nui in zip(powers, nu)]
+        pick = [k if present is None else k[present] for _es, k in axes]
+        out = _slab_sum(coef, rows, pick, nu.shape[1])[:m]
+        out.flags.writeable = False
+        return out
+
+    return values
 
 
 def _column(values: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -453,42 +485,6 @@ def monomial_s(lam: Sequence[int]) -> LaurentPolynomial:
     return LaurentPolynomial(len(lam), {e: 1.0 for e in _orbit(lam, False)})
 
 
-def _layout_values(table: PointTable, nvars: int, layout: List[Exponent],
-                   keep: bool) -> Callable[[list | None, np.ndarray],
-                                           np.ndarray]:
-    """For a sorted exponent layout, the function of (present, coef)
-    giving sum_k coef[k] z^e_k over the layout's exponents e_k at the
-    indices present (None: all), at the nodes of the table, read-only:
-    bit for bit eval_points of that polynomial at table.nodes(). With
-    keep the nodes are gathered and raised to the layout's power rows
-    z_i^e once; else, as eval_points does, per call and only to the
-    powers of the exponents present."""
-    def power_rows(axes: list) -> Tuple[np.ndarray, List[np.ndarray]]:
-        X = _points(np.asarray(table.nodes()), nvars)
-        return X, [_power_rows(X, i, es) for i, (es, _k) in enumerate(axes)]
-
-    axes = _axes(layout, nvars)
-    kept = power_rows(axes) if keep else None
-    m = len(table.weights)
-
-    def values(present: list | None, coef: np.ndarray) -> np.ndarray:
-        if keep:
-            X, rows = kept
-            pick = [k if present is None else k[present] for _es, k in axes]
-        else:
-            now = axes if present is None else _axes(
-                [layout[k] for k in present], nvars)
-            X, rows = power_rows(now)
-            pick = [k for _es, k in now]
-        if X.dtype.kind != "c" and not coef.imag.any():
-            coef = coef.real
-        out = _slab_sum(coef, rows, pick, len(X))[:m]
-        out.flags.writeable = False
-        return out
-
-    return values
-
-
 def _add_scaled(terms: Dict[Exponent, complex],
                 other: Dict[Exponent, complex],
                 c: complex) -> Dict[Exponent, complex]:
@@ -526,12 +522,10 @@ def orthogonalize(top: Sequence[int], n: int,
     (oracles.orthogonalize_loop): each mu fixes one exponent layout, the
     sorted exponents its poly can hold, the coefficients are updated as
     Python scalars (_add_scaled) and the values at the nodes formed anew
-    from them by eval_points' slab arithmetic (_layout_values), and every
-    pairing is pair's in-order sum on those values. A table of m nodes
-    with m (nvars + rows) <= KEEP_NODES, rows bounding a layout's power
-    rows, has its nodes gathered and raised to the layout's powers once
-    per mu; a larger one once per evaluation, as eval_points does, so
-    the memory stays that of one evaluation. Every pairing comes in a
+    from them by eval_points' slab arithmetic (_layout_values, the
+    evaluator of at_nodes, on the per-axis powers of the layout raised
+    once per mu and gathered by label per evaluation), and every pairing
+    is pair's in-order sum on those values. Every pairing comes in a
     fixed order, so the result does not depend on top: the P_mu of
     orthogonalize(top) and of orthogonalize(mu) agree exactly. Each P_mu
     is returned with its node values kept on it
@@ -542,9 +536,6 @@ def orthogonalize(top: Sequence[int], n: int,
     if len(top) != n:
         raise DomainViolation(f"partition {top} must have length {n}")
     tables = list(tables)
-    # a layout has at most n (2 top_1 + 1) power rows
-    keep = [len(t.weights) * n * (2 * max(top, default=0) + 2) <= KEEP_NODES
-            for t in tables]
 
     def dot(F: List[np.ndarray], G: List[np.ndarray]) -> complex:
         # pair on the node values F and G of the tables
@@ -560,8 +551,7 @@ def orthogonalize(top: Sequence[int], n: int,
         lower = partitions_dominated_by(mu)[:-1]
         layout = sorted(set(m_mu.terms).union(
             *(built[nu].terms for nu in lower)))
-        on_tables = [_layout_values(t, n, layout, k)
-                     for t, k in zip(tables, keep)]
+        on_tables = [_layout_values(t, n, layout) for t in tables]
 
         def at_nodes(terms: Dict[Exponent, complex]) -> List[np.ndarray]:
             # terms holds a subset of the layout
@@ -570,7 +560,7 @@ def orthogonalize(top: Sequence[int], n: int,
                 present = [k for k, e in enumerate(layout) if e in terms]
             exps = layout if present is None else [layout[k] for k in present]
             coef = np.array([terms[e] for e in exps], dtype=complex)
-            return [f(present, coef) for f in on_tables]
+            return [f(coef, present) for f in on_tables]
 
         terms = dict(m_mu.terms)
         F = F_mu = at_nodes(terms)

@@ -492,18 +492,18 @@ class TestFamilyChecks:
         # the orthogonalized polynomials bring the node values of their
         # pairing with them, so the Gram matrix evaluates no polynomial
         # (orthogonalize forms them on its own node columns, without
-        # eval_points); the aw Gram is one product on the M-point chamber
-        # table, which evaluates each polynomial once and pairs none of
-        # them alone
+        # PointTable.at_nodes); the aw Gram is one product on the M-point
+        # chamber table, which evaluates each polynomial once and pairs
+        # none of them alone
         fam = default_family(name)
         calls = []
-        eval_points = LaurentPolynomial.eval_points
+        at_nodes_point = PointTable.at_nodes
 
-        def counting(self, Z):
-            calls.append(Z.shape)
-            return eval_points(self, Z)
+        def counting(table, f):
+            calls.append(len(table.weights))
+            return at_nodes_point(table, f)
 
-        monkeypatch.setattr(LaurentPolynomial, "eval_points", counting)
+        monkeypatch.setattr(PointTable, "at_nodes", counting)
         on_torus = []
         at_nodes = measures._Chamber.at_nodes
 

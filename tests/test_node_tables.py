@@ -418,6 +418,79 @@ class TestEvalPoints:
             self.POLY.eval_points(np.ones(3))
 
 
+# the split tables of F(r) on the 24-point grid: at r = 2 = n the labels'
+# points (6, 35 and 15 nodes), at r = 1 < n every label times every node
+# of the one-axis chamber table (55 and 77 nodes)
+SPLIT = AWParams(2, 0.7, 0.5, 9.0, -5.0, -0.1, 0.12)
+
+
+def split_tables(r_is_n):
+    return [table for labels, table in measures._discrete_table(SPLIT, 24)
+            if (labels == len(table.weights)) == r_is_n]
+
+
+def real_labels(tables):
+    # the real support values of the label axes as real arrays, beside
+    # the complex chamber axis
+    return [PointTable([zi.real if not zi.imag.any() else zi
+                        for zi in table.z], table.nu, table.weights)
+            for table in tables]
+
+
+AT_NODES_TABLES = {
+    "qracah-real-t0": lambda: [qracah._node_table(
+        QRacahParams(3, 0.5, 0.3, 0.7, -0.5, 0.4, 3))],
+    "qracah-complex-t0": lambda: [qracah._node_table(
+        QRacahParams(2, 0.5, 0.3, 0.7 + 0.2j, -0.5, 0.4, 2))],
+    "little-q0.5": lambda: little._node_table(
+        LittleParams(2, 0.5, 0.3, 0.4, 0.2)),
+    "little-q0.9": lambda: little._node_table(
+        LittleParams(2, 0.9, 0.3, 0.4, 0.2)),
+    "big-n2": lambda: big._node_table(BigParams(2, 0.5, 0.4, 0.6, 0.3, 1.0,
+                                                0.8)),
+    "big-n3": lambda: big._node_table(BigParams(3, 0.5, 0.4, 0.6, 0.3, 1.0,
+                                                0.8)),
+    "split-r<n": lambda: split_tables(False),
+    "split-r=n": lambda: split_tables(True),
+    "split-real-labels": lambda: real_labels(split_tables(False)),
+    "one-node": lambda: [
+        PointTable(np.array([[0.7], [0.4]]), np.zeros((2, 1), int),
+                   np.ones(1)),
+        PointTable(np.array([[0.7 + 0.1j], [0.4]]), np.zeros((2, 1), int),
+                   np.ones(1))],
+}
+
+
+class TestAtNodes:
+    """PointTable.at_nodes, the per-axis powers gathered by label: bit for
+    bit eval_points at the gathered nodes, in their dtype."""
+
+    @pytest.mark.parametrize("case", list(AT_NODES_TABLES))
+    def test_equals_eval_points(self, case):
+        tables = AT_NODES_TABLES[case]()
+        n = len(tables[0].z)
+        rng = np.random.default_rng(len(case))
+        top = (3,) * n if n < 3 else (2, 2, 2)
+        polys = [TestEvalPoints.random_poly(rng, top, coeffs)
+                 for coeffs in ("real", "complex")]
+        polys.append(monomial_s((3,) + (1,) * (n - 1)))
+        for table in tables:
+            for f in polys:
+                got, want = table.at_nodes(f), f.eval_points(table.nodes())
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+                assert not got.flags.writeable
+
+    def test_errors(self):
+        f = monomial_s((1, 0))
+        with pytest.raises(ZeroCoordinate):
+            PointTable(np.array([[0.7, 0.0], [0.4, 0.5]]),
+                       np.array([[0, 1], [0, 1]]), np.ones(2)).at_nodes(f)
+        with pytest.raises(LengthMismatch):
+            PointTable(np.array([[0.7]]), np.zeros((1, 1), int),
+                       np.ones(1)).at_nodes(f)
+
+
 class TestNodeValues:
     """LaurentPolynomial.node_values: the values at a table's nodes are
     computed once per polynomial and table, and live on the polynomial."""
@@ -465,23 +538,23 @@ class TestNodeValues:
         # the polynomials of orthogonalize and of the Gram checks are
         # evaluated at most once per instance and node table
         seen = []
-        eval_points = LaurentPolynomial.eval_points
+        at_nodes = PointTable.at_nodes
 
-        def counting(self, Z):
-            seen.append((self, Z.shape, Z.tobytes()))
-            return eval_points(self, Z)
+        def counting(table, f):
+            seen.append((table, f))
+            return at_nodes(table, f)
 
-        monkeypatch.setattr(LaurentPolynomial, "eval_points", counting)
+        monkeypatch.setattr(PointTable, "at_nodes", counting)
         report = run_suite(build_config(raw))
         assert any(c.name == "orthogonality" for c in report.checks)
-        keys = [(id(f), shape, data) for f, shape, data in seen]
+        # seen holds every table and polynomial, so no id is reused
+        keys = [(id(table), id(f)) for table, f in seen]
         assert len(keys) > 0
         assert len(set(keys)) == len(keys)
 
     def test_big_n3_gram_memory(self):
         # the node values of the lmax 1 polynomials at n = 3 (66k nodes in
-        # four parts) stay within 6 MiB traced; 4.5 MiB measured, and the
-        # gathered nodes are not kept
+        # four parts) stay within 5 MiB traced; 4.68 MiB measured
         bp = BigParams(3, 0.5, 0.4, 0.6, 0.3, 1.0, 0.8)
         big._node_table(bp)
         tracemalloc.start()
@@ -493,7 +566,7 @@ class TestNodeValues:
             _cur, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 2 ** 20
+        assert peak < 5 * 2 ** 20
 
     def test_big_n3_eval_points_memory(self):
         # a lmax 1 polynomial on the big --n 3 table (parts of 8,536 and
