@@ -16,10 +16,16 @@ node k weighted by Delta(z_k) 2^n n! / M^n. One cached table per
 (params, axes, grid) holds the nodes and weights, built one leading index
 k_1 at a time from w_c(z_k), k <= M/2, and one real table of the pair
 factors (_pair_table): the block of k_1 reads the factors of the other
-axes, gathered once over the chamber of one axis fewer. On a table a
-polynomial is the sum of its W-orbit sums m_lambda, cached per table and
-real on the torus (a constant stays a scalar), and keeps its node
-values, as on the discrete tables (LaurentPolynomial.node_values);
+axes, gathered once over the chamber of one axis fewer. For
+conjugation-closed parameters (AWParams.conj_closed: every t_i real or
+paired with its conjugate) Delta is real on the torus, and w_c, the
+weights and the delta_c rows of a real chain are formed and stored in
+real arithmetic, from half the kernel arguments; other parameters keep
+the complex forms. On a table a polynomial is the sum of its W-orbit
+sums m_lambda, each a sum over the distinct permutations of lambda of
+products of per-axis cosine rows, cached per table and real on the torus
+(a constant stays a scalar), and keeps its node values, as on the
+discrete tables (LaurentPolynomial.node_values);
 NotWInvariant for any other input. A torus pairing is bcpoly.pair on the
 M-point table, and its Gram matrix bcpoly.gram on the same table; every
 pairing reads that one grid. A grid with M < 2 deg + 8 points per axis,
@@ -33,13 +39,15 @@ MAX_CHAIN values). The labels of a split of F(r) are weighed as the
 little and big q-Jacobi tables are: by Delta^(d) = K_r Delta^qR a weight
 is K_l K_m times the Delta^qR one-axis and in-chain pair factors,
 cumulative products of per-step ratios that neither underflow nor
-overflow on long chains, times the cross-chain delta_c factors. Each
-split is one cached bcpoly.PointTable: its labels' points for r = n, and
-for r < n every label times every node of the chamber table of the other
-n - r axes, the label's delta_c rows (over the chamber axis, k <= M/2)
-multiplied into the node weights once, at build. The partially discrete
-form is the torus pairing plus one bcpoly.pair per split table. The
-scalar residue forms stay as the references.
+overflow on long chains, times the cross-chain delta_c factors; real
+parameters give real label weights. Each split is one cached
+bcpoly.PointTable, real where all its factors are: its labels' points
+for r = n, and for r < n every label times every node of the chamber
+table of the other n - r axes, the label's delta_c rows (over the
+chamber axis, k <= M/2) multiplied into the node weights once, at
+build. The partially discrete form is the torus pairing plus one
+bcpoly.pair per split table. The scalar residue forms stay as the
+references.
 """
 
 from __future__ import annotations
@@ -47,13 +55,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 from itertools import product as iter_product
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .bcpoly import LaurentPolynomial, PointTable, gram, monomial_w, pair
+from .bcpoly import LaurentPolynomial, PointTable, gram, pair
 from .errors import (
     DomainViolation,
     GridTooCoarse,
@@ -87,11 +95,25 @@ def _grid_axes(M: int) -> np.ndarray:
     return np.exp(1j * ang)
 
 
+def _abs2(x: np.ndarray) -> np.ndarray:
+    return x.real ** 2 + x.imag ** 2
+
+
 def _axis_wc(zvals: np.ndarray, p: AWParams) -> np.ndarray:
-    """w_c(z) for every z of zvals: one kernel call on the numerator's two
-    arguments stacked and one on the denominator's eight."""
-    num = qpoch_infinite_arr(np.stack([zvals ** 2, zvals ** -2]), p.q)
+    """w_c(z) for every z of zvals, on the unit circle. For
+    conjugation-closed parameters (AWParams.conj_closed) each factor 1/z
+    of (z^-2, t_i/z;q)_inf is the conjugate of a factor z of the others,
+    so w_c = |(z^2;q)_inf|^2 / prod_i |(t_i z;q)_inf|^2, real: one kernel
+    call on those 1 + 4 arguments stacked. Otherwise complex: one call on
+    the numerator's two arguments stacked and one on the denominator's
+    eight."""
     try:
+        if p.conj_closed():
+            f = _abs2(qpoch_infinite_arr(
+                np.stack([zvals ** 2] + [ti * zvals for ti in p.tvec]), p.q,
+                require_nonzero=[[False]] + [[True]] * 4))
+            return f[0] / (f[1] * f[2] * f[3] * f[4])
+        num = qpoch_infinite_arr(np.stack([zvals ** 2, zvals ** -2]), p.q)
         den = qpoch_infinite_arr(np.stack([
             x for ti in p.tvec for x in (ti * zvals, ti / zvals)]), p.q,
             require_nonzero=True)
@@ -137,14 +159,15 @@ def _chamber_nodes(n_axes: int, top: int) -> np.ndarray:
 def _lead_weights(nodes: np.ndarray, P: np.ndarray, wc: np.ndarray,
                   const: float, top: int) -> np.ndarray:
     """The weights of the chamber nodes of three or more axes, one leading
-    index k_1 at a time. The block of k_1 = 1 holds the tail of every
-    other block: the block of k_1 is k_1 over the suffix of that tail whose
-    first index exceeds k_1. The tail's pair and axis factors are gathered
-    once; each block reads slices of them and one row P[k_1] per tail
-    axis. The real factors may be multiplied in place, but each complex
-    product of axis factors is formed in a fresh array: numpy's in-place
-    complex loop rounds differently. The last product, real times complex,
-    rounds the same either way."""
+    index k_1 at a time, in the dtype of wc: real for a real density
+    (_axis_wc), so each block multiplies reals. The block of k_1 = 1 holds
+    the tail of every other block: the block of k_1 is k_1 over the suffix
+    of that tail whose first index exceeds k_1. The tail's pair and axis
+    factors are gathered once; each block reads slices of them and one row
+    P[k_1] per tail axis. The real factors may be multiplied in place, but
+    each product of axis factors is formed in a fresh array: numpy's
+    in-place complex loop rounds differently. The last product, real times
+    complex, rounds the same either way."""
     T = nodes[1:, :np.searchsorted(nodes[0], 1, "right")].astype(np.intp)
     first, *rest = T
     tail_pairs = [P[a, b] for a, b in combinations(T, 2)]
@@ -153,7 +176,7 @@ def _lead_weights(nodes: np.ndarray, P: np.ndarray, wc: np.ndarray,
     cP, P, wc = list(const * P), list(P), wc.tolist()
     starts = np.searchsorted(first, np.arange(1, top + 1), "right")
     starts = starts[starts < len(first)]
-    weights = np.empty(nodes.shape[1], dtype=complex)
+    weights = np.empty(nodes.shape[1], dtype=wc_first.dtype)
     lo = 0
     for k, s in enumerate(starts.tolist(), start=1):
         hi = lo + len(first) - s
@@ -174,9 +197,11 @@ class _Chamber:
     """The M-point trapezoid rule of Delta on n_axes axes, folded onto the
     open W-chamber: the nodes (int16 columns k, 0 < k_1 < ... < k_n < M/2)
     and the weights Delta(z_k) 2^n n! / M^n_axes, 2^n n! the size of every
-    node's orbit. One axis reads w_c on the chamber axis, two the strict
-    upper triangle of the pair table times w_c(z_a) w_c(z_b), and three or
-    more are built one leading index at a time (_lead_weights)."""
+    node's orbit, in the dtype of w_c: float64 for conjugation-closed
+    parameters, where Delta is real on the torus, else complex128. One
+    axis reads w_c on the chamber axis, two the strict upper triangle of
+    the pair table times w_c(z_a) w_c(z_b), and three or more are built one
+    leading index at a time (_lead_weights)."""
 
     def __init__(self, p: AWParams, n_axes: int, M: int):
         roots = _grid_axes(M)
@@ -188,7 +213,7 @@ class _Chamber:
         wc = _axis_wc(self.axis, p)
         const = 2 ** n_axes * math.factorial(n_axes) / M ** n_axes
         # each weight is const times the real pair factors P[k_i, k_j] in
-        # (i, j) combinations order, times the complex axis factors
+        # (i, j) combinations order, times the axis factors
         # w_c(z_k_1) ... w_c(z_k_n) multiplied left to right
         if n_axes == 1:
             self.weights = const * wc[1:top + 1]
@@ -201,18 +226,28 @@ class _Chamber:
         self._sums: Dict[Tuple[int, ...], np.ndarray] = {}
 
     def orbit_sum(self, lam: Tuple[int, ...]) -> np.ndarray:
-        """m_lambda at every node, real on the torus: twice the sum of
-        cos(2 pi e.k / M) over one of each pair +-e of the orbit. For
+        """m_lambda at every node, real on the torus: the sum over the
+        distinct permutations pi of lambda of prod_i c_pi_i(z_k_i), with
+        c_l(z) = z^l + z^-l = 2 cos(2 pi l k / M) for l > 0 and c_0 = 1
+        (the sign choices of each axis summed apart), multiplied in axis
+        order. Each row c_l(z_k_i) is gathered once per axis i. For
         lambda = 0 a single 1, so a constant stays a scalar."""
         if lam not in self._sums:
             if not any(lam):
                 s = np.ones(1)
             else:
+                rows: Dict[Tuple[int, int], np.ndarray] = {}
+
+                def row(i: int, l: int) -> np.ndarray:
+                    if (i, l) not in rows:
+                        k = np.arange(len(self.axis))
+                        c = 2.0 * self.cos[l * k % self.M]
+                        rows[i, l] = c[self.nodes[i]]
+                    return rows[i, l]
+
                 s = np.zeros(self.nodes.shape[1])
-                for e in monomial_w(lam).terms:
-                    if e > tuple(-x for x in e):
-                        s += self.cos[np.dot(e, self.nodes) % self.M]
-                s = 2.0 * s
+                for perm in sorted(set(permutations(lam))):
+                    s += math.prod(row(i, l) for i, l in enumerate(perm) if l)
             self._sums[lam] = s
         return self._sums[lam]
 
@@ -382,11 +417,19 @@ def multi_discrete_weight(nu: Sequence[int], p: AWParams,
     return val * delta_d(nu, p, which)
 
 
-def _interaction_c_rows(ws: np.ndarray, xs: np.ndarray,
-                        p: AWParams) -> np.ndarray:
-    """delta_c((w,); (x,)) for every w of ws (rows) and x of xs: one
-    kernel call on the four arguments stacked."""
+def _interaction_c_rows(ws: np.ndarray, xs: np.ndarray, p: AWParams,
+                        on_circle: bool = False) -> np.ndarray:
+    """delta_c((w,); (x,)) for every w of ws (rows) and x of xs. For a
+    real chain, ws real, of conjugation-closed parameters against points
+    xs on the unit circle, w/x and x/w are the conjugates of w x and
+    1/(w x), so the rows are |(w x;q)_tau|^2 |(1/(w x);q)_tau|^2, real:
+    one kernel call on those two arguments stacked. Otherwise, as for
+    every unpaired complex parameter set, one call on the four stacked."""
     w, x = ws[:, None], xs[None, :]
+    if on_circle and not w.imag.any() and p.conj_closed():
+        wx = w.real * x
+        f = _abs2(qpoch_real_arr(np.stack([wx, 1.0 / wx]), p.q, p.t))
+        return f[0] * f[1]
     f = qpoch_real_arr(np.stack([w * x, w / x, x / w, 1.0 / (w * x)]),
                        p.q, p.t)
     return f[0] * f[1] * f[2] * f[3]
@@ -511,9 +554,11 @@ def _split_labels(p: AWParams, M: int) -> tuple:
     m), the support values z[i] that row i of nu indexes, the weights
     Delta^(d)(nu) Delta^(d)(nu') delta_c(omega; omega') of the labels'
     points omega and, for r < n, their delta_c rows over the chamber axis
-    k <= M/2 of the M-point grid (one row per label; None for r = n). On
-    V_AW a weight that is not real and nonnegative raises
-    NonPositiveWeight."""
+    k <= M/2 of the M-point grid (one row per label; None for r = n),
+    real for a real chain of conjugation-closed parameters. Weights whose
+    imaginary parts are all exactly 0, as those of real parameters are,
+    are kept as their real parts. On V_AW a weight that is not real and
+    nonnegative raises NonPositiveWeight."""
     n = p.n
     check_positive = p.in_V_AW()
     large = _large_params(p)
@@ -533,7 +578,8 @@ def _split_labels(p: AWParams, M: int) -> tuple:
                 ends[c][k])
             axis[c, k] = _qr_axis(pc, k, ends[c][k])
             if k < n - 1:
-                rows[c, k] = _interaction_c_rows(values[c, k], zvals, p)
+                rows[c, k] = _interaction_c_rows(values[c, k], zvals, p,
+                                                 on_circle=True)
             for l in live[:k]:
                 pairs[(c, l), (c, k)] = _qr_pair(pc, l, k, ends[c][l],
                                                  ends[c][k])
@@ -566,6 +612,9 @@ def _split_labels(p: AWParams, M: int) -> tuple:
                         f"discrete weight {w[bad[0]]} not real and "
                         f"nonnegative at the label {nu[:, bad[0]].tolist()} "
                         f"of the split ({l}, {r - l})")
+            # real parameters give imaginary parts exactly 0: keep the
+            # real parts, bit for bit
+            w = w if w.imag.any() else w.real
             row = (np.prod([rows[ax][lab] for ax, lab in zip(axes, nu)],
                            axis=0) if r < n else None)
             table.append((l, nu, [values[ax] for ax in axes], w, row))
@@ -581,7 +630,7 @@ def _discrete_table(p: AWParams, M: int) -> tuple:
     label-major, the trailing coordinates read on the chamber axis. A
     node's weight is 2^r n! / (n - r)! times its label's weight, times the
     label's delta_c row at each trailing coordinate, times the chamber
-    weight."""
+    weight: real where all of these are."""
     n = p.n
     out = []
     for _l, nu, z, w, row in _split_labels(p, M):

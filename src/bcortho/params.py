@@ -55,9 +55,9 @@ class AWParams:
         t0, t1, t2, t3 = self.tvec
         return t0 * t1 * t2 * t3
 
-    def in_V_AW(self) -> bool:
-        """Positive-measure domain: parameters real or in conjugate pairs,
-        and t_k t_l not in [1, inf) for every pair k < l."""
+    def conj_closed(self) -> bool:
+        """Every t_i real or paired with its conjugate in the set: then the
+        torus density is real on the unit circle."""
         pool = [ti for ti in self.tvec if abs(ti.imag) > _TOL]
         while pool:
             u = pool.pop()
@@ -67,6 +67,13 @@ class AWParams:
                     break
             else:
                 return False
+        return True
+
+    def in_V_AW(self) -> bool:
+        """Positive-measure domain: parameters conjugation-closed
+        (conj_closed) and t_k t_l not in [1, inf) for every pair k < l."""
+        if not self.conj_closed():
+            return False
         tv = self.tvec
         for k in range(4):
             for l in range(k + 1, 4):

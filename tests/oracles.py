@@ -15,7 +15,10 @@ residue_split_loop the CLI's residue-split value with every one of its
 its value, and its errors, exactly. norm_ratio_keys_tuples is the
 q-Racah norm key builder as tuple arithmetic. The weights below are the
 scalar forms of the densities that the node tables build as arrays, one
-point or label at a time. labelled_partial is the partially discrete
+point or label at a time; axis_wc_complex and interaction_c_rows_complex
+are the complex array forms of w_c and of the delta_c rows, which the
+measures keep for parameters that are not conjugation-closed and replace
+by real ones for the others. labelled_partial is the partially discrete
 form summed label by label, as it was before each split of F(r) became
 one node table: each label's coefficients in the chamber variables
 (tail_coefficients), evaluated on the chamber table and paired there
@@ -58,7 +61,7 @@ from bcortho.qracah import QRacahParams, _key_value, kr_constant, weight_qR
 from bcortho.qseries import (POLE_GUARD, psi_t, qpoch_finite,
                              qpoch_finite_arr, qpoch_infinite,
                              qpoch_infinite_arr, qpoch_ratio, qpoch_real,
-                             theta_jacobi)
+                             qpoch_real_arr, theta_jacobi)
 
 
 def eval_points_loop(f, Z: np.ndarray) -> np.ndarray:
@@ -286,22 +289,52 @@ def interaction_c(omega: Sequence[complex], z: Sequence[complex],
     return val
 
 
-def chamber_slabs(p: AWParams, n_axes: int, M: int
+def axis_wc_complex(zvals: np.ndarray, p: AWParams) -> np.ndarray:
+    """w_c(z) for every z of zvals in complex arithmetic, for any
+    parameters: one kernel call on the numerator's two arguments stacked
+    and one on the denominator's eight. measures._axis_wc forms it so,
+    bit for bit, for parameters that are not conjugation-closed, and its
+    real density for the others."""
+    num = qpoch_infinite_arr(np.stack([zvals ** 2, zvals ** -2]), p.q)
+    try:
+        den = qpoch_infinite_arr(np.stack([
+            x for ti in p.tvec for x in (ti * zvals, ti / zvals)]), p.q,
+            require_nonzero=True)
+    except ZeroProduct as exc:
+        raise NearPole("w_c pole on the quadrature grid") from exc
+    return num[0] * num[1] / np.prod(den, axis=0)
+
+
+def interaction_c_rows_complex(ws: np.ndarray, xs: np.ndarray,
+                               p: AWParams) -> np.ndarray:
+    """delta_c((w,); (x,)) for every w of ws (rows) and x of xs from one
+    kernel call on its four arguments stacked, for any chain and points:
+    the form of measures._interaction_c_rows everywhere but on a real
+    chain against the circle."""
+    w, x = ws[:, None], xs[None, :]
+    f = qpoch_real_arr(np.stack([w * x, w / x, x / w, 1.0 / (w * x)]),
+                       p.q, p.t)
+    return f[0] * f[1] * f[2] * f[3]
+
+
+def chamber_slabs(p: AWParams, n_axes: int, M: int,
+                  axis_wc=measures._axis_wc
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """The chamber table of measures._table as (nodes, weights), built as
     it was before the build went one leading index at a time: the nodes
     enumerated as chain labels, k_i = i + nu_i for nu ascending, and the
     weights formed in slabs of 2^15 nodes by flat-index gathers of the
-    pair table, then the product of the axis factors."""
+    pair table, then the product of the axis factors w_c = axis_wc(z, p),
+    in the dtype of w_c."""
     slab = 2 ** 15
     top = (M - 1) // 2
     nodes = measures._chain_labels(
         (n_axes,), [top - n_axes + 1] * n_axes, n_axes * top
     ) + np.arange(1, n_axes + 1, dtype=np.int16)[:, None]
-    wc = measures._axis_wc(measures._grid_axes(M)[:M // 2 + 1], p)
+    wc = axis_wc(measures._grid_axes(M)[:M // 2 + 1], p)
     P = measures._pair_table(p, M) if n_axes > 1 else None
     const = 2 ** n_axes * math.factorial(n_axes) / M ** n_axes
-    weights = np.empty(nodes.shape[1], dtype=complex)
+    weights = np.empty(nodes.shape[1], dtype=wc.dtype)
     for lo in range(0, len(weights), slab):
         nu = nodes[:, lo:lo + slab]
         weights[lo:lo + slab] = measures._label_weights(

@@ -33,6 +33,7 @@ from bcortho.bcpoly import (
 )
 from bcortho.errors import (
     DomainViolation,
+    NearPole,
     PoleInWeight,
     SlowConvergence,
     ZeroProduct,
@@ -52,8 +53,10 @@ from bcortho.measures import (
 from bcortho.params import AWParams
 from bcortho.qseries import qpoch_finite, qpoch_infinite, qpoch_infinite_arr
 from oracles import (
+    axis_wc_complex,
     chamber_slabs,
     interaction_c,
+    interaction_c_rows_complex,
     little_weight_at_point,
     weight_continuous,
     weight_little,
@@ -138,8 +141,10 @@ class TestSlabMoments:
     def test_no_grid_in_memory(self):
         # the n = 3, M = 256 chamber holds 333,375 nodes (the whole grid
         # is 256^3 complex values, 268 MB); built one leading index at a
-        # time, its peak is the finished table plus one block's products
-        # and the gathered factors of the two-axis tail (8,001 nodes)
+        # time, its peak is the finished table, 2,000,250 B of int16 nodes
+        # and 2,667,000 B of real weights (a conjugate pair), plus one
+        # block's products and the gathered factors of the two-axis tail
+        # (8,001 nodes). A complex table alone, 7.3 MB, exceeds the bound
         p = PS[3]
         measures._table.cache_clear()
         tracemalloc.start()
@@ -150,14 +155,20 @@ class TestSlabMoments:
             tracemalloc.stop()
         measures._table.cache_clear()
         assert table.nodes.shape == (3, 333375)
-        assert peak <= 1.25 * (table.nodes.nbytes + table.weights.nbytes)
+        assert table.weights.dtype == np.float64
+        assert peak <= 1.25 * (2_000_250 + 2_667_000)
 
 
-# real parameters, one large parameter, and complex ones off V_AW
+# real parameters, one large parameter, conjugate pairs (one of them
+# with q = 0.9) and unpaired complex ones off V_AW
 BUILD_PARAMS = {"real": AWParams(3, 0.5, 0.3, 0.35, -0.45, 0.25, 0.2),
                 "t0=1.1": AWParams(3, 0.5, 0.3, 1.1, -0.45, 0.25, 0.2),
                 "complex": AWParams(3, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j,
-                                    0.3 + 0.1j)}
+                                    0.3 + 0.1j),
+                "pair": AWParams(3, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j,
+                                 0.3 - 0.4j),
+                "q=0.9-pair": AWParams(3, 0.9, 0.3, 0.35, 0.2 - 0.5j,
+                                       -0.45, 0.2 + 0.5j)}
 BUILD_CASES = [pytest.param(p, n, M, id=f"{name}-{n}-{M}")
                for name, p in BUILD_PARAMS.items() for n in (1, 2, 3)
                for M in (8, 9, 16, 33, 64, 128, 256)] + [
@@ -179,7 +190,15 @@ class TestChamberBuild:
         nodes, weights = chamber_slabs(p, n, M)
         assert table.nodes.dtype == np.int16
         assert table.nodes.tobytes() == nodes.tobytes()
-        assert table.weights.dtype == complex
+        if p.conj_closed():
+            assert table.weights.dtype == np.float64
+        else:
+            # unpaired complex parameters keep the complex density, bit
+            # for bit
+            assert table.weights.dtype == np.complex128
+            assert weights.tobytes() == chamber_slabs(
+                p, n, M, axis_wc_complex)[1].tobytes()
+        assert weights.dtype == table.weights.dtype
         if n > 1 and len(weights) == 1:
             assert table.weights.shape == (1,)
             assert abs(table.weights[0] - weights[0]) <= 4e-16 * abs(
@@ -204,6 +223,171 @@ class TestChamberBuild:
             ax = ax * wc[k:k + 1]
         assert table.nodes.T.tolist() == [list(range(1, n + 1))]
         assert table.weights.tobytes() == (w * ax).tobytes()
+
+
+CLOSED_CASES = [case for case in BUILD_CASES if case.values[0].conj_closed()]
+
+
+class TestRealDensity:
+    """For conjugation-closed parameters w_c, the delta_c rows of a real
+    chain on the circle and the chamber weights are real, and match
+    their complex forms to rounding; other parameters keep the complex
+    forms bit for bit."""
+
+    def test_conj_closed(self):
+        def closed(*tv):
+            return AWParams(2, 0.5, 0.3, *tv).conj_closed()
+
+        assert closed(0.35, -0.45, 0.25, 0.2)
+        assert closed(1.1, -0.45, 0.3 + 0.4j, 0.3 - 0.4j)
+        assert closed(0.3 + 0.4j, 0.1, 0.3 - 0.4j, -0.2)
+        assert closed(0.3 + 0.4j, 0.3 - 0.4j, 0.1j, -0.1j)
+        # a conjugate within 1e-10 pairs, and so is a real part
+        assert closed(0.3 + 0.4j, 0.3 - (0.4 - 1e-12) * 1j, 0.25 + 1e-12j,
+                      0.2)
+        assert not closed(0.6, -0.5, 0.3 + 0.4j, 0.3 + 0.1j)
+        assert not closed(0.3 + 0.4j, 0.3 + 0.4j, 0.25, 0.2)
+        assert not closed(0.3 + 0.4j, 0.3 - 0.4j, 0.3 + 0.4j, 0.2)
+        assert not closed(0.3 + 0.4j, 0.3 - 0.41j, 0.25, 0.2)
+        # off V_AW through the pairing alone
+        p = AWParams(2, 0.5, 0.3, 0.3 + 0.4j, 0.25, 0.2, 0.1)
+        assert not p.conj_closed() and not p.in_V_AW()
+
+    @pytest.mark.parametrize("name", sorted(BUILD_PARAMS))
+    @pytest.mark.parametrize("M", [8, 9, 33, 128, 256])
+    def test_wc(self, name, M):
+        p = BUILD_PARAMS[name]
+        z = measures._grid_axes(M)[:M // 2 + 1]
+        got, want = measures._axis_wc(z, p), axis_wc_complex(z, p)
+        if p.conj_closed():
+            assert got.dtype == np.float64 and np.all(got >= 0)
+            assert np.max(np.abs(got - want)) <= 5e-14 * np.max(np.abs(want))
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tv, z", [
+        ((2.0, -0.45, 0.25, 0.2), 1.0),
+        ((2j, -2j, 0.25, 0.2), 1j),
+        ((2j, -0.45, 0.25, 0.2), -1j),
+        ((2j, -0.45, 0.25, 0.2), 1j)],
+        ids=["real", "pair-t/z", "complex-tz", "complex-t/z"])
+    def test_pole_on_the_grid(self, tv, z):
+        # t_i z q = 1 or t_i q / z = 1 at a grid point: the real form
+        # guards t_i z for every t_i, which covers t_i / z through the
+        # conjugate of t_i
+        p = AWParams(1, 0.5, 0.3, *tv)
+        zs = np.array([z, 1j ** 0.5], dtype=complex)
+        with pytest.raises(NearPole, match="w_c pole"):
+            measures._axis_wc(zs, p)
+
+    @pytest.mark.parametrize("p", [PC3, PK2, BUILD_PARAMS["t0=1.1"],
+                                   AWParams(2, 0.9, 0.3, 1.1, 0.2 - 0.5j,
+                                            -0.45, 0.2 + 0.5j),
+                                   AWParams(2, 0.99, 0.3, 1.1, -0.45, 0.25,
+                                            0.2)],
+                             ids=["PC3", "PK2", "t0=1.1", "q=0.9-pair",
+                                  "q=0.99"])
+    @pytest.mark.parametrize("M", [8, 33, 64, 256])
+    def test_real_chain_rows(self, p, M):
+        # a real chain against the circle: two conjugate pairs of
+        # arguments, so two arguments give the real rows
+        z = measures._grid_axes(M)[:M // 2 + 1]
+        runs = 0
+        for c in measures._large_params(p):
+            for k, end in enumerate(measures._chain_ends(p, c)):
+                if not end:
+                    continue
+                ws = p.tvec[c] * p.t ** k * p.q ** np.arange(end)
+                got = measures._interaction_c_rows(ws, z, p, on_circle=True)
+                want = interaction_c_rows_complex(ws, z, p)
+                assert got.dtype == np.float64 and np.all(got >= 0)
+                assert np.max(np.abs(got - want)) <= 5e-14 * np.max(
+                    np.abs(want))
+                runs += 1
+        assert runs
+
+    def test_other_rows_stay_complex(self):
+        # a complex chain on the circle, a real chain against another
+        # chain, and a real chain of unpaired complex parameters take the
+        # four arguments, bit for bit
+        p = AWParams(2, 0.5, 0.3, 1.1 + 0.2j, -2.5, 0.25, 0.2)
+        unpaired = AWParams(2, 0.5, 0.3, 1.1, -2.5, 0.3 + 0.4j, 0.2)
+        z = measures._grid_axes(32)[:17]
+        ws = p.tvec[0] * p.q ** np.arange(3)
+        xs = p.tvec[1] * p.q ** np.arange(4)
+        for w, x, circle, pw in [(ws, z, True, p), (xs, ws, False, p),
+                                 (xs, xs.conj(), False, p),
+                                 (xs, z, True, unpaired)]:
+            got = measures._interaction_c_rows(w, x, pw, on_circle=circle)
+            assert got.tobytes() == interaction_c_rows_complex(
+                w, x, pw).tobytes()
+
+    @pytest.mark.parametrize("p, n, M", CLOSED_CASES)
+    def test_chamber_weights(self, p, n, M):
+        got = measures._Chamber(p, n, M).weights
+        want = chamber_slabs(p, n, M, axis_wc_complex)[1]
+        assert got.dtype == np.float64 and want.dtype == np.complex128
+        assert np.max(np.abs(got - want), initial=0) <= 5e-14 * np.max(
+            np.abs(want), initial=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_sweep_nonnegative(self, seed):
+        # conjugation-closed sets, real or in pairs, some with one
+        # parameter off the unit disk: every chamber weight is a finite
+        # real >= 0, and the density is not identically 0
+        rng = random.Random(seed)
+        for _ in range(15):
+            tv = []
+            while len(tv) < 4:
+                r = rng.uniform(0.05, 0.95)
+                if len(tv) < 3 and rng.random() < 0.4:
+                    x = r * complex(math.cos(a := rng.uniform(0.1, 3.0)),
+                                    math.sin(a))
+                    tv += [x, x.conjugate()]
+                else:
+                    tv.append(r * rng.choice((-1, 1)))
+            real = [i for i, x in enumerate(tv) if not isinstance(x, complex)]
+            if real and rng.random() < 0.3:
+                tv[rng.choice(real)] = rng.uniform(1.01, 3.0)
+            rng.shuffle(tv)
+            p = AWParams(rng.choice((1, 2, 3)), rng.uniform(0.1, 0.9),
+                         rng.uniform(0.05, 0.95), *tv)
+            w = measures._Chamber(p, p.n, rng.choice((16, 25, 32))).weights
+            assert p.conj_closed() and w.dtype == np.float64, p
+            assert np.all(np.isfinite(w)) and np.all(w >= 0), p
+            assert np.any(w > 0), p
+
+    @pytest.mark.parametrize("p", [PC3, PK2, BUILD_PARAMS["t0=1.1"]],
+                             ids=["PC3", "PK2", "t0=1.1"])
+    def test_real_chain_label_weights_keep_their_bits(self, p, monkeypatch):
+        # the complex label weights of real parameters have imaginary
+        # part exactly 0; the split keeps their real parts bit for bit,
+        # and so its node table is real
+        made = []
+        label_weights = measures._label_weights
+
+        def recording(*args):
+            made.append(label_weights(*args))
+            return made[-1]
+
+        monkeypatch.setattr(measures, "_label_weights", recording)
+        splits = measures._split_labels(p, 16)
+        assert len(made) == len(splits) > 0
+        for (_l, _nu, _z, w, _row), old in zip(splits, made):
+            assert old.dtype == np.complex128 and not old.imag.any()
+            assert w.dtype == np.float64
+            assert w.tobytes() == old.real.tobytes()
+        measures._discrete_table.cache_clear()
+        for _labels, table in measures._discrete_table(p, 16):
+            assert table.weights.dtype == np.float64
+
+    def test_unpaired_complex_chain_weights_stay_complex(self):
+        p = AWParams(2, 0.5, 0.3, 1.1, -0.45, 0.3 + 0.4j, 0.2)
+        measures._discrete_table.cache_clear()
+        for _l, _nu, _z, w, row in measures._split_labels(p, 16):
+            assert w.dtype == np.complex128 and w.imag.any()
+        for _labels, table in measures._discrete_table(p, 16):
+            assert table.weights.dtype == np.complex128
 
 
 def rel(a, b):
