@@ -69,7 +69,9 @@ def ascending_index(parts: Sequence[int]) -> Tuple[int, ...]:
 
 class LaurentPolynomial:
     """Sparse Laurent polynomial: map from integer exponent vectors to
-    complex coefficients. Instances are treated as immutable."""
+    complex coefficients. Instances are treated as immutable. No program
+    path runs the arithmetic: it is the semantics that _add_scaled keeps
+    bit for bit, as oracles.orthogonalize_loop pins."""
 
     __slots__ = ("nvars", "terms", "_w_coeffs", "_node_values")
 
@@ -116,6 +118,8 @@ class LaurentPolynomial:
         return self + other.scale(-1.0)
 
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
+        """Kept, though no program path multiplies polynomials: the
+        benchmark tracer wraps it by name (perfbench/tracer.py)."""
         if self.nvars != other.nvars:
             raise LengthMismatch("variable count mismatch")
         t: Dict[Exponent, complex] = {}
@@ -134,7 +138,9 @@ class LaurentPolynomial:
 
     def eval(self, z: Sequence[complex]) -> complex:
         """Evaluate at a point with nonzero coordinates; terms are summed
-        in sorted exponent order for determinism."""
+        in sorted exponent order for determinism. The CLI's n1-closed-form
+        check reads its rounding, Python complex powers, which can differ
+        from those of eval_points in the last bit."""
         if len(z) != self.nvars:
             raise LengthMismatch("point has wrong length")
         if any(x == 0 for x in z):
@@ -184,7 +190,9 @@ class LaurentPolynomial:
 
         Returns an ndarray of shape (len(axes[0]), ..., len(axes[n-1])).
         Uses per-axis power tables so the cost is O(#terms * grid size)
-        with vectorized products.
+        with vectorized products. Kept, though no program path reads a
+        full grid: the tests' full-grid reference for the chamber tables,
+        and the benchmark tracer wraps it by name.
         """
         if len(axes) != self.nvars:
             raise LengthMismatch("grid has wrong number of axes")
@@ -227,22 +235,6 @@ class LaurentPolynomial:
                                         f"one W-orbit sum")
             self._w_coeffs = {lam: cs[0] for lam, cs in orbits.items()}
         return self._w_coeffs
-
-    def substitute_prefix(self, values: Sequence[complex]) -> "LaurentPolynomial":
-        """Fix the first len(values) variables at the given nonzero values,
-        returning a Laurent polynomial in the remaining variables."""
-        r = len(values)
-        if r > self.nvars:
-            raise LengthMismatch("more values than variables")
-        if any(v == 0 for v in values):
-            raise ZeroCoordinate("substituted value is zero")
-        t: Dict[Exponent, complex] = {}
-        for e, c in self.terms.items():
-            for v, ei in zip(values, e[:r]):
-                c = c * v ** ei
-            tail = e[r:]
-            t[tail] = t.get(tail, 0.0) + c
-        return LaurentPolynomial(self.nvars - r, t)
 
     def __repr__(self):
         items = ", ".join(f"{e}: {c:.6g}" for e, c in sorted(self.terms.items()))
@@ -309,14 +301,9 @@ class PointTable:
     nu: np.ndarray
     weights: np.ndarray
 
-    def nodes(self) -> np.ndarray:
-        """The (nodes, nvars) array of the node coordinates, gathered on
-        each call; the evaluation never gathers them."""
-        return np.array([zi.take(nui) for zi, nui in zip(self.z, self.nu)]).T
-
     def at_nodes(self, f: LaurentPolynomial) -> np.ndarray:
-        """f at every node, read-only: bit for bit f.eval_points(nodes())
-        (_layout_values)."""
+        """f at every node, read-only: bit for bit f.eval_points of the
+        (nodes, nvars) array of node coordinates (_layout_values)."""
         exps = sorted(f.terms)
         return _layout_values(self, f.nvars, exps)(
             np.array([f.terms[e] for e in exps], dtype=complex))
@@ -327,9 +314,9 @@ def _layout_values(table: PointTable, nvars: int, layout: List[Exponent]
     """For a sorted exponent layout, the function of (coef, present)
     giving sum_k coef[k] z^e_k over the layout's exponents e_k at the
     indices present (None: all), at the nodes of the table, read-only:
-    bit for bit eval_points of that polynomial at table.nodes(). Each
-    axis's values z[i] are raised to the layout's exponents once, in the
-    dtype of nodes() (real and complex pow differ in the last bit), and
+    bit for bit eval_points of that polynomial at the node coordinates.
+    Each axis's values z[i] are raised to the layout's exponents once, in
+    their common dtype (real and complex pow differ in the last bit), and
     each call gathers those power rows by label into eval_points' slab
     arithmetic; a lone node is doubled, as eval_points doubles a lone
     point. LengthMismatch unless the table has nvars axes, ZeroCoordinate

@@ -220,7 +220,7 @@ def build_config(raw: Dict[str, str]) -> SuiteConfig:
     n = int(values.get("n", 1))
     if not 1 <= n <= 3:
         raise ConfigError(f"n must be in 1..3, got {n}")
-    for key, low in (("kmax", 0), ("M", 1)):
+    for key, low in (("kmax", 0), ("lmax", 0), ("M", 1)):
         if key in values and values[key] < low:
             raise ConfigError(f"{key} must be >= {low}, got {values[key]}")
     if "tol" in values and not values["tol"] > 0:

@@ -10,8 +10,7 @@ product grid of K = 2 lambda_1 + 1 nodes per axis. D is applied in one
 place, _apply_D_rows, to a batch of polynomials at once: the
 coefficients phi_j^{+-} and the shifted grids are formed once per batch
 and each polynomial is evaluated once on all of them. So op_matrix is one
-pass of D over every monomial and one FFT, and apply_D is the same pass
-on one polynomial.
+pass of D over every monomial and one FFT.
 """
 
 from __future__ import annotations
@@ -22,12 +21,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .bcpoly import (
-    LaurentPolynomial,
-    monomial_w,
-    partition,
-    partitions_dominated_by,
-)
+from .bcpoly import monomial_w, partition, partitions_dominated_by
 from .errors import DiagonalMismatch, NearPole
 from .params import AWParams
 from .qseries import POLE_GUARD
@@ -74,15 +68,10 @@ def _guard(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def apply_D(f: LaurentPolynomial, Z: np.ndarray, p: AWParams) -> np.ndarray:
-    """Apply D = sum_j phi_j^+ (T_j^+ - Id) + phi_j^- (T_j^- - Id) at every
-    row of the (m, n) point array Z, where T_j^{+-} shifts z_j to
-    q^{+-1} z_j."""
-    return _apply_D_rows([f], Z, p)[1][0]
-
-
 def _apply_D_rows(fs: Sequence, Z: np.ndarray, p: AWParams) -> tuple:
-    """(f(Z), (D f)(Z)) for every f of fs, as two (len(fs), m) arrays.
+    """(f(Z), (D f)(Z)) for every f of fs, as two (len(fs), m) arrays:
+    D = sum_j phi_j^+ (T_j^+ - Id) + phi_j^- (T_j^- - Id) at every row of
+    the (m, n) point array Z, where T_j^{+-} shifts z_j to q^{+-1} z_j.
 
     Each f is evaluated once, on Z and its 2n shifted copies stacked,
     which eval_points adds point by point as it would each copy alone.
@@ -159,8 +148,8 @@ def op_matrix(lam: Sequence[int], p: AWParams) -> TriangularOpMatrix:
     scale = K ** n * np.prod(base ** np.array(mus), axis=1)
     entries = np.fft.fftn(  # rows lambda', columns mu
         Df.reshape((len(mus),) + (K,) * n), axes=range(1, n + 1))[bins] / scale
-    # the intermediate phi values inside apply_D grow like the product of
-    # the two largest |t_i| while the result stays bounded, so
+    # the intermediate phi values inside _apply_D_rows grow like the
+    # product of the two largest |t_i| while the result stays bounded, so
     # cancellation leaves absolute noise of that order times machine
     # epsilon; for strongly deformed parameters (|t_i| >> 1) that can
     # exceed a fixed tolerance on the O(1) eigenvalues

@@ -44,7 +44,6 @@ from .askey_wilson import Limit
 from .bcpoly import (
     LaurentPolynomial,
     PointTable,
-    ascending_index,
     monomial_s,
     orthogonalize,
     pair,
@@ -99,13 +98,6 @@ class LittleParams:
     @property
     def tau(self) -> float:
         return math.log(self.t) / math.log(self.q)
-
-
-def support_point(nu: Sequence[int], lp: LittleParams) -> Tuple[float, ...]:
-    """The node rho_L q^nu with rho_{L,i} = t^{i-1}."""
-    nu = ascending_index(nu)
-    return tuple(lp.t ** (i - 1) * lp.q ** nu[i - 1]
-                 for i in range(1, lp.n + 1))
 
 
 def bilinear_little(f: LaurentPolynomial, g: LaurentPolynomial,

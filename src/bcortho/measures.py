@@ -558,7 +558,8 @@ def _split_labels(p: AWParams, M: int) -> tuple:
     real for a real chain of conjugation-closed parameters. Weights whose
     imaginary parts are all exactly 0, as those of real parameters are,
     are kept as their real parts. On V_AW a weight that is not real and
-    nonnegative raises NonPositiveWeight."""
+    nonnegative raises NonPositiveWeight: the one positivity test of the
+    partially discrete measure."""
     n = p.n
     check_positive = p.in_V_AW()
     large = _large_params(p)
@@ -622,20 +623,22 @@ def _split_labels(p: AWParams, M: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _discrete_table(p: AWParams, M: int) -> tuple:
-    """One node table per split of F(r), as ((labels, table), ...), cached
-    like _table: the number of labels of the split and its PointTable. For
-    r = n a node is a label's point; for r < n the nodes are every label
-    times every node of the chamber table of the other n - r axes,
-    label-major, the trailing coordinates read on the chamber axis. A
-    node's weight is 2^r n! / (n - r)! times its label's weight, times the
-    label's delta_c row at each trailing coordinate, times the chamber
-    weight: real where all of these are."""
+def _discrete_table(p: AWParams, M: int) -> Tuple[PointTable, ...]:
+    """One PointTable per split of F(r), cached like _table. For r = n a
+    node is a label's point; for r < n the nodes are every label times
+    every node of the chamber table of the other n - r axes, label-major,
+    the trailing coordinates read on the chamber axis. A node's weight is
+    2^r n! / (n - r)! times its label's weight, times the label's delta_c
+    row at each trailing coordinate, times the chamber weight: real where
+    all of these are. On V_AW every parameter of modulus >= 1 is real (a
+    conjugate pair u, u-bar off the open disk has t_k t_l = |u|^2 >= 1),
+    so every chain is real and a node weight is a label weight, tested
+    nonnegative where it is made (_split_labels), times squared moduli:
+    the real chain's delta_c rows and the chamber weight."""
     n = p.n
     out = []
     for _l, nu, z, w, row in _split_labels(p, M):
         r = len(nu)
-        labels = len(w)
         w = 2 ** r * math.perm(n, r) * w
         if r < n:
             chamber = _table(p, n - r, M)
@@ -644,8 +647,8 @@ def _discrete_table(p: AWParams, M: int) -> tuple:
                  * chamber.weights).ravel()
             z = z + [chamber.axis] * (n - r)
             nu = np.vstack([np.repeat(nu, k.shape[1], axis=1),
-                            np.tile(k, labels)])
-        out.append((labels, PointTable(z, nu, w)))
+                            np.tile(k, nu.shape[1])])
+        out.append(PointTable(z, nu, w))
     return tuple(out)
 
 
@@ -656,21 +659,11 @@ def partial_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
                      M: int) -> complex:
     """The partially discrete bilinear form on the positive-measure domain:
     the torus pairing plus one bcpoly.pair per split table of F(r),
-    r = 1..n, on the M-point grid. On V_AW a value whose imaginary part
-    exceeds 1e-9 of the summed magnitudes of the per-label contributions
-    raises NonPositiveWeight."""
-    check_positive = p.in_V_AW()
+    r = 1..n, on the M-point grid, added table by table. The form is
+    bilinear, so its value need not be real; the positivity of the
+    measure on V_AW is tested once, on the label weights
+    (_discrete_table)."""
     total = torus_bilinear(f, g, p, M)
-    mass = abs(total)
-    for labels, table in _discrete_table(p, M):
+    for table in _discrete_table(p, M):
         total += pair(f, g, [table])
-        if check_positive:
-            fgw = f.node_values(table) * g.node_values(table) * table.weights
-            mass += float(np.sum(np.abs(np.sum(fgw.reshape(labels, -1),
-                                               axis=1))))
-    # the realness check is scaled by the summed label magnitudes, not the
-    # total: orthogonal pairs cancel to a value far below the rounding
-    # noise of the individual contributions
-    if check_positive and abs(total.imag) > 1e-9 * max(1e-300, mass):
-        raise NonPositiveWeight("bilinear form value has an imaginary part")
     return total

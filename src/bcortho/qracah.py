@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Dict, List, Sequence, Tuple
@@ -293,35 +294,20 @@ def _eval_cancelled_ratio(num: List[Key], den: List[Key],
     infinite factors left uncancelled, if any, come from one kernel call,
     and every factor multiplies or divides in group order."""
     q = qp.q
-    groups: Dict[Tuple[int, int, int, int], Dict[str, List[int]]] = {}
-    for side, keys in (("num", num), ("den", den)):
-        for key in keys:
-            tpart = key[1:]
-            groups.setdefault(tpart, {"num": [], "den": []})[side].append(
-                key[0])
+    # identical keys cancel exactly; the groups keep the order in which
+    # their t-parts first appear among all the keys
+    ns, ds = Counter(num), Counter(den)
+    groups: Dict[Tuple[int, int, int, int], Dict[str, List[int]]] = {
+        key[1:]: {"num": [], "den": []} for key in num + den}
+    for side, keys in (("num", ns - ds), ("den", ds - ns)):
+        for key in keys.elements():
+            groups[key[1:]][side].append(key[0])
     # per group: its t-part, its (num, den) shift pairs, and the counts of
     # its uncancelled infinite factors, whose arguments go to args
     plan = []
     args: List[complex] = []
     for tpart, sides in groups.items():
-        ns = sorted(sides["num"])
-        ds = sorted(sides["den"])
-        # identical keys cancel exactly
-        i = j = 0
-        ns2: List[int] = []
-        ds2: List[int] = []
-        while i < len(ns) and j < len(ds):
-            if ns[i] == ds[j]:
-                i += 1
-                j += 1
-            elif ns[i] < ds[j]:
-                ns2.append(ns[i])
-                i += 1
-            else:
-                ds2.append(ds[j])
-                j += 1
-        ns2.extend(ns[i:])
-        ds2.extend(ds[j:])
+        ns2, ds2 = sorted(sides["num"]), sorted(sides["den"])
         npair = min(len(ns2), len(ds2))
         plan.append((tpart, list(zip(ns2[:npair], ds2[:npair])),
                      len(ns2) - npair, len(ds2) - npair))

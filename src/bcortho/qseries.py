@@ -1,8 +1,8 @@
 """q-analysis kernel.
 
-q-shifted factorials (finite, infinite, real exponent), the Jacobi theta
-function, the q-gamma function and the quasi-constant Psi_t. All functions
-assume a fixed base 0 < q < 1.
+q-shifted factorials (finite, infinite, real exponent), ratios of
+infinite ones, Jacobi theta values and the quasi-constant Psi_t from
+them. All functions assume a fixed base 0 < q < 1.
 
 (a;q)_inf and (a;q)_tau have one block kernel each, qpoch_infinite_arr
 and qpoch_real_arr, over arguments of any shape; qpoch_infinite and
@@ -30,7 +30,6 @@ import numpy as np
 from .errors import (
     DomainViolation,
     PoleAtDenominator,
-    PoleAtNonpositiveInteger,
     PoleInDenominator,
     PoleInProduct,
     ZeroArgument,
@@ -218,23 +217,16 @@ def _ratio(num: Iterable[complex], den: Iterable[complex]) -> complex:
     return val
 
 
-def qpoch_ratio(num: Iterable[complex], den: Iterable[complex],
-                q: float) -> complex:
-    """Product of (x;q)_inf over num divided by the same over den.
-
-    Each denominator factor 1 - x q^j is tested against the pole guard on
-    its own, so a tiny but nonzero product is accepted; a vanishing one
-    raises PoleInProduct."""
-    return qpoch_ratios([(num, den)], q)[0]
-
-
 def qpoch_ratios(ratios: Iterable[Tuple[Iterable[complex],
                                         Iterable[complex]]],
                  q: float) -> List[complex]:
-    """qpoch_ratio(num, den, q) for every (num, den) of ratios, from one
-    kernel call; each value is multiplied and divided in argument order,
-    as separate qpoch_infinite calls would be, and a pole raises as the
-    first of those calls to meet one would."""
+    """The product of (x;q)_inf over num divided by the same over den,
+    for every (num, den) of ratios, from one kernel call; each value is
+    multiplied and divided in argument order, as separate qpoch_infinite
+    calls would be. Each denominator factor 1 - x q^j is tested against
+    the pole guard on its own, so a tiny but nonzero product is accepted;
+    a vanishing one raises PoleInProduct, as the first of those calls to
+    meet one would."""
     sides = [(list(num), list(den)) for num, den in ratios]
     vals = iter(qpoch_infinite_values(
         [x for num, den in sides for x in num + den], q,
@@ -244,20 +236,11 @@ def qpoch_ratios(ratios: Iterable[Tuple[Iterable[complex],
             for num, den in sides]
 
 
-def theta_jacobi(x: complex, q: float) -> complex:
-    """Jacobi theta function theta(x) = (q;q)_inf (x;q)_inf (q/x;q)_inf."""
-    return theta_values([x], q)[0]
-
-
-def theta_values(xs: Sequence[complex], q: float) -> List[complex]:
-    """theta_jacobi at every x of xs, from one kernel call."""
-    return qpoch_theta_values([], xs, q)[1]
-
-
 def qpoch_theta_values(args: Sequence[complex], xs: Sequence[complex],
                        q: float) -> Tuple[List[complex], List[complex]]:
-    """(a;q)_inf at every a of args and theta_jacobi at every x of xs,
-    from one kernel call."""
+    """(a;q)_inf at every a of args and the Jacobi theta function
+    theta(x) = (q;q)_inf (x;q)_inf (q/x;q)_inf at every x of xs, from one
+    kernel call."""
     if any(x == 0 for x in xs):
         raise ZeroArgument("theta is undefined at x = 0")
     m, k = len(args), len(xs)
@@ -266,39 +249,13 @@ def qpoch_theta_values(args: Sequence[complex], xs: Sequence[complex],
     return f[:m], [f[m] * f[m + 1 + i] * f[m + 1 + k + i] for i in range(k)]
 
 
-def qgamma(u: float, q: float, qu: complex | None = None) -> float:
-    """q-gamma function Gamma_q(u) = (q;q)_inf (1-q)^{1-u} / (q^u;q)_inf.
-
-    Parameters
-    ----------
-    qu : optional
-        The value q^u, supplied by the caller when it has an exact
-        product form; computed once via q**u otherwise.
-    """
-    if u <= 0 and abs(u - round(u)) < 1e-12:
-        raise PoleAtNonpositiveInteger(f"Gamma_q pole at u = {u}")
-    if qu is None:
-        qu = q ** u
-    qq, den = qpoch_infinite_arr([q, qu], q, [False, True]).tolist()
-    val = qq * (1.0 - q) ** (1.0 - u) / den
-    return val.real if isinstance(val, complex) else val
-
-
-def psi_t(x: float, q: float, t: float) -> float:
-    """Quasi-constant Psi_t(x) = |x|^{2 tau - 1} theta(t x) / theta(q x / t).
-
-    Invariant under x -> q x. Defined for real nonzero x.
-    """
-    if x == 0:
-        raise ZeroArgument("Psi_t is undefined at x = 0")
-    return psi_of_thetas(x, q, t, *theta_values([t * x, q * x / t], q))
-
-
 def psi_of_thetas(x: float, q: float, t: float, num: complex,
                   den: complex) -> float:
-    """Psi_t(x) from its two theta values num = theta(t x) and
-    den = theta(q x / t), so that a caller can fetch those of many x with
-    its other factors in one kernel call (qpoch_theta_values)."""
+    """The quasi-constant Psi_t(x) = |x|^{2 tau - 1} theta(t x) /
+    theta(q x / t), invariant under x -> q x, of a real nonzero x, from
+    its two theta values num = theta(t x) and den = theta(q x / t), so
+    that a caller can fetch those of many x with its other factors in one
+    kernel call (qpoch_theta_values)."""
     tau = math.log(t) / math.log(q)
     if abs(den) < POLE_GUARD:
         raise PoleInDenominator(f"theta(q x / t) ~ 0 at x={x}, t={t}")

@@ -27,6 +27,12 @@ rewritten for t = q^k, with independent chains per coordinate and
 finite-product interactions. Both are references that
 measures.partial_bilinear is compared against.
 
+apply_D, qpoch_ratio, theta_jacobi and psi_t are one-argument forms of
+koornwinder._apply_D_rows, qseries.qpoch_ratios, qpoch_theta_values and
+psi_of_thetas; qgamma, substitute_prefix and the little q-Jacobi
+support_point are references that no program path runs, and table_nodes
+gathers the node coordinates of a PointTable.
+
 The *_loop closed forms at the end (aw_norm_loop, gustafson_loop,
 c_weights_defining_loop, askey_evans_rhs_loop, the limit prefactor loops,
 eval_cancelled_ratio_loop, and the little and big q-Jacobi norms and
@@ -44,24 +50,96 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from bcortho.askey_wilson import SEPARATION
-from bcortho.bcpoly import (LaurentPolynomial, monomial_w, partition,
-                            partitions_dominated_by)
+from bcortho.bcpoly import (LaurentPolynomial, ascending_index, monomial_w,
+                            partition, partitions_dominated_by)
 from bcortho.big import BigParams, _natural_k, _theta_den
 from bcortho.errors import (BcorthoError, DiagonalMismatch,
-                            DomainViolation, EigenvalueCollision, NearPole,
-                            PoleInProduct, SingularGram, UncancelledPole,
-                            ZeroProduct)
-from bcortho.koornwinder import (TriangularOpMatrix, _nodes, apply_D,
+                            DomainViolation, EigenvalueCollision,
+                            LengthMismatch, NearPole,
+                            PoleAtNonpositiveInteger, PoleInProduct,
+                            SingularGram, UncancelledPole, ZeroArgument,
+                            ZeroCoordinate, ZeroProduct)
+from bcortho.koornwinder import (TriangularOpMatrix, _apply_D_rows, _nodes,
                                  eigenvalue_E)
-from bcortho.little import LittleParams, _nqj_args, delta_qJ, support_point
+from bcortho.little import LittleParams, _nqj_args, delta_qJ
 from bcortho import measures
 from bcortho.measures import multi_discrete_weight, wd_residue_weight
 from bcortho.params import AWParams
 from bcortho.qracah import QRacahParams, _key_value, kr_constant, weight_qR
-from bcortho.qseries import (POLE_GUARD, psi_t, qpoch_finite,
+from bcortho.qseries import (POLE_GUARD, psi_of_thetas, qpoch_finite,
                              qpoch_finite_arr, qpoch_infinite,
-                             qpoch_infinite_arr, qpoch_ratio, qpoch_real,
-                             qpoch_real_arr, theta_jacobi)
+                             qpoch_infinite_arr, qpoch_ratios, qpoch_real,
+                             qpoch_real_arr, qpoch_theta_values)
+
+
+def apply_D(f, Z: np.ndarray, p: AWParams) -> np.ndarray:
+    """D f at every row of the (m, n) point array Z: the batch
+    koornwinder._apply_D_rows of f alone."""
+    return _apply_D_rows([f], Z, p)[1][0]
+
+
+def qpoch_ratio(num, den, q: float) -> complex:
+    """The product of (x;q)_inf over num divided by the same over den:
+    qseries.qpoch_ratios of one ratio."""
+    return qpoch_ratios([(num, den)], q)[0]
+
+
+def theta_jacobi(x: complex, q: float) -> complex:
+    """The Jacobi theta function (q;q)_inf (x;q)_inf (q/x;q)_inf:
+    qseries.qpoch_theta_values at one x."""
+    return qpoch_theta_values([], [x], q)[1][0]
+
+
+def psi_t(x: float, q: float, t: float) -> float:
+    """The quasi-constant Psi_t(x) = |x|^{2 tau - 1} theta(t x) /
+    theta(q x / t) of a real nonzero x: qseries.psi_of_thetas on its two
+    theta values."""
+    if x == 0:
+        raise ZeroArgument("Psi_t is undefined at x = 0")
+    return psi_of_thetas(x, q, t, *qpoch_theta_values(
+        [], [t * x, q * x / t], q)[1])
+
+
+def qgamma(u: float, q: float, qu: complex | None = None) -> float:
+    """The q-gamma function Gamma_q(u) = (q;q)_inf (1-q)^{1-u} /
+    (q^u;q)_inf, from one kernel call; qu is q^u, supplied when it has an
+    exact product form and computed as q**u otherwise."""
+    if u <= 0 and abs(u - round(u)) < 1e-12:
+        raise PoleAtNonpositiveInteger(f"Gamma_q pole at u = {u}")
+    if qu is None:
+        qu = q ** u
+    qq, den = qpoch_infinite_arr([q, qu], q, [False, True]).tolist()
+    val = qq * (1.0 - q) ** (1.0 - u) / den
+    return val.real if isinstance(val, complex) else val
+
+
+def substitute_prefix(f, values: Sequence[complex]) -> LaurentPolynomial:
+    """The Laurent polynomial f with its first len(values) variables fixed
+    at the given nonzero values, in the remaining variables."""
+    r = len(values)
+    if r > f.nvars:
+        raise LengthMismatch("more values than variables")
+    if any(v == 0 for v in values):
+        raise ZeroCoordinate("substituted value is zero")
+    t: Dict[Tuple[int, ...], complex] = {}
+    for e, c in f.terms.items():
+        for v, ei in zip(values, e[:r]):
+            c = c * v ** ei
+        tail = e[r:]
+        t[tail] = t.get(tail, 0.0) + c
+    return LaurentPolynomial(f.nvars - r, t)
+
+
+def support_point(nu: Sequence[int], lp: LittleParams) -> Tuple[float, ...]:
+    """The little q-Jacobi node rho_L q^nu, rho_{L,i} = t^{i-1}."""
+    nu = ascending_index(nu)
+    return tuple(lp.t ** (i - 1) * lp.q ** nu[i - 1]
+                 for i in range(1, lp.n + 1))
+
+
+def table_nodes(table) -> np.ndarray:
+    """The (nodes, nvars) array of the coordinates of a PointTable."""
+    return np.array([zi.take(nui) for zi, nui in zip(table.z, table.nu)]).T
 
 
 def eval_points_loop(f, Z: np.ndarray) -> np.ndarray:
@@ -402,7 +480,8 @@ def labelled_partial(f, g, p: AWParams, M: int) -> Tuple[complex, float]:
     torus pairing plus, per split of F(r), 2^r n! / (n - r)! times the sum
     over its labels of the label's weight times its labelled_pairings
     value. mass is |torus term| plus the summed magnitudes of the label
-    contributions, the scale of partial_bilinear's realness test."""
+    contributions: the scale of a comparison, since orthogonal pairs
+    cancel far below the rounding noise of the single contributions."""
     total = measures.torus_bilinear(f, g, p, M)
     mass = abs(total)
     for _l, nu, z, w, row in measures._split_labels(p, M):

@@ -67,11 +67,10 @@ from bcortho.qracah import (
     weight_qR,
 )
 from bcortho.qseries import (
-    qgamma,
     qpoch_finite,
     qpoch_infinite,
-    theta_jacobi,
 )
+from oracles import qgamma, theta_jacobi
 
 
 def rel(a, b):

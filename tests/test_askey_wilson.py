@@ -20,9 +20,9 @@ from bcortho.errors import (
     EigenvalueCollision,
     ZeroCoordinate,
 )
-from bcortho.koornwinder import apply_D, eigenvalue_E
+from bcortho.koornwinder import eigenvalue_E
 from bcortho.params import AWParams
-from oracles import renorm_constant
+from oracles import apply_D, renorm_constant
 
 P1 = AWParams(1, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 - 0.4j)
 P2 = AWParams(2, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 - 0.4j)

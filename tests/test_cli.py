@@ -71,8 +71,8 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_config({"suite": "aw", "tol": "-1"})
 
-    @pytest.mark.parametrize("key, low", [("kmax", 0), ("M", 1)],
-                             ids=["kmax", "M"])
+    @pytest.mark.parametrize("key, low", [("kmax", 0), ("lmax", 0), ("M", 1)],
+                             ids=["kmax", "lmax", "M"])
     def test_below_minimum(self, key, low, capsys):
         # a bad configuration exits 2, not 1 with NaN checks
         with pytest.raises(ConfigError):
@@ -551,8 +551,8 @@ class TestPartiallyDiscrete:
         table = measures._discrete_table
 
         def wrong(p, M):
-            return [(labels, PointTable(t.z, t.nu, t.weights * (1 + 10 * tol)))
-                    for labels, t in table(p, M)]
+            return [PointTable(t.z, t.nu, t.weights * (1 + 10 * tol))
+                    for t in table(p, M)]
 
         if scaled:
             monkeypatch.setattr(measures, "_discrete_table", wrong)

@@ -12,7 +12,6 @@ from bcortho.askey_wilson import aw_polynomials
 from bcortho.bcpoly import LaurentPolynomial, monomial_w, partitions_dominated_by, dominance_leq
 from bcortho.errors import DiagonalMismatch, DomainViolation, NearPole
 from bcortho.koornwinder import (
-    apply_D,
     eigenvalue_E,
     op_matrix,
     phi_minus,
@@ -20,7 +19,7 @@ from bcortho.koornwinder import (
 )
 from bcortho.params import _TOL, AWParams, _real_geq1
 
-from oracles import aw_polynomials_loop, op_matrix_loop
+from oracles import apply_D, aw_polynomials_loop, op_matrix_loop
 
 P1 = AWParams(1, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 - 0.4j)
 P2 = AWParams(2, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 - 0.4j)

@@ -15,10 +15,9 @@ from bcortho.little import (
     little_polynomials,
     norm_little,
     selberg_little,
-    support_point,
 )
-from bcortho.qseries import qgamma, qpoch_infinite
-from oracles import weight_little
+from bcortho.qseries import qpoch_infinite
+from oracles import qgamma, support_point, weight_little
 
 LP1 = LittleParams(1, 0.5, 0.3, 0.4, 0.2)
 LP2 = LittleParams(2, 0.5, 0.3, 0.4, 0.2)

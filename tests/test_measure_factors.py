@@ -58,6 +58,7 @@ from oracles import (
     interaction_c,
     interaction_c_rows_complex,
     little_weight_at_point,
+    table_nodes,
     weight_continuous,
     weight_little,
 )
@@ -378,7 +379,7 @@ class TestRealDensity:
             assert w.dtype == np.float64
             assert w.tobytes() == old.real.tobytes()
         measures._discrete_table.cache_clear()
-        for _labels, table in measures._discrete_table(p, 16):
+        for table in measures._discrete_table(p, 16):
             assert table.weights.dtype == np.float64
 
     def test_unpaired_complex_chain_weights_stay_complex(self):
@@ -386,7 +387,7 @@ class TestRealDensity:
         measures._discrete_table.cache_clear()
         for _l, _nu, _z, w, row in measures._split_labels(p, 16):
             assert w.dtype == np.complex128 and w.imag.any()
-        for _labels, table in measures._discrete_table(p, 16):
+        for table in measures._discrete_table(p, 16):
             assert table.weights.dtype == np.complex128
 
 
@@ -447,12 +448,12 @@ class TestChainTables:
         tables = measures._discrete_table(p, M)
         splits = measures._split_labels(p, M)
         assert len(tables) == len(splits)
-        for (labels, table), (l, nu, z, _w, _row) in zip(tables, splits):
+        for table, (l, nu, z, _w, _row) in zip(tables, splits):
             r = len(nu)
             assert isinstance(table, PointTable)
-            assert labels == nu.shape[1]
+            labels = nu.shape[1]
             assert len(table.weights) % labels == 0
-            nodes = table.nodes()
+            nodes = table_nodes(table)
             for node, w in zip(nodes, table.weights):
                 label = [z[i].tolist().index(node[i]) for i in range(r)]
                 want = (2 ** r * math.perm(n, r)

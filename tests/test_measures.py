@@ -307,6 +307,17 @@ class TestPartialBilinear:
         self_val = partial_bilinear(f, f, PD2, 48)
         assert self_val.real > 0
 
+    @pytest.mark.parametrize("lam", [(0, 0), (1, 0)])
+    def test_bilinear_over_the_complex_numbers(self, lam):
+        # the form is bilinear, not Hermitian: <i f, f> = i <f, f> on V_AW,
+        # where the positivity of the measure is tested on its weights
+        p = AWParams(2, 0.5, 0.3, 1.1, -0.45, 0.25, 0.2)
+        assert p.in_V_AW()
+        f = monomial_w(lam)
+        want = 1j * partial_bilinear(f, f, p, 128)
+        got = partial_bilinear(f.scale(1j), f, p, 128)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
     def test_d_symmetry(self):
         lam_f, lam_g = (2, 0), (1, 1)
         Df = apply_D_poly(lam_f, PD2)
@@ -372,12 +383,39 @@ class TestSplitTables:
             out[1] *= factor
             return out
 
-        assert len(measures._discrete_table(p, 24)[0][1].weights) == 3
+        assert len(measures._discrete_table(p, 24)[0].weights) == 3
         measures._discrete_table.cache_clear()
         monkeypatch.setattr(measures, "_qr_axis", one_flipped)
         with pytest.raises(NonPositiveWeight, match=r"label \[1\]"):
             partial_bilinear(ONE1, ONE1, p, 24)
         measures._discrete_table.cache_clear()
+
+    def test_node_weights_positive_on_V_AW(self):
+        # on V_AW every parameter of modulus >= 1 is real, so every node
+        # weight is a label weight tested at build times squared moduli:
+        # real (to rounding) and nonnegative, whatever the chains
+        rng = random.Random(28)
+        tables = 0
+        for _ in range(300):
+            tv = [rng.uniform(1.01, 3.0)]
+            if rng.random() < 0.4:
+                tv.append(-rng.uniform(1.01, 3.0))
+            if rng.random() < 0.5:
+                u = cmath.rect(rng.uniform(0.1, 0.9), rng.uniform(0.2, 2.9))
+                tv += [u, u.conjugate()]
+            while len(tv) < 4:
+                tv.append(rng.uniform(-0.9, 0.9) / tv[0])
+            p = AWParams(rng.randint(1, 3), rng.uniform(0.3, 0.7),
+                         rng.uniform(0.2, 0.6), *tv)
+            if not p.in_V_AW():
+                continue
+            for table in measures._discrete_table(p, 32):
+                w = table.weights
+                assert np.all(np.isfinite(w))
+                assert np.all(w.real >= 0)
+                assert np.all(np.abs(w.imag) <= 1e-12 * np.abs(w))
+                tables += 1
+        assert tables > 500
 
 
 def contour_value(p, R=1.3, M=4096, arg0=None):

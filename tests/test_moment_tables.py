@@ -39,7 +39,7 @@ from bcortho.measures import (
 from bcortho.params import AWParams
 from bcortho.qracah import kr_constant, weight_qR
 from bcortho.qseries import qpoch_finite, qpoch_finite_arr, qpoch_infinite_arr
-from oracles import interaction_c, natural_t_bilinear
+from oracles import interaction_c, natural_t_bilinear, substitute_prefix
 
 PS = {n: AWParams(n, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 - 0.4j)
       for n in (1, 2, 3)}
@@ -233,7 +233,7 @@ class TestAgainstGridFormula:
                     value += term
                     mass += abs(term)
                     continue
-                fz, gz = f.substitute_prefix(pt), g.substitute_prefix(pt)
+                fz, gz = substitute_prefix(f, pt), substitute_prefix(g, pt)
 
                 def row(z, zv=pt[0]):
                     out = np.ones(len(z), dtype=complex)
@@ -261,7 +261,7 @@ def per_label_partial(f, g, p, M):
         comb = 2 ** r * math.perm(n, r)
         omega = np.array([zi[k] for zi, k in zip(z, nu)]).T
         for pt, w in zip(omega.tolist(), weights.tolist()):
-            fz, gz = f.substitute_prefix(pt), g.substitute_prefix(pt)
+            fz, gz = substitute_prefix(f, pt), substitute_prefix(g, pt)
             if r == n:
                 value += comb * w * fz.coefficient(()) * gz.coefficient(())
                 continue
@@ -400,7 +400,6 @@ class TestMechanism:
         f, g = (real_part(random_invariant(rng, 2, (1, 1))) for _ in range(2))
         monkeypatch.setattr(LaurentPolynomial, "eval_grid", forbidden)
         monkeypatch.setattr(LaurentPolynomial, "__mul__", forbidden)
-        monkeypatch.setattr(LaurentPolynomial, "substitute_prefix", forbidden)
         torus_bilinear(f, g, PS[2], 24)
         assert measures._discrete_table(PD[2], 24)
         partial_bilinear(f, g, PD[2], 24)
