@@ -8,22 +8,28 @@ has no random input. The quadratic norms N(lambda) = 2^n n! N+ N- and the
 constant term <1,1> are evaluated as products of ratios of infinite
 q-shifted factorials, each closed form from one kernel call
 (qseries.qpoch_ratios) and bit for bit the product of one qpoch_ratio
-per factor group.
+per factor group. The factor groups of N+ and N- are stated once, as
+exponent keys of q, t and t0..t3 (_norm_keys): aw_norm evaluates them
+and qracah.norm_qR cancels them at the truncated parameters. family
+gives the family record (bcpoly.Family) on a torus grid.
 
 The little and big q-Jacobi families are limits of this family along a
 deformation eps -> 0 of its parameters. Each limit is one Limit record,
-and two scans along eps_k = q^(k+1) test it: limit_scan on the
-polynomial coefficients and measure_scan on the partially discrete
-pairing. Each scan evaluates only the steps k it is given.
+holding its target family, and two scans along eps_k = q^(k+1) test it:
+limit_scan on the polynomial coefficients and measure_scan on the
+partially discrete pairing. Each scan evaluates only the steps k it is
+given.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .bcpoly import (
+    Family,
     LaurentPolynomial,
     _w_sum,
     dominance_leq,
@@ -39,7 +45,7 @@ from .errors import (
     ZeroCoordinate,
 )
 from .koornwinder import eigenvalue_E, op_matrix
-from .measures import partial_bilinear
+from .measures import partial_bilinear, torus_bilinear, torus_gram
 from .params import AWParams
 from .qseries import qpoch_infinite, qpoch_ratios
 
@@ -78,25 +84,21 @@ def aw_polynomials(top: Sequence[int], p: AWParams
 
 @dataclass(frozen=True)
 class Limit:
-    """A limit transition eps -> 0 from the Askey-Wilson family to a
-    family of Jackson type with parameters params (n and q among them).
+    """A limit transition eps -> 0 from the Askey-Wilson family to target,
+    a family of Jackson type (its params hold n and q).
 
     deformation(eps) gives the Askey-Wilson parameters. The coefficient of
     m_mu in P_lambda, times rescale(eps)^(|lambda| - |mu|), tends to the
     target's coefficient; prefactor(eps) rescale(eps)^(|lambda| + |mu|)
     times the partially discrete pairing of m_lambda and m_mu tends to
     2^n n! (q;q)_inf^(-2n) (1-q)^(-n) times the target pairing of the
-    S-monomials. polynomials(top) and pair are the target family's;
-    measure_kmax caps the step k at which the CLI's measure check reads
-    the pairing."""
+    S-monomials. measure_kmax caps the step k at which the CLI's measure
+    check reads the pairing."""
 
-    params: object
+    target: Family
     deformation: Callable[[float], AWParams]
     rescale: Callable[[float], float]
     prefactor: Callable[[float], float]
-    polynomials: Callable[[Tuple[int, ...]],
-                          Dict[Tuple[int, ...], LaurentPolynomial]]
-    pair: Callable[[LaurentPolynomial, LaurentPolynomial], float]
     measure_kmax: int
 
 
@@ -107,8 +109,8 @@ def limit_scan(limit: Limit, lam: Sequence[int], ks: Iterable[int]
     the deformed parameters, rescaled, against the target polynomial of
     degree lambda."""
     lam = partition(lam)
-    target = limit.polynomials(lam)[lam]
-    q = limit.params.q
+    target = limit.target.polynomials(lam)[lam]
+    q = limit.target.params.q
     rows: List[Tuple[int, float, float]] = []
     for k in ks:
         eps = q * q ** k
@@ -133,10 +135,10 @@ def measure_scan(limit: Limit, lam: Sequence[int], mu: Sequence[int],
     of Limit."""
     lam = partition(lam)
     mu = partition(mu)
-    n, q = limit.params.n, limit.params.q
+    n, q = limit.target.params.n, limit.target.params.q
     want = (2 ** n * math.factorial(n)
             * qpoch_infinite(q, q).real ** (-2 * n) * (1 - q) ** (-n)
-            * limit.pair(monomial_s(lam), monomial_s(mu)))
+            * limit.target.pair(monomial_s(lam), monomial_s(mu)))
     f = monomial_w(lam)
     g = monomial_w(mu)
     rows: List[Tuple[int, float, float]] = []
@@ -149,40 +151,49 @@ def measure_scan(limit: Limit, lam: Sequence[int], mu: Sequence[int],
     return rows
 
 
-def _norm_ratios(lam: Tuple[int, ...], p: AWParams
-                 ) -> List[Tuple[List[complex], List[complex]]]:
+def _norm_keys(lam: Tuple[int, ...], n: int) -> list:
     """The (num, den) arguments of the q-shifted factorial ratios whose
     products are N+ (first half) and N- (second half), each half in the
-    order its factors multiply: one ratio per i, then one per j < k."""
-    n, q, t, T = p.n, p.q, p.t, p.T
-    tv = p.tvec
+    order its factors multiply: one ratio per i, then one per j < k. An
+    argument is a key (a, b, c0, c1, c2, c3), standing for
+    q^a t^b t0^c0 t1^c1 t2^c2 t3^c3."""
+    T, none = (1, 1, 1, 1), (0, 0, 0, 0)
     ratios = []
-    for s, pairs in ((0, ((0, 1), (0, 2), (0, 3))),
-                     (1, ((1, 2), (1, 3), (2, 3)))):
+    for s, pairs in ((0, ((1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1))),
+                     (1, ((0, 1, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1)))):
         for i in range(1, n + 1):
             li = lam[i - 1]
-            tn = t ** (n - i)
-            first = q ** (li - 1) * tn * T if s == 0 else q ** (li + 1) * tn
-            ratios.append(
-                ([q ** (2 * li - 1 + s) * t ** (2 * (n - i)) * T],
-                 [first] + [q ** li * tn * tv[a] * tv[b] for a, b in pairs]))
+            first = (li - 1, n - i) + T if s == 0 else (li + 1, n - i) + none
+            ratios.append(([(2 * li - 1 + s, 2 * (n - i)) + T],
+                           [first] + [(li, n - i) + c for c in pairs]))
         # the t-exponents of the denominators step up in N+, down in N-
         d = 1 - 2 * s
         for j in range(1, n + 1):
             for k in range(j + 1, n + 1):
                 lj, lk = lam[j - 1], lam[k - 1]
                 ratios.append(
-                    ([q ** (lj + lk - 1 + s) * t ** (2 * n - j - k) * T,
-                      q ** (lj - lk + s) * t ** (k - j)],
-                     [q ** (lj + lk - 1 + s) * t ** (2 * n - j - k + d) * T,
-                      q ** (lj - lk + s) * t ** (k - j + d)]))
+                    ([(lj + lk - 1 + s, 2 * n - j - k) + T,
+                      (lj - lk + s, k - j) + none],
+                     [(lj + lk - 1 + s, 2 * n - j - k + d) + T,
+                      (lj - lk + s, k - j + d) + none]))
     return ratios
 
 
 def aw_norm(lam: Sequence[int], p: AWParams) -> complex:
     """Closed-form quadratic norm N(lambda) = 2^n n! N+ N-, from one
-    kernel call; N+ and N- multiply their ratios in order."""
-    ratios = qpoch_ratios(_norm_ratios(partition(lam), p), p.q)
+    kernel call; N+ and N- multiply their ratios in order. A key of
+    _norm_keys is q^a t^b times p.T if it holds all four t_i, else times
+    each t_i it holds, in turn."""
+    q, t, T, tv = p.q, p.t, p.T, p.tvec
+
+    def value(key: Tuple[int, ...]) -> complex:
+        x = q ** key[0] * t ** key[1]
+        return x * T if all(key[2:]) else math.prod(compress(tv, key[2:]),
+                                                    start=x)
+
+    ratios = qpoch_ratios([(list(map(value, num)), list(map(value, den)))
+                           for num, den in _norm_keys(partition(lam), p.n)],
+                          q)
     half = len(ratios) // 2
     plus: complex = 1.0
     for r in ratios[:half]:
@@ -209,6 +220,16 @@ def gustafson_constant(p: AWParams) -> complex:
     for r in qpoch_ratios(ratios, q):
         val *= r
     return val
+
+
+def family(p: AWParams, M: int) -> Family:
+    """The Askey-Wilson family record (bcpoly.Family) on the torus grid of
+    M points per axis; its Gram matrix checks the grid first."""
+    return Family(p, lambda f, g: torus_bilinear(f, g, p, M),
+                  lambda polys: torus_gram(polys, p, M),
+                  lambda top: aw_polynomials(top, p),
+                  lambda lam: aw_norm(lam, p),
+                  lambda: gustafson_constant(p))
 
 
 # Exact arithmetic of the one-variable oracle. Every input is a binary

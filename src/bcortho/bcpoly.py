@@ -399,6 +399,23 @@ def gram(polys: Sequence[LaurentPolynomial], tables: Sequence) -> np.ndarray:
     return G
 
 
+@dataclass(frozen=True)
+class Family:
+    """One orthogonal family as the paper certifies it, built by its own
+    module (family): its parameters, its pairing <f, g>, the Gram matrix
+    of that pairing on a list of polynomials, the monic polynomials of
+    degree mu <= top (a dict in graded-lex order), and the closed forms
+    of the quadratic norms and of the constant term <1,1>."""
+
+    params: object
+    pair: Callable[[LaurentPolynomial, LaurentPolynomial], complex]
+    gram: Callable[[List[LaurentPolynomial]], np.ndarray]
+    polynomials: Callable[[Tuple[int, ...]],
+                          Dict[Tuple[int, ...], LaurentPolynomial]]
+    norm: Callable[[Tuple[int, ...]], complex]
+    mass: Callable[[], complex]
+
+
 def dominance_leq(mu: Sequence[int], lam: Sequence[int]) -> bool:
     """BC dominance: mu <= lam iff every leading partial sum of mu is
     bounded by the corresponding one of lam."""

@@ -15,10 +15,10 @@ against each other), the bilinear form, the polynomials
 (big_polynomials: bcpoly.orthogonalize in the mtilde basis for that
 form), closed-form norms, the q-Selberg constant term together with its
 two-sided t = q^k evaluation, the asymptotic matching of the
-split-weights, and the record of the limit transition (big_limit). The closed
-forms keep complex products whole, so they hold on the conjugate branch as
-well, and each fetches all its q-shifted factorials and thetas in one
-kernel call.
+split-weights, the family record (family), and the record of the limit
+transition (big_limit). The closed forms keep complex products whole, so
+they hold on the conjugate branch as well, and each fetches all its
+q-shifted factorials and thetas in one kernel call.
 
 Pairings reuse a per-parameter node table (little._jackson_table, one
 bcpoly.PointTable per split j), kept for the CACHE_SIZE most recently used
@@ -38,8 +38,10 @@ import numpy as np
 
 from .askey_wilson import Limit
 from .bcpoly import (
+    Family,
     LaurentPolynomial,
     PointTable,
+    gram,
     monomial_s,
     orthogonalize,
     pair,
@@ -60,7 +62,6 @@ from .qseries import (
     _ratio,
     psi_of_thetas,
     qpoch_finite,
-    qpoch_finite_arr,
     qpoch_infinite_arr,
     qpoch_infinite_values,
     qpoch_ratios,
@@ -347,7 +348,7 @@ def askey_evans_lhs(bp: BigParams) -> float:
     axis = np.concatenate([a[0], a[n]])
     # pair[i, j] = x_i^{2k} (q^{1-k} x_j / x_i; q)_{2k}
     pair = (x[:, None] ** (2 * k)
-            * qpoch_finite_arr(q ** (1 - k) * x[None, :] / x[:, None], q,
+            * qpoch_finite(q ** (1 - k) * x[None, :] / x[:, None], q,
                                2 * k))
     letters = "abcdefghijklmnopqrstuvwxyz"[:n]
     operands = [axis] * n
@@ -436,6 +437,15 @@ def asymptotic_ratio(j: int, lam: Sequence[int], mu: Sequence[int],
     return num / den
 
 
+def family(bp: BigParams) -> Family:
+    """The big q-Jacobi family record (bcpoly.Family)."""
+    return Family(bp, lambda f, g: bilinear_big(f, g, bp),
+                  lambda polys: gram(polys, _node_table(bp)),
+                  lambda top: big_polynomials(top, bp),
+                  lambda lam: norm_big(lam, bp),
+                  lambda: selberg_big(bp))
+
+
 # ---------------------------------------------------------------------------
 # limit transition from the Askey-Wilson family
 
@@ -454,9 +464,9 @@ def aw_params_big(eps: float, bp: BigParams) -> AWParams:
 
 
 def big_limit(bp: BigParams) -> Limit:
-    """The limit to the big q-Jacobi family along t_B(eps): rescale
-    eps (cd/q)^(1/2), measure prefactor prod_i (-q t^(i-1)/eps^2; q)_inf,
-    measure scan up to k = 11."""
+    """The limit to the big q-Jacobi family (family) along t_B(eps):
+    rescale eps (cd/q)^(1/2), measure prefactor
+    prod_i (-q t^(i-1)/eps^2; q)_inf, measure scan up to k = 11."""
     q, t = bp.q, bp.t
     scale = math.sqrt(bp.c * bp.d / q)
 
@@ -468,7 +478,5 @@ def big_limit(bp: BigParams) -> Limit:
             pref *= v
         return pref
 
-    return Limit(bp, lambda eps: aw_params_big(eps, bp),
-                 lambda eps: eps * scale, prefactor,
-                 lambda top: big_polynomials(top, bp),
-                 lambda f, g: bilinear_big(f, g, bp), 11)
+    return Limit(family(bp), lambda eps: aw_params_big(eps, bp),
+                 lambda eps: eps * scale, prefactor, 11)

@@ -8,17 +8,16 @@ are suite, out, format and those of INT_KEYS and FLOAT_KEYS; any other
 key, or a FLOAT_KEYS value that is not finite, is a configuration error
 (exit 2). A check whose deviation is NaN fails.
 
-Each family (aw, qracah, little, big) is one _Family record: its
-parameters, the Gram matrix of its pairing (bcpoly.gram on the family's
-node tables; for aw through measures.torus_gram, which checks the grid
-first), polynomials up to a top partition (each a
-bcpoly.LaurentPolynomial), and the closed forms of its norms and of its
-constant term <1,1>. _mass_check compares its <1,1>, the Gram matrix of
-[1], with the closed form and _gram_checks its Gram matrix with the
-closed-form norms. The limits suite scans each limit record
-(askey_wilson.Limit, from little_limit and big_limit) at the steps its
-verdicts read: the tail half of the coefficient scan and the last step
-of the measure scan. The family-specific checks keep their own code.
+Each family (aw, qracah, little, big) is one bcpoly.Family record,
+built by the family's own module (askey_wilson.family, qracah.family,
+little.family, big.family) from the parameters this module reads from
+the configuration. _mass_check compares its <1,1>, the pairing of 1
+with itself, with the closed form and _gram_checks its Gram matrix with
+the closed-form norms. The limits suite scans each limit record
+(askey_wilson.Limit, from little_limit and big_limit, each holding its
+target family) at the steps its verdicts read: the tail half of the
+coefficient scan and the last step of the measure scan. The
+family-specific checks keep their own code.
 
 Report schema (JSON): {suite, config_echo, checks: [{name, anchor, lhs,
 rhs, abs_err, rel_err, tol, pass, ms}], summary: {pass, fail}}. The
@@ -46,16 +45,15 @@ from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
+from . import askey_wilson, big, little, qracah
 from .askey_wilson import (
     aw1_oracle,
-    aw_norm,
     aw_polynomials,
     gustafson_constant,
     limit_scan,
     measure_scan,
 )
-from . import big, little, qracah
-from .bcpoly import LaurentPolynomial, gram
+from .bcpoly import Family, LaurentPolynomial
 from .big import (
     FORM_TOL,
     BigParams,
@@ -63,40 +61,15 @@ from .big import (
     askey_evans_rhs,
     asymptotic_ratio,
     big_limit,
-    big_polynomials,
-    bilinear_big,
     c_weights,
     c_weights_defining,
-    norm_big,
-    selberg_big,
     selberg_big_qk,
 )
 from .errors import BcorthoError, ConfigError, GridTooCoarse, IoError
-from .little import (
-    LittleParams,
-    bilinear_little,
-    little_limit,
-    little_polynomials,
-    norm_little,
-    selberg_little,
-)
-from .measures import (
-    multi_discrete_weight,
-    partial_bilinear,
-    torus_bilinear,
-    torus_gram,
-)
+from .little import LittleParams, little_limit
+from .measures import multi_discrete_weight, partial_bilinear
 from .params import AWParams
-from .qracah import (
-    QRacahParams,
-    bilinear_qR,
-    kr_constant,
-    norm_qR,
-    qracah_polynomials,
-    summation_qR,
-    support_qR,
-    weight_qR,
-)
+from .qracah import QRacahParams, kr_constant, support_qR, weight_qR
 
 SUITES = ("aw", "qracah", "little", "big", "limits", "selberg")
 
@@ -276,72 +249,36 @@ def _worst(devs: Iterable[float]) -> float:
     return math.nan if any(map(math.isnan, devs)) else max(devs, default=0.0)
 
 
-@dataclass(frozen=True)
-class _Family:
-    """One orthogonal family as the paper certifies it: its parameters,
-    its pairing <f, g>, the Gram matrix of that pairing on a list of
-    polynomials, the monic polynomials of degree mu <= top (a dict in
-    graded-lex order), and the closed forms of the quadratic norms and of
-    the constant term <1,1>."""
-
-    params: object
-    pair: Callable[[LaurentPolynomial, LaurentPolynomial], complex]
-    gram: Callable[[List[LaurentPolynomial]], np.ndarray]
-    polynomials: Callable[[Tuple[int, ...]],
-                          Dict[Tuple[int, ...], LaurentPolynomial]]
-    norm: Callable[[Tuple[int, ...]], complex]
-    mass: Callable[[], complex]
+def _aw_family(cfg: SuiteConfig) -> Family:
+    return askey_wilson.family(
+        AWParams(cfg["n"], cfg["q"], cfg["t"], cfg["t0"], cfg["t1"],
+                 cfg["t2"], cfg["t3"]), cfg["M"])
 
 
-def _aw_family(cfg: SuiteConfig) -> _Family:
-    p = AWParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["t0"], cfg["t1"],
-                 cfg["t2"], cfg["t3"])
-    M = int(cfg["M"])
-    return _Family(p, lambda f, g: torus_bilinear(f, g, p, M),
-                   lambda polys: torus_gram(polys, p, M),
-                   lambda top: aw_polynomials(top, p),
-                   lambda lam: aw_norm(lam, p),
-                   lambda: gustafson_constant(p))
+def _qracah_family(cfg: SuiteConfig) -> Family:
+    return qracah.family(QRacahParams(cfg["n"], cfg["q"], cfg["t"], cfg["t0"],
+                                      cfg["t1"], cfg["t2"], cfg["N"]))
 
 
-def _qracah_family(cfg: SuiteConfig) -> _Family:
-    qp = QRacahParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["t0"],
-                      cfg["t1"], cfg["t2"], int(cfg["N"]))
-    return _Family(qp, lambda f, g: bilinear_qR(f, g, qp),
-                   lambda polys: gram(polys, [qracah._node_table(qp)]),
-                   lambda top: qracah_polynomials(top, qp),
-                   lambda lam: norm_qR(lam, qp),
-                   lambda: summation_qR(qp))
+def _little_family(cfg: SuiteConfig) -> Family:
+    return little.family(LittleParams(cfg["n"], cfg["q"], cfg["t"], cfg["a"],
+                                      cfg["b"]))
 
 
-def _little_family(cfg: SuiteConfig) -> _Family:
-    lp = LittleParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["a"], cfg["b"])
-    return _Family(lp, lambda f, g: bilinear_little(f, g, lp),
-                   lambda polys: gram(polys, little._node_table(lp)),
-                   lambda top: little_polynomials(top, lp),
-                   lambda lam: norm_little(lam, lp),
-                   lambda: selberg_little(lp))
-
-
-def _big_family(cfg: SuiteConfig) -> _Family:
-    bp = BigParams(int(cfg["n"]), cfg["q"], cfg["t"], cfg["a"], cfg["b"],
-                   cfg["c"], cfg["d"])
-    return _Family(bp, lambda f, g: bilinear_big(f, g, bp),
-                   lambda polys: gram(polys, big._node_table(bp)),
-                   lambda top: big_polynomials(top, bp),
-                   lambda lam: norm_big(lam, bp),
-                   lambda: selberg_big(bp))
+def _big_family(cfg: SuiteConfig) -> Family:
+    return big.family(BigParams(cfg["n"], cfg["q"], cfg["t"], cfg["a"],
+                                cfg["b"], cfg["c"], cfg["d"]))
 
 
 def _mass_check(report: CertificationReport, name: str, anchor: str,
-                tol: float, fam: _Family) -> None:
+                tol: float, fam: Family) -> None:
     """The family's <1,1> against its closed form."""
     one = LaurentPolynomial.constant(fam.params.n)
     _run_check(report, name, anchor, tol,
                lambda: (fam.pair(one, one), fam.mass()))
 
 
-def _gram_checks(report: CertificationReport, fam: _Family,
+def _gram_checks(report: CertificationReport, fam: Family,
                  top: Tuple[int, ...], tol_orth: float,
                  tol_norm: float) -> None:
     """The Gram matrix of the family's polynomials of degree mu <= top:
@@ -638,7 +575,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     for key in sorted(FLOAT_KEYS):
         ap.add_argument(f"--{key}", type=float)
     ap.add_argument("--out", help="report path (default: stdout)")
-    ap.add_argument("--format", choices=("json", "text"), default="json")
+    ap.add_argument("--format", choices=("json", "text"), help="default json")
     return ap
 
 
@@ -648,13 +585,13 @@ def main(argv: List[str] | None = None) -> int:
         raw: Dict[str, str] = {}
         if args.config:
             raw.update(parse_config_file(args.config))
-        for key in INT_KEYS | FLOAT_KEYS | {"suite"}:
+        for key in INT_KEYS | FLOAT_KEYS | STR_KEYS:
             val = getattr(args, key, None)
             if val is not None:
                 raw[key] = str(val)
         cfg = build_config(raw)
         report = run_suite(cfg)
-        emit_report(report, args.format, args.out)
+        emit_report(report, raw.get("format", "json"), raw.get("out"))
     except (ConfigError, IoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,10 +43,6 @@ class PoleAtDenominator(BcorthoError):
     """A q-shifted factorial in a denominator vanishes."""
 
 
-class PoleAtNonpositiveInteger(BcorthoError):
-    """The q-gamma function was called at a nonpositive integer."""
-
-
 class PoleInDenominator(BcorthoError):
     """The denominator theta factor of a quasi-constant vanishes."""
 

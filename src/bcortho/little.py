@@ -7,8 +7,8 @@ infinity through t_L(eps) = (eps^{-1} q^{1/2}, -a q^{1/2}, eps b q^{1/2},
 -q^{1/2}). This module provides the Jackson-multisum bilinear form, the
 polynomials (little_polynomials: bcpoly.orthogonalize in the mtilde basis
 for that form, monic and orthogonal to every dominance-lower monomial),
-the closed-form norms and q-Selberg constant term, and the record of the
-limit transition (little_limit).
+the closed-form norms and q-Selberg constant term, the family record
+(family), and the record of the limit transition (little_limit).
 
 Pairings reuse a per-parameter node table, kept for the CACHE_SIZE most
 recently used parameter sets: one bcpoly.PointTable per part of the chain
@@ -42,8 +42,10 @@ import numpy as np
 
 from .askey_wilson import Limit
 from .bcpoly import (
+    Family,
     LaurentPolynomial,
     PointTable,
+    gram,
     monomial_s,
     orthogonalize,
     pair,
@@ -296,6 +298,15 @@ def selberg_little(lp: LittleParams) -> float:
     return (1.0 - q) ** n * qq.real ** n * ratio
 
 
+def family(lp: LittleParams) -> Family:
+    """The little q-Jacobi family record (bcpoly.Family)."""
+    return Family(lp, lambda f, g: bilinear_little(f, g, lp),
+                  lambda polys: gram(polys, _node_table(lp)),
+                  lambda top: little_polynomials(top, lp),
+                  lambda lam: norm_little(lam, lp),
+                  lambda: selberg_little(lp))
+
+
 # ---------------------------------------------------------------------------
 # limit transition from the Askey-Wilson family
 
@@ -312,8 +323,8 @@ def aw_params_little(eps: float, lp: LittleParams) -> AWParams:
 
 
 def little_limit(lp: LittleParams) -> Limit:
-    """The limit to the little q-Jacobi family along t_L(eps): rescale
-    eps q^(-1/2), measure prefactor
+    """The limit to the little q-Jacobi family (family) along t_L(eps):
+    rescale eps q^(-1/2), measure prefactor
     prod_i (-q t^(i-1)/eps, -q a t^(i-1)/eps; q)_inf, measure scan up to
     k = 12."""
     q, t = lp.q, lp.t
@@ -328,7 +339,5 @@ def little_limit(lp: LittleParams) -> Limit:
             pref *= v
         return pref
 
-    return Limit(lp, lambda eps: aw_params_little(eps, lp),
-                 lambda eps: eps / rq, prefactor,
-                 lambda top: little_polynomials(top, lp),
-                 lambda f, g: bilinear_little(f, g, lp), 12)
+    return Limit(family(lp), lambda eps: aw_params_little(eps, lp),
+                 lambda eps: eps / rq, prefactor, 12)

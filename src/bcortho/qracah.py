@@ -8,7 +8,8 @@ multivariable q-Racah polynomials. This module provides the rewritten
 discrete weight Delta^qR, the proportionality constant K_r relating it to
 the residue-product weight Delta^(d), the finite bilinear form, the
 polynomials (qracah_polynomials: bcpoly.orthogonalize in the m basis for
-that form) and the closed-form quadratic norms.
+that form), the closed-form quadratic norms, and the family record
+(family).
 
 The bilinear form reuses a per-parameter node table, kept for the
 CACHE_SIZE most recently used parameter sets: a bcpoly.PointTable, like
@@ -23,7 +24,9 @@ value, not a pole.
 The closed-form norm N(lambda) / (2^n n! K_n) is a ratio in which single
 factors vanish or diverge at the truncated parameters, so it is evaluated
 by cancelling q-shifted factorials symbolically (as monomials in
-q, t, t0, t1, t2 with t3 eliminated) before any numerics.
+q, t, t0, t1, t2 with t3 eliminated) before any numerics. Its factors
+are those of the Askey-Wilson N+ and N- (askey_wilson._norm_keys), then
+those of 1/K_n.
 """
 
 from __future__ import annotations
@@ -38,9 +41,11 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .bcpoly import (
+    Family,
     LaurentPolynomial,
     PointTable,
     ascending_index,
+    gram,
     monomial_w,
     orthogonalize,
     pair,
@@ -227,7 +232,12 @@ def summation_qR(qp: QRacahParams) -> complex:
 def _norm_ratio_keys(lam: Tuple[int, ...],
                      qp: QRacahParams) -> Tuple[List[Key], List[Key]]:
     """Numerator and denominator argument monomials of the q-Racah norm
-    N(lambda) / (2^n n! K_n), with t3 eliminated by the truncation."""
+    N(lambda) / (2^n n! K_n), with t3 eliminated by the truncation: the
+    Askey-Wilson keys of N+ and N- (askey_wilson._norm_keys) in order,
+    then those of 1/K_n."""
+    # askey_wilson imports measures, which imports this module
+    from .askey_wilson import _norm_keys
+
     n, N = qp.n, qp.N
 
     def key(a: int = 0, b: int = 0, c0: int = 0, c1: int = 0, c2: int = 0,
@@ -237,36 +247,9 @@ def _norm_ratio_keys(lam: Tuple[int, ...],
 
     num: List[Key] = []
     den: List[Key] = []
-    # factor N+; T = t0 t1 t2 t3 is (1, 1, 1, 1)
-    for i in range(1, n + 1):
-        li = lam[i - 1]
-        num.append(key(2 * li - 1, 2 * (n - i), 1, 1, 1, 1))
-        den.append(key(li - 1, n - i, 1, 1, 1, 1))
-        den.append(key(li, n - i, 1, 1))
-        den.append(key(li, n - i, 1, 0, 1))
-        den.append(key(li, n - i, 1, 0, 0, 1))
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            lj, lk = lam[j - 1], lam[k - 1]
-            num.append(key(lj + lk - 1, 2 * n - j - k, 1, 1, 1, 1))
-            num.append(key(lj - lk, k - j))
-            den.append(key(lj + lk - 1, 2 * n - j - k + 1, 1, 1, 1, 1))
-            den.append(key(lj - lk, k - j + 1))
-    # factor N-
-    for i in range(1, n + 1):
-        li = lam[i - 1]
-        num.append(key(2 * li, 2 * (n - i), 1, 1, 1, 1))
-        den.append(key(li + 1, n - i))
-        den.append(key(li, n - i, 0, 1, 1))
-        den.append(key(li, n - i, 0, 1, 0, 1))
-        den.append(key(li, n - i, 0, 0, 1, 1))
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            lj, lk = lam[j - 1], lam[k - 1]
-            num.append(key(lj + lk, 2 * n - j - k, 1, 1, 1, 1))
-            num.append(key(lj - lk + 1, k - j))
-            den.append(key(lj + lk, 2 * n - j - k - 1, 1, 1, 1, 1))
-            den.append(key(lj - lk + 1, k - j - 1))
+    for rnum, rden in _norm_keys(lam, n):
+        num += [key(*x) for x in rnum]
+        den += [key(*x) for x in rden]
     # dividing by K_n swaps its numerator and denominator; rho_i = t0 t^(i-1)
     for i in range(1, n + 1):
         den.append(key(0, 2 - 2 * i, -2))
@@ -363,3 +346,12 @@ def qracah_polynomials(top: Sequence[int], qp: QRacahParams
     if top and top[0] > qp.N:
         raise DomainViolation(f"lambda_1 = {top[0]} exceeds N = {qp.N}")
     return orthogonalize(top, qp.n, monomial_w, [_node_table(qp)])
+
+
+def family(qp: QRacahParams) -> Family:
+    """The q-Racah family record (bcpoly.Family)."""
+    return Family(qp, lambda f, g: bilinear_qR(f, g, qp),
+                  lambda polys: gram(polys, [_node_table(qp)]),
+                  lambda top: qracah_polynomials(top, qp),
+                  lambda lam: norm_qR(lam, qp),
+                  lambda: summation_qR(qp))

@@ -57,10 +57,11 @@ def check_q(q: float) -> float:
 
 def qpoch_finite(a: complex, q: float, k: int,
                  require_nonzero: bool = False) -> complex:
-    """Finite q-shifted factorial (a;q)_k = prod_{i=0}^{k-1} (1 - a q^i).
+    """Finite q-shifted factorial (a;q)_k = prod_{i=0}^{k-1} (1 - a q^i)
+    of a scalar a, or at every entry of an array a (left unmodified).
 
-    With require_nonzero, ZeroProduct is raised when a single factor is
-    within the pole guard, as in qpoch_infinite."""
+    With require_nonzero, for a scalar a, ZeroProduct is raised when a
+    single factor is within the pole guard, as in qpoch_infinite."""
     if k < 0:
         raise DomainViolation(f"finite exponent must be >= 0, got {k}")
     prod: complex = 1.0
@@ -70,7 +71,7 @@ def qpoch_finite(a: complex, q: float, k: int,
         if require_nonzero and abs(f) < POLE_GUARD:
             raise ZeroProduct(f"(a;q)_k vanishes: factor 1 - {aq} ~ 0")
         prod *= f
-        aq *= q
+        aq = aq * q
     return prod
 
 
@@ -262,15 +263,4 @@ def psi_of_thetas(x: float, q: float, t: float, num: complex,
     power = math.exp((2.0 * tau - 1.0) * math.log(abs(x)))
     val = power * num / den
     return val.real if isinstance(val, complex) else val
-
-
-def qpoch_finite_arr(a: np.ndarray, q: float, k: int) -> np.ndarray:
-    """Vectorized finite q-shifted factorial over an ndarray."""
-    a = np.asarray(a)
-    prod = np.ones_like(a, dtype=complex if np.iscomplexobj(a) else float)
-    aq = a.copy().astype(prod.dtype)
-    for _ in range(k):
-        prod *= 1.0 - aq
-        aq *= q
-    return prod
 

@@ -29,9 +29,10 @@ measures.partial_bilinear is compared against.
 
 apply_D, qpoch_ratio, theta_jacobi and psi_t are one-argument forms of
 koornwinder._apply_D_rows, qseries.qpoch_ratios, qpoch_theta_values and
-psi_of_thetas; qgamma, substitute_prefix and the little q-Jacobi
-support_point are references that no program path runs, and table_nodes
-gathers the node coordinates of a PointTable.
+psi_of_thetas; qgamma (with its error PoleAtNonpositiveInteger),
+substitute_prefix and the little q-Jacobi support_point are references
+that no program path runs, and table_nodes gathers the node coordinates
+of a PointTable.
 
 The *_loop closed forms at the end (aw_norm_loop, gustafson_loop,
 c_weights_defining_loop, askey_evans_rhs_loop, the limit prefactor loops,
@@ -55,8 +56,7 @@ from bcortho.bcpoly import (LaurentPolynomial, ascending_index, monomial_w,
 from bcortho.big import BigParams, _natural_k, _theta_den
 from bcortho.errors import (BcorthoError, DiagonalMismatch,
                             DomainViolation, EigenvalueCollision,
-                            LengthMismatch, NearPole,
-                            PoleAtNonpositiveInteger, PoleInProduct,
+                            LengthMismatch, NearPole, PoleInProduct,
                             SingularGram, UncancelledPole, ZeroArgument,
                             ZeroCoordinate, ZeroProduct)
 from bcortho.koornwinder import (TriangularOpMatrix, _apply_D_rows, _nodes,
@@ -67,9 +67,9 @@ from bcortho.measures import multi_discrete_weight, wd_residue_weight
 from bcortho.params import AWParams
 from bcortho.qracah import QRacahParams, _key_value, kr_constant, weight_qR
 from bcortho.qseries import (POLE_GUARD, psi_of_thetas, qpoch_finite,
-                             qpoch_finite_arr, qpoch_infinite,
-                             qpoch_infinite_arr, qpoch_ratios, qpoch_real,
-                             qpoch_real_arr, qpoch_theta_values)
+                             qpoch_infinite, qpoch_infinite_arr,
+                             qpoch_ratios, qpoch_real, qpoch_real_arr,
+                             qpoch_theta_values)
 
 
 def apply_D(f, Z: np.ndarray, p: AWParams) -> np.ndarray:
@@ -98,6 +98,10 @@ def psi_t(x: float, q: float, t: float) -> float:
         raise ZeroArgument("Psi_t is undefined at x = 0")
     return psi_of_thetas(x, q, t, *qpoch_theta_values(
         [], [t * x, q * x / t], q)[1])
+
+
+class PoleAtNonpositiveInteger(BcorthoError):
+    """The q-gamma function was called at a nonpositive integer."""
 
 
 def qgamma(u: float, q: float, qu: complex | None = None) -> float:
@@ -537,7 +541,7 @@ def natural_t_bilinear(f, g, p: AWParams, M: int) -> complex:
                 row = np.ones((len(omega), x.shape[1]), dtype=complex)
                 for w in omega.T[:, :, None]:
                     for arg in (w * x, w / x, x / w, 1.0 / (w * x)):
-                        row *= qpoch_finite_arr(arg, q, k)
+                        row *= qpoch_finite(arg, q, k)
             vals = labelled_pairings(f, g, p, M, omega, row)
             total += comb * complex(np.sum(wdisc * vals))
     return total

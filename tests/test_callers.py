@@ -1,12 +1,13 @@
-"""Every public function and method of bcortho has a caller in bcortho.
+"""Every public class, function and method of bcortho has a caller in
+bcortho.
 
-A public module-level function, or a public method of a module-level
-class, passes if its name appears as a name or attribute somewhere in
-the package outside its own body; otherwise it belongs in the tests
-(tests/oracles.py) or is listed in KEPT with the reason it stays. The
-constructor hooks __init__ and __post_init__ are called by construction.
-Other special methods are called by operators, which no name search
-sees, so each of them is listed too."""
+A public module-level class or function, or a public method of a
+module-level class, passes if its name appears as a name or attribute
+somewhere in the package outside its own body; otherwise it belongs in
+the tests (tests/oracles.py) or is listed in KEPT with the reason it
+stays. The constructor hooks __init__ and __post_init__ are called by
+construction. Other special methods are called by operators, which no
+name search sees, so each of them is listed too."""
 
 import ast
 from pathlib import Path
@@ -40,14 +41,14 @@ CONSTRUCTION = {"__init__", "__post_init__"}
 
 
 def definitions():
-    """(qualified name, node, module) of every public function and
+    """(qualified name, node, module) of every public class, function and
     method."""
     for stem, tree in TREES.items():
         for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 if not node.name.startswith("_"):
                     yield f"{stem}.{node.name}", node, stem
-            elif isinstance(node, ast.ClassDef):
+            if isinstance(node, ast.ClassDef):
                 for meth in node.body:
                     if not isinstance(meth, ast.FunctionDef):
                         continue

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from bcortho import big, cli, measures
+from bcortho import askey_wilson, big, cli, measures, qracah
 from bcortho.askey_wilson import limit_scan, measure_scan
 from bcortho.big import BigParams
 from bcortho.cli import (
@@ -256,7 +256,7 @@ class TestMain:
         def singular(top, qp):
             raise SingularGram("vanishing quadratic norm")
 
-        monkeypatch.setattr(cli, "qracah_polynomials", singular)
+        monkeypatch.setattr(qracah, "qracah_polynomials", singular)
         out = tmp_path / "r.json"
         assert main(["--suite", "qracah", "--out", str(out)]) == 1
         checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
@@ -275,6 +275,37 @@ class TestMain:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["config_echo"]["N"] == 1
+
+    def test_config_file_format(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("suite=qracah\nformat=text\n")
+        assert main(["--config", str(cfgfile)]) == 0
+        assert capsys.readouterr().out.startswith("suite: qracah\n")
+
+    def test_config_file_out(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(f"suite=qracah\nout={out}\n")
+        assert main(["--config", str(cfgfile)]) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text())["suite"] == "qracah"
+
+    def test_config_file_bad_format(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(f"suite=qracah\nformat=xml\nout={out}\n")
+        assert main(["--config", str(cfgfile)]) == 2
+        assert "format must be json or text" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flags_win_over_config_file_format_and_out(self, tmp_path):
+        in_file, out = tmp_path / "r.txt", tmp_path / "r.json"
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(f"suite=qracah\nformat=text\nout={in_file}\n")
+        assert main(["--config", str(cfgfile), "--format", "json",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["suite"] == "qracah"
+        assert not in_file.exists()
 
 
 def true_relative_errors(fam, top) -> dict:
@@ -465,7 +496,7 @@ class TestFamilyChecks:
 
     @pytest.mark.parametrize("name", ["little", "big"])
     def test_scaled_measure_constant_fails(self, name, monkeypatch):
-        # the target pairing Limit.pair off by 10 tol; |want| is 161
+        # the target pairing Limit.target.pair off by 10 tol; |want| is 161
         # (little) and 18.3 (big) at the defaults, above the
         # max(1, |want|) floor
         cfg = build_config({"suite": "limits"})
@@ -481,8 +512,9 @@ class TestFamilyChecks:
 
         def scaled(params):
             limit = exact(params)
-            return replace(limit, pair=lambda f, g: limit.pair(f, g)
-                           * (1 + 10 * tol))
+            target = limit.target
+            return replace(limit, target=replace(
+                target, pair=lambda f, g: target.pair(f, g) * (1 + 10 * tol)))
 
         monkeypatch.setattr(cli, f"{name}_limit", scaled)
         assert verdict() == (False, tol)
@@ -515,7 +547,7 @@ class TestFamilyChecks:
             raise AssertionError("pairwise torus pairing")
 
         monkeypatch.setattr(measures._Chamber, "at_nodes", counting_torus)
-        monkeypatch.setattr(cli, "torus_bilinear", no_pairing)
+        monkeypatch.setattr(askey_wilson, "torus_bilinear", no_pairing)
         built = []
 
         def polynomials(top):
@@ -575,7 +607,8 @@ def full_scan_tail_ok(rows) -> float:
 
 def broken_at(limit, k):
     """limit, with a deformation that raises at the step k."""
-    bad_eps = limit.params.q * limit.params.q ** k
+    q = limit.target.params.q
+    bad_eps = q * q ** k
 
     def deformation(eps):
         if eps == bad_eps:

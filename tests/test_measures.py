@@ -335,7 +335,7 @@ def limit_deformation(name):
     cfg = build_config({"suite": "limits"})
     limit = (little_limit(_little_family(cfg).params) if name == "little"
              else big_limit(_big_family(cfg).params))
-    q = limit.params.q
+    q = limit.target.params.q
     return limit.deformation(q * q ** min(15, limit.measure_kmax)), 64
 
 

@@ -38,7 +38,7 @@ from bcortho.measures import (
 )
 from bcortho.params import AWParams
 from bcortho.qracah import kr_constant, weight_qR
-from bcortho.qseries import qpoch_finite, qpoch_finite_arr, qpoch_infinite_arr
+from bcortho.qseries import qpoch_finite, qpoch_infinite_arr
 from oracles import interaction_c, natural_t_bilinear, substitute_prefix
 
 PS = {n: AWParams(n, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 - 0.4j)
@@ -68,7 +68,7 @@ def weight_grid(p, n_axes, M, k=None):
             pair *= qpoch_infinite_arr(arg, p.q) / qpoch_infinite_arr(
                 arg * p.t, p.q)
         else:
-            pair *= qpoch_finite_arr(arg, p.q, k)
+            pair *= qpoch_finite(arg, p.q, k)
     grid = np.ones((M,) * n_axes, dtype=complex)
     for a in range(n_axes):
         sh = [1] * n_axes
@@ -238,7 +238,7 @@ class TestAgainstGridFormula:
                 def row(z, zv=pt[0]):
                     out = np.ones(len(z), dtype=complex)
                     for arg in (zv * z, zv / z, z / zv, 1 / (zv * z)):
-                        out *= qpoch_finite_arr(arg, q, k)
+                        out *= qpoch_finite(arg, q, k)
                     return out
 
                 pq = AWParams(1, q, p.t, *p.tvec)

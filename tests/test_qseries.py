@@ -11,12 +11,12 @@ from bcortho import qseries
 from bcortho.errors import (
     DomainViolation,
     PoleAtDenominator,
-    PoleAtNonpositiveInteger,
     PoleInProduct,
     ZeroArgument,
     ZeroProduct,
 )
-from oracles import psi_t, qgamma, qpoch_ratio, theta_jacobi
+from oracles import (PoleAtNonpositiveInteger, psi_t, qgamma, qpoch_ratio,
+                     theta_jacobi)
 
 Q = 0.5
 
@@ -39,6 +39,14 @@ class TestQpochFinite:
     def test_negative_k_rejected(self):
         with pytest.raises(DomainViolation):
             qseries.qpoch_finite(0.5, Q, -1)
+
+    def test_array_argument_unmodified(self):
+        # entrywise the scalar product, and the argument keeps its values
+        a = np.array([[0.3, -0.7], [2.0, 1.5]])
+        got = qseries.qpoch_finite(a, Q, 5)
+        assert a.tolist() == [[0.3, -0.7], [2.0, 1.5]]
+        assert got.tolist() == [[qseries.qpoch_finite(x, Q, 5) for x in row]
+                                for row in a.tolist()]
 
 
 class TestQpochInfinite:
