@@ -11,7 +11,8 @@ q-shifted factorials, each closed form from one kernel call
 per factor group. The factor groups of N+ and N- are stated once, as
 exponent keys of q, t and t0..t3 (_norm_keys): aw_norm evaluates them
 and qracah.norm_qR cancels them at the truncated parameters. family
-gives the family record (bcpoly.Family) on a torus grid.
+gives the family record (bcpoly.Family) on the one measure of
+measures.partial_bilinear: the torus part plus the residue chains.
 
 The little and big q-Jacobi families are limits of this family along a
 deformation eps -> 0 of its parameters. Each limit is one Limit record,
@@ -45,7 +46,7 @@ from .errors import (
     ZeroCoordinate,
 )
 from .koornwinder import eigenvalue_E, op_matrix
-from .measures import partial_bilinear, torus_bilinear, torus_gram
+from .measures import partial_bilinear, partial_gram
 from .params import AWParams
 from .qseries import qpoch_infinite, qpoch_ratios
 
@@ -195,12 +196,8 @@ def aw_norm(lam: Sequence[int], p: AWParams) -> complex:
                            for num, den in _norm_keys(partition(lam), p.n)],
                           q)
     half = len(ratios) // 2
-    plus: complex = 1.0
-    for r in ratios[:half]:
-        plus *= r
-    minus: complex = 1.0
-    for r in ratios[half:]:
-        minus *= r
+    plus = math.prod(ratios[:half], start=1.0)
+    minus = math.prod(ratios[half:], start=1.0)
     return 2 ** p.n * math.factorial(p.n) * plus * minus
 
 
@@ -216,17 +213,15 @@ def gustafson_constant(p: AWParams) -> complex:
             for k in range(j + 1, 4):
                 den.append(t ** (n - i) * tv[j] * tv[k])
         ratios.append(([t, t ** (2 * n - i - 1) * T], den))
-    val: complex = 2 ** n * math.factorial(n)
-    for r in qpoch_ratios(ratios, q):
-        val *= r
-    return val
+    return math.prod(qpoch_ratios(ratios, q),
+                     start=2 ** n * math.factorial(n))
 
 
 def family(p: AWParams, M: int) -> Family:
-    """The Askey-Wilson family record (bcpoly.Family) on the torus grid of
-    M points per axis; its Gram matrix checks the grid first."""
-    return Family(p, lambda f, g: torus_bilinear(f, g, p, M),
-                  lambda polys: torus_gram(polys, p, M),
+    """The Askey-Wilson family record (bcpoly.Family) on the measure of
+    measures.partial_bilinear and partial_gram, M grid points per axis."""
+    return Family(p, lambda f, g: partial_bilinear(f, g, p, M),
+                  lambda polys: partial_gram(polys, p, M),
                   lambda top: aw_polynomials(top, p),
                   lambda lam: aw_norm(lam, p),
                   lambda: gustafson_constant(p))

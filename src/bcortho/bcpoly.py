@@ -5,7 +5,9 @@ z_1..z_n by permuting variables and inverting them; the symmetric group S_n
 acts by permutation only. This module provides the invariant monomial bases
 m_lambda (W-orbit sums) and mtilde_lambda (S-orbit sums), the dominance
 order, sparse Laurent arithmetic with node values kept per node table,
-the PointTable of the discrete measures, the one pairing and the one
+the PointTable of the discrete measures and the one label layer of
+their labels (_chain_labels enumerates them, _label_weights weighs them
+and rejects a non-finite weight), the one pairing and the one
 orthogonalizer. Every family's bilinear form is a sum of f g w over the
 nodes of its node tables (pair, and gram for a Gram matrix): a node table
 has weights and at_nodes(f), the values of f at its nodes. A PointTable
@@ -32,6 +34,7 @@ import numpy as np
 from .errors import (
     DomainViolation,
     LengthMismatch,
+    NonFiniteWeight,
     NotWInvariant,
     SingularGram,
     ZeroCoordinate,
@@ -307,6 +310,48 @@ class PointTable:
         exps = sorted(f.terms)
         return _layout_values(self, f.nvars, exps)(
             np.array([f.terms[e] for e in exps], dtype=complex))
+
+
+def _chain_labels(chains: Sequence[int], ends: Sequence[int],
+                  S: int) -> np.ndarray:
+    """Every label nu with |nu| <= S and nu_i < ends[i] that ascends
+    within each chain (of the given lengths, in axis order), in
+    lexicographic order, as the columns of an int16 array: row i holds
+    axis i."""
+    # int32 temporaries: half the memory of intp, and wide enough for the
+    # label counts of the discrete tables
+    i32 = np.int32
+    cols: List[np.ndarray] = []
+    total = np.zeros(1, dtype=i32)
+    starts = [k == 0 for length in chains for k in range(length)]
+    for start, end in zip(starts, ends):
+        lo = np.zeros(len(total), dtype=i32) if start else cols[-1]
+        count = np.maximum(np.minimum(S - total, end - 1) - lo + 1, 0)
+        rows = np.repeat(np.arange(len(total), dtype=i32), count)
+        step = np.arange(len(rows), dtype=i32) - np.repeat(
+            np.cumsum(count, dtype=i32) - count, count)
+        cols = [c[rows] for c in cols] + [lo[rows] + step]
+        total = total[rows] + cols[-1]
+    return np.array(cols, dtype=np.int16).reshape(len(cols), len(total))
+
+
+def _label_weights(nu: np.ndarray, const, axis: Sequence[np.ndarray],
+                   pair: Callable[[int, int], np.ndarray],
+                   what: str) -> np.ndarray:
+    """const prod_i axis[i][nu_i] prod_{i<j} pair(i, j)[nu_i, nu_j] for
+    every label (column) of nu, multiplied in that order; a pair matrix
+    is read at its flat indices, one gather each. NonFiniteWeight names
+    the table (what) and its first label whose weight is not finite."""
+    idx = nu.astype(np.intp)
+    w = const * np.prod([a[lab] for a, lab in zip(axis, idx)], axis=0)
+    for i, j in itertools.combinations(range(len(idx)), 2):
+        m = pair(i, j)
+        w = w * m.ravel()[idx[i] * m.shape[1] + idx[j]]
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise NonFiniteWeight(f"{what}: weight {w[bad[0]]} at the label "
+                              f"nu = {nu[:, bad[0]].tolist()}")
+    return w
 
 
 def _layout_values(table: PointTable, nvars: int, layout: List[Exponent]

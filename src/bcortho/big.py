@@ -466,17 +466,15 @@ def aw_params_big(eps: float, bp: BigParams) -> AWParams:
 def big_limit(bp: BigParams) -> Limit:
     """The limit to the big q-Jacobi family (family) along t_B(eps):
     rescale eps (cd/q)^(1/2), measure prefactor
-    prod_i (-q t^(i-1)/eps^2; q)_inf, measure scan up to k = 11."""
+    prod_i (-q t^(i-1)/eps^2; q)_inf, measure scan up to k = 11.
+    DomainViolation if the deformation refuses bp (a or b = 0)."""
     q, t = bp.q, bp.t
     scale = math.sqrt(bp.c * bp.d / q)
+    aw_params_big(q, bp)
 
     def prefactor(eps: float) -> float:
-        pref = 1.0
-        for v in qpoch_infinite_arr(
-                [-q * t ** (i - 1) / (eps * eps) for i in range(1, bp.n + 1)],
-                q).tolist():
-            pref *= v
-        return pref
+        args = [-q * t ** (i - 1) / (eps * eps) for i in range(1, bp.n + 1)]
+        return math.prod(qpoch_infinite_arr(args, q).tolist(), start=1.0)
 
     return Limit(family(bp), lambda eps: aw_params_big(eps, bp),
                  lambda eps: eps * scale, prefactor, 11)

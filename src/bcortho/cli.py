@@ -4,20 +4,24 @@ Runs named suites of numerical identity checks (orthogonality, norms,
 constant terms, limit transitions) over a parameter configuration and
 emits a machine-readable certification report. Configurations come from
 a flat key=value file, command-line flags, or both (flags win). The keys
-are suite, out, format and those of INT_KEYS and FLOAT_KEYS; any other
-key, or a FLOAT_KEYS value that is not finite, is a configuration error
-(exit 2). A check whose deviation is NaN fails.
+are suite, out, format (one of FORMATS) and those of INT_KEYS and
+FLOAT_KEYS; any other key or format, or a FLOAT_KEYS value that is not
+finite, is a configuration error (exit 2), found before any check runs.
+A check whose deviation is NaN fails.
 
 Each family (aw, qracah, little, big) is one bcpoly.Family record,
 built by the family's own module (askey_wilson.family, qracah.family,
 little.family, big.family) from the parameters this module reads from
 the configuration. _mass_check compares its <1,1>, the pairing of 1
 with itself, with the closed form and _gram_checks its Gram matrix with
-the closed-form norms. The limits suite scans each limit record
+the closed-form norms; selberg's partially-discrete check is the
+<1,1> check of the aw family at t0 = 1.1, whose measure adds the
+residue chains. The limits suite scans each limit record
 (askey_wilson.Limit, from little_limit and big_limit, each holding its
-target family) at the steps its verdicts read: the tail half of the
-coefficient scan and the last step of the measure scan. The
-family-specific checks keep their own code.
+target family and refusing parameters its deformation cannot take) at
+the steps its verdicts read: the tail half of the coefficient scan and
+the last step of the measure scan. The family-specific checks keep their
+own code.
 
 Report schema (JSON): {suite, config_echo, checks: [{name, anchor, lhs,
 rhs, abs_err, rel_err, tol, pass, ms}], summary: {pass, fail}}. The
@@ -46,13 +50,7 @@ from typing import Callable, Dict, Iterable, List, Tuple
 import numpy as np
 
 from . import askey_wilson, big, little, qracah
-from .askey_wilson import (
-    aw1_oracle,
-    aw_polynomials,
-    gustafson_constant,
-    limit_scan,
-    measure_scan,
-)
+from .askey_wilson import aw1_oracle, aw_polynomials, limit_scan, measure_scan
 from .bcpoly import Family, LaurentPolynomial
 from .big import (
     FORM_TOL,
@@ -67,7 +65,7 @@ from .big import (
 )
 from .errors import BcorthoError, ConfigError, GridTooCoarse, IoError
 from .little import LittleParams, little_limit
-from .measures import multi_discrete_weight, partial_bilinear
+from .measures import multi_discrete_weight
 from .params import AWParams
 from .qracah import QRacahParams, kr_constant, support_qR, weight_qR
 
@@ -93,6 +91,7 @@ DEFAULTS: Dict[str, Dict[str, float]] = {
 INT_KEYS = {"n", "lmax", "N", "M", "kmax", "seed"}
 FLOAT_KEYS = {"q", "t", "t0", "t1", "t2", "t3", "a", "b", "c", "d", "tol"}
 STR_KEYS = {"suite", "out", "format"}
+FORMATS = ("json", "text")
 
 
 @dataclass(frozen=True)
@@ -177,6 +176,7 @@ def build_config(raw: Dict[str, str]) -> SuiteConfig:
     if suite not in SUITES:
         raise ConfigError(
             f"suite must be one of {', '.join(SUITES)}, got {suite!r}")
+    _check_format(raw.get("format", "json"))
     values: Dict[str, float] = dict(DEFAULTS[suite])
     for key, sval in raw.items():
         if key in STR_KEYS:
@@ -198,8 +198,8 @@ def build_config(raw: Dict[str, str]) -> SuiteConfig:
             raise ConfigError(f"{key} must be >= {low}, got {values[key]}")
     if "tol" in values and not values["tol"] > 0:
         raise ConfigError("tol must be positive")
-    # with some |t_i| >= 1 the orthogonality measure gains residue
-    # chains, and these suites would certify the torus measure alone
+    # with some |t_i| >= 1 the measure gains residue chains, whose
+    # tolerances these suites have not verified (ROADMAP item 8)
     if suite in ("aw", "selberg"):
         for key in ("t0", "t1", "t2", "t3"):
             if not abs(values[key]) < 1:
@@ -494,14 +494,10 @@ def _suite_selberg(cfg: SuiteConfig, report: CertificationReport) -> None:
                 _tol(cfg, 1e-7), _big_family(cfg))
 
     p = aw.params
-    one = LaurentPolynomial.constant(p.n)
     pd = AWParams(p.n, p.q, p.t, 1.1, p.t1, p.t2, p.t3)
-    _run_check(report, "partially-discrete",
-               "torus plus chain corrections constant term = closed product",
-               _tol(cfg, 1e-6),
-               lambda: (partial_bilinear(one, one, pd,
-                                         int(cfg["M"]) * 2).real,
-                        gustafson_constant(pd).real))
+    _mass_check(report, "partially-discrete",
+                "torus plus chain corrections constant term = closed product",
+                _tol(cfg, 1e-6), askey_wilson.family(pd, int(cfg["M"]) * 2))
 
 
 _SUITE_RUNNERS = {
@@ -543,15 +539,19 @@ def format_text(report: CertificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_format(fmt: str) -> None:
+    if fmt not in FORMATS:
+        raise ConfigError(f"format must be json or text, got {fmt!r}")
+
+
 def emit_report(report: CertificationReport, fmt: str,
                 path: str | None) -> None:
     """Write the report as JSON or a fixed-width text table."""
+    _check_format(fmt)
     if fmt == "json":
         body = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    elif fmt == "text":
-        body = format_text(report)
     else:
-        raise ConfigError(f"format must be json or text, got {fmt!r}")
+        body = format_text(report)
     if path is None:
         sys.stdout.write(body)
         return
@@ -575,7 +575,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     for key in sorted(FLOAT_KEYS):
         ap.add_argument(f"--{key}", type=float)
     ap.add_argument("--out", help="report path (default: stdout)")
-    ap.add_argument("--format", choices=("json", "text"), help="default json")
+    ap.add_argument("--format", choices=FORMATS, help="default json")
     return ap
 
 

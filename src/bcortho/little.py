@@ -11,16 +11,17 @@ the closed-form norms and q-Selberg constant term, the family record
 (family), and the record of the limit transition (little_limit).
 
 Pairings reuse a per-parameter node table, kept for the CACHE_SIZE most
-recently used parameter sets: one bcpoly.PointTable per part of the chain
-set, the labels nu with |nu| <= S and their weights, computed once with
-the array kernel (_jackson_table, shared with the big q-Jacobi form);
-the pair factors of a part take one kernel call over the differences
-nu_j - nu_i, the only thing their argument q z_j / (t z_i) depends on. S
-grows until the last shells are negligible against the table's own mass,
-so masses far below 1, as at q near 1, keep full relative precision. A
-pairing is bcpoly.pair on the parts: the node values of f and g, kept on
-each polynomial (LaurentPolynomial.node_values), times the weights,
-summed in node order.
+recently used parameter sets: one bcpoly.PointTable per part of the
+chain set, the labels nu with |nu| <= S and their weights (bcpoly's
+label layer), computed once with the array kernel (_jackson_table,
+shared with the big q-Jacobi form); the pair factors of a part take one
+kernel call over the differences nu_j - nu_i, the only thing their
+argument q z_j / (t z_i) depends on. S grows until the last shells are
+negligible against the table's own mass, so masses far below 1, as at q
+near 1, keep full relative precision. A pairing is bcpoly.pair on the
+parts: the node values of f and g, kept on each polynomial
+(LaurentPolynomial.node_values), times the weights, summed in node
+order.
 
 Closed forms are stated with the q-gamma function of arguments involving
 alpha = log_q a and beta = log_q b; they are evaluated here through
@@ -45,6 +46,8 @@ from .bcpoly import (
     Family,
     LaurentPolynomial,
     PointTable,
+    _chain_labels,
+    _label_weights,
     gram,
     monomial_s,
     orthogonalize,
@@ -53,11 +56,9 @@ from .bcpoly import (
 )
 from .errors import (
     DomainViolation,
-    NonFiniteWeight,
     SlowConvergence,
     ZeroProduct,
 )
-from .measures import _chain_labels, _label_weights
 from .params import CACHE_SIZE, AWParams
 from .qseries import (
     EPS_TRUNC,
@@ -146,21 +147,15 @@ def _jackson_table(parts: Callable[[int], list], n: int, q: float, t: float,
     S starts at 32 and doubles, up to MAX_SHELLS, until S >= n and each
     of the last four shells |nu| = s carries at most EPS_TRUNC of the
     table's sum of |w|; SlowConvergence if S = MAX_SHELLS does not
-    settle. NonFiniteWeight names the first node whose weight is not
-    finite."""
+    settle. NonFiniteWeight (bcpoly._label_weights) names the first
+    label whose weight is not finite."""
     S = 32
     while True:
         table, mass = [], np.zeros(S + 1)
         for chains, z, a, const in parts(S):
             nu = _chain_labels(chains, [S + 1] * n, S)
-            w = _label_weights(nu, const, a, _pair_factors(z, chains, q, t))
-            bad = np.flatnonzero(~np.isfinite(w))
-            if bad.size:
-                r = bad[0]
-                raise NonFiniteWeight(
-                    f"{what} weight {w[r]} at the node "
-                    f"z = {z[np.arange(n), nu[:, r]].tolist()}, label "
-                    f"nu = {nu[:, r].tolist()}")
+            w = _label_weights(nu, const, a, _pair_factors(z, chains, q, t),
+                               what)
             mass += np.bincount(nu.sum(axis=0), np.abs(w), minlength=S + 1)
             table.append(PointTable(z, nu, w))
         if S >= n and np.all(mass[-4:] <= EPS_TRUNC * mass.sum()):
@@ -326,18 +321,16 @@ def little_limit(lp: LittleParams) -> Limit:
     """The limit to the little q-Jacobi family (family) along t_L(eps):
     rescale eps q^(-1/2), measure prefactor
     prod_i (-q t^(i-1)/eps, -q a t^(i-1)/eps; q)_inf, measure scan up to
-    k = 12."""
+    k = 12. DomainViolation if the deformation refuses lp (b = 0)."""
     q, t = lp.q, lp.t
     rq = math.sqrt(q)
+    aw_params_little(q, lp)
 
     def prefactor(eps: float) -> float:
-        pref = 1.0
-        for v in qpoch_infinite_arr(
-                [x for i in range(1, lp.n + 1)
-                 for x in (-q * t ** (i - 1) / eps,
-                           -q * lp.a * t ** (i - 1) / eps)], q).tolist():
-            pref *= v
-        return pref
+        args = [x for i in range(1, lp.n + 1)
+                for x in (-q * t ** (i - 1) / eps,
+                          -q * lp.a * t ** (i - 1) / eps)]
+        return math.prod(qpoch_infinite_arr(args, q).tolist(), start=1.0)
 
     return Limit(family(lp), lambda eps: aw_params_little(eps, lp),
                  lambda eps: eps / rq, prefactor, 12)

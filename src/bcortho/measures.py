@@ -1,53 +1,44 @@
-"""Askey-Wilson-side orthogonality measures.
+"""The Askey-Wilson orthogonality measure as one list of node tables.
 
-Continuous torus measure with density Delta = prod w_c(z_j) * delta(z;t),
-residue-derived discrete weights (w_d, Delta^(d), delta_d, delta_c), the
-node tables of the discrete support F(r), and the partially discrete
-bilinear form that mixes (n-r)-torus integration with r-point discrete
-chains.
+Shifting the contour to the torus picks up the residues of the poles
+t_i t^j q^s off the closed unit disk, so the measure is a torus part plus
+discrete chains: the chamber table of the torus density
+Delta = prod w_c(z_j) * delta(z;t), then one split table of F(r) per
+split (none on the open disk). partial_bilinear pairs on that list, one
+bcpoly.pair per table added table by table, and partial_gram builds its
+Gram matrix the same way, one bcpoly.gram per table.
 
-Torus integrals use the uniform tensor trapezoid rule on angles, which is
-spectrally accurate for these analytic periodic integrands. Delta, the
-delta_c factors and every pair of polynomials paired are invariant under
-the hyperoctahedral group W, and so is the grid, and Delta vanishes on
-the walls of the W-chamber (z_j = +-1, z_i = z_j^(+-1)), so the mean is
-a sum over the open chamber 0 < k_1 < ... < k_n < M/2 of grid indices,
-node k weighted by Delta(z_k) 2^n n! / M^n. One cached table per
-(params, axes, grid) holds the nodes and weights, built one leading index
-k_1 at a time from w_c(z_k), k <= M/2, and one real table of the pair
-factors (_pair_table): the block of k_1 reads the factors of the other
-axes, gathered once over the chamber of one axis fewer. For
-conjugation-closed parameters (AWParams.conj_closed: every t_i real or
-paired with its conjugate) Delta is real on the torus, and w_c, the
-weights and the delta_c rows of a real chain are formed and stored in
-real arithmetic, from half the kernel arguments; other parameters keep
-the complex forms. On a table a polynomial is the sum of its W-orbit
-sums m_lambda, each a sum over the distinct permutations of lambda of
-products of per-axis cosine rows, cached per table and real on the torus
-(a constant stays a scalar), and keeps its node values, as on the
-discrete tables (LaurentPolynomial.node_values);
-NotWInvariant for any other input. A torus pairing is bcpoly.pair on the
-M-point table, and its Gram matrix bcpoly.gram on the same table; every
-pairing reads that one grid. A grid with M < 2 deg + 8 points per axis,
-deg the total degree of f g, raises GridTooCoarse. A pole chain value
-t_i t^j q^s (j < n, s >= 0) within TORUS_GUARD of the circle raises
-NearPole.
+The torus part is the uniform tensor trapezoid rule on angles, spectrally
+accurate for these analytic periodic integrands. Delta, the delta_c
+factors and every pair of polynomials paired are invariant under the
+hyperoctahedral group W, and so is the grid, and Delta vanishes on the
+walls (z_j = +-1, z_i = z_j^(+-1)), so the mean is a sum over the open
+chamber 0 < k_1 < ... < k_n < M/2 of grid indices, node k weighted by
+Delta(z_k) 2^n n! / M^n. One cached table per (params, axes, grid) holds
+the nodes and weights, built one leading index k_1 at a time from
+w_c(z_k), k <= M/2, and one real table of the pair factors (_pair_table).
+For conjugation-closed parameters (AWParams.conj_closed) Delta is real on
+the torus, and w_c, the weights and the delta_c rows of a real chain are
+formed in real arithmetic; other parameters keep the complex forms. On a
+table a polynomial is the sum of its W-orbit sums m_lambda, each a sum of
+products of per-axis cosine rows, cached per table (a constant stays a
+scalar); NotWInvariant for any other input. A grid with M < 2 deg + 8
+points per axis, deg the total degree of f g, raises GridTooCoarse. A
+pole chain value t_i t^j q^s (j < n, s >= 0) within TORUS_GUARD of the
+circle raises NearPole.
 
 The discrete supports are never truncated: each chain position runs to
 the last support value off the closed unit disk (SlowConvergence past
-MAX_CHAIN values). The labels of a split of F(r) are weighed as the
-little and big q-Jacobi tables are: by Delta^(d) = K_r Delta^qR a weight
-is K_l K_m times the Delta^qR one-axis and in-chain pair factors,
-cumulative products of per-step ratios that neither underflow nor
-overflow on long chains, times the cross-chain delta_c factors; real
-parameters give real label weights. Each split is one cached
-bcpoly.PointTable, real where all its factors are: its labels' points
-for r = n, and for r < n every label times every node of the chamber
-table of the other n - r axes, the label's delta_c rows (over the
-chamber axis, k <= M/2) multiplied into the node weights once, at
-build. The partially discrete form is the torus pairing plus one
-bcpoly.pair per split table. The scalar residue forms stay as the
-references.
+MAX_CHAIN values). Split labels come from bcpoly._chain_labels and are
+weighed by bcpoly._label_weights, as the little and big q-Jacobi tables
+are: by Delta^(d) = K_r Delta^qR a weight is K_l K_m times the Delta^qR
+one-axis and in-chain pair factors (cumulative products of per-step
+ratios, which neither underflow nor overflow on long chains), times the
+cross-chain delta_c factors. Each split is one cached bcpoly.PointTable:
+its labels' points for r = n, and for r < n every label times every node
+of the chamber table of the other n - r axes, the label's delta_c rows
+multiplied into the node weights at build. The scalar residue forms stay
+as the references.
 """
 
 from __future__ import annotations
@@ -57,11 +48,18 @@ import functools
 import math
 from itertools import combinations, permutations
 from itertools import product as iter_product
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .bcpoly import LaurentPolynomial, PointTable, gram, pair
+from .bcpoly import (
+    LaurentPolynomial,
+    PointTable,
+    _chain_labels,
+    _label_weights,
+    gram,
+    pair,
+)
 from .errors import (
     DomainViolation,
     GridTooCoarse,
@@ -309,27 +307,6 @@ def _check_grid(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
         raise LengthMismatch("grid has wrong number of axes")
 
 
-def torus_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
-                   M: int) -> complex:
-    """<f,g> over the n-torus with density Delta, via the M-point uniform
-    tensor grid per axis, for W-invariant f and g: bcpoly.pair on the
-    M-point chamber table."""
-    _check_grid(f, g, p, M)
-    return complex(pair(f, g, [_table(p, p.n, M)]))
-
-
-def torus_gram(polys: Sequence[LaurentPolynomial], p: AWParams,
-               M: int) -> np.ndarray:
-    """The Gram matrix <P_a, P_b> of torus_bilinear, for every pair of
-    W-invariant polys: bcpoly.gram on the M-point chamber table. The grid
-    must resolve the pair of highest degree."""
-    if any(f.nvars != p.n for f in polys):
-        raise LengthMismatch("grid has wrong number of axes")
-    top = max(polys, key=lambda f: _pairing_degree(f, f))
-    _check_grid(top, top, p, M)
-    return gram(polys, [_table(p, p.n, M)])
-
-
 # ---------------------------------------------------------------------------
 # discrete weights: the scalar residue forms
 
@@ -436,45 +413,6 @@ def _interaction_c_rows(ws: np.ndarray, xs: np.ndarray, p: AWParams,
 
 
 # ---------------------------------------------------------------------------
-# chain labels and node weights, shared by every discrete measure
-
-def _chain_labels(chains: Sequence[int], ends: Sequence[int],
-                  S: int) -> np.ndarray:
-    """Every label nu with |nu| <= S and nu_i < ends[i] that ascends
-    within each chain (of the given lengths, in axis order), in
-    lexicographic order, as the columns of an int16 array: row i holds
-    axis i."""
-    # int32 temporaries: half the memory of intp, and wide enough for the
-    # label counts of the discrete tables
-    i32 = np.int32
-    cols: List[np.ndarray] = []
-    total = np.zeros(1, dtype=i32)
-    starts = [k == 0 for length in chains for k in range(length)]
-    for start, end in zip(starts, ends):
-        lo = np.zeros(len(total), dtype=i32) if start else cols[-1]
-        count = np.maximum(np.minimum(S - total, end - 1) - lo + 1, 0)
-        rows = np.repeat(np.arange(len(total), dtype=i32), count)
-        step = np.arange(len(rows), dtype=i32) - np.repeat(
-            np.cumsum(count, dtype=i32) - count, count)
-        cols = [c[rows] for c in cols] + [lo[rows] + step]
-        total = total[rows] + cols[-1]
-    return np.array(cols, dtype=np.int16).reshape(len(cols), len(total))
-
-
-def _label_weights(nu: np.ndarray, const, axis: Sequence[np.ndarray],
-                   pair: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """const prod_i axis[i][nu_i] prod_{i<j} pair(i, j)[nu_i, nu_j] for
-    every label (column) of nu, multiplied in that order; a pair matrix
-    is read at its flat indices, one gather each."""
-    nu = nu.astype(np.intp)
-    w = const * np.prod([a[lab] for a, lab in zip(axis, nu)], axis=0)
-    for i, j in combinations(range(len(nu)), 2):
-        m = pair(i, j)
-        w = w * m.ravel()[nu[i] * m.shape[1] + nu[j]]
-    return w
-
-
-# ---------------------------------------------------------------------------
 # the partially discrete chain tables
 
 def _large_params(p: AWParams) -> List[int]:
@@ -561,7 +499,6 @@ def _split_labels(p: AWParams, M: int) -> tuple:
     nonnegative raises NonPositiveWeight: the one positivity test of the
     partially discrete measure."""
     n = p.n
-    check_positive = p.in_V_AW()
     large = _large_params(p)
     i_param = large[0] if large else 0
     j_param = large[1] if len(large) > 1 else (1 if i_param == 0 else 0)
@@ -599,13 +536,9 @@ def _split_labels(p: AWParams, M: int) -> tuple:
                                sum(ends[c][k] for c, k in axes))
             w = _label_weights(nu, K[i_param][l] * K[j_param][r - l],
                                [axis[ax] for ax in axes],
-                               lambda a, b: pairs[axes[a], axes[b]])
-            bad = np.flatnonzero(~np.isfinite(w))
-            if bad.size:
-                raise NonFiniteWeight(
-                    f"discrete weight {w[bad[0]]} at the label "
-                    f"{nu[:, bad[0]].tolist()} of the split ({l}, {r - l})")
-            if check_positive:
+                               lambda a, b: pairs[axes[a], axes[b]],
+                               f"the split ({l}, {r - l})")
+            if p.in_V_AW():
                 bad = np.flatnonzero((np.abs(w.imag) > 1e-9 * np.abs(w))
                                      | (w.real < 0))
                 if bad.size:
@@ -655,15 +588,35 @@ def _discrete_table(p: AWParams, M: int) -> Tuple[PointTable, ...]:
 # ---------------------------------------------------------------------------
 # partially discrete bilinear form
 
+def _measure(p: AWParams, M: int) -> tuple:
+    """The node tables of the measure on the M-point grid: the chamber
+    table, then the split tables."""
+    return (_table(p, p.n, M), *_discrete_table(p, M))
+
+
 def partial_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
                      M: int) -> complex:
-    """The partially discrete bilinear form on the positive-measure domain:
-    the torus pairing plus one bcpoly.pair per split table of F(r),
-    r = 1..n, on the M-point grid, added table by table. The form is
-    bilinear, so its value need not be real; the positivity of the
-    measure on V_AW is tested once, on the label weights
-    (_discrete_table)."""
-    total = torus_bilinear(f, g, p, M)
-    for table in _discrete_table(p, M):
+    """<f,g> for W-invariant f and g: one bcpoly.pair per table of the
+    measure, added table by table from 0j. The form is bilinear, so its
+    value need not be real; the positivity of the measure on V_AW is
+    tested once, on the label weights (_split_labels)."""
+    _check_grid(f, g, p, M)
+    total = 0j
+    for table in _measure(p, M):
         total += pair(f, g, [table])
     return total
+
+
+def partial_gram(polys: Sequence[LaurentPolynomial], p: AWParams,
+                 M: int) -> np.ndarray:
+    """The Gram matrix of partial_bilinear: one bcpoly.gram per table of
+    the measure, added from 0, so entry a <= b is partial_bilinear(P_a,
+    P_b) bit for bit. The grid must resolve the pair of highest degree."""
+    if any(f.nvars != p.n for f in polys):
+        raise LengthMismatch("grid has wrong number of axes")
+    top = max(polys, key=lambda f: _pairing_degree(f, f))
+    _check_grid(top, top, p, M)
+    G = np.zeros((len(polys), len(polys)), dtype=complex)
+    for table in _measure(p, M):
+        G += gram(polys, [table])
+    return G

@@ -14,12 +14,13 @@ that form), the closed-form quadratic norms, and the family record
 The bilinear form reuses a per-parameter node table, kept for the
 CACHE_SIZE most recently used parameter sets: a bcpoly.PointTable, like
 each part of the little and big q-Jacobi tables, of the support labels
-and their weights. A pairing is bcpoly.pair on it: each polynomial is
-evaluated once per table, as a vector kept on the polynomial
-(LaurentPolynomial.node_values), and the terms f g w are added one by one
-in support order. The denominators of the weights and of the summation
-are tested factor by factor, so a tiny product of nonzero factors is a
-value, not a pole.
+(bcpoly._chain_labels: one chain of length n, entries at most N) and
+their weights Delta^qR, one label at a time. A pairing is bcpoly.pair on
+it: each polynomial is evaluated once per table, as a vector kept on the
+polynomial (LaurentPolynomial.node_values), and the terms f g w are
+added one by one in support order. The denominators of the weights and
+of the summation are tested factor by factor, so a tiny product of
+nonzero factors is a value, not a pole.
 
 The closed-form norm N(lambda) / (2^n n! K_n) is a ratio in which single
 factors vanish or diverge at the truncated parameters, so it is evaluated
@@ -35,7 +36,6 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -44,6 +44,7 @@ from .bcpoly import (
     Family,
     LaurentPolynomial,
     PointTable,
+    _chain_labels,
     ascending_index,
     gram,
     monomial_w,
@@ -185,9 +186,9 @@ def kr_constant(r: int, p) -> complex:
 
 def support_qR(qp: QRacahParams) -> List[Tuple[int, ...]]:
     """All chain labels of the finite support, weakly increasing with the
-    top entry at most N, in lexicographic order."""
-    return [tuple(c) for c in combinations_with_replacement(
-        range(qp.N + 1), qp.n)]
+    top entry at most N, in lexicographic order (bcpoly._chain_labels)."""
+    return [tuple(c) for c in _chain_labels(
+        (qp.n,), [qp.N + 1] * qp.n, qp.n * qp.N).T.tolist()]
 
 
 def bilinear_qR(f: LaurentPolynomial, g: LaurentPolynomial,

@@ -51,8 +51,9 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from bcortho.askey_wilson import SEPARATION
-from bcortho.bcpoly import (LaurentPolynomial, ascending_index, monomial_w,
-                            partition, partitions_dominated_by)
+from bcortho.bcpoly import (LaurentPolynomial, _chain_labels, _label_weights,
+                            ascending_index, monomial_w, pair, partition,
+                            partitions_dominated_by)
 from bcortho.big import BigParams, _natural_k, _theta_den
 from bcortho.errors import (BcorthoError, DiagonalMismatch,
                             DomainViolation, EigenvalueCollision,
@@ -410,7 +411,7 @@ def chamber_slabs(p: AWParams, n_axes: int, M: int,
     in the dtype of w_c."""
     slab = 2 ** 15
     top = (M - 1) // 2
-    nodes = measures._chain_labels(
+    nodes = _chain_labels(
         (n_axes,), [top - n_axes + 1] * n_axes, n_axes * top
     ) + np.arange(1, n_axes + 1, dtype=np.int16)[:, None]
     wc = axis_wc(measures._grid_axes(M)[:M // 2 + 1], p)
@@ -419,8 +420,9 @@ def chamber_slabs(p: AWParams, n_axes: int, M: int,
     weights = np.empty(nodes.shape[1], dtype=wc.dtype)
     for lo in range(0, len(weights), slab):
         nu = nodes[:, lo:lo + slab]
-        weights[lo:lo + slab] = measures._label_weights(
-            nu, const, [], lambda i, j: P) * np.prod(wc[nu], axis=0)
+        weights[lo:lo + slab] = _label_weights(
+            nu, const, [], lambda i, j: P, "chamber") * np.prod(wc[nu],
+                                                                 axis=0)
     return nodes, weights
 
 
@@ -486,7 +488,7 @@ def labelled_partial(f, g, p: AWParams, M: int) -> Tuple[complex, float]:
     value. mass is |torus term| plus the summed magnitudes of the label
     contributions: the scale of a comparison, since orthogonal pairs
     cancel far below the rounding noise of the single contributions."""
-    total = measures.torus_bilinear(f, g, p, M)
+    total = complex(pair(f, g, [measures._table(p, p.n, M)]))
     mass = abs(total)
     for _l, nu, z, w, row in measures._split_labels(p, M):
         comb = 2 ** len(nu) * math.perm(p.n, len(nu))

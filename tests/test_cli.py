@@ -298,6 +298,30 @@ class TestMain:
         assert "format must be json or text" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_file_format_checked_before_the_run(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # a bad format is a configuration error found with the other
+        # settings: no check runs
+        def no_run(cfg):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli, "run_suite", no_run)
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("suite=big\nn=3\nformat=xml\n")
+        assert main(["--config", str(cfgfile)]) == 2
+        assert "format must be json or text" in capsys.readouterr().err
+
+    def test_limit_that_cannot_deform_is_a_configuration_error(
+            self, tmp_path, capsys):
+        # b = 0 leaves a deformed Askey-Wilson parameter 0: the limits
+        # are refused when they are made, not as four NaN checks
+        out = tmp_path / "r.json"
+        assert main(["--suite", "limits", "--b", "0",
+                     "--out", str(out)]) == 2
+        assert ("rejected the configuration: the deformation requires b"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_flags_win_over_config_file_format_and_out(self, tmp_path):
         in_file, out = tmp_path / "r.txt", tmp_path / "r.json"
         cfgfile = tmp_path / "cfg"
@@ -444,6 +468,27 @@ class TestFamilyChecks:
         monkeypatch.setattr(cli, form, scaled)
         assert verdict() == (False, tol)
 
+    # one side of the check off by 10 tol: the oracle of the
+    # n1-closed-form check, and the residue weights Delta^(d) of
+    # residue-split; each deviation then reads 1e-9 against tol 1e-10
+    @pytest.mark.parametrize("suite, check, form", [
+        ("aw", "n1-closed-form", "aw1_oracle"),
+        ("qracah", "residue-split", "multi_discrete_weight"),
+    ])
+    def test_scaled_side_fails(self, suite, check, form, monkeypatch):
+        cfg = build_config({"suite": suite})
+
+        def verdict():
+            [c] = [c for c in run_suite(cfg).checks if c.name == check]
+            return c.passed, c.tol
+
+        passed, tol = verdict()
+        assert passed
+        exact = getattr(cli, form)
+        monkeypatch.setattr(cli, form,
+                            lambda *args: exact(*args) * (1 + 10 * tol))
+        assert verdict() == (False, tol)
+
     @pytest.mark.parametrize("name", list(FAMILIES))
     def test_mixed_polynomials_fail_orthogonality(self, name):
         # P_a + c P_b with c N_b = 10 tol |<1,1>|: <P_a, P_b> is then ten
@@ -478,8 +523,9 @@ class TestFamilyChecks:
                             "norms": True, check: False}
 
     def test_scaled_partially_discrete_fails(self, monkeypatch):
-        # selberg's partially-discrete check: |rhs| = 52.6 at the
-        # defaults, above the max(1, |rhs|) floor
+        # selberg's partially-discrete check, the <1,1> check of the aw
+        # family at t0 = 1.1: |rhs| = 52.6 at the defaults, above the
+        # max(1, |rhs|) floor
         cfg = build_config({"suite": "selberg"})
 
         def verdict():
@@ -489,8 +535,8 @@ class TestFamilyChecks:
 
         passed, tol = verdict()
         assert passed
-        exact = cli.gustafson_constant
-        monkeypatch.setattr(cli, "gustafson_constant",
+        exact = askey_wilson.gustafson_constant
+        monkeypatch.setattr(askey_wilson, "gustafson_constant",
                             lambda p: exact(p) * (1 + 10 * tol))
         assert verdict() == (False, tol)
 
@@ -524,9 +570,9 @@ class TestFamilyChecks:
         # the orthogonalized polynomials bring the node values of their
         # pairing with them, so the Gram matrix evaluates no polynomial
         # (orthogonalize forms them on its own node columns, without
-        # PointTable.at_nodes); the aw Gram is one product on the M-point
-        # chamber table, which evaluates each polynomial once and pairs
-        # none of them alone
+        # PointTable.at_nodes); the aw Gram is one bcpoly.gram per table of
+        # its measure, on the open disk the M-point chamber table alone,
+        # which evaluates each polynomial once and pairs none of them alone
         fam = default_family(name)
         calls = []
         at_nodes_point = PointTable.at_nodes
@@ -547,7 +593,7 @@ class TestFamilyChecks:
             raise AssertionError("pairwise torus pairing")
 
         monkeypatch.setattr(measures._Chamber, "at_nodes", counting_torus)
-        monkeypatch.setattr(askey_wilson, "torus_bilinear", no_pairing)
+        monkeypatch.setattr(askey_wilson, "partial_bilinear", no_pairing)
         built = []
 
         def polynomials(top):

@@ -8,9 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bcortho import measures, qseries
+from bcortho import askey_wilson, measures, qseries
 from bcortho.askey_wilson import aw_polynomials, gustafson_constant
-from bcortho.bcpoly import LaurentPolynomial, monomial_w
+from bcortho.bcpoly import LaurentPolynomial, gram, monomial_w, pair
 from bcortho.big import big_limit
 from bcortho.cli import _big_family, _little_family, build_config
 from bcortho.errors import (
@@ -28,7 +28,6 @@ from bcortho.measures import (
     MAX_CHAIN,
     multi_discrete_weight,
     partial_bilinear,
-    torus_bilinear,
     wd_residue_weight,
 )
 from bcortho.params import AWParams
@@ -105,33 +104,33 @@ class TestWeightContinuous:
 
 class TestTorusBilinear:
     def test_gustafson_n1(self):
-        got = torus_bilinear(ONE1, ONE1, PS1, 128)
+        got = partial_bilinear(ONE1, ONE1, PS1, 128)
         assert rel(got, gustafson_constant(PS1)) < 1e-8
 
     def test_gustafson_n2(self):
-        got = torus_bilinear(ONE2, ONE2, PS2, 128)
+        got = partial_bilinear(ONE2, ONE2, PS2, 128)
         assert rel(got, gustafson_constant(PS2)) < 1e-8
 
     def test_orthogonality_degree_one(self):
         P = aw_polynomials((1, 0), PS2)[(1, 0)]
-        got = torus_bilinear(P, ONE2, PS2, 64)
+        got = partial_bilinear(P, ONE2, PS2, 64)
         scale = abs(gustafson_constant(PS2))
         assert abs(got) < 1e-8 * scale
 
     def test_m_too_small(self):
         with pytest.raises(DomainViolation):
-            torus_bilinear(monomial_w((8, 0)), monomial_w((8, 0)), PS2, 16)
+            partial_bilinear(monomial_w((8, 0)), monomial_w((8, 0)), PS2, 16)
 
     def test_doubling_converged(self):
         f = monomial_w((2, 1))
-        a = torus_bilinear(f, f, PS2, 48)
-        b = torus_bilinear(f, f, PS2, 96)
+        a = partial_bilinear(f, f, PS2, 48)
+        b = partial_bilinear(f, f, PS2, 96)
         assert abs(a - b) < 1e-10 * max(1, abs(b))
 
     def test_symmetry(self):
         f = monomial_w((2, 0))
         g = monomial_w((1, 1))
-        assert torus_bilinear(f, g, PS2, 48) == torus_bilinear(
+        assert partial_bilinear(f, g, PS2, 48) == partial_bilinear(
             g, f, PS2, 48)
 
 
@@ -252,12 +251,19 @@ class TestSupports:
                 replace(p, t0=0.97 ** -(MAX_CHAIN + 0.5)), 16)
 
 
+def bits(x) -> bytes:
+    return np.complex128(x).tobytes()
+
+
 class TestPartialBilinear:
     def test_reduces_to_torus(self):
+        # on the open disk the measure is the chamber table alone, and the
+        # pairing is bcpoly.pair on it, bit for bit
+        assert measures._measure(PS2, 48) == (measures._table(PS2, 2, 48),)
         f = monomial_w((1, 0))
         a = partial_bilinear(f, f, PS2, 48)
-        b = torus_bilinear(f, f, PS2, 48)
-        assert a == b
+        b = pair(f, f, [measures._table(PS2, 2, 48)])
+        assert bits(a) == bits(b)
 
     def test_constant_term_one_chain_n1(self):
         assert measures._discrete_table(PD1, 256)
@@ -348,6 +354,44 @@ SPLIT_CASES = {
     "little-limit": lambda: limit_deformation("little"),
     "big-limit": lambda: limit_deformation("big"),
 }
+
+
+class TestOneMeasure:
+    """The Askey-Wilson measure is one list of node tables: the chamber
+    table, then one split table per split of F(r). Its pairing and its
+    Gram matrix add the tables one at a time."""
+
+    # the selberg suite's partially discrete parameters: t0 = 1.1, on V_AW
+    P = AWParams(2, 0.5, 0.3, 1.1, -0.45, 0.25, 0.2)
+
+    def test_gram_entries_are_pairings(self):
+        # bit for bit for a <= b; numpy's complex product is not
+        # symmetric in the last bit, so G[b, a] may differ from
+        # partial_bilinear(P_b, P_a)
+        M = 64
+        assert self.P.in_V_AW() and measures._discrete_table(self.P, M)
+        polys = list(aw_polynomials((2, 2), self.P).values())
+        G = measures.partial_gram(polys, self.P, M)
+        for a, f in enumerate(polys):
+            for b in range(a, len(polys)):
+                want = partial_bilinear(f, polys[b], self.P, M)
+                assert bits(G[a, b]) == bits(want), (a, b)
+                assert bits(G[b, a]) == bits(want), (a, b)
+
+    def test_open_disk_gram_is_the_chamber_gram(self):
+        polys = list(aw_polynomials((2, 1), PS2).values())
+        G = measures.partial_gram(polys, PS2, 48)
+        want = gram(polys, [measures._table(PS2, 2, 48)])
+        assert G.tobytes() == want.tobytes()
+
+    def test_family_pairs_the_whole_measure(self):
+        # the chamber table alone reads 40.70 against 52.59 here
+        one = LaurentPolynomial.constant(2)
+        want = gustafson_constant(self.P)
+        got = askey_wilson.family(self.P, 256).pair(one, one)
+        assert abs(got - want) < 1e-10 * abs(want)
+        fam_gram = askey_wilson.family(self.P, 256).gram([one])
+        assert bits(fam_gram[0, 0]) == bits(got)
 
 
 class TestSplitTables:
@@ -459,7 +503,7 @@ class TestContourDecomposition:
         t0 = 1.1 * cmath.exp(2j * math.pi * 0.15)
         p = AWParams(1, 0.5, 0.3, t0, -0.5, 0.35, 0.45)
         lhs = contour_value(p, R=1.3, M=4096)
-        torus = torus_bilinear(ONE1, ONE1, p, 256)
+        torus = pair(ONE1, ONE1, [measures._table(p, 1, 256)])
         disc = 0.0
         i = 0
         while abs(t0) * p.q ** i > 1:
@@ -480,7 +524,7 @@ class TestNaturalT:
     def test_all_small_is_torus(self):
         p = AWParams(2, 0.5, 0.25, 0.6, -0.5, 0.3, 0.4)
         a = natural_t_bilinear(ONE2, ONE2, p, 48)
-        b = torus_bilinear(ONE2, ONE2, p, 48)
+        b = partial_bilinear(ONE2, ONE2, p, 48)
         assert rel(a, b) < 1e-12
 
     def test_agrees_with_partial(self):

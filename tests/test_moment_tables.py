@@ -32,8 +32,7 @@ from bcortho.errors import (
 from bcortho.measures import (
     multi_discrete_weight,
     partial_bilinear,
-    torus_bilinear,
-    torus_gram,
+    partial_gram,
     wd_residue_weight,
 )
 from bcortho.params import AWParams
@@ -137,7 +136,7 @@ class TestAgainstGridFormula:
         for _ in range(2):
             f, g = (random_invariant(rng, n, TOPS[n]) for _ in range(2))
             M = 2 * sum(TOPS[n]) * 2 + 8 + odd
-            got = torus_bilinear(f, g, p, M)
+            got = partial_bilinear(f, g, p, M)
             value = oracle(f, g, p, M)
             scale = term_mass(f, g) * np.mean(np.abs(weight_grid(p, n, M)[1]))
             assert abs(got - value) < 1e-13 * scale
@@ -281,7 +280,7 @@ class TestPairingTerms:
         for n in (1, 2, 3):
             f, g = (random_invariant(rng, n, TOPS[n]) for _ in range(2))
             M = 2 * 2 * sum(TOPS[n]) + 8
-            assert torus_bilinear(f, g, PS[n], M) == torus_bilinear(
+            assert partial_bilinear(f, g, PS[n], M) == partial_bilinear(
                 g, f, PS[n], M)
         f, g = (real_part(random_invariant(rng, 2, (1, 1))) for _ in range(2))
         for form, p in ((partial_bilinear, PDD2), (natural_t_bilinear, PK2)):
@@ -302,16 +301,16 @@ class TestPairingTerms:
     def test_m_guard_boundary(self):
         # degree 3 + 1: M = 16 is the smallest accepted grid
         f, g = monomial_w((3,)), monomial_w((1,))
-        torus_bilinear(f, g, PS[1], 16)
+        partial_bilinear(f, g, PS[1], 16)
         with pytest.raises(DomainViolation):
-            torus_bilinear(f, g, PS[1], 15)
+            partial_bilinear(f, g, PS[1], 15)
         # at n = 2 the degrees add along aligned signs: |(2,1)| + |(1,0)|
         f, g = monomial_w((2, 1)), monomial_w((1, 0))
-        torus_bilinear(f, g, PS[2], 16)
+        partial_bilinear(f, g, PS[2], 16)
         with pytest.raises(DomainViolation):
-            torus_bilinear(f, g, PS[2], 15)
+            partial_bilinear(f, g, PS[2], 15)
 
-    @pytest.mark.parametrize("form, p", [(torus_bilinear, PS[2]),
+    @pytest.mark.parametrize("form, p", [(partial_bilinear, PS[2]),
                                          (partial_bilinear, PD[2]),
                                          (natural_t_bilinear, PK2)])
     def test_not_invariant_raises(self, form, p):
@@ -329,14 +328,14 @@ class TestPairingTerms:
 
     def test_zero_polynomial(self):
         zero = LaurentPolynomial(2)
-        assert torus_bilinear(zero, monomial_w((2, 1)), PS[2], 32) == 0
+        assert partial_bilinear(zero, monomial_w((2, 1)), PS[2], 32) == 0
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            torus_bilinear(LaurentPolynomial.constant(1),
+            partial_bilinear(LaurentPolynomial.constant(1),
                            LaurentPolynomial.constant(2), PS[2], 32)
         with pytest.raises(LengthMismatch):
-            torus_bilinear(LaurentPolynomial.constant(1),
+            partial_bilinear(LaurentPolynomial.constant(1),
                            LaurentPolynomial.constant(1), PS[2], 32)
 
 
@@ -386,7 +385,7 @@ class TestOpenChamber:
             assert table.weights.sum() == 0
         one = LaurentPolynomial.constant(3)
         [weight] = measures._table(PS[3], 3, 8).weights
-        assert torus_bilinear(one, one, PS[3], 8) == weight
+        assert partial_bilinear(one, one, PS[3], 8) == weight
         f = monomial_w((1, 0, 0))
         assert pair(f, f, [measures._table(PS[3], 3, 6)]) == 0
 
@@ -400,7 +399,7 @@ class TestMechanism:
         f, g = (real_part(random_invariant(rng, 2, (1, 1))) for _ in range(2))
         monkeypatch.setattr(LaurentPolynomial, "eval_grid", forbidden)
         monkeypatch.setattr(LaurentPolynomial, "__mul__", forbidden)
-        torus_bilinear(f, g, PS[2], 24)
+        partial_bilinear(f, g, PS[2], 24)
         assert measures._discrete_table(PD[2], 24)
         partial_bilinear(f, g, PD[2], 24)
 
@@ -411,7 +410,7 @@ class TestMechanism:
         def run():
             # equal but distinct parameter objects
             ps, pd, pk = replace(PS[2]), replace(PD[2]), replace(PK2)
-            return (torus_bilinear(f, g, ps, 24),
+            return (partial_bilinear(f, g, ps, 24),
                     partial_bilinear(f, g, pd, 24),
                     natural_t_bilinear(f, g, pk, 24))
 
@@ -438,7 +437,7 @@ class TestMechanism:
         measures._table.cache_clear()
         for a in polys:
             for b in polys:
-                torus_bilinear(a, b, PS[2], 32)
+                partial_bilinear(a, b, PS[2], 32)
         assert calls == [32] * 4
 
     def test_one_over_one_is_a_weighted_sum(self):
@@ -454,7 +453,7 @@ class TestMechanism:
                 total += 0.25 * w
             return total
 
-        assert torus_bilinear(one, one, PS[3], 16) == in_order(table.weights)
+        assert partial_bilinear(one, one, PS[3], 16) == in_order(table.weights)
 
 
 # (n, top, M) of the Gram tests: the smallest grid each top accepts,
@@ -480,11 +479,11 @@ class TestTorusGram:
             p = PS[n]
         polys = [LaurentPolynomial.constant(n, 0.5)] + list(
             aw_polynomials(top, p).values())
-        G = torus_gram(polys, p, M)
+        G = partial_gram(polys, p, M)
         assert G.shape == (len(polys),) * 2
         for a, f in enumerate(polys):
             for b, g in enumerate(polys[a:], start=a):
-                assert G[a, b] == G[b, a] == torus_bilinear(f, g, p, M)
+                assert G[a, b] == G[b, a] == partial_bilinear(f, g, p, M)
 
     @pytest.mark.parametrize("n, top", [(1, (6,)), (2, (2, 2)),
                                         (3, (1, 1, 1))])
@@ -493,18 +492,18 @@ class TestTorusGram:
         # path: M = 4 |top| + 8 is the smallest accepted grid
         polys = list(aw_polynomials(top, PS[n]).values())
         M = 4 * sum(top) + 8
-        torus_gram(polys, PS[n], M)
-        torus_bilinear(polys[-1], polys[-1], PS[n], M)
+        partial_gram(polys, PS[n], M)
+        partial_bilinear(polys[-1], polys[-1], PS[n], M)
         with pytest.raises(GridTooCoarse):
-            torus_gram(polys, PS[n], M - 1)
+            partial_gram(polys, PS[n], M - 1)
         with pytest.raises(GridTooCoarse):
-            torus_bilinear(polys[-1], polys[-1], PS[n], M - 1)
-        torus_gram(polys[:-1], PS[n], M - 1)
+            partial_bilinear(polys[-1], polys[-1], PS[n], M - 1)
+        partial_gram(polys[:-1], PS[n], M - 1)
 
     def test_wrong_variable_count(self):
         polys = [monomial_w((1, 0)), monomial_w((1,))]
         with pytest.raises(LengthMismatch):
-            torus_gram(polys, PS[2], 32)
+            partial_gram(polys, PS[2], 32)
 
 
 class TestReportedValues:
@@ -514,7 +513,7 @@ class TestReportedValues:
         d = DEFAULTS["aw"]
         p = AWParams(2, d["q"], d["t"], d["t0"], d["t1"], d["t2"], d["t3"])
         P = aw_polynomials((4, 2), p)[(4, 2)]
-        v = torus_bilinear(P, P, p, 128)
+        v = partial_bilinear(P, P, p, 128)
         assert abs(v.imag) <= 1e-14 * abs(v.real)
 
     def test_aw_near_q_one(self):
@@ -550,7 +549,7 @@ class TestPoleGuards:
         p = AWParams(1, 0.99, d["t"], d["t0"], d["t1"], d["t2"], d["t3"])
         one = LaurentPolynomial.constant(1)
         want = gustafson_constant(p)
-        got = torus_bilinear(one, one, p, 256)
+        got = partial_bilinear(one, one, p, 256)
         assert abs(got - want) < 1e-8 * abs(want)
 
     @pytest.mark.parametrize("m", [0, 1, 2])
