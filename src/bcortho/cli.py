@@ -37,7 +37,6 @@ polynomials and limit scans included, has no random input.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -286,11 +285,9 @@ def _gram_checks(report: CertificationReport, fam: Family,
     the closed-form norms N ("norms", relative to max(1, |N|)). The
     polynomials are paired as returned: a family built by
     bcpoly.orthogonalize brings the node values of its pairing with it.
-    The polynomials and their Gram matrix are built once, inside the
-    first check that reads them, so that check's time includes both; a
-    BcorthoError while building them fails both checks."""
-    scale = abs(fam.mass())
-
+    Polynomials and Gram matrix are built once, inside the first check
+    that reads them (its time includes both); a BcorthoError there fails
+    both checks, and one in a closed form the check that reads it."""
     @functools.cache
     def gram() -> Tuple[List[Tuple[int, ...]], np.ndarray]:
         polys = fam.polynomials(top)
@@ -298,6 +295,7 @@ def _gram_checks(report: CertificationReport, fam: Family,
 
     def off_diag() -> Tuple[float, float]:
         lams, G = gram()
+        scale = abs(fam.mass())
         return _worst(abs(G[a, b]) / scale for a in range(len(lams))
                       for b in range(a + 1, len(lams))), 0.0
 
@@ -416,22 +414,18 @@ def _suite_big(cfg: SuiteConfig, report: CertificationReport) -> None:
                 "two-sided weighted multisum <1,1> = closed product",
                 _tol(cfg, 1e-7), fam)
 
-    def askey_evans() -> Tuple[float, float]:
+    def at_integral_exponent(lhs) -> Tuple[float, float]:
+        # lhs and the Askey-Evans product at t = q^k, k >= 1 nearest t
         k = max(1, round(math.log(bp.t) / math.log(bp.q)))
         bk = BigParams(bp.n, bp.q, bp.q ** k, bp.a, bp.b, bp.c, bp.d)
-        return askey_evans_lhs(bk), askey_evans_rhs(bk)
-
-    def askey_evans_translated() -> Tuple[float, float]:
-        k = max(1, round(math.log(bp.t) / math.log(bp.q)))
-        bk = BigParams(bp.n, bp.q, bp.q ** k, bp.a, bp.b, bp.c, bp.d)
-        return selberg_big_qk(bk), askey_evans_rhs(bk)
+        return lhs(bk), askey_evans_rhs(bk)
 
     _run_check(report, "askey-evans",
                "two-sided integral at integral exponent = closed product",
-               _tol(cfg, 1e-7), askey_evans)
+               _tol(cfg, 1e-7), lambda: at_integral_exponent(askey_evans_lhs))
     _run_check(report, "askey-evans-translation",
                "general constant term reproduces the two-sided integral",
-               _tol(cfg, 1e-7), askey_evans_translated)
+               _tol(cfg, 1e-7), lambda: at_integral_exponent(selberg_big_qk))
 
     def asym() -> Tuple[float, float]:
         # the ratios tend to 1 like q^L: compare where q^L = tol / 1000
@@ -562,35 +556,41 @@ def emit_report(report: CertificationReport, fmt: str,
         raise IoError(f"cannot write report to {path}: {exc}") from exc
 
 
-def _build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="bcortho",
-        description="Numerical certification of orthogonality, norm and "
-                    "constant-term identities for multivariable BC-type "
-                    "basic hypergeometric polynomial families.")
-    ap.add_argument("--config", help="flat key=value configuration file")
-    ap.add_argument("--suite", choices=SUITES)
-    for key in sorted(INT_KEYS):
-        ap.add_argument(f"--{key}", type=int)
-    for key in sorted(FLOAT_KEYS):
-        ap.add_argument(f"--{key}", type=float)
-    ap.add_argument("--out", help="report path (default: stdout)")
-    ap.add_argument("--format", choices=FORMATS, help="default json")
-    return ap
+USAGE = f"""usage: bcortho [-h] [--config FILE] [--KEY VALUE | --KEY=VALUE]...
+A --config file of key=value lines is read first; flags win over it, the
+last of a repeated flag wins, and no key may be abbreviated. Keys:
+  suite ({'|'.join(SUITES)}), out (default stdout), config,
+  format ({'|'.join(FORMATS)}, default json),
+  int: {' '.join(sorted(INT_KEYS))}; float: {' '.join(sorted(FLOAT_KEYS))}
+"""
+
+
+def _parse_argv(argv: List[str]) -> Dict[str, str]:
+    """The --key value and --key=value settings of argv over those of the
+    --config file it names, if any, unchecked: build_config checks them."""
+    flags: Dict[str, str] = {}
+    tokens = iter(argv)
+    for tok in tokens:
+        key, eq, value = tok[2:].partition("=")
+        if not tok.startswith("--") or not key:
+            raise ConfigError(f"expected --key value, got {tok!r}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ConfigError(f"no value for {tok}, got {value or 'none'}")
+        flags[key] = value
+    raw = parse_config_file(flags.pop("config")) if "config" in flags else {}
+    return {**raw, **flags}
 
 
 def main(argv: List[str] | None = None) -> int:
-    args = _build_arg_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE)
+        return 0
     try:
-        raw: Dict[str, str] = {}
-        if args.config:
-            raw.update(parse_config_file(args.config))
-        for key in INT_KEYS | FLOAT_KEYS | STR_KEYS:
-            val = getattr(args, key, None)
-            if val is not None:
-                raw[key] = str(val)
-        cfg = build_config(raw)
-        report = run_suite(cfg)
+        raw = _parse_argv(argv)
+        report = run_suite(build_config(raw))
         emit_report(report, raw.get("format", "json"), raw.get("out"))
     except (ConfigError, IoError) as exc:
         print(f"error: {exc}", file=sys.stderr)

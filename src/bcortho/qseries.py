@@ -209,11 +209,14 @@ def _in_denominator(exc: ZeroProduct) -> PoleInProduct:
 
 def _ratio(num: Iterable[complex], den: Iterable[complex]) -> complex:
     """1.0 times every value of num, then divided by every value of den,
-    in order."""
+    in order. A den value of 0, a product that underflowed, raises
+    PoleInProduct."""
     val: complex = 1.0
     for v in num:
         val *= v
     for v in den:
+        if v == 0:
+            raise PoleInProduct("a denominator product underflowed to 0")
         val /= v
     return val
 

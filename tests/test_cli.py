@@ -3,7 +3,12 @@
 import functools
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -734,14 +739,125 @@ def test_configuration_keys():
 
 
 def test_no_depth_option(tmp_path, capsys):
-    # chains end where their support ends; there is no cap to set
-    with pytest.raises(SystemExit) as exc:
-        main(["--suite", "limits", "--depth", "5"])
-    assert exc.value.code == 2
+    # chains end where their support ends; there is no cap to set, and a
+    # flag and a file line are refused alike
     cfgfile = tmp_path / "cfg"
     cfgfile.write_text("suite=limits\ndepth=5\n")
-    assert main(["--config", str(cfgfile)]) == 2
-    assert "unknown configuration key 'depth'" in capsys.readouterr().err
+    for argv in (["--suite", "limits", "--depth", "5"],
+                 ["--config", str(cfgfile)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown configuration key 'depth'\n")
+
+
+class TestFlagGrammar:
+    """The command line is --key value or --key=value pairs over the
+    --config file; build_config checks the values, as it does a file's."""
+
+    def echo(self, argv, tmp_path) -> dict:
+        out = tmp_path / "r.json"
+        assert main(["--suite", "qracah", *argv, "--out", str(out)]) == 0
+        return json.loads(out.read_text())["config_echo"]
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["--N=1"], "N", 1),
+        (["--t1", "-0.45"], "t1", -0.45),
+        (["--t1=-0.3"], "t1", -0.3),
+        (["--q", "4e-1"], "q", 0.4),
+        (["--n", "03", "--N", "1"], "n", 3),
+        (["--N", "3", "--N", "1"], "N", 1),
+    ], ids=["equals", "negative", "negative-equals", "exponent",
+            "leading-zero", "repeated"])
+    def test_value(self, argv, key, value, tmp_path):
+        assert self.echo(argv, tmp_path)[key] == value
+
+    def test_equals_form_is_the_same_report(self, tmp_path):
+        reports = []
+        for argv in (["--suite", "little", "--lmax", "1"],
+                     ["--suite=little", "--lmax=1"]):
+            out = tmp_path / "r.json"
+            assert main([*argv, "--out", str(out)]) == 0
+            reports.append(strip_ms(json.loads(out.read_text())))
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_flag_wins_over_config_file(self, first, tmp_path):
+        # wherever --config stands, its file is read before the flags
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("N=2\nt1=-0.3\n")
+        config = ["--config", str(cfgfile)]
+        argv = config + ["--N", "1"] if first else ["--N", "1"] + config
+        assert self.echo(argv, tmp_path) == {
+            **self.echo([], tmp_path), "N": 1, "t1": -0.3}
+
+    @pytest.mark.parametrize("argv, token", [
+        (["--suite"], "--suite"),
+        (["--suite", "--seed", "1"], "--seed"),
+        (["--suite", "little", "aw"], "'aw'"),
+        (["--suite", "little", "--"], "'--'"),
+        (["--suite", "little", "--=1"], "'--=1'"),
+        (["-n", "2", "--suite", "little"], "'-n'"),
+    ], ids=["missing-value", "flag-as-value", "positional", "bare-dashes",
+            "empty-key", "single-dash"])
+    def test_exit_two_names_the_token(self, argv, token, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and token in err
+
+    def test_no_abbreviations(self, capsys):
+        assert main(["--suite", "little", "--lm", "1"]) == 2
+        assert "unknown configuration key 'lm'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help(self, flag, capsys):
+        assert main(["--suite", "little", flag]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "abbreviated" in out
+        for key in cli.INT_KEYS | cli.FLOAT_KEYS | cli.STR_KEYS | {"config"}:
+            assert re.search(rf"\b{key}\b", out), key
+
+
+def run_cli_process(code: str) -> subprocess.CompletedProcess:
+    """python -c code in a fresh interpreter that imports bcortho from
+    the tree under test."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_main_imports_no_argument_parser(tmp_path):
+    # pytest imports argparse itself, so only a fresh interpreter shows
+    # what a run imports
+    out = tmp_path / "r.json"
+    proc = run_cli_process(
+        "import sys\n"
+        "from bcortho.cli import main\n"
+        f"code = main(['--suite', 'little', '--out', {str(out)!r}])\n"
+        "print(code, sorted({'argparse', 'gettext', 'locale'}"
+        " & sys.modules.keys()))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
+    assert json.loads(out.read_text())["summary"]["fail"] == 0
+
+
+def test_near_one_fails_with_nan_not_a_traceback():
+    # at q = 0.999, (q;q)_inf ~ e^-1640 underflows to 0 in the closed
+    # forms; numpy warns on the way, which is why this runs in its own
+    # interpreter rather than under the warnings-as-errors filter
+    proc = run_cli_process(
+        "import sys\n"
+        "from bcortho.cli import main\n"
+        "sys.exit(main(['--suite', 'aw', '--q', '0.999', '--M', '512']))\n")
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1
+    checks = {c["name"]: c for c in json.loads(proc.stdout)["checks"]}
+    assert [name for name, c in checks.items() if not c["pass"]] == [
+        "constant-term", "norms", "orthogonality"]
+    assert all(math.isnan(checks[name]["lhs"])
+               for name in ("constant-term", "norms", "orthogonality"))
 
 
 @functools.lru_cache(maxsize=None)

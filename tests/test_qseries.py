@@ -140,6 +140,12 @@ class TestQpochRatio:
         with pytest.raises(PoleInProduct):
             qpoch_ratio([0.3], [4.0], Q)
 
+    def test_underflowed_denominator_raises(self):
+        # (q;q)_inf is about e^-1640 at q = 0.999: it underflows to 0,
+        # though no factor vanishes
+        with pytest.raises(PoleInProduct, match="underflowed"):
+            qseries.qpoch_ratios([([0.5], [0.999])], 0.999)
+
 
 class TestTheta:
     def test_zero_at_one_chain(self):
