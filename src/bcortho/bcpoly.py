@@ -13,7 +13,9 @@ nodes of its node tables (pair, and gram for a Gram matrix): a node table
 has weights and at_nodes(f), the values of f at its nodes. A PointTable
 node is a label into a few values per axis, so one evaluator serves
 at_nodes and orthogonalize: each axis's values raised to the exponents
-once, the power rows gathered by label per evaluation. Every family
+once, the power rows gathered by label per evaluation. A constant is one
+value on every node table, gathered at no node and broadcast by pair, so
+a family's <1,1> reads its weights alone. Every family
 is monic in a monomial basis, triangular in the dominance order and
 orthogonal for its own bilinear form, so orthogonalize builds all alike,
 on the values of its polynomials at the nodes of their PointTables.
@@ -306,9 +308,10 @@ class PointTable:
 
     def at_nodes(self, f: LaurentPolynomial) -> np.ndarray:
         """f at every node, read-only: bit for bit f.eval_points of the
-        (nodes, nvars) array of node coordinates (_layout_values)."""
+        (nodes, nvars) array of node coordinates (_evaluator), a constant
+        as one value, which pair broadcasts."""
         exps = sorted(f.terms)
-        return _layout_values(self, f.nvars, exps)(
+        return _evaluator(self, f.nvars, exps)(
             np.array([f.terms[e] for e in exps], dtype=complex))
 
 
@@ -338,20 +341,58 @@ def _chain_labels(chains: Sequence[int], ends: Sequence[int],
 def _label_weights(nu: np.ndarray, const, axis: Sequence[np.ndarray],
                    pair: Callable[[int, int], np.ndarray],
                    what: str) -> np.ndarray:
-    """const prod_i axis[i][nu_i] prod_{i<j} pair(i, j)[nu_i, nu_j] for
-    every label (column) of nu, multiplied in that order; a pair matrix
-    is read at its flat indices, one gather each. NonFiniteWeight names
-    the table (what) and its first label whose weight is not finite."""
-    idx = nu.astype(np.intp)
-    w = const * np.prod([a[lab] for a, lab in zip(axis, idx)], axis=0)
-    for i, j in itertools.combinations(range(len(idx)), 2):
+    """const ((axis[0][nu_0] axis[1][nu_1]) ...) prod_{i<j}
+    pair(i, j)[nu_i, nu_j] for every label (column) of nu, multiplied in
+    that order, the axis factors in their common dtype (1 for none) and
+    gathered one axis at a time; a pair matrix is read at its flat
+    indices, one gather each. NonFiniteWeight names the table (what) and
+    its first label whose weight is not finite."""
+    w = np.float64(1.0)
+    if len(axis):
+        # a real first factor of a complex product is made complex first,
+        # as every later one is by the product
+        w = axis[0][nu[0]].astype(np.result_type(*axis), copy=False)
+    for a, lab in zip(axis[1:], nu[1:]):
+        w = w * a[lab]
+    w = const * w
+    for i, j in itertools.combinations(range(len(nu)), 2):
         m = pair(i, j)
-        w = w * m.ravel()[idx[i] * m.shape[1] + idx[j]]
+        w = w * m.ravel()[nu[i].astype(np.intp) * m.shape[1] + nu[j]]
     bad = np.flatnonzero(~np.isfinite(w))
     if bad.size:
         raise NonFiniteWeight(f"{what}: weight {w[bad[0]]} at the label "
                               f"nu = {nu[:, bad[0]].tolist()}")
     return w
+
+
+def _check_axes(table: PointTable, nvars: int) -> None:
+    """LengthMismatch unless the table has nvars axes, ZeroCoordinate if
+    an axis holds a zero."""
+    if len(table.z) != nvars:
+        raise LengthMismatch("node table has wrong number of axes")
+    if not all(np.all(zi) for zi in table.z):
+        raise ZeroCoordinate("node table has a zero coordinate")
+
+
+def _evaluator(table: PointTable, nvars: int, layout: List[Exponent]
+               ) -> Callable[[np.ndarray, list | None], np.ndarray]:
+    """The evaluator of at_nodes and orthogonalize: _layout_values, but
+    for the constant layout [(0, ..., 0)] one value for every node,
+    gathered at none: the coefficient times a 1 of the table's dtype per
+    axis, the slab arithmetic of every node, so pair's broadcast of it
+    adds the same terms."""
+    if layout != [(0,) * nvars]:
+        return _layout_values(table, nvars, layout)
+    _check_axes(table, nvars)
+    ones = [np.ones((1, 1), np.result_type(*table.z))] * nvars
+    pick = [np.zeros(1, int)] * nvars
+
+    def value(coef: np.ndarray, present: list | None = None) -> np.ndarray:
+        out = _slab_sum(coef, ones, pick, 1)
+        out.flags.writeable = False
+        return out
+
+    return value
 
 
 def _layout_values(table: PointTable, nvars: int, layout: List[Exponent]
@@ -364,12 +405,8 @@ def _layout_values(table: PointTable, nvars: int, layout: List[Exponent]
     their common dtype (real and complex pow differ in the last bit), and
     each call gathers those power rows by label into eval_points' slab
     arithmetic; a lone node is doubled, as eval_points doubles a lone
-    point. LengthMismatch unless the table has nvars axes, ZeroCoordinate
-    if an axis holds a zero."""
-    if len(table.z) != nvars:
-        raise LengthMismatch("node table has wrong number of axes")
-    if not all(np.all(zi) for zi in table.z):
-        raise ZeroCoordinate("node table has a zero coordinate")
+    point. The errors of _check_axes."""
+    _check_axes(table, nvars)
     dtype = np.result_type(*table.z)
     axes = _axes(layout, nvars)
     powers = [_power_rows(np.asarray(zi, dtype)[:, None], 0, es)
@@ -387,11 +424,10 @@ def _layout_values(table: PointTable, nvars: int, layout: List[Exponent]
     return values
 
 
-def _column(values: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Node values as a vector along the weights w, a constant's single
-    value broadcast."""
-    values = values.ravel()
-    return np.broadcast_to(values, w.shape) if len(values) == 1 else values
+def _slab(values: np.ndarray, s: slice) -> np.ndarray:
+    """The node values of the nodes s, a constant's single value as it
+    is, for numpy to broadcast."""
+    return values if len(values) == 1 else values[s]
 
 
 def _add_pairs(total, F: np.ndarray, G: np.ndarray, w: np.ndarray):
@@ -399,9 +435,10 @@ def _add_pairs(total, F: np.ndarray, G: np.ndarray, w: np.ndarray):
     one by one in node order: a slab of at most SLAB nodes at a time, the
     running total added to its first term and the slab summed with
     np.add.accumulate, which adds in order."""
-    F, G = _column(F, w), _column(G, w)
+    F, G = F.ravel(), G.ravel()
     for lo in range(0, len(w), SLAB):
-        terms = F[lo:lo + SLAB] * G[lo:lo + SLAB] * w[lo:lo + SLAB]
+        s = slice(lo, lo + SLAB)
+        terms = _slab(F, s) * _slab(G, s) * w[s]
         terms[0] += total
         total = np.add.accumulate(terms)[-1]
     return total
@@ -418,7 +455,7 @@ def pair(f: LaurentPolynomial, g: LaurentPolynomial,
     weights share one dtype).
 
     The values of f and g are their node values (node_values); a
-    constant's single value on a torus table is broadcast. The terms
+    constant's single value is broadcast. The terms
     f g w are added one by one in node order (_add_pairs), bit for bit
     as a Python loop adding each to a running total. Another order
     leaves the polynomials as orthogonal, by the cosine
@@ -571,10 +608,11 @@ def orthogonalize(top: Sequence[int], n: int,
     (oracles.orthogonalize_loop): each mu fixes one exponent layout, the
     sorted exponents its poly can hold, the coefficients are updated as
     Python scalars (_add_scaled) and the values at the nodes formed anew
-    from them by eval_points' slab arithmetic (_layout_values, the
-    evaluator of at_nodes, on the per-axis powers of the layout raised
-    once per mu and gathered by label per evaluation), and every pairing
-    is pair's in-order sum on those values. Every pairing comes in a
+    from them by eval_points' slab arithmetic (_evaluator, the evaluator
+    of at_nodes, on the per-axis powers of the layout raised once per mu
+    and gathered by label per evaluation; P_0 = m_0 is one value per
+    table, as at_nodes gives a constant), and every pairing is pair's
+    in-order sum on those values. Every pairing comes in a
     fixed order, so the result does not depend on top: the P_mu of
     orthogonalize(top) and of orthogonalize(mu) agree exactly. Each P_mu
     is returned with its node values kept on it
@@ -600,7 +638,7 @@ def orthogonalize(top: Sequence[int], n: int,
         lower = partitions_dominated_by(mu)[:-1]
         layout = sorted(set(m_mu.terms).union(
             *(built[nu].terms for nu in lower)))
-        on_tables = [_layout_values(t, n, layout) for t in tables]
+        on_tables = [_evaluator(t, n, layout) for t in tables]
 
         def at_nodes(terms: Dict[Exponent, complex]) -> List[np.ndarray]:
             # terms holds a subset of the layout

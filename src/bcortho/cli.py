@@ -170,7 +170,12 @@ def parse_config_file(path: str) -> Dict[str, str]:
 
 
 def build_config(raw: Dict[str, str]) -> SuiteConfig:
-    """Validate raw string settings into a SuiteConfig."""
+    """Validate raw string settings into a SuiteConfig. An unknown key is
+    reported first, so a misspelt one is named even when it leaves the
+    suite unset."""
+    for key in raw:
+        if key not in STR_KEYS | INT_KEYS | FLOAT_KEYS:
+            raise ConfigError(f"unknown configuration key {key!r}")
     suite = raw.get("suite")
     if suite not in SUITES:
         raise ConfigError(
@@ -183,10 +188,8 @@ def build_config(raw: Dict[str, str]) -> SuiteConfig:
         try:
             if key in INT_KEYS:
                 values[key] = int(sval)
-            elif key in FLOAT_KEYS:
-                values[key] = float(sval)
             else:
-                raise ConfigError(f"unknown configuration key {key!r}")
+                values[key] = float(sval)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {sval!r}") from exc
     n = int(values.get("n", 1))

@@ -15,17 +15,19 @@ hyperoctahedral group W, and so is the grid, and Delta vanishes on the
 walls (z_j = +-1, z_i = z_j^(+-1)), so the mean is a sum over the open
 chamber 0 < k_1 < ... < k_n < M/2 of grid indices, node k weighted by
 Delta(z_k) 2^n n! / M^n. One cached table per (params, axes, grid) holds
-the nodes and weights, built one leading index k_1 at a time from
-w_c(z_k), k <= M/2, and one real table of the pair factors (_pair_table).
+the weights, built one leading index k_1 at a time from w_c(z_k),
+k <= M/2, and one real table of the pair factors (_pair_table), and the
+nodes, built on first use: a pairing of constants, the constant term,
+reads the weights alone.
 For conjugation-closed parameters (AWParams.conj_closed) Delta is real on
 the torus, and w_c, the weights and the delta_c rows of a real chain are
 formed in real arithmetic; other parameters keep the complex forms. On a
 table a polynomial is the sum of its W-orbit sums m_lambda, each a sum of
 products of per-axis cosine rows, cached per table (a constant stays a
-scalar); NotWInvariant for any other input. A grid with M < 2 deg + 8
-points per axis, deg the total degree of f g, raises GridTooCoarse. A
-pole chain value t_i t^j q^s (j < n, s >= 0) within TORUS_GUARD of the
-circle raises NearPole.
+scalar and reads no node); NotWInvariant for any other input. A grid
+with M < 2 deg + 8 points per axis, deg the total degree of f g, raises
+GridTooCoarse. A pole chain value t_i t^j q^s (j < n, s >= 0) within
+TORUS_GUARD of the circle raises NearPole.
 
 The discrete supports are never truncated: each chain position runs to
 the last support value off the closed unit disk (SlowConvergence past
@@ -154,19 +156,21 @@ def _chamber_nodes(n_axes: int, top: int) -> np.ndarray:
     return nodes
 
 
-def _lead_weights(nodes: np.ndarray, P: np.ndarray, wc: np.ndarray,
+def _lead_weights(tail: np.ndarray, P: np.ndarray, wc: np.ndarray,
                   const: float, top: int) -> np.ndarray:
     """The weights of the chamber nodes of three or more axes, one leading
-    index k_1 at a time, in the dtype of wc: real for a real density
-    (_axis_wc), so each block multiplies reals. The block of k_1 = 1 holds
-    the tail of every other block: the block of k_1 is k_1 over the suffix
-    of that tail whose first index exceeds k_1. The tail's pair and axis
-    factors are gathered once; each block reads slices of them and one row
-    P[k_1] per tail axis. The real factors may be multiplied in place, but
-    each product of axis factors is formed in a fresh array: numpy's
-    in-place complex loop rounds differently. The last product, real times
-    complex, rounds the same either way."""
-    T = nodes[1:, :np.searchsorted(nodes[0], 1, "right")].astype(np.intp)
+    index k_1 = 1..top at a time, in the dtype of wc: real for a real
+    density (_axis_wc), so each block multiplies reals. tail is the block
+    of k_1 = 1 without its first row, the chamber of one axis fewer whose
+    first index exceeds 1; it holds the tail of every other block: the
+    block of k_1 is k_1 over the suffix of that tail whose first index
+    exceeds k_1. The tail's pair and axis factors are gathered once; each
+    block reads slices of them and one row P[k_1] per tail axis. The real
+    factors may be multiplied in place, but each product of axis factors
+    is formed in a fresh array: numpy's in-place complex loop rounds
+    differently. The last product, real times complex, rounds the same
+    either way."""
+    T = tail.astype(np.intp)
     first, *rest = T
     tail_pairs = [P[a, b] for a, b in combinations(T, 2)]
     wc_first, *wc_rest = [wc[k] for k in T]
@@ -174,7 +178,8 @@ def _lead_weights(nodes: np.ndarray, P: np.ndarray, wc: np.ndarray,
     cP, P, wc = list(const * P), list(P), wc.tolist()
     starts = np.searchsorted(first, np.arange(1, top + 1), "right")
     starts = starts[starts < len(first)]
-    weights = np.empty(nodes.shape[1], dtype=wc_first.dtype)
+    weights = np.empty(int(np.sum(len(first) - starts)),
+                       dtype=wc_first.dtype)
     lo = 0
     for k, s in enumerate(starts.tolist(), start=1):
         hi = lo + len(first) - s
@@ -199,7 +204,10 @@ class _Chamber:
     parameters, where Delta is real on the torus, else complex128. One
     axis reads w_c on the chamber axis, two the strict upper triangle of
     the pair table times w_c(z_a) w_c(z_b), and three or more are built one
-    leading index at a time (_lead_weights)."""
+    leading index at a time (_lead_weights) from the chamber of one axis
+    fewer. The weights never read the nodes: those are built on first use
+    (orbit_sum, or _discrete_table reading a chamber of n - r axes), so a
+    pairing of constants holds the weights alone."""
 
     def __init__(self, p: AWParams, n_axes: int, M: int):
         roots = _grid_axes(M)
@@ -207,7 +215,7 @@ class _Chamber:
         self.axis = roots[:half + 1]
         self.cos = roots.real
         self.M = M
-        self.nodes = _chamber_nodes(n_axes, top)
+        self.n_axes = n_axes
         wc = _axis_wc(self.axis, p)
         const = 2 ** n_axes * math.factorial(n_axes) / M ** n_axes
         # each weight is const times the real pair factors P[k_i, k_j] in
@@ -216,47 +224,53 @@ class _Chamber:
         if n_axes == 1:
             self.weights = const * wc[1:top + 1]
         elif n_axes == 2:
-            i, j = self.nodes.astype(np.intp)
+            i, j = np.triu_indices(top, 1)
+            i += 1
+            j += 1
             self.weights = (const * _pair_table(p, M)[i, j]) * (wc[i] * wc[j])
         else:
-            self.weights = _lead_weights(self.nodes, _pair_table(p, M), wc,
-                                         const, top)
+            self.weights = _lead_weights(
+                _chamber_nodes(n_axes - 1, top - 1) + 1, _pair_table(p, M),
+                wc, const, top)
         self._sums: Dict[Tuple[int, ...], np.ndarray] = {}
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        """The open chamber 0 < k_1 < ... < k_n < M/2 (_chamber_nodes),
+        built on first use."""
+        return _chamber_nodes(self.n_axes, (self.M - 1) // 2)
 
     def orbit_sum(self, lam: Tuple[int, ...]) -> np.ndarray:
         """m_lambda at every node, real on the torus: the sum over the
         distinct permutations pi of lambda of prod_i c_pi_i(z_k_i), with
         c_l(z) = z^l + z^-l = 2 cos(2 pi l k / M) for l > 0 and c_0 = 1
         (the sign choices of each axis summed apart), multiplied in axis
-        order. Each row c_l(z_k_i) is gathered once per axis i. For
-        lambda = 0 a single 1, so a constant stays a scalar."""
+        order. Each row c_l(z_k_i) is gathered once per axis i; lambda is
+        not 0 (at_nodes keeps a constant a scalar)."""
         if lam not in self._sums:
-            if not any(lam):
-                s = np.ones(1)
-            else:
-                rows: Dict[Tuple[int, int], np.ndarray] = {}
+            rows: Dict[Tuple[int, int], np.ndarray] = {}
 
-                def row(i: int, l: int) -> np.ndarray:
-                    if (i, l) not in rows:
-                        k = np.arange(len(self.axis))
-                        c = 2.0 * self.cos[l * k % self.M]
-                        rows[i, l] = c[self.nodes[i]]
-                    return rows[i, l]
+            def row(i: int, l: int) -> np.ndarray:
+                if (i, l) not in rows:
+                    k = np.arange(len(self.axis))
+                    c = 2.0 * self.cos[l * k % self.M]
+                    rows[i, l] = c[self.nodes[i]]
+                return rows[i, l]
 
-                s = np.zeros(self.nodes.shape[1])
-                for perm in sorted(set(permutations(lam))):
-                    s += math.prod(row(i, l) for i, l in enumerate(perm) if l)
+            s = np.zeros(self.nodes.shape[1])
+            for perm in sorted(set(permutations(lam))):
+                s += math.prod(row(i, l) for i, l in enumerate(perm) if l)
             self._sums[lam] = s
         return self._sums[lam]
 
     def at_nodes(self, f: LaurentPolynomial) -> np.ndarray:
         """sum_mu c_mu m_mu at every node for f = sum_mu c_mu m_mu, or a
-        single value for a constant. The orbit sums are real, so the real
-        and imaginary parts of the coefficients are summed apart, in real
-        arithmetic."""
+        single value for a constant, which reads no orbit sum and so no
+        node. The orbit sums are real, so the real and imaginary parts of
+        the coefficients are summed apart, in real arithmetic."""
         parts = [np.zeros(1), np.zeros(1)]
         for mu, c in sorted(f.w_coefficients().items()):
-            S = self.orbit_sum(mu)
+            S = self.orbit_sum(mu) if any(mu) else 1.0
             parts = [part + x * S for part, x in zip(parts, (c.real, c.imag))]
         return parts[0] + 1j * parts[1] if parts[1].any() else parts[0]
 

@@ -18,13 +18,15 @@ scalar forms of the densities that the node tables build as arrays, one
 point or label at a time; axis_wc_complex and interaction_c_rows_complex
 are the complex array forms of w_c and of the delta_c rows, which the
 measures keep for parameters that are not conjugation-closed and replace
-by real ones for the others. labelled_partial is the partially discrete
-form summed label by label, as it was before each split of F(r) became
-one node table: each label's coefficients in the chamber variables
-(tail_coefficients), evaluated on the chamber table and paired there
-(labelled_pairings). natural_t_bilinear is the partially discrete form
-rewritten for t = q^k, with independent chains per coordinate and
-finite-product interactions. Both are references that
+by real ones for the others. label_weights_stacked is the label weight
+product on the stacked axis factors, which bcpoly._label_weights now
+gathers one axis at a time, bit for bit. labelled_partial is the
+partially discrete form summed label by label, as it was before each
+split of F(r) became one node table: each label's coefficients in the
+chamber variables (tail_coefficients), evaluated on the chamber table
+and paired there (labelled_pairings). natural_t_bilinear is the
+partially discrete form rewritten for t = q^k, with independent chains
+per coordinate and finite-product interactions. Both are references that
 measures.partial_bilinear is compared against.
 
 apply_D, qpoch_ratio, theta_jacobi and psi_t are one-argument forms of
@@ -426,6 +428,19 @@ def chamber_slabs(p: AWParams, n_axes: int, M: int,
     return nodes, weights
 
 
+def label_weights_stacked(nu: np.ndarray, const, axis, pair) -> np.ndarray:
+    """bcpoly._label_weights as it was before it gathered one axis at a
+    time: const times the product down the stacked (axes, labels) array
+    of the gathered axis factors, then each pair matrix read at its flat
+    indices, from an intp copy of the labels."""
+    idx = nu.astype(np.intp)
+    w = const * np.prod([a[lab] for a, lab in zip(axis, idx)], axis=0)
+    for i, j in itertools.combinations(range(len(idx)), 2):
+        m = pair(i, j)
+        w = w * m.ravel()[idx[i] * m.shape[1] + idx[j]]
+    return w
+
+
 def tail_coefficients(f, omega: np.ndarray) -> Dict[Tuple[int, ...],
                                                      np.ndarray]:
     """f(omega_l, z) = sum_mu A[mu][l] m_mu(z) in the variables past the
@@ -452,7 +467,7 @@ def labelled_values(table, coeffs, labels: int) -> np.ndarray:
     imaginary parts summed apart, as the chamber table's at_nodes does."""
     parts = [np.zeros((labels, 1)), np.zeros((labels, 1))]
     for mu in sorted(coeffs):
-        S = table.orbit_sum(mu)
+        S = table.orbit_sum(mu) if any(mu) else np.ones(1)
         for i, c in enumerate((coeffs[mu].real, coeffs[mu].imag)):
             parts[i] = parts[i] + c[:, None] * S
     return parts[0] + 1j * parts[1] if parts[1].any() else parts[0]

@@ -809,6 +809,13 @@ class TestFlagGrammar:
         assert main(["--suite", "little", "--lm", "1"]) == 2
         assert "unknown configuration key 'lm'" in capsys.readouterr().err
 
+    def test_unknown_key_named_before_the_missing_suite(self, capsys):
+        # an abbreviated --suite leaves the suite unset; the message names
+        # the key the user typed, not the suite it failed to set
+        assert main(["--su", "little"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown configuration key 'su'\n")
+
     @pytest.mark.parametrize("flag", ["-h", "--help"])
     def test_help(self, flag, capsys):
         assert main(["--suite", "little", flag]) == 0

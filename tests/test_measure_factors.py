@@ -142,11 +142,15 @@ class TestSlabMoments:
     def test_no_grid_in_memory(self):
         # the n = 3, M = 256 chamber holds 333,375 nodes (the whole grid
         # is 256^3 complex values, 268 MB); built one leading index at a
-        # time, its peak is the finished table, 2,000,250 B of int16 nodes
-        # and 2,667,000 B of real weights (a conjugate pair), plus one
-        # block's products and the gathered factors of the two-axis tail
-        # (8,001 nodes). A complex table alone, 7.3 MB, exceeds the bound
+        # time from the two-axis tail of the block k_1 = 1 (7,875 nodes
+        # over 2..127), its peak is the finished table, 2,667,000 B of
+        # real weights (a conjugate pair), plus the tail's gathered index,
+        # pair and axis rows (5 x 8 B per tail node), the pair table and
+        # one block's products. The int16 node list (2,000,250 B) is not
+        # built: <1,1> does not read it. A complex table alone, 5.3 MB,
+        # exceeds the bound
         p = PS[3]
+        tail = 5 * 8 * math.comb(126, 2)
         measures._table.cache_clear()
         tracemalloc.start()
         try:
@@ -154,10 +158,13 @@ class TestSlabMoments:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        measures._table.cache_clear()
-        assert table.nodes.shape == (3, 333375)
         assert table.weights.dtype == np.float64
-        assert peak <= 1.25 * (2_000_250 + 2_667_000)
+        assert peak <= 1.25 * (table.weights.nbytes + tail)
+        one = LaurentPolynomial.constant(3)
+        measures.partial_bilinear(one, one, p, 256)
+        assert "nodes" not in table.__dict__
+        assert table.nodes.shape == (3, 333375)
+        measures._table.cache_clear()
 
 
 # real parameters, one large parameter, conjugate pairs (one of them

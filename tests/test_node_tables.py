@@ -12,15 +12,16 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import (eval_points_loop, little_weight_at_point, support_point,
-                     table_nodes)
+from oracles import (eval_points_loop, label_weights_stacked,
+                     little_weight_at_point, support_point, table_nodes)
 
-from bcortho import big, koornwinder, little, measures, qracah
+from bcortho import bcpoly, big, koornwinder, little, measures, qracah
 from bcortho.bcpoly import (
     SLAB,
     LaurentPolynomial,
     PointTable,
     _chain_labels,
+    _label_weights,
     monomial_s,
     monomial_w,
     partitions_dominated_by,
@@ -135,6 +136,35 @@ class TestChainLabels:
         want = sorted(label for label in ascending_labels(lengths, sum(ends))
                       if all(x < e for x, e in zip(label, ends)))
         assert list(map(tuple, nu.T.tolist())) == want
+
+
+class TestLabelWeights:
+    """_label_weights gathers one axis at a time from the int16 labels,
+    bit for bit the product on the stacked axis factors
+    (oracles.label_weights_stacked), on real, complex and mixed factors
+    and with no axis at all."""
+
+    @pytest.mark.parametrize("kinds", ["", "r", "c", "rr", "rc", "cr", "rrc",
+                                       "crr", "rcr", "ccc", "rrrr", "crcr"])
+    @pytest.mark.parametrize("const", [0.37, 0.2 - 0.45j])
+    def test_equals_stacked_form(self, kinds, const):
+        rng = np.random.default_rng(len(kinds))
+        ends = [5, 7, 4, 6][:len(kinds)]
+
+        def draw(shape, kind):
+            x = rng.normal(size=shape)
+            return x + 1j * rng.normal(size=shape) if kind == "c" else x
+
+        axis = [draw(e, k) for e, k in zip(ends, kinds)]
+        pairs = {(i, j): draw((ends[i], ends[j]), kinds[j])
+                 for i, j in itertools.combinations(range(len(kinds)), 2)}
+        nu = np.array([rng.integers(0, e, 300) for e in ends],
+                      dtype=np.int16).reshape(len(ends), 300)
+        got = _label_weights(nu, const, axis, lambda i, j: pairs[i, j], "t")
+        want = label_weights_stacked(nu, const, axis,
+                                     lambda i, j: pairs[i, j])
+        assert np.result_type(got) == np.result_type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestBigTable:
@@ -483,6 +513,27 @@ class TestAtNodes:
                 assert np.array_equal(got, want)
                 assert not got.flags.writeable
 
+    @pytest.mark.parametrize("case", list(AT_NODES_TABLES))
+    @pytest.mark.parametrize("c", [0.5, -1.25 + 0.75j, 0.3j])
+    def test_constant_is_one_value(self, case, c, monkeypatch):
+        # a constant is one value, gathered at no node, equal to its
+        # value at every node in eval_points' dtype and bits
+        tables = AT_NODES_TABLES[case]()
+        f = LaurentPolynomial.constant(len(tables[0].z), c)
+        wants = [f.eval_points(table_nodes(table)) for table in tables]
+
+        def gathers(*args):
+            raise AssertionError("a constant gathers no node")
+
+        monkeypatch.setattr(bcpoly, "_layout_values", gathers)
+        for table, want in zip(tables, wants):
+            got = table.at_nodes(f)
+            assert got.shape == (1,)
+            assert got.dtype == want.dtype
+            assert np.broadcast_to(got, want.shape).tobytes() == (
+                want.tobytes())
+            assert not got.flags.writeable
+
     def test_errors(self):
         f = monomial_s((1, 0))
         with pytest.raises(ZeroCoordinate):
@@ -491,6 +542,13 @@ class TestAtNodes:
         with pytest.raises(LengthMismatch):
             PointTable(np.array([[0.7]]), np.zeros((1, 1), int),
                        np.ones(1)).at_nodes(f)
+        one = LaurentPolynomial.constant(2)
+        with pytest.raises(ZeroCoordinate):
+            PointTable(np.array([[0.7, 0.0], [0.4, 0.5]]),
+                       np.array([[0, 1], [0, 1]]), np.ones(2)).at_nodes(one)
+        with pytest.raises(LengthMismatch):
+            PointTable(np.array([[0.7]]), np.zeros((1, 1), int),
+                       np.ones(1)).at_nodes(one)
 
 
 class TestNodeValues:

@@ -10,7 +10,7 @@ import pytest
 
 from oracles import pair_loop
 
-from bcortho import big, little, measures, qracah
+from bcortho import askey_wilson, bcpoly, big, cli, little, measures, qracah
 from bcortho.askey_wilson import aw_polynomials
 from bcortho.bcpoly import (
     SLAB,
@@ -142,6 +142,45 @@ class TestGram:
         G = measures.partial_gram(polys, P3, 64)
         want = gram(polys, [measures._table(P3, 3, 64)])
         assert G.tobytes() == want.tobytes()
+
+
+def _mass_family(name, M):
+    """The family whose <1,1> a suite checks, by the CLI's own builders:
+    the suite defaults, the aw family at n = 3 and the partially discrete
+    measure of t0 = 1.1 at n = 3 (M grid points per axis)."""
+    if name == "aw-n3":
+        return cli._aw_family(cli.build_config({"suite": "aw", "n": "3",
+                                                "M": str(M)}))
+    if name == "partial-t0=1.1-n3":
+        return askey_wilson.family(
+            AWParams(3, 0.5, 0.3, 1.1, -0.45, 0.25, 0.2), M)
+    return getattr(cli, f"_{name}_family")(cli.build_config({"suite": name}))
+
+
+class TestMassReadsWeights:
+    @pytest.mark.parametrize("name, M", [
+        ("qracah", None), ("little", None), ("big", None), ("aw-n3", 128),
+        ("partial-t0=1.1-n3", 256)])
+    def test_no_polynomial_evaluated(self, name, M, monkeypatch):
+        # <1,1> reads the weights alone: no power row is gathered at a
+        # node (bcpoly._layout_values), no orbit sum is formed and the
+        # n-axis chamber builds no node list
+        measures._table.cache_clear()
+        measures._discrete_table.cache_clear()
+        fam = _mass_family(name, M)
+
+        def evaluates(*args):
+            raise AssertionError("a mass pairing evaluated a polynomial")
+
+        monkeypatch.setattr(bcpoly, "_layout_values", evaluates)
+        monkeypatch.setattr(measures._Chamber, "orbit_sum", evaluates)
+        one = LaurentPolynomial.constant(fam.params.n)
+        got, want = fam.pair(one, one), fam.mass()
+        assert abs(got - want) <= 1e-6 * abs(want)
+        if M is not None:
+            assert "nodes" not in measures._table(fam.params, 3, M).__dict__
+        measures._table.cache_clear()
+        measures._discrete_table.cache_clear()
 
 
 class TestMemory:
