@@ -12,7 +12,8 @@ per factor group. The factor groups of N+ and N- are stated once, as
 exponent keys of q, t and t0..t3 (_norm_keys): aw_norm evaluates them
 and qracah.norm_qR cancels them at the truncated parameters. family
 gives the family record (bcpoly.Family) on the one measure of
-measures.partial_bilinear: the torus part plus the residue chains.
+measures.measure, the torus part plus the residue chains, which
+measures.partial_bilinear and partial_gram pair on.
 
 The little and big q-Jacobi families are limits of this family along a
 deformation eps -> 0 of its parameters. Each limit is one Limit record,
@@ -46,7 +47,7 @@ from .errors import (
     ZeroCoordinate,
 )
 from .koornwinder import eigenvalue_E, op_matrix
-from .measures import partial_bilinear, partial_gram
+from .measures import measure, partial_bilinear, partial_gram
 from .params import AWParams
 from .qseries import qpoch_infinite, qpoch_ratios
 
@@ -145,7 +146,7 @@ def measure_scan(limit: Limit, lam: Sequence[int], mu: Sequence[int],
     rows: List[Tuple[int, float, float]] = []
     for k in ks:
         eps = q * q ** k
-        pair = partial_bilinear(f, g, limit.deformation(eps), M)
+        pair = family(limit.deformation(eps), M).pair(f, g)
         got = (limit.prefactor(eps)
                * limit.rescale(eps) ** (sum(lam) + sum(mu)) * pair)
         rows.append((k, eps, abs(got - want) / max(1.0, abs(want))))
@@ -218,13 +219,16 @@ def gustafson_constant(p: AWParams) -> complex:
 
 
 def family(p: AWParams, M: int) -> Family:
-    """The Askey-Wilson family record (bcpoly.Family) on the measure of
-    measures.partial_bilinear and partial_gram, M grid points per axis."""
-    return Family(p, lambda f, g: partial_bilinear(f, g, p, M),
-                  lambda polys: partial_gram(polys, p, M),
-                  lambda top: aw_polynomials(top, p),
-                  lambda lam: aw_norm(lam, p),
-                  lambda: gustafson_constant(p))
+    """The Askey-Wilson family record (bcpoly.Family) on the measure
+    measures.measure(p, M), M grid points per axis, which
+    measures.partial_bilinear and partial_gram pair on; the polynomials
+    read no table."""
+    return Family.on_tables(
+        p, lambda: measure(p, M),
+        lambda f, g, tables: partial_bilinear(f, g, tables, p, M),
+        lambda polys, tables: partial_gram(polys, tables, p, M),
+        lambda top, _tables: aw_polynomials(top, p),
+        lambda lam: aw_norm(lam, p), lambda: gustafson_constant(p))
 
 
 # Exact arithmetic of the one-variable oracle. Every input is a binary

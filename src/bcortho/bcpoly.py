@@ -8,7 +8,10 @@ order, sparse Laurent arithmetic with node values kept per node table,
 the PointTable of the discrete measures and the one label layer of
 their labels (_chain_labels enumerates them, _label_weights weighs them
 and rejects a non-finite weight), the one pairing and the one
-orthogonalizer. Every family's bilinear form is a sum of f g w over the
+orthogonalizer. A family record (Family) owns its measure: its node
+tables are built once, on first use, read by that record's pairings,
+Gram matrices and polynomials alone, and die with it (Family.on_tables).
+Every family's bilinear form is a sum of f g w over the
 nodes of its node tables (pair, and gram for a Gram matrix): a node table
 has weights and at_nodes(f), the values of f at its nodes. A PointTable
 node is a label into a few values per axis, so one evaluator serves
@@ -496,6 +499,30 @@ class Family:
                           Dict[Tuple[int, ...], LaurentPolynomial]]
     norm: Callable[[Tuple[int, ...]], complex]
     mass: Callable[[], complex]
+
+    @classmethod
+    def on_tables(cls, params, measure: Callable[[], Sequence],
+                  pair_on: Callable, gram_on: Callable, build: Callable,
+                  norm: Callable, mass: Callable) -> "Family":
+        """The record of a family whose node tables measure() builds:
+        pair_on(f, g, tables), gram_on(polys, tables) and
+        build(top, tables) read one list, built on its first iteration,
+        so a pairing may check its input before any table is built."""
+        tables = _Tables(measure)
+        return cls(params, lambda f, g: pair_on(f, g, tables),
+                   lambda polys: gram_on(polys, tables),
+                   lambda top: build(top, tables), norm, mass)
+
+
+class _Tables:
+    """The node tables of one measure: measure() on the first iteration,
+    the same table objects on every later one."""
+
+    def __init__(self, measure: Callable[[], Sequence]):
+        self._measure = functools.cache(measure)
+
+    def __iter__(self):
+        return iter(self._measure())
 
 
 def dominance_leq(mu: Sequence[int], lam: Sequence[int]) -> bool:

@@ -11,35 +11,32 @@ eps a (qd/c)^{1/2}, -eps b (qc/d)^{1/2}).
 
 Provided here: the weight and the split-weights c_{B,j} in both their
 defining product form and an independent theta-product form (checked
-against each other), the bilinear form, the polynomials
-(big_polynomials: bcpoly.orthogonalize in the mtilde basis for that
-form), closed-form norms, the q-Selberg constant term together with its
+against each other), the family record (family: the bilinear form, the
+polynomials from bcpoly.orthogonalize in the mtilde basis for that form,
+closed-form norms and the q-Selberg constant term), the constant term's
 two-sided t = q^k evaluation, the asymptotic matching of the
-split-weights, the family record (family), and the record of the limit
-transition (big_limit). The closed forms keep complex products whole, so
-they hold on the conjugate branch as well, and each fetches all its
-q-shifted factorials and thetas in one kernel call.
+split-weights, and the record of the limit transition (big_limit). The
+closed forms keep complex products whole, so they hold on the conjugate
+branch as well, and each fetches all its q-shifted factorials and thetas
+in one kernel call.
 
-Pairings reuse a per-parameter node table (little._jackson_table, one
-bcpoly.PointTable per split j), kept for the CACHE_SIZE most recently used
-parameter sets; a pairing is bcpoly.pair on the parts, as for the little
-form. weight_big stays as the scalar reference for the table's
-weights.
+The record's node table (bcpoly.Family.on_tables) is one
+bcpoly.PointTable per split j (little._jackson_table); a pairing is
+bcpoly.pair on the parts, as for the little form. weight_big stays as
+the scalar reference for the table's weights.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .askey_wilson import Limit
 from .bcpoly import (
     Family,
-    LaurentPolynomial,
     PointTable,
     gram,
     monomial_s,
@@ -55,7 +52,7 @@ from .errors import (
     ZeroProduct,
 )
 from .little import _jackson_table, _nqj_args, delta_qJ
-from .params import CACHE_SIZE, AWParams
+from .params import AWParams
 from .qseries import (
     POLE_GUARD,
     _in_denominator,
@@ -222,16 +219,10 @@ def c_weights_defining(bp: BigParams) -> List[float]:
     return out
 
 
-def bilinear_big(f: LaurentPolynomial, g: LaurentPolynomial,
-                 bp: BigParams) -> float:
-    """<f,g>_B: the c-weighted Jackson integral of f g Delta^B over the
-    two-sided chain set: pair on the node table."""
-    return pair(f, g, _node_table(bp))
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def _node_table(bp: BigParams) -> List[PointTable]:
-    """The nodes (rho_B q^nu, sigma_B q^nu') and weights
+    """The node table of <f,g>_B, the c-weighted Jackson integral of
+    f g Delta^B over the two-sided chain set: the nodes
+    (rho_B q^nu, sigma_B q^nu') and weights
     (1-q)^n c_{B,j} Delta^B(z) |prod z|, as weight_big computes them,
     vectorized (little._jackson_table); one part per j = 0..n."""
     n = bp.n
@@ -262,13 +253,6 @@ def _axis_factors(bp: BigParams, S: int) -> Tuple[np.ndarray, np.ndarray]:
         raise DomainViolation(f"v_B denominator vanishes: {exc}") from exc
     num, den = f[0] * f[1], f[2] * f[3]
     return z, (num / den).real * np.abs(z)
-
-
-def big_polynomials(top: Sequence[int], bp: BigParams
-                    ) -> Dict[Tuple[int, ...], LaurentPolynomial]:
-    """P^B_mu = mtilde_mu + sum_{nu < mu} c_nu mtilde_nu, orthogonal to
-    every mtilde_nu with nu < mu, for every mu <= top."""
-    return orthogonalize(top, bp.n, monomial_s, _node_table(bp))
 
 
 def norm_big(lam: Sequence[int], bp: BigParams) -> float:
@@ -438,12 +422,14 @@ def asymptotic_ratio(j: int, lam: Sequence[int], mu: Sequence[int],
 
 
 def family(bp: BigParams) -> Family:
-    """The big q-Jacobi family record (bcpoly.Family)."""
-    return Family(bp, lambda f, g: bilinear_big(f, g, bp),
-                  lambda polys: gram(polys, _node_table(bp)),
-                  lambda top: big_polynomials(top, bp),
-                  lambda lam: norm_big(lam, bp),
-                  lambda: selberg_big(bp))
+    """The big q-Jacobi family record (bcpoly.Family) on its node table:
+    <f,g>_B is bcpoly.pair on it, and the polynomials
+    P^B_mu = mtilde_mu + sum_{nu < mu} c_nu mtilde_nu, orthogonal to
+    every mtilde_nu with nu < mu, come from bcpoly.orthogonalize."""
+    return Family.on_tables(
+        bp, lambda: _node_table(bp), pair, gram,
+        lambda top, tables: orthogonalize(top, bp.n, monomial_s, tables),
+        lambda lam: norm_big(lam, bp), lambda: selberg_big(bp))
 
 
 # ---------------------------------------------------------------------------

@@ -4,24 +4,23 @@ The little q-Jacobi family lives on the infinite discrete set
 {(q^{nu_1}, t q^{nu_2}, ..., t^{n-1} q^{nu_n}) : 0 <= nu_1 <= ... <= nu_n}
 and arises from the Askey-Wilson family with one parameter sent to
 infinity through t_L(eps) = (eps^{-1} q^{1/2}, -a q^{1/2}, eps b q^{1/2},
--q^{1/2}). This module provides the Jackson-multisum bilinear form, the
-polynomials (little_polynomials: bcpoly.orthogonalize in the mtilde basis
-for that form, monic and orthogonal to every dominance-lower monomial),
-the closed-form norms and q-Selberg constant term, the family record
-(family), and the record of the limit transition (little_limit).
+-q^{1/2}). This module provides the family record (family): the
+Jackson-multisum bilinear form, the polynomials (bcpoly.orthogonalize in
+the mtilde basis for that form, monic and orthogonal to every
+dominance-lower monomial), the closed-form norms and q-Selberg constant
+term; and the record of the limit transition (little_limit).
 
-Pairings reuse a per-parameter node table, kept for the CACHE_SIZE most
-recently used parameter sets: one bcpoly.PointTable per part of the
-chain set, the labels nu with |nu| <= S and their weights (bcpoly's
-label layer), computed once with the array kernel (_jackson_table,
-shared with the big q-Jacobi form); the pair factors of a part take one
-kernel call over the differences nu_j - nu_i, the only thing their
-argument q z_j / (t z_i) depends on. S grows until the last shells are
-negligible against the table's own mass, so masses far below 1, as at q
-near 1, keep full relative precision. A pairing is bcpoly.pair on the
-parts: the node values of f and g, kept on each polynomial
-(LaurentPolynomial.node_values), times the weights, summed in node
-order.
+The record's node table (bcpoly.Family.on_tables) is one
+bcpoly.PointTable per part of the chain set, the labels nu with
+|nu| <= S and their weights (bcpoly's label layer), computed with the
+array kernel (_jackson_table, shared with the big q-Jacobi form); the
+pair factors of a part take one kernel call over the differences
+nu_j - nu_i, the only thing their argument q z_j / (t z_i) depends on.
+S grows until the last shells are negligible against the table's own
+mass, so masses far below 1, as at q near 1, keep full relative
+precision. A pairing is bcpoly.pair on the parts: the node values of
+f and g, kept on each polynomial (LaurentPolynomial.node_values), times
+the weights, summed in node order.
 
 Closed forms are stated with the q-gamma function of arguments involving
 alpha = log_q a and beta = log_q b; they are evaluated here through
@@ -34,17 +33,15 @@ which guards each denominator factor on its own.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .askey_wilson import Limit
 from .bcpoly import (
     Family,
-    LaurentPolynomial,
     PointTable,
     _chain_labels,
     _label_weights,
@@ -59,7 +56,7 @@ from .errors import (
     SlowConvergence,
     ZeroProduct,
 )
-from .params import CACHE_SIZE, AWParams
+from .params import AWParams
 from .qseries import (
     EPS_TRUNC,
     qpoch_infinite_arr,
@@ -103,16 +100,9 @@ class LittleParams:
         return math.log(self.t) / math.log(self.q)
 
 
-def bilinear_little(f: LaurentPolynomial, g: LaurentPolynomial,
-                    lp: LittleParams) -> float:
-    """<f,g>_L: Jackson multisum of f g Delta^L, pair on the node
-    table."""
-    return pair(f, g, _node_table(lp))
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def _node_table(lp: LittleParams) -> List[PointTable]:
-    """The nodes rho_L q^nu and weights (1-q)^n Delta^L(z) prod z,
+    """The node table of <f,g>_L, the Jackson multisum of f g Delta^L:
+    the nodes rho_L q^nu and weights (1-q)^n Delta^L(z) prod z,
     vectorized (_jackson_table)."""
     n, q, t = lp.n, lp.q, lp.t
     const = (q ** (-2.0 * lp.tau * lp.tau * math.comb(n, 3))
@@ -218,13 +208,6 @@ def delta_qJ(z: Sequence[float], q: float, t: float) -> float:
     return val
 
 
-def little_polynomials(top: Sequence[int], lp: LittleParams
-                       ) -> Dict[Tuple[int, ...], LaurentPolynomial]:
-    """P^L_mu = mtilde_mu + sum_{nu < mu} c_nu mtilde_nu, orthogonal to
-    every mtilde_nu with nu < mu, for every mu <= top."""
-    return orthogonalize(top, lp.n, monomial_s, _node_table(lp))
-
-
 def nqj_product(lam: Sequence[int], n: int, q: float, t: float,
                 a: complex, b: complex) -> complex:
     """The product N+_qJ(lambda) N-_qJ(lambda) of q-gamma factors shared
@@ -294,12 +277,14 @@ def selberg_little(lp: LittleParams) -> float:
 
 
 def family(lp: LittleParams) -> Family:
-    """The little q-Jacobi family record (bcpoly.Family)."""
-    return Family(lp, lambda f, g: bilinear_little(f, g, lp),
-                  lambda polys: gram(polys, _node_table(lp)),
-                  lambda top: little_polynomials(top, lp),
-                  lambda lam: norm_little(lam, lp),
-                  lambda: selberg_little(lp))
+    """The little q-Jacobi family record (bcpoly.Family) on its node
+    table: <f,g>_L is bcpoly.pair on it, and the polynomials
+    P^L_mu = mtilde_mu + sum_{nu < mu} c_nu mtilde_nu, orthogonal to
+    every mtilde_nu with nu < mu, come from bcpoly.orthogonalize."""
+    return Family.on_tables(
+        lp, lambda: _node_table(lp), pair, gram,
+        lambda top, tables: orthogonalize(top, lp.n, monomial_s, tables),
+        lambda lam: norm_little(lam, lp), lambda: selberg_little(lp))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ Shifting the contour to the torus picks up the residues of the poles
 t_i t^j q^s off the closed unit disk, so the measure is a torus part plus
 discrete chains: the chamber table of the torus density
 Delta = prod w_c(z_j) * delta(z;t), then one split table of F(r) per
-split (none on the open disk). partial_bilinear pairs on that list, one
-bcpoly.pair per table added table by table, and partial_gram builds its
-Gram matrix the same way, one bcpoly.gram per table.
+split (none on the open disk), built by measure and held by the family
+record (askey_wilson.family, bcpoly.Family.on_tables). partial_bilinear
+pairs on that list, one bcpoly.pair per table added table by table, and
+partial_gram builds its Gram matrix the same way, one bcpoly.gram per
+table.
 
 The torus part is the uniform tensor trapezoid rule on angles, spectrally
 accurate for these analytic periodic integrands. Delta, the delta_c
@@ -14,7 +16,7 @@ factors and every pair of polynomials paired are invariant under the
 hyperoctahedral group W, and so is the grid, and Delta vanishes on the
 walls (z_j = +-1, z_i = z_j^(+-1)), so the mean is a sum over the open
 chamber 0 < k_1 < ... < k_n < M/2 of grid indices, node k weighted by
-Delta(z_k) 2^n n! / M^n. One cached table per (params, axes, grid) holds
+Delta(z_k) 2^n n! / M^n. One table per (params, axes, grid) holds
 the weights, built one leading index k_1 at a time from w_c(z_k),
 k <= M/2, and one real table of the pair factors (_pair_table), and the
 nodes, built on first use: a pairing of constants, the constant term,
@@ -36,7 +38,7 @@ weighed by bcpoly._label_weights, as the little and big q-Jacobi tables
 are: by Delta^(d) = K_r Delta^qR a weight is K_l K_m times the Delta^qR
 one-axis and in-chain pair factors (cumulative products of per-step
 ratios, which neither underflow nor overflow on long chains), times the
-cross-chain delta_c factors. Each split is one cached bcpoly.PointTable:
+cross-chain delta_c factors. Each split is one bcpoly.PointTable:
 its labels' points for r = n, and for r < n every label times every node
 of the chamber table of the other n - r axes, the label's delta_c rows
 multiplied into the node weights at build. The scalar residue forms stay
@@ -50,7 +52,7 @@ import functools
 import math
 from itertools import combinations, permutations
 from itertools import product as iter_product
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -73,7 +75,7 @@ from .errors import (
     SlowConvergence,
     ZeroProduct,
 )
-from .params import CACHE_SIZE, AWParams
+from .params import AWParams
 from .qseries import (
     POLE_GUARD,
     qpoch_finite,
@@ -273,13 +275,6 @@ class _Chamber:
             S = self.orbit_sum(mu) if any(mu) else 1.0
             parts = [part + x * S for part, x in zip(parts, (c.real, c.imag))]
         return parts[0] + 1j * parts[1] if parts[1].any() else parts[0]
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _table(p: AWParams, n_axes: int, M: int) -> _Chamber:
-    """The chamber table of the measure on n_axes axes and the M-point
-    grid, cached for CACHE_SIZE of them."""
-    return _Chamber(p, n_axes, M)
 
 
 def _pairing_degree(f: LaurentPolynomial, g: LaurentPolynomial) -> int:
@@ -569,12 +564,11 @@ def _split_labels(p: AWParams, M: int) -> tuple:
     return tuple(table)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def _discrete_table(p: AWParams, M: int) -> Tuple[PointTable, ...]:
-    """One PointTable per split of F(r), cached like _table. For r = n a
-    node is a label's point; for r < n the nodes are every label times
-    every node of the chamber table of the other n - r axes, label-major,
-    the trailing coordinates read on the chamber axis. A node's weight is
+    """One PointTable per split of F(r). For r = n a node is a label's
+    point; for r < n the nodes are every label times every node of the
+    chamber table of the other n - r axes (built once per n - r),
+    label-major, the trailing coordinates read on the chamber axis. A node's weight is
     2^r n! / (n - r)! times its label's weight, times the label's delta_c
     row at each trailing coordinate, times the chamber weight: real where
     all of these are. On V_AW every parameter of modulus >= 1 is real (a
@@ -584,11 +578,12 @@ def _discrete_table(p: AWParams, M: int) -> Tuple[PointTable, ...]:
     the real chain's delta_c rows and the chamber weight."""
     n = p.n
     out = []
+    chambers = functools.cache(lambda axes: _Chamber(p, axes, M))
     for _l, nu, z, w, row in _split_labels(p, M):
         r = len(nu)
         w = 2 ** r * math.perm(n, r) * w
         if r < n:
-            chamber = _table(p, n - r, M)
+            chamber = chambers(n - r)
             k = chamber.nodes
             w = (w[:, None] * np.prod([row[:, kj] for kj in k], axis=0)
                  * chamber.weights).ravel()
@@ -602,35 +597,37 @@ def _discrete_table(p: AWParams, M: int) -> Tuple[PointTable, ...]:
 # ---------------------------------------------------------------------------
 # partially discrete bilinear form
 
-def _measure(p: AWParams, M: int) -> tuple:
+def measure(p: AWParams, M: int) -> tuple:
     """The node tables of the measure on the M-point grid: the chamber
     table, then the split tables."""
-    return (_table(p, p.n, M), *_discrete_table(p, M))
+    return (_Chamber(p, p.n, M), *_discrete_table(p, M))
 
 
-def partial_bilinear(f: LaurentPolynomial, g: LaurentPolynomial, p: AWParams,
-                     M: int) -> complex:
-    """<f,g> for W-invariant f and g: one bcpoly.pair per table of the
-    measure, added table by table from 0j. The form is bilinear, so its
-    value need not be real; the positivity of the measure on V_AW is
-    tested once, on the label weights (_split_labels)."""
+def partial_bilinear(f: LaurentPolynomial, g: LaurentPolynomial,
+                     tables: Iterable, p: AWParams, M: int) -> complex:
+    """<f,g> for W-invariant f and g on the tables of measure(p, M): one
+    bcpoly.pair per table, added table by table from 0j, once the grid
+    check has passed. The form is bilinear, so its value need not be
+    real; the positivity of the measure on V_AW is tested once, on the
+    label weights (_split_labels)."""
     _check_grid(f, g, p, M)
     total = 0j
-    for table in _measure(p, M):
+    for table in tables:
         total += pair(f, g, [table])
     return total
 
 
-def partial_gram(polys: Sequence[LaurentPolynomial], p: AWParams,
-                 M: int) -> np.ndarray:
-    """The Gram matrix of partial_bilinear: one bcpoly.gram per table of
-    the measure, added from 0, so entry a <= b is partial_bilinear(P_a,
-    P_b) bit for bit. The grid must resolve the pair of highest degree."""
+def partial_gram(polys: Sequence[LaurentPolynomial], tables: Iterable,
+                 p: AWParams, M: int) -> np.ndarray:
+    """The Gram matrix of partial_bilinear on the same tables: one
+    bcpoly.gram per table, added from 0, so entry a <= b is
+    partial_bilinear(P_a, P_b) bit for bit. The grid must resolve the
+    pair of highest degree, checked once, before any table is read."""
     if any(f.nvars != p.n for f in polys):
         raise LengthMismatch("grid has wrong number of axes")
     top = max(polys, key=lambda f: _pairing_degree(f, f))
     _check_grid(top, top, p, M)
     G = np.zeros((len(polys), len(polys)), dtype=complex)
-    for table in _measure(p, M):
+    for table in tables:
         G += gram(polys, [table])
     return G

@@ -10,11 +10,6 @@ from .qseries import check_q
 
 _TOL = 1e-10
 
-# Entries kept by each cache of measure tables (the discrete node tables,
-# one per measure, and the torus chamber tables, one per measure, number
-# of axes and grid); the least recently used entry is dropped first.
-CACHE_SIZE = 8
-
 
 @dataclass(frozen=True)
 class AWParams:

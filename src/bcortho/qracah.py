@@ -6,21 +6,20 @@ partially discrete measure collapses to the finite set
 Askey-Wilson polynomials of degree lambda with lambda_1 <= N become the
 multivariable q-Racah polynomials. This module provides the rewritten
 discrete weight Delta^qR, the proportionality constant K_r relating it to
-the residue-product weight Delta^(d), the finite bilinear form, the
-polynomials (qracah_polynomials: bcpoly.orthogonalize in the m basis for
-that form), the closed-form quadratic norms, and the family record
-(family).
+the residue-product weight Delta^(d), the finite bilinear form
+(bilinear_qR), the polynomials (qracah_polynomials: bcpoly.orthogonalize
+in the m basis for that form), the closed-form quadratic norms, and the
+family record (family).
 
-The bilinear form reuses a per-parameter node table, kept for the
-CACHE_SIZE most recently used parameter sets: a bcpoly.PointTable, like
-each part of the little and big q-Jacobi tables, of the support labels
-(bcpoly._chain_labels: one chain of length n, entries at most N) and
-their weights Delta^qR, one label at a time. A pairing is bcpoly.pair on
-it: each polynomial is evaluated once per table, as a vector kept on the
-polynomial (LaurentPolynomial.node_values), and the terms f g w are
-added one by one in support order. The denominators of the weights and
-of the summation are tested factor by factor, so a tiny product of
-nonzero factors is a value, not a pole.
+The record's node table (bcpoly.Family.on_tables) is a
+bcpoly.PointTable, like each part of the little and big q-Jacobi tables,
+of the support labels (bcpoly._chain_labels: one chain of length n,
+entries at most N) and their weights Delta^qR, one label at a time. A
+pairing is bcpoly.pair on it: each polynomial is evaluated once per
+table, as a vector kept on the polynomial (LaurentPolynomial.node_values),
+and the terms f g w are added one by one in support order. The
+denominators of the weights and of the summation are tested factor by
+factor, so a tiny product of nonzero factors is a value, not a pole.
 
 The closed-form norm N(lambda) / (2^n n! K_n) is a ratio in which single
 factors vanish or diverge at the truncated parameters, so it is evaluated
@@ -32,11 +31,10 @@ those of 1/K_n.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +57,7 @@ from .errors import (
     UncancelledPole,
     ZeroProduct,
 )
-from .params import CACHE_SIZE, AWParams
+from .params import AWParams
 from .qseries import (POLE_GUARD, qpoch_finite, qpoch_infinite_arr,
                       qpoch_ratios, qpoch_real_arr)
 
@@ -192,13 +190,12 @@ def support_qR(qp: QRacahParams) -> List[Tuple[int, ...]]:
 
 
 def bilinear_qR(f: LaurentPolynomial, g: LaurentPolynomial,
-                qp: QRacahParams) -> complex:
+                tables: Iterable[PointTable]) -> complex:
     """Finite discrete bilinear form sum_nu f g Delta^qR at rho q^nu: pair
-    on the node table, its terms added in support order."""
-    return pair(f, g, [_node_table(qp)])
+    on the family's node table, its terms added in support order."""
+    return pair(f, g, tables)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def _node_table(qp: QRacahParams) -> PointTable:
     """The nodes rho q^nu over the finite support in order, row i - 1 of z
     holding rho_i q^v for v = 0..N, and their weights Delta^qR
@@ -333,26 +330,26 @@ def norm_qR(lam: Sequence[int], qp: QRacahParams) -> complex:
     return _eval_cancelled_ratio(num, den, qp)
 
 
-def qracah_polynomials(top: Sequence[int], qp: QRacahParams
+def qracah_polynomials(top: Sequence[int], qp: QRacahParams,
+                       tables: Iterable[PointTable]
                        ) -> Dict[Tuple[int, ...], LaurentPolynomial]:
     """The q-Racah polynomials of degree mu <= top, for top_1 <= N: monic
     in the monomial m_mu and orthogonal to every m_nu with nu below mu.
 
-    Built by bcpoly.orthogonalize against the exact finite bilinear form,
-    which keeps the orthogonality defects at the level of the rounding
-    noise of the discrete sums; the result coincides with the
-    eigenpolynomial of the difference operator at the truncated
-    parameters."""
+    Built by bcpoly.orthogonalize against the exact finite bilinear form
+    on the family's node table, which keeps the orthogonality defects at
+    the level of the rounding noise of the discrete sums; the result
+    coincides with the eigenpolynomial of the difference operator at the
+    truncated parameters."""
     top = partition(top)
     if top and top[0] > qp.N:
         raise DomainViolation(f"lambda_1 = {top[0]} exceeds N = {qp.N}")
-    return orthogonalize(top, qp.n, monomial_w, [_node_table(qp)])
+    return orthogonalize(top, qp.n, monomial_w, tables)
 
 
 def family(qp: QRacahParams) -> Family:
-    """The q-Racah family record (bcpoly.Family)."""
-    return Family(qp, lambda f, g: bilinear_qR(f, g, qp),
-                  lambda polys: gram(polys, [_node_table(qp)]),
-                  lambda top: qracah_polynomials(top, qp),
-                  lambda lam: norm_qR(lam, qp),
-                  lambda: summation_qR(qp))
+    """The q-Racah family record (bcpoly.Family) on its node table."""
+    return Family.on_tables(
+        qp, lambda: [_node_table(qp)], bilinear_qR, gram,
+        lambda top, tables: qracah_polynomials(top, qp, tables),
+        lambda lam: norm_qR(lam, qp), lambda: summation_qR(qp))

@@ -405,7 +405,7 @@ def interaction_c_rows_complex(ws: np.ndarray, xs: np.ndarray,
 def chamber_slabs(p: AWParams, n_axes: int, M: int,
                   axis_wc=measures._axis_wc
                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """The chamber table of measures._table as (nodes, weights), built as
+    """The chamber table of measures._Chamber as (nodes, weights), built as
     it was before the build went one leading index at a time: the nodes
     enumerated as chain labels, k_i = i + nu_i for nu ascending, and the
     weights formed in slabs of 2^15 nodes by flat-index gathers of the
@@ -488,7 +488,7 @@ def labelled_pairings(f, g, p: AWParams, M: int, omega: np.ndarray,
     F, G = (tail_coefficients(h, omega) for h in (f, g))
     if r == p.n:
         return F.get((), np.zeros(labels)) * G.get((), np.zeros(labels))
-    table = measures._table(p, p.n - r, M)
+    table = measures._Chamber(p, p.n - r, M)
     fg = (labelled_values(table, F, labels)
           * labelled_values(table, G, labels))
     if row is not None:
@@ -503,7 +503,7 @@ def labelled_partial(f, g, p: AWParams, M: int) -> Tuple[complex, float]:
     value. mass is |torus term| plus the summed magnitudes of the label
     contributions: the scale of a comparison, since orthogonal pairs
     cancel far below the rounding noise of the single contributions."""
-    total = complex(pair(f, g, [measures._table(p, p.n, M)]))
+    total = complex(pair(f, g, [measures._Chamber(p, p.n, M)]))
     mass = abs(total)
     for _l, nu, z, w, row in measures._split_labels(p, M):
         comb = 2 ** len(nu) * math.perm(p.n, len(nu))

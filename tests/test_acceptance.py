@@ -15,6 +15,7 @@ import pytest
 
 from test_measures import contour_value
 
+from bcortho import askey_wilson, big, little, qracah
 from bcortho.askey_wilson import (
     aw1_oracle,
     aw_norm,
@@ -23,7 +24,6 @@ from bcortho.askey_wilson import (
     limit_scan,
     measure_scan,
 )
-from bcortho import measures
 from bcortho.bcpoly import (
     LaurentPolynomial,
     monomial_w,
@@ -36,7 +36,6 @@ from bcortho.big import (
     askey_evans_lhs,
     askey_evans_rhs,
     asymptotic_ratio,
-    bilinear_big,
     c_weights,
     c_weights_defining,
     big_limit,
@@ -46,24 +45,20 @@ from bcortho.big import (
 from bcortho.koornwinder import op_matrix
 from bcortho.little import (
     LittleParams,
-    bilinear_little,
     little_limit,
-    little_polynomials,
     norm_little,
     selberg_little,
 )
 from bcortho.measures import (
+    _Chamber,
     multi_discrete_weight,
-    partial_bilinear,
     wd_residue_weight,
 )
 from bcortho.params import AWParams
 from bcortho.qracah import (
     QRacahParams,
-    bilinear_qR,
     kr_constant,
     norm_qR,
-    qracah_polynomials,
     summation_qR,
     weight_qR,
 )
@@ -112,7 +107,7 @@ class TestConstantTermTorus:
     def test_gustafson(self, n, M, tol):
         p = AWParams(n, 0.5, 0.3, 0.35, -0.45, 0.25, 0.2)
         one = LaurentPolynomial.constant(n)
-        got = partial_bilinear(one, one, p, M)
+        got = askey_wilson.family(p, M).pair(one, one)
         want = gustafson_constant(p)
         assert rel(got, want) < tol
 
@@ -129,9 +124,10 @@ class TestTorusOrthogonality:
                 if sum(mu) <= 4]
         polys = {lam: aw_polynomials(lam, p)[lam] for lam in lams}
         scale = abs(gustafson_constant(p))
+        fam = askey_wilson.family(p, M)
         for i, la in enumerate(lams):
             for lb in lams[i:]:
-                v = partial_bilinear(polys[la], polys[lb], p, M)
+                v = fam.pair(polys[la], polys[lb])
                 if la == lb:
                     assert rel(v, aw_norm(la, p)) < 1e-6
                 else:
@@ -153,9 +149,10 @@ class TestPartiallyDiscreteOrthogonality:
                 if sum(mu) <= 2]
         polys = {lam: aw_polynomials(lam, p)[lam] for lam in lams}
         scale = abs(gustafson_constant(p))
+        fam = askey_wilson.family(p, M)
         for i, la in enumerate(lams):
             for lb in lams[i:]:
-                v = partial_bilinear(polys[la], polys[lb], p, M)
+                v = fam.pair(polys[la], polys[lb])
                 if la == lb:
                     assert rel(v, aw_norm(la, p)) < 1e-6
                 else:
@@ -177,7 +174,7 @@ class TestContourDecomposition:
         while abs(t0) * p.q ** i > 1:
             disc += wd_residue_weight(i, t0, p.t1, p.t2, p.t3, p.q)
             i += 1
-        rhs = pair(one, one, [measures._table(p, 1, 256)]) + 2 * disc
+        rhs = pair(one, one, [_Chamber(p, 1, 256)]) + 2 * disc
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
 
@@ -191,11 +188,12 @@ class TestFiniteDiscreteOrthogonality:
     def test_gram(self, N):
         qp = QRacahParams(2, 0.5, 0.3, 0.7, -0.5, 0.4, N)
         lams = [lam for lam in partitions_dominated_by((N, N))]
-        polys = {lam: qracah_polynomials(lam, qp)[lam] for lam in lams}
+        fam = qracah.family(qp)
+        polys = {lam: fam.polynomials(lam)[lam] for lam in lams}
         norms = {lam: abs(norm_qR(lam, qp)) for lam in lams}
         for i, la in enumerate(lams):
             for lb in lams[i:]:
-                v = bilinear_qR(polys[la], polys[lb], qp)
+                v = fam.pair(polys[la], polys[lb])
                 if la == lb:
                     assert rel(v, norm_qR(la, qp)) < 1e-8
                 else:
@@ -205,7 +203,8 @@ class TestFiniteDiscreteOrthogonality:
     def test_summation(self, n, N):
         qp = QRacahParams(n, 0.5, 0.3, 0.7, -0.5, 0.4, N)
         one = LaurentPolynomial.constant(n)
-        assert rel(bilinear_qR(one, one, qp), summation_qR(qp)) < 1e-10
+        assert rel(qracah.family(qp).pair(one, one),
+                   summation_qR(qp)) < 1e-10
 
 
 class TestResidueFactorization:
@@ -232,7 +231,8 @@ class TestJacksonConstantTerm:
     def test_closed_product(self, n):
         lp = LittleParams(n, 0.5, 0.3, 0.4, 0.2)
         one = LaurentPolynomial.constant(n)
-        assert rel(bilinear_little(one, one, lp), selberg_little(lp)) < 1e-8
+        assert rel(little.family(lp).pair(one, one),
+                   selberg_little(lp)) < 1e-8
 
 
 class TestLittleOrthogonality:
@@ -243,11 +243,12 @@ class TestLittleOrthogonality:
         lp = LittleParams(2, 0.5, 0.3, 0.4, 0.2)
         lams = [mu for mu in partitions_dominated_by((3, 3))
                 if sum(mu) <= 3]
-        polys = {lam: little_polynomials(lam, lp)[lam] for lam in lams}
+        fam = little.family(lp)
+        polys = {lam: fam.polynomials(lam)[lam] for lam in lams}
         scale = abs(selberg_little(lp))
         for i, la in enumerate(lams):
             for lb in lams[i:]:
-                v = bilinear_little(polys[la], polys[lb], lp)
+                v = fam.pair(polys[la], polys[lb])
                 if la == lb:
                     assert rel(v, norm_little(la, lp)) < 1e-6
                 else:
@@ -282,7 +283,7 @@ class TestBigIdentities:
     def test_constant_term(self, n):
         bp = BigParams(n, 0.5, 0.4, 0.6, 0.3, 1.0, 0.8)
         one = LaurentPolynomial.constant(n)
-        assert rel(bilinear_big(one, one, bp), selberg_big(bp)) < 1e-7
+        assert rel(big.family(bp).pair(one, one), selberg_big(bp)) < 1e-7
 
     @pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (2, 2)])
     def test_askey_evans(self, n, k):
@@ -399,11 +400,11 @@ class TestStructuralInvariants:
                 out = out + mons[j].scale(complex(m.entries[i, j]))
             return out
 
-        M = 64
+        fam = askey_wilson.family(p, 64)
         for i in range(len(mons)):
             for j in range(len(mons)):
-                a = partial_bilinear(apply_rows(i), mons[j], p, M)
-                b = partial_bilinear(mons[i], apply_rows(j), p, M)
+                a = fam.pair(apply_rows(i), mons[j])
+                b = fam.pair(mons[i], apply_rows(j))
                 assert abs(a - b) < 1e-9 * max(1.0, abs(a))
 
     def test_dominance_closure(self):

@@ -16,8 +16,6 @@ from bcortho.big import (
     askey_evans_rhs,
     asymptotic_ratio,
     aw_params_big,
-    big_polynomials,
-    bilinear_big,
     big_limit,
     c_weights,
     c_weights_defining,
@@ -161,7 +159,7 @@ class TestConstantTerm:
     @pytest.mark.parametrize("bp", [BP1, BP2, BP2N])
     def test_selberg_matches_multisum(self, bp):
         one = LaurentPolynomial.constant(bp.n)
-        assert rel(bilinear_big(one, one, bp), selberg_big(bp)) < 1e-10
+        assert rel(big.family(bp).pair(one, one), selberg_big(bp)) < 1e-10
 
     def test_norm0_is_selberg(self):
         for bp in (BP1, BP2, BP2N):
@@ -176,7 +174,8 @@ class TestConstantTerm:
     def test_symmetry(self):
         f = monomial_s((1, 0))
         g = monomial_s((1, 1))
-        assert bilinear_big(f, g, BP2) == bilinear_big(g, f, BP2)
+        fam = big.family(BP2)
+        assert fam.pair(f, g) == fam.pair(g, f)
 
 
 class TestAskeyEvans:
@@ -202,20 +201,22 @@ class TestOrthogonality:
     @pytest.mark.parametrize("bp", [BP2, BP2N])
     def test_n2_gram(self, bp):
         lams = [(0, 0), (1, 0), (1, 1), (2, 0)]
-        polys = {lam: big_polynomials(lam, bp)[lam] for lam in lams}
+        fam = big.family(bp)
+        polys = {lam: fam.polynomials(lam)[lam] for lam in lams}
         scale = abs(selberg_big(bp))
         for i, la in enumerate(lams):
             for lb in lams[i:]:
-                v = bilinear_big(polys[la], polys[lb], bp)
+                v = fam.pair(polys[la], polys[lb])
                 if la == lb:
                     assert rel(v, norm_big(la, bp)) < 1e-8
                 else:
                     assert abs(v) < 1e-9 * scale
 
     def test_n1_degree2(self):
+        fam = big.family(BP1)
         for lam in [(1,), (2,)]:
-            P = big_polynomials(lam, BP1)[lam]
-            assert rel(bilinear_big(P, P, BP1), norm_big(lam, BP1)) < 1e-10
+            P = fam.polynomials(lam)[lam]
+            assert rel(fam.pair(P, P), norm_big(lam, BP1)) < 1e-10
 
     def test_norm_positive(self):
         rng = random.Random(3)
@@ -229,14 +230,15 @@ class TestOrthogonality:
 class TestConjugateBranch:
     def test_selberg(self):
         one = LaurentPolynomial.constant(2)
-        want = bilinear_big(one, one, BP2C)
+        want = big.family(BP2C).pair(one, one)
         assert abs(selberg_big(BP2C) - want) < 1e-10 * abs(want)
 
     def test_norms(self):
-        polys = big_polynomials((2, 0), BP2C)
+        fam = big.family(BP2C)
+        polys = fam.polynomials((2, 0))
         for lam in [(1, 0), (1, 1), (2, 0)]:
             f = polys[lam]
-            want = bilinear_big(f, f, BP2C)
+            want = fam.pair(f, f)
             assert abs(norm_big(lam, BP2C) - want) < 1e-10 * abs(want)
 
     def test_askey_evans(self):
@@ -297,7 +299,7 @@ class TestLimit:
 class TestErrors:
     def test_partition_length(self):
         with pytest.raises(DomainViolation):
-            big_polynomials((1,), BP2)
+            big.family(BP2).polynomials((1,))
         with pytest.raises(DomainViolation):
             norm_big((1, 0, 0), BP2)
 

@@ -35,6 +35,8 @@ KEPT = {
         "the terms, for failure messages",
     "cli.SuiteConfig.__getitem__":
         "cfg[key], the CLI's read of a setting",
+    "bcpoly._Tables.__iter__":
+        "a family's pairings read its node tables by iteration",
 }
 
 CONSTRUCTION = {"__init__", "__post_init__"}

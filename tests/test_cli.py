@@ -258,7 +258,7 @@ class TestMain:
         # the polynomials are built inside the timed orthogonality check:
         # an error there fails the two checks that read them, and the
         # configuration is not rejected
-        def singular(top, qp):
+        def singular(top, qp, tables):
             raise SingularGram("vanishing quadratic norm")
 
         monkeypatch.setattr(qracah, "qracah_polynomials", singular)
@@ -474,11 +474,14 @@ class TestFamilyChecks:
         assert verdict() == (False, tol)
 
     # one side of the check off by 10 tol: the oracle of the
-    # n1-closed-form check, and the residue weights Delta^(d) of
-    # residue-split; each deviation then reads 1e-9 against tol 1e-10
+    # n1-closed-form check and the residue weights Delta^(d) of
+    # residue-split, whose deviations then read 1e-9 against tol 1e-10,
+    # and the split-weight ratios of asymptotic-match, which read 1e-4
+    # against tol 1e-5
     @pytest.mark.parametrize("suite, check, form", [
         ("aw", "n1-closed-form", "aw1_oracle"),
         ("qracah", "residue-split", "multi_discrete_weight"),
+        ("big", "asymptotic-match", "asymptotic_ratio"),
     ])
     def test_scaled_side_fails(self, suite, check, form, monkeypatch):
         cfg = build_config({"suite": suite})
@@ -566,6 +569,37 @@ class TestFamilyChecks:
             target = limit.target
             return replace(limit, target=replace(
                 target, pair=lambda f, g: target.pair(f, g) * (1 + 10 * tol)))
+
+        monkeypatch.setattr(cli, f"{name}_limit", scaled)
+        assert verdict() == (False, tol)
+
+    @pytest.mark.parametrize("name", ["little", "big"])
+    def test_scaled_target_coefficients_fail(self, name, monkeypatch):
+        # the target P_lambda of Limit.target off by 10 tol: the rescaled
+        # coefficients then settle 10 tol away from it, so
+        # little-coefficients reads 1.25e-3 against tol 1e-4, and the big
+        # deviations stop decreasing (inf)
+        cfg = build_config({"suite": "limits"})
+        check = f"{name}-coefficients"
+
+        def verdict():
+            [c] = [c for c in run_suite(cfg).checks if c.name == check]
+            return c.passed, c.tol
+
+        passed, tol = verdict()
+        assert passed
+        exact = getattr(cli, f"{name}_limit")
+
+        def scaled(params):
+            limit = exact(params)
+            target = limit.target
+
+            def polynomials(top):
+                return {mu: P.scale(1 + 10 * tol)
+                        for mu, P in target.polynomials(top).items()}
+
+            return replace(limit, target=replace(target,
+                                                 polynomials=polynomials))
 
         monkeypatch.setattr(cli, f"{name}_limit", scaled)
         assert verdict() == (False, tol)

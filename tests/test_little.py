@@ -4,15 +4,14 @@ import math
 
 import pytest
 
+from bcortho import little
 from bcortho.askey_wilson import limit_scan
 from bcortho.bcpoly import LaurentPolynomial, monomial_s
 from bcortho.errors import DomainViolation
 from bcortho.little import (
     LittleParams,
     aw_params_little,
-    bilinear_little,
     little_limit,
-    little_polynomials,
     norm_little,
     selberg_little,
 )
@@ -68,7 +67,7 @@ class TestConstantTerm:
     @pytest.mark.parametrize("lp", [LP1, LP2, LP2N, LP3])
     def test_selberg_matches_multisum(self, lp):
         one = LaurentPolynomial.constant(lp.n)
-        got = bilinear_little(one, one, lp)
+        got = little.family(lp).pair(one, one)
         assert rel(got, selberg_little(lp)) < 1e-10
 
     def test_n1_is_qbeta(self):
@@ -90,7 +89,8 @@ class TestConstantTerm:
     def test_symmetry(self):
         f = monomial_s((1, 0))
         g = monomial_s((1, 1))
-        assert bilinear_little(f, g, LP2) == bilinear_little(g, f, LP2)
+        fam = little.family(LP2)
+        assert fam.pair(f, g) == fam.pair(g, f)
 
 
 class TestNearOne:
@@ -108,20 +108,21 @@ class TestNearOne:
 class TestOrthogonality:
     def test_n1_mean_ratio(self):
         # P_1 = x - <x,1>/<1,1> with the ratio from the 1-d Jackson sums
-        lp = LP1
-        pol = little_polynomials((1,), lp)[(1,)]
-        mean = (bilinear_little(monomial_s((1,)), monomial_s((0,)), lp)
-                / bilinear_little(monomial_s((0,)), monomial_s((0,)), lp))
+        fam = little.family(LP1)
+        pol = fam.polynomials((1,))[(1,)]
+        mean = (fam.pair(monomial_s((1,)), monomial_s((0,)))
+                / fam.pair(monomial_s((0,)), monomial_s((0,))))
         assert rel(pol.coefficient((0,)), -mean) < 1e-12
 
     @pytest.mark.parametrize("lp", [LP2, LP2N])
     def test_n2_gram(self, lp):
         lams = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0)]
-        polys = {lam: little_polynomials(lam, lp)[lam] for lam in lams}
+        fam = little.family(lp)
+        polys = {lam: fam.polynomials(lam)[lam] for lam in lams}
         scale = abs(selberg_little(lp))
         for i, la in enumerate(lams):
             for lb in lams[i:]:
-                v = bilinear_little(polys[la], polys[lb], lp)
+                v = fam.pair(polys[la], polys[lb])
                 if la == lb:
                     assert rel(v, norm_little(la, lp)) < 1e-8
                 else:
@@ -158,6 +159,6 @@ class TestLimit:
 class TestErrors:
     def test_partition_length(self):
         with pytest.raises(DomainViolation):
-            little_polynomials((1,), LP2)
+            little.family(LP2).polynomials((1,))
         with pytest.raises(DomainViolation):
             norm_little((1, 0, 0), LP2)

@@ -12,13 +12,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bcortho import big, little, measures
+from bcortho import askey_wilson, big, little, measures
 from bcortho.askey_wilson import gustafson_constant
 from bcortho.big import (
     BigParams,
     askey_evans_rhs,
-    big_polynomials,
-    bilinear_big,
     norm_big,
     selberg_big,
     selberg_big_qk,
@@ -38,13 +36,7 @@ from bcortho.errors import (
     SlowConvergence,
     ZeroProduct,
 )
-from bcortho.little import (
-    LittleParams,
-    bilinear_little,
-    little_polynomials,
-    norm_little,
-    selberg_little,
-)
+from bcortho.little import LittleParams
 from bcortho.measures import (
     delta_d,
     multi_discrete_weight,
@@ -102,7 +94,6 @@ class TestSlabMoments:
     @pytest.mark.parametrize("factor", [False, True])
     @pytest.mark.parametrize("tables", ["one", "many"])
     def test_equal_whole_grid(self, n, M, factor, tables):
-        measures._table.cache_clear()
         p = PS[n]
         f = random_invariant(random.Random(n * M), n)
         g = LaurentPolynomial.constant(n)
@@ -116,7 +107,7 @@ class TestSlabMoments:
             sh[a] = M
             grid = grid * whole.reshape(sh)
         G = f.eval_grid([z] * n) * grid
-        table = measures._table(p, n, M)
+        table = measures._Chamber(p, n, M)
         w = np.prod([half[k] for k in table.nodes], axis=0) * table.weights
         cuts = [0, len(w)]
         if tables == "many":
@@ -127,14 +118,13 @@ class TestSlabMoments:
         got = pair(f, g, [PointTable([table.axis] * n, table.nodes[:, a:b],
                                      w[a:b])
                           for a, b in zip(cuts, cuts[1:])])
-        measures._table.cache_clear()
         assert abs(got - np.mean(G)) < 1e-13 * np.mean(np.abs(G))
 
     def test_weight_grid_is_the_product_of_the_factors(self):
         # each chamber weight is 2^n n! / M^n times Delta at its node,
         # read off the scalar density
         p, M = PS[2], 8
-        table = measures._table(p, 2, M)
+        table = measures._Chamber(p, 2, M)
         for k, w in zip(table.nodes.T.tolist(), table.weights):
             want = weight_continuous(list(table.axis[k]), p) * 8 / M ** 2
             assert abs(w - want) < 1e-13 * max(1.0, abs(want))
@@ -151,20 +141,18 @@ class TestSlabMoments:
         # exceeds the bound
         p = PS[3]
         tail = 5 * 8 * math.comb(126, 2)
-        measures._table.cache_clear()
         tracemalloc.start()
         try:
-            table = measures._table(p, 3, 256)
+            [table] = tables = measures.measure(p, 256)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert table.weights.dtype == np.float64
         assert peak <= 1.25 * (table.weights.nbytes + tail)
         one = LaurentPolynomial.constant(3)
-        measures.partial_bilinear(one, one, p, 256)
+        measures.partial_bilinear(one, one, tables, p, 256)
         assert "nodes" not in table.__dict__
         assert table.nodes.shape == (3, 333375)
-        measures._table.cache_clear()
 
 
 # real parameters, one large parameter, conjugate pairs (one of them
@@ -385,13 +373,11 @@ class TestRealDensity:
             assert old.dtype == np.complex128 and not old.imag.any()
             assert w.dtype == np.float64
             assert w.tobytes() == old.real.tobytes()
-        measures._discrete_table.cache_clear()
         for table in measures._discrete_table(p, 16):
             assert table.weights.dtype == np.float64
 
     def test_unpaired_complex_chain_weights_stay_complex(self):
         p = AWParams(2, 0.5, 0.3, 1.1, -0.45, 0.3 + 0.4j, 0.2)
-        measures._discrete_table.cache_clear()
         for _l, _nu, _z, w, row in measures._split_labels(p, 16):
             assert w.dtype == np.complex128 and w.imag.any()
         for table in measures._discrete_table(p, 16):
@@ -511,13 +497,13 @@ class TestLongChains:
 
     def test_n1_mass(self):
         one = LaurentPolynomial.constant(1)
-        got = measures.partial_bilinear(one, one, self.P1, 256)
+        got = askey_wilson.family(self.P1, 256).pair(one, one)
         assert rel(got, gustafson_constant(self.P1)) < 1e-12
 
     def test_n2_mass(self):
         p = AWParams(2, 0.97, 0.3, 0.97 ** -80.5, 5e-3, -3e-3, 2e-3)
         one = LaurentPolynomial.constant(2)
-        got = measures.partial_bilinear(one, one, p, 128)
+        got = askey_wilson.family(p, 128).pair(one, one)
         assert rel(got, gustafson_constant(p)) < 1e-8
 
 
@@ -599,26 +585,23 @@ class TestTinyMasses:
     against the table's own mass, so the pairings keep full relative
     precision."""
 
-    @pytest.mark.parametrize("params, pairing, polynomials, norm, mass", [
+    @pytest.mark.parametrize("family, params", [
         # masses 2.5e-94, 1.2e-146 (tables to 256 shells) and 2.4e-12
-        (LittleParams(2, 0.99, 0.3, 0.4, 0.6), bilinear_little,
-         little_polynomials, norm_little, selberg_little),
-        (BigParams(2, 0.99, 0.4, 0.6, 0.3, 1, 0.8), bilinear_big,
-         big_polynomials, norm_big, selberg_big),
-        (LittleParams(2, 0.9, 0.3, 0.4, 0.2), bilinear_little,
-         little_polynomials, norm_little, selberg_little),
+        (little.family, LittleParams(2, 0.99, 0.3, 0.4, 0.6)),
+        (big.family, BigParams(2, 0.99, 0.4, 0.6, 0.3, 1, 0.8)),
+        (little.family, LittleParams(2, 0.9, 0.3, 0.4, 0.2)),
     ], ids=["little-q0.99", "big-q0.99", "little-q0.9"])
-    def test_pairings_match_closed_forms(self, params, pairing, polynomials,
-                                         norm, mass):
+    def test_pairings_match_closed_forms(self, family, params):
+        fam = family(params)
         one = LaurentPolynomial.constant(2)
-        want = mass(params)
-        assert abs(pairing(one, one, params) - want) < 1e-12 * want
-        for lam, f in polynomials((1, 1), params).items():
-            want = norm(lam, params)
-            assert abs(pairing(f, f, params) - want) < 1e-12 * want
+        want = fam.mass()
+        assert abs(fam.pair(one, one) - want) < 1e-12 * want
+        for lam, f in fam.polynomials((1, 1)).items():
+            want = fam.norm(lam)
+            assert abs(fam.pair(f, f) - want) < 1e-12 * want
 
     def test_unsettled_table_is_refused(self):
         # a = 1.9: the one-axis factors decay like q^(0.074 nu)
         one = LaurentPolynomial.constant(2)
         with pytest.raises(SlowConvergence):
-            bilinear_little(one, one, LittleParams(2, 0.5, 0.3, 1.9, 0.2))
+            little.family(LittleParams(2, 0.5, 0.3, 1.9, 0.2)).pair(one, one)

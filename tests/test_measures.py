@@ -27,7 +27,6 @@ from bcortho.koornwinder import op_matrix
 from bcortho.measures import (
     MAX_CHAIN,
     multi_discrete_weight,
-    partial_bilinear,
     wd_residue_weight,
 )
 from bcortho.params import AWParams
@@ -38,7 +37,7 @@ from oracles import (
     natural_t_bilinear,
     weight_continuous,
 )
-from test_moment_tables import weight_grid
+from test_moment_tables import partial, weight_grid
 
 ONE1 = LaurentPolynomial.constant(1)
 ONE2 = LaurentPolynomial.constant(2)
@@ -104,34 +103,34 @@ class TestWeightContinuous:
 
 class TestTorusBilinear:
     def test_gustafson_n1(self):
-        got = partial_bilinear(ONE1, ONE1, PS1, 128)
+        got = partial(ONE1, ONE1, PS1, 128)
         assert rel(got, gustafson_constant(PS1)) < 1e-8
 
     def test_gustafson_n2(self):
-        got = partial_bilinear(ONE2, ONE2, PS2, 128)
+        got = partial(ONE2, ONE2, PS2, 128)
         assert rel(got, gustafson_constant(PS2)) < 1e-8
 
     def test_orthogonality_degree_one(self):
         P = aw_polynomials((1, 0), PS2)[(1, 0)]
-        got = partial_bilinear(P, ONE2, PS2, 64)
+        got = partial(P, ONE2, PS2, 64)
         scale = abs(gustafson_constant(PS2))
         assert abs(got) < 1e-8 * scale
 
     def test_m_too_small(self):
         with pytest.raises(DomainViolation):
-            partial_bilinear(monomial_w((8, 0)), monomial_w((8, 0)), PS2, 16)
+            partial(monomial_w((8, 0)), monomial_w((8, 0)), PS2, 16)
 
     def test_doubling_converged(self):
         f = monomial_w((2, 1))
-        a = partial_bilinear(f, f, PS2, 48)
-        b = partial_bilinear(f, f, PS2, 96)
+        a = partial(f, f, PS2, 48)
+        b = partial(f, f, PS2, 96)
         assert abs(a - b) < 1e-10 * max(1, abs(b))
 
     def test_symmetry(self):
         f = monomial_w((2, 0))
         g = monomial_w((1, 1))
-        assert partial_bilinear(f, g, PS2, 48) == partial_bilinear(
-            g, f, PS2, 48)
+        fam = askey_wilson.family(PS2, 48)
+        assert fam.pair(f, g) == fam.pair(g, f)
 
 
 class TestResidueWeight:
@@ -239,7 +238,7 @@ class TestSupports:
         # 67 support values t0 q^nu > 1, past the old cap of 64 labels
         p = AWParams(1, 0.97, 0.3, 0.97 ** -66.5, 0.1, -0.1, 0.05)
         assert table_labels(p) == [((nu,), ()) for nu in range(67)]
-        assert rel(partial_bilinear(ONE1, ONE1, p, 64),
+        assert rel(partial(ONE1, ONE1, p, 64),
                    gustafson_constant(p)) < 1e-13
 
     def test_chain_past_cap_raises(self):
@@ -259,23 +258,24 @@ class TestPartialBilinear:
     def test_reduces_to_torus(self):
         # on the open disk the measure is the chamber table alone, and the
         # pairing is bcpoly.pair on it, bit for bit
-        assert measures._measure(PS2, 48) == (measures._table(PS2, 2, 48),)
+        [chamber] = measures.measure(PS2, 48)
+        assert isinstance(chamber, measures._Chamber)
         f = monomial_w((1, 0))
-        a = partial_bilinear(f, f, PS2, 48)
-        b = pair(f, f, [measures._table(PS2, 2, 48)])
+        a = measures.partial_bilinear(f, f, [chamber], PS2, 48)
+        b = pair(f, f, [chamber])
         assert bits(a) == bits(b)
 
     def test_constant_term_one_chain_n1(self):
         assert measures._discrete_table(PD1, 256)
-        got = partial_bilinear(ONE1, ONE1, PD1, 256)
+        got = partial(ONE1, ONE1, PD1, 256)
         assert rel(got, gustafson_constant(PD1)) < 1e-8
 
     def test_constant_term_one_chain_n2(self):
-        got = partial_bilinear(ONE2, ONE2, PD2, 256)
+        got = partial(ONE2, ONE2, PD2, 256)
         assert rel(got, gustafson_constant(PD2)) < 1e-7
 
     def test_constant_term_two_chains_n2(self):
-        got = partial_bilinear(ONE2, ONE2, PDD2, 320)
+        got = partial(ONE2, ONE2, PDD2, 320)
         assert rel(got, gustafson_constant(PDD2)) < 1e-7
 
     @pytest.mark.parametrize("M", [64, 128, 256])
@@ -285,9 +285,9 @@ class TestPartialBilinear:
         # needs s = -2, no chain value, and PS1 has no value near it
         p = AWParams(1, 0.5, 0.3, 2.0000000001, 0.15, -0.1, 0.12)
         with pytest.raises(NearPole, match="q\\^1"):
-            partial_bilinear(ONE1, ONE1, p, M)
+            partial(ONE1, ONE1, p, M)
         for clear in (AWParams(1, 0.5, 0.3, 0.35, -0.45, 0.25, 0.2), PS1):
-            partial_bilinear(ONE1, ONE1, clear, M)
+            partial(ONE1, ONE1, clear, M)
 
     def test_residue_weight_overflow_is_typed(self):
         # the scalar reference: the i-dependent products of w_d overflow
@@ -307,10 +307,11 @@ class TestPartialBilinear:
              + monomial_w((1, 1)).scale(coeffs[1])
              + LaurentPolynomial.constant(2, coeffs[2]))
         g = monomial_w((2, 0))
-        a = partial_bilinear(f, g, PD2, 48)
-        b = partial_bilinear(g, f, PD2, 48)
+        fam = askey_wilson.family(PD2, 48)
+        a = fam.pair(f, g)
+        b = fam.pair(g, f)
         assert a == b
-        self_val = partial_bilinear(f, f, PD2, 48)
+        self_val = fam.pair(f, f)
         assert self_val.real > 0
 
     @pytest.mark.parametrize("lam", [(0, 0), (1, 0)])
@@ -320,8 +321,9 @@ class TestPartialBilinear:
         p = AWParams(2, 0.5, 0.3, 1.1, -0.45, 0.25, 0.2)
         assert p.in_V_AW()
         f = monomial_w(lam)
-        want = 1j * partial_bilinear(f, f, p, 128)
-        got = partial_bilinear(f.scale(1j), f, p, 128)
+        fam = askey_wilson.family(p, 128)
+        want = 1j * fam.pair(f, f)
+        got = fam.pair(f.scale(1j), f)
         assert abs(got - want) <= 1e-14 * abs(want)
 
     def test_d_symmetry(self):
@@ -330,8 +332,9 @@ class TestPartialBilinear:
         Dg = apply_D_poly(lam_g, PD2)
         f = monomial_w(lam_f)
         g = monomial_w(lam_g)
-        lhs = partial_bilinear(Df, g, PD2, 192)
-        rhs = partial_bilinear(f, Dg, PD2, 192)
+        fam = askey_wilson.family(PD2, 192)
+        lhs = fam.pair(Df, g)
+        rhs = fam.pair(f, Dg)
         assert rel(lhs, rhs) < 1e-7
 
 
@@ -369,28 +372,32 @@ class TestOneMeasure:
         # symmetric in the last bit, so G[b, a] may differ from
         # partial_bilinear(P_b, P_a)
         M = 64
-        assert self.P.in_V_AW() and measures._discrete_table(self.P, M)
+        tables = measures.measure(self.P, M)
+        assert self.P.in_V_AW() and len(tables) > 1
         polys = list(aw_polynomials((2, 2), self.P).values())
-        G = measures.partial_gram(polys, self.P, M)
+        G = measures.partial_gram(polys, tables, self.P, M)
         for a, f in enumerate(polys):
             for b in range(a, len(polys)):
-                want = partial_bilinear(f, polys[b], self.P, M)
+                want = measures.partial_bilinear(f, polys[b], tables,
+                                                 self.P, M)
                 assert bits(G[a, b]) == bits(want), (a, b)
                 assert bits(G[b, a]) == bits(want), (a, b)
 
     def test_open_disk_gram_is_the_chamber_gram(self):
         polys = list(aw_polynomials((2, 1), PS2).values())
-        G = measures.partial_gram(polys, PS2, 48)
-        want = gram(polys, [measures._table(PS2, 2, 48)])
+        [chamber] = tables = measures.measure(PS2, 48)
+        G = measures.partial_gram(polys, tables, PS2, 48)
+        want = gram(polys, [chamber])
         assert G.tobytes() == want.tobytes()
 
     def test_family_pairs_the_whole_measure(self):
         # the chamber table alone reads 40.70 against 52.59 here
         one = LaurentPolynomial.constant(2)
         want = gustafson_constant(self.P)
-        got = askey_wilson.family(self.P, 256).pair(one, one)
+        fam = askey_wilson.family(self.P, 256)
+        got = fam.pair(one, one)
         assert abs(got - want) < 1e-10 * abs(want)
-        fam_gram = askey_wilson.family(self.P, 256).gram([one])
+        fam_gram = fam.gram([one])
         assert bits(fam_gram[0, 0]) == bits(got)
 
 
@@ -408,10 +415,11 @@ class TestSplitTables:
         if n > 1:
             polys.append(monomial_w((1,) * n))
         assert measures._discrete_table(p, M)
+        fam = askey_wilson.family(p, M)
         for a, f in enumerate(polys):
             for g in polys[a:]:
                 value, mass = labelled_partial(f, g, p, M)
-                got = partial_bilinear(f, g, p, M)
+                got = fam.pair(f, g)
                 assert abs(got - value) <= 1e-14 * mass
 
     @pytest.mark.parametrize("factor", [-1.0, 1j])
@@ -428,11 +436,9 @@ class TestSplitTables:
             return out
 
         assert len(measures._discrete_table(p, 24)[0].weights) == 3
-        measures._discrete_table.cache_clear()
         monkeypatch.setattr(measures, "_qr_axis", one_flipped)
         with pytest.raises(NonPositiveWeight, match=r"label \[1\]"):
-            partial_bilinear(ONE1, ONE1, p, 24)
-        measures._discrete_table.cache_clear()
+            partial(ONE1, ONE1, p, 24)
 
     def test_node_weights_positive_on_V_AW(self):
         # on V_AW every parameter of modulus >= 1 is real, so every node
@@ -503,7 +509,7 @@ class TestContourDecomposition:
         t0 = 1.1 * cmath.exp(2j * math.pi * 0.15)
         p = AWParams(1, 0.5, 0.3, t0, -0.5, 0.35, 0.45)
         lhs = contour_value(p, R=1.3, M=4096)
-        torus = pair(ONE1, ONE1, [measures._table(p, 1, 256)])
+        torus = pair(ONE1, ONE1, [measures._Chamber(p, 1, 256)])
         disc = 0.0
         i = 0
         while abs(t0) * p.q ** i > 1:
@@ -524,7 +530,7 @@ class TestNaturalT:
     def test_all_small_is_torus(self):
         p = AWParams(2, 0.5, 0.25, 0.6, -0.5, 0.3, 0.4)
         a = natural_t_bilinear(ONE2, ONE2, p, 48)
-        b = partial_bilinear(ONE2, ONE2, p, 48)
+        b = partial(ONE2, ONE2, p, 48)
         assert rel(a, b) < 1e-12
 
     def test_agrees_with_partial(self):
@@ -532,16 +538,17 @@ class TestNaturalT:
         polys = [LaurentPolynomial.constant(2), monomial_w((1, 0)),
                  monomial_w((1, 1)), monomial_w((2, 0)),
                  monomial_w((1, 0)) + LaurentPolynomial.constant(2, 0.3)]
+        fam = askey_wilson.family(self.PK2, 64)
         for _ in range(5):
             f = rng.choice(polys)
             g = rng.choice(polys)
             a = natural_t_bilinear(f, g, self.PK2, 64)
-            b = partial_bilinear(f, g, self.PK2, 64)
+            b = fam.pair(f, g)
             assert rel(a, b) < 1e-9
 
     def test_n1_agrees_with_partial(self):
         a = natural_t_bilinear(ONE1, ONE1, self.PK1, 64)
-        b = partial_bilinear(ONE1, ONE1, self.PK1, 64)
+        b = partial(ONE1, ONE1, self.PK1, 64)
         assert rel(a, b) < 1e-10
 
     def test_coincident_chain_points_vanish(self):

@@ -7,13 +7,12 @@ guards of the Askey-Wilson side."""
 
 import math
 import random
-from dataclasses import replace
 from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
 
-from bcortho import measures
+from bcortho import askey_wilson, measures
 from bcortho.askey_wilson import aw_norm, aw_polynomials, gustafson_constant
 from bcortho.bcpoly import (
     LaurentPolynomial,
@@ -124,6 +123,15 @@ def term_mass(f, g):
             * sum(abs(c) for c in g.terms.values()))
 
 
+def partial(f, g, p, M):
+    """<f, g> on the measure of p and M, built for this one pairing."""
+    return askey_wilson.family(p, M).pair(f, g)
+
+
+# the pairings that the guard tests run, by name
+FORMS = {"partial_bilinear": partial, "natural_t_bilinear": natural_t_bilinear}
+
+
 TOPS = {1: (2,), 2: (2, 1), 3: (1, 1, 0)}
 
 
@@ -136,7 +144,7 @@ class TestAgainstGridFormula:
         for _ in range(2):
             f, g = (random_invariant(rng, n, TOPS[n]) for _ in range(2))
             M = 2 * sum(TOPS[n]) * 2 + 8 + odd
-            got = partial_bilinear(f, g, p, M)
+            got = partial(f, g, p, M)
             value = oracle(f, g, p, M)
             scale = term_mass(f, g) * np.mean(np.abs(weight_grid(p, n, M)[1]))
             assert abs(got - value) < 1e-13 * scale
@@ -147,7 +155,7 @@ class TestAgainstGridFormula:
         # each node stands for 2^n n! grid points; the rest of the grid
         # lies on a wall: a coordinate folded to 0 or M/2, or two equal
         for m in (M, (M + 1) // 2):
-            table = measures._table(PS[n], n, m)
+            table = measures._Chamber(PS[n], n, m)
             assert table.nodes.dtype == np.int16
             assert table.nodes.shape[0] == n
             assert np.all(np.diff(table.nodes.astype(int), axis=0) > 0)
@@ -165,7 +173,7 @@ class TestAgainstGridFormula:
         # every grid point's weight lands on its chamber node; the walls
         # carry none
         M = 12
-        table = measures._table(PS[n], n, M)
+        table = measures._Chamber(PS[n], n, M)
         _, grid = weight_grid(PS[n], n, M)
         folded = {}
         for idx in np.ndindex(grid.shape):
@@ -196,7 +204,7 @@ class TestAgainstGridFormula:
             f, g = (real_part(random_invariant(rng, p.n, (1,) * p.n))
                     for _ in range(2))
             assert measures._discrete_table(p, M)
-            got = partial_bilinear(f, g, p, M)
+            got = partial(f, g, p, M)
             value = per_label_partial(f, g, p, M)
             # the chain values |omega| > 1 scale the substituted
             # coefficients
@@ -279,12 +287,13 @@ class TestPairingTerms:
         rng = random.Random(8)
         for n in (1, 2, 3):
             f, g = (random_invariant(rng, n, TOPS[n]) for _ in range(2))
-            M = 2 * 2 * sum(TOPS[n]) + 8
-            assert partial_bilinear(f, g, PS[n], M) == partial_bilinear(
-                g, f, PS[n], M)
+            fam = askey_wilson.family(PS[n], 2 * 2 * sum(TOPS[n]) + 8)
+            assert fam.pair(f, g) == fam.pair(g, f)
         f, g = (real_part(random_invariant(rng, 2, (1, 1))) for _ in range(2))
-        for form, p in ((partial_bilinear, PDD2), (natural_t_bilinear, PK2)):
-            assert form(f, g, p, 24) == form(g, f, p, 24)
+        fam = askey_wilson.family(PDD2, 24)
+        assert fam.pair(f, g) == fam.pair(g, f)
+        assert (natural_t_bilinear(f, g, PK2, 24)
+                == natural_t_bilinear(g, f, PK2, 24))
 
     def test_degree_counts_kept_terms_only(self):
         # for W-invariant f and g the top degrees add: no product term of
@@ -301,19 +310,20 @@ class TestPairingTerms:
     def test_m_guard_boundary(self):
         # degree 3 + 1: M = 16 is the smallest accepted grid
         f, g = monomial_w((3,)), monomial_w((1,))
-        partial_bilinear(f, g, PS[1], 16)
+        partial(f, g, PS[1], 16)
         with pytest.raises(DomainViolation):
-            partial_bilinear(f, g, PS[1], 15)
+            partial(f, g, PS[1], 15)
         # at n = 2 the degrees add along aligned signs: |(2,1)| + |(1,0)|
         f, g = monomial_w((2, 1)), monomial_w((1, 0))
-        partial_bilinear(f, g, PS[2], 16)
+        partial(f, g, PS[2], 16)
         with pytest.raises(DomainViolation):
-            partial_bilinear(f, g, PS[2], 15)
+            partial(f, g, PS[2], 15)
 
-    @pytest.mark.parametrize("form, p", [(partial_bilinear, PS[2]),
-                                         (partial_bilinear, PD[2]),
-                                         (natural_t_bilinear, PK2)])
+    @pytest.mark.parametrize("form, p", [("partial_bilinear", PS[2]),
+                                         ("partial_bilinear", PD[2]),
+                                         ("natural_t_bilinear", PK2)])
     def test_not_invariant_raises(self, form, p):
+        form = FORMS[form]
         m = monomial_w((1, 0))
         for bad in (
                 # a missing orbit member, then unequal coefficients
@@ -328,15 +338,15 @@ class TestPairingTerms:
 
     def test_zero_polynomial(self):
         zero = LaurentPolynomial(2)
-        assert partial_bilinear(zero, monomial_w((2, 1)), PS[2], 32) == 0
+        assert partial(zero, monomial_w((2, 1)), PS[2], 32) == 0
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            partial_bilinear(LaurentPolynomial.constant(1),
-                           LaurentPolynomial.constant(2), PS[2], 32)
+            partial(LaurentPolynomial.constant(1),
+                    LaurentPolynomial.constant(2), PS[2], 32)
         with pytest.raises(LengthMismatch):
-            partial_bilinear(LaurentPolynomial.constant(1),
-                           LaurentPolynomial.constant(1), PS[2], 32)
+            partial(LaurentPolynomial.constant(1),
+                    LaurentPolynomial.constant(1), PS[2], 32)
 
 
 class TestOpenChamber:
@@ -348,7 +358,7 @@ class TestOpenChamber:
     def test_matches_weight_grid(self, n, M):
         # node k carries 2^n n! grid points of weight Delta(z_k) / M^n,
         # and the nodes carry the whole mean of the grid
-        table = measures._table(PS[n], n, M)
+        table = measures._Chamber(PS[n], n, M)
         _, grid = weight_grid(PS[n], n, M)
         scale = np.max(np.abs(grid))
         want = grid[tuple(table.nodes.astype(int))] * (
@@ -380,14 +390,15 @@ class TestOpenChamber:
         # n = 3 needs 0 < k_1 < k_2 < k_3 < M/2: no node for M <= 6 and
         # one, (1, 2, 3), for M = 7 and 8
         for M in (4, 5, 6):
-            table = measures._table(PS[3], 3, M)
+            table = measures._Chamber(PS[3], 3, M)
             assert table.nodes.shape == (3, 0)
             assert table.weights.sum() == 0
         one = LaurentPolynomial.constant(3)
-        [weight] = measures._table(PS[3], 3, 8).weights
-        assert partial_bilinear(one, one, PS[3], 8) == weight
+        [table] = tables = measures.measure(PS[3], 8)
+        [weight] = table.weights
+        assert partial_bilinear(one, one, tables, PS[3], 8) == weight
         f = monomial_w((1, 0, 0))
-        assert pair(f, f, [measures._table(PS[3], 3, 6)]) == 0
+        assert pair(f, f, [measures._Chamber(PS[3], 3, 6)]) == 0
 
 
 class TestMechanism:
@@ -399,26 +410,9 @@ class TestMechanism:
         f, g = (real_part(random_invariant(rng, 2, (1, 1))) for _ in range(2))
         monkeypatch.setattr(LaurentPolynomial, "eval_grid", forbidden)
         monkeypatch.setattr(LaurentPolynomial, "__mul__", forbidden)
-        partial_bilinear(f, g, PS[2], 24)
+        partial(f, g, PS[2], 24)
         assert measures._discrete_table(PD[2], 24)
-        partial_bilinear(f, g, PD[2], 24)
-
-    def test_repeated_call_builds_nothing(self):
-        rng = random.Random(12)
-        f, g = (real_part(random_invariant(rng, 2, (1, 1))) for _ in range(2))
-
-        def run():
-            # equal but distinct parameter objects
-            ps, pd, pk = replace(PS[2]), replace(PD[2]), replace(PK2)
-            return (partial_bilinear(f, g, ps, 24),
-                    partial_bilinear(f, g, pd, 24),
-                    natural_t_bilinear(f, g, pk, 24))
-
-        measures._table.cache_clear()
-        first = run()
-        built = measures._table.cache_info().misses
-        assert run() == first
-        assert measures._table.cache_info().misses == built
+        partial(f, g, PD[2], 24)
 
     def test_gram_evaluates_each_polynomial_once(self, monkeypatch):
         # a polynomial keeps its node values per table
@@ -434,17 +428,17 @@ class TestMechanism:
 
         monkeypatch.setattr(measures._Chamber, "at_nodes", counted)
 
-        measures._table.cache_clear()
+        fam = askey_wilson.family(PS[2], 32)
         for a in polys:
             for b in polys:
-                partial_bilinear(a, b, PS[2], 32)
+                fam.pair(a, b)
         assert calls == [32] * 4
 
     def test_one_over_one_is_a_weighted_sum(self):
         # a constant stays a scalar: the pairing is the sum of the
         # weights, added one by one in node order
         one = LaurentPolynomial.constant(3, 0.5)
-        table = measures._table(PS[3], 3, 16)
+        [table] = tables = measures.measure(PS[3], 16)
         assert table.at_nodes(one).shape == (1,)
 
         def in_order(weights):
@@ -453,7 +447,8 @@ class TestMechanism:
                 total += 0.25 * w
             return total
 
-        assert partial_bilinear(one, one, PS[3], 16) == in_order(table.weights)
+        assert partial_bilinear(one, one, tables, PS[3], 16) == in_order(
+            table.weights)
 
 
 # (n, top, M) of the Gram tests: the smallest grid each top accepts,
@@ -479,11 +474,13 @@ class TestTorusGram:
             p = PS[n]
         polys = [LaurentPolynomial.constant(n, 0.5)] + list(
             aw_polynomials(top, p).values())
-        G = partial_gram(polys, p, M)
+        tables = measures.measure(p, M)
+        G = partial_gram(polys, tables, p, M)
         assert G.shape == (len(polys),) * 2
         for a, f in enumerate(polys):
             for b, g in enumerate(polys[a:], start=a):
-                assert G[a, b] == G[b, a] == partial_bilinear(f, g, p, M)
+                assert G[a, b] == G[b, a] == partial_bilinear(f, g, tables,
+                                                              p, M)
 
     @pytest.mark.parametrize("n, top", [(1, (6,)), (2, (2, 2)),
                                         (3, (1, 1, 1))])
@@ -492,18 +489,19 @@ class TestTorusGram:
         # path: M = 4 |top| + 8 is the smallest accepted grid
         polys = list(aw_polynomials(top, PS[n]).values())
         M = 4 * sum(top) + 8
-        partial_gram(polys, PS[n], M)
-        partial_bilinear(polys[-1], polys[-1], PS[n], M)
+        fine, coarse = (askey_wilson.family(PS[n], m) for m in (M, M - 1))
+        fine.gram(polys)
+        fine.pair(polys[-1], polys[-1])
         with pytest.raises(GridTooCoarse):
-            partial_gram(polys, PS[n], M - 1)
+            coarse.gram(polys)
         with pytest.raises(GridTooCoarse):
-            partial_bilinear(polys[-1], polys[-1], PS[n], M - 1)
-        partial_gram(polys[:-1], PS[n], M - 1)
+            coarse.pair(polys[-1], polys[-1])
+        coarse.gram(polys[:-1])
 
     def test_wrong_variable_count(self):
         polys = [monomial_w((1, 0)), monomial_w((1,))]
         with pytest.raises(LengthMismatch):
-            partial_gram(polys, PS[2], 32)
+            askey_wilson.family(PS[2], 32).gram(polys)
 
 
 class TestReportedValues:
@@ -513,7 +511,7 @@ class TestReportedValues:
         d = DEFAULTS["aw"]
         p = AWParams(2, d["q"], d["t"], d["t0"], d["t1"], d["t2"], d["t3"])
         P = aw_polynomials((4, 2), p)[(4, 2)]
-        v = partial_bilinear(P, P, p, 128)
+        v = partial(P, P, p, 128)
         assert abs(v.imag) <= 1e-14 * abs(v.real)
 
     def test_aw_near_q_one(self):
@@ -549,7 +547,7 @@ class TestPoleGuards:
         p = AWParams(1, 0.99, d["t"], d["t0"], d["t1"], d["t2"], d["t3"])
         one = LaurentPolynomial.constant(1)
         want = gustafson_constant(p)
-        got = partial_bilinear(one, one, p, 256)
+        got = partial(one, one, p, 256)
         assert abs(got - want) < 1e-8 * abs(want)
 
     @pytest.mark.parametrize("m", [0, 1, 2])

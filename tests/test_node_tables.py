@@ -1,6 +1,6 @@
 """The per-parameter node tables of the discrete measures against the
-scalar weight functions they replace in the pairings, and the caching that
-makes a repeated pairing compute no weights."""
+scalar weight functions they replace in the pairings, and their owners:
+each family record builds its tables once and frees them with itself."""
 
 import gc
 import itertools
@@ -15,7 +15,8 @@ import pytest
 from oracles import (eval_points_loop, label_weights_stacked,
                      little_weight_at_point, support_point, table_nodes)
 
-from bcortho import bcpoly, big, koornwinder, little, measures, qracah
+from bcortho import (askey_wilson, bcpoly, big, cli, koornwinder, little,
+                     measures, qracah)
 from bcortho.bcpoly import (
     SLAB,
     LaurentPolynomial,
@@ -24,9 +25,11 @@ from bcortho.bcpoly import (
     _label_weights,
     monomial_s,
     monomial_w,
+    orthogonalize,
+    pair,
     partitions_dominated_by,
 )
-from bcortho.big import BigParams, bilinear_big, c_weights, weight_big
+from bcortho.big import BigParams, c_weights, weight_big
 from bcortho.cli import build_config, run_suite
 from bcortho.errors import (
     BcorthoError,
@@ -39,13 +42,9 @@ from bcortho.errors import (
     ZeroCoordinate,
     ZeroProduct,
 )
-from bcortho.little import (
-    LittleParams,
-    bilinear_little,
-    delta_qJ,
-)
-from bcortho.params import CACHE_SIZE, AWParams
-from bcortho.qracah import QRacahParams, bilinear_qR
+from bcortho.little import LittleParams, delta_qJ
+from bcortho.params import AWParams
+from bcortho.qracah import QRacahParams
 from bcortho.qseries import (
     qpoch_infinite,
     qpoch_infinite_arr,
@@ -207,7 +206,7 @@ class TestBigTable:
         want = raised(weight_big, z, bp)
         assert want is DomainViolation
         one = LaurentPolynomial.constant(n)
-        assert raised(bilinear_big, one, one, bp) is want
+        assert raised(big.family(bp).pair, one, one) is want
 
 
 class TestLittleTable:
@@ -241,7 +240,7 @@ class TestLittleTable:
         want = raised(little_weight_at_point, z, lp)
         assert want is DomainViolation
         one = LaurentPolynomial.constant(n)
-        assert raised(bilinear_little, one, one, lp) is want
+        assert raised(little.family(lp).pair, one, one) is want
 
     def test_pair_factor_guard_is_per_factor(self):
         # z = (t, 1) puts the factor 1 - t z_2 / z_1 of the denominator of
@@ -360,7 +359,7 @@ class TestNonFiniteWeights:
         # row 3 of the table: label (0, 3)
         with pytest.raises(NonFiniteWeight, match=re.escape(
                 "Jackson multisum: weight inf at the label nu = [0, 3]")):
-            little._node_table.__wrapped__(lp)
+            little._node_table(lp)
 
 
 class TestEvalPoints:
@@ -429,7 +428,7 @@ class TestEvalPoints:
         if table == "big-n3":
             bp = BigParams(3, 0.5, 0.4, 0.6, 0.3, 1.0, 0.8)
             parts = big._node_table(bp)
-            polys = big.big_polynomials((1, 1, 1), bp).values()
+            polys = orthogonalize((1, 1, 1), 3, monomial_s, parts).values()
         else:
             qp = QRacahParams(3, 0.5, 0.3, 0.7, -0.5, 0.4, 3)
             parts = [qracah._node_table(qp)]
@@ -616,13 +615,14 @@ class TestNodeValues:
         # the node values of the lmax 1 polynomials at n = 3 (66k nodes in
         # four parts) stay within 5 MiB traced; 4.68 MiB measured
         bp = BigParams(3, 0.5, 0.4, 0.6, 0.3, 1.0, 0.8)
-        big._node_table(bp)
+        parts = big._node_table(bp)
         tracemalloc.start()
         try:
-            polys = list(big.big_polynomials((1, 1, 1), bp).values())
+            polys = list(orthogonalize((1, 1, 1), 3, monomial_s,
+                                       parts).values())
             for i, f in enumerate(polys):
                 for g in polys[i:]:
-                    bilinear_big(f, g, bp)
+                    pair(f, g, parts)
             _cur, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -660,67 +660,72 @@ class TestNodeValues:
         assert peak < 0.75 * 2 ** 20
 
 
-class TestTablesAreReused:
-    """A repeated pairing on equal parameters computes no node weight."""
+# per family: the module whose builder makes its node tables, the
+# builder's name there, and a record on fresh parameters
+OWNERS = {
+    "aw": (askey_wilson, "measure", lambda: askey_wilson.family(
+        AWParams(2, 0.5, 0.3, 1.1, -0.45, 0.25, 0.2), 64)),
+    "qracah": (qracah, "_node_table", lambda: qracah.family(
+        QRacahParams(2, 0.5, 0.3, 0.7, -0.5, 0.4, 2))),
+    "little": (little, "_node_table", lambda: little.family(
+        LittleParams(2, 0.5, 0.4, 0.6, -2.0))),
+    "big": (big, "_node_table", lambda: big.family(big_params(2, "real"))),
+}
 
-    def counting(self, monkeypatch, mod, names, counts):
-        for name in names:
-            fn = getattr(mod, name)
 
-            def wrapped(*args, _fn=fn, _name=name, **kwargs):
-                counts[_name] = counts.get(_name, 0) + 1
-                return _fn(*args, **kwargs)
+class TestFamiliesOwnTheirTables:
+    """A family record builds its measure once, on first use, and holds
+    it alone (bcpoly.Family.on_tables): no cache keyed by parameter
+    values shares a table between records, and no table outlives the
+    check that reads it."""
 
-            monkeypatch.setattr(mod, name, wrapped)
+    @staticmethod
+    def counted(monkeypatch, name):
+        """A fresh record of the family, and the list of its measure
+        builds."""
+        mod, builder, make = OWNERS[name]
+        build, calls = getattr(mod, builder), []
 
-    def check(self, monkeypatch, pairing, make_params, tables, kernels):
-        for table in tables:
-            table.cache_clear()
-        counts = {}
-        for mod, names in kernels:
-            self.counting(monkeypatch, mod, names, counts)
-        first = pairing(make_params())
-        assert sum(counts.values()) > 0
-        counts.clear()
-        assert pairing(make_params()) == first
-        assert counts == {}
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
 
-    def test_big(self, monkeypatch):
-        f, g = monomial_s((1, 0)), monomial_s((1, 1))
-        self.check(monkeypatch, lambda bp: bilinear_big(f, g, bp),
-                   lambda: big_params(2, "real"), [big._node_table],
-                   [(big, ["qpoch_theta_values", "qpoch_infinite_arr",
-                           "weight_big", "c_weights"]),
-                    (little, ["qpoch_real_arr"])])
+        monkeypatch.setattr(mod, builder, counting)
+        return make, calls
 
-    def test_little(self, monkeypatch):
-        f, g = monomial_s((1, 0)), monomial_s((2, 1))
-        self.check(monkeypatch, lambda lp: bilinear_little(f, g, lp),
-                   lambda: LittleParams(2, 0.5, 0.4, 0.6, -2.0),
-                   [little._node_table],
-                   [(little, ["qpoch_infinite_arr", "qpoch_real",
-                              "qpoch_real_arr"])])
+    @pytest.mark.parametrize("name", list(OWNERS))
+    def test_one_build_per_family(self, name, monkeypatch):
+        # the <1,1>, the polynomials and their Gram matrix all read the
+        # one build, made on the first pairing
+        make, calls = self.counted(monkeypatch, name)
+        fam = make()
+        assert calls == []
+        one = LaurentPolynomial.constant(2)
+        fam.pair(one, one)
+        fam.gram(list(fam.polynomials((1, 1)).values()))
+        assert len(calls) == 1
 
-    def test_qracah(self, monkeypatch):
-        f, g = monomial_w((1, 0)), monomial_w((1, 1))
-        self.check(monkeypatch, lambda qp: bilinear_qR(f, g, qp),
-                   lambda: QRacahParams(2, 0.5, 0.3, 0.7, -0.5, 0.4, 2),
-                   [qracah._node_table], [(qracah, ["weight_qR"])])
+    @pytest.mark.parametrize("name", list(OWNERS))
+    def test_equal_parameters_build_twice(self, name, monkeypatch):
+        # equal but distinct parameters: two records, two measures
+        make, calls = self.counted(monkeypatch, name)
+        first, second = make(), make()
+        assert first.params == second.params
+        assert first.params is not second.params
+        one = LaurentPolynomial.constant(2)
+        assert first.pair(one, one) == second.pair(one, one)
+        assert len(calls) == 2
 
-    def test_partial_gram_builds_one_table(self):
-        # a Gram matrix of k polynomials makes k(k+1)/2 partially discrete
-        # pairings on one measure and builds its chain table once
-        p = AWParams(2, 0.5, 0.3, 1.1, -1.05, 0.35, 0.45)
-        polys = [monomial_w(lam) for lam in [(0, 0), (1, 0), (1, 1), (2, 0)]]
-        measures._discrete_table.cache_clear()
-        for i, f in enumerate(polys):
-            for g in polys[i:]:
-                measures.partial_bilinear(f, g, p, 32)
-        info = measures._discrete_table.cache_info()
-        assert (info.misses, info.hits) == (1, 9)
+    def test_no_table_outlives_its_run(self, tmp_path):
+        # selberg --n 3 builds the chamber and split tables of five
+        # families; none is alive once the run is over
+        def alive():
+            return {id(obj) for obj in gc.get_objects()
+                    if isinstance(obj, (measures._Chamber, PointTable))}
 
-    def test_one_bound_for_every_table(self):
-        for table in (big._node_table, little._node_table,
-                      qracah._node_table, measures._discrete_table,
-                      measures._table):
-            assert table.cache_info().maxsize == CACHE_SIZE
+        gc.collect()
+        before = alive()
+        assert cli.main(["--suite", "selberg", "--n", "3",
+                         "--out", str(tmp_path / "report.json")]) == 0
+        gc.collect()
+        assert alive() - before == set()

@@ -19,11 +19,11 @@ from bcortho.bcpoly import (
     pair,
     partitions_dominated_by,
 )
-from bcortho.big import BigParams, big_polynomials
+from bcortho.big import BigParams
 from bcortho.errors import DomainViolation, SingularGram
-from bcortho.little import LittleParams, little_polynomials
+from bcortho.little import LittleParams
 from bcortho.params import AWParams
-from bcortho.qracah import QRacahParams, qracah_polynomials
+from bcortho.qracah import QRacahParams
 
 LP2 = LittleParams(2, 0.5, 0.3, 0.4, 0.2)
 BP2 = BigParams(2, 0.5, 0.4, 0.6, 0.3, 1.0, 0.8)
@@ -31,27 +31,36 @@ QP2 = QRacahParams(2, 0.5, 0.3, 0.7, -0.5, 0.4, 2)
 AW2 = AWParams(2, 0.5, 0.3, 0.35, -0.45, 0.25, 0.2)
 
 FAMILIES = [
-    (little_polynomials, LP2, monomial_s),
-    (big_polynomials, BP2, monomial_s),
-    (qracah_polynomials, QP2, monomial_w),
+    ("little_polynomials", LP2, monomial_s),
+    ("big_polynomials", BP2, monomial_s),
+    ("qracah_polynomials", QP2, monomial_w),
 ]
+# the polynomials of degree mu <= top of each family on the parameters
+# p, one record per call, under the names of the test ids
+POLYNOMIALS = {
+    "little_polynomials": lambda p: little.family(p).polynomials,
+    "big_polynomials": lambda p: big.family(p).polynomials,
+    "qracah_polynomials": lambda p: qracah.family(p).polynomials,
+    "aw_polynomials": lambda p: lambda top: aw_polynomials(top, p),
+}
 
 
 @pytest.mark.parametrize("build, p, basis", FAMILIES)
 def test_family_independent_of_top(build, p, basis):
-    family = build((2, 2), p)
+    build = POLYNOMIALS[build](p)
+    family = build((2, 2))
     assert list(family) == partitions_dominated_by((2, 2))
     for mu, P in family.items():
-        alone = build(mu, p)[mu]
+        alone = build(mu)[mu]
         assert P == alone
         assert P.coefficient(mu) == 1.0
 
 
 @pytest.mark.parametrize("build, p, basis",
-                         FAMILIES + [(aw_polynomials, AW2, monomial_w)])
+                         FAMILIES + [("aw_polynomials", AW2, monomial_w)])
 def test_combination_of_basis_orbits(build, p, basis):
     # P_mu = sum_{nu <= mu} c_nu basis(nu) exactly, with c_mu = 1
-    for mu, P in build((2, 1), p).items():
+    for mu, P in POLYNOMIALS[build](p)((2, 1)).items():
         lower = partitions_dominated_by(mu)
         assert P.coefficient(mu) == 1.0
         assert P == LaurentPolynomial(2, {
@@ -67,7 +76,7 @@ def test_combination_of_basis_orbits(build, p, basis):
 @pytest.mark.parametrize("build, p, basis", FAMILIES)
 def test_length_checked(build, p, basis):
     with pytest.raises(DomainViolation):
-        build((1,), p)
+        POLYNOMIALS[build](p)((1,))
 
 
 def test_rank_one_pairing_is_singular():
@@ -78,41 +87,35 @@ def test_rank_one_pairing_is_singular():
         orthogonalize((1, 0), 2, monomial_s, [table])
 
 
-# (build, params, top) of the bit-identity tests
+# (family module, params, top) of the bit-identity tests
 LOOP_CASES = {
-    "qracah-n2-N2": (qracah_polynomials, QP2, (2, 2)),
-    "qracah-n2-N3": (qracah_polynomials,
-                     QRacahParams(2, 0.5, 0.3, 0.7, -0.5, 0.4, 3), (3, 3)),
-    "qracah-n3-N2": (qracah_polynomials,
-                     QRacahParams(3, 0.5, 0.3, 0.7, -0.5, 0.4, 2),
+    "qracah-n2-N2": (qracah, QP2, (2, 2)),
+    "qracah-n2-N3": (qracah, QRacahParams(2, 0.5, 0.3, 0.7, -0.5, 0.4, 3),
+                     (3, 3)),
+    "qracah-n3-N2": (qracah, QRacahParams(3, 0.5, 0.3, 0.7, -0.5, 0.4, 2),
                      (2, 2, 2)),
-    "qracah-n3-N3": (qracah_polynomials,
-                     QRacahParams(3, 0.5, 0.3, 0.7, -0.5, 0.4, 3),
+    "qracah-n3-N3": (qracah, QRacahParams(3, 0.5, 0.3, 0.7, -0.5, 0.4, 3),
                      (3, 3, 3)),
-    "qracah-complex-t0": (qracah_polynomials,
-                          QRacahParams(2, 0.5, 0.3, 0.7 + 0.2j, -0.5, 0.4,
-                                       2), (2, 2)),
-    "little-q0.5": (little_polynomials, LP2, (2, 2)),
-    "little-q0.9": (little_polynomials,
-                    LittleParams(2, 0.9, 0.3, 0.4, 0.2), (2, 2)),
-    "big-n2": (big_polynomials, BP2, (2, 2)),
-    "big-n3": (big_polynomials, BigParams(3, 0.5, 0.4, 0.6, 0.3, 1.0, 0.8),
-               (1, 1, 1)),
+    "qracah-complex-t0": (qracah, QRacahParams(2, 0.5, 0.3, 0.7 + 0.2j,
+                                               -0.5, 0.4, 2), (2, 2)),
+    "little-q0.5": (little, LP2, (2, 2)),
+    "little-q0.9": (little, LittleParams(2, 0.9, 0.3, 0.4, 0.2), (2, 2)),
+    "big-n2": (big, BP2, (2, 2)),
+    "big-n3": (big, BigParams(3, 0.5, 0.4, 0.6, 0.3, 1.0, 0.8), (1, 1, 1)),
 }
-TABLES = {qracah_polynomials: lambda p: [qracah._node_table(p)],
-          little_polynomials: little._node_table,
-          big_polynomials: big._node_table}
 
 
 @pytest.mark.parametrize("case", list(LOOP_CASES))
 def test_columns_equal_polynomial_loop(case):
     # on node-value columns, orthogonalize forms the terms (in their
     # order) and node values of the loop that made a new polynomial per
-    # projection step and evaluated it anew
-    build, p, top = LOOP_CASES[case]
-    tables = TABLES[build](p)
-    basis = monomial_w if build is qracah_polynomials else monomial_s
-    got = build(top, p)
+    # projection step and evaluated it anew, on the family's node tables
+    mod, p, top = LOOP_CASES[case]
+    if mod is qracah:
+        tables, basis = [qracah._node_table(p)], monomial_w
+    else:
+        tables, basis = mod._node_table(p), monomial_s
+    got = orthogonalize(top, len(top), basis, tables)
     want = orthogonalize_loop(top, len(top), basis,
                               lambda f, g: pair(f, g, tables))
     assert list(got) == list(want)
@@ -126,5 +129,5 @@ def test_columns_equal_polynomial_loop(case):
 def test_small_measure_is_not_singular():
     # <1,1> = 2.4e-12 here, so an absolute norm guard would reject it
     lp = LittleParams(2, 0.9, 0.3, 0.4, 0.2)
-    family = little_polynomials((2, 2), lp)
+    family = little.family(lp).polynomials((2, 2))
     assert list(family) == partitions_dominated_by((2, 2))

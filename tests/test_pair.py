@@ -21,10 +21,10 @@ from bcortho.bcpoly import (
     pair,
     partitions_dominated_by,
 )
-from bcortho.big import BigParams, big_polynomials, bilinear_big
-from bcortho.little import LittleParams, bilinear_little, little_polynomials
+from bcortho.big import BigParams
+from bcortho.little import LittleParams
 from bcortho.params import AWParams
-from bcortho.qracah import QRacahParams, bilinear_qR, qracah_polynomials
+from bcortho.qracah import QRacahParams, qracah_polynomials
 
 # the aw suite's defaults at n = 3
 P3 = AWParams(3, 0.5, 0.3, 0.35, -0.45, 0.25, 0.2)
@@ -51,30 +51,29 @@ class TestInOrder:
     def test_qracah_equals_term_loop(self, n, N, top):
         qp = qracah_params(n, N)
         table = [qracah._node_table(qp)]
-        polys = with_monomials(qracah_polynomials(top, qp).values(),
-                               monomial_w, top)
+        fam = qracah.family(qp)
+        polys = with_monomials(fam.polynomials(top).values(), monomial_w,
+                               top)
         for a, f in enumerate(polys):
             for g in polys[a:]:
-                got = bilinear_qR(f, g, qp)
+                got = fam.pair(f, g)
                 assert type(got) is complex
                 assert got == pair_loop(f, g, table)
 
-    @pytest.mark.parametrize("module, params, make, pairing, parts", [
-        (little, LittleParams(2, 0.5, 0.3, 0.4, 0.2), little_polynomials,
-         bilinear_little, 1),
-        (big, BigParams(2, 0.5, 0.4, 0.6, 0.3, 1.0, 0.8), big_polynomials,
-         bilinear_big, 3),
+    @pytest.mark.parametrize("module, params, parts", [
+        (little, LittleParams(2, 0.5, 0.3, 0.4, 0.2), 1),
+        (big, BigParams(2, 0.5, 0.4, 0.6, 0.3, 1.0, 0.8), 3),
     ], ids=["little", "big"])
-    def test_jackson_parts_equal_term_loop(self, module, params, make,
-                                           pairing, parts):
+    def test_jackson_parts_equal_term_loop(self, module, params, parts):
         # on the big table the running total carries from part to part
         tables = module._node_table(params)
         assert len(tables) == parts
-        polys = with_monomials(make((2, 2), params).values(), monomial_s,
+        fam = module.family(params)
+        polys = with_monomials(fam.polynomials((2, 2)).values(), monomial_s,
                                (2, 2))
         for a, f in enumerate(polys):
             for g in polys[a:]:
-                got = pairing(f, g, params)
+                got = fam.pair(f, g)
                 assert type(got) is float
                 assert got == pair_loop(f, g, tables)
 
@@ -83,7 +82,7 @@ class TestInOrder:
         # so a slab boundary falls inside the sum; a constant keeps one
         # chamber value, broadcast over every slab. The weights of real
         # parameters are real, so a pairing of real node values is a float
-        table = [measures._table(P3, 3, 64)]
+        table = [measures._Chamber(P3, 3, 64)]
         assert len(table[0].weights) > SLAB
         assert table[0].weights.dtype == float
         polys = with_monomials(aw_polynomials((1, 1, 1), P3).values(),
@@ -108,10 +107,10 @@ class TestInOrder:
     def test_symmetric_and_empty(self):
         # on real node values f g and g f are the same products; a table
         # with no node adds 0
-        table = [measures._table(P3, 3, 64)]
+        table = [measures._Chamber(P3, 3, 64)]
         f, g = (monomial_w(mu) for mu in ((1, 0, 0), (1, 1, 0)))
         assert pair(f, g, table) == pair(g, f, table)
-        empty = measures._table(P3, 3, 6)
+        empty = measures._Chamber(P3, 3, 6)
         assert empty.weights.size == 0
         assert pair(f, g, [empty]) == 0.0
         assert pair(f, g, [empty] + table) == pair(f, g, table)
@@ -121,14 +120,15 @@ class TestGram:
     @pytest.mark.parametrize("family", ["torus", "qracah"])
     def test_one_pair_per_entry(self, family):
         if family == "torus":
-            tables = [measures._table(P3, 3, 64)]
+            tables = [measures._Chamber(P3, 3, 64)]
             polys = with_monomials(aw_polynomials((1, 1, 1), P3).values(),
                                    monomial_w, (1, 1, 1))
         else:
             qp = qracah_params(2, 3)
             tables = [qracah._node_table(qp)]
-            polys = with_monomials(qracah_polynomials((2, 2), qp).values(),
-                                   monomial_w, (2, 2))
+            polys = with_monomials(
+                qracah_polynomials((2, 2), qp, tables).values(), monomial_w,
+                (2, 2))
         G = gram(polys, tables)
         assert G.shape == (len(polys),) * 2 and G.dtype == complex
         for a, f in enumerate(polys):
@@ -139,8 +139,9 @@ class TestGram:
     def test_torus_gram_is_gram(self):
         polys = list(aw_polynomials((1, 1, 1), P3).values())
         # on the open disk the measure is the chamber table alone
-        G = measures.partial_gram(polys, P3, 64)
-        want = gram(polys, [measures._table(P3, 3, 64)])
+        [chamber] = tables = measures.measure(P3, 64)
+        G = measures.partial_gram(polys, tables, P3, 64)
+        want = gram(polys, [chamber])
         assert G.tobytes() == want.tobytes()
 
 
@@ -165,22 +166,25 @@ class TestMassReadsWeights:
         # <1,1> reads the weights alone: no power row is gathered at a
         # node (bcpoly._layout_values), no orbit sum is formed and the
         # n-axis chamber builds no node list
-        measures._table.cache_clear()
-        measures._discrete_table.cache_clear()
         fam = _mass_family(name, M)
+        built = []
+
+        def measure(p, m):
+            built.append(measures.measure(p, m))
+            return built[-1]
 
         def evaluates(*args):
             raise AssertionError("a mass pairing evaluated a polynomial")
 
         monkeypatch.setattr(bcpoly, "_layout_values", evaluates)
         monkeypatch.setattr(measures._Chamber, "orbit_sum", evaluates)
+        monkeypatch.setattr(askey_wilson, "measure", measure)
         one = LaurentPolynomial.constant(fam.params.n)
         got, want = fam.pair(one, one), fam.mass()
         assert abs(got - want) <= 1e-6 * abs(want)
         if M is not None:
-            assert "nodes" not in measures._table(fam.params, 3, M).__dict__
-        measures._table.cache_clear()
-        measures._discrete_table.cache_clear()
+            [(chamber, *_splits)] = built
+            assert "nodes" not in chamber.__dict__
 
 
 class TestMemory:
@@ -188,7 +192,7 @@ class TestMemory:
         # the n = 3, M = 256 chamber holds 333,375 nodes: a real array of
         # its length takes 2.5 MiB, a complex one 5.1 MiB. Pairing 1 with
         # 1 slab by slab takes 0.22 MiB traced
-        table = measures._table(P3, 3, 256)
+        table = measures._Chamber(P3, 3, 256)
         assert len(table.weights) == 333375
         one = LaurentPolynomial.constant(3)
         tracemalloc.start()

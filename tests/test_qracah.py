@@ -16,10 +16,8 @@ from bcortho.measures import multi_discrete_weight, wd_residue_weight
 from bcortho.params import AWParams
 from bcortho.qracah import (
     QRacahParams,
-    bilinear_qR,
     kr_constant,
     norm_qR,
-    qracah_polynomials,
     summation_qR,
     support_qR,
     weight_qR,
@@ -240,7 +238,8 @@ class TestSummation:
     @pytest.mark.parametrize("qp", [QP1, QP2, QP3])
     def test_matches_direct_sum(self, qp):
         one = LaurentPolynomial.constant(qp.n)
-        assert rel(bilinear_qR(one, one, qp), summation_qR(qp)) < 1e-10
+        assert rel(qracah.family(qp).pair(one, one),
+                   summation_qR(qp)) < 1e-10
 
     def test_norm0_matches_summation(self):
         for qp in (QP1, QP2, QP3):
@@ -269,11 +268,12 @@ class TestOrthogonality:
         lams = [lam for lam in
                 [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
                 if lam[0] <= N]
-        polys = {lam: qracah_polynomials(lam, qp)[lam] for lam in lams}
+        fam = qracah.family(qp)
+        polys = {lam: fam.polynomials(lam)[lam] for lam in lams}
         scale = abs(summation_qR(qp))
         for i, la in enumerate(lams):
             for lb in lams[i:]:
-                v = bilinear_qR(polys[la], polys[lb], qp)
+                v = fam.pair(polys[la], polys[lb])
                 if la == lb:
                     assert rel(v, norm_qR(la, qp)) < 1e-8
                 else:
@@ -290,9 +290,9 @@ class TestNodeTable:
     """The vectorized pairing against the node-by-node oracle."""
 
     @staticmethod
-    def gram_pairs(qp):
-        top = (qp.N,) * qp.n
-        polys = list(qracah_polynomials(top, qp).values())
+    def gram_pairs(fam):
+        top = (fam.params.N,) * fam.params.n
+        polys = list(fam.polynomials(top).values())
         polys += [monomial_w(lam) for lam in partitions_dominated_by(top)]
         memo = [Memo(f) for f in polys]
         return [(polys[i], polys[j], memo[i], memo[j])
@@ -316,9 +316,9 @@ class TestNodeTable:
         # and the terms are added in the same order
         qp = QRacahParams(n, 0.5, 0.3, 0.7, -0.5, 0.4, N)
         table = nodewise_table(qp)
-        for f, g, fm, gm in self.gram_pairs(qp):
-            assert bilinear_qR(f, g, qp) == bilinear_qR_nodewise(fm, gm,
-                                                                 table)
+        fam = qracah.family(qp)
+        for f, g, fm, gm in self.gram_pairs(fam):
+            assert fam.pair(f, g) == bilinear_qR_nodewise(fm, gm, table)
 
     @pytest.mark.parametrize("n, N", [(1, 3), (2, 2), (3, 1)])
     def test_complex_t0(self, n, N):
@@ -326,11 +326,12 @@ class TestNodeTable:
         qp = QRacahParams(n, 0.5, 0.3, 0.7 * cmath.exp(0.4j), -0.5, 0.4, N)
         assert np.iscomplexobj(qracah._node_table(qp).z)
         table = nodewise_table(qp)
-        for f, g, fm, gm in self.gram_pairs(qp):
+        fam = qracah.family(qp)
+        for f, g, fm, gm in self.gram_pairs(fam):
             want = bilinear_qR_nodewise(fm, gm, table)
             scale = sum(fm.eval_abs(z) * gm.eval_abs(z) * abs(w)
                         for z, w in table)
-            assert abs(bilinear_qR(f, g, qp) - want) <= 1e-13 * scale
+            assert abs(fam.pair(f, g) - want) <= 1e-13 * scale
 
 
 class TestNormKeys:
@@ -350,7 +351,7 @@ class TestErrors:
         with pytest.raises(DomainViolation):
             norm_qR((QP2.N + 1, 0), QP2)
         with pytest.raises(DomainViolation):
-            qracah_polynomials((QP2.N + 1, 0), QP2)
+            qracah.family(QP2).polynomials((QP2.N + 1, 0))
 
     def test_negative_N(self):
         with pytest.raises(DomainViolation):
