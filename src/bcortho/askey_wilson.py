@@ -20,7 +20,10 @@ deformation eps -> 0 of its parameters. Each limit is one Limit record,
 holding its target family, and two scans along eps_k = q^(k+1) test it:
 limit_scan on the polynomial coefficients and measure_scan on the
 partially discrete pairing. Each scan evaluates only the steps k it is
-given.
+given. Along one limit only the t_i move, so limit_scan reads every
+step's operator matrix from one pass of D (koornwinder.op_matrices) and
+back-substitutes each on its own (_back_substitute), the code that
+aw_polynomials runs on its batch of one.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ from .errors import (
     PoleInPrefactor,
     ZeroCoordinate,
 )
-from .koornwinder import eigenvalue_E, op_matrix
+from .koornwinder import (TriangularOpMatrix, eigenvalue_E, op_matrices,
+                          op_matrix)
 from .measures import measure, partial_bilinear, partial_gram
 from .params import AWParams
 from .qseries import qpoch_infinite, qpoch_ratios
@@ -57,14 +61,20 @@ SEPARATION = 1e-8
 def aw_polynomials(top: Sequence[int], p: AWParams
                    ) -> Dict[Tuple[int, ...], LaurentPolynomial]:
     """The monic Askey-Wilson polynomials P_mu for every mu <= top, in
-    graded-lex order, all from the one operator matrix of top.
+    graded-lex order, all from the one operator matrix of top
+    (_back_substitute on op_matrix, the batch of one of the pass that
+    limit_scan makes for all its steps)."""
+    return _back_substitute(op_matrix(top, p), p)
 
-    For each mu, solves (M - E_mu I) c = 0 with c_mu = 1 by
-    back-substitution on the rows and columns of the partitions <= mu,
-    and returns sum_nu c_nu m_nu, built at once from the disjoint W-orbits
-    of the nu; raises EigenvalueCollision when E_mu is too close to some
-    E_nu, nu < mu, to separate."""
-    m = op_matrix(top, p)
+
+def _back_substitute(m: TriangularOpMatrix, p: AWParams
+                     ) -> Dict[Tuple[int, ...], LaurentPolynomial]:
+    """P_mu for every mu of the index of the operator matrix m of D at p:
+    solves (M - E_mu I) c = 0 with c_mu = 1 by back-substitution on the
+    rows and columns of the partitions <= mu, and returns
+    sum_nu c_nu m_nu, built at once from the disjoint W-orbits of the nu;
+    raises EigenvalueCollision when E_mu is too close to some E_nu,
+    nu < mu, to separate."""
     pos = {mu: k for k, mu in enumerate(m.index)}
     energy = {mu: eigenvalue_E(mu, p) for mu in m.index}
     out: Dict[Tuple[int, ...], LaurentPolynomial] = {}
@@ -109,14 +119,30 @@ def limit_scan(limit: Limit, lam: Sequence[int], ks: Iterable[int]
     """Table of (k, eps_k, max coefficient deviation) for each k in ks,
     eps_k = q^(k+1): at each eps the Askey-Wilson polynomial P_lambda at
     the deformed parameters, rescaled, against the target polynomial of
-    degree lambda."""
+    degree lambda.
+
+    The deformed parameter sets of all steps share n and q, so one pass
+    of D (koornwinder.op_matrices) gives every step's operator matrix,
+    and each step back-substitutes on its own: bit for bit a loop of
+    aw_polynomials over the steps. Errors come as that loop raises them,
+    the first step's first: a deformation that fails at step k is
+    raised once the steps before it are done."""
     lam = partition(lam)
     target = limit.target.polynomials(lam)[lam]
     q = limit.target.params.q
-    rows: List[Tuple[int, float, float]] = []
+    steps: List[Tuple[int, float, AWParams]] = []
+    failed = None
     for k in ks:
         eps = q * q ** k
-        aw = aw_polynomials(lam, limit.deformation(eps))[lam]
+        try:
+            steps.append((k, eps, limit.deformation(eps)))
+        except Exception as exc:  # raised after the steps before it
+            failed = exc
+            break
+    rows: List[Tuple[int, float, float]] = []
+    matrices = op_matrices(lam, [p for _k, _eps, p in steps])
+    for (k, eps, p), m in zip(steps, matrices):
+        aw = _back_substitute(m, p)[lam]
         r = limit.rescale(eps)
         dev = 0.0
         for mu in partitions_dominated_by(lam):
@@ -124,6 +150,8 @@ def limit_scan(limit: Limit, lam: Sequence[int], ks: Iterable[int]
             want = target.coefficient(mu)
             dev = max(dev, abs(scaled - want))
         rows.append((k, eps, dev))
+    if failed is not None:
+        raise failed
     return rows
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
@@ -75,6 +76,26 @@ def ascending_index(parts: Sequence[int]) -> Tuple[int, ...]:
     return p
 
 
+class _NodeValues(dict):
+    """id(table) -> (weak reference to table, values at its nodes). The
+    reference drops its entry when the table dies, before its identity
+    can be reused, and holds this dict only weakly, so a polynomial keeps
+    no table alive and no entry outlives its table."""
+
+    __slots__ = ("__weakref__",)
+
+    def add(self, table, values: np.ndarray) -> np.ndarray:
+        key, home = id(table), weakref.ref(self)
+
+        def drop(_ref):
+            entries = home()
+            if entries is not None:
+                entries.pop(key, None)
+
+        self[key] = (weakref.ref(table, drop), values)
+        return values
+
+
 class LaurentPolynomial:
     """Sparse Laurent polynomial: map from integer exponent vectors to
     complex coefficients. Instances are treated as immutable. No program
@@ -94,7 +115,7 @@ class LaurentPolynomial:
                     clean[tuple(int(x) for x in e)] = complex(c)
         self.terms = clean
         self._w_coeffs: Dict[Exponent, complex] | None = None
-        self._node_values: Dict[int, tuple] | None = None
+        self._node_values: _NodeValues | None = None
 
     @classmethod
     def constant(cls, nvars: int, c: complex = 1.0) -> "LaurentPolynomial":
@@ -182,16 +203,17 @@ class LaurentPolynomial:
         """table.at_nodes(self), the values at the nodes of a node table,
         computed once per table and kept on this instance, like
         w_coefficients, so the values die with the polynomial. Keyed by
-        the identity of table, which the entry holds so that the key
-        cannot be reused. The array is read-only."""
+        the identity of table; the entry holds the table weakly and is
+        dropped when the table dies (_NodeValues), so a polynomial keeps
+        no table alive. The array is read-only."""
         if self._node_values is None:
-            self._node_values = {}
+            self._node_values = _NodeValues()
         entry = self._node_values.get(id(table))
-        if entry is None:
-            values = table.at_nodes(self)
-            values.flags.writeable = False
-            entry = self._node_values[id(table)] = (table, values)
-        return entry[1]
+        if entry is not None:
+            return entry[1]
+        values = table.at_nodes(self)
+        values.flags.writeable = False
+        return self._node_values.add(table, values)
 
     def eval_grid(self, axes: List[np.ndarray]) -> np.ndarray:
         """Evaluate on the tensor grid axes[0] x ... x axes[n-1].
@@ -688,6 +710,8 @@ def orthogonalize(top: Sequence[int], n: int,
         if abs(norm) <= POLE_GUARD * abs(dot(F_mu, F_mu)):
             raise SingularGram(f"vanishing quadratic norm at {mu}")
         P = built[mu] = LaurentPolynomial._pruned(n, terms)
-        P._node_values = {id(t): (t, v) for t, v in zip(tables, F)}
+        P._node_values = _NodeValues()
+        for t, v in zip(tables, F):
+            P._node_values.add(t, v)
         norms[mu] = norm
     return built

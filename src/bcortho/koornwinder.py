@@ -7,22 +7,25 @@ Since D m_lambda is a Laurent polynomial with exponents in
 [-lambda_1, lambda_1] on every axis, its coefficients are read off exactly
 (up to rounding) by a discrete Fourier transform of its values on a fixed
 product grid of K = 2 lambda_1 + 1 nodes per axis. D is applied in one
-place, _apply_D_rows, to a batch of polynomials at once: the
-coefficients phi_j^{+-} and the shifted grids are formed once per batch
-and each polynomial is evaluated once on all of them. So op_matrix is one
-pass of D over every monomial and one FFT.
+place, _apply_D_rows, to a batch of polynomials at once and for a list
+of parameter sets that share n and q: the shifted grids, and so every
+polynomial's values on them, hold no parameter but q, so each polynomial
+is evaluated once for all sets, and only the coefficients phi_j^{+-}
+(_phi, formed for every j, both signs and every set at once) differ
+between sets. So op_matrices is one pass of D over every monomial and
+one FFT for all its sets, and op_matrix is its batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
 from .bcpoly import monomial_w, partition, partitions_dominated_by
-from .errors import DiagonalMismatch, NearPole
+from .errors import DiagonalMismatch, DomainViolation, NearPole
 from .params import AWParams
 from .qseries import POLE_GUARD
 
@@ -33,34 +36,45 @@ from .qseries import POLE_GUARD
 RADII = (0.8, 1.25, 1.4)
 
 
-def phi_plus(j: int, Z: np.ndarray, p: AWParams) -> np.ndarray:
-    """Coefficient function phi_j^+ of the forward q-shift in D at every
-    row of the (m, n) point array Z.
+def _phi(Z: np.ndarray, ps: Sequence[AWParams]) -> np.ndarray:
+    """The coefficients of D at every row of the (m, n) point array Z for
+    every parameter set of ps (which share n and q), as one
+    (len(ps), n, 2, m) array: [s, j, 0] is phi_j^+ of ps[s], the
+    coefficient of the forward q-shift on axis j (0-based), and
+    [s, j, 1] is phi_j^-(z) = phi_j^+(z^{-1}), every coordinate inverted.
 
-    The axis index j is 0-based. Raises NearPole when any denominator
-    factor is within guard distance of zero.
-    """
+    phi_j^+(z) = prod_i (1 - t_i z_j) / ((1 - z_j^2) (1 - q z_j^2))
+    prod_{l != j} (1 - t z_l z_j) (1 - t z_j / z_l)
+    / ((1 - z_l z_j) (1 - z_j / z_l)), each element formed in that order
+    from a 1, the factors over l in increasing l. The denominator factors
+    hold no parameter but q: each is formed once for all sets, and
+    NearPole names the first within guard distance of zero in the order
+    j, sign, factor, row."""
+    n, q = ps[0].n, ps[0].q
     Z = np.asarray(Z, dtype=complex)
-    zj = Z[:, j]
-    num = np.ones(len(Z), dtype=complex)
-    for ti in p.tvec:
-        num = num * (1.0 - ti * zj)
-    val = num / (_guard(1.0 - zj * zj) * _guard(1.0 - p.q * zj * zj))
-    for l in range(Z.shape[1]):
-        if l == j:
-            continue
-        zl = Z[:, l]
-        val = val * ((1.0 - p.t * zl * zj) * (1.0 - p.t * zj / zl))
-        val = val / (_guard(1.0 - zl * zj) * _guard(1.0 - zj / zl))
+    X = np.stack([Z.T, 1.0 / Z.T], axis=1)  # X[j, sign]: the axis j
+    # per l-factor k, the axis z_l that it reads for each j
+    Ls = [X[list(ls)] for ls in zip(*([l for l in range(n) if l != j]
+                                      for j in range(n)))]
+    den = _guard(np.stack(
+        [1.0 - X * X, 1.0 - q * X * X]
+        + [f for zl in Ls for f in (1.0 - zl * X, 1.0 - X / zl)], axis=2))
+    tv = np.array([p.tvec for p in ps], dtype=complex).T[..., None, None,
+                                                         None]
+    t = np.array([p.t for p in ps])[:, None, None, None]
+    val = np.ones((len(ps),) + X.shape, dtype=complex)
+    for ti in tv:
+        val = val * (1.0 - ti * X)
+    val = val / (den[:, :, 0] * den[:, :, 1])
+    for k, zl in enumerate(Ls, start=1):
+        val = val * ((1.0 - t * zl * X) * (1.0 - t * X / zl))
+        val = val / (den[:, :, 2 * k] * den[:, :, 2 * k + 1])
     return val
 
 
-def phi_minus(j: int, Z: np.ndarray, p: AWParams) -> np.ndarray:
-    """phi_j^-(z) = phi_j^+(z^{-1}) with all coordinates inverted."""
-    return phi_plus(j, 1.0 / np.asarray(Z, dtype=complex), p)
-
-
 def _guard(x: np.ndarray) -> np.ndarray:
+    """x, unless an entry is within guard distance of zero: NearPole
+    names the first, in C order."""
     small = np.abs(x) < POLE_GUARD
     if np.any(small):
         raise NearPole(
@@ -68,27 +82,33 @@ def _guard(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _apply_D_rows(fs: Sequence, Z: np.ndarray, p: AWParams) -> tuple:
-    """(f(Z), (D f)(Z)) for every f of fs, as two (len(fs), m) arrays:
-    D = sum_j phi_j^+ (T_j^+ - Id) + phi_j^- (T_j^- - Id) at every row of
-    the (m, n) point array Z, where T_j^{+-} shifts z_j to q^{+-1} z_j.
+def _apply_D_rows(fs: Sequence, Z: np.ndarray,
+                  ps: Sequence[AWParams]) -> tuple:
+    """(f(Z), (D f)(Z)) for every f of fs and every parameter set of ps
+    (which share n and q), as a (len(fs), m) and a (len(ps), len(fs), m)
+    array: D = sum_j phi_j^+ (T_j^+ - Id) + phi_j^- (T_j^- - Id) at every
+    row of the (m, n) point array Z, where T_j^{+-} shifts z_j to
+    q^{+-1} z_j.
 
     Each f is evaluated once, on Z and its 2n shifted copies stacked,
-    which eval_points adds point by point as it would each copy alone.
-    The D-values of all f are then summed at once, from zero, adding
-    phi_j^+ (f(q z) - f(z)) and then phi_j^- (f(z/q) - f(z)) for
-    j = 0..n-1."""
+    which eval_points adds point by point as it would each copy alone,
+    and its differences f(T_j^{+-} z) - f(z) serve every set. The
+    D-values of all f and all sets are then summed at once, from zero,
+    adding phi_j^+ (f(q z) - f(z)) and then phi_j^- (f(z/q) - f(z)) for
+    j = 0..n-1 (_phi)."""
+    n, q = ps[0].n, ps[0].q
     Z = np.asarray(Z, dtype=complex)
-    grids = np.array([Z] * (2 * p.n + 1))
-    for j in range(p.n):
-        grids[2 * j + 1:2 * j + 3, :, j] = p.q * Z[:, j], Z[:, j] / p.q
+    grids = np.array([Z] * (2 * n + 1))
+    for j in range(n):
+        grids[2 * j + 1:2 * j + 3, :, j] = q * Z[:, j], Z[:, j] / q
     flat = grids.reshape(-1, Z.shape[1])
     vals = np.array([f.eval_points(flat).reshape(len(grids), -1) for f in fs])
     fz = vals[:, 0]
-    total = np.zeros(fz.shape, dtype=complex)
-    for j in range(p.n):
-        total += phi_plus(j, Z, p) * (vals[:, 2 * j + 1] - fz)
-        total += phi_minus(j, Z, p) * (vals[:, 2 * j + 2] - fz)
+    phi = _phi(Z, ps)[..., None, :]  # one row per f
+    total = np.zeros((len(ps),) + fz.shape, dtype=complex)
+    for j in range(n):
+        total += phi[:, j, 0] * (vals[:, 2 * j + 1] - fz)
+        total += phi[:, j, 1] * (vals[:, 2 * j + 2] - fz)
     return fz, total
 
 
@@ -128,37 +148,57 @@ def _nodes(n: int, K: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.stack([m.ravel() for m in mesh], axis=1), base
 
 
-def op_matrix(lam: Sequence[int], p: AWParams) -> TriangularOpMatrix:
-    """Extract the triangular matrix of D on {m_mu : mu <= lambda}.
+def op_matrices(lam: Sequence[int], ps: Sequence[AWParams]
+                ) -> Iterator[TriangularOpMatrix]:
+    """The triangular matrix of D on {m_mu : mu <= lambda} for each
+    parameter set of ps, in order; the sets must share n and q
+    (DomainViolation otherwise).
 
-    Applies D to every m_{lambda'} in one pass on the K^n nodes of _nodes,
-    K = 2 lambda_1 + 1, and reads the coefficient of z^mu, the leading
-    term of m_mu, from one n-dimensional FFT of those values over the
-    node axes: exponents in [-lambda_1, lambda_1] fall on distinct FFT
-    bins. The diagonal is verified against the closed-form eigenvalues.
-    """
+    Applies D to every m_{lambda'} for every set in one pass on the K^n
+    nodes of _nodes, K = 2 lambda_1 + 1, and reads the coefficient of
+    z^mu, the leading term of m_mu, from one FFT of those values over
+    the node axes, a leading axis per set and per lambda': exponents in
+    [-lambda_1, lambda_1] fall on distinct FFT bins. Each set's matrix is
+    bit for bit the one a pass for that set alone gives. The pass runs
+    when the first matrix is asked for; each matrix's diagonal is
+    verified against the closed-form eigenvalues as it is yielded, so a
+    DiagonalMismatch comes with the first set that fails it."""
     lam = partition(lam)
+    ps = list(ps)
+    if not ps:
+        return
+    if any((p.n, p.q) != (ps[0].n, ps[0].q) for p in ps):
+        raise DomainViolation("the parameter sets of one pass of D must "
+                              "share n and q")
     mus = partitions_dominated_by(lam)
-    n = p.n
+    n = ps[0].n
     K = 2 * lam[0] + 1
     Z, base = _nodes(n, K)
-    fz, Df = _apply_D_rows([monomial_w(mu) for mu in mus], Z, p)
-    bins = (slice(None),) + tuple(np.array(mus).T % K)
+    fz, Df = _apply_D_rows([monomial_w(mu) for mu in mus], Z, ps)
+    bins = (slice(None), slice(None)) + tuple(np.array(mus).T % K)
     # coefficient of z^mu = (FFT bin of mu) / (K^n b^mu)
     scale = K ** n * np.prod(base ** np.array(mus), axis=1)
-    entries = np.fft.fftn(  # rows lambda', columns mu
-        Df.reshape((len(mus),) + (K,) * n), axes=range(1, n + 1))[bins] / scale
+    entries = np.fft.fftn(  # sets, rows lambda', columns mu
+        Df.reshape((len(ps), len(mus)) + (K,) * n),
+        axes=range(2, n + 2))[bins] / scale
     # the intermediate phi values inside _apply_D_rows grow like the
     # product of the two largest |t_i| while the result stays bounded, so
     # cancellation leaves absolute noise of that order times machine
     # epsilon; for strongly deformed parameters (|t_i| >> 1) that can
     # exceed a fixed tolerance on the O(1) eigenvalues
-    tmax = max(abs(ti) for ti in p.tvec)
     mmax = float(np.max(np.abs(fz)))
-    noise = 1e-12 * max(1.0, tmax * tmax) * mmax
-    for k, mu in enumerate(mus):
-        ek = eigenvalue_E(mu, p)
-        if abs(entries[k, k] - ek) > 1e-8 * max(1.0, abs(ek)) + noise:
-            raise DiagonalMismatch(
-                f"diagonal at {mu}: got {entries[k, k]}, closed form {ek}")
-    return TriangularOpMatrix(tuple(mus), entries)
+    for p, E in zip(ps, entries):
+        tmax = max(abs(ti) for ti in p.tvec)
+        noise = 1e-12 * max(1.0, tmax * tmax) * mmax
+        for k, mu in enumerate(mus):
+            ek = eigenvalue_E(mu, p)
+            if abs(E[k, k] - ek) > 1e-8 * max(1.0, abs(ek)) + noise:
+                raise DiagonalMismatch(
+                    f"diagonal at {mu}: got {E[k, k]}, closed form {ek}")
+        yield TriangularOpMatrix(tuple(mus), E)
+
+
+def op_matrix(lam: Sequence[int], p: AWParams) -> TriangularOpMatrix:
+    """The triangular matrix of D on {m_mu : mu <= lambda} at p: the
+    batch of one of op_matrices."""
+    return next(op_matrices(lam, [p]))

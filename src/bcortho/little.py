@@ -16,11 +16,14 @@ bcpoly.PointTable per part of the chain set, the labels nu with
 array kernel (_jackson_table, shared with the big q-Jacobi form); the
 pair factors of a part take one kernel call over the differences
 nu_j - nu_i, the only thing their argument q z_j / (t z_i) depends on.
-S grows until the last shells are negligible against the table's own
-mass, so masses far below 1, as at q near 1, keep full relative
-precision. A pairing is bcpoly.pair on the parts: the node values of
-f and g, kept on each polynomial (LaurentPolynomial.node_values), times
-the weights, summed in node order.
+S climbs a ladder of doubling shell counts until the last shells are
+negligible against the table's own mass, so masses far below 1, as at
+q near 1, keep full relative precision; a table whose one-axis factors
+predict that 32 shells do not settle is built at 64 at once, and the
+32-shell rung read off that build. A pairing is bcpoly.pair on the
+parts: the node values of f and g, kept on each polynomial
+(LaurentPolynomial.node_values), times the weights, summed in node
+order.
 
 Closed forms are stated with the q-gamma function of arguments involving
 alpha = log_q a and beta = log_q b; they are evaluated here through
@@ -52,6 +55,7 @@ from .bcpoly import (
     partition,
 )
 from .errors import (
+    BcorthoError,
     DomainViolation,
     SlowConvergence,
     ZeroProduct,
@@ -138,22 +142,78 @@ def _jackson_table(parts: Callable[[int], list], n: int, q: float, t: float,
     of the last four shells |nu| = s carries at most EPS_TRUNC of the
     table's sum of |w|; SlowConvergence if S = MAX_SHELLS does not
     settle. NonFiniteWeight (bcpoly._label_weights) names the first
-    label whose weight is not finite."""
+    label whose weight is not finite.
+
+    When the one-axis factors predict that 32 shells do not settle
+    (_settles_late), the first build is made at 64 shells and the rule
+    is applied to its labels |nu| <= 32 before all of them: those are,
+    in lexicographic order and with z[:, :33], bit for bit the table a
+    build at 32 gives (_rung_table), so the rung and every table are
+    those of a build per rung, and a guess too high costs one 64-shell
+    build. A 64-shell build that meets a typed error or a floating-point
+    overflow, division by zero or invalid operation (which a build at
+    32 may never reach) gives way to the build at 32, so every error
+    comes from the first rung that meets it."""
+    first, built = parts(32), None
+    if _settles_late(first):
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                built = _build(parts(64), 64, n, q, t, what)
+        except (BcorthoError, FloatingPointError):
+            pass
     S = 32
     while True:
-        table, mass = [], np.zeros(S + 1)
-        for chains, z, a, const in parts(S):
-            nu = _chain_labels(chains, [S + 1] * n, S)
-            w = _label_weights(nu, const, a, _pair_factors(z, chains, q, t),
-                               what)
-            mass += np.bincount(nu.sum(axis=0), np.abs(w), minlength=S + 1)
-            table.append(PointTable(z, nu, w))
-        if S >= n and np.all(mass[-4:] <= EPS_TRUNC * mass.sum()):
-            return table
+        if built is None or len(built[1]) < S + 1:
+            built = _build(first if S == 32 else parts(S), S, n, q, t, what)
+        table, mass = built
+        if S >= n and np.all(mass[S - 3:S + 1]
+                             <= EPS_TRUNC * mass[:S + 1].sum()):
+            return [_rung_table(part, S) for part in table]
         if S == MAX_SHELLS:
             raise SlowConvergence(f"{what} did not settle within "
                                   f"{MAX_SHELLS} shells")
         S = min(2 * S, MAX_SHELLS)
+
+
+def _settles_late(first: list) -> bool:
+    """Whether a Jackson table of the parts first = parts(32) is
+    predicted to need more than 32 shells: 32 - 3 < log(EPS_TRUNC) / r,
+    r < 0 the slowest mean log-decay per shell of any one-axis factor
+    over the last eight shells of first. False if some factor does not
+    decay there."""
+    with np.errstate(all="ignore"):
+        rates = np.concatenate([np.log(np.abs(a[:, -1]) / np.abs(a[:, -9]))
+                                for _chains, _z, a, _const in first]) / 8
+    rates = rates[~np.isnan(rates)]
+    if not rates.size or not np.max(rates) < 0:
+        return False
+    return 3 + math.log(EPS_TRUNC) / np.max(rates) > 32
+
+
+def _build(parts: list, S: int, n: int, q: float, t: float,
+           what: str) -> tuple:
+    """The PointTables of parts = parts(S), the labels |nu| <= S of a
+    part in lexicographic order (bcpoly._chain_labels) weighed by
+    bcpoly._label_weights, and the table's sum of |w| per shell
+    s = 0..S."""
+    table, mass = [], np.zeros(S + 1)
+    for chains, z, a, const in parts:
+        nu = _chain_labels(chains, [S + 1] * n, S)
+        w = _label_weights(nu, const, a, _pair_factors(z, chains, q, t),
+                           what)
+        mass += np.bincount(nu.sum(axis=0), np.abs(w), minlength=S + 1)
+        table.append(PointTable(z, nu, w))
+    return table, mass
+
+
+def _rung_table(part: PointTable, S: int) -> PointTable:
+    """The labels |nu| <= S of a part of _build: all of them when it was
+    built at S."""
+    if part.z.shape[1] == S + 1:
+        return part
+    keep = part.nu.sum(axis=0) <= S
+    return PointTable(part.z[:, :S + 1], part.nu[:, keep],
+                      part.weights[keep])
 
 
 def _pair_factors(z: np.ndarray, chains: Sequence[int], q: float,

@@ -18,7 +18,8 @@ walls (z_j = +-1, z_i = z_j^(+-1)), so the mean is a sum over the open
 chamber 0 < k_1 < ... < k_n < M/2 of grid indices, node k weighted by
 Delta(z_k) 2^n n! / M^n. One table per (params, axes, grid) holds
 the weights, built one leading index k_1 at a time from w_c(z_k),
-k <= M/2, and one real table of the pair factors (_pair_table), and the
+k <= M/2, and one real table of the pair factors (_pair_table), both
+formed once per measure for all its chambers (_GridFactors), and the
 nodes, built on first use: a pairing of constants, the constant term,
 reads the weights alone.
 For conjugation-closed parameters (AWParams.conj_closed) Delta is real on
@@ -198,6 +199,24 @@ def _lead_weights(tail: np.ndarray, P: np.ndarray, wc: np.ndarray,
     return weights
 
 
+class _GridFactors:
+    """The factors of Delta that every chamber table of one measure reads
+    on the M-point grid, each formed once, on first use: w_c on the
+    chamber axis k <= M/2 (_axis_wc) and the pair table (_pair_table)."""
+
+    def __init__(self, p: AWParams, M: int):
+        self.p = p
+        self.M = M
+
+    @functools.cached_property
+    def wc(self) -> np.ndarray:
+        return _axis_wc(_grid_axes(self.M)[:self.M // 2 + 1], self.p)
+
+    @functools.cached_property
+    def pair(self) -> np.ndarray:
+        return _pair_table(self.p, self.M)
+
+
 class _Chamber:
     """The M-point trapezoid rule of Delta on n_axes axes, folded onto the
     open W-chamber: the nodes (int16 columns k, 0 < k_1 < ... < k_n < M/2)
@@ -207,18 +226,23 @@ class _Chamber:
     axis reads w_c on the chamber axis, two the strict upper triangle of
     the pair table times w_c(z_a) w_c(z_b), and three or more are built one
     leading index at a time (_lead_weights) from the chamber of one axis
-    fewer. The weights never read the nodes: those are built on first use
-    (orbit_sum, or _discrete_table reading a chamber of n - r axes), so a
-    pairing of constants holds the weights alone."""
+    fewer. w_c and the pair table come from factors, shared by the
+    chambers of one measure (a chamber alone forms its own). The weights
+    never read the nodes: those are built on first use (orbit_sum, or
+    _discrete_table reading a chamber of n - r axes), so a pairing of
+    constants holds the weights alone."""
 
-    def __init__(self, p: AWParams, n_axes: int, M: int):
+    def __init__(self, p: AWParams, n_axes: int, M: int,
+                 factors: _GridFactors | None = None):
+        if factors is None:
+            factors = _GridFactors(p, M)
         roots = _grid_axes(M)
         half, top = M // 2, (M - 1) // 2
         self.axis = roots[:half + 1]
         self.cos = roots.real
         self.M = M
         self.n_axes = n_axes
-        wc = _axis_wc(self.axis, p)
+        wc = factors.wc
         const = 2 ** n_axes * math.factorial(n_axes) / M ** n_axes
         # each weight is const times the real pair factors P[k_i, k_j] in
         # (i, j) combinations order, times the axis factors
@@ -229,11 +253,11 @@ class _Chamber:
             i, j = np.triu_indices(top, 1)
             i += 1
             j += 1
-            self.weights = (const * _pair_table(p, M)[i, j]) * (wc[i] * wc[j])
+            self.weights = (const * factors.pair[i, j]) * (wc[i] * wc[j])
         else:
             self.weights = _lead_weights(
-                _chamber_nodes(n_axes - 1, top - 1) + 1, _pair_table(p, M),
-                wc, const, top)
+                _chamber_nodes(n_axes - 1, top - 1) + 1, factors.pair, wc,
+                const, top)
         self._sums: Dict[Tuple[int, ...], np.ndarray] = {}
 
     @functools.cached_property
@@ -564,11 +588,14 @@ def _split_labels(p: AWParams, M: int) -> tuple:
     return tuple(table)
 
 
-def _discrete_table(p: AWParams, M: int) -> Tuple[PointTable, ...]:
+def _discrete_table(p: AWParams, M: int,
+                    factors: _GridFactors | None = None
+                    ) -> Tuple[PointTable, ...]:
     """One PointTable per split of F(r). For r = n a node is a label's
     point; for r < n the nodes are every label times every node of the
-    chamber table of the other n - r axes (built once per n - r),
-    label-major, the trailing coordinates read on the chamber axis. A node's weight is
+    chamber table of the other n - r axes (built once per n - r, from the
+    measure's w_c and pair table, factors), label-major, the trailing
+    coordinates read on the chamber axis. A node's weight is
     2^r n! / (n - r)! times its label's weight, times the label's delta_c
     row at each trailing coordinate, times the chamber weight: real where
     all of these are. On V_AW every parameter of modulus >= 1 is real (a
@@ -578,7 +605,9 @@ def _discrete_table(p: AWParams, M: int) -> Tuple[PointTable, ...]:
     the real chain's delta_c rows and the chamber weight."""
     n = p.n
     out = []
-    chambers = functools.cache(lambda axes: _Chamber(p, axes, M))
+    if factors is None:
+        factors = _GridFactors(p, M)
+    chambers = functools.cache(lambda axes: _Chamber(p, axes, M, factors))
     for _l, nu, z, w, row in _split_labels(p, M):
         r = len(nu)
         w = 2 ** r * math.perm(n, r) * w
@@ -599,8 +628,10 @@ def _discrete_table(p: AWParams, M: int) -> Tuple[PointTable, ...]:
 
 def measure(p: AWParams, M: int) -> tuple:
     """The node tables of the measure on the M-point grid: the chamber
-    table, then the split tables."""
-    return (_Chamber(p, p.n, M), *_discrete_table(p, M))
+    table, then the split tables, every chamber reading one w_c and one
+    pair table (_GridFactors)."""
+    factors = _GridFactors(p, M)
+    return (_Chamber(p, p.n, M, factors), *_discrete_table(p, M, factors))
 
 
 def partial_bilinear(f: LaurentPolynomial, g: LaurentPolynomial,

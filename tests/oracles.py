@@ -12,8 +12,12 @@ rounding bit for bit. orthogonalize_loop is bcpoly.orthogonalize with a
 new polynomial per projection step, paired through a pair callable, and
 residue_split_loop the CLI's residue-split value with every one of its
 20 labels weighed, and its K_r formed, on its own: the CLI reproduces
-its value, and its errors, exactly. norm_ratio_keys_tuples is the
-q-Racah norm key builder as tuple arithmetic. The weights below are the
+its value, and its errors, exactly. limit_scan_loop is
+askey_wilson.limit_scan with one pass of D per step, and
+jackson_table_ladder little._jackson_table with one whole build per rung
+of its shell ladder; the program gives their tables, and raises their
+errors, exactly. norm_ratio_keys_tuples is the q-Racah norm key builder
+as tuple arithmetic. The weights below are the
 scalar forms of the densities that the node tables build as arrays, one
 point or label at a time; axis_wc_complex and interaction_c_rows_complex
 are the complex array forms of w_c and of the delta_c rows, which the
@@ -30,8 +34,9 @@ per coordinate and finite-product interactions. Both are references that
 measures.partial_bilinear is compared against.
 
 apply_D, qpoch_ratio, theta_jacobi and psi_t are one-argument forms of
-koornwinder._apply_D_rows, qseries.qpoch_ratios, qpoch_theta_values and
-psi_of_thetas; qgamma (with its error PoleAtNonpositiveInteger),
+koornwinder._apply_D_rows (for one parameter set, each phi_j^{+-} formed
+on its own by phi_plus and phi_minus), qseries.qpoch_ratios,
+qpoch_theta_values and psi_of_thetas; qgamma (with its error PoleAtNonpositiveInteger),
 substitute_prefix and the little q-Jacobi support_point are references
 that no program path runs, and table_nodes gathers the node coordinates
 of a PointTable.
@@ -52,33 +57,73 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from bcortho.askey_wilson import SEPARATION
-from bcortho.bcpoly import (LaurentPolynomial, _chain_labels, _label_weights,
-                            ascending_index, monomial_w, pair, partition,
-                            partitions_dominated_by)
+from bcortho.askey_wilson import SEPARATION, aw_polynomials
+from bcortho.bcpoly import (LaurentPolynomial, PointTable, _chain_labels,
+                            _label_weights, ascending_index, monomial_w,
+                            pair, partition, partitions_dominated_by)
 from bcortho.big import BigParams, _natural_k, _theta_den
 from bcortho.errors import (BcorthoError, DiagonalMismatch,
                             DomainViolation, EigenvalueCollision,
                             LengthMismatch, NearPole, PoleInProduct,
-                            SingularGram, UncancelledPole, ZeroArgument,
-                            ZeroCoordinate, ZeroProduct)
-from bcortho.koornwinder import (TriangularOpMatrix, _apply_D_rows, _nodes,
+                            SingularGram, SlowConvergence, UncancelledPole,
+                            ZeroArgument, ZeroCoordinate, ZeroProduct)
+from bcortho.koornwinder import (TriangularOpMatrix, _guard, _nodes,
                                  eigenvalue_E)
-from bcortho.little import LittleParams, _nqj_args, delta_qJ
+from bcortho.little import (MAX_SHELLS, LittleParams, _nqj_args,
+                            _pair_factors, delta_qJ)
 from bcortho import measures
 from bcortho.measures import multi_discrete_weight, wd_residue_weight
 from bcortho.params import AWParams
 from bcortho.qracah import QRacahParams, _key_value, kr_constant, weight_qR
-from bcortho.qseries import (POLE_GUARD, psi_of_thetas, qpoch_finite,
-                             qpoch_infinite, qpoch_infinite_arr,
+from bcortho.qseries import (EPS_TRUNC, POLE_GUARD, psi_of_thetas,
+                             qpoch_finite, qpoch_infinite, qpoch_infinite_arr,
                              qpoch_ratios, qpoch_real, qpoch_real_arr,
                              qpoch_theta_values)
 
 
+def phi_plus(j: int, Z: np.ndarray, p: AWParams) -> np.ndarray:
+    """Coefficient function phi_j^+ of the forward q-shift in D at every
+    row of the (m, n) point array Z.
+
+    The axis index j is 0-based. Raises NearPole when any denominator
+    factor is within guard distance of zero.
+    """
+    Z = np.asarray(Z, dtype=complex)
+    zj = Z[:, j]
+    num = np.ones(len(Z), dtype=complex)
+    for ti in p.tvec:
+        num = num * (1.0 - ti * zj)
+    val = num / (_guard(1.0 - zj * zj) * _guard(1.0 - p.q * zj * zj))
+    for l in range(Z.shape[1]):
+        if l == j:
+            continue
+        zl = Z[:, l]
+        val = val * ((1.0 - p.t * zl * zj) * (1.0 - p.t * zj / zl))
+        val = val / (_guard(1.0 - zl * zj) * _guard(1.0 - zj / zl))
+    return val
+
+
+def phi_minus(j: int, Z: np.ndarray, p: AWParams) -> np.ndarray:
+    """phi_j^-(z) = phi_j^+(z^{-1}) with all coordinates inverted."""
+    return phi_plus(j, 1.0 / np.asarray(Z, dtype=complex), p)
+
+
 def apply_D(f, Z: np.ndarray, p: AWParams) -> np.ndarray:
-    """D f at every row of the (m, n) point array Z: the batch
-    koornwinder._apply_D_rows of f alone."""
-    return _apply_D_rows([f], Z, p)[1][0]
+    """D f at every row of the (m, n) point array Z for one parameter
+    set: f evaluated on Z and its 2n shifted copies stacked, and
+    phi_j^+ (f(q z) - f(z)) then phi_j^- (f(z/q) - f(z)) added from zero
+    for j = 0..n-1, each phi formed on its own."""
+    Z = np.asarray(Z, dtype=complex)
+    grids = np.array([Z] * (2 * p.n + 1))
+    for j in range(p.n):
+        grids[2 * j + 1:2 * j + 3, :, j] = p.q * Z[:, j], Z[:, j] / p.q
+    vals = f.eval_points(grids.reshape(-1, Z.shape[1])).reshape(
+        len(grids), -1)
+    total = np.zeros(len(Z), dtype=complex)
+    for j in range(p.n):
+        total += phi_plus(j, Z, p) * (vals[2 * j + 1] - vals[0])
+        total += phi_minus(j, Z, p) * (vals[2 * j + 2] - vals[0])
+    return total
 
 
 def qpoch_ratio(num, den, q: float) -> complex:
@@ -275,6 +320,52 @@ def aw_polynomials_loop(top: Sequence[int], p: AWParams
         out[lam] = LaurentPolynomial(p.n, {
             e: c for nu, c in coeffs.items() for e in monomial_w(nu).terms})
     return out
+
+
+def jackson_table_ladder(parts, n: int, q: float, t: float,
+                         what: str) -> list:
+    """little._jackson_table as a ladder of whole builds: S starts at 32
+    and doubles, up to MAX_SHELLS, each rung building the parts, labels
+    and weights anew, until S >= n and each of the last four shells
+    |nu| = s carries at most EPS_TRUNC of the table's sum of |w|;
+    SlowConvergence if S = MAX_SHELLS does not settle. Build errors
+    (NonFiniteWeight) come from the first rung that meets one."""
+    S = 32
+    while True:
+        table, mass = [], np.zeros(S + 1)
+        for chains, z, a, const in parts(S):
+            nu = _chain_labels(chains, [S + 1] * n, S)
+            w = _label_weights(nu, const, a, _pair_factors(z, chains, q, t),
+                               what)
+            mass += np.bincount(nu.sum(axis=0), np.abs(w), minlength=S + 1)
+            table.append(PointTable(z, nu, w))
+        if S >= n and np.all(mass[-4:] <= EPS_TRUNC * mass.sum()):
+            return table
+        if S == MAX_SHELLS:
+            raise SlowConvergence(f"{what} did not settle within "
+                                  f"{MAX_SHELLS} shells")
+        S = min(2 * S, MAX_SHELLS)
+
+
+def limit_scan_loop(limit, lam: Sequence[int], ks) -> list:
+    """askey_wilson.limit_scan as a loop over the steps: at each step the
+    deformed parameters and their polynomials (aw_polynomials, one pass
+    of D per step), so an error comes from the first step that meets
+    it."""
+    lam = partition(lam)
+    target = limit.target.polynomials(lam)[lam]
+    q = limit.target.params.q
+    rows = []
+    for k in ks:
+        eps = q * q ** k
+        aw = aw_polynomials(lam, limit.deformation(eps))[lam]
+        r = limit.rescale(eps)
+        dev = 0.0
+        for mu in partitions_dominated_by(lam):
+            scaled = aw.coefficient(mu) * r ** (sum(lam) - sum(mu))
+            dev = max(dev, abs(scaled - target.coefficient(mu)))
+        rows.append((k, eps, dev))
+    return rows
 
 
 def norm_ratio_keys_tuples(lam: Sequence[int], n: int, N: int):

@@ -667,9 +667,9 @@ class TestPartiallyDiscrete:
         tol = 1e-6
         table = measures._discrete_table
 
-        def wrong(p, M):
+        def wrong(p, M, factors):
             return [PointTable(t.z, t.nu, t.weights * (1 + 10 * tol))
-                    for t in table(p, M)]
+                    for t in table(p, M, factors)]
 
         if scaled:
             monkeypatch.setattr(measures, "_discrete_table", wrong)

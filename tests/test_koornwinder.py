@@ -3,23 +3,23 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bcortho import askey_wilson, koornwinder
+from bcortho import askey_wilson, cli, koornwinder
 from bcortho.askey_wilson import aw_polynomials
+from bcortho.big import big_limit
+from bcortho.cli import _big_family, _little_family, build_config
+from bcortho.little import little_limit
 from bcortho.bcpoly import LaurentPolynomial, monomial_w, partitions_dominated_by, dominance_leq
 from bcortho.errors import DiagonalMismatch, DomainViolation, NearPole
-from bcortho.koornwinder import (
-    eigenvalue_E,
-    op_matrix,
-    phi_minus,
-    phi_plus,
-)
+from bcortho.koornwinder import eigenvalue_E, op_matrix
 from bcortho.params import _TOL, AWParams, _real_geq1
 
-from oracles import apply_D, aw_polynomials_loop, op_matrix_loop
+from oracles import (apply_D, aw_polynomials_loop, limit_scan_loop,
+                     op_matrix_loop, phi_minus, phi_plus)
 
 P1 = AWParams(1, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 - 0.4j)
 P2 = AWParams(2, 0.5, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 - 0.4j)
@@ -280,11 +280,12 @@ class TestOnePass:
         rng = random.Random(13)
         Z = np.array([rand_point(rng, 2) for _ in range(7)])
         f, g = monomial_w((2, 1)), monomial_w((1, 0)) + monomial_w((2, 2))
-        fz, values = koornwinder._apply_D_rows([f, g], Z, P2)
+        fz, values = koornwinder._apply_D_rows([f, g], Z, [P2, P2_PAIR])
         assert np.array_equal(fz[0], f.eval_points(Z))
         assert np.array_equal(fz[1], g.eval_points(Z))
-        assert np.array_equal(apply_D(f, Z, P2), values[0])
-        assert np.array_equal(apply_D(g, Z, P2), values[1])
+        for p, row in zip([P2, P2_PAIR], values):
+            assert np.array_equal(apply_D(f, Z, p), row[0])
+            assert np.array_equal(apply_D(g, Z, p), row[1])
 
 
 class TestFourVariables:
@@ -299,3 +300,167 @@ class TestFourVariables:
             for c, mu in enumerate(m.index):
                 if not dominance_leq(mu, lamp):
                     assert abs(m.entries[r, c]) <= 1e-13 * scale
+
+
+def limit_params(n: int) -> list:
+    """The limits suite's (limit, partition, steps) at n, with its default
+    parameters: the coefficient checks scan the tail k = 8..15."""
+    cfg = build_config({"suite": "limits", "n": str(n)})
+    lam = (1,) + (0,) * (n - 1)
+    ks = range(8, 16)
+    return [(little_limit(_little_family(cfg).params), lam, ks),
+            (big_limit(_big_family(cfg).params), lam, ks)]
+
+
+def scan_sets(limit, ks) -> list:
+    q = limit.target.params.q
+    return [limit.deformation(q * q ** k) for k in ks]
+
+
+def seeded_sets(seed: int, n: int, count: int) -> list:
+    """count random V_AW parameter sets at n sharing one q."""
+    rng = random.Random(seed)
+    q = rng.uniform(0.3, 0.7)
+    return [replace(random_vaw(rng, n), q=q) for _ in range(count)]
+
+
+class TestBatchedPass:
+    """op_matrices applies D to every monomial for a list of parameter
+    sets sharing n and q in one pass and one FFT: each set's matrix is
+    bit for bit op_matrix of that set alone and the per-monomial
+    oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_limit_scan_sets(self, n):
+        # the 16 sets of the two coefficient scans of limits at n
+        for limit, lam, ks in limit_params(n):
+            sets = scan_sets(limit, ks)
+            batch = list(koornwinder.op_matrices(lam, sets))
+            assert len(batch) == len(sets) == 8
+            for p, m in zip(sets, batch):
+                for want in (op_matrix(lam, p), op_matrix_loop(lam, p)):
+                    assert m.index == want.index
+                    assert np.array_equal(m.entries, want.entries)
+
+    @pytest.mark.parametrize("n, top", [(1, (5,)), (2, (2, 1)),
+                                        (3, (2, 1, 1))])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_seeded_vaw_sets(self, n, top, seed):
+        sets = seeded_sets(seed, n, 4)
+        for p, m in zip(sets, koornwinder.op_matrices(top, sets)):
+            for want in (op_matrix(top, p), op_matrix_loop(top, p)):
+                assert m.index == want.index
+                assert np.array_equal(m.entries, want.entries)
+
+    def test_phi_is_phi_plus_and_minus(self):
+        rng = random.Random(14)
+        Z = np.array([rand_point(rng, 3) for _ in range(5)])
+        sets = seeded_sets(2, 3, 3)
+        phi = koornwinder._phi(Z, sets)
+        for p, row in zip(sets, phi):
+            for j in range(3):
+                assert np.array_equal(row[j, 0], phi_plus(j, Z, p))
+                assert np.array_equal(row[j, 1], phi_minus(j, Z, p))
+
+    def test_near_pole_names_the_first_factor(self):
+        # the first factor within the guard in the order of a loop over
+        # j, then phi^+ before phi^-: here phi_0^- meets 1 - z_0^2 = 0
+        Z = np.array([[0.7 + 0.1j, 1.3 - 0.2j], [-1.0, 0.6j]])
+        with pytest.raises(NearPole) as batch:
+            koornwinder._phi(Z, [P2])
+        with pytest.raises(NearPole) as loop:
+            for j in range(2):
+                phi_plus(j, Z, P2)
+                phi_minus(j, Z, P2)
+        assert str(batch.value) == str(loop.value)
+
+    def test_sets_share_n_and_q(self):
+        with pytest.raises(DomainViolation):
+            list(koornwinder.op_matrices((1, 0), [P2, AWParams(
+                2, 0.6, 0.3, 0.6, -0.5, 0.3 + 0.4j, 0.3 - 0.4j)]))
+        assert list(koornwinder.op_matrices((1, 0), [])) == []
+
+    def test_diagonal_check_per_set(self, monkeypatch):
+        # a mismatch at the second set only: the first matrix comes out
+        sets = seeded_sets(3, 2, 3)
+        exact = koornwinder.eigenvalue_E
+        monkeypatch.setattr(koornwinder, "eigenvalue_E", lambda mu, p: (
+            exact(mu, p) + (1e-3 if p is sets[1] else 0.0)))
+        batch = koornwinder.op_matrices((2, 1), sets)
+        next(batch)
+        with pytest.raises(DiagonalMismatch):
+            next(batch)
+
+
+class TestLimitScan:
+    """limit_scan reads every step's matrix from one pass of D and is bit
+    for bit the loop of aw_polynomials over its steps, errors included."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_pass_per_scan(self, n, monkeypatch):
+        passes = []
+        apply = koornwinder._apply_D_rows
+
+        def counted(fs, Z, ps):
+            passes.append(len(ps))
+            return apply(fs, Z, ps)
+
+        for limit, lam, ks in limit_params(n):
+            monkeypatch.setattr(koornwinder, "_apply_D_rows", counted)
+            rows = askey_wilson.limit_scan(limit, lam, ks)
+            assert passes == [len(ks)]
+            monkeypatch.setattr(koornwinder, "_apply_D_rows", apply)
+            assert rows == limit_scan_loop(limit, lam, ks)
+            passes.clear()
+
+    def test_limits_run_makes_two_passes(self, tmp_path, monkeypatch):
+        passes = []
+        apply = koornwinder._apply_D_rows
+
+        def counted(fs, Z, ps):
+            passes.append(len(ps))
+            return apply(fs, Z, ps)
+
+        monkeypatch.setattr(koornwinder, "_apply_D_rows", counted)
+        assert cli.main(["--suite", "limits",
+                         "--out", str(tmp_path / "r.json")]) == 0
+        assert passes == [8, 8]
+
+    @pytest.mark.parametrize("deform_at, diagonal_at, near_pole", [
+        (3, None, False), (0, None, False), (None, 2, False),
+        (1, 4, False), (4, 1, False), (2, 2, False),
+        (None, None, True), (0, None, True), (3, 1, True),
+    ])
+    def test_first_error_of_the_loop(self, deform_at, diagonal_at,
+                                     near_pole, monkeypatch):
+        limit, lam, ks = limit_params(2)[1]
+        q = limit.target.params.q
+        bad = {k: q * q ** k for k in ks}
+        deform = limit.deformation
+
+        def deformation(eps):
+            if deform_at is not None and eps == bad[ks[deform_at]]:
+                raise DomainViolation("deformation refused")
+            return deform(eps)
+
+        limit = replace(limit, deformation=deformation)
+        if diagonal_at is not None:
+            off = deform(bad[ks[diagonal_at]])
+            exact = koornwinder.eigenvalue_E
+            monkeypatch.setattr(koornwinder, "eigenvalue_E", lambda mu, p: (
+                exact(mu, p) + (1e-3 if p == off else 0.0)))
+        if near_pole:
+            monkeypatch.setattr(koornwinder, "POLE_GUARD", 10.0)
+        errors = []
+        for scan in (limit_scan_loop, askey_wilson.limit_scan):
+            with pytest.raises(Exception) as info:
+                scan(limit, lam, ks)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        # the first (step, stage) that fails: a step's deformation comes
+        # before its pass of D, which meets the pole guard at step 0
+        # before the diagonal check
+        stages = [(deform_at, 0, DomainViolation), (diagonal_at, 2,
+                                                    DiagonalMismatch),
+                  (0 if near_pole else None, 1, NearPole)]
+        assert errors[1][0] == min(s for s in stages if s[0] is not None)[2]

@@ -401,6 +401,44 @@ class TestOneMeasure:
         assert bits(fam_gram[0, 0]) == bits(got)
 
 
+class TestGridFactors:
+    """A measure forms w_c and the pair table once, for its own chamber
+    and for the chamber of every split table, bit for bit the factors a
+    chamber forms alone."""
+
+    P3 = AWParams(3, 0.5, 0.3, 1.1, -0.45, 0.25, 0.2)
+
+    def test_one_wc_and_one_pair_table(self, monkeypatch):
+        calls = []
+        for name in ("_axis_wc", "_pair_table"):
+            fn = getattr(measures, name)
+
+            def counted(*args, fn=fn, name=name):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(measures, name, counted)
+        tables = measures.measure(self.P3, 256)
+        # the chamber, then the split of the chain of t0 = 1.1 over a
+        # chamber of two axes, which formed both factors anew before
+        assert len(tables) == 2 and tables[1].nu.shape[0] == 3
+        assert sorted(calls) == ["_axis_wc", "_pair_table"]
+
+    @pytest.mark.parametrize("p, M", [
+        (P3, 64), (AWParams(2, 0.5, 0.3, 1.1, -0.45, 0.25, 0.2), 65),
+        # splits over chambers of two axes and of one
+        (AWParams(3, 0.5, 0.3, 3.5, -0.45, 0.25, 0.2), 64),
+        # complex w_c
+        (AWParams(3, 0.5, 0.3, 1.1, -0.45, 0.3 + 0.2j, 0.2), 48)])
+    def test_shared_factors_keep_their_bits(self, p, M):
+        # each chamber forming its own w_c and pair table
+        alone = (measures._Chamber(p, p.n, M), *measures._discrete_table(
+            p, M, None))
+        for got, want in zip(measures.measure(p, M), alone, strict=True):
+            assert got.weights.dtype == want.weights.dtype
+            assert np.array_equal(got.weights, want.weights)
+
+
 class TestSplitTables:
     """Each split of F(r) is one node table summed by bcpoly.pair."""
 

@@ -5,15 +5,18 @@ each family record builds its tables once and frees them with itself."""
 import gc
 import itertools
 import math
+import random
 import re
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
-from oracles import (eval_points_loop, label_weights_stacked,
-                     little_weight_at_point, support_point, table_nodes)
+from oracles import (eval_points_loop, jackson_table_ladder,
+                     label_weights_stacked, little_weight_at_point,
+                     support_point, table_nodes)
 
 from bcortho import (askey_wilson, bcpoly, big, cli, koornwinder, little,
                      measures, qracah)
@@ -39,6 +42,7 @@ from bcortho.errors import (
     NonFiniteWeight,
     PoleAtDenominator,
     PoleInWeight,
+    SlowConvergence,
     ZeroCoordinate,
     ZeroProduct,
 )
@@ -362,6 +366,112 @@ class TestNonFiniteWeights:
             little._node_table(lp)
 
 
+def jackson_case(kind, n, q):
+    """Seeded parameters of a little or big (real or conjugate branch)
+    q-Jacobi table at n and q."""
+    rng = random.Random(f"{kind}-{n}-{q}")
+    t = rng.uniform(0.2, 0.8)
+    if kind == "little":
+        return LittleParams(n, q, t, rng.uniform(0.1, 0.95 / q),
+                            rng.uniform(-1.0, 0.95 / q))
+    c, d = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
+    if kind == "big-real":
+        return BigParams(n, q, t, rng.uniform(-0.9 * c / (d * q), 0.9 / q),
+                         rng.uniform(-0.9 * d / (c * q), 0.9 / q), c, d)
+    u = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.2, 0.6))
+    return BigParams(n, q, t, c * u, -d * u.conjugate(), c, d)
+
+
+def node_table(params):
+    """The node table of params, or the type and text of its error, and
+    the floating-point warnings on the way."""
+    module = little if isinstance(params, LittleParams) else big
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            table = module._node_table(params)
+        except BcorthoError as exc:
+            table = (type(exc), str(exc))
+    return table, [(w.category, str(w.message)) for w in seen]
+
+
+# n = 3 stops at q = 0.7: at q >= 0.9 an n = 3 table may hold millions
+# of labels per part
+SWEEP = [(kind, n, q) for kind in ("little", "big-real", "big-conjugate")
+         for n in (1, 2, 3) for q in (0.3, 0.5, 0.7, 0.9, 0.95)
+         if n < 3 or q <= 0.7]
+
+
+class TestJacksonLadder:
+    """little._jackson_table builds a table predicted to need more than
+    32 shells at 64 at once: every table, and every error, is that of a
+    whole build per rung (oracles.jackson_table_ladder)."""
+
+    @pytest.mark.parametrize("params", [
+        *(jackson_case(*case) for case in SWEEP),
+        # NonFiniteWeight (big --q 0.9 --t 0.3) and SlowConvergence at
+        # MAX_SHELLS (big --q 0.95)
+        BigParams(2, 0.9, 0.3, 0.6, 0.3, 1.0, 0.8),
+        BigParams(2, 0.95, 0.4, 0.6, 0.3, 1.0, 0.8),
+        # b < 0 near q = 1: the one-axis factors decay slowly at first
+        LittleParams(2, 0.95, 0.4, 0.5, -6.0),
+    ], ids=[*("-".join(map(str, case)) for case in SWEEP),
+            "big-q0.9-t0.3", "big-q0.95", "little-q0.95-b-6"])
+    def test_same_tables_as_the_ladder(self, params, monkeypatch):
+        builds = []
+        build = little._build
+
+        def recorded(parts, S, *args):
+            builds.append(S)
+            return build(parts, S, *args)
+
+        monkeypatch.setattr(little, "_build", recorded)
+        got, got_warned = node_table(params)
+        for module in (little, big):
+            monkeypatch.setattr(module, "_jackson_table",
+                                jackson_table_ladder)
+        want, want_warned = node_table(params)
+        assert got_warned == want_warned
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        # a guess too high costs one build at 64 shells, no more
+        assert max(builds) <= max(len(want[0].z[0]) - 1, 64)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.z.shape == b.z.shape and np.array_equal(a.z, b.z)
+            assert a.nu.dtype == b.nu.dtype and np.array_equal(a.nu, b.nu)
+            assert a.weights.dtype == b.weights.dtype
+            assert np.array_equal(a.weights, b.weights)
+
+    @pytest.mark.parametrize("params, error", [
+        (BigParams(2, 0.9, 0.3, 0.6, 0.3, 1.0, 0.8), NonFiniteWeight),
+        (BigParams(2, 0.95, 0.4, 0.6, 0.3, 1.0, 0.8), SlowConvergence),
+    ], ids=["big-q0.9-t0.3", "big-q0.95"])
+    def test_sweep_meets_both_errors(self, params, error):
+        assert node_table(params)[0][0] is error
+
+    @pytest.mark.parametrize("params", [
+        BigParams(2, 0.5, 0.4, 0.6, 0.3, 1.0, 0.8),
+        LittleParams(2, 0.5, 0.3, 0.4, 0.2),
+        BigParams(3, 0.5, 0.4, 0.6, 0.3, 1.0, 0.8),
+    ], ids=["big", "little", "big-n3"])
+    def test_default_tables_build_once(self, params, monkeypatch):
+        # the CLI's default big and little tables and big --n 3: the
+        # labels and weights of each part are computed once
+        calls = []
+        label_weights = little._label_weights
+
+        def counted(nu, *args):
+            calls.append(nu.shape[1])
+            return label_weights(nu, *args)
+
+        monkeypatch.setattr(little, "_label_weights", counted)
+        module = little if isinstance(params, LittleParams) else big
+        table = module._node_table(params)
+        assert calls == [len(part.weights) for part in table]
+
+
 class TestEvalPoints:
     POLY = LaurentPolynomial(3, {(1, -2, 0): 0.3 + 0.2j, (0, 0, 0): 1.5,
                                  (2, 1, -1): -0.7j, (-3, 0, 2): 2.0})
@@ -586,6 +696,53 @@ class TestNodeValues:
         del f, first, second
         gc.collect()
         assert ref() is None
+
+    def test_tables_die_with_their_family(self):
+        # the measure at t0 = 1.1 has a chamber table and split tables;
+        # a polynomial paired on them keeps none of them alive
+        def tables():
+            return [obj for obj in gc.get_objects()
+                    if isinstance(obj, (measures._Chamber, PointTable))]
+
+        gc.collect()
+        before = {id(obj) for obj in tables()}
+        fam = askey_wilson.family(
+            AWParams(2, 0.5, 0.3, 1.1, -0.45, 0.25, 0.2), 128)
+        one = LaurentPolynomial.constant(2)
+        fam.pair(one, one)
+        refs = [weakref.ref(obj) for obj in tables()
+                if id(obj) not in before]
+        assert len(refs) > 1 and len(one._node_values) == len(refs)
+        del fam
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []
+        assert one._node_values == {} and one.nvars == 2
+
+    def test_entry_dies_with_its_table(self, monkeypatch):
+        # the entry goes when its table dies, without a gc run, so its
+        # values die and a table that reuses the identity is evaluated
+        def make():
+            return PointTable(np.array([[0.5, 1.5]]), np.array([[0, 1]]),
+                              np.ones(2))
+
+        f = monomial_w((1,))
+        table = make()
+        ref = weakref.ref(table)
+        values = weakref.ref(f.node_values(table))
+        del table
+        assert ref() is None and values() is None
+        assert f._node_values == {}
+        calls = []
+        at_nodes = PointTable.at_nodes
+
+        def counted(tab, h):
+            calls.append(tab)
+            return at_nodes(tab, h)
+
+        monkeypatch.setattr(PointTable, "at_nodes", counted)
+        other = make()
+        assert np.array_equal(f.node_values(other), at_nodes(other, f))
+        assert calls == [other] and list(f._node_values) == [id(other)]
 
     @pytest.mark.parametrize("raw", [
         {"suite": "qracah", "n": "3", "N": "3"},
